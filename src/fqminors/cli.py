@@ -263,9 +263,10 @@ def _cmd_minor(args) -> int:
         outcome = "unknown"
         w = None
     if w is not None:
-        outcome = "found"
         witness = w.to_json()
         verified = verify_witness_matrix(A, target, w)
+        # a witness that fails verification is never reported as found
+        outcome = "found" if verified else "unverified"
     if args.json:
         sys.stdout.write(json.dumps(
             {"outcome": outcome, "witness": witness, "verified": verified},
@@ -275,7 +276,7 @@ def _cmd_minor(args) -> int:
         if witness is not None:
             sys.stdout.write(f"witness: {json.dumps(witness, sort_keys=True)}\n")
             sys.stdout.write(f"verified: {'true' if verified else 'false'}\n")
-    return EXIT_OK
+    return EXIT_VALIDATION if outcome == "unverified" else EXIT_OK
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """Brute-force exact probabilities over all q^(m*n) matrices at tiny sizes.
 
 This is the ground truth the formula and bound modules are validated
-against.  Matrices are enumerated by running through all column-code
-combinations (each matrix visited exactly once); ranks and basis families
-are memoized on the sorted column multiset, which is sound because both are
-invariant under column permutation.
+against.  Every count is exact over all q^(m*n) matrices, but a matrix is
+visited only up to column order and nonzero column scaling: rank, the column
+matroid and its minors are invariant under both.  A column is reduced to its
+projective class (the zero column, or the code whose lowest-row nonzero digit
+is 1), and each class combination stands for the number of matrices it
+represents.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +62,29 @@ def _matrix_from_codes(codes, q: int, m: int) -> FqMatrix:
     return FqMatrix(field(q), m, n, tuple(entries))
 
 
+def _column_classes(q: int, m: int) -> list[int]:
+    """The zero column, then one code per projective point of GF(q)^m: the
+    code whose lowest-row nonzero digit is 1.  Scaling a nonzero column by
+    each of the q - 1 nonzero scalars hits its class code exactly once."""
+    return [0] + [q**i + q ** (i + 1) * k for i in range(m) for k in range(q ** (m - 1 - i))]
+
+
+def _column_multisets(q: int, m: int, n: int):
+    """Yield (codes, weight) once per multiset of n column classes, where
+    weight = n!/prod(mult!) * (q-1)^(nonzero columns) is the number of
+    m x n matrices whose columns reduce to that multiset."""
+    n_fact = math.factorial(n)
+    total = 0
+    for codes in itertools.combinations_with_replacement(_column_classes(q, m), n):
+        weight = n_fact * (q - 1) ** (n - codes.count(0))
+        for code in set(codes):
+            weight //= math.factorial(codes.count(code))
+        total += weight
+        yield codes, weight
+    if total != q ** (m * n):
+        raise RuntimeError(f"multiset weights sum to {total}, not q^(mn) = {q ** (m * n)}")
+
+
 _rank_hist_cache: dict = {}
 
 
@@ -70,14 +96,8 @@ def rank_histogram(q: int, m: int, n: int, cap: int = DEFAULT_CAP) -> tuple[int,
     _check_cap(q, m * n, cap)
     o = linalg.ops_for(field(q), m)
     counts = [0] * (min(m, n) + 1)
-    rank_memo: dict = {}
-    for codes in itertools.product(range(q**m), repeat=n):
-        skey = tuple(sorted(codes))
-        r = rank_memo.get(skey)
-        if r is None:
-            r = o.rank_cols([_decode_col(c, q, m) for c in skey])
-            rank_memo[skey] = r
-        counts[r] += 1
+    for codes, weight in _column_multisets(q, m, n):
+        counts[o.rank_cols([_decode_col(c, q, m) for c in codes])] += weight
     result = tuple(counts)
     _rank_hist_cache[key] = result
     return result
@@ -101,20 +121,13 @@ def exact_minor_prob(q: int, m: int, n: int, target: Matroid, cap: int = DEFAULT
     """
     _check_cap(q, m * n, cap)
     hits = 0
-    memo: dict = {}
-    for codes in itertools.product(range(q**m), repeat=n):
-        skey = tuple(sorted(codes))
-        found = memo.get(skey)
-        if found is None:
-            A = _matrix_from_codes(skey, q, m)
-            host = from_matrix(A)
-            w = find_minor(host, target, budget=None)
-            if w is not None and not verify_witness(host, target, w):
-                raise RuntimeError(f"unsound witness for codes {skey}")
-            found = w is not None
-            memo[skey] = found
-        if found:
-            hits += 1
+    for codes, weight in _column_multisets(q, m, n):
+        host = from_matrix(_matrix_from_codes(codes, q, m))
+        w = find_minor(host, target, budget=None)
+        if w is not None:
+            if not verify_witness(host, target, w):
+                raise RuntimeError(f"unsound witness for codes {codes}")
+            hits += weight
     total = q ** (m * n)
     return OracleResult(total, hits, Fraction(hits, total))
 
@@ -123,7 +136,10 @@ _census_cache: dict = {}
 
 
 def _representation_census(q: int, m: int, e: int, cap: int) -> dict:
-    """Counter mapping basis family -> number of m x e matrices having it."""
+    """Counter mapping basis family -> number of m x e matrices having it.
+
+    Columns are labelled here, so every tuple of column classes is visited,
+    standing for the (q-1)^(nonzero columns) matrices that scale to it."""
     key = (q, m, e)
     if key in _census_cache:
         return _census_cache[key]
@@ -140,7 +156,7 @@ def _representation_census(q: int, m: int, e: int, cap: int) -> dict:
 
     census: Counter = Counter()
     positions = list(range(e))
-    for codes in itertools.product(range(q**m), repeat=e):
+    for codes in itertools.product(_column_classes(q, m), repeat=e):
         bases = None
         for size in range(min(m, e), -1, -1):
             found = []
@@ -154,7 +170,7 @@ def _representation_census(q: int, m: int, e: int, cap: int) -> dict:
             if found:
                 bases = frozenset(found)
                 break
-        census[bases] += 1
+        census[bases] += (q - 1) ** (e - codes.count(0))
     _census_cache[key] = census
     return census
 

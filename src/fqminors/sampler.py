@@ -23,6 +23,7 @@ as a separate `unknowns` count, never folding them into successes.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -48,7 +49,10 @@ class SeedSpec:
 
 
 def _philox(spec: SeedSpec) -> np.random.Philox:
-    return np.random.Philox(key=[spec.seed & _MASK64, spec.stream & _MASK64])
+    # a uint64 array keeps keys >= 2^63 exact; a list of ints would go
+    # through float64 and round them
+    key = np.array([spec.seed & _MASK64, spec.stream & _MASK64], dtype=np.uint64)
+    return np.random.Philox(key=key)
 
 
 def sample_entries(q: int, count: int, spec: SeedSpec) -> list[int]:
@@ -267,9 +271,12 @@ def mc_minor_prob(q: int, m: int, n: int, target: Matroid, trials: int, seed: in
     """
     if trials < 1:
         raise BadArgumentsError("trials must be >= 1")
+    if jobs < 1:
+        raise BadArgumentsError(f"jobs must be >= 1, got {jobs}")
+    jobs = min(jobs, trials, os.cpu_count() or 1)
     bases = tuple(sorted(target.bases))
     ground = target.ground_size
-    if jobs <= 1:
+    if jobs == 1:
         successes, unknowns = _mc_minor_chunk(
             (q, m, n, ground, bases, seed, 0, trials, budget)
         )

@@ -92,6 +92,20 @@ def test_minor_found_and_verified(tmp_path, capsys):
     assert d["witness"]["contract"] == [] and d["witness"]["delete"] == []
 
 
+def test_minor_unverified_witness_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_witness_matrix", lambda A, target, w: False)
+    host = fano_file(tmp_path)
+    rc = cli.main(["minor", "--host", host, "--target", "name:F7"])
+    assert rc == cli.EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert "outcome: unverified" in out and "verified: false" in out
+    assert "found" not in out
+    rc = cli.main(["minor", "--host", host, "--target", "name:F7", "--json"])
+    assert rc == cli.EXIT_VALIDATION
+    d = json.loads(capsys.readouterr().out)
+    assert d["outcome"] == "unverified" and d["verified"] is False
+
+
 def test_minor_absent(tmp_path, capsys):
     path = tmp_path / "ident.txt"
     path.write_text(format_matrix(FqMatrix.identity(field(2), 4)))
@@ -154,6 +168,14 @@ def test_simulate_csv_deterministic():
     lines = a.stdout.strip().splitlines()
     assert lines[0] == "n,m,trials,point,ci_lo,ci_hi,lower_bound,upper_bound"
     assert len(lines) == 4
+
+
+def test_simulate_bad_jobs_exit_1(capsys):
+    rc = cli.main(["simulate", "--q", "2", "--target", "name:U:1,2",
+                   "--n-start", "4", "--n-stop", "4", "--m-rule", "n-minus:2",
+                   "--trials", "10", "--jobs", "0"])
+    assert rc == cli.EXIT_USAGE
+    assert "jobs must be >= 1" in capsys.readouterr().err
 
 
 def test_simulate_out_file(tmp_path):

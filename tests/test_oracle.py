@@ -1,10 +1,25 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from conftest import brute_has_minor
 
-from fqminors import formulas, oracle
+from fqminors import formulas, linalg, oracle
 from fqminors.errors import BadArgumentsError, TooLargeError
-from fqminors.matroid import catalog
+from fqminors.gf import field
+from fqminors.matrix import FqMatrix
+from fqminors.matroid import Matroid, catalog, from_matrix
+
+# tiny shapes small enough to enumerate matrix by matrix
+TINY_SHAPES = ((2, 2, 3), (2, 3, 2), (2, 2, 4), (3, 2, 2), (3, 2, 3), (3, 3, 2),
+               (4, 2, 2), (4, 1, 3))
+# element 0 a coloop, element 1 a loop
+LOOP_AND_COLOOP = Matroid(2, (0b01,))
+
+
+def _all_matrices(q, m, n):
+    f = field(q)
+    return [FqMatrix(f, m, n, e) for e in itertools.product(range(q), repeat=m * n)]
 
 
 def test_exact_event_examples():
@@ -42,6 +57,40 @@ def test_exact_minor_prob_matches_prob_free_minor():
             for r in range(min(m, n) + 1):
                 got = oracle.exact_minor_prob(q, m, n, catalog(f"free:{r}"))
                 assert got.exact == formulas.prob_free_minor(m, n, q, r)
+
+
+@pytest.mark.parametrize("q,m,n", TINY_SHAPES)
+def test_oracle_matches_plain_enumeration(q, m, n):
+    matrices = _all_matrices(q, m, n)
+    counts = [0] * (min(m, n) + 1)
+    for A in matrices:
+        counts[linalg.fast_rank(A)] += 1
+    assert oracle.rank_histogram(q, m, n) == tuple(counts)
+    hosts = [from_matrix(A) for A in matrices]
+    for target in (catalog("U:1,2"), catalog("U:2,3"), catalog("U:0,2"), LOOP_AND_COLOOP):
+        hits = sum(brute_has_minor(host, target) for host in hosts)
+        res = oracle.exact_minor_prob(q, m, n, target)
+        assert (res.total, res.hits) == (len(matrices), hits)
+
+
+@pytest.mark.parametrize("q,m,name", ((4, 2, "U:2,3"), (4, 1, "U:1,3"), (3, 2, "U:2,4"),
+                                      (2, 2, "LOOP_AND_COLOOP")))
+def test_count_representations_matches_plain_enumeration(q, m, name):
+    M = LOOP_AND_COLOOP if name == "LOOP_AND_COLOOP" else catalog(name)
+    want = sum(from_matrix(A).bases == M.bases
+               for A in _all_matrices(q, m, M.ground_size))
+    assert oracle.count_representations_exact(M, m, q) == want
+
+
+def test_oracle_closed_forms_beyond_plain_enumeration():
+    # 4^12 = 2^24 matrices: exactly the default cap
+    hist = oracle.rank_histogram(4, 3, 4)
+    assert hist == tuple(formulas.count_rank_matrices(3, 4, 4, k) for k in range(4))
+    for q, m, n in ((4, 3, 3), (5, 2, 3)):
+        for r in range(min(m, n) + 1):
+            got = oracle.exact_minor_prob(q, m, n, catalog(f"free:{r}"))
+            assert got.total == q ** (m * n)
+            assert got.exact == formulas.prob_free_minor(m, n, q, r)
 
 
 def test_count_representations():

@@ -28,6 +28,25 @@ def test_sampling_regression_pin():
     assert got == tuple(w % 2 for w in _raw_words(1, 0, 4))
 
 
+def test_philox_key_is_exact_mod_2_64():
+    import warnings
+
+    mask = (1 << 64) - 1
+    cases = ((0, 0), (1, 7), (-1, 0), (-2, 3), (2**63 + 1, 2**63 + 1000), (2**64 + 5, -1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed, stream in cases:
+            key = sampler._philox(SeedSpec(seed, stream)).state["state"]["key"]
+            assert key.tolist() == [seed & mask, stream & mask]
+
+
+def test_distinct_negative_seeds_give_distinct_streams():
+    draws = {tuple(sampler.sample_entries(2, 64, SeedSpec(seed, 0))) for seed in (-1, -2, -5, -6)}
+    assert len(draws) == 4
+    assert sampler.sample_entries(2, 64, SeedSpec(-1, 0)) == \
+        sampler.sample_entries(2, 64, SeedSpec(2**64 - 1, 0))
+
+
 def _raw_words(seed, stream, count):
     import numpy as np
 
@@ -182,6 +201,40 @@ def test_mc_determinism_and_jobs_invariance():
     assert a == b
     c = mc_minor_prob(2, 3, 5, t, 400, seed=9, jobs=2)
     assert a == c
+
+
+def test_mc_minor_jobs_validated_and_clamped(monkeypatch):
+    seen = []
+
+    class SerialPool:
+        """Records the requested worker count and runs the chunks in-process."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(sampler, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: 4)
+    t = catalog("U:1,2")
+    serial = mc_minor_prob(2, 3, 5, t, 40, seed=9)
+    assert mc_minor_prob(2, 3, 5, t, 40, seed=9, jobs=1000) == serial
+    assert mc_minor_prob(2, 3, 5, t, 3, seed=9, jobs=8) == mc_minor_prob(2, 3, 5, t, 3, seed=9)
+    assert mc_minor_prob(2, 3, 5, t, 40, seed=9, jobs=2) == serial
+    assert seen == [4, 3, 2]
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: None)
+    assert mc_minor_prob(2, 3, 5, t, 40, seed=9, jobs=8) == serial
+    assert seen == [4, 3, 2]  # one usable CPU: no pool at all
+    for jobs in (0, -1):
+        with pytest.raises(BadArgumentsError):
+            mc_minor_prob(2, 3, 5, t, 40, seed=9, jobs=jobs)
 
 
 def test_estimate_json_schema():
