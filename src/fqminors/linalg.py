@@ -2,9 +2,14 @@
 
 Two interchangeable backends over the same interface: a bit-packed one for
 GF(2) (columns are Python ints, bit i = row i) and a generic one driven by
-the field tables (columns are tuples).  Echelons are kept fully reduced with
-pivot value 1, so `reduce` returns the canonical coset representative of a
-vector modulo the echelon's span; equal representatives mean equal cosets.
+the field tables (columns are tuples).  An echelon is a list of
+(pivot, row) pairs; each row has pivot value 1 and is zero at the pivots of
+the rows before it.  `reduce` works through the rows in list order and
+returns the one vector of v's coset modulo the span that is zero at every
+pivot: equal representatives mean equal cosets, and zero means v lies in
+the span.  `reduce_pivot` gives the row a vector would add, so a search can
+push and pop rows along its path; `insert` appends that row and also clears
+its pivot from the earlier rows, keeping the echelon fully reduced.
 
 The same operations exist in matrix.py in row-echelon form; the two are
 cross-checked in the test suite.
@@ -33,9 +38,6 @@ class BitOps:
             out.append(v)
         return out
 
-    def is_zero(self, v: int) -> bool:
-        return v == 0
-
     def unit(self, i: int) -> int:
         return 1 << i
 
@@ -45,15 +47,22 @@ class BitOps:
                 v ^= b
         return v
 
-    def insert(self, ech: list, v: int) -> bool:
+    def reduce_pivot(self, ech: list, v: int):
+        """(pivot, v reduced by ech), or None when v lies in ech's span."""
         v = self.reduce(ech, v)
         if not v:
+            return None
+        return (v & -v).bit_length() - 1, v
+
+    def insert(self, ech: list, v: int) -> bool:
+        row = self.reduce_pivot(ech, v)
+        if row is None:
             return False
-        p = (v & -v).bit_length() - 1
+        p, v = row
         for i, (pi, bi) in enumerate(ech):
             if (bi >> p) & 1:
                 ech[i] = (pi, bi ^ v)
-        ech.append((p, v))
+        ech.append(row)
         return True
 
     def rank_cols(self, cols) -> int:
@@ -107,9 +116,6 @@ class GenOps:
     def cols_of(self, A: FqMatrix) -> list[tuple[int, ...]]:
         return [A.col(j) for j in range(A.n)]
 
-    def is_zero(self, v) -> bool:
-        return not any(v)
-
     def unit(self, i: int):
         return tuple(1 if k == i else 0 for k in range(self.m))
 
@@ -126,20 +132,30 @@ class GenOps:
                 v = self._axpy(v, neg[c], b)
         return v
 
-    def insert(self, ech: list, v) -> bool:
+    def reduce_pivot(self, ech: list, v):
+        """(pivot, v reduced by ech and scaled to pivot value 1), or None
+        when v lies in ech's span."""
         v = self.reduce(ech, v)
         p = next((i for i, x in enumerate(v) if x), None)
         if p is None:
-            return False
-        inv, mul, neg = self.field.inv_table, self.field.mul_table, self.field.neg_table
-        s = inv[v[p]]
+            return None
+        s = self.field.inv_table[v[p]]
         if s != 1:
-            v = tuple(mul[s][x] for x in v)
+            scale = self.field.mul_table[s]
+            v = tuple(scale[x] for x in v)
+        return p, v
+
+    def insert(self, ech: list, v) -> bool:
+        row = self.reduce_pivot(ech, v)
+        if row is None:
+            return False
+        p, v = row
+        neg = self.field.neg_table
         for i, (pi, bi) in enumerate(ech):
             c = bi[p]
             if c:
                 ech[i] = (pi, self._axpy(bi, neg[c], v))
-        ech.append((p, v))
+        ech.append(row)
         return True
 
     def rank_cols(self, cols) -> int:

@@ -20,13 +20,16 @@ The budget is counted in work units: one per candidate contraction set, one
 per direction selection, one per isomorphism invocation, and (in the matrix
 searcher) a candidate survivor selection costs as many units as the basis
 enumeration it triggers, so a fixed budget bounds actual work even for
-large targets.
+large targets.  The matrix searcher also charges one unit for each distinct
+order of the target's parallel-class sizes after the first, before it
+generates any of them, so no set-up step runs ahead of the budget.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
@@ -236,9 +239,31 @@ def _target_profile(target: Matroid):
     }
 
 
-def _distinct_size_orders(sizes: list[int]):
-    """Distinct permutations of the class-size multiset."""
-    return sorted(set(itertools.permutations(sizes)))
+def _n_distinct_orders(sizes: list[int]) -> int:
+    """Number of distinct permutations of a multiset: c! / prod(mult!)."""
+    n = math.factorial(len(sizes))
+    for mult in Counter(sizes).values():
+        n //= math.factorial(mult)
+    return n
+
+
+def _distinct_size_orders(sizes: list[int]) -> list[tuple[int, ...]]:
+    """Distinct permutations of the class-size multiset, in lexicographic
+    order: next-permutation from the sorted list, O(c) per order."""
+    a = sorted(sizes)
+    out = [tuple(a)]
+    while True:
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+        out.append(tuple(a))
 
 
 def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT_BUDGET):
@@ -277,6 +302,9 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT
     l_t = prof["loops"]
     sizes = prof["class_sizes"]
     c_t = len(sizes)
+    n_orders = _n_distinct_orders(sizes)
+    if n_orders > 1:
+        budget_.tick(n_orders - 1)
     size_orders = _distinct_size_orders(sizes)
     n_bases_t = prof["n_bases"]
 
@@ -289,13 +317,16 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT
         for idx in _stride_order(total):
             combo = _unrank_combo(idx, n, k)
             budget_.tick()
+            # a triangular echelon is enough: reducing by it leaves the unique
+            # coset representative that is zero at every pivot, the same
+            # vector a fully reduced echelon gives
             ech: list = []
-            ok = True
             for j in combo:
-                if not o.insert(ech, cols[j]):
-                    ok = False
+                row = o.reduce_pivot(ech, cols[j])
+                if row is None:
                     break
-            if not ok:
+                ech.append(row)
+            if len(ech) < k:
                 continue
             in_c = set(combo)
             survivors = [j for j in range(n) if j not in in_c]
@@ -303,29 +334,28 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT
             reps = {}
             dirs: dict = {}
             for j in survivors:
-                rep = o.reduce(ech, cols[j])
-                reps[j] = rep
-                if o.is_zero(rep):
+                # a direction is keyed by its coset representative scaled to
+                # pivot value 1; scaling a column keeps every rank, so the
+                # scaled vector also stands for j in the basis enumeration
+                row = o.reduce_pivot(ech, cols[j])
+                if row is None:
                     zero_surv.append(j)
+                    reps[j] = o.reduce(ech, cols[j])
                 else:
-                    if q > 2:
-                        p = next(i for i, x in enumerate(rep) if x)
-                        s = f.inv_table[rep[p]]
-                        if s != 1:
-                            rep = tuple(f.mul_table[s][x] for x in rep)
-                    dirs.setdefault(rep, []).append(j)
+                    reps[j] = row[1]
+                    dirs.setdefault(row[1], []).append(j)
             if len(zero_surv) < l_t or len(dirs) < c_t:
                 continue
             dir_keys = sorted(dirs)
             # rank of the whole quotient must allow rank r_t
             qech: list = []
-            qrank = 0
             for key in dir_keys:
-                if o.insert(qech, key):
-                    qrank += 1
-                if qrank >= r_t:
-                    break
-            if qrank < r_t:
+                row = o.reduce_pivot(qech, key)
+                if row is not None:
+                    qech.append(row)
+                    if len(qech) >= r_t:
+                        break
+            if len(qech) < r_t:
                 continue
             witness = _scan_survivor_selections(
                 o, target, reps, combo, survivors, zero_surv, dirs, dir_keys,
@@ -345,14 +375,9 @@ def _scan_survivor_selections(
     # fixed budget bounds actual work for large and small targets alike
     bases_cost = max(1, math.comb(e_t, r_t))
     for loop_pick in itertools.combinations(zero_surv, l_t):
-        for key_pick in itertools.combinations(dir_keys, c_t):
+        for key_pick, krank in _ranked_picks(o, dir_keys, c_t):
             budget_.tick()
             # the chosen directions must span exactly rank r_t
-            kech: list = []
-            krank = 0
-            for key in key_pick:
-                if o.insert(kech, key):
-                    krank += 1
             if krank != r_t:
                 continue
             for order in size_orders:
@@ -364,13 +389,7 @@ def _scan_survivor_selections(
                 for member_pick in itertools.product(*member_pools):
                     budget_.tick(bases_cost)
                     s_list = sorted(loop_pick + tuple(j for grp in member_pick for j in grp))
-                    bases = []
-                    for x_combo in itertools.combinations(range(e_t), r_t):
-                        vecs = [reps[s_list[i]] for i in x_combo]
-                        if o.rank_cols(vecs) == r_t:
-                            bases.append(_mask_of(x_combo))
-                            if len(bases) > n_bases_t:
-                                break
+                    bases = _basis_masks(o, [reps[j] for j in s_list], r_t, n_bases_t + 1)
                     if len(bases) != n_bases_t:
                         continue
                     minor_m = Matroid(e_t, bases)
@@ -384,6 +403,77 @@ def _scan_survivor_selections(
                             mapping,
                         )
     return None
+
+
+def _ranked_picks(o, keys: list, c: int):
+    """Yield (pick, rank) for each c-subset of keys, in the order of
+    itertools.combinations(keys, c).
+
+    One triangular echelon follows the walk: a key's row is pushed when the
+    walk descends to it and popped when it returns, so each pick costs one
+    reduction against the echelon its prefix already built.
+    """
+    n = len(keys)
+    if c > n:
+        return
+    ech: list = []
+    pick: list[int] = []
+    pushed: list[bool] = []
+    i = 0
+    while True:
+        while len(pick) < c:
+            row = o.reduce_pivot(ech, keys[i])
+            if row is not None:
+                ech.append(row)
+            pushed.append(row is not None)
+            pick.append(i)
+            i += 1
+        yield tuple(keys[j] for j in pick), len(ech)
+        # backtrack to the deepest position that can still advance
+        while pick:
+            j = pick.pop()
+            if pushed.pop():
+                ech.pop()
+            if j < n - c + len(pick):
+                i = j + 1
+                break
+        else:
+            return
+
+
+def _basis_masks(o, vecs: list, r: int, stop: int) -> list[int]:
+    """Masks of the independent r-subsets of vecs, in the order of
+    itertools.combinations(range(len(vecs)), r), at most `stop` of them.
+
+    Depth-first over one triangular echelon; a dependent prefix is pruned
+    with every subset that extends it.
+    """
+    if r == 0:
+        return [0]
+    n = len(vecs)
+    out: list[int] = []
+    ech: list = []
+
+    def walk(start: int, mask: int) -> bool:
+        last = len(ech) + 1 == r
+        for i in range(start, n - r + len(ech) + 1):
+            row = o.reduce_pivot(ech, vecs[i])
+            if row is None:
+                continue
+            if last:
+                out.append(mask | 1 << i)
+                if len(out) == stop:
+                    return True
+            else:
+                ech.append(row)
+                done = walk(i + 1, mask | 1 << i)
+                ech.pop()
+                if done:
+                    return True
+        return False
+
+    walk(0, 0)
+    return out
 
 
 def verify_witness_matrix(A: FqMatrix, target: Matroid, w: MinorWitness) -> bool:

@@ -9,6 +9,8 @@ from fqminors.linalg import BitOps, GenOps, complete_to_basis, fast_rank, ops_fo
 from fqminors.matrix import FqMatrix, rank
 
 F2 = field(2)
+F4 = field(4)
+F3 = field(3)
 F9 = field(9)
 
 
@@ -77,3 +79,36 @@ def test_fast_rank_matches_rref_rank_gf9():
     for _ in range(30):
         A = FqMatrix(F9, 3, 4, tuple(rng.randrange(9) for _ in range(12)))
         assert fast_rank(A) == rank(A)
+
+
+def test_triangular_push_pop_tracks_rank():
+    # push reduce_pivot rows without back-substitution, pop them again:
+    # the echelon's length must stay the rank of the columns on the stack
+    rng = random.Random(44)
+    for f in (F2, F3, F4):
+        m = 4
+        o = ops_for(f, m)
+        for _ in range(20):
+            A = FqMatrix(f, m, 6, tuple(rng.randrange(f.q) for _ in range(m * 6)))
+            # a few repeated and scaled columns make dependent pushes common
+            pool = o.cols_of(A)
+            pool += [pool[0], pool[1]] + o.cols_of(FqMatrix(f, m, 1, (0,) * m))
+            ech, stack = [], []
+            for _ in range(40):
+                if stack and rng.random() < 0.4:
+                    _, pushed = stack.pop()
+                    if pushed:
+                        ech.pop()
+                else:
+                    v = rng.choice(pool)
+                    row = o.reduce_pivot(ech, v)
+                    if row is not None:
+                        p, w = row
+                        assert o.entries_of(w, [p]) == [1]
+                        ech.append(row)
+                    stack.append((v, row is not None))
+                cols = [v for v, _ in stack]
+                assert len(ech) == o.rank_cols(cols)
+                for v in pool:
+                    in_span = o.reduce_pivot(ech, v) is None
+                    assert in_span == (o.rank_cols(cols + [v]) == len(ech))

@@ -1,15 +1,18 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from conftest import brute_has_minor
+from fqminors import linalg, minor
 from fqminors.errors import BudgetExceededError
 from fqminors.gf import field
 from fqminors.matrix import FqMatrix
-from fqminors.matroid import catalog, from_matrix, uniform
+from fqminors.matroid import Matroid, catalog, from_matrix, is_isomorphic, uniform
 from fqminors.minor import (
     MinorWitness,
+    _mask_of,
     find_minor,
     find_minor_matrix,
     has_excluded_minor,
@@ -17,6 +20,7 @@ from fqminors.minor import (
     verify_witness,
     verify_witness_matrix,
 )
+from fqminors.sampler import SeedSpec, sample_matrix
 
 F2 = field(2)
 F3 = field(3)
@@ -194,3 +198,147 @@ def test_free_target_witness_is_leftmost():
     w = find_minor(host, catalog("free:2"))
     assert w.bijection == (1, 2)
     assert verify_witness(host, catalog("free:2"), w)
+
+
+# ----------------------------------------------------------------------
+# size orders and the incremental survivor scan
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sizes", [[], [1], [1, 1, 1], [2, 1, 1], [3, 2, 2, 1]])
+def test_distinct_size_orders_match_permutation_set(sizes):
+    expected = sorted(set(itertools.permutations(sizes)))
+    assert minor._distinct_size_orders(sizes) == expected
+    assert minor._n_distinct_orders(sizes) == len(expected)
+
+
+def test_many_singleton_classes_cost_no_factorial_setup():
+    # U:3,16 has 16 singleton classes: one size order, not 16! permutations
+    assert minor._distinct_size_orders([1] * 16) == [(1,) * 16]
+    A = sample_matrix(16, 4, 20, SeedSpec(7, 0))
+    try:
+        w = find_minor_matrix(A, catalog("U:3,16"), budget=10)
+    except BudgetExceededError:
+        return
+    assert w is None or verify_witness_matrix(A, catalog("U:3,16"), w)
+
+
+def test_size_orders_are_charged_before_they_are_generated(monkeypatch):
+    # rank 2 over GF(3), parallel classes of sizes 3, 2, 2, 1:
+    # D = 4! / 2! = 12 distinct size orders, so D - 1 = 11 units up front
+    rows = [[1, 2, 1, 0, 0, 1, 2, 1], [0, 0, 0, 1, 2, 1, 2, 2]]
+    target = from_matrix(FqMatrix.from_rows(F3, rows))
+    sizes = sorted((c.bit_count() for c in target.parallel_classes()), reverse=True)
+    assert sizes == [3, 2, 2, 1]
+    A = sample_matrix(3, 3, 12, SeedSpec(5, 0))
+
+    def not_reached(sizes):
+        raise AssertionError("size orders generated before the budget was charged")
+
+    monkeypatch.setattr(minor, "_distinct_size_orders", not_reached)
+    with pytest.raises(BudgetExceededError):
+        find_minor_matrix(A, target, budget=10)
+
+
+def test_prefix_shared_walks_match_plain_enumeration():
+    rng = random.Random(8)
+    for f in (F2, F3):
+        o = linalg.ops_for(f, 3)
+        for _ in range(15):
+            A = FqMatrix(f, 3, 7, tuple(rng.randrange(f.q) for _ in range(21)))
+            vecs = o.cols_of(A)
+            for c in range(0, 5):
+                want = [(pick, o.rank_cols(pick)) for pick in itertools.combinations(vecs, c)]
+                assert list(minor._ranked_picks(o, vecs, c)) == want
+            for r in range(0, 4):
+                indep = [_mask_of(x) for x in itertools.combinations(range(7), r)
+                         if o.rank_cols([vecs[i] for i in x]) == r]
+                for stop in (1, 5, len(indep) + 1):
+                    assert minor._basis_masks(o, vecs, r, stop) == indep[:stop]
+
+
+def _reference_distinct_size_orders(sizes):
+    """The original size-order set-up: all c! permutations, deduplicated."""
+    return sorted(set(itertools.permutations(sizes)))
+
+
+def _reference_scan_survivor_selections(
+    o, target, reps, combo, survivors, zero_surv, dirs, dir_keys,
+    l_t, c_t, size_orders, r_t, n_bases_t, budget_,
+):
+    """The original survivor scan: a fresh echelon for every key pick and
+    one rank_cols call per r_t-subset in the basis enumeration."""
+    e_t = target.ground_size
+    bases_cost = max(1, math.comb(e_t, r_t))
+    for loop_pick in itertools.combinations(zero_surv, l_t):
+        for key_pick in itertools.combinations(dir_keys, c_t):
+            budget_.tick()
+            kech: list = []
+            krank = 0
+            for key in key_pick:
+                if o.insert(kech, key):
+                    krank += 1
+            if krank != r_t:
+                continue
+            for order in size_orders:
+                if any(len(dirs[key]) < s for key, s in zip(key_pick, order)):
+                    continue
+                member_pools = [
+                    itertools.combinations(dirs[key], s) for key, s in zip(key_pick, order)
+                ]
+                for member_pick in itertools.product(*member_pools):
+                    budget_.tick(bases_cost)
+                    s_list = sorted(loop_pick + tuple(j for grp in member_pick for j in grp))
+                    bases = []
+                    for x_combo in itertools.combinations(range(e_t), r_t):
+                        vecs = [reps[s_list[i]] for i in x_combo]
+                        if o.rank_cols(vecs) == r_t:
+                            bases.append(_mask_of(x_combo))
+                            if len(bases) > n_bases_t:
+                                break
+                    if len(bases) != n_bases_t:
+                        continue
+                    minor_m = Matroid(e_t, bases)
+                    budget_.tick()
+                    bij = is_isomorphic(target, minor_m)
+                    if bij is not None:
+                        mapping = tuple(s_list[bij[i]] for i in range(e_t))
+                        return MinorWitness(
+                            frozenset(combo),
+                            frozenset(survivors) - frozenset(s_list),
+                            mapping,
+                        )
+    return None
+
+
+def _search_outcome(A, target, budget):
+    try:
+        return find_minor_matrix(A, target, budget)
+    except BudgetExceededError:
+        return "budget exhausted"
+
+
+def test_incremental_scan_matches_reference_scan(monkeypatch):
+    targets = [catalog(s) for s in ("U:1,2", "U:2,3", "U:2,4", "F7")]
+    # U:2,3 plus a loop, and a parallel pair plus a point plus a loop
+    # (class sizes 2, 1: two size orders)
+    targets.append(from_matrix(FqMatrix.from_rows(F2, [[1, 0, 1, 0], [0, 1, 1, 0]])))
+    targets.append(from_matrix(FqMatrix.from_rows(F2, [[1, 1, 0, 0], [0, 0, 1, 0]])))
+    shapes = {2: [(4, 10), (5, 11)], 3: [(3, 8), (4, 8)], 4: [(3, 7), (3, 8)]}
+    seen = set()
+    for q, qshapes in shapes.items():
+        for (m, n), seed in itertools.product(qshapes, (2024, 2025)):
+            A = sample_matrix(q, m, n, SeedSpec(seed, q))
+            for t in targets:
+                for budget in (50, 500, None):
+                    got = _search_outcome(A, t, budget)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(minor, "_scan_survivor_selections",
+                                   _reference_scan_survivor_selections)
+                        mp.setattr(minor, "_distinct_size_orders",
+                                   _reference_distinct_size_orders)
+                        want = _search_outcome(A, t, budget)
+                    assert got == want, (q, m, n, t, budget)
+                    seen.add(type(got).__name__)
+    # every kind of outcome is covered: witness, absent and budget exhausted
+    assert seen == {"MinorWitness", "NoneType", "str"}
