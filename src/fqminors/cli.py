@@ -24,14 +24,7 @@ from .minor import (
     verify_witness_matrix,
 )
 from .sampler import SeedSpec, sample_matrix
-from .sweep import (
-    class_rows_to_csv,
-    m_for,
-    minor_rows_to_csv,
-    n_values,
-    run_class_sweep,
-    run_minor_sweep,
-)
+from .sweep import class_rows_to_csv, minor_rows_to_csv, run_class_sweep, run_minor_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -302,11 +295,11 @@ def _add_class_parser(sub):
     p.add_argument("--json", action="store_true")
 
 
-def _row_floor_line(q: int, ns, m_rule: str) -> str:
+def _row_floor_line(q: int, rows) -> str:
     # the smallest excluded minor representable over GF(q) has rank 2 for
     # q > 2 (U_{2,4}) but rank 3 for q = 2 (F7), and m(n) must reach it
     need = 3 if q == 2 else 2
-    bad = [n for n in ns if m_for(m_rule, n) < need]
+    bad = [r.n for r in rows if r.m < need]
     status = "satisfied for all n" if not bad else f"violated at n in {bad}"
     return f"# row-floor: q={q} requires m(n) >= {need}: {status}"
 
@@ -317,12 +310,11 @@ def _cmd_class(args) -> int:
                         ("--n-stop", args.n_stop), ("--m-rule", args.m_rule)):
             if v is None:
                 raise FqminorsError(f"{name} is required with --sweep")
-        ns = n_values(args.n_start, args.n_stop, args.n_step)
         budget = 20000 if args.budget is None else args.budget
         rows = run_class_sweep(args.q, args.class_name,
                                (args.n_start, args.n_stop, args.n_step),
                                args.m_rule, args.trials, args.seed, budget)
-        header = _row_floor_line(args.q, ns, args.m_rule)
+        header = _row_floor_line(args.q, rows)
         _emit(header + "\n" + class_rows_to_csv(rows), args.out)
         return EXIT_OK
     A = _host_matrix(args)

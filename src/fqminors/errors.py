@@ -17,10 +17,6 @@ class DimensionMismatchError(FqminorsError, ValueError):
     pass
 
 
-class NotInvertibleError(FqminorsError, ValueError):
-    pass
-
-
 class NotUnitColumnError(FqminorsError, ValueError):
     pass
 

@@ -2,17 +2,16 @@
 
 Two interchangeable backends over the same interface: a bit-packed one for
 GF(2) (columns are Python ints, bit i = row i) and a generic one driven by
-the field tables (columns are tuples).  An echelon is a list of
+the field tables (columns are tuples).  An echelon is a triangular list of
 (pivot, row) pairs; each row has pivot value 1 and is zero at the pivots of
 the rows before it.  `reduce` works through the rows in list order and
 returns the one vector of v's coset modulo the span that is zero at every
 pivot: equal representatives mean equal cosets, and zero means v lies in
-the span.  `reduce_pivot` gives the row a vector would add, so a search can
-push and pop rows along its path; `insert` appends that row and also clears
-its pivot from the earlier rows, keeping the echelon fully reduced.
-
-The same operations exist in matrix.py in row-echelon form; the two are
-cross-checked in the test suite.
+the span.  An echelon only ever grows by the row `reduce_pivot` returns,
+so a search can push and pop rows along its path; every rank, independence
+test and coset representative in the package comes from that one step.
+`inverse_rows`, the Gauss-Jordan inverse behind witness verification, is
+kept apart on purpose, so a verifier shares no elimination with the search.
 """
 
 from __future__ import annotations
@@ -21,12 +20,24 @@ from .gf import Field
 from .matrix import FqMatrix
 
 
-class BitOps:
-    """GF(2) columns as ints; pivot = lowest set bit."""
+class _Ops:
+    """What both backends share: everything built from `reduce_pivot`."""
 
     def __init__(self, f: Field, m: int):
         self.field = f
         self.m = m
+
+    def rank_cols(self, cols) -> int:
+        ech: list = []
+        for c in cols:
+            row = self.reduce_pivot(ech, c)
+            if row is not None:
+                ech.append(row)
+        return len(ech)
+
+
+class BitOps(_Ops):
+    """GF(2) columns as ints; pivot = lowest set bit."""
 
     def cols_of(self, A: FqMatrix) -> list[int]:
         out = []
@@ -53,25 +64,6 @@ class BitOps:
         if not v:
             return None
         return (v & -v).bit_length() - 1, v
-
-    def insert(self, ech: list, v: int) -> bool:
-        row = self.reduce_pivot(ech, v)
-        if row is None:
-            return False
-        p, v = row
-        for i, (pi, bi) in enumerate(ech):
-            if (bi >> p) & 1:
-                ech[i] = (pi, bi ^ v)
-        ech.append(row)
-        return True
-
-    def rank_cols(self, cols) -> int:
-        ech: list = []
-        r = 0
-        for c in cols:
-            if self.insert(ech, c):
-                r += 1
-        return r
 
     def entries_of(self, v: int, rows) -> list[int]:
         return [(v >> i) & 1 for i in rows]
@@ -106,12 +98,8 @@ class BitOps:
         return (row & col).bit_count() & 1
 
 
-class GenOps:
+class GenOps(_Ops):
     """Generic field-table columns as tuples; pivot = first nonzero index."""
-
-    def __init__(self, f: Field, m: int):
-        self.field = f
-        self.m = m
 
     def cols_of(self, A: FqMatrix) -> list[tuple[int, ...]]:
         return [A.col(j) for j in range(A.n)]
@@ -144,27 +132,6 @@ class GenOps:
             scale = self.field.mul_table[s]
             v = tuple(scale[x] for x in v)
         return p, v
-
-    def insert(self, ech: list, v) -> bool:
-        row = self.reduce_pivot(ech, v)
-        if row is None:
-            return False
-        p, v = row
-        neg = self.field.neg_table
-        for i, (pi, bi) in enumerate(ech):
-            c = bi[p]
-            if c:
-                ech[i] = (pi, self._axpy(bi, neg[c], v))
-        ech.append(row)
-        return True
-
-    def rank_cols(self, cols) -> int:
-        ech: list = []
-        r = 0
-        for c in cols:
-            if self.insert(ech, c):
-                r += 1
-        return r
 
     def entries_of(self, v, rows) -> list[int]:
         return [v[i] for i in rows]
@@ -219,19 +186,73 @@ def fast_rank(A: FqMatrix) -> int:
     return o.rank_cols(o.cols_of(A))
 
 
+def leftmost_independent(o, cols, limit: int) -> list[int]:
+    """Indices of the greedy independent columns, left to right, stopping
+    at `limit` of them."""
+    ech: list = []
+    out: list[int] = []
+    for j, c in enumerate(cols):
+        if len(out) == limit:
+            break
+        row = o.reduce_pivot(ech, c)
+        if row is not None:
+            ech.append(row)
+            out.append(j)
+    return out
+
+
+def basis_masks(o, vecs: list, r: int, stop: int | None = None) -> list[int]:
+    """Masks of the independent r-subsets of vecs, in the order of
+    itertools.combinations(range(len(vecs)), r), at most `stop` of them.
+
+    Depth-first over one triangular echelon; a dependent prefix is pruned
+    with every subset that extends it.
+    """
+    if r == 0:
+        return [0]
+    n = len(vecs)
+    out: list[int] = []
+    ech: list = []
+
+    def walk(start: int, mask: int) -> bool:
+        last = len(ech) + 1 == r
+        for i in range(start, n - r + len(ech) + 1):
+            row = o.reduce_pivot(ech, vecs[i])
+            if row is None:
+                continue
+            if last:
+                out.append(mask | 1 << i)
+                if len(out) == stop:
+                    return True
+            else:
+                ech.append(row)
+                done = walk(i + 1, mask | 1 << i)
+                ech.pop()
+                if done:
+                    return True
+        return False
+
+    walk(0, 0)
+    return out
+
+
 def complete_to_basis(o, ind_cols: list) -> list:
     """Extend independent columns to a full basis of F^m by greedily
     appending standard basis vectors in index order."""
     ech: list = []
     basis = []
     for c in ind_cols:
-        if not o.insert(ech, c):
+        row = o.reduce_pivot(ech, c)
+        if row is None:
             raise ValueError("columns to complete are dependent")
+        ech.append(row)
         basis.append(c)
     for i in range(o.m):
         if len(basis) == o.m:
             break
         u = o.unit(i)
-        if o.insert(ech, u):
+        row = o.reduce_pivot(ech, u)
+        if row is not None:
+            ech.append(row)
             basis.append(u)
     return basis

@@ -1,9 +1,9 @@
-"""Dense matrices over GF(q): rank, reduced row echelon form, change of
-basis, and the unit-column contraction primitive.
+"""Dense matrices over GF(q): the immutable container, products, the
+unit-column contraction primitive and the text format.
 
-All arithmetic is exact (field tables), elimination uses first-nonzero pivot
-selection, so every operation is deterministic.  Degenerate shapes (0 rows
-or 0 columns) are legal everywhere and have rank 0.
+All arithmetic is exact (field tables), so every operation is
+deterministic.  Degenerate shapes (0 rows or 0 columns) are legal
+everywhere.  Ranks and eliminations live in linalg.py.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .errors import (
     DimensionMismatchError,
     DuplicatePivotRowError,
-    NotInvertibleError,
     NotUnitColumnError,
     ParseError,
 )
@@ -98,56 +97,6 @@ class FqMatrix:
                         acc = add[acc][mul[a][other.entries[k * other.n + j]]]
                 out.append(acc)
         return FqMatrix(f, self.m, other.n, tuple(out))
-
-
-def rref(A: FqMatrix) -> tuple[FqMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the (strictly increasing) pivot columns."""
-    f = A.field
-    add, mul, neg, inv = f.add_table, f.mul_table, f.neg_table, f.inv_table
-    rows = A.rows()
-    pivots = []
-    r = 0
-    for c in range(A.n):
-        pivot_row = None
-        for i in range(r, A.m):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        s = inv[rows[r][c]]
-        if s != 1:
-            rows[r] = [mul[s][x] for x in rows[r]]
-        for i in range(A.m):
-            if i != r and rows[i][c]:
-                factor = neg[rows[i][c]]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [add[ri[k]][mul[factor][rr[k]]] for k in range(A.n)]
-        pivots.append(c)
-        r += 1
-        if r == A.m:
-            break
-    return FqMatrix.from_rows(f, rows) if A.m else A, tuple(pivots)
-
-
-def rank(A: FqMatrix) -> int:
-    return len(rref(A)[1])
-
-
-def is_invertible(A: FqMatrix) -> bool:
-    return A.m == A.n and rank(A) == A.m
-
-
-def change_of_basis(P: FqMatrix, A: FqMatrix) -> FqMatrix:
-    """P @ A for invertible P; raises NotInvertible / DimensionMismatch."""
-    if P.field != A.field:
-        raise DimensionMismatchError("field mismatch")
-    if P.m != P.n or P.n != A.m:
-        raise DimensionMismatchError(f"P is {P.m}x{P.n}, A is {A.m}x{A.n}")
-    if not is_invertible(P):
-        raise NotInvertibleError("change-of-basis matrix is singular")
-    return P.matmul(A)
 
 
 def contract_unit_columns(A: FqMatrix, cols) -> FqMatrix:

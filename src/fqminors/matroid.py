@@ -196,20 +196,7 @@ def from_matrix(A: FqMatrix) -> Matroid:
         raise GroundTooLargeError(f"{A.n} columns exceed the {MAX_GROUND}-element bound")
     o = linalg.ops_for(A.field, A.m)
     cols = o.cols_of(A)
-    r = o.rank_cols(cols)
-    bases: list[int] = []
-
-    def walk(start: int, ech: list, mask: int, size: int):
-        if size == r:
-            bases.append(mask)
-            return
-        for j in range(start, A.n - (r - size) + 1):
-            ech2 = list(ech)
-            if o.insert(ech2, cols[j]):
-                walk(j + 1, ech2, mask | (1 << j), size + 1)
-
-    walk(0, [], 0, 0)
-    return Matroid(A.n, bases)
+    return Matroid(A.n, linalg.basis_masks(o, cols, o.rank_cols(cols)))
 
 
 def from_graph(edges) -> Matroid:
@@ -220,7 +207,8 @@ def from_graph(edges) -> Matroid:
     verts = sorted({v for e in edges for v in e})
     index = {v: i for i, v in enumerate(verts)}
 
-    def forest_size(subset) -> int:
+    def forest_rank(subset) -> int:
+        """Edges a greedy spanning forest of `subset` keeps (union-find)."""
         parent = list(range(len(verts)))
 
         def find(a):
@@ -229,34 +217,18 @@ def from_graph(edges) -> Matroid:
                 a = parent[a]
             return a
 
-        size = 0
+        r = 0
         for (u, v) in subset:
             ru, rv = find(index[u]), find(index[v])
-            if ru == rv:
-                return -1  # cycle (covers self-loops)
-            parent[ru] = rv
-            size += 1
-        return size
+            if ru != rv:  # a self-loop or a cycle edge adds nothing
+                parent[ru] = rv
+                r += 1
+        return r
 
-    # greedy maximum forest gives the rank
-    parent = list(range(len(verts)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    r = 0
-    for (u, v) in edges:
-        ru, rv = find(index[u]), find(index[v])
-        if ru != rv:
-            parent[ru] = rv
-            r += 1
-
+    r = forest_rank(edges)
     bases = []
     for combo in itertools.combinations(range(len(edges)), r):
-        if forest_size([edges[j] for j in combo]) == r:
+        if forest_rank([edges[j] for j in combo]) == r:
             mask = 0
             for j in combo:
                 mask |= 1 << j

@@ -287,14 +287,7 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT
     if r_t >= 1 and len(prof["class_sizes"]) > (q**r_t - 1) // (q - 1):
         return None
     if target.is_free():
-        chosen = []
-        ech: list = []
-        for j in range(n):
-            if len(chosen) == e_t:
-                break
-            if o.insert(ech, cols[j]):
-                chosen.append(j)
-        return _free_witness(n, chosen)
+        return _free_witness(n, linalg.leftmost_independent(o, cols, e_t))
     if r_h == n:
         return None
 
@@ -317,9 +310,6 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT
         for idx in _stride_order(total):
             combo = _unrank_combo(idx, n, k)
             budget_.tick()
-            # a triangular echelon is enough: reducing by it leaves the unique
-            # coset representative that is zero at every pivot, the same
-            # vector a fully reduced echelon gives
             ech: list = []
             for j in combo:
                 row = o.reduce_pivot(ech, cols[j])
@@ -348,14 +338,7 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT
                 continue
             dir_keys = sorted(dirs)
             # rank of the whole quotient must allow rank r_t
-            qech: list = []
-            for key in dir_keys:
-                row = o.reduce_pivot(qech, key)
-                if row is not None:
-                    qech.append(row)
-                    if len(qech) >= r_t:
-                        break
-            if len(qech) < r_t:
+            if len(linalg.leftmost_independent(o, dir_keys, r_t)) < r_t:
                 continue
             witness = _scan_survivor_selections(
                 o, target, reps, combo, survivors, zero_surv, dirs, dir_keys,
@@ -389,7 +372,7 @@ def _scan_survivor_selections(
                 for member_pick in itertools.product(*member_pools):
                     budget_.tick(bases_cost)
                     s_list = sorted(loop_pick + tuple(j for grp in member_pick for j in grp))
-                    bases = _basis_masks(o, [reps[j] for j in s_list], r_t, n_bases_t + 1)
+                    bases = linalg.basis_masks(o, [reps[j] for j in s_list], r_t, n_bases_t + 1)
                     if len(bases) != n_bases_t:
                         continue
                     minor_m = Matroid(e_t, bases)
@@ -439,41 +422,6 @@ def _ranked_picks(o, keys: list, c: int):
                 break
         else:
             return
-
-
-def _basis_masks(o, vecs: list, r: int, stop: int) -> list[int]:
-    """Masks of the independent r-subsets of vecs, in the order of
-    itertools.combinations(range(len(vecs)), r), at most `stop` of them.
-
-    Depth-first over one triangular echelon; a dependent prefix is pruned
-    with every subset that extends it.
-    """
-    if r == 0:
-        return [0]
-    n = len(vecs)
-    out: list[int] = []
-    ech: list = []
-
-    def walk(start: int, mask: int) -> bool:
-        last = len(ech) + 1 == r
-        for i in range(start, n - r + len(ech) + 1):
-            row = o.reduce_pivot(ech, vecs[i])
-            if row is None:
-                continue
-            if last:
-                out.append(mask | 1 << i)
-                if len(out) == stop:
-                    return True
-            else:
-                ech.append(row)
-                done = walk(i + 1, mask | 1 << i)
-                ech.pop()
-                if done:
-                    return True
-        return False
-
-    walk(0, 0)
-    return out
 
 
 def verify_witness_matrix(A: FqMatrix, target: Matroid, w: MinorWitness) -> bool:
@@ -552,20 +500,20 @@ def _excluded_targets(class_name: str) -> tuple[str, ...]:
     return GRAPHIC_EXCLUDED
 
 
-def has_excluded_minor(host: Matroid, class_name: str = "graphic",
-                       budget: int | None = DEFAULT_BUDGET,
-                       short_circuit: bool = False) -> ExcludedMinorReport:
-    """Run find_minor against the class's excluded minors (Tutte's list for
-    'graphic'); membership holds iff none is found."""
+def _excluded_minor_report(host, class_name, budget, short_circuit,
+                           search, verify) -> ExcludedMinorReport:
+    """Run search against the class's excluded minors (Tutte's list for
+    'graphic'); a find counts only when verify accepts its witness, and
+    membership holds iff none is found."""
     report = ExcludedMinorReport(class_name)
     for name in _excluded_targets(class_name):
         target = catalog(name)
         try:
-            w = find_minor(host, target, budget)
+            w = search(host, target, budget)
         except BudgetExceededError:
             report.outcomes[name] = "unknown"
             continue
-        if w is not None and verify_witness(host, target, w):
+        if w is not None and verify(host, target, w):
             report.outcomes[name] = "found"
             report.witnesses[name] = w
             if short_circuit:
@@ -573,25 +521,20 @@ def has_excluded_minor(host: Matroid, class_name: str = "graphic",
         else:
             report.outcomes[name] = "absent" if w is None else "unknown"
     return report
+
+
+def has_excluded_minor(host: Matroid, class_name: str = "graphic",
+                       budget: int | None = DEFAULT_BUDGET,
+                       short_circuit: bool = False) -> ExcludedMinorReport:
+    """Excluded-minor test of a basis-family host (find_minor)."""
+    return _excluded_minor_report(host, class_name, budget, short_circuit,
+                                  find_minor, verify_witness)
 
 
 def has_excluded_minor_matrix(A: FqMatrix, class_name: str = "graphic",
                               budget: int | None = DEFAULT_BUDGET,
                               short_circuit: bool = False) -> ExcludedMinorReport:
-    """Matrix-host twin of has_excluded_minor for hosts with many columns."""
-    report = ExcludedMinorReport(class_name)
-    for name in _excluded_targets(class_name):
-        target = catalog(name)
-        try:
-            w = find_minor_matrix(A, target, budget)
-        except BudgetExceededError:
-            report.outcomes[name] = "unknown"
-            continue
-        if w is not None and verify_witness_matrix(A, target, w):
-            report.outcomes[name] = "found"
-            report.witnesses[name] = w
-            if short_circuit:
-                break
-        else:
-            report.outcomes[name] = "absent" if w is None else "unknown"
-    return report
+    """Excluded-minor test of a matrix host (find_minor_matrix), for hosts
+    with many columns."""
+    return _excluded_minor_report(A, class_name, budget, short_circuit,
+                                  find_minor_matrix, verify_witness_matrix)

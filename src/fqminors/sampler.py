@@ -32,7 +32,7 @@ import numpy as np
 from . import linalg
 from .errors import BadArgumentsError, BudgetExceededError, UnknownEventError
 from .gf import field
-from .matrix import FqMatrix, contract_unit_columns, rref
+from .matrix import FqMatrix, contract_unit_columns
 from .matroid import Matroid
 from .minor import DEFAULT_BUDGET, find_minor_matrix, verify_witness_matrix
 
@@ -112,11 +112,11 @@ def reduce(A: FqMatrix, k: int) -> FqMatrix | None:
         if o.rank_cols([cols[j] for j in chosen]) != k:
             return None
     else:
+        o_top = linalg.ops_for(A.field, k)
         top = FqMatrix(A.field, k, n, A.entries[: k * n])
-        _, pivots = rref(top)
-        if len(pivots) != k:
+        chosen = linalg.leftmost_independent(o_top, o_top.cols_of(top), k)
+        if len(chosen) != k:
             return None
-        chosen = list(pivots)
     basis = linalg.complete_to_basis(o, [cols[j] for j in chosen])
     p_rows = o.inverse_rows(basis)
     entries = []
@@ -198,22 +198,10 @@ def _parse_event_int(name: str) -> int:
         raise UnknownEventError(f"bad event parameter in {name!r}") from None
 
 
-def _bit_rows_rank(rows: list[int]) -> int:
-    basis: list[int] = []
-    r = 0
-    for v in rows:
-        for b in basis:
-            low = b & -b
-            if v & low:
-                v ^= b
-        if v:
-            basis.append(v)
-            r += 1
-    return r
-
-
 def _trial_rank(q: int, m: int, n: int, spec: SeedSpec) -> int:
-    if q == 2 and n <= 63:
+    if q == 2:
+        # pack rows, not columns: the rank is the same and the entries are
+        # already in row-major order
         entries = sample_entries(q, m * n, spec)
         rows = []
         for i in range(m):
@@ -223,7 +211,7 @@ def _trial_rank(q: int, m: int, n: int, spec: SeedSpec) -> int:
                 if entries[base + j]:
                     v |= 1 << j
             rows.append(v)
-        return _bit_rows_rank(rows)
+        return linalg.BitOps(field(2), n).rank_cols(rows)
     return linalg.fast_rank(sample_matrix(q, m, n, spec))
 
 

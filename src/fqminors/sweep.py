@@ -42,6 +42,15 @@ def n_values(start: int, stop: int, step: int) -> list[int]:
     return list(range(start, stop + 1, step))
 
 
+def sweep_sizes(n_range, m_rule: str) -> list[tuple[int, int]]:
+    """The (n, m) pairs of a sweep, all checked before any trial runs."""
+    sizes = [(n, m_for(m_rule, n)) for n in n_values(*n_range)]
+    for n, m in sizes:
+        if m < 0:
+            raise BadParametersError(f"m_rule {m_rule!r} gives negative m at n={n}")
+    return sizes
+
+
 @dataclass(frozen=True)
 class SweepRow:
     n: int
@@ -71,13 +80,8 @@ def bounds_for(target: Matroid, q: int, m: int, n: int):
 def run_minor_sweep(q: int, target: Matroid, n_range, m_rule: str, trials: int,
                     seed: int, budget: int | None = DEFAULT_BUDGET,
                     jobs: int = 1) -> list[SweepRow]:
-    ns = n_values(*n_range)
-    for n in ns:
-        if m_for(m_rule, n) < 0:
-            raise BadParametersError(f"m_rule {m_rule!r} gives negative m at n={n}")
     rows = []
-    for n in ns:
-        m = m_for(m_rule, n)
+    for n, m in sweep_sizes(n_range, m_rule):
         est = mc_minor_prob(q, m, n, target, trials, seed, budget, jobs)
         lower, upper = bounds_for(target, q, m, n)
         rows.append(SweepRow(n, m, est, lower, upper))
@@ -112,13 +116,8 @@ class ClassSweepRow:
 
 def run_class_sweep(q: int, class_name: str, n_range, m_rule: str, trials: int,
                     seed: int, budget: int | None = 20000) -> list[ClassSweepRow]:
-    ns = n_values(*n_range)
-    for n in ns:
-        if m_for(m_rule, n) < 0:
-            raise BadParametersError(f"m_rule {m_rule!r} gives negative m at n={n}")
     rows = []
-    for n in ns:
-        m = m_for(m_rule, n)
+    for n, m in sweep_sizes(n_range, m_rule):
         confirmed = unknown = 0
         for i in range(trials):
             A = sample_matrix(q, m, n, SeedSpec(seed, i))

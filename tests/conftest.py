@@ -1,11 +1,68 @@
 """Shared test helpers: independent oracles kept deliberately separate from
-the package implementations they check."""
+the package implementations they check (`brute_has_minor` is the one that
+`fqminors validate` runs too), and the subprocess CLI runner."""
 
 from __future__ import annotations
 
-import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from fqminors.matroid import Matroid, is_isomorphic
+from fqminors.matrix import FqMatrix
+from fqminors.matroid import Matroid
+from fqminors.validate import brute_has_minor  # noqa: F401  (re-exported)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_cli(args, **kw):
+    """Run `python -m fqminors ARGS` in a child process that imports the
+    package from this checkout's src/, installed or not."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "fqminors"] + list(args),
+        capture_output=True, text=True, env=env, **kw,
+    )
+
+
+def rref(A: FqMatrix) -> tuple[FqMatrix, tuple[int, ...]]:
+    """Reduced row echelon form and the (strictly increasing) pivot columns,
+    by Gauss-Jordan elimination over the field tables: the GF(q) reference
+    the package's echelon kernels are compared against."""
+    f = A.field
+    add, mul, neg, inv = f.add_table, f.mul_table, f.neg_table, f.inv_table
+    rows = A.rows()
+    pivots = []
+    r = 0
+    for c in range(A.n):
+        pivot_row = None
+        for i in range(r, A.m):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        s = inv[rows[r][c]]
+        if s != 1:
+            rows[r] = [mul[s][x] for x in rows[r]]
+        for i in range(A.m):
+            if i != r and rows[i][c]:
+                factor = neg[rows[i][c]]
+                ri, rr = rows[i], rows[r]
+                rows[i] = [add[ri[k]][mul[factor][rr[k]]] for k in range(A.n)]
+        pivots.append(c)
+        r += 1
+        if r == A.m:
+            break
+    return FqMatrix.from_rows(f, rows) if A.m else A, tuple(pivots)
+
+
+def rank(A: FqMatrix) -> int:
+    """Rank by the reference elimination."""
+    return len(rref(A)[1])
 
 
 def gf2_rank_bits(rows: list[int]) -> int:
@@ -43,25 +100,6 @@ def modp_rank(rows: list[list[int]], p: int) -> int:
         rank += 1
         col += 1
     return rank
-
-
-def brute_has_minor(host: Matroid, target: Matroid) -> bool:
-    """All (C, D) pairs, dependent contraction sets included, then
-    isomorphism.  The comparison oracle for find_minor's completeness."""
-    e_h, e_t = host.ground_size, target.ground_size
-    if e_t > e_h:
-        return False
-    drop = e_h - e_t
-    ground = range(e_h)
-    for c_size in range(drop + 1):
-        for c_combo in itertools.combinations(ground, c_size):
-            c_mask = sum(1 << x for x in c_combo)
-            rest = [x for x in ground if not (c_mask >> x) & 1]
-            for d_combo in itertools.combinations(rest, drop - c_size):
-                d_mask = sum(1 << x for x in d_combo)
-                if is_isomorphic(target, host.minor(c_mask, d_mask)) is not None:
-                    return True
-    return False
 
 
 def check_basis_exchange(M: Matroid) -> bool:

@@ -7,11 +7,9 @@ summary line; run `pytest -v -s tests/test_acceptance.py` to see them.
 
 import itertools
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
-from conftest import brute_has_minor
+from conftest import brute_has_minor, run_cli
 from fqminors import formulas, oracle, sampler
 from fqminors.gf import field
 from fqminors.matrix import FqMatrix, format_matrix
@@ -210,23 +208,18 @@ def test_criterion_8_graphic_class_check():
           f"sweep non-graphic frequency {freq}")
 
 
-def _run_cli(args):
-    return subprocess.run([sys.executable, "-m", "fqminors"] + args,
-                          capture_output=True, text=True)
-
-
 def test_criterion_9_determinism():
     """Byte-identical outputs across repeated runs and parallelism settings."""
-    a = _run_cli(["validate"])
-    b = _run_cli(["validate"])
+    a = run_cli(["validate"])
+    b = run_cli(["validate"])
     assert a.returncode == 0 and a.stdout == b.stdout and a.stderr == b.stderr
 
     sim = ["simulate", "--q", "2", "--target", "name:U:1,2",
            "--n-start", "6", "--n-stop", "12", "--n-step", "3",
            "--m-rule", "n-minus:4", "--trials", "500", "--seed", "17"]
-    r1 = _run_cli(sim)
-    r2 = _run_cli(sim)
-    r_jobs = _run_cli(sim + ["--jobs", "2"])
+    r1 = run_cli(sim)
+    r2 = run_cli(sim)
+    r_jobs = run_cli(sim + ["--jobs", "2"])
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout == r_jobs.stdout
     assert r1.stdout.startswith("n,m,trials,point,")

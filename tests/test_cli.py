@@ -1,19 +1,11 @@
 import json
-import subprocess
-import sys
 
 import pytest
 
+from conftest import run_cli
 from fqminors import cli
 from fqminors.gf import field
 from fqminors.matrix import FqMatrix, format_matrix
-
-
-def run_cli(args, **kw):
-    return subprocess.run(
-        [sys.executable, "-m", "fqminors"] + args,
-        capture_output=True, text=True, **kw,
-    )
 
 
 def fano_file(tmp_path):

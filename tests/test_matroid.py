@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import check_basis_exchange
+from conftest import check_basis_exchange, rank
 from fqminors.errors import (
     BadParametersError,
     GroundTooLargeError,
@@ -12,7 +12,8 @@ from fqminors.errors import (
     UnknownNameError,
 )
 from fqminors.gf import field
-from fqminors.matrix import FqMatrix, change_of_basis, rank
+from fqminors.linalg import fast_rank
+from fqminors.matrix import FqMatrix
 from fqminors.matroid import (
     Matroid,
     catalog,
@@ -161,13 +162,36 @@ def test_from_matrix_basis_change_invariant():
     invertible = [
         FqMatrix(F2, 2, 2, e)
         for e in itertools.product(range(2), repeat=4)
-        if rank(FqMatrix(F2, 2, 2, e)) == 2
+        if fast_rank(FqMatrix(F2, 2, 2, e)) == 2
     ]
     for e in itertools.product(range(2), repeat=6):
         a = FqMatrix(F2, 2, 3, e)
         ma = from_matrix(a)
         for p in invertible:
-            assert from_matrix(change_of_basis(p, a)) == ma
+            assert from_matrix(p.matmul(a)) == ma
+
+
+def test_from_matrix_matches_reference_subset_ranks():
+    # every r-subset of columns, ranked by the test-side reference
+    # elimination: a basis is a subset of full rank r
+    rng = random.Random(12)
+    for f in (F3, field(4)):
+        for m, n in ((2, 4), (3, 5), (3, 6), (4, 6)):
+            for _ in range(8):
+                a = FqMatrix(f, m, n, tuple(rng.randrange(f.q) for _ in range(m * n)))
+                if rng.random() < 0.5:  # a repeated column and a zero column
+                    cols = [a.col(j) for j in range(n - 2)] + [a.col(0), (0,) * m]
+                    a = FqMatrix.from_rows(f, [[c[i] for c in cols] for i in range(m)])
+                r = rank(a)
+                want = [
+                    sum(1 << j for j in combo)
+                    for combo in itertools.combinations(range(n), r)
+                    if rank(FqMatrix.from_rows(f, [[a.entry(i, j) for j in combo]
+                                                   for i in range(m)])) == r
+                ]
+                ma = from_matrix(a)
+                assert ma.rank == r
+                assert ma.bases == frozenset(want)
 
 
 def test_loops_equal_zero_columns():

@@ -254,7 +254,7 @@ def test_prefix_shared_walks_match_plain_enumeration():
                 indep = [_mask_of(x) for x in itertools.combinations(range(7), r)
                          if o.rank_cols([vecs[i] for i in x]) == r]
                 for stop in (1, 5, len(indep) + 1):
-                    assert minor._basis_masks(o, vecs, r, stop) == indep[:stop]
+                    assert linalg.basis_masks(o, vecs, r, stop) == indep[:stop]
 
 
 def _reference_distinct_size_orders(sizes):
@@ -273,11 +273,7 @@ def _reference_scan_survivor_selections(
     for loop_pick in itertools.combinations(zero_surv, l_t):
         for key_pick in itertools.combinations(dir_keys, c_t):
             budget_.tick()
-            kech: list = []
-            krank = 0
-            for key in key_pick:
-                if o.insert(kech, key):
-                    krank += 1
+            krank = o.rank_cols(key_pick)
             if krank != r_t:
                 continue
             for order in size_orders:

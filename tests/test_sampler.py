@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from fqminors import formulas, sampler
+from conftest import rref
+from fqminors import formulas, linalg, sampler
 from fqminors.errors import BadArgumentsError, UnknownEventError
 from fqminors.gf import field
-from fqminors.matrix import FqMatrix
+from fqminors.matrix import FqMatrix, contract_unit_columns
 from fqminors.matroid import catalog, from_matrix
 from fqminors.sampler import SeedSpec, mc_event_prob, mc_minor_prob, reduce, sample_matrix
 
@@ -138,6 +139,53 @@ def test_reduce_preserves_matroid_minor_relation():
         if b is None:
             continue
         assert find_minor(from_matrix(a), from_matrix(b), budget=None) is not None
+
+
+def _reference_reduce(A, k):
+    """The earlier reduce, which took the m <= n pivot set from a reduced
+    row echelon form of the top k rows."""
+    m, n = A.m, A.n
+    if k == 0:
+        return A
+    o = linalg.ops_for(A.field, m)
+    cols = o.cols_of(A)
+    if m > n:
+        chosen = list(range(k))
+        if o.rank_cols([cols[j] for j in chosen]) != k:
+            return None
+    else:
+        top = FqMatrix(A.field, k, n, A.entries[: k * n])
+        _, pivots = rref(top)
+        if len(pivots) != k:
+            return None
+        chosen = list(pivots)
+    basis = linalg.complete_to_basis(o, [cols[j] for j in chosen])
+    p_rows = o.inverse_rows(basis)
+    entries = []
+    for i in range(m):
+        for j in range(n):
+            entries.append(o.dot(p_rows[i], cols[j]))
+    pa = FqMatrix(A.field, m, n, tuple(entries))
+    return contract_unit_columns(pa, chosen)
+
+
+def test_reduce_matches_rref_reference_exhaustive():
+    shapes = [(2, m, n) for m in range(1, 4) for n in range(1, 4)] + [(3, 2, 3)]
+    for q, m, n in shapes:
+        f = field(q)
+        for entries in itertools.product(range(q), repeat=m * n):
+            a = FqMatrix(f, m, n, entries)
+            for k in range(min(m, n) + 1):
+                assert reduce(a, k) == _reference_reduce(a, k), (q, entries, k)
+
+
+def test_gf2_trial_rank_matches_column_rank():
+    # rows are packed whatever n is, including past 63 columns
+    for m, n in ((5, 3), (30, 30), (4, 70), (70, 66)):
+        for i in range(3):
+            spec = SeedSpec(7, i)
+            want = linalg.fast_rank(sample_matrix(2, m, n, spec))
+            assert sampler._trial_rank(2, m, n, spec) == want
 
 
 def test_mc_event_examples():
