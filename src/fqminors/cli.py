@@ -14,11 +14,12 @@ import sys
 from fractions import Fraction
 
 from . import formulas, validate
-from .errors import BudgetExceededError, FqminorsError, ParseError
+from .errors import FqminorsError, ParseError
 from .matrix import FqMatrix, parse_matrix
 from .matroid import Matroid, catalog, from_matrix, parse_matroid
 from .minor import (
     DEFAULT_BUDGET,
+    decide,
     find_minor_matrix,
     has_excluded_minor_matrix,
     verify_witness_matrix,
@@ -247,19 +248,9 @@ def _add_minor_parser(sub):
 def _cmd_minor(args) -> int:
     A = _host_matrix(args)
     target = _load_matroid(args.target)
-    outcome = "absent"
-    witness = None
-    verified = None
-    try:
-        w = find_minor_matrix(A, target, args.budget)
-    except BudgetExceededError:
-        outcome = "unknown"
-        w = None
-    if w is not None:
-        witness = w.to_json()
-        verified = verify_witness_matrix(A, target, w)
-        # a witness that fails verification is never reported as found
-        outcome = "found" if verified else "unverified"
+    outcome, w = decide(A, target, args.budget, find_minor_matrix, verify_witness_matrix)
+    witness = None if w is None else w.to_json()
+    verified = None if w is None else outcome == "found"
     if args.json:
         sys.stdout.write(json.dumps(
             {"outcome": outcome, "witness": witness, "verified": verified},

@@ -65,9 +65,6 @@ class BitOps(_Ops):
             return None
         return (v & -v).bit_length() - 1, v
 
-    def entries_of(self, v: int, rows) -> list[int]:
-        return [(v >> i) & 1 for i in rows]
-
     def inverse_rows(self, basis_cols: list[int]) -> list[int]:
         """Rows of B^{-1} (as ints, bit j = column j), B = [basis_cols]."""
         m = self.m
@@ -132,9 +129,6 @@ class GenOps(_Ops):
             scale = self.field.mul_table[s]
             v = tuple(scale[x] for x in v)
         return p, v
-
-    def entries_of(self, v, rows) -> list[int]:
-        return [v[i] for i in rows]
 
     def inverse_rows(self, basis_cols: list) -> list[tuple[int, ...]]:
         m = self.m

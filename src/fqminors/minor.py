@@ -16,6 +16,12 @@ min(r(host) - r(target), |host| - |target|) down to 0.  A search that runs
 out of budget raises BudgetExceededError: the outcome is *unknown*, which
 callers must never conflate with *absent*.
 
+`decide` is the one place a search outcome is classified: it runs a
+(search, verify) pair and returns `found` (witness verified), `absent`,
+`unknown` (budget ran out) or `unverified` (a witness that failed its
+independent check, never counted as found).  The `minor` command, the
+excluded-minor class test and every Monte Carlo minor trial go through it.
+
 The budget is counted in work units: one per candidate contraction set, one
 per direction selection, one per isomorphism invocation, and (in the matrix
 searcher) a candidate survivor selection costs as many units as the basis
@@ -446,11 +452,11 @@ def verify_witness_matrix(A: FqMatrix, target: Matroid, w: MinorWitness) -> bool
     o = linalg.ops_for(A.field, m)
     cols = o.cols_of(A)
     c_list = sorted(w.contract)
-    c_cols = [cols[j] for j in c_list]
-    if o.rank_cols(c_cols) != len(c_list):
-        return False
     k = len(c_list)
-    basis = linalg.complete_to_basis(o, c_cols)
+    try:
+        basis = linalg.complete_to_basis(o, [cols[j] for j in c_list])
+    except ValueError:
+        return False  # the contracted columns are dependent
     p_rows = o.inverse_rows(basis)
     for pos, j in enumerate(c_list):
         coords = [o.dot(p_rows[i], cols[j]) for i in range(m)]
@@ -473,6 +479,19 @@ def verify_witness_matrix(A: FqMatrix, target: Matroid, w: MinorWitness) -> bool
     return minor_m.bases == frozenset(expected)
 
 
+def decide(host, target: Matroid, budget, search, verify):
+    """(outcome, witness) of searching host for target: ('found', w) when
+    verify accepts w, ('unverified', w) when it rejects it, ('absent', None)
+    when there is no such minor, ('unknown', None) when the budget ran out."""
+    try:
+        w = search(host, target, budget)
+    except BudgetExceededError:
+        return "unknown", None
+    if w is None:
+        return "absent", None
+    return ("found" if verify(host, target, w) else "unverified"), w
+
+
 # ----------------------------------------------------------------------
 # excluded-minor class membership
 # ----------------------------------------------------------------------
@@ -481,8 +500,8 @@ def verify_witness_matrix(A: FqMatrix, target: Matroid, w: MinorWitness) -> bool
 @dataclass
 class ExcludedMinorReport:
     class_name: str
-    outcomes: dict = dc_field(default_factory=dict)  # target name -> found/absent/unknown
-    witnesses: dict = dc_field(default_factory=dict)
+    outcomes: dict = dc_field(default_factory=dict)  # target name -> decide outcome
+    witnesses: dict = dc_field(default_factory=dict)  # verified witnesses only
 
     @property
     def membership(self) -> str:
@@ -502,24 +521,16 @@ def _excluded_targets(class_name: str) -> tuple[str, ...]:
 
 def _excluded_minor_report(host, class_name, budget, short_circuit,
                            search, verify) -> ExcludedMinorReport:
-    """Run search against the class's excluded minors (Tutte's list for
-    'graphic'); a find counts only when verify accepts its witness, and
-    membership holds iff none is found."""
+    """Decide each of the class's excluded minors (Tutte's list for
+    'graphic'); membership holds iff every one is absent."""
     report = ExcludedMinorReport(class_name)
     for name in _excluded_targets(class_name):
-        target = catalog(name)
-        try:
-            w = search(host, target, budget)
-        except BudgetExceededError:
-            report.outcomes[name] = "unknown"
-            continue
-        if w is not None and verify(host, target, w):
-            report.outcomes[name] = "found"
+        outcome, w = decide(host, catalog(name), budget, search, verify)
+        report.outcomes[name] = outcome
+        if outcome == "found":
             report.witnesses[name] = w
             if short_circuit:
                 break
-        else:
-            report.outcomes[name] = "absent" if w is None else "unknown"
     return report
 
 

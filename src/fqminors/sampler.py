@@ -16,25 +16,31 @@ RNG contract (bit-exact, reproducible across platforms and schedules):
 * Monte Carlo trial i uses stream i, so trials are independent of execution
   order and may be split across processes without changing any output.
 
-Estimates carry Wilson 95% intervals and report budget-exhausted searches
-as a separate `unknowns` count, never folding them into successes.
+Every Monte Carlo path is a module-level trial function counted by
+`run_trials`, the one trial runner: it splits the trial indices into
+contiguous ranges, one per process, and sums the counts.  Estimates carry
+Wilson 95% intervals.  A minor trial counts as a success only when
+`minor.decide` finds a witness that verifies; budget-exhausted searches and
+failed verifications are reported in `unknowns` (the latter also in
+`unverified`), never folded into successes.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import BadArgumentsError, BudgetExceededError, UnknownEventError
+from .errors import BadArgumentsError, UnknownEventError
 from .gf import field
 from .matrix import FqMatrix, contract_unit_columns
 from .matroid import Matroid
-from .minor import DEFAULT_BUDGET, find_minor_matrix, verify_witness_matrix
+from .minor import DEFAULT_BUDGET, decide, find_minor_matrix, verify_witness_matrix
 
 _MASK64 = (1 << 64) - 1
 _WILSON_Z95 = 1.959963984540054
@@ -149,6 +155,7 @@ class Estimate:
     trials: int
     successes: int
     unknowns: int
+    unverified: int  # the part of unknowns whose witness failed verification
     point: float
     wilson_lo: float
     wilson_hi: float
@@ -159,6 +166,7 @@ class Estimate:
             "trials": self.trials,
             "successes": self.successes,
             "unknowns": self.unknowns,
+            "unverified": self.unverified,
             "point": self.point,
             "ci": [self.wilson_lo, self.wilson_hi],
             "seed": self.seed,
@@ -166,9 +174,41 @@ class Estimate:
         }
 
 
-def _make_estimate(trials: int, successes: int, unknowns: int, seed: int) -> Estimate:
+def _make_estimate(trials: int, successes: int, unknowns: int, unverified: int,
+                   seed: int) -> Estimate:
     lo, hi = wilson_interval(successes, trials)
-    return Estimate(trials, successes, unknowns, successes / trials, lo, hi, seed)
+    return Estimate(trials, successes, unknowns, unverified, successes / trials, lo, hi, seed)
+
+
+# ----------------------------------------------------------------------
+# the trial runner
+# ----------------------------------------------------------------------
+
+
+def run_trials(trial, args, trials: int, seed: int, jobs: int = 1) -> Counter:
+    """Counter of trial(args, SeedSpec(seed, i)) over i < trials.
+
+    `jobs` is clamped to min(jobs, trials, cpu count); with more than one,
+    each worker process runs a contiguous range of indices, so the counts do
+    not depend on `jobs`.  `trial` must be a module-level function and
+    `args` picklable.
+    """
+    if trials < 1:
+        raise BadArgumentsError("trials must be >= 1")
+    if jobs < 1:
+        raise BadArgumentsError(f"jobs must be >= 1, got {jobs}")
+    jobs = min(jobs, trials, os.cpu_count() or 1)
+    bounds = [round(i * trials / jobs) for i in range(jobs + 1)]
+    chunks = [(trial, args, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    if jobs == 1:
+        return _run_chunk(chunks[0])
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return sum(pool.map(_run_chunk, chunks), Counter())
+
+
+def _run_chunk(chunk) -> Counter:
+    trial, args, seed, lo, hi = chunk
+    return Counter(trial(args, SeedSpec(seed, i)) for i in range(lo, hi))
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +238,8 @@ def _parse_event_int(name: str) -> int:
         raise UnknownEventError(f"bad event parameter in {name!r}") from None
 
 
-def _trial_rank(q: int, m: int, n: int, spec: SeedSpec) -> int:
+def _trial_rank(shape, spec: SeedSpec) -> int:
+    q, m, n = shape
     if q == 2:
         # pack rows, not columns: the rank is the same and the entries are
         # already in row-major order
@@ -217,34 +258,16 @@ def _trial_rank(q: int, m: int, n: int, spec: SeedSpec) -> int:
 
 def mc_event_prob(q: int, m: int, n: int, event: str, trials: int, seed: int) -> Estimate:
     """Monte Carlo frequency of a named rank event (no unknowns possible)."""
-    if trials < 1:
-        raise BadArgumentsError("trials must be >= 1")
     pred = parse_event(event)
-    successes = 0
-    for i in range(trials):
-        rank = _trial_rank(q, m, n, SeedSpec(seed, i))
-        if pred(rank, m, n):
-            successes += 1
-    return _make_estimate(trials, successes, 0, seed)
+    ranks = run_trials(_trial_rank, (q, m, n), trials, seed)
+    successes = sum(count for rank, count in ranks.items() if pred(rank, m, n))
+    return _make_estimate(trials, successes, 0, 0, seed)
 
 
-def _mc_minor_chunk(args) -> tuple[int, int]:
-    q, m, n, ground, bases, seed, lo, hi, budget = args
-    target = Matroid(ground, bases)
-    successes = unknowns = 0
-    for i in range(lo, hi):
-        A = sample_matrix(q, m, n, SeedSpec(seed, i))
-        try:
-            w = find_minor_matrix(A, target, budget)
-        except BudgetExceededError:
-            unknowns += 1
-            continue
-        if w is not None:
-            if verify_witness_matrix(A, target, w):
-                successes += 1
-            else:
-                unknowns += 1  # soundness breach; never counted as success
-    return successes, unknowns
+def _minor_trial(args, spec: SeedSpec) -> str:
+    q, m, n, target, budget = args
+    A = sample_matrix(q, m, n, spec)
+    return decide(A, target, budget, find_minor_matrix, verify_witness_matrix)[0]
 
 
 def mc_minor_prob(q: int, m: int, n: int, target: Matroid, trials: int, seed: int,
@@ -252,31 +275,12 @@ def mc_minor_prob(q: int, m: int, n: int, target: Matroid, trials: int, seed: in
     """Monte Carlo estimate of P{target is a minor of M[A]}, A uniform m x n.
 
     Trial i uses SeedSpec(seed, i); a trial counts as a success only when
-    the witness found verifies, and budget-exceeded searches are reported in
-    `unknowns` (the truth lies in [successes, successes + unknowns] trials).
-    The result is independent of `jobs`: trials are partitioned by index and
-    the counts summed.
+    the witness found verifies.  Budget-exceeded searches and failed
+    verifications are reported in `unknowns` (the truth lies in [successes,
+    successes + unknowns] trials), the failed verifications also in
+    `unverified`.  The result is independent of `jobs`.
     """
-    if trials < 1:
-        raise BadArgumentsError("trials must be >= 1")
-    if jobs < 1:
-        raise BadArgumentsError(f"jobs must be >= 1, got {jobs}")
-    jobs = min(jobs, trials, os.cpu_count() or 1)
-    bases = tuple(sorted(target.bases))
-    ground = target.ground_size
-    if jobs == 1:
-        successes, unknowns = _mc_minor_chunk(
-            (q, m, n, ground, bases, seed, 0, trials, budget)
-        )
-    else:
-        bounds = [round(i * trials / jobs) for i in range(jobs + 1)]
-        chunks = [
-            (q, m, n, ground, bases, seed, bounds[i], bounds[i + 1], budget)
-            for i in range(jobs)
-            if bounds[i] < bounds[i + 1]
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_mc_minor_chunk, chunks))
-        successes = sum(p[0] for p in parts)
-        unknowns = sum(p[1] for p in parts)
-    return _make_estimate(trials, successes, unknowns, seed)
+    outcomes = run_trials(_minor_trial, (q, m, n, target, budget), trials, seed, jobs)
+    unverified = outcomes["unverified"]
+    return _make_estimate(trials, outcomes["found"], outcomes["unknown"] + unverified,
+                          unverified, seed)

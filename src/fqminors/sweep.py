@@ -17,7 +17,7 @@ from .errors import BadParametersError
 from .formulas import lower_bound_nonfree, prob_free_minor, upper_bound_nonfree
 from .matroid import Matroid
 from .minor import DEFAULT_BUDGET, has_excluded_minor_matrix
-from .sampler import Estimate, SeedSpec, mc_minor_prob, sample_matrix
+from .sampler import Estimate, SeedSpec, mc_minor_prob, run_trials, sample_matrix
 
 
 def m_for(rule: str, n: int) -> int:
@@ -107,26 +107,25 @@ class ClassSweepRow:
     m: int
     trials: int
     confirmed_out: int  # excluded minor found and verified
-    unknown: int        # at least one target search hit its budget, none found
+    unknown: int        # no excluded minor found, not every one absent
 
     @property
     def frequency(self) -> float:
         return self.confirmed_out / self.trials
 
 
+def _class_trial(args, spec: SeedSpec) -> str:
+    q, m, n, class_name, budget = args
+    A = sample_matrix(q, m, n, spec)
+    return has_excluded_minor_matrix(A, class_name, budget, short_circuit=True).membership
+
+
 def run_class_sweep(q: int, class_name: str, n_range, m_rule: str, trials: int,
                     seed: int, budget: int | None = 20000) -> list[ClassSweepRow]:
     rows = []
     for n, m in sweep_sizes(n_range, m_rule):
-        confirmed = unknown = 0
-        for i in range(trials):
-            A = sample_matrix(q, m, n, SeedSpec(seed, i))
-            rep = has_excluded_minor_matrix(A, class_name, budget, short_circuit=True)
-            if rep.membership == "no":
-                confirmed += 1
-            elif rep.membership == "unknown":
-                unknown += 1
-        rows.append(ClassSweepRow(n, m, trials, confirmed, unknown))
+        members = run_trials(_class_trial, (q, m, n, class_name, budget), trials, seed)
+        rows.append(ClassSweepRow(n, m, trials, members["no"], members["unknown"]))
     return rows
 
 

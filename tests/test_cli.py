@@ -150,6 +150,19 @@ def test_class_graphic_no_u24(tmp_path, capsys):
     assert d["membership"] == "no" and d["outcomes"]["U:2,4"] == "found"
 
 
+def test_class_unverified_witness_is_not_membership(tmp_path, monkeypatch, capsys):
+    from fqminors import minor
+
+    monkeypatch.setattr(minor, "verify_witness_matrix", lambda A, target, w: False)
+    path = tmp_path / "u24.txt"
+    path.write_text(format_matrix(FqMatrix.from_rows(field(5), [[1, 1, 1, 1], [0, 1, 2, 3]])))
+    rc = cli.main(["class", "--host", str(path), "--json"])
+    assert rc == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["outcomes"]["U:2,4"] == "unverified"
+    assert d["membership"] == "unknown" and d["witnesses"] == {}
+
+
 def test_simulate_csv_deterministic():
     args = ["simulate", "--q", "2", "--target", "name:U:1,2",
             "--n-start", "4", "--n-stop", "8", "--n-step", "2",
@@ -192,6 +205,15 @@ def test_class_sweep_csv(capsys):
     assert lines[0].startswith("# row-floor: q=2 requires m(n) >= 3")
     assert lines[1] == "n,m,trials,nongraphic_found,unknown,frequency"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_class_sweep_bad_trials_exit_1(trials, capsys):
+    rc = cli.main(["class", "--sweep", "--q", "2", "--n-start", "10", "--n-stop", "10",
+                   "--m-rule", "n-minus:8", "--trials", trials])
+    assert rc == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "fqminors: trials must be >= 1\n" and captured.out == ""
 
 
 def test_validate_passes(capsys):

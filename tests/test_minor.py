@@ -13,6 +13,7 @@ from fqminors.matroid import Matroid, catalog, from_matrix, is_isomorphic, unifo
 from fqminors.minor import (
     MinorWitness,
     _mask_of,
+    decide,
     find_minor,
     find_minor_matrix,
     has_excluded_minor,
@@ -61,6 +62,48 @@ def test_verify_witness_rejects_corruption():
     # a bijection that is a permutation but onto the wrong elements
     other = tuple(x for x in range(4) if x not in survivors) + survivors[:2]
     assert not verify_witness(u24, u23, MinorWitness(w.contract, w.delete, other))
+
+
+def test_verify_witness_matrix_rejects_corruption():
+    A, u23 = fano_matrix(), catalog("U:2,3")
+    w = find_minor_matrix(A, u23)
+    assert w is not None and verify_witness_matrix(A, u23, w)
+    survivors = tuple(sorted(set(range(7)) - w.contract - w.delete))
+    dropped = min(w.delete)
+    cases = [
+        # overlapping contract and delete sets
+        MinorWitness(w.contract | {dropped}, w.delete, w.bijection),
+        # an index past the last column
+        MinorWitness(w.contract, w.delete | {7}, w.bijection),
+        # a bijection onto a deleted element instead of a survivor
+        MinorWitness(w.contract, w.delete, (dropped,) + survivors[1:]),
+    ]
+    for bad in cases:
+        assert not verify_witness_matrix(A, u23, bad)
+    # the witness is for U:2,3, not for another 3-element matroid
+    assert not verify_witness_matrix(A, catalog("U:1,3"), w)
+    # columns 0, 1, 2 are 001, 010, 011: contracting 0 and 1 leaves 2 a loop
+    # and 3..6 one parallel class, but 0, 1, 2 together are dependent
+    u14 = catalog("U:1,4")
+    good = MinorWitness(frozenset({0, 1}), frozenset({2}), (3, 4, 5, 6))
+    assert verify_witness_matrix(A, u14, good)
+    dependent = MinorWitness(frozenset({0, 1, 2}), frozenset(), (3, 4, 5, 6))
+    assert not verify_witness_matrix(A, u14, dependent)
+
+
+def test_decide_classifies_every_outcome():
+    A, f7 = fano_matrix(), catalog("F7")
+
+    def exhausted(host, target, budget):
+        raise BudgetExceededError("out of budget")
+
+    assert decide(A, f7, 5, exhausted, verify_witness_matrix) == ("unknown", None)
+    assert decide(A, catalog("U:2,4"), None, find_minor_matrix,
+                  verify_witness_matrix) == ("absent", None)
+    outcome, w = decide(A, f7, None, find_minor_matrix, verify_witness_matrix)
+    assert outcome == "found" and verify_witness_matrix(A, f7, w)
+    rejected = decide(A, f7, None, find_minor_matrix, lambda host, target, w: False)
+    assert rejected == ("unverified", w)
 
 
 def test_wrong_bijection_breaks_loopy_target():

@@ -10,6 +10,7 @@ from fqminors.gf import field
 from fqminors.matrix import FqMatrix, contract_unit_columns
 from fqminors.matroid import catalog, from_matrix
 from fqminors.sampler import SeedSpec, mc_event_prob, mc_minor_prob, reduce, sample_matrix
+from fqminors.sweep import run_class_sweep
 
 F2 = field(2)
 
@@ -185,7 +186,7 @@ def test_gf2_trial_rank_matches_column_rank():
         for i in range(3):
             spec = SeedSpec(7, i)
             want = linalg.fast_rank(sample_matrix(2, m, n, spec))
-            assert sampler._trial_rank(2, m, n, spec) == want
+            assert sampler._trial_rank((2, m, n), spec) == want
 
 
 def test_mc_event_examples():
@@ -285,10 +286,29 @@ def test_mc_minor_jobs_validated_and_clamped(monkeypatch):
             mc_minor_prob(2, 3, 5, t, 40, seed=9, jobs=jobs)
 
 
+@pytest.mark.parametrize("run", [
+    lambda: mc_event_prob(2, 2, 2, "full-column-rank", 0, seed=0),
+    lambda: mc_minor_prob(2, 2, 2, catalog("U:1,2"), 0, seed=0),
+    lambda: run_class_sweep(2, "graphic", (4, 4, 1), "constant:3", 0, seed=0),
+], ids=["mc_event_prob", "mc_minor_prob", "run_class_sweep"])
+def test_every_mc_path_rejects_zero_trials(run):
+    with pytest.raises(BadArgumentsError, match="trials must be >= 1"):
+        run()
+
+
+def test_failed_verification_is_counted_as_unverified(monkeypatch):
+    monkeypatch.setattr(sampler, "verify_witness_matrix", lambda A, target, w: False)
+    est = mc_minor_prob(2, 4, 6, catalog("U:1,2"), 50, seed=1)
+    assert est.successes == 0
+    assert est.unverified == est.unknowns == 49
+    assert est.to_json()["unverified"] == 49
+
+
 def test_estimate_json_schema():
     est = mc_event_prob(2, 2, 2, "full-column-rank", 100, seed=42)
     d = est.to_json()
-    assert set(d) == {"trials", "successes", "unknowns", "point", "ci", "seed", "method"}
+    assert set(d) == {"trials", "successes", "unknowns", "unverified", "point", "ci",
+                      "seed", "method"}
     assert d["method"] == "wilson95"
     assert d["ci"][0] <= d["point"] <= d["ci"][1]
     assert est.successes + est.unknowns <= est.trials
