@@ -324,7 +324,7 @@ def _cmd_class(args) -> int:
         sys.stdout.write(f"membership: {report.membership}\n")
         for name, outcome in report.outcomes.items():
             sys.stdout.write(f"{name}: {outcome}\n")
-    return EXIT_OK
+    return EXIT_VALIDATION if "unverified" in report.outcomes.values() else EXIT_OK
 
 
 # ----------------------------------------------------------------------

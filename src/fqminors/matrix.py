@@ -1,5 +1,5 @@
 """Dense matrices over GF(q): the immutable container, products, the
-unit-column contraction primitive and the text format.
+unit-column contraction primitive and the text parser.
 
 All arithmetic is exact (field tables), so every operation is
 deterministic.  Degenerate shapes (0 rows or 0 columns) are legal
@@ -51,14 +51,6 @@ class FqMatrix:
                 raise DimensionMismatchError("ragged rows")
         return cls(f, m, n, tuple(e for r in rows for e in r))
 
-    @classmethod
-    def identity(cls, f: Field, m: int) -> "FqMatrix":
-        return cls(f, m, m, tuple(1 if i == j else 0 for i in range(m) for j in range(m)))
-
-    @classmethod
-    def zero(cls, f: Field, m: int, n: int) -> "FqMatrix":
-        return cls(f, m, n, (0,) * (m * n))
-
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.n + j]
 
@@ -67,9 +59,6 @@ class FqMatrix:
 
     def col(self, j: int) -> tuple[int, ...]:
         return self.entries[j :: self.n] if self.n else ()
-
-    def rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.m)]
 
     def transpose(self) -> "FqMatrix":
         return FqMatrix(
@@ -128,13 +117,6 @@ def contract_unit_columns(A: FqMatrix, cols) -> FqMatrix:
         if j not in drop_cols
     ]
     return FqMatrix(A.field, A.m - len(cols), A.n - len(cols), tuple(kept))
-
-
-def format_matrix(A: FqMatrix) -> str:
-    lines = [f"{A.field.q} {A.m} {A.n}"]
-    for i in range(A.m):
-        lines.append(" ".join(str(e) for e in A.row(i)))
-    return "\n".join(lines) + "\n"
 
 
 def parse_matrix(text: str) -> FqMatrix:

@@ -168,12 +168,6 @@ class Matroid:
                 new_bases.append(nb)
         return Matroid(len(survivors), new_bases)
 
-    def contract(self, contract_mask: int) -> "Matroid":
-        return self.minor(contract_mask, 0)
-
-    def delete(self, delete_mask: int) -> "Matroid":
-        return self.minor(0, delete_mask)
-
     # -- dunder --------------------------------------------------------
 
     def __eq__(self, other):
@@ -383,14 +377,6 @@ def is_isomorphic(M1: Matroid, M2: Matroid):
 
 
 # -- text format -------------------------------------------------------
-
-
-def format_matroid(M: Matroid) -> str:
-    lines = [f"{M.ground_size} {M.rank}"]
-    for b in sorted(M.bases):
-        elems = [str(x) for x in range(M.ground_size) if b & (1 << x)]
-        lines.append(" ".join(elems))
-    return "\n".join(lines) + "\n"
 
 
 def parse_matroid(text: str) -> Matroid:

@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .errors import BadParametersError, BudgetExceededError
+from .errors import BadArgumentsError, BadParametersError, BudgetExceededError
 from .matrix import FqMatrix
 from .matroid import Matroid, catalog, from_matrix, is_isomorphic
 
@@ -479,10 +479,17 @@ def verify_witness_matrix(A: FqMatrix, target: Matroid, w: MinorWitness) -> bool
     return minor_m.bases == frozenset(expected)
 
 
+def check_budget(budget: int | None):
+    """A search budget is None (unlimited) or at least one work unit."""
+    if budget is not None and budget < 1:
+        raise BadArgumentsError("budget must be >= 1")
+
+
 def decide(host, target: Matroid, budget, search, verify):
     """(outcome, witness) of searching host for target: ('found', w) when
     verify accepts w, ('unverified', w) when it rejects it, ('absent', None)
     when there is no such minor, ('unknown', None) when the budget ran out."""
+    check_budget(budget)
     try:
         w = search(host, target, budget)
     except BudgetExceededError:
@@ -513,39 +520,19 @@ class ExcludedMinorReport:
         return "unknown"
 
 
-def _excluded_targets(class_name: str) -> tuple[str, ...]:
+def has_excluded_minor_matrix(A: FqMatrix, class_name: str = "graphic",
+                              budget: int | None = DEFAULT_BUDGET,
+                              short_circuit: bool = False) -> ExcludedMinorReport:
+    """Decide each of the class's excluded minors (Tutte's list for
+    'graphic') in a matrix host; membership holds iff every one is absent."""
     if class_name != "graphic":
         raise BadParametersError(f"unknown minor-closed class {class_name!r}")
-    return GRAPHIC_EXCLUDED
-
-
-def _excluded_minor_report(host, class_name, budget, short_circuit,
-                           search, verify) -> ExcludedMinorReport:
-    """Decide each of the class's excluded minors (Tutte's list for
-    'graphic'); membership holds iff every one is absent."""
     report = ExcludedMinorReport(class_name)
-    for name in _excluded_targets(class_name):
-        outcome, w = decide(host, catalog(name), budget, search, verify)
+    for name in GRAPHIC_EXCLUDED:
+        outcome, w = decide(A, catalog(name), budget, find_minor_matrix, verify_witness_matrix)
         report.outcomes[name] = outcome
         if outcome == "found":
             report.witnesses[name] = w
             if short_circuit:
                 break
     return report
-
-
-def has_excluded_minor(host: Matroid, class_name: str = "graphic",
-                       budget: int | None = DEFAULT_BUDGET,
-                       short_circuit: bool = False) -> ExcludedMinorReport:
-    """Excluded-minor test of a basis-family host (find_minor)."""
-    return _excluded_minor_report(host, class_name, budget, short_circuit,
-                                  find_minor, verify_witness)
-
-
-def has_excluded_minor_matrix(A: FqMatrix, class_name: str = "graphic",
-                              budget: int | None = DEFAULT_BUDGET,
-                              short_circuit: bool = False) -> ExcludedMinorReport:
-    """Excluded-minor test of a matrix host (find_minor_matrix), for hosts
-    with many columns."""
-    return _excluded_minor_report(A, class_name, budget, short_circuit,
-                                  find_minor_matrix, verify_witness_matrix)

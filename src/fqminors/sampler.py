@@ -40,7 +40,7 @@ from .errors import BadArgumentsError, UnknownEventError
 from .gf import field
 from .matrix import FqMatrix, contract_unit_columns
 from .matroid import Matroid
-from .minor import DEFAULT_BUDGET, decide, find_minor_matrix, verify_witness_matrix
+from .minor import DEFAULT_BUDGET, check_budget, decide, find_minor_matrix, verify_witness_matrix
 
 _MASK64 = (1 << 64) - 1
 _WILSON_Z95 = 1.959963984540054
@@ -280,6 +280,7 @@ def mc_minor_prob(q: int, m: int, n: int, target: Matroid, trials: int, seed: in
     successes + unknowns] trials), the failed verifications also in
     `unverified`.  The result is independent of `jobs`.
     """
+    check_budget(budget)
     outcomes = run_trials(_minor_trial, (q, m, n, target, budget), trials, seed, jobs)
     unverified = outcomes["unverified"]
     return _make_estimate(trials, outcomes["found"], outcomes["unknown"] + unverified,

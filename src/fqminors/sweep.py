@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import BadParametersError
 from .formulas import lower_bound_nonfree, prob_free_minor, upper_bound_nonfree
 from .matroid import Matroid
-from .minor import DEFAULT_BUDGET, has_excluded_minor_matrix
+from .minor import DEFAULT_BUDGET, check_budget, has_excluded_minor_matrix
 from .sampler import Estimate, SeedSpec, mc_minor_prob, run_trials, sample_matrix
 
 
@@ -122,6 +122,7 @@ def _class_trial(args, spec: SeedSpec) -> str:
 
 def run_class_sweep(q: int, class_name: str, n_range, m_rule: str, trials: int,
                     seed: int, budget: int | None = 20000) -> list[ClassSweepRow]:
+    check_budget(budget)
     rows = []
     for n, m in sweep_sizes(n_range, m_rule):
         members = run_trials(_class_trial, (q, m, n, class_name, budget), trials, seed)

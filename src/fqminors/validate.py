@@ -1,18 +1,19 @@
 """The oracle-vs-formula check suite behind `fqminors validate`.
 
-Each check is a named callable returning (ok, detail).  Sizes are capped so
-the whole suite stays deterministic and runs in seconds; the pytest
-acceptance module runs the full-size criteria.  Formula functions are
-looked up through the module at call time so a corrupted formula is caught
-by the check that covers it.
+Each check is a named callable returning (ok, detail).  Its sizes, seeds
+and targets are keyword parameters whose defaults are capped so the whole
+suite stays deterministic and runs in seconds; the pytest acceptance module
+calls the same checks at full size.  Formula functions are looked up
+through the module at call time so a corrupted formula is caught by the
+check that covers it.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import random
 
-from . import formulas, linalg, matroid, minor, oracle, sampler
+from . import formulas, linalg, minor, oracle, sampler
 from .errors import BudgetExceededError
 from .gf import field
 from .matrix import FqMatrix
@@ -69,9 +70,10 @@ def check_rank_transpose():
     return True, "GF(2) exhaustive to 3x3"
 
 
-def check_rank_counts():
-    for q, sizes in _SMALL_SIZES.items():
-        for m, n in sizes:
+def check_rank_counts(sizes=_SMALL_SIZES):
+    """`sizes` maps q to the (m, n) shapes to enumerate."""
+    for q, shapes in sizes.items():
+        for m, n in shapes:
             hist = oracle.rank_histogram(q, m, n)
             if sum(hist) != q ** (m * n):
                 return False, f"histogram sum wrong at q={q} {m}x{n}"
@@ -83,9 +85,11 @@ def check_rank_counts():
     return True, "q in {2,3} small shapes"
 
 
-def check_colrank_and_free_prob():
-    for q, sizes in _SMALL_SIZES.items():
-        for m, n in sizes:
+def check_colrank_and_free_prob(sizes=_SMALL_SIZES, searched=()):
+    """`searched` lists (q, m, n, r) whose free:r probability is also
+    computed through the minor searcher."""
+    for q, shapes in sizes.items():
+        for m, n in shapes:
             if m >= n:
                 got = oracle.exact_event_prob(q, m, n, "full-column-rank").exact
                 if got != formulas.prob_full_col_rank(m, n, q):
@@ -94,6 +98,10 @@ def check_colrank_and_free_prob():
                 got = oracle.exact_event_prob(q, m, n, f"rank-at-least:{r}").exact
                 if got != formulas.prob_free_minor(m, n, q, r):
                     return False, f"prob_free_minor({m},{n},{q},{r}) mismatch"
+    for q, m, n, r in searched:
+        got = oracle.exact_minor_prob(q, m, n, catalog(f"free:{r}")).exact
+        if got != formulas.prob_free_minor(m, n, q, r):
+            return False, f"free:{r} minor search at ({m},{n},{q}) mismatch"
     return True, "q in {2,3} small shapes"
 
 
@@ -123,13 +131,21 @@ def check_psmq_repcount_consistency():
     return True, "uniform catalog, m <= 3, q in {2,3}"
 
 
-def check_repcount_vs_exact():
+def check_repcount_vs_exact(names=("U:0,2", "U:1,2", "U:2,2", "U:1,3", "U:2,3"),
+                            m_stop=3, unrepresentable=()):
+    """Exhaustive counts at m < m_stop dominate the closed-form bound; the
+    bound presupposes representability, so each (name, q) listed in
+    `unrepresentable` must instead have no representation at all."""
     for q in (2, 3):
-        for name in ("U:0,2", "U:1,2", "U:2,2", "U:1,3", "U:2,3"):
+        for name in names:
             M = catalog(name)
             st = M.stats()
-            for m in range(st.r, 3):
+            for m in range(st.r, m_stop):
                 got = oracle.count_representations_exact(M, m, q)
+                if (name, q) in unrepresentable:
+                    if got:
+                        return False, f"{name} has {got} representations over GF({q})"
+                    continue
                 bound = formulas.rep_count_lower_bound(m, q, st)
                 if got < bound:
                     return False, f"rep count {got} below bound {bound} at {name} m={m} q={q}"
@@ -139,14 +155,20 @@ def check_repcount_vs_exact():
     return True, "small catalog targets"
 
 
-def check_bound_sandwich():
-    f2 = field(2)
-    loopy = from_matrix(FqMatrix(f2, 2, 4, (1, 0, 1, 0, 0, 1, 1, 0)))
-    targets = [catalog("U:1,2"), catalog("U:0,2"), loopy]
+def u23_plus_loop() -> Matroid:
+    """U_{2,3} with a loop added, over GF(2)."""
+    return from_matrix(FqMatrix(field(2), 2, 4, (1, 0, 1, 0, 0, 1, 1, 0)))
+
+
+def check_bound_sandwich(targets=None, m_stop=3, n_stop=5):
+    """Strict lower and upper bounds around the exact probability at q=2,
+    m < m_stop, n < n_stop; `targets` defaults to U12, U02 and U23+loop."""
+    if targets is None:
+        targets = [catalog("U:1,2"), catalog("U:0,2"), u23_plus_loop()]
     for target in targets:
         st = target.stats()
-        for m in range(st.r, 3):
-            for n in range(st.e, 5):
+        for m in range(st.r, m_stop):
+            for n in range(st.e, n_stop):
                 exact = oracle.exact_minor_prob(2, m, n, target).exact
                 if min(n - st.e, m - st.r) >= 1:
                     rep = formulas.lower_bound_nonfree(m, n, 2, st)
@@ -193,18 +215,24 @@ def brute_has_minor(host: Matroid, target: Matroid) -> bool:
     return False
 
 
-def check_minor_brute_agreement():
-    import random
+def _uniform_target(rng, n: int) -> Matroid:
+    tn = rng.randint(1, min(4, n))
+    tk = rng.randint(0, tn)
+    return catalog(f"U:{tk},{tn}")
 
-    rng = random.Random(20240811)
+
+def check_minor_brute_agreement(instances=12, seed=20240811, m_range=(2, 3),
+                                n_range=(2, 6), draw_target=_uniform_target):
+    """find_minor against brute force on random GF(2) hosts; each instance
+    draws m, n and the host from one seeded RNG, then
+    draw_target(rng, n)."""
+    rng = random.Random(seed)
     f2 = field(2)
-    for _ in range(12):
-        m = rng.randint(2, 3)
-        n = rng.randint(2, 6)
+    for _ in range(instances):
+        m = rng.randint(*m_range)
+        n = rng.randint(*n_range)
         host = from_matrix(FqMatrix(f2, m, n, tuple(rng.randrange(2) for _ in range(m * n))))
-        tn = rng.randint(1, min(4, n))
-        tk = rng.randint(0, tn)
-        target = catalog(f"U:{tk},{tn}")
+        target = draw_target(rng, n)
         try:
             w = minor.find_minor(host, target)
         except BudgetExceededError:
@@ -213,19 +241,20 @@ def check_minor_brute_agreement():
             return False, f"disagreement on host {host} target {target}"
         if w is not None and not minor.verify_witness(host, target, w):
             return False, f"witness failed verification on {host} vs {target}"
-    return True, "12 seeded random instances vs all-(C,D) brute force"
+    return True, f"{instances} seeded random instances vs all-(C,D) brute force"
 
 
-def check_mc_determinism_and_consistency():
-    a = sampler.mc_event_prob(2, 4, 4, "full-column-rank", 2000, seed=1234)
-    b = sampler.mc_event_prob(2, 4, 4, "full-column-rank", 2000, seed=1234)
-    if a != b:
+def check_mc_determinism_and_consistency(m=4, n=4, trials=2000, seed=1234, rerun=True):
+    """The GF(2) full-column-rank frequency brackets the exact probability
+    within 3 Wilson sigma; with `rerun`, a second run must agree exactly."""
+    a = sampler.mc_event_prob(2, m, n, "full-column-rank", trials, seed=seed)
+    if rerun and sampler.mc_event_prob(2, m, n, "full-column-rank", trials, seed=seed) != a:
         return False, "same seed gave different estimates"
-    exact = float(formulas.prob_full_col_rank(4, 4, 2))
+    exact = float(formulas.prob_full_col_rank(m, n, 2))
     lo, hi = wilson_interval(a.successes, a.trials, z=3.0)
     if not lo <= exact <= hi:
         return False, f"exact {exact} outside 3-sigma Wilson [{lo}, {hi}]"
-    return True, "2000 trials at 4x4, q=2"
+    return True, f"{trials} trials at {m}x{n}, q=2"
 
 
 def check_sweep_rows_bracket_bounds():

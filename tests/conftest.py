@@ -1,6 +1,7 @@
 """Shared test helpers: independent oracles kept deliberately separate from
 the package implementations they check (`brute_has_minor` is the one that
-`fqminors validate` runs too), and the subprocess CLI runner."""
+`fqminors validate` runs too), the subprocess CLI runner, and the matrix
+and matroid builders and text writers that only tests need."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fqminors.gf import Field
 from fqminors.matrix import FqMatrix
 from fqminors.matroid import Matroid
 from fqminors.validate import brute_has_minor  # noqa: F401  (re-exported)
@@ -27,13 +29,33 @@ def run_cli(args, **kw):
     )
 
 
+def identity(f: Field, m: int) -> FqMatrix:
+    return FqMatrix(f, m, m, tuple(1 if i == j else 0 for i in range(m) for j in range(m)))
+
+
+def format_matrix(A: FqMatrix) -> str:
+    """The matrix text format `parse_matrix` reads."""
+    lines = [f"{A.field.q} {A.m} {A.n}"]
+    for i in range(A.m):
+        lines.append(" ".join(str(e) for e in A.row(i)))
+    return "\n".join(lines) + "\n"
+
+
+def format_matroid(M: Matroid) -> str:
+    """The matroid text format `parse_matroid` reads."""
+    lines = [f"{M.ground_size} {M.rank}"]
+    for b in sorted(M.bases):
+        lines.append(" ".join(str(x) for x in range(M.ground_size) if b & (1 << x)))
+    return "\n".join(lines) + "\n"
+
+
 def rref(A: FqMatrix) -> tuple[FqMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the (strictly increasing) pivot columns,
     by Gauss-Jordan elimination over the field tables: the GF(q) reference
     the package's echelon kernels are compared against."""
     f = A.field
     add, mul, neg, inv = f.add_table, f.mul_table, f.neg_table, f.inv_table
-    rows = A.rows()
+    rows = [list(A.row(i)) for i in range(A.m)]
     pivots = []
     r = 0
     for c in range(A.n):

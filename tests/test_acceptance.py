@@ -1,87 +1,52 @@
 """Acceptance criteria, one test per criterion.
 
 Every numeric criterion is asserted at its stated tolerance (rational
-equality means Fraction comparison, no floats).  Each test prints one
+equality means Fraction comparison, no floats).  Criteria with a twin in
+`fqminors validate` call that check at full size.  Each test prints one
 summary line; run `pytest -v -s tests/test_acceptance.py` to see them.
 """
 
-import itertools
-import random
 from fractions import Fraction
 
-from conftest import brute_has_minor, run_cli
-from fqminors import formulas, oracle, sampler
+from conftest import run_cli
+from fqminors import formulas, validate
 from fqminors.gf import field
-from fqminors.matrix import FqMatrix, format_matrix
+from fqminors.matrix import FqMatrix
 from fqminors.matroid import catalog, from_matrix
-from fqminors.minor import find_minor, verify_witness
-from fqminors.sampler import SeedSpec, mc_event_prob, mc_minor_prob, wilson_interval
+from fqminors.sampler import mc_event_prob, mc_minor_prob, wilson_interval
 from fqminors.sweep import run_class_sweep
 
 F2 = field(2)
 SEED = 20260810
 
 
+def assert_check(check, **sizes) -> str:
+    ok, detail = check(**sizes)
+    assert ok, detail
+    return detail
+
+
 def test_criterion_1_exact_formula_vs_oracle():
     """Rational equality of the closed forms with brute-force enumeration."""
-    checked = 0
-    for q in (2, 3):
-        for m in range(1, 5):
-            for n in range(1, 5):
-                if q ** (m * n) > 2**20:
-                    continue
-                hist = oracle.rank_histogram(q, m, n)
-                assert sum(hist) == q ** (m * n)
-                for k in range(min(m, n) + 1):
-                    assert hist[k] == formulas.count_rank_matrices(m, n, q, k)
-                    checked += 1
-                if m >= n:
-                    got = oracle.exact_event_prob(q, m, n, "full-column-rank").exact
-                    assert got == formulas.prob_full_col_rank(m, n, q)
-                    checked += 1
-                for r in range(min(m, n) + 1):
-                    got = oracle.exact_event_prob(q, m, n, f"rank-at-least:{r}").exact
-                    assert got == formulas.prob_free_minor(m, n, q, r)
-                    checked += 1
-                if q ** (m * n) <= 3**9:
-                    for r in range(min(m, n) + 1):
-                        got = oracle.exact_minor_prob(q, m, n, catalog(f"free:{r}")).exact
-                        assert got == formulas.prob_free_minor(m, n, q, r)
-                        checked += 1
+    sizes = {q: [(m, n) for m in range(1, 5) for n in range(1, 5) if q ** (m * n) <= 2**20]
+             for q in (2, 3)}
+    searched = [(q, m, n, r) for q, shapes in sizes.items() for m, n in shapes
+                if q ** (m * n) <= 3**9 for r in range(min(m, n) + 1)]
     # the largest permitted q=3 shapes, through the real minor searcher
-    for (m, n) in ((3, 4), (4, 3)):
-        for r in (0, 2, 3):
-            got = oracle.exact_minor_prob(3, m, n, catalog(f"free:{r}")).exact
-            assert got == formulas.prob_free_minor(m, n, 3, r)
-            checked += 1
-    print(f"ACCEPTANCE 1 PASS: {checked} exact equalities, zero tolerance")
+    searched += [(3, m, n, r) for m, n in ((3, 4), (4, 3)) for r in (0, 2, 3)]
+    assert_check(validate.check_rank_counts, sizes=sizes)
+    assert_check(validate.check_colrank_and_free_prob, sizes=sizes, searched=searched)
+    n_shapes = sum(map(len, sizes.values()))
+    print(f"ACCEPTANCE 1 PASS: rank counts and rank probabilities at {n_shapes} shapes, "
+          f"{len(searched)} free-minor probabilities through the searcher, zero tolerance")
 
 
 def test_criterion_2_bound_sandwich():
     """Strict lower bound and upper bound sandwich the exact probability."""
-    loopy = from_matrix(FqMatrix(F2, 2, 4, (1, 0, 1, 0, 0, 1, 1, 0)))
-    targets = {
-        "U:1,2": catalog("U:1,2"),
-        "U:1,3": catalog("U:1,3"),
-        "U23+loop": loopy,
-        "all-loops:2": catalog("U:0,2"),
-    }
-    lower_checked = upper_checked = 0
-    for name, target in targets.items():
-        st = target.stats()
-        for m in range(st.r, 4):
-            for n in range(st.e, 6):
-                exact = oracle.exact_minor_prob(2, m, n, target).exact
-                if min(n - st.e, m - st.r) >= 1:
-                    bound = formulas.lower_bound_nonfree(m, n, 2, st)
-                    assert bound.value < exact, (name, m, n, bound.value, exact)
-                    lower_checked += 1
-                if m >= n:
-                    upper = formulas.upper_bound_nonfree(m, n, 2)
-                    assert exact <= upper, (name, m, n, exact, upper)
-                    upper_checked += 1
-    print(f"ACCEPTANCE 2 PASS: {lower_checked} strict lower, "
-          f"{upper_checked} upper comparisons, rational arithmetic")
+    targets = [catalog("U:1,2"), catalog("U:1,3"), validate.u23_plus_loop(), catalog("U:0,2")]
+    assert_check(validate.check_bound_sandwich, targets=targets, m_stop=4, n_stop=6)
+    print("ACCEPTANCE 2 PASS: U12, U13, U23+loop, U02 at q=2, m <= 3, n <= 5, "
+          "rational arithmetic")
 
 
 def test_criterion_3_representation_counting():
@@ -91,23 +56,10 @@ def test_criterion_3_representation_counting():
     single catalog combo violating that hypothesis, U_{2,4} over GF(2), is
     instead asserted to have no representation at all.
     """
-    checked = 0
     names = [f"U:{k},{n}" for n in range(1, 5) for k in range(n + 1)]
-    for q in (2, 3):
-        for name in names:
-            M = catalog(name)
-            st = M.stats()
-            for m in range(st.r, 4):
-                exact = oracle.count_representations_exact(M, m, q)
-                if name == "U:2,4" and q == 2:
-                    assert exact == 0, "U_{2,4} must not be GF(2)-representable"
-                    continue
-                bound = formulas.rep_count_lower_bound(m, q, st)
-                assert exact >= bound, (name, m, q, exact, bound)
-                checked += 1
-    assert oracle.count_representations_exact(catalog("U:2,3"), 2, 2) == 6
-    assert formulas.rep_count_lower_bound(2, 2, catalog("U:2,3").stats()) == 6
-    print(f"ACCEPTANCE 3 PASS: {checked} count comparisons; "
+    assert_check(validate.check_repcount_vs_exact, names=names, m_stop=4,
+                 unrepresentable={("U:2,4", 2)})
+    print(f"ACCEPTANCE 3 PASS: {len(names)} uniform targets, m <= 3, q in {{2,3}}; "
           f"equality at (U_{{2,3}}, m=2, q=2) = 6; U24/GF(2) has 0 representations")
 
 
@@ -116,22 +68,16 @@ def test_criterion_4_cq_constant_and_square_mc():
     approx, terms, floor_bound = formulas.cq_constant(2, 1e-9)
     assert 0.288788095 < approx < 0.288788096
     assert floor_bound == Fraction(1, 4) and approx > 0.25
-    exact = float(formulas.prob_full_col_rank(30, 30, 2))
-    est = mc_event_prob(2, 30, 30, "full-column-rank", 100_000, seed=SEED)
-    lo, hi = wilson_interval(est.successes, est.trials, z=3.0)
-    assert lo <= exact <= hi, (est.point, exact, lo, hi)
+    detail = assert_check(validate.check_mc_determinism_and_consistency,
+                          m=30, n=30, trials=100_000, seed=SEED, rerun=False)
     print(f"ACCEPTANCE 4 PASS: C_2 = {approx:.10f} ({terms} factors) > 1/4; "
-          f"MC point {est.point:.5f} vs partial product {exact:.5f} within 3 Wilson sigma")
+          f"MC ({detail}) vs partial product within 3 Wilson sigma")
 
 
 def test_criterion_5_distribution_invariance():
     """Exhaustive change-of-basis bijections and conditional uniformity."""
-    for (m, n) in ((2, 2), (2, 1)):
-        rep = oracle.distribution_check("change-of-basis", 2, m, n)
-        assert rep.ok, rep.details
-    for (m, n, k) in ((2, 2, 1), (3, 2, 1), (2, 3, 1)):
-        rep = oracle.distribution_check("reduce-conditional", 2, m, n, k)
-        assert rep.ok and rep.details["uniform"], rep.details
+    assert_check(validate.check_basis_change_bijection)
+    assert_check(validate.check_reduce_conditional_uniform)
     print("ACCEPTANCE 5 PASS: bijection checks at 2x2 and 2x1; "
           "reduce exactly uniform at (2,2), (3,2), (2,3) with k=1")
 
@@ -164,27 +110,17 @@ def test_criterion_6_phase_transition_trends():
           f"(c) free frequency {est_free.point:.4f} > 0.98")
 
 
+def _random_matrix_target(rng, n):
+    tm = rng.randint(1, 2)
+    tn = rng.randint(1, 5)
+    return from_matrix(FqMatrix(F2, tm, tn, tuple(rng.randrange(2) for _ in range(tm * tn))))
+
+
 def test_criterion_7_search_soundness_completeness():
     """find_minor against the all-(C, D) brute force on 200 random instances."""
-    rng = random.Random(SEED)
-    disagreements = 0
-    witnesses = 0
-    for _ in range(200):
-        m = rng.randint(1, 3)
-        n = rng.randint(1, 7)
-        host = from_matrix(FqMatrix(F2, m, n, tuple(rng.randrange(2) for _ in range(m * n))))
-        tm = rng.randint(1, 2)
-        tn = rng.randint(1, 5)
-        target = from_matrix(FqMatrix(F2, tm, tn, tuple(rng.randrange(2) for _ in range(tm * tn))))
-        w = find_minor(host, target)
-        if (w is not None) != brute_has_minor(host, target):
-            disagreements += 1
-        if w is not None:
-            assert verify_witness(host, target, w)
-            witnesses += 1
-    assert disagreements == 0
-    print(f"ACCEPTANCE 7 PASS: 200 instances, 0 disagreements, "
-          f"{witnesses} witnesses all verified")
+    detail = assert_check(validate.check_minor_brute_agreement, instances=200, seed=SEED,
+                          m_range=(1, 3), n_range=(1, 7), draw_target=_random_matrix_target)
+    print(f"ACCEPTANCE 7 PASS: {detail}, 0 disagreements, every witness verified")
 
 
 def test_criterion_8_graphic_class_check():

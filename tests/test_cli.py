@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from conftest import run_cli
+from conftest import format_matrix, format_matroid, identity, run_cli
 from fqminors import cli
 from fqminors.gf import field
-from fqminors.matrix import FqMatrix, format_matrix
+from fqminors.matrix import FqMatrix
 
 
 def fano_file(tmp_path):
@@ -65,7 +65,7 @@ def test_formula_remaining_subcommands(capsys):
 
 
 def test_target_from_matroid_file(tmp_path, capsys):
-    from fqminors.matroid import catalog, format_matroid
+    from fqminors.matroid import catalog
 
     path = tmp_path / "u12.matroid"
     path.write_text(format_matroid(catalog("U:1,2")))
@@ -100,7 +100,7 @@ def test_minor_unverified_witness_exit_2(tmp_path, monkeypatch, capsys):
 
 def test_minor_absent(tmp_path, capsys):
     path = tmp_path / "ident.txt"
-    path.write_text(format_matrix(FqMatrix.identity(field(2), 4)))
+    path.write_text(format_matrix(identity(field(2), 4)))
     rc = cli.main(["minor", "--host", str(path), "--target", "name:U:1,2"])
     assert rc == 0
     assert "absent" in capsys.readouterr().out
@@ -157,7 +157,7 @@ def test_class_unverified_witness_is_not_membership(tmp_path, monkeypatch, capsy
     path = tmp_path / "u24.txt"
     path.write_text(format_matrix(FqMatrix.from_rows(field(5), [[1, 1, 1, 1], [0, 1, 2, 3]])))
     rc = cli.main(["class", "--host", str(path), "--json"])
-    assert rc == 0
+    assert rc == cli.EXIT_VALIDATION
     d = json.loads(capsys.readouterr().out)
     assert d["outcomes"]["U:2,4"] == "unverified"
     assert d["membership"] == "unknown" and d["witnesses"] == {}
@@ -181,6 +181,21 @@ def test_simulate_bad_jobs_exit_1(capsys):
                    "--trials", "10", "--jobs", "0"])
     assert rc == cli.EXIT_USAGE
     assert "jobs must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["minor", "--sample", "2", "6", "10", "--seed", "1", "--target", "name:U:1,2",
+     "--budget", "-5"],
+    ["class", "--sample", "2", "6", "10", "--budget", "0"],
+    ["class", "--sweep", "--q", "2", "--n-start", "10", "--n-stop", "10",
+     "--m-rule", "n-minus:8", "--trials", "5", "--budget", "0"],
+    ["simulate", "--q", "2", "--target", "name:U:1,2", "--n-start", "6", "--n-stop", "6",
+     "--m-rule", "n-minus:2", "--trials", "5", "--budget", "0"],
+], ids=["minor", "class-host", "class-sweep", "simulate"])
+def test_nonpositive_budget_exit_1(args, capsys):
+    assert cli.main(args) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "fqminors: budget must be >= 1\n" and captured.out == ""
 
 
 def test_simulate_out_file(tmp_path):
@@ -243,3 +258,20 @@ def test_validate_byte_identical_runs():
     b = run_cli(["validate"])
     assert a.returncode == 0
     assert a.stdout == b.stdout
+    assert a.stdout.splitlines() == [
+        "PASS field-axioms (q in {2,3,4,5,7,8,9,11,13,16})",
+        "PASS rank-transpose (GF(2) exhaustive to 3x3)",
+        "PASS rank-counts-vs-oracle (q in {2,3} small shapes)",
+        "PASS colrank-free-prob-vs-oracle (q in {2,3} small shapes)",
+        "PASS li-bound-strict (q in {2,3}, m <= 6)",
+        "PASS psmq-repcount-consistency (uniform catalog, m <= 3, q in {2,3})",
+        "PASS repcount-vs-exact (small catalog targets)",
+        "PASS bound-sandwich (U12, U02, U23+loop at q=2, m <= 2, n <= 4)",
+        "PASS change-of-basis-bijection (GF(2) 2x1 and 2x2, all invertible P)",
+        "PASS reduce-conditional-uniform (GF(2) shapes (2,2), (3,2), (2,3) at k=1)",
+        "PASS minor-brute-agreement (12 seeded random instances vs all-(C,D) brute force)",
+        "PASS mc-determinism (2000 trials at 4x4, q=2)",
+        "PASS sweep-bounds-bracket (U12 sweep, n=4..8, 400 trials)",
+        "PASS cq-floor (q in {2,3,4})",
+        "all checks passed",
+    ]

@@ -4,7 +4,7 @@ operations; they must agree exactly when both run over GF(2)."""
 import itertools
 import random
 
-from conftest import rank
+from conftest import identity, rank
 from fqminors.gf import field
 from fqminors.linalg import BitOps, GenOps, complete_to_basis, fast_rank, ops_for
 from fqminors.matrix import FqMatrix
@@ -82,7 +82,7 @@ def test_backends_agree_on_inverse():
 def test_complete_to_basis_is_invertible():
     for f, m in ((F2, 3), (F9, 2)):
         o = ops_for(f, m)
-        ident = FqMatrix.identity(f, m)
+        ident = identity(f, m)
         start = [o.cols_of(ident)[0]]
         basis = complete_to_basis(o, start)
         assert len(basis) == m

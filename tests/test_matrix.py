@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import gf2_rank_bits, rank, rref
+from conftest import format_matrix, gf2_rank_bits, identity, rank, rref
 from fqminors.errors import (
     DimensionMismatchError,
     DuplicatePivotRowError,
@@ -11,7 +11,7 @@ from fqminors.errors import (
 )
 from fqminors.gf import field
 from fqminors.linalg import fast_rank, leftmost_independent, ops_for
-from fqminors.matrix import FqMatrix, contract_unit_columns, format_matrix, parse_matrix
+from fqminors.matrix import FqMatrix, contract_unit_columns, parse_matrix
 from fqminors.matroid import from_matrix
 
 F2 = field(2)
@@ -23,8 +23,8 @@ def bits_of(A):
 
 
 def test_rank_examples():
-    assert fast_rank(FqMatrix.identity(F2, 2)) == 2
-    assert fast_rank(FqMatrix.zero(F3, 3, 4)) == 0
+    assert fast_rank(identity(F2, 2)) == 2
+    assert fast_rank(FqMatrix(F3, 3, 4, (0,) * 12)) == 0
     assert fast_rank(FqMatrix.from_rows(F2, [[1, 1], [1, 1]])) == 1
 
 
@@ -38,12 +38,12 @@ def test_rank_degenerate_shapes():
 
 def test_rref_examples():
     # the test-side reference elimination the kernels are compared against
-    ident = FqMatrix.identity(F3, 3)
+    ident = identity(F3, 3)
     r, piv = rref(ident)
     assert r == ident and piv == (0, 1, 2)
     a = FqMatrix.from_rows(F2, [[0, 1], [0, 1]])
     r, piv = rref(a)
-    assert r.rows() == [[0, 1], [0, 0]] and piv == (1,)
+    assert r == FqMatrix.from_rows(F2, [[0, 1], [0, 0]]) and piv == (1,)
 
 
 def test_rref_pivot_columns_are_unit():
@@ -71,11 +71,11 @@ def test_rank_equals_transpose_rank_exhaustive_gf2():
 
 def test_change_of_basis_examples():
     a = FqMatrix.from_rows(F2, [[1], [1]])
-    assert FqMatrix.identity(F2, 2).matmul(a) == a
+    assert identity(F2, 2).matmul(a) == a
     p = FqMatrix.from_rows(F2, [[1, 1], [0, 1]])
-    assert p.matmul(a).rows() == [[0], [1]]
+    assert p.matmul(a) == FqMatrix.from_rows(F2, [[0], [1]])
     with pytest.raises(DimensionMismatchError):
-        FqMatrix.identity(F2, 3).matmul(a)
+        identity(F2, 3).matmul(a)
 
 
 def test_change_of_basis_preserves_rank():
@@ -92,8 +92,8 @@ def test_change_of_basis_preserves_rank():
 
 
 def test_contract_unit_columns_examples():
-    i3 = FqMatrix.identity(F2, 3)
-    assert contract_unit_columns(i3, [0]) == FqMatrix.identity(F2, 2)
+    i3 = identity(F2, 3)
+    assert contract_unit_columns(i3, [0]) == identity(F2, 2)
     a = FqMatrix.from_rows(F2, [[1, 0, 1], [0, 1, 1]])
     out = contract_unit_columns(a, [0, 1])
     assert (out.m, out.n) == (0, 1)

@@ -16,7 +16,6 @@ from fqminors.minor import (
     decide,
     find_minor,
     find_minor_matrix,
-    has_excluded_minor,
     has_excluded_minor_matrix,
     verify_witness,
     verify_witness_matrix,
@@ -119,7 +118,6 @@ def test_wrong_bijection_breaks_loopy_target():
 
 
 def test_budget_exceeded_is_distinct_from_absent():
-    host = from_matrix(FqMatrix.identity(F2, 6))
     # a free host *with* an impossible non-free target short-circuits, so
     # use a host with structure and a tiny budget
     rng = random.Random(3)
@@ -203,13 +201,13 @@ def test_u24_never_in_binary_hosts():
 
 def test_has_excluded_minor_examples():
     k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
-    from fqminors.matroid import from_graph
-
-    rep = has_excluded_minor(from_graph(k4), "graphic")
+    incidence = [[1 if v in e else 0 for e in k4] for v in range(4)]
+    rep = has_excluded_minor_matrix(FqMatrix.from_rows(F2, incidence), "graphic")
     assert rep.membership == "yes"
     assert set(rep.outcomes.values()) == {"absent"}
 
-    rep = has_excluded_minor(catalog("U:2,4"), "graphic")
+    u24 = FqMatrix.from_rows(field(5), [[1, 1, 1, 1], [0, 1, 2, 3]])
+    rep = has_excluded_minor_matrix(u24, "graphic")
     assert rep.membership == "no" and rep.outcomes["U:2,4"] == "found"
 
     rep = has_excluded_minor_matrix(fano_matrix(), "graphic")
@@ -227,7 +225,7 @@ def test_unknown_class_name_rejected():
     from fqminors.errors import BadParametersError
 
     with pytest.raises(BadParametersError):
-        has_excluded_minor(catalog("U:2,4"), "planar")
+        has_excluded_minor_matrix(fano_matrix(), "planar")
 
 
 def test_witness_json_roundtrip():

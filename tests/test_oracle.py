@@ -101,16 +101,6 @@ def test_count_representations():
     assert oracle.count_representations_exact(catalog("U:2,4"), 3, 2) == 0
 
 
-def test_rep_counts_dominate_bound():
-    for q in (2, 3):
-        for name in ("U:0,2", "U:1,2", "U:2,2", "U:1,3", "U:2,3"):
-            M = catalog(name)
-            st = M.stats()
-            for m in range(st.r, 3):
-                assert oracle.count_representations_exact(M, m, q) >= \
-                    formulas.rep_count_lower_bound(m, q, st)
-
-
 def test_distribution_check_examples():
     rep = oracle.distribution_check("change-of-basis", 2, 2, 1)
     assert rep.ok and rep.details["invertible"] == 6

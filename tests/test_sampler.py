@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rref
+from conftest import identity, rref
 from fqminors import formulas, linalg, sampler
 from fqminors.errors import BadArgumentsError, UnknownEventError
 from fqminors.gf import field
@@ -101,8 +101,8 @@ def test_sampling_extension_field():
 def test_reduce_examples():
     a = FqMatrix.from_rows(F2, [[1, 0], [1, 1]])
     assert reduce(a, 0) == a
-    i3 = FqMatrix.identity(F2, 3)
-    assert reduce(i3, 1) == FqMatrix.identity(F2, 2)
+    i3 = identity(F2, 3)
+    assert reduce(i3, 1) == identity(F2, 2)
     # hand execution of the m <= n path
     b = reduce(a, 1)
     assert (b.m, b.n) == (1, 1)
@@ -294,6 +294,16 @@ def test_mc_minor_jobs_validated_and_clamped(monkeypatch):
 def test_every_mc_path_rejects_zero_trials(run):
     with pytest.raises(BadArgumentsError, match="trials must be >= 1"):
         run()
+
+
+def test_nonpositive_budget_rejected_before_any_trial(monkeypatch):
+    def no_trials(*args, **kw):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(sampler, "run_trials", no_trials)
+    for budget in (0, -5):
+        with pytest.raises(BadArgumentsError, match="budget must be >= 1"):
+            mc_minor_prob(2, 3, 5, catalog("U:1,2"), 10, seed=0, budget=budget)
 
 
 def test_failed_verification_is_counted_as_unverified(monkeypatch):
