@@ -17,14 +17,6 @@ class DimensionMismatchError(FqminorsError, ValueError):
     pass
 
 
-class NotUnitColumnError(FqminorsError, ValueError):
-    pass
-
-
-class DuplicatePivotRowError(FqminorsError, ValueError):
-    pass
-
-
 class GroundTooLargeError(FqminorsError, ValueError):
     pass
 

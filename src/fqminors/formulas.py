@@ -32,10 +32,6 @@ from fractions import Fraction
 from .errors import BadArgumentsError, BadToleranceError
 from .matroid import MatroidStats
 
-# Exact probabilities are plain Fractions: lowest terms and big integers
-# come for free from the class.
-ExactProb = Fraction
-
 
 @dataclass
 class BoundReport:

@@ -123,16 +123,10 @@ class Field:
     def neg(self, a: int) -> int:
         return self.neg_table[a]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg_table[b]]
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inv(0) is undefined")
         return self.inv_table[a]
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.q == self.q

@@ -10,8 +10,12 @@ pivot: equal representatives mean equal cosets, and zero means v lies in
 the span.  An echelon only ever grows by the row `reduce_pivot` returns,
 so a search can push and pop rows along its path; every rank, independence
 test and coset representative in the package comes from that one step.
-`inverse_rows`, the Gauss-Jordan inverse behind witness verification, is
-kept apart on purpose, so a verifier shares no elimination with the search.
+`contract` is the one change of basis: it sends chosen independent columns
+to unit vectors and drops them with their rows, which is contraction on
+the column matroid.  The randomness-preserving reduction and the matrix
+witness verifier both call it.  It takes P from `inverse_rows`, a
+Gauss-Jordan inverse kept apart on purpose, so a verifier shares no
+elimination with the search.
 """
 
 from __future__ import annotations
@@ -250,3 +254,25 @@ def complete_to_basis(o, ind_cols: list) -> list:
             ech.append(row)
             basis.append(u)
     return basis
+
+
+def contract(o, cols, chosen: list[int], keep: list[int]) -> FqMatrix | None:
+    """The `keep` columns after contracting the `chosen` ones, as rows
+    k..m-1 of P times those columns (k = len(chosen)), where P is the change
+    of basis sending cols[chosen[pos]] to unit vector pos; None when the
+    chosen columns are dependent or P fails that check."""
+    try:
+        basis = complete_to_basis(o, [cols[j] for j in chosen])
+    except ValueError:
+        return None
+    m, k = o.m, len(chosen)
+    p_rows = o.inverse_rows(basis)
+    for pos, j in enumerate(chosen):
+        coords = [o.dot(p_rows[i], cols[j]) for i in range(m)]
+        if coords != [1 if i == pos else 0 for i in range(m)]:
+            return None
+    entries = []
+    for i in range(k, m):
+        for j in keep:
+            entries.append(o.dot(p_rows[i], cols[j]))
+    return FqMatrix(o.field, m - k, len(keep), tuple(entries))

@@ -1,5 +1,5 @@
-"""Dense matrices over GF(q): the immutable container, products, the
-unit-column contraction primitive and the text parser.
+"""Dense matrices over GF(q): the immutable container, products and the
+text parser.
 
 All arithmetic is exact (field tables), so every operation is
 deterministic.  Degenerate shapes (0 rows or 0 columns) are legal
@@ -10,12 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    DimensionMismatchError,
-    DuplicatePivotRowError,
-    NotUnitColumnError,
-    ParseError,
-)
+from .errors import DimensionMismatchError, ParseError
 from .gf import Field, field
 
 
@@ -51,9 +46,6 @@ class FqMatrix:
                 raise DimensionMismatchError("ragged rows")
         return cls(f, m, n, tuple(e for r in rows for e in r))
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.n + j]
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.n : (i + 1) * self.n]
 
@@ -86,37 +78,6 @@ class FqMatrix:
                         acc = add[acc][mul[a][other.entries[k * other.n + j]]]
                 out.append(acc)
         return FqMatrix(f, self.m, other.n, tuple(out))
-
-
-def contract_unit_columns(A: FqMatrix, cols) -> FqMatrix:
-    """Delete the listed unit columns together with their pivot rows.
-
-    Each listed column must be a standard basis vector; the pivot rows must
-    be pairwise distinct.  This realizes contraction (and deletion) of those
-    columns on the column-dependence matroid.
-    """
-    cols = list(cols)
-    pivot_rows = []
-    for j in cols:
-        if not 0 <= j < A.n:
-            raise NotUnitColumnError(f"column index {j} out of range")
-        col = A.col(j)
-        nz = [i for i, e in enumerate(col) if e]
-        if len(nz) != 1 or col[nz[0]] != 1:
-            raise NotUnitColumnError(f"column {j} is not a standard basis vector")
-        pivot_rows.append(nz[0])
-    if len(set(cols)) != len(cols) or len(set(pivot_rows)) != len(pivot_rows):
-        raise DuplicatePivotRowError("listed columns share a pivot row")
-    drop_rows = set(pivot_rows)
-    drop_cols = set(cols)
-    kept = [
-        A.entry(i, j)
-        for i in range(A.m)
-        if i not in drop_rows
-        for j in range(A.n)
-        if j not in drop_cols
-    ]
-    return FqMatrix(A.field, A.m - len(cols), A.n - len(cols), tuple(kept))
 
 
 def parse_matrix(text: str) -> FqMatrix:

@@ -197,26 +197,24 @@ def find_minor(host: Matroid, target: Matroid, budget: int | None = DEFAULT_BUDG
     return None
 
 
-def verify_witness(host: Matroid, target: Matroid, w: MinorWitness) -> bool:
-    """Recompute the minor named by the witness and compare basis families.
-
-    Deliberately reuses none of the search internals: the minor is built by
-    the general contraction/deletion operations.
-    """
-    c_mask = _mask_of(w.contract)
-    d_mask = _mask_of(w.delete)
+def _witness_survivors(n: int, target: Matroid, w: MinorWitness) -> list[int] | None:
+    """The host elements the witness keeps, in order; None when C and D
+    overlap, name an element outside 0..n-1, or the bijection is not onto
+    the survivors."""
     if w.contract & w.delete:
-        return False
-    if (c_mask | d_mask) & ~host.full_mask:
-        return False
-    survivors = [x for x in range(host.ground_size) if not ((c_mask | d_mask) >> x) & 1]
-    if len(survivors) != target.ground_size:
-        return False
-    if sorted(w.bijection) != survivors:
-        return False
-    if not host.is_independent(c_mask):
-        return False
-    minor_m = host.minor(c_mask, d_mask)
+        return None
+    named = w.contract | w.delete
+    if any(not 0 <= x < n for x in named):
+        return None
+    survivors = [x for x in range(n) if x not in named]
+    if len(survivors) != target.ground_size or sorted(w.bijection) != survivors:
+        return None
+    return survivors
+
+
+def _is_target(minor_m: Matroid, target: Matroid, survivors: list[int], w: MinorWitness) -> bool:
+    """Whether minor_m, whose element i is survivors[i], has the target's
+    basis family under the witness bijection."""
     pos = {x: i for i, x in enumerate(survivors)}
     expected = set()
     for b in target.bases:
@@ -226,6 +224,21 @@ def verify_witness(host: Matroid, target: Matroid, w: MinorWitness) -> bool:
                 mask |= 1 << pos[w.bijection[i]]
         expected.add(mask)
     return minor_m.bases == frozenset(expected)
+
+
+def verify_witness(host: Matroid, target: Matroid, w: MinorWitness) -> bool:
+    """Recompute the minor named by the witness and compare basis families.
+
+    Deliberately reuses none of the search internals: the minor is built by
+    the general contraction/deletion operations.
+    """
+    survivors = _witness_survivors(host.ground_size, target, w)
+    if survivors is None:
+        return False
+    c_mask = _mask_of(w.contract)
+    if not host.is_independent(c_mask):
+        return False
+    return _is_target(host.minor(c_mask, _mask_of(w.delete)), target, survivors, w)
 
 
 # ----------------------------------------------------------------------
@@ -433,50 +446,17 @@ def _ranked_picks(o, keys: list, c: int):
 def verify_witness_matrix(A: FqMatrix, target: Matroid, w: MinorWitness) -> bool:
     """Witness check against a matrix host, by explicit change of basis.
 
-    Builds P sending the contracted columns to unit vectors, applies it,
-    drops the pivot rows, and compares the resulting column matroid with the
-    target under the witness bijection.  Independent of the quotient-echelon
-    route the searcher uses.
+    `linalg.contract` sends the contracted columns to unit vectors, drops
+    their rows and keeps the survivors; the resulting column matroid is
+    compared with the target under the witness bijection.  Independent of
+    the quotient-echelon route the searcher uses.
     """
-    n, m = A.n, A.m
-    if w.contract & w.delete:
+    survivors = _witness_survivors(A.n, target, w)
+    if survivors is None:
         return False
-    named = w.contract | w.delete
-    if named and (min(named) < 0 or max(named) >= n):
-        return False
-    survivors = [j for j in range(n) if j not in named]
-    if len(survivors) != target.ground_size:
-        return False
-    if sorted(w.bijection) != survivors:
-        return False
-    o = linalg.ops_for(A.field, m)
-    cols = o.cols_of(A)
-    c_list = sorted(w.contract)
-    k = len(c_list)
-    try:
-        basis = linalg.complete_to_basis(o, [cols[j] for j in c_list])
-    except ValueError:
-        return False  # the contracted columns are dependent
-    p_rows = o.inverse_rows(basis)
-    for pos, j in enumerate(c_list):
-        coords = [o.dot(p_rows[i], cols[j]) for i in range(m)]
-        if coords != [1 if i == pos else 0 for i in range(m)]:
-            return False
-    entries = []
-    for i in range(k, m):
-        for j in survivors:
-            entries.append(o.dot(p_rows[i], cols[j]))
-    minor_mat = FqMatrix(A.field, m - k, len(survivors), tuple(entries))
-    minor_m = from_matrix(minor_mat)
-    pos_of = {x: i for i, x in enumerate(survivors)}
-    expected = set()
-    for b in target.bases:
-        mask = 0
-        for i in range(target.ground_size):
-            if (b >> i) & 1:
-                mask |= 1 << pos_of[w.bijection[i]]
-        expected.add(mask)
-    return minor_m.bases == frozenset(expected)
+    o = linalg.ops_for(A.field, A.m)
+    minor_mat = linalg.contract(o, o.cols_of(A), sorted(w.contract), survivors)
+    return minor_mat is not None and _is_target(from_matrix(minor_mat), target, survivors, w)
 
 
 def check_budget(budget: int | None):

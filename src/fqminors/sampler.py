@@ -38,7 +38,7 @@ import numpy as np
 from . import linalg
 from .errors import BadArgumentsError, UnknownEventError
 from .gf import field
-from .matrix import FqMatrix, contract_unit_columns
+from .matrix import FqMatrix
 from .matroid import Matroid
 from .minor import DEFAULT_BUDGET, check_budget, decide, find_minor_matrix, verify_witness_matrix
 
@@ -100,9 +100,10 @@ def reduce(A: FqMatrix, k: int) -> FqMatrix | None:
     For m > n the first k columns must be linearly independent.  For m <= n
     the first k rows must be linearly independent, and the contracted
     columns are the leftmost pivot set of that top block (a fixed concrete
-    choice where any independent k columns would do).  In both cases an
-    invertible change of basis sends the chosen columns to unit vectors,
-    which are then contracted away, leaving (m-k) x (n-k).
+    choice where any independent k columns would do).  In both cases
+    `linalg.contract` sends the chosen columns to unit vectors by an
+    invertible change of basis and contracts them away, leaving the last m-k
+    rows of the other n-k columns, in column order.
     Conditioned on success the output is exactly uniform; the oracle module
     verifies this exhaustively at small sizes.
     """
@@ -123,14 +124,12 @@ def reduce(A: FqMatrix, k: int) -> FqMatrix | None:
         chosen = linalg.leftmost_independent(o_top, o_top.cols_of(top), k)
         if len(chosen) != k:
             return None
-    basis = linalg.complete_to_basis(o, [cols[j] for j in chosen])
-    p_rows = o.inverse_rows(basis)
-    entries = []
-    for i in range(m):
-        for j in range(n):
-            entries.append(o.dot(p_rows[i], cols[j]))
-    pa = FqMatrix(A.field, m, n, tuple(entries))
-    return contract_unit_columns(pa, chosen)
+    keep = [j for j in range(n) if j not in chosen]
+    out = linalg.contract(o, cols, chosen, keep)
+    if out is None:
+        # the chosen columns were just found independent
+        raise RuntimeError("change of basis failed on independent columns")
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -259,6 +258,8 @@ def _trial_rank(shape, spec: SeedSpec) -> int:
 def mc_event_prob(q: int, m: int, n: int, event: str, trials: int, seed: int) -> Estimate:
     """Monte Carlo frequency of a named rank event (no unknowns possible)."""
     pred = parse_event(event)
+    if m < 0 or n < 0:
+        raise BadArgumentsError(f"negative shape {m}x{n}")
     ranks = run_trials(_trial_rank, (q, m, n), trials, seed)
     successes = sum(count for rank, count in ranks.items() if pred(rank, m, n))
     return _make_estimate(trials, successes, 0, 0, seed)

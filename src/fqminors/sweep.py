@@ -30,7 +30,10 @@ def m_for(rule: str, n: int) -> int:
         if kind == "n-plus":
             return n + int(arg)
         if kind == "ratio":
-            return math.floor(float(arg) * n)
+            ratio = float(arg)
+            if not math.isfinite(ratio):
+                raise ValueError(arg)
+            return math.floor(ratio * n)
     except ValueError:
         raise BadParametersError(f"bad m_rule argument in {rule!r}") from None
     raise BadParametersError(f"unknown m_rule {rule!r}")

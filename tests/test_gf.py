@@ -9,7 +9,7 @@ SUPPORTED = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 @pytest.mark.parametrize("q", SUPPORTED)
 def test_field_axioms_exhaustive(q):
     f = field(q)
-    elems = list(f.elements())
+    elems = list(range(f.q))
     for a in elems:
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
@@ -54,14 +54,14 @@ def test_gf2_is_xor_and():
 def test_gf4_characteristic_two():
     f = field(4)
     assert f.p == 2 and f.deg == 2
-    for a in f.elements():
+    for a in range(f.q):
         assert f.add(a, a) == 0
 
 
 def test_gf9_characteristic_three():
     f = field(9)
     assert f.p == 3 and f.deg == 2
-    for a in f.elements():
+    for a in range(f.q):
         assert f.add(f.add(a, a), a) == 0
 
 

@@ -3,15 +3,10 @@ import itertools
 import pytest
 
 from conftest import format_matrix, gf2_rank_bits, identity, rank, rref
-from fqminors.errors import (
-    DimensionMismatchError,
-    DuplicatePivotRowError,
-    NotUnitColumnError,
-    ParseError,
-)
+from fqminors.errors import DimensionMismatchError, ParseError
 from fqminors.gf import field
-from fqminors.linalg import fast_rank, leftmost_independent, ops_for
-from fqminors.matrix import FqMatrix, contract_unit_columns, parse_matrix
+from fqminors.linalg import contract, fast_rank, leftmost_independent, ops_for
+from fqminors.matrix import FqMatrix, parse_matrix
 from fqminors.matroid import from_matrix
 
 F2 = field(2)
@@ -19,7 +14,7 @@ F3 = field(3)
 
 
 def bits_of(A):
-    return [sum(A.entry(i, j) << j for j in range(A.n)) for i in range(A.m)]
+    return [sum(e << j for j, e in enumerate(A.row(i))) for i in range(A.m)]
 
 
 def test_rank_examples():
@@ -91,44 +86,27 @@ def test_change_of_basis_preserves_rank():
             assert fast_rank(p.matmul(a)) == fast_rank(a)
 
 
-def test_contract_unit_columns_examples():
-    i3 = identity(F2, 3)
-    assert contract_unit_columns(i3, [0]) == identity(F2, 2)
-    a = FqMatrix.from_rows(F2, [[1, 0, 1], [0, 1, 1]])
-    out = contract_unit_columns(a, [0, 1])
-    assert (out.m, out.n) == (0, 1)
-    with pytest.raises(NotUnitColumnError):
-        contract_unit_columns(a, [2])
-    two_pivots = FqMatrix.from_rows(F2, [[1, 1], [0, 0]])
-    with pytest.raises(DuplicatePivotRowError):
-        contract_unit_columns(two_pivots, [0, 1])
-
-
-def test_contract_unit_columns_non_one_entry_rejected():
-    a = FqMatrix.from_rows(F3, [[2, 0], [0, 1]])
-    with pytest.raises(NotUnitColumnError):
-        contract_unit_columns(a, [0])
-
-
-def test_contract_unit_columns_matches_abstract_contraction():
-    # unit-column contraction must agree with abstract matroid contraction
-    # on the surviving columns, under the identity index map
-    def unit_row(a, j):
-        col = a.col(j)
-        nz = [i for i, e in enumerate(col) if e]
-        return nz[0] if len(nz) == 1 and col[nz[0]] == 1 else None
-
-    for entries in itertools.product(range(2), repeat=6):
-        a = FqMatrix(F2, 2, 3, entries)
-        units = {j: unit_row(a, j) for j in range(3) if unit_row(a, j) is not None}
-        for j, row in units.items():
-            contracted = contract_unit_columns(a, [j])
-            assert from_matrix(contracted) == from_matrix(a).minor(1 << j, 0)
-            for j2, row2 in units.items():
-                if j2 <= j or row2 == row:
-                    continue
-                both = contract_unit_columns(a, [j, j2])
-                assert from_matrix(both) == from_matrix(a).minor((1 << j) | (1 << j2), 0)
+def test_contract_matches_abstract_contraction():
+    # contracting independent columns by a change of basis must agree with
+    # abstract matroid contraction on the kept columns, in column order; a
+    # dependent chosen set has no such change of basis
+    o3 = ops_for(F2, 3)
+    assert contract(o3, o3.cols_of(identity(F2, 3)), [0], [1, 2]) == identity(F2, 2)
+    for f, m, n in ((F2, 2, 3), (F2, 3, 3), (F3, 2, 3)):
+        o = ops_for(f, m)
+        for entries in itertools.product(range(f.q), repeat=m * n):
+            a = FqMatrix(f, m, n, entries)
+            host, cols = from_matrix(a), o.cols_of(a)
+            for k in (1, 2):
+                for chosen in itertools.combinations(range(n), k):
+                    keep = [j for j in range(n) if j not in chosen]
+                    out = contract(o, cols, list(chosen), keep)
+                    c_mask = sum(1 << j for j in chosen)
+                    if not host.is_independent(c_mask):
+                        assert out is None
+                        continue
+                    assert (out.m, out.n) == (m - k, n - k)
+                    assert from_matrix(out) == host.minor(c_mask, 0)
 
 
 def test_matmul_associative_spot():

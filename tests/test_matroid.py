@@ -185,7 +185,7 @@ def test_from_matrix_matches_reference_subset_ranks():
                 want = [
                     sum(1 << j for j in combo)
                     for combo in itertools.combinations(range(n), r)
-                    if rank(FqMatrix.from_rows(f, [[a.entry(i, j) for j in combo]
+                    if rank(FqMatrix.from_rows(f, [[a.row(i)[j] for j in combo]
                                                    for i in range(m)])) == r
                 ]
                 ma = from_matrix(a)

@@ -61,6 +61,10 @@ def test_verify_witness_rejects_corruption():
     # a bijection that is a permutation but onto the wrong elements
     other = tuple(x for x in range(4) if x not in survivors) + survivors[:2]
     assert not verify_witness(u24, u23, MinorWitness(w.contract, w.delete, other))
+    # elements outside 0..3: negative in C, negative in D, and equal to n
+    for c, d in ((w.contract | {-1}, w.delete), (w.contract, w.delete | {-1}),
+                 (w.contract, w.delete | {4})):
+        assert not verify_witness(u24, u23, MinorWitness(c, d, w.bijection))
 
 
 def test_verify_witness_matrix_rejects_corruption():
@@ -72,8 +76,12 @@ def test_verify_witness_matrix_rejects_corruption():
     cases = [
         # overlapping contract and delete sets
         MinorWitness(w.contract | {dropped}, w.delete, w.bijection),
-        # an index past the last column
+        # an index past the last column, in D and in C
         MinorWitness(w.contract, w.delete | {7}, w.bijection),
+        MinorWitness(w.contract | {7}, w.delete, w.bijection),
+        # a negative index, in C and in D
+        MinorWitness(w.contract | {-1}, w.delete, w.bijection),
+        MinorWitness(w.contract, w.delete | {-1}, w.bijection),
         # a bijection onto a deleted element instead of a survivor
         MinorWitness(w.contract, w.delete, (dropped,) + survivors[1:]),
     ]

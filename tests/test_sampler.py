@@ -7,7 +7,7 @@ from conftest import identity, rref
 from fqminors import formulas, linalg, sampler
 from fqminors.errors import BadArgumentsError, UnknownEventError
 from fqminors.gf import field
-from fqminors.matrix import FqMatrix, contract_unit_columns
+from fqminors.matrix import FqMatrix
 from fqminors.matroid import catalog, from_matrix
 from fqminors.sampler import SeedSpec, mc_event_prob, mc_minor_prob, reduce, sample_matrix
 from fqminors.sweep import run_class_sweep
@@ -142,9 +142,29 @@ def test_reduce_preserves_matroid_minor_relation():
         assert find_minor(from_matrix(a), from_matrix(b), budget=None) is not None
 
 
+def _contract_unit_columns(A, cols):
+    """Delete the listed unit columns together with their pivot rows."""
+    pivot_rows = []
+    for j in cols:
+        col = A.col(j)
+        nz = [i for i, e in enumerate(col) if e]
+        assert len(nz) == 1 and col[nz[0]] == 1, f"column {j} is not a unit vector"
+        pivot_rows.append(nz[0])
+    assert len(set(pivot_rows)) == len(pivot_rows), "listed columns share a pivot row"
+    kept = [
+        A.entries[i * A.n + j]
+        for i in range(A.m)
+        if i not in pivot_rows
+        for j in range(A.n)
+        if j not in cols
+    ]
+    return FqMatrix(A.field, A.m - len(cols), A.n - len(cols), tuple(kept))
+
+
 def _reference_reduce(A, k):
     """The earlier reduce, which took the m <= n pivot set from a reduced
-    row echelon form of the top k rows."""
+    row echelon form of the top k rows, multiplied all of A by P and then
+    deleted the unit columns with their pivot rows."""
     m, n = A.m, A.n
     if k == 0:
         return A
@@ -167,7 +187,7 @@ def _reference_reduce(A, k):
         for j in range(n):
             entries.append(o.dot(p_rows[i], cols[j]))
     pa = FqMatrix(A.field, m, n, tuple(entries))
-    return contract_unit_columns(pa, chosen)
+    return _contract_unit_columns(pa, chosen)
 
 
 def test_reduce_matches_rref_reference_exhaustive():
@@ -213,6 +233,15 @@ def test_mc_event_gf3_path():
     exact = float(formulas.prob_full_col_rank(3, 2, 3))
     lo, hi = sampler.wilson_interval(est.successes, est.trials, z=3.5)
     assert lo <= exact <= hi
+
+
+def test_mc_event_rejects_negative_shape_on_every_field():
+    # the GF(2) trial never builds an FqMatrix, so the shape is checked up front
+    for q, m, n in ((2, -1, -1), (2, -2, 3), (3, -1, -1)):
+        with pytest.raises(BadArgumentsError, match="negative shape"):
+            mc_event_prob(q, m, n, "full-column-rank", 5, seed=1)
+    assert mc_event_prob(2, 0, 3, "full-column-rank", 5, seed=1).point == 0.0
+    assert mc_event_prob(2, 3, 0, "full-column-rank", 5, seed=1).point == 1.0
 
 
 def test_mc_minor_examples():

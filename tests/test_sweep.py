@@ -15,8 +15,9 @@ def test_m_rules():
     assert m_for("ratio:0.5", 11) == 5
     with pytest.raises(BadParametersError):
         m_for("times:2", 10)
-    with pytest.raises(BadParametersError):
-        m_for("constant:x", 10)
+    for rule in ("constant:x", "ratio:inf", "ratio:1e400", "ratio:-inf"):
+        with pytest.raises(BadParametersError):
+            m_for(rule, 10)
 
 
 def test_n_values():
