@@ -2,8 +2,11 @@
 
 Subcommands: formula, simulate, minor, class, validate.  Exit codes:
 0 success, 1 usage error, 2 validation failure, 3 I/O or parse error.
-All output is deterministic given identical arguments and seed; CSV floats
-use 12 significant digits.
+Every command returns its exit code, JSON payload and text, and one write
+path prints the JSON under --json and the text otherwise, to the --out file
+when simulate or class is given one and to stdout otherwise.  All output is
+deterministic given identical arguments and seed; CSV floats use 12
+significant digits.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 from . import formulas, validate
 from .errors import FqminorsError, ParseError
 from .matrix import FqMatrix, parse_matrix
-from .matroid import Matroid, catalog, from_matrix, parse_matroid
+from .matroid import Matroid, catalog, parse_matroid
 from .minor import (
     DEFAULT_BUDGET,
     decide,
@@ -52,14 +55,6 @@ def _load_matrix(path: str) -> FqMatrix:
         return parse_matrix(fh.read())
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _frac_json(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator), "float": float(x)}
 
@@ -73,106 +68,73 @@ def _frac_text(name: str, x: Fraction) -> str:
 # ----------------------------------------------------------------------
 
 
+def _stats(args):
+    return _load_matroid(args.target).stats()
+
+
+# subcommand -> (flags, text label, value of the parsed args), in --help order
+_FORMULAS = {
+    "gaussian": (("n", "k", "q"), "gaussian_binomial",
+                 lambda a: formulas.gaussian_binomial(a.n, a.k, a.q)),
+    "rank-count": (("m", "n", "q", "k"), "count_rank_matrices",
+                   lambda a: formulas.count_rank_matrices(a.m, a.n, a.q, a.k)),
+    "free-prob": (("m", "n", "q", "r"), "exact",
+                  lambda a: formulas.prob_free_minor(a.m, a.n, a.q, a.r)),
+    "colrank-prob": (("m", "n", "q"), "exact",
+                     lambda a: formulas.prob_full_col_rank(a.m, a.n, a.q)),
+    "upper": (("m", "n", "q"), "upper",
+              lambda a: formulas.upper_bound_nonfree(a.m, a.n, a.q)),
+    "lower": (("m", "n", "q", "target"), "lower",
+              lambda a: formulas.lower_bound_nonfree(a.m, a.n, a.q, _stats(a))),
+    "block-lower": (("m", "n", "q", "target"), "lower",
+                    lambda a: formulas.lower_bound_block(a.m, a.n, a.q, _stats(a))),
+    "liminf": (("q", "target"), "liminf",
+               lambda a: formulas.asymptotic_liminf_bound(a.q, _stats(a))),
+    "cq": (("q", "tol"), None, lambda a: formulas.cq_constant(a.q, a.tol)),
+    "psmq": (("s", "q", "target"), "p_smq", lambda a: formulas.p_smq(a.s, a.q, _stats(a))),
+    "repcount": (("m", "q", "target"), "rep_count_lower_bound",
+                 lambda a: formulas.rep_count_lower_bound(a.m, a.q, _stats(a))),
+}
+
+_FORMULA_FLAGS = {
+    "target": {"required": True, "help": "matroid: name:<catalog> or file path"},
+    "tol": {"type": float, "default": 1e-9},
+}
+
+
 def _add_formula_parser(sub):
     p = sub.add_parser("formula", help="evaluate a closed form or bound")
     fsub = p.add_subparsers(dest="formula_cmd", required=True)
-
-    def common(sp, *flags):
+    for cmd, (flags, _, _) in _FORMULAS.items():
+        sp = fsub.add_parser(cmd)
         for flag in flags:
-            if flag == "target":
-                sp.add_argument("--target", required=True,
-                                help="matroid: name:<catalog> or file path")
-            else:
-                sp.add_argument(f"--{flag}", type=int, required=True)
+            sp.add_argument(f"--{flag}",
+                            **_FORMULA_FLAGS.get(flag, {"type": int, "required": True}))
         sp.add_argument("--json", action="store_true")
 
-    common(fsub.add_parser("gaussian"), "n", "k", "q")
-    common(fsub.add_parser("rank-count"), "m", "n", "q", "k")
-    common(fsub.add_parser("free-prob"), "m", "n", "q", "r")
-    common(fsub.add_parser("colrank-prob"), "m", "n", "q")
-    common(fsub.add_parser("upper"), "m", "n", "q")
-    common(fsub.add_parser("lower"), "m", "n", "q", "target")
-    common(fsub.add_parser("block-lower"), "m", "n", "q", "target")
-    common(fsub.add_parser("liminf"), "q", "target")
-    cq = fsub.add_parser("cq")
-    cq.add_argument("--q", type=int, required=True)
-    cq.add_argument("--tol", type=float, default=1e-9)
-    cq.add_argument("--json", action="store_true")
-    common(fsub.add_parser("psmq"), "s", "q", "target")
-    common(fsub.add_parser("repcount"), "m", "q", "target")
 
-
-def _cmd_formula(args) -> int:
-    cmd = args.formula_cmd
-    if cmd == "gaussian":
-        v = formulas.gaussian_binomial(args.n, args.k, args.q)
-        out = {"value": str(v)} if args.json else f"gaussian_binomial = {v}\n"
-    elif cmd == "rank-count":
-        v = formulas.count_rank_matrices(args.m, args.n, args.q, args.k)
-        out = {"value": str(v)} if args.json else f"count_rank_matrices = {v}\n"
-    elif cmd == "free-prob":
-        x = formulas.prob_free_minor(args.m, args.n, args.q, args.r)
-        note = args.r > min(args.m, args.n)
-        if args.json:
-            out = _frac_json(x)
-            if note:
-                out["note"] = "rank exceeds min(m, n); the minor is impossible"
-        else:
-            out = _frac_text("exact", x)
-            if note:
-                out += "note: rank exceeds min(m, n); the minor is impossible\n"
-    elif cmd == "colrank-prob":
-        x = formulas.prob_full_col_rank(args.m, args.n, args.q)
-        out = _frac_json(x) if args.json else _frac_text("exact", x)
-    elif cmd == "upper":
-        x = formulas.upper_bound_nonfree(args.m, args.n, args.q)
-        out = _frac_json(x) if args.json else _frac_text("upper", x)
-    elif cmd == "lower":
-        st = _load_matroid(args.target).stats()
-        rep = formulas.lower_bound_nonfree(args.m, args.n, args.q, st)
-        if args.json:
-            out = rep.to_json()
-        else:
-            out = _frac_text("lower", rep.value)
-            out += f"best_k = {rep.best_k}\n"
-            if rep.note:
-                out += f"note: {rep.note}\n"
-    elif cmd == "block-lower":
-        st = _load_matroid(args.target).stats()
-        x = formulas.lower_bound_block(args.m, args.n, args.q, st)
-        out = _frac_json(x) if args.json else _frac_text("lower", x)
-    elif cmd == "liminf":
-        st = _load_matroid(args.target).stats()
-        x = formulas.asymptotic_liminf_bound(args.q, st)
-        out = _frac_json(x) if args.json else _frac_text("liminf", x)
-    elif cmd == "cq":
-        approx, terms, floor_bound = formulas.cq_constant(args.q, args.tol)
-        if args.json:
-            out = {
-                "approx": approx,
-                "partial_terms": terms,
-                "pentagonal_floor": _frac_json(floor_bound),
-            }
-        else:
-            out = (
-                f"approx = {approx:.12g}\npartial_terms = {terms}\n"
-                f"pentagonal_floor = {floor_bound.numerator}/{floor_bound.denominator}\n"
-            )
-    elif cmd == "psmq":
-        st = _load_matroid(args.target).stats()
-        x = formulas.p_smq(args.s, args.q, st)
-        out = _frac_json(x) if args.json else _frac_text("p_smq", x)
-    elif cmd == "repcount":
-        st = _load_matroid(args.target).stats()
-        v = formulas.rep_count_lower_bound(args.m, args.q, st)
-        out = {"value": str(v)} if args.json else f"rep_count_lower_bound = {v}\n"
-    else:  # pragma: no cover
-        raise AssertionError(cmd)
-    if args.json:
-        sys.stdout.write(json.dumps(out, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(out)
-    return EXIT_OK
+def _cmd_formula(args):
+    _, label, value = _FORMULAS[args.formula_cmd]
+    v = value(args)
+    if isinstance(v, int):
+        return EXIT_OK, {"value": str(v)}, f"{label} = {v}\n"
+    if isinstance(v, Fraction):
+        payload, text = _frac_json(v), _frac_text(label, v)
+        if args.formula_cmd == "free-prob" and args.r > min(args.m, args.n):
+            payload["note"] = "rank exceeds min(m, n); the minor is impossible"
+            text += f"note: {payload['note']}\n"
+        return EXIT_OK, payload, text
+    if isinstance(v, formulas.BoundReport):
+        text = _frac_text(label, v.value) + f"best_k = {v.best_k}\n"
+        if v.note:
+            text += f"note: {v.note}\n"
+        return EXIT_OK, v.to_json(), text
+    approx, terms, floor_bound = v  # cq
+    payload = {"approx": approx, "partial_terms": terms,
+               "pentagonal_floor": _frac_json(floor_bound)}
+    text = (f"approx = {approx:.12g}\npartial_terms = {terms}\n"
+            f"pentagonal_floor = {floor_bound.numerator}/{floor_bound.denominator}\n")
+    return EXIT_OK, payload, text
 
 
 # ----------------------------------------------------------------------
@@ -197,23 +159,19 @@ def _add_simulate_parser(sub):
     p.add_argument("--json", action="store_true")
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     target = _load_matroid(args.target)
     rows = run_minor_sweep(
         args.q, target, (args.n_start, args.n_stop, args.n_step), args.m_rule,
         args.trials, args.seed, args.budget, args.jobs,
     )
-    if args.json:
-        payload = []
-        for r in rows:
-            d = {"n": r.n, "m": r.m, "estimate": r.estimate.to_json()}
-            d["lower_bound"] = None if r.lower is None else _frac_json(r.lower)
-            d["upper_bound"] = None if r.upper is None else _frac_json(r.upper)
-            payload.append(d)
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
-    else:
-        _emit(minor_rows_to_csv(rows), args.out)
-    return EXIT_OK
+    payload = [
+        {"n": r.n, "m": r.m, "estimate": r.estimate.to_json(),
+         "lower_bound": None if r.lower is None else _frac_json(r.lower),
+         "upper_bound": None if r.upper is None else _frac_json(r.upper)}
+        for r in rows
+    ]
+    return EXIT_OK, payload, minor_rows_to_csv(rows)
 
 
 # ----------------------------------------------------------------------
@@ -245,22 +203,18 @@ def _add_minor_parser(sub):
     p.add_argument("--json", action="store_true")
 
 
-def _cmd_minor(args) -> int:
+def _cmd_minor(args):
     A = _host_matrix(args)
     target = _load_matroid(args.target)
     outcome, w = decide(A, target, args.budget, find_minor_matrix, verify_witness_matrix)
     witness = None if w is None else w.to_json()
     verified = None if w is None else outcome == "found"
-    if args.json:
-        sys.stdout.write(json.dumps(
-            {"outcome": outcome, "witness": witness, "verified": verified},
-            sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(f"outcome: {outcome}\n")
-        if witness is not None:
-            sys.stdout.write(f"witness: {json.dumps(witness, sort_keys=True)}\n")
-            sys.stdout.write(f"verified: {'true' if verified else 'false'}\n")
-    return EXIT_VALIDATION if outcome == "unverified" else EXIT_OK
+    text = f"outcome: {outcome}\n"
+    if witness is not None:
+        text += (f"witness: {json.dumps(witness, sort_keys=True)}\n"
+                 f"verified: {'true' if verified else 'false'}\n")
+    code = EXIT_VALIDATION if outcome == "unverified" else EXIT_OK
+    return code, {"outcome": outcome, "witness": witness, "verified": verified}, text
 
 
 # ----------------------------------------------------------------------
@@ -286,45 +240,46 @@ def _add_class_parser(sub):
     p.add_argument("--json", action="store_true")
 
 
-def _row_floor_line(q: int, rows) -> str:
+def _cmd_class_sweep(args):
+    for name, v in (("--q", args.q), ("--n-start", args.n_start),
+                    ("--n-stop", args.n_stop), ("--m-rule", args.m_rule)):
+        if v is None:
+            raise FqminorsError(f"{name} is required with --sweep")
+    budget = 20000 if args.budget is None else args.budget
+    rows = run_class_sweep(args.q, args.class_name,
+                           (args.n_start, args.n_stop, args.n_step),
+                           args.m_rule, args.trials, args.seed, budget)
     # the smallest excluded minor representable over GF(q) has rank 2 for
     # q > 2 (U_{2,4}) but rank 3 for q = 2 (F7), and m(n) must reach it
-    need = 3 if q == 2 else 2
+    need = 3 if args.q == 2 else 2
     bad = [r.n for r in rows if r.m < need]
     status = "satisfied for all n" if not bad else f"violated at n in {bad}"
-    return f"# row-floor: q={q} requires m(n) >= {need}: {status}"
+    payload = {
+        "row_floor": status,
+        "rows": [{"n": r.n, "m": r.m, "trials": r.trials, "nongraphic_found": r.confirmed_out,
+                  "unknown": r.unknown, "frequency": r.frequency} for r in rows],
+    }
+    text = (f"# row-floor: q={args.q} requires m(n) >= {need}: {status}\n"
+            + class_rows_to_csv(rows))
+    return EXIT_OK, payload, text
 
 
-def _cmd_class(args) -> int:
+def _cmd_class(args):
     if args.sweep:
-        for name, v in (("--q", args.q), ("--n-start", args.n_start),
-                        ("--n-stop", args.n_stop), ("--m-rule", args.m_rule)):
-            if v is None:
-                raise FqminorsError(f"{name} is required with --sweep")
-        budget = 20000 if args.budget is None else args.budget
-        rows = run_class_sweep(args.q, args.class_name,
-                               (args.n_start, args.n_stop, args.n_step),
-                               args.m_rule, args.trials, args.seed, budget)
-        header = _row_floor_line(args.q, rows)
-        _emit(header + "\n" + class_rows_to_csv(rows), args.out)
-        return EXIT_OK
+        return _cmd_class_sweep(args)
     A = _host_matrix(args)
     budget = DEFAULT_BUDGET if args.budget is None else args.budget
     report = has_excluded_minor_matrix(A, args.class_name, budget)
-    if args.json:
-        payload = {
-            "class": args.class_name,
-            "membership": report.membership,
-            "outcomes": report.outcomes,
-            "witnesses": {k: w.to_json() for k, w in report.witnesses.items()},
-        }
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(f"class: {args.class_name}\n")
-        sys.stdout.write(f"membership: {report.membership}\n")
-        for name, outcome in report.outcomes.items():
-            sys.stdout.write(f"{name}: {outcome}\n")
-    return EXIT_VALIDATION if "unverified" in report.outcomes.values() else EXIT_OK
+    payload = {
+        "class": args.class_name,
+        "membership": report.membership,
+        "outcomes": report.outcomes,
+        "witnesses": {k: w.to_json() for k, w in report.witnesses.items()},
+    }
+    text = f"class: {args.class_name}\nmembership: {report.membership}\n" + "".join(
+        f"{name}: {outcome}\n" for name, outcome in report.outcomes.items())
+    code = EXIT_VALIDATION if "unverified" in report.outcomes.values() else EXIT_OK
+    return code, payload, text
 
 
 # ----------------------------------------------------------------------
@@ -337,26 +292,17 @@ def _add_validate_parser(sub):
     p.add_argument("--json", action="store_true")
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     results = validate.run_checks()
     failures = [r for r in results if not r[1]]
-    if args.json:
-        payload = {
-            "ok": not failures,
-            "checks": [{"name": n, "pass": ok, "detail": d} for n, ok, d in results],
-        }
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        for name, ok, detail in results:
-            if ok:
-                sys.stdout.write(f"PASS {name} ({detail})\n")
-            else:
-                sys.stdout.write(f"FAIL {name}: {detail}\n")
-        if failures:
-            sys.stdout.write(f"{len(failures)} check(s) failed\n")
-        else:
-            sys.stdout.write("all checks passed\n")
-    return EXIT_VALIDATION if failures else EXIT_OK
+    payload = {
+        "ok": not failures,
+        "checks": [{"name": n, "pass": ok, "detail": d} for n, ok, d in results],
+    }
+    text = "".join(f"PASS {name} ({detail})\n" if ok else f"FAIL {name}: {detail}\n"
+                   for name, ok, detail in results)
+    text += f"{len(failures)} check(s) failed\n" if failures else "all checks passed\n"
+    return (EXIT_VALIDATION if failures else EXIT_OK), payload, text
 
 
 # ----------------------------------------------------------------------
@@ -386,7 +332,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.cmd](args)
+        code, payload, text = _DISPATCH[args.cmd](args)
+        if args.json:
+            text = json.dumps(payload, sort_keys=True) + "\n"
+        out = getattr(args, "out", None)  # only simulate and class take --out
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (ParseError, OSError) as exc:
         sys.stderr.write(f"fqminors: {exc}\n")
         return EXIT_IO

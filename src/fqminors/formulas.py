@@ -159,11 +159,6 @@ def cq_constant(q: int, tol: float) -> tuple[float, int, Fraction]:
     return float(partial), k, floor_bound
 
 
-def _check_stats(stats: MatroidStats):
-    if not (0 <= stats.r <= stats.e and 0 <= stats.l <= stats.e - stats.r):
-        raise BadArgumentsError(f"inconsistent stats {stats}")
-
-
 def p_smq(s: int, q: int, stats: MatroidStats) -> Fraction:
     """Per-block lower bound on P{an s x |E| uniform matrix represents M}:
 
@@ -174,7 +169,6 @@ def p_smq(s: int, q: int, stats: MatroidStats) -> Fraction:
     a vacuous bound downstream.
     """
     _check_q(q)
-    _check_stats(stats)
     if s < stats.r:
         raise BadArgumentsError(f"need s >= r, got s={s} r={stats.r}")
     e, r, l = stats.e, stats.r, stats.l
@@ -192,7 +186,6 @@ def rep_count_lower_bound(m: int, q: int, stats: MatroidStats) -> int:
     """At least C(|E|,l) (q-1)^{|E|-r-l} prod_{i=1..r}(q^m - q^{i-1})
     labeled m x |E| representations exist."""
     _check_q(q)
-    _check_stats(stats)
     if m < stats.r:
         raise BadArgumentsError(f"need m >= r, got m={m} r={stats.r}")
     e, r, l = stats.e, stats.r, stats.l
@@ -214,7 +207,6 @@ def _p_block(s: int, q: int, stats: MatroidStats) -> Fraction:
 def lower_bound_block(m: int, n: int, q: int, stats: MatroidStats) -> Fraction:
     """Single-block bound 1 - (1 - p_{m,q,M})^{floor(n/|E|)}; m >= r, n >= |E|."""
     _check_q(q)
-    _check_stats(stats)
     if m < stats.r or n < stats.e:
         raise BadArgumentsError(f"need m >= r and n >= |E|, got m={m} n={n} stats={stats}")
     p = _p_block(m, q, stats)
@@ -230,7 +222,6 @@ def lower_bound_nonfree(m: int, n: int, q: int, stats: MatroidStats) -> BoundRep
     as such (the genuine maximization only ranges over positive k).
     """
     _check_q(q)
-    _check_stats(stats)
     if m < stats.r or n < stats.e:
         raise BadArgumentsError(f"need m >= r and n >= |E|, got m={m} n={n} stats={stats}")
     e = stats.e
@@ -263,7 +254,6 @@ def lower_bound_nonfree(m: int, n: int, q: int, stats: MatroidStats) -> BoundRep
 def asymptotic_liminf_bound(q: int, stats: MatroidStats) -> Fraction:
     """(1 - q^{-|E|}) * p_{|E|-1,q,M}; needs a non-free target (|E| > r)."""
     _check_q(q)
-    _check_stats(stats)
     if stats.e - 1 < stats.r:
         raise BadArgumentsError("free matroids have no liminf bound of this form")
     return (1 - Fraction(1, q**stats.e)) * p_smq(stats.e - 1, q, stats)

@@ -41,9 +41,9 @@ class OracleResult:
         }
 
 
-def _check_cap(q: int, cells: int, cap: int):
-    if q**cells > cap:
-        raise TooLargeError(f"q^{cells} = {q**cells} exceeds the cap {cap}")
+def _check_cap(q: int, cells: int):
+    if q**cells > DEFAULT_CAP:
+        raise TooLargeError(f"q^{cells} = {q**cells} exceeds the cap {DEFAULT_CAP}")
 
 
 def _decode_col(code: int, q: int, m: int):
@@ -88,12 +88,12 @@ def _column_multisets(q: int, m: int, n: int):
 _rank_hist_cache: dict = {}
 
 
-def rank_histogram(q: int, m: int, n: int, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
+def rank_histogram(q: int, m: int, n: int) -> tuple[int, ...]:
     """counts[k] = number of m x n matrices over GF(q) with rank k."""
     key = (q, m, n)
     if key in _rank_hist_cache:
         return _rank_hist_cache[key]
-    _check_cap(q, m * n, cap)
+    _check_cap(q, m * n)
     o = linalg.ops_for(field(q), m)
     counts = [0] * (min(m, n) + 1)
     for codes, weight in _column_multisets(q, m, n):
@@ -103,23 +103,23 @@ def rank_histogram(q: int, m: int, n: int, cap: int = DEFAULT_CAP) -> tuple[int,
     return result
 
 
-def exact_event_prob(q: int, m: int, n: int, event: str, cap: int = DEFAULT_CAP) -> OracleResult:
+def exact_event_prob(q: int, m: int, n: int, event: str) -> OracleResult:
     """Exact probability of a named rank event (see sampler.parse_event)."""
     pred = sampler.parse_event(event)
-    counts = rank_histogram(q, m, n, cap)
+    counts = rank_histogram(q, m, n)
     hits = sum(c for r, c in enumerate(counts) if pred(r, m, n))
     total = q ** (m * n)
     return OracleResult(total, hits, Fraction(hits, total))
 
 
-def exact_minor_prob(q: int, m: int, n: int, target: Matroid, cap: int = DEFAULT_CAP) -> OracleResult:
+def exact_minor_prob(q: int, m: int, n: int, target: Matroid) -> OracleResult:
     """Exact P{target is a minor of M[A]} by exhausting all matrices.
 
     The abstract searcher runs unbudgeted here (exhaustive by termination at
     these sizes) and every returned witness is re-verified; a verification
     failure would be a soundness bug and raises immediately.
     """
-    _check_cap(q, m * n, cap)
+    _check_cap(q, m * n)
     hits = 0
     for codes, weight in _column_multisets(q, m, n):
         host = from_matrix(_matrix_from_codes(codes, q, m))
@@ -135,7 +135,7 @@ def exact_minor_prob(q: int, m: int, n: int, target: Matroid, cap: int = DEFAULT
 _census_cache: dict = {}
 
 
-def _representation_census(q: int, m: int, e: int, cap: int) -> dict:
+def _representation_census(q: int, m: int, e: int) -> dict:
     """Counter mapping basis family -> number of m x e matrices having it.
 
     Columns are labelled here, so every tuple of column classes is visited,
@@ -143,7 +143,7 @@ def _representation_census(q: int, m: int, e: int, cap: int) -> dict:
     key = (q, m, e)
     if key in _census_cache:
         return _census_cache[key]
-    _check_cap(q, m * e, cap)
+    _check_cap(q, m * e)
     o = linalg.ops_for(field(q), m)
     indep_memo: dict = {}
 
@@ -175,9 +175,9 @@ def _representation_census(q: int, m: int, e: int, cap: int) -> dict:
     return census
 
 
-def count_representations_exact(M: Matroid, m: int, q: int, cap: int = DEFAULT_CAP) -> int:
+def count_representations_exact(M: Matroid, m: int, q: int) -> int:
     """|{A in F_q^{m x |E|} : M[A] = M with the identity labeling}|."""
-    census = _representation_census(q, m, M.ground_size, cap)
+    census = _representation_census(q, m, M.ground_size)
     return census.get(M.bases, 0)
 
 
@@ -188,8 +188,7 @@ class DistributionReport:
     details: dict
 
 
-def distribution_check(procedure: str, q: int, m: int, n: int, k: int = 0,
-                       cap: int = DEFAULT_CAP) -> DistributionReport:
+def distribution_check(procedure: str, q: int, m: int, n: int, k: int = 0) -> DistributionReport:
     """Exhaustively verify the distribution facts behind the reduction.
 
     change-of-basis: A -> PA is a bijection on F_q^{m x n} for every
@@ -201,8 +200,8 @@ def distribution_check(procedure: str, q: int, m: int, n: int, k: int = 0,
     """
     f = field(q)
     if procedure == "change-of-basis":
-        _check_cap(q, m * n, cap)
-        _check_cap(q, m * m, cap)
+        _check_cap(q, m * n)
+        _check_cap(q, m * m)
         all_a = [
             FqMatrix(f, m, n, entries)
             for entries in itertools.product(range(q), repeat=m * n)
@@ -220,7 +219,7 @@ def distribution_check(procedure: str, q: int, m: int, n: int, k: int = 0,
             procedure, True, {"invertible": invertible, "matrices": len(all_a)}
         )
     if procedure == "reduce-conditional":
-        _check_cap(q, m * n, cap)
+        _check_cap(q, m * n)
         outputs: Counter = Counter()
         successes = 0
         total = q ** (m * n)

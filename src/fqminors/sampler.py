@@ -43,6 +43,9 @@ from .matroid import Matroid
 from .minor import DEFAULT_BUDGET, check_budget, decide, find_minor_matrix, verify_witness_matrix
 
 _MASK64 = (1 << 64) - 1
+# the most entries a sampled matrix may have; larger shapes are rejected
+# before any word is drawn
+MAX_ENTRIES = 2**22
 _WILSON_Z95 = 1.959963984540054
 
 
@@ -59,6 +62,15 @@ def _philox(spec: SeedSpec) -> np.random.Philox:
     # through float64 and round them
     key = np.array([spec.seed & _MASK64, spec.stream & _MASK64], dtype=np.uint64)
     return np.random.Philox(key=key)
+
+
+def check_shape(m: int, n: int):
+    """Reject a negative dimension, or an m x n matrix with more than
+    MAX_ENTRIES entries (an empty dimension counts as 1)."""
+    if m < 0 or n < 0:
+        raise BadArgumentsError(f"negative shape {m}x{n}")
+    if max(m, 1) * max(n, 1) > MAX_ENTRIES:
+        raise BadArgumentsError(f"shape {m}x{n} exceeds {MAX_ENTRIES} entries")
 
 
 def sample_entries(q: int, count: int, spec: SeedSpec) -> list[int]:
@@ -82,8 +94,7 @@ def sample_entries(q: int, count: int, spec: SeedSpec) -> list[int]:
 
 def sample_matrix(q: int, m: int, n: int, spec: SeedSpec) -> FqMatrix:
     """Uniform m x n matrix over GF(q), deterministic in (q, m, n, spec)."""
-    if m < 0 or n < 0:
-        raise BadArgumentsError(f"negative shape {m}x{n}")
+    check_shape(m, n)
     return FqMatrix(field(q), m, n, tuple(sample_entries(q, m * n, spec)))
 
 
@@ -258,8 +269,7 @@ def _trial_rank(shape, spec: SeedSpec) -> int:
 def mc_event_prob(q: int, m: int, n: int, event: str, trials: int, seed: int) -> Estimate:
     """Monte Carlo frequency of a named rank event (no unknowns possible)."""
     pred = parse_event(event)
-    if m < 0 or n < 0:
-        raise BadArgumentsError(f"negative shape {m}x{n}")
+    check_shape(m, n)
     ranks = run_trials(_trial_rank, (q, m, n), trials, seed)
     successes = sum(count for rank, count in ranks.items() if pred(rank, m, n))
     return _make_estimate(trials, successes, 0, 0, seed)

@@ -17,7 +17,7 @@ from .errors import BadParametersError
 from .formulas import lower_bound_nonfree, prob_free_minor, upper_bound_nonfree
 from .matroid import Matroid
 from .minor import DEFAULT_BUDGET, check_budget, has_excluded_minor_matrix
-from .sampler import Estimate, SeedSpec, mc_minor_prob, run_trials, sample_matrix
+from .sampler import Estimate, SeedSpec, check_shape, mc_minor_prob, run_trials, sample_matrix
 
 
 def m_for(rule: str, n: int) -> int:
@@ -39,19 +39,25 @@ def m_for(rule: str, n: int) -> int:
     raise BadParametersError(f"unknown m_rule {rule!r}")
 
 
-def n_values(start: int, stop: int, step: int) -> list[int]:
+def n_values(start: int, stop: int, step: int) -> range:
     if step <= 0 or stop < start:
         raise BadParametersError(f"empty n range {start}..{stop} step {step}")
-    return list(range(start, stop + 1, step))
+    return range(start, stop + 1, step)
 
 
 def sweep_sizes(n_range, m_rule: str) -> list[tuple[int, int]]:
-    """The (n, m) pairs of a sweep, all checked before any trial runs."""
-    sizes = [(n, m_for(m_rule, n)) for n in n_values(*n_range)]
-    for n, m in sizes:
+    """The (n, m) pairs of a sweep, all checked before any trial runs.
+
+    The check walks the range lazily and stops at the first bad row, so a
+    huge n range is rejected without building its list: every row that
+    passes `check_shape` has n <= MAX_ENTRIES."""
+    ns = n_values(*n_range)
+    for n in ns:
+        m = m_for(m_rule, n)
         if m < 0:
             raise BadParametersError(f"m_rule {m_rule!r} gives negative m at n={n}")
-    return sizes
+        check_shape(m, n)
+    return [(n, m_for(m_rule, n)) for n in ns]
 
 
 @dataclass(frozen=True)

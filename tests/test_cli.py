@@ -64,6 +64,66 @@ def test_formula_remaining_subcommands(capsys):
     assert "15/16" in capsys.readouterr().out
 
 
+# stdout and exit code of every `formula` subcommand, text and --json
+FORMULA_GOLDEN = [
+    ('gaussian --n 4 --k 2 --q 2', 0, 'gaussian_binomial = 35\n'),
+    ('gaussian --n 4 --k 2 --q 2 --json', 0, '{"value": "35"}\n'),
+    ('gaussian --n 2 --k 3 --q 2', 1, ''),
+    ('gaussian --n 2 --k 3 --q 2 --json', 1, ''),
+    ('rank-count --m 3 --n 4 --q 3 --k 2', 0, 'count_rank_matrices = 81120\n'),
+    ('rank-count --m 3 --n 4 --q 3 --k 2 --json', 0, '{"value": "81120"}\n'),
+    ('free-prob --m 3 --n 4 --q 2 --r 2', 0, 'exact = 1995/2048\nfloat = 0.97412109375\n'),
+    ('free-prob --m 3 --n 4 --q 2 --r 2 --json', 0,
+     '{"den": "2048", "float": 0.97412109375, "num": "1995"}\n'),
+    ('free-prob --m 2 --n 3 --q 2 --r 3', 0,
+     'exact = 0/1\nfloat = 0\nnote: rank exceeds min(m, n); the minor is impossible\n'),
+    ('free-prob --m 2 --n 3 --q 2 --r 3 --json', 0,
+     '{"den": "1", "float": 0.0, "note": "rank exceeds min(m, n); the minor is impossible",'
+     ' "num": "0"}\n'),
+    ('colrank-prob --m 5 --n 3 --q 3', 0, 'exact = 503360/531441\nfloat = 0.947160644361\n'),
+    ('colrank-prob --m 5 --n 3 --q 3 --json', 0,
+     '{"den": "531441", "float": 0.9471606443612743, "num": "503360"}\n'),
+    ('upper --m 4 --n 3 --q 2', 0, 'upper = 197/512\nfloat = 0.384765625\n'),
+    ('upper --m 4 --n 3 --q 2 --json', 0,
+     '{"den": "512", "float": 0.384765625, "num": "197"}\n'),
+    ('lower --m 2 --n 4 --q 2 --target name:U:1,2', 0,
+     'lower = 7/32\nfloat = 0.21875\nbest_k = 1\n'),
+    ('lower --m 2 --n 4 --q 2 --target name:U:1,2 --json', 0,
+     '{"best_k": 1, "components": {"k_max": 1, "p_smq": {"den": "4", "num": "1"}, "t": 1},'
+     ' "den": "32", "float": 0.21875, "kind": "lower", "num": "7"}\n'),
+    ('lower --m 1 --n 2 --q 2 --target name:U:1,2', 0,
+     'lower = 1/4\nfloat = 0.25\nbest_k = None\nnote: k-range empty\n'),
+    ('lower --m 1 --n 2 --q 2 --target name:U:1,2 --json', 0,
+     '{"best_k": null, "components": {"p_smq": {"den": "4", "num": "1"}, "t": 1}, "den": "4",'
+     ' "float": 0.25, "kind": "lower", "note": "k-range empty", "num": "1"}\n'),
+    ('block-lower --m 1 --n 4 --q 2 --target name:U:1,2', 0, 'lower = 7/16\nfloat = 0.4375\n'),
+    ('block-lower --m 1 --n 4 --q 2 --target name:U:1,2 --json', 0,
+     '{"den": "16", "float": 0.4375, "num": "7"}\n'),
+    ('liminf --q 2 --target name:U:1,2', 0, 'liminf = 3/16\nfloat = 0.1875\n'),
+    ('liminf --q 2 --target name:U:1,2 --json', 0,
+     '{"den": "16", "float": 0.1875, "num": "3"}\n'),
+    ('cq --q 2', 0, 'approx = 0.288788095356\npartial_terms = 30\npentagonal_floor = 1/4\n'),
+    ('cq --q 2 --json', 0,
+     '{"approx": 0.2887880953555573, "partial_terms": 30,'
+     ' "pentagonal_floor": {"den": "4", "float": 0.25, "num": "1"}}\n'),
+    ('psmq --s 3 --q 5 --target name:U:2,4', 0,
+     'p_smq = 47616/48828125\nfloat = 0.00097517568\n'),
+    ('psmq --s 3 --q 5 --target name:U:2,4 --json', 0,
+     '{"den": "48828125", "float": 0.00097517568, "num": "47616"}\n'),
+    ('repcount --m 2 --q 2 --target name:U:2,3', 0, 'rep_count_lower_bound = 6\n'),
+    ('repcount --m 2 --q 2 --target name:U:2,3 --json', 0, '{"value": "6"}\n'),
+]
+
+
+@pytest.mark.parametrize("args,code,stdout", FORMULA_GOLDEN, ids=[a for a, _, _ in FORMULA_GOLDEN])
+def test_formula_golden(args, code, stdout, capsys):
+    assert cli.main(["formula", *args.split()]) == code
+    captured = capsys.readouterr()
+    assert captured.out == stdout
+    if code:
+        assert captured.err == "fqminors: need 0 <= k <= n, got n=2 k=3\n"
+
+
 def test_target_from_matroid_file(tmp_path, capsys):
     from fqminors.matroid import catalog
 
@@ -220,6 +280,53 @@ def test_class_sweep_csv(capsys):
     assert lines[0].startswith("# row-floor: q=2 requires m(n) >= 3")
     assert lines[1] == "n,m,trials,nongraphic_found,unknown,frequency"
     assert len(lines) == 4
+
+
+def test_class_sweep_json_rows_equal_csv(capsys):
+    args = ["class", "--sweep", "--q", "2", "--n-start", "2", "--n-stop", "10",
+            "--n-step", "4", "--m-rule", "n-minus:1", "--trials", "6", "--seed", "2"]
+    assert cli.main(args) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert cli.main(args + ["--json"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert header == f"# row-floor: q=2 requires m(n) >= 3: {d['row_floor']}"
+    assert d["row_floor"] == "violated at n in [2]"
+    keys = lines[0].split(",")
+    assert [list(r) for r in d["rows"]] == [sorted(keys)] * 3
+    assert [",".join(format(r[k], ".12g") for k in keys) for r in d["rows"]] == lines[1:]
+
+
+def test_class_host_out_file(tmp_path, capsys):
+    out = tmp_path / "class.txt"
+    args = ["class", "--sample", "2", "4", "8", "--seed", "3"]
+    assert cli.main(args) == 0
+    text = capsys.readouterr().out
+    assert cli.main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == text and text.startswith("class: graphic\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--q", "2", "--target", "name:U:1,2", "--n-start", "4", "--n-stop", "6",
+     "--m-rule", "ratio:1e300", "--trials", "3"],
+    ["simulate", "--q", "2", "--target", "name:U:1,2", "--n-start", "4", "--n-stop", "6",
+     "--m-rule", "constant:100000000", "--trials", "3"],
+    ["simulate", "--q", "2", "--target", "name:U:1,2", "--n-start", "4",
+     "--n-stop", "1000000000000", "--m-rule", "n-minus:2", "--trials", "3"],
+    ["minor", "--sample", "2", "100000000", "100", "--target", "name:U:1,2"],
+], ids=["ratio", "constant", "n-stop", "minor-sample"])
+def test_oversized_shape_exit_1(args, monkeypatch, capsys):
+    from fqminors import sampler
+
+    def no_sampling(*a):
+        raise AssertionError("sampled before the shape check")
+
+    monkeypatch.setattr(sampler, "sample_entries", no_sampling)
+    assert cli.main(args) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fqminors: shape ") and captured.err.count("\n") == 1
+    assert f"exceeds {sampler.MAX_ENTRIES} entries" in captured.err
 
 
 @pytest.mark.parametrize("trials", ["0", "-2"])

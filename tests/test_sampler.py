@@ -244,6 +244,17 @@ def test_mc_event_rejects_negative_shape_on_every_field():
     assert mc_event_prob(2, 3, 0, "full-column-rank", 5, seed=1).point == 1.0
 
 
+def test_check_shape_bound():
+    # an empty dimension counts as 1, so a 0 x n host is bounded by n too
+    for m, n in ((2048, 2048), (sampler.MAX_ENTRIES, 0), (0, 0)):
+        sampler.check_shape(m, n)
+    for m, n in ((2048, 2049), (0, sampler.MAX_ENTRIES + 1), (-1, 3)):
+        with pytest.raises(BadArgumentsError):
+            sampler.check_shape(m, n)
+    with pytest.raises(BadArgumentsError, match="exceeds"):
+        mc_event_prob(2, 4096, 4096, "full-column-rank", 5, seed=1)
+
+
 def test_mc_minor_examples():
     # free targets: exact values 15/16 (free:1, rank >= 1) and 6/16 (free:2)
     est = mc_minor_prob(2, 2, 2, catalog("free:1"), 20000, seed=3)

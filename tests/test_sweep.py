@@ -21,7 +21,7 @@ def test_m_rules():
 
 
 def test_n_values():
-    assert n_values(4, 10, 3) == [4, 7, 10]
+    assert list(n_values(4, 10, 3)) == [4, 7, 10]
     with pytest.raises(BadParametersError):
         n_values(5, 4, 1)
     with pytest.raises(BadParametersError):
