@@ -62,6 +62,7 @@ class Field:
         if pp is None:
             raise NotPrimePowerError(f"q={q} is not a prime power")
         self.q = q
+        self.codes = frozenset(range(q))  # the element codes, for range checks
         self.p, self.deg = pp
         if self.deg == 1:
             self.add_table = tuple(tuple((a + b) % q for b in range(q)) for a in range(q))

@@ -15,7 +15,10 @@ to unit vectors and drops them with their rows, which is contraction on
 the column matroid.  The randomness-preserving reduction and the matrix
 witness verifier both call it.  It takes P from `inverse_rows`, a
 Gauss-Jordan inverse kept apart on purpose, so a verifier shares no
-elimination with the search.
+elimination with the search, and forms P·A by combining rows of A
+(`mul_rows`: XORs of the packed rows picked by each row of P over GF(2),
+table axpys otherwise).  A matrix that carries its packed form (the
+sampler attaches it to GF(2) samples) is not packed again.
 """
 
 from __future__ import annotations
@@ -44,12 +47,27 @@ class BitOps(_Ops):
     """GF(2) columns as ints; pivot = lowest set bit."""
 
     def cols_of(self, A: FqMatrix) -> list[int]:
+        if A.packed is not None:
+            return list(A.packed[0])
         out = []
         for j in range(A.n):
             v = 0
             for i in range(A.m):
                 if A.entries[i * A.n + j]:
                     v |= 1 << i
+            out.append(v)
+        return out
+
+    def rows_of(self, A: FqMatrix) -> list[int]:
+        """Rows as ints, bit j = column j."""
+        if A.packed is not None:
+            return list(A.packed[1])
+        out = []
+        for i in range(A.m):
+            v = 0
+            for j, e in enumerate(A.row(i)):
+                if e:
+                    v |= 1 << j
             out.append(v)
         return out
 
@@ -95,8 +113,30 @@ class BitOps(_Ops):
             r += 1
         return [row >> m for row in aug]
 
-    def dot(self, row: int, col: int) -> int:
-        return (row & col).bit_count() & 1
+    def mul_rows(self, p_rows: list[int], rows: list) -> list:
+        """Rows of P times the matrix with the given rows: each is the XOR
+        of the rows picked by the set bits of a row of P."""
+        out = []
+        for p in p_rows:
+            acc = 0
+            while p:
+                low = p & -p
+                acc ^= rows[low.bit_length() - 1]
+                p ^= low
+            out.append(acc)
+        return out
+
+    def pick(self, rows: list, idx: list[int]) -> list[int]:
+        """Entries at columns idx of the given rows, row-major."""
+        return [(r >> j) & 1 for r in rows for j in idx]
+
+    def is_unit_block(self, rows: list, idx: list[int]) -> bool:
+        """Whether column idx[pos] of the given rows is unit vector pos."""
+        mask = 0
+        for j in idx:
+            mask |= 1 << j
+        want = [1 << j for j in idx] + [0] * (len(rows) - len(idx))
+        return [r & mask for r in rows] == want
 
 
 class GenOps(_Ops):
@@ -105,13 +145,17 @@ class GenOps(_Ops):
     def cols_of(self, A: FqMatrix) -> list[tuple[int, ...]]:
         return [A.col(j) for j in range(A.n)]
 
+    def rows_of(self, A: FqMatrix) -> list[tuple[int, ...]]:
+        return [A.row(i) for i in range(A.m)]
+
     def unit(self, i: int):
         return tuple(1 if k == i else 0 for k in range(self.m))
 
     def _axpy(self, v, coeff_neg, b):
-        # v + coeff_neg * b componentwise
-        add, mul = self.field.add_table, self.field.mul_table
-        return tuple(add[x][mul[coeff_neg][y]] for x, y in zip(v, b))
+        # v + coeff_neg * b componentwise; a list comprehension over one
+        # row of the multiplication table is the fastest form measured
+        add, scale = self.field.add_table, self.field.mul_table[coeff_neg]
+        return tuple([add[x][scale[y]] for x, y in zip(v, b)])
 
     def reduce(self, ech: list, v):
         neg = self.field.neg_table
@@ -164,14 +208,26 @@ class GenOps(_Ops):
             r += 1
         return [tuple(row[m:]) for row in aug]
 
-    def dot(self, row, col) -> int:
-        f = self.field
-        add, mul = f.add_table, f.mul_table
-        acc = 0
-        for a, b in zip(row, col):
-            if a and b:
-                acc = add[acc][mul[a][b]]
-        return acc
+    def mul_rows(self, p_rows: list, rows: list) -> list:
+        """Rows of P times the matrix with the given rows, each a sum of
+        table axpys of those rows."""
+        width = len(rows[0]) if rows else 0
+        out = []
+        for p in p_rows:
+            acc = (0,) * width
+            for c, r in zip(p, rows):
+                if c:
+                    acc = self._axpy(acc, c, r)
+            out.append(acc)
+        return out
+
+    def pick(self, rows: list, idx: list[int]) -> list[int]:
+        """Entries at columns idx of the given rows, row-major."""
+        return [r[j] for r in rows for j in idx]
+
+    def is_unit_block(self, rows: list, idx: list[int]) -> bool:
+        """Whether column idx[pos] of the given rows is unit vector pos."""
+        return all(r[j] == (i == pos) for i, r in enumerate(rows) for pos, j in enumerate(idx))
 
 
 def ops_for(f: Field, m: int):
@@ -256,23 +312,18 @@ def complete_to_basis(o, ind_cols: list) -> list:
     return basis
 
 
-def contract(o, cols, chosen: list[int], keep: list[int]) -> FqMatrix | None:
-    """The `keep` columns after contracting the `chosen` ones, as rows
-    k..m-1 of P times those columns (k = len(chosen)), where P is the change
-    of basis sending cols[chosen[pos]] to unit vector pos; None when the
+def contract(o, A: FqMatrix, chosen: list[int], keep: list[int]) -> FqMatrix | None:
+    """The `keep` columns of A after contracting the `chosen` ones, as rows
+    k..m-1 of P·A at those columns (k = len(chosen)), where P is the change
+    of basis sending column chosen[pos] to unit vector pos; None when the
     chosen columns are dependent or P fails that check."""
+    cols = o.cols_of(A)
     try:
         basis = complete_to_basis(o, [cols[j] for j in chosen])
     except ValueError:
         return None
     m, k = o.m, len(chosen)
-    p_rows = o.inverse_rows(basis)
-    for pos, j in enumerate(chosen):
-        coords = [o.dot(p_rows[i], cols[j]) for i in range(m)]
-        if coords != [1 if i == pos else 0 for i in range(m)]:
-            return None
-    entries = []
-    for i in range(k, m):
-        for j in keep:
-            entries.append(o.dot(p_rows[i], cols[j]))
-    return FqMatrix(o.field, m - k, len(keep), tuple(entries))
+    pa = o.mul_rows(o.inverse_rows(basis), o.rows_of(A))
+    if not o.is_unit_block(pa, chosen):
+        return None
+    return FqMatrix(o.field, m - k, len(keep), tuple(o.pick(pa[k:], keep)))

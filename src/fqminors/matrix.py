@@ -22,6 +22,11 @@ class FqMatrix:
     m: int
     n: int
     entries: tuple[int, ...]
+    # (columns, rows) as GF(2) bit-packed ints, bit i of column j and bit j
+    # of row i being entry (i, j), when `with_packed` attached them; read by
+    # `linalg.BitOps`.  A class attribute, not a field: it takes no part in
+    # equality or hashing, and plain construction does not pay for it.
+    packed = None
 
     def __post_init__(self):
         if self.m < 0 or self.n < 0:
@@ -31,10 +36,20 @@ class FqMatrix:
                 f"{self.m}x{self.n} matrix needs {self.m * self.n} entries, "
                 f"got {len(self.entries)}"
             )
-        q = self.field.q
-        for e in self.entries:
-            if not 0 <= e < q:
-                raise DimensionMismatchError(f"entry {e} out of range for GF({q})")
+        codes = self.field.codes
+        # a membership scan in C; min() and max() measure no faster than a
+        # Python loop over the entries
+        if not codes.issuperset(self.entries):
+            e = next(e for e in self.entries if e not in codes)
+            raise DimensionMismatchError(f"entry {e} out of range for GF({self.field.q})")
+
+    @classmethod
+    def with_packed(cls, f: Field, m: int, n: int, entries: tuple[int, ...],
+                    packed: tuple[tuple[int, ...], tuple[int, ...]]) -> "FqMatrix":
+        """A GF(2) matrix carrying its packed (columns, rows)."""
+        A = cls(f, m, n, entries)
+        object.__setattr__(A, "packed", packed)
+        return A
 
     @classmethod
     def from_rows(cls, f: Field, rows) -> "FqMatrix":

@@ -455,7 +455,7 @@ def verify_witness_matrix(A: FqMatrix, target: Matroid, w: MinorWitness) -> bool
     if survivors is None:
         return False
     o = linalg.ops_for(A.field, A.m)
-    minor_mat = linalg.contract(o, o.cols_of(A), sorted(w.contract), survivors)
+    minor_mat = linalg.contract(o, A, sorted(w.contract), survivors)
     return minor_mat is not None and _is_target(from_matrix(minor_mat), target, survivors, w)
 
 

@@ -12,7 +12,9 @@ RNG contract (bit-exact, reproducible across platforms and schedules):
   w < T yields the entry w mod q, a word >= T is rejected.  Rejected
   positions are refilled, in position order, from the next block of words,
   repeating until none remain.  (For q a power of two T = 2^64 and no
-  rejection ever happens.)
+  rejection ever happens.)  `sample_entries` returns the codes as a 1-D
+  int64 array; a sampled GF(2) matrix also carries its packed columns and
+  rows, built from that array with numpy, so no consumer packs it again.
 * Monte Carlo trial i uses stream i, so trials are independent of execution
   order and may be split across processes without changing any output.
 
@@ -73,11 +75,12 @@ def check_shape(m: int, n: int):
         raise BadArgumentsError(f"shape {m}x{n} exceeds {MAX_ENTRIES} entries")
 
 
-def sample_entries(q: int, count: int, spec: SeedSpec) -> list[int]:
-    """`count` i.i.d. uniform element codes per the module RNG contract."""
+def sample_entries(q: int, count: int, spec: SeedSpec) -> np.ndarray:
+    """`count` i.i.d. uniform element codes per the module RNG contract, as
+    a 1-D int64 array."""
     field(q)  # validates q
     if count == 0:
-        return []
+        return np.zeros(0, dtype=np.int64)
     bg = _philox(spec)
     words = bg.random_raw(count).copy()
     out = (words % np.uint64(q)).astype(np.int64)
@@ -89,13 +92,35 @@ def sample_entries(q: int, count: int, spec: SeedSpec) -> list[int]:
             accept = redraw < np.uint64(threshold)
             out[bad[accept]] = (redraw[accept] % np.uint64(q)).astype(np.int64)
             bad = bad[~accept]
-    return out.tolist()
+    return out
+
+
+def _pack_rows(bits: np.ndarray) -> list[int]:
+    """Each row of a 2-D 0/1 array as an int, bit j = entry j: the packed
+    form of `linalg.BitOps`, for any row length.  Rows are padded to whole
+    64-bit words, and the words of a row are joined most significant first."""
+    packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+    rows, width = packed.shape
+    padded = np.zeros((rows, max(1, -(-width // 8)) * 8), dtype=np.uint8)
+    padded[:, :width] = packed
+    words = padded.view("<u8")
+    out = words[:, -1].tolist()
+    for k in range(words.shape[1] - 2, -1, -1):
+        out = [v << 64 | w for v, w in zip(out, words[:, k].tolist())]
+    return out
 
 
 def sample_matrix(q: int, m: int, n: int, spec: SeedSpec) -> FqMatrix:
-    """Uniform m x n matrix over GF(q), deterministic in (q, m, n, spec)."""
+    """Uniform m x n matrix over GF(q), deterministic in (q, m, n, spec).
+    Over GF(2) it carries its packed columns and rows."""
     check_shape(m, n)
-    return FqMatrix(field(q), m, n, tuple(sample_entries(q, m * n, spec)))
+    codes = sample_entries(q, m * n, spec)
+    entries = tuple(codes.tolist())
+    if q != 2:
+        return FqMatrix(field(q), m, n, entries)
+    bits = codes.reshape(m, n)
+    packed = (tuple(_pack_rows(bits.T)), tuple(_pack_rows(bits)))
+    return FqMatrix.with_packed(field(2), m, n, entries, packed)
 
 
 # ----------------------------------------------------------------------
@@ -124,9 +149,9 @@ def reduce(A: FqMatrix, k: int) -> FqMatrix | None:
     if k == 0:
         return A
     o = linalg.ops_for(A.field, m)
-    cols = o.cols_of(A)
     if m > n:
         chosen = list(range(k))
+        cols = o.cols_of(A)
         if o.rank_cols([cols[j] for j in chosen]) != k:
             return None
     else:
@@ -136,7 +161,7 @@ def reduce(A: FqMatrix, k: int) -> FqMatrix | None:
         if len(chosen) != k:
             return None
     keep = [j for j in range(n) if j not in chosen]
-    out = linalg.contract(o, cols, chosen, keep)
+    out = linalg.contract(o, A, chosen, keep)
     if out is None:
         # the chosen columns were just found independent
         raise RuntimeError("change of basis failed on independent columns")
@@ -251,17 +276,9 @@ def _parse_event_int(name: str) -> int:
 def _trial_rank(shape, spec: SeedSpec) -> int:
     q, m, n = shape
     if q == 2:
-        # pack rows, not columns: the rank is the same and the entries are
-        # already in row-major order
-        entries = sample_entries(q, m * n, spec)
-        rows = []
-        for i in range(m):
-            v = 0
-            base = i * n
-            for j in range(n):
-                if entries[base + j]:
-                    v |= 1 << j
-            rows.append(v)
+        # rank the packed rows: the rank is the same as the columns', and
+        # the codes are already in row-major order
+        rows = _pack_rows(sample_entries(q, m * n, spec).reshape(m, n))
         return linalg.BitOps(field(2), n).rank_cols(rows)
     return linalg.fast_rank(sample_matrix(q, m, n, spec))
 

@@ -9,11 +9,12 @@ the class (witness found and verified).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadParametersError
+from .errors import BadArgumentsError, BadParametersError
 from .formulas import lower_bound_nonfree, prob_free_minor, upper_bound_nonfree
 from .matroid import Matroid
 from .minor import DEFAULT_BUDGET, check_budget, has_excluded_minor_matrix
@@ -45,19 +46,38 @@ def n_values(start: int, stop: int, step: int) -> range:
     return range(start, stop + 1, step)
 
 
-def sweep_sizes(n_range, m_rule: str) -> list[tuple[int, int]]:
-    """The (n, m) pairs of a sweep, all checked before any trial runs.
+def _size(m_rule: str, n: int) -> tuple[int, int]:
+    """(n, m) of one sweep row; raises the row's usage error."""
+    m = m_for(m_rule, n)
+    if m < 0:
+        raise BadParametersError(f"m_rule {m_rule!r} gives negative m at n={n}")
+    check_shape(m, n)
+    return n, m
 
-    The check walks the range lazily and stops at the first bad row, so a
-    huge n range is rejected without building its list: every row that
-    passes `check_shape` has n <= MAX_ENTRIES."""
+
+def _is_bad(m_rule: str, n: int) -> bool:
+    try:
+        _size(m_rule, n)
+    except (BadParametersError, BadArgumentsError):
+        return True
+    return False
+
+
+def sweep_sizes(n_range, m_rule: str) -> list[tuple[int, int]]:
+    """The (n, m) pairs of a sweep, all checked before any trial runs; the
+    first bad row, in n order, raises its error.
+
+    Past a good first row the bad rows form a suffix, because every rule's
+    m is monotone in n: a nondecreasing m stays >= 0 and only the entry
+    count can pass MAX_ENTRIES, and a decreasing one (a negative ratio) is
+    negative at every n > 0.  So the first bad row is found by bisection,
+    and a huge n range is rejected without walking it."""
     ns = n_values(*n_range)
-    for n in ns:
-        m = m_for(m_rule, n)
-        if m < 0:
-            raise BadParametersError(f"m_rule {m_rule!r} gives negative m at n={n}")
-        check_shape(m, n)
-    return [(n, m_for(m_rule, n)) for n in ns]
+    _size(m_rule, ns[0])
+    first_bad = bisect.bisect_left(ns, True, lo=1, key=lambda n: _is_bad(m_rule, n))
+    if first_bad < len(ns):
+        _size(m_rule, ns[first_bad])
+    return [_size(m_rule, n) for n in ns]
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,19 @@ def rank(A: FqMatrix) -> int:
     return len(rref(A)[1])
 
 
+def dot(f: Field, row, col) -> int:
+    """Inner product of a row and a column in either backend's form (ints
+    over GF(2), tuples otherwise): the per-entry reference for P times A."""
+    if isinstance(row, int):
+        return (row & col).bit_count() & 1
+    add, mul = f.add_table, f.mul_table
+    acc = 0
+    for a, b in zip(row, col):
+        if a and b:
+            acc = add[acc][mul[a][b]]
+    return acc
+
+
 def gf2_rank_bits(rows: list[int]) -> int:
     """GF(2) rank of row bitmasks by plain elimination (test-local oracle)."""
     rows = [r for r in rows if r]

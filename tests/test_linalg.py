@@ -4,10 +4,12 @@ operations; they must agree exactly when both run over GF(2)."""
 import itertools
 import random
 
-from conftest import identity, rank
+from conftest import dot, identity, rank
 from fqminors.gf import field
-from fqminors.linalg import BitOps, GenOps, complete_to_basis, fast_rank, ops_for
+from fqminors.linalg import (BitOps, GenOps, complete_to_basis, contract, fast_rank,
+                             leftmost_independent, ops_for)
 from fqminors.matrix import FqMatrix
+from fqminors.sampler import SeedSpec, sample_matrix
 
 F2 = field(2)
 F4 = field(4)
@@ -75,8 +77,35 @@ def test_backends_agree_on_inverse():
                 assert (brows[i] >> j) & 1 == grows[i][j]
         # P really is the inverse: P @ column j of A = e_j
         for j in range(4):
-            coords = [bit.dot(brows[i], bcols[j]) for i in range(4)]
+            coords = [dot(F2, brows[i], bcols[j]) for i in range(4)]
             assert coords == [1 if i == j else 0 for i in range(4)]
+
+
+def test_contract_matches_reference_product():
+    # contract's row combinations against P (inverse_rows, as a matrix)
+    # times A by matmul, on sampled GF(2) hosts (packed form attached),
+    # their unattached copies and GF(3) hosts
+    rng = random.Random(45)
+    m, n = 20, 30
+    for q, stream in itertools.product((2, 3), range(3)):
+        sampled = sample_matrix(q, m, n, SeedSpec(45, stream))
+        hosts = [sampled, FqMatrix(sampled.field, m, n, sampled.entries)]
+        o = ops_for(sampled.field, m)
+        cols = o.cols_of(sampled)
+        for k in (0, 1, 5, 12, 19):
+            order = rng.sample(range(n), n)
+            chosen = [order[i] for i in leftmost_independent(o, [cols[j] for j in order], k)]
+            assert len(chosen) == k
+            keep = sorted(rng.sample([j for j in range(n) if j not in chosen], 6))
+            p_rows = o.inverse_rows(complete_to_basis(o, [cols[j] for j in chosen]))
+            P = FqMatrix.from_rows(sampled.field, [coords(r, range(m)) for r in p_rows])
+            pa = P.matmul(sampled)
+            assert [pa.col(j) for j in chosen] == \
+                [tuple(int(i == pos) for i in range(m)) for pos in range(k)]
+            want = FqMatrix(sampled.field, m - k, len(keep),
+                            tuple(pa.entries[i * n + j] for i in range(k, m) for j in keep))
+            for A in hosts:
+                assert contract(o, A, chosen, keep) == want, (q, stream, k)
 
 
 def test_complete_to_basis_is_invertible():

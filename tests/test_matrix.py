@@ -91,16 +91,16 @@ def test_contract_matches_abstract_contraction():
     # abstract matroid contraction on the kept columns, in column order; a
     # dependent chosen set has no such change of basis
     o3 = ops_for(F2, 3)
-    assert contract(o3, o3.cols_of(identity(F2, 3)), [0], [1, 2]) == identity(F2, 2)
+    assert contract(o3, identity(F2, 3), [0], [1, 2]) == identity(F2, 2)
     for f, m, n in ((F2, 2, 3), (F2, 3, 3), (F3, 2, 3)):
         o = ops_for(f, m)
         for entries in itertools.product(range(f.q), repeat=m * n):
             a = FqMatrix(f, m, n, entries)
-            host, cols = from_matrix(a), o.cols_of(a)
+            host = from_matrix(a)
             for k in (1, 2):
                 for chosen in itertools.combinations(range(n), k):
                     keep = [j for j in range(n) if j not in chosen]
-                    out = contract(o, cols, list(chosen), keep)
+                    out = contract(o, a, list(chosen), keep)
                     c_mask = sum(1 << j for j in chosen)
                     if not host.is_independent(c_mask):
                         assert out is None
@@ -117,8 +117,12 @@ def test_matmul_associative_spot():
 
 
 def test_entry_validation():
-    with pytest.raises(DimensionMismatchError):
-        FqMatrix(F2, 2, 2, (0, 1, 2, 0))
+    # the message names the first entry out of range, in row-major order
+    for f, entries, bad in ((F2, (0, 1, 2, 0), 2), (F3, (0, 3, -1, 2), 3),
+                            (F3, (2, -1, 0, 7), -1)):
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"^entry {bad} out of range for GF\({f.q}\)$"):
+            FqMatrix(f, 2, 2, entries)
     with pytest.raises(DimensionMismatchError):
         FqMatrix(F2, 2, 2, (0, 1, 0))
 

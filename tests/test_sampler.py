@@ -1,9 +1,10 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import identity, rref
+from conftest import dot, identity, rref
 from fqminors import formulas, linalg, sampler
 from fqminors.errors import BadArgumentsError, UnknownEventError
 from fqminors.gf import field
@@ -45,13 +46,11 @@ def test_philox_key_is_exact_mod_2_64():
 def test_distinct_negative_seeds_give_distinct_streams():
     draws = {tuple(sampler.sample_entries(2, 64, SeedSpec(seed, 0))) for seed in (-1, -2, -5, -6)}
     assert len(draws) == 4
-    assert sampler.sample_entries(2, 64, SeedSpec(-1, 0)) == \
-        sampler.sample_entries(2, 64, SeedSpec(2**64 - 1, 0))
+    assert np.array_equal(sampler.sample_entries(2, 64, SeedSpec(-1, 0)),
+                          sampler.sample_entries(2, 64, SeedSpec(2**64 - 1, 0)))
 
 
 def _raw_words(seed, stream, count):
-    import numpy as np
-
     return np.random.Philox(key=[seed, stream]).random_raw(count).tolist()
 
 
@@ -185,7 +184,7 @@ def _reference_reduce(A, k):
     entries = []
     for i in range(m):
         for j in range(n):
-            entries.append(o.dot(p_rows[i], cols[j]))
+            entries.append(dot(A.field, p_rows[i], cols[j]))
     pa = FqMatrix(A.field, m, n, tuple(entries))
     return _contract_unit_columns(pa, chosen)
 
@@ -200,9 +199,24 @@ def test_reduce_matches_rref_reference_exhaustive():
                 assert reduce(a, k) == _reference_reduce(a, k), (q, entries, k)
 
 
+def test_sampled_gf2_packing_matches_python_packing():
+    # the sampler's numpy packing against BitOps' own loop on an unattached
+    # matrix with the same entries, across the 64-bit word boundary
+    sizes = (0, 1, 8, 63, 64, 65, 70)
+    for m, n in itertools.product(sizes, sizes):
+        A = sample_matrix(2, m, n, SeedSpec(3, m * 100 + n))
+        plain = FqMatrix(F2, m, n, A.entries)
+        assert plain.packed is None and A.packed is not None
+        assert A == plain and hash(A) == hash(plain)
+        o = linalg.BitOps(F2, m)
+        assert o.cols_of(A) == o.cols_of(plain)
+        assert o.rows_of(A) == o.rows_of(plain)
+    assert sample_matrix(3, 2, 2, SeedSpec(3, 0)).packed is None
+
+
 def test_gf2_trial_rank_matches_column_rank():
-    # rows are packed whatever n is, including past 63 columns
-    for m, n in ((5, 3), (30, 30), (4, 70), (70, 66)):
+    # rows are packed whatever n is, including past 63 columns and empty shapes
+    for m, n in ((5, 3), (30, 30), (4, 70), (70, 66), (0, 4), (4, 0), (0, 0)):
         for i in range(3):
             spec = SeedSpec(7, i)
             want = linalg.fast_rank(sample_matrix(2, m, n, spec))

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from fqminors import formulas
-from fqminors.errors import BadParametersError
+from fqminors import formulas, sampler, sweep
+from fqminors.errors import BadArgumentsError, BadParametersError
 from fqminors.matroid import catalog
-from fqminors.sweep import bounds_for, m_for, n_values, run_minor_sweep
+from fqminors.sweep import bounds_for, m_for, n_values, run_minor_sweep, sweep_sizes
 
 
 def test_m_rules():
@@ -31,6 +31,49 @@ def test_n_values():
 def test_negative_m_rejected():
     with pytest.raises(BadParametersError):
         run_minor_sweep(2, catalog("U:1,2"), (2, 6, 1), "n-minus:4", 10, 0)
+
+
+def _walk_sizes(n_range, m_rule):
+    """Reference: check the rows in n order and stop at the first bad one."""
+    ns = n_values(*n_range)
+    for n in ns:
+        m = m_for(m_rule, n)
+        if m < 0:
+            raise BadParametersError(f"m_rule {m_rule!r} gives negative m at n={n}")
+        sampler.check_shape(m, n)
+    return [(n, m_for(m_rule, n)) for n in ns]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (BadArgumentsError, BadParametersError) as e:
+        return type(e), str(e)
+
+
+def test_sweep_sizes_matches_walk(monkeypatch):
+    # a small entry cap puts oversized rows inside short ranges
+    monkeypatch.setattr(sampler, "MAX_ENTRIES", 300)
+    rules = ("constant:0", "constant:3", "constant:-1", "n-minus:3", "n-plus:-3",
+             "ratio:0.5", "ratio:7.3", "ratio:-0", "ratio:-0.5", "ratio:1e300")
+    for rule in rules:
+        for start in (-4, -1, 0, 2, 9):
+            for stop in (start, start + 5, 40, 1000):
+                for step in (1, 2, 7):
+                    n_range = (start, stop, step)
+                    assert _outcome(sweep_sizes, n_range, rule) == \
+                        _outcome(_walk_sizes, n_range, rule), (n_range, rule)
+
+
+def test_sweep_sizes_rejects_huge_range_without_walking(monkeypatch):
+    calls = []
+    for name in ("m_for", "check_shape"):
+        real = getattr(sweep, name)
+        monkeypatch.setattr(sweep, name, lambda *a, real=real: calls.append(a) or real(*a))
+    with pytest.raises(BadArgumentsError,
+                       match=rf"^shape 0x{sampler.MAX_ENTRIES + 1} exceeds {sampler.MAX_ENTRIES} "):
+        sweep_sizes((4, 10**12, 1), "constant:0")
+    assert len(calls) < 200
 
 
 def test_bounds_for_free_target():
