@@ -17,14 +17,42 @@ witness verifier both call it.  It takes P from `inverse_rows`, a
 Gauss-Jordan inverse kept apart on purpose, so a verifier shares no
 elimination with the search, and forms P·A by combining rows of A
 (`mul_rows`: XORs of the packed rows picked by each row of P over GF(2),
-table axpys otherwise).  A matrix that carries its packed form (the
-sampler attaches it to GF(2) samples) is not packed again.
+table axpys otherwise).  `pack_rows` is the one GF(2) packer: the
+sampler attaches a sample's packed columns and rows (`pack_matrix`), and
+`BitOps` packs any other matrix with it on each call, storing nothing.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .gf import Field
 from .matrix import FqMatrix
+
+
+def pack_rows(bits: np.ndarray) -> list[int]:
+    """Each row of a 2-D 0/1 array as an int, bit j = entry j, for any row
+    length: the one GF(2) packer.  Rows are padded to whole 64-bit words,
+    and the words of a row are joined most significant first."""
+    packed = np.packbits(bits.astype(np.uint8, copy=False), axis=1, bitorder="little")
+    rows, width = packed.shape
+    padded = np.zeros((rows, max(1, -(-width // 8)) * 8), dtype=np.uint8)
+    padded[:, :width] = packed
+    words = padded.view("<u8")
+    out = words[:, -1].tolist()
+    for k in range(words.shape[1] - 2, -1, -1):
+        out = [v << 64 | w for v, w in zip(out, words[:, k].tolist())]
+    return out
+
+
+def pack_matrix(bits: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(columns, rows) of an m x n 0/1 array in `BitOps`' packed form, as
+    `FqMatrix.packed` holds them."""
+    return tuple(pack_rows(bits.T)), tuple(pack_rows(bits))
+
+
+def _bits(A: FqMatrix) -> np.ndarray:
+    return np.array(A.entries, dtype=np.uint8).reshape(A.m, A.n)
 
 
 class _Ops:
@@ -49,27 +77,13 @@ class BitOps(_Ops):
     def cols_of(self, A: FqMatrix) -> list[int]:
         if A.packed is not None:
             return list(A.packed[0])
-        out = []
-        for j in range(A.n):
-            v = 0
-            for i in range(A.m):
-                if A.entries[i * A.n + j]:
-                    v |= 1 << i
-            out.append(v)
-        return out
+        return pack_rows(_bits(A).T)
 
     def rows_of(self, A: FqMatrix) -> list[int]:
         """Rows as ints, bit j = column j."""
         if A.packed is not None:
             return list(A.packed[1])
-        out = []
-        for i in range(A.m):
-            v = 0
-            for j, e in enumerate(A.row(i)):
-                if e:
-                    v |= 1 << j
-            out.append(v)
-        return out
+        return pack_rows(_bits(A))
 
     def unit(self, i: int) -> int:
         return 1 << i

@@ -22,10 +22,10 @@ class FqMatrix:
     m: int
     n: int
     entries: tuple[int, ...]
-    # (columns, rows) as GF(2) bit-packed ints, bit i of column j and bit j
-    # of row i being entry (i, j), when `with_packed` attached them; read by
-    # `linalg.BitOps`.  A class attribute, not a field: it takes no part in
-    # equality or hashing, and plain construction does not pay for it.
+    # (columns, rows) in `linalg.BitOps`' packed GF(2) form, when
+    # `with_packed` attached them (`linalg.pack_matrix` builds them).  A
+    # class attribute, not a field: it takes no part in equality or
+    # hashing, and plain construction does not pay for it.
     packed = None
 
     def __post_init__(self):

@@ -95,21 +95,6 @@ def sample_entries(q: int, count: int, spec: SeedSpec) -> np.ndarray:
     return out
 
 
-def _pack_rows(bits: np.ndarray) -> list[int]:
-    """Each row of a 2-D 0/1 array as an int, bit j = entry j: the packed
-    form of `linalg.BitOps`, for any row length.  Rows are padded to whole
-    64-bit words, and the words of a row are joined most significant first."""
-    packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
-    rows, width = packed.shape
-    padded = np.zeros((rows, max(1, -(-width // 8)) * 8), dtype=np.uint8)
-    padded[:, :width] = packed
-    words = padded.view("<u8")
-    out = words[:, -1].tolist()
-    for k in range(words.shape[1] - 2, -1, -1):
-        out = [v << 64 | w for v, w in zip(out, words[:, k].tolist())]
-    return out
-
-
 def sample_matrix(q: int, m: int, n: int, spec: SeedSpec) -> FqMatrix:
     """Uniform m x n matrix over GF(q), deterministic in (q, m, n, spec).
     Over GF(2) it carries its packed columns and rows."""
@@ -118,9 +103,7 @@ def sample_matrix(q: int, m: int, n: int, spec: SeedSpec) -> FqMatrix:
     entries = tuple(codes.tolist())
     if q != 2:
         return FqMatrix(field(q), m, n, entries)
-    bits = codes.reshape(m, n)
-    packed = (tuple(_pack_rows(bits.T)), tuple(_pack_rows(bits)))
-    return FqMatrix.with_packed(field(2), m, n, entries, packed)
+    return FqMatrix.with_packed(field(2), m, n, entries, linalg.pack_matrix(codes.reshape(m, n)))
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +261,7 @@ def _trial_rank(shape, spec: SeedSpec) -> int:
     if q == 2:
         # rank the packed rows: the rank is the same as the columns', and
         # the codes are already in row-major order
-        rows = _pack_rows(sample_entries(q, m * n, spec).reshape(m, n))
+        rows = linalg.pack_rows(sample_entries(q, m * n, spec).reshape(m, n))
         return linalg.BitOps(field(2), n).rank_cols(rows)
     return linalg.fast_rank(sample_matrix(q, m, n, spec))
 

@@ -9,7 +9,6 @@ the class (witness found and verified).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,8 +33,9 @@ def m_for(rule: str, n: int) -> int:
             ratio = float(arg)
             if not math.isfinite(ratio):
                 raise ValueError(arg)
+            # an n or product past the float range overflows
             return math.floor(ratio * n)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise BadParametersError(f"bad m_rule argument in {rule!r}") from None
     raise BadParametersError(f"unknown m_rule {rule!r}")
 
@@ -69,14 +69,23 @@ def sweep_sizes(n_range, m_rule: str) -> list[tuple[int, int]]:
 
     Past a good first row the bad rows form a suffix, because every rule's
     m is monotone in n: a nondecreasing m stays >= 0 and only the entry
-    count can pass MAX_ENTRIES, and a decreasing one (a negative ratio) is
-    negative at every n > 0.  So the first bad row is found by bisection,
-    and a huge n range is rejected without walking it."""
+    count (or, far out, the float range of a ratio) can fail, and a
+    decreasing one (a negative ratio) is negative at every n > 0.  So the
+    first bad row is found by bisection, and a huge n range is rejected
+    without walking it."""
     ns = n_values(*n_range)
     _size(m_rule, ns[0])
-    first_bad = bisect.bisect_left(ns, True, lo=1, key=lambda n: _is_bad(m_rule, n))
-    if first_bad < len(ns):
-        _size(m_rule, ns[first_bad])
+    # len(ns), which len() cannot give past sys.maxsize
+    count = (ns.stop - ns.start + ns.step - 1) // ns.step
+    lo, hi = 1, count
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _is_bad(m_rule, ns[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo < count:
+        _size(m_rule, ns[lo])
     return [_size(m_rule, n) for n in ns]
 
 

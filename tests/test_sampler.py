@@ -200,17 +200,21 @@ def test_reduce_matches_rref_reference_exhaustive():
 
 
 def test_sampled_gf2_packing_matches_python_packing():
-    # the sampler's numpy packing against BitOps' own loop on an unattached
-    # matrix with the same entries, across the 64-bit word boundary
+    # the packed form the sampler attaches, and BitOps' packing of an
+    # unattached matrix with the same entries, against a Python reference,
+    # across the 64-bit word boundary
     sizes = (0, 1, 8, 63, 64, 65, 70)
     for m, n in itertools.product(sizes, sizes):
         A = sample_matrix(2, m, n, SeedSpec(3, m * 100 + n))
         plain = FqMatrix(F2, m, n, A.entries)
         assert plain.packed is None and A.packed is not None
         assert A == plain and hash(A) == hash(plain)
+        cols = [sum(e << i for i, e in enumerate(A.col(j))) for j in range(n)]
+        rows = [sum(e << j for j, e in enumerate(A.row(i))) for i in range(m)]
         o = linalg.BitOps(F2, m)
-        assert o.cols_of(A) == o.cols_of(plain)
-        assert o.rows_of(A) == o.rows_of(plain)
+        assert o.cols_of(A) == o.cols_of(plain) == cols
+        assert o.rows_of(A) == o.rows_of(plain) == rows
+        assert plain.packed is None
     assert sample_matrix(3, 2, 2, SeedSpec(3, 0)).packed is None
 
 

@@ -55,10 +55,12 @@ def test_sweep_sizes_matches_walk(monkeypatch):
     # a small entry cap puts oversized rows inside short ranges
     monkeypatch.setattr(sampler, "MAX_ENTRIES", 300)
     rules = ("constant:0", "constant:3", "constant:-1", "n-minus:3", "n-plus:-3",
-             "ratio:0.5", "ratio:7.3", "ratio:-0", "ratio:-0.5", "ratio:1e300")
+             "ratio:0.5", "ratio:1", "ratio:7.3", "ratio:-0", "ratio:-0.5", "ratio:1e300")
     for rule in rules:
         for start in (-4, -1, 0, 2, 9):
-            for stop in (start, start + 5, 40, 1000):
+            # past 10**12 a ratio times n leaves the float range, and past
+            # sys.maxsize len() of the n range overflows
+            for stop in (start, start + 5, 40, 1000, 10**12, 10**400):
                 for step in (1, 2, 7):
                     n_range = (start, stop, step)
                     assert _outcome(sweep_sizes, n_range, rule) == \
