@@ -144,8 +144,8 @@ def cq_constant(q: int, tol: float) -> tuple[float, int, Fraction]:
     approximation is checked against that lower bound.
     """
     _check_q(q)
-    if not tol > 0:
-        raise BadToleranceError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise BadToleranceError(f"tolerance must be positive and finite, got {tol}")
     floor_bound = 1 - Fraction(1, q) - Fraction(1, q * q)
     partial = Fraction(1)
     k = 0

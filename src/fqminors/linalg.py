@@ -8,18 +8,18 @@ the rows before it.  `reduce` works through the rows in list order and
 returns the one vector of v's coset modulo the span that is zero at every
 pivot: equal representatives mean equal cosets, and zero means v lies in
 the span.  An echelon only ever grows by the row `reduce_pivot` returns,
-so a search can push and pop rows along its path; every rank, independence
-test and coset representative in the package comes from that one step.
+so a search can push and pop rows along its path; every rank, greedy column
+pick and coset representative comes from that one step.
 `contract` is the one change of basis: it sends chosen independent columns
 to unit vectors and drops them with their rows, which is contraction on
 the column matroid.  The randomness-preserving reduction and the matrix
-witness verifier both call it.  It takes P from `inverse_rows`, a
-Gauss-Jordan inverse kept apart on purpose, so a verifier shares no
-elimination with the search, and forms P·A by combining rows of A
-(`mul_rows`: XORs of the packed rows picked by each row of P over GF(2),
-table axpys otherwise).  `pack_rows` is the one GF(2) packer: the
-sampler attaches a sample's packed columns and rows (`pack_matrix`), and
-`BitOps` packs any other matrix with it on each call, storing nothing.
+witness verifier both call it.  It is one Gauss-Jordan pass on the rows of
+[A | I] (`inverse_rows`), which pivots on the chosen columns and then on
+the unit columns outside their span; that pass shares no elimination with
+the search, so a verifier does not trust the kernel it checks.
+`pack_rows` is the one GF(2) packer: the sampler attaches a sample's
+packed columns and rows (`pack_matrix`), and `BitOps` packs any other
+matrix with it on each call, storing nothing.
 """
 
 from __future__ import annotations
@@ -85,9 +85,6 @@ class BitOps(_Ops):
             return list(A.packed[1])
         return pack_rows(_bits(A))
 
-    def unit(self, i: int) -> int:
-        return 1 << i
-
     def reduce(self, ech: list, v: int) -> int:
         for p, b in ech:
             if (v >> p) & 1:
@@ -101,56 +98,36 @@ class BitOps(_Ops):
             return None
         return (v & -v).bit_length() - 1, v
 
-    def inverse_rows(self, basis_cols: list[int]) -> list[int]:
-        """Rows of B^{-1} (as ints, bit j = column j), B = [basis_cols]."""
-        m = self.m
-        aug = []
-        for i in range(m):
-            row = 0
-            for j, c in enumerate(basis_cols):
-                if (c >> i) & 1:
-                    row |= 1 << j
-            aug.append(row | (1 << (m + i)))
-        r = 0
-        for c in range(m):
-            piv = None
-            for i in range(r, m):
-                if (aug[i] >> c) & 1:
-                    piv = i
-                    break
-            if piv is None:
-                raise ValueError("basis columns are dependent")
-            aug[r], aug[piv] = aug[piv], aug[r]
-            for i in range(m):
-                if i != r and (aug[i] >> c) & 1:
-                    aug[i] ^= aug[r]
-            r += 1
-        return [row >> m for row in aug]
+    def inverse_rows(self, rows: list[int], n: int, chosen: list[int]) -> list[int] | None:
+        """Rows of [B^{-1}A | B^{-1}] (bit j < n is column j of B^{-1}A,
+        bit n+i column i of B^{-1}) for A with the given rows and n columns,
+        where B is the chosen columns of A completed to a basis by unit
+        vectors in index order; None when the chosen columns are dependent.
 
-    def mul_rows(self, p_rows: list[int], rows: list) -> list:
-        """Rows of P times the matrix with the given rows: each is the XOR
-        of the rows picked by the set bits of a row of P."""
-        out = []
-        for p in p_rows:
-            acc = 0
-            while p:
-                low = p & -p
-                acc ^= rows[low.bit_length() - 1]
-                p ^= low
-            out.append(acc)
-        return out
+        One Gauss-Jordan pass on [A | I]: it pivots on the chosen columns,
+        in order, then on each column of I outside their span."""
+        m, k = self.m, len(chosen)
+        aug = [row | 1 << (n + i) for i, row in enumerate(rows)]
+        r = 0
+        for t, c in enumerate(chosen + [n + i for i in range(m)]):
+            if r == m:
+                return None if t < k else aug
+            for piv in range(r, m):
+                if aug[piv] >> c & 1:
+                    break
+            else:
+                if t < k:
+                    return None
+                continue
+            aug[r], aug[piv] = aug[piv], aug[r]
+            p = aug[r]
+            aug = [a ^ p if a >> c & 1 and i != r else a for i, a in enumerate(aug)]
+            r += 1
+        return aug
 
     def pick(self, rows: list, idx: list[int]) -> list[int]:
         """Entries at columns idx of the given rows, row-major."""
         return [(r >> j) & 1 for r in rows for j in idx]
-
-    def is_unit_block(self, rows: list, idx: list[int]) -> bool:
-        """Whether column idx[pos] of the given rows is unit vector pos."""
-        mask = 0
-        for j in idx:
-            mask |= 1 << j
-        want = [1 << j for j in idx] + [0] * (len(rows) - len(idx))
-        return [r & mask for r in rows] == want
 
 
 class GenOps(_Ops):
@@ -161,9 +138,6 @@ class GenOps(_Ops):
 
     def rows_of(self, A: FqMatrix) -> list[tuple[int, ...]]:
         return [A.row(i) for i in range(A.m)]
-
-    def unit(self, i: int):
-        return tuple(1 if k == i else 0 for k in range(self.m))
 
     def _axpy(self, v, coeff_neg, b):
         # v + coeff_neg * b componentwise; a list comprehension over one
@@ -192,56 +166,39 @@ class GenOps(_Ops):
             v = tuple(scale[x] for x in v)
         return p, v
 
-    def inverse_rows(self, basis_cols: list) -> list[tuple[int, ...]]:
-        m = self.m
-        f = self.field
-        add, mul, neg, inv = f.add_table, f.mul_table, f.neg_table, f.inv_table
-        aug = []
-        for i in range(m):
-            row = [basis_cols[j][i] for j in range(m)]
-            row += [1 if k == i else 0 for k in range(m)]
-            aug.append(row)
+    def inverse_rows(self, rows: list, n: int, chosen: list[int]) -> list[tuple[int, ...]] | None:
+        """`BitOps.inverse_rows` over the field tables: rows of
+        [B^{-1}A | B^{-1}] as tuples of length n+m, or None."""
+        m, k = self.m, len(chosen)
+        neg, inv, mul = self.field.neg_table, self.field.inv_table, self.field.mul_table
+        aug = [tuple(row) + (0,) * i + (1,) + (0,) * (m - 1 - i) for i, row in enumerate(rows)]
         r = 0
-        for c in range(m):
-            piv = None
-            for i in range(r, m):
-                if aug[i][c]:
-                    piv = i
+        for t, c in enumerate(chosen + [n + i for i in range(m)]):
+            if r == m:
+                return None if t < k else aug
+            for piv in range(r, m):
+                if aug[piv][c]:
                     break
-            if piv is None:
-                raise ValueError("basis columns are dependent")
+            else:
+                if t < k:
+                    return None
+                continue
             aug[r], aug[piv] = aug[piv], aug[r]
-            s = inv[aug[r][c]]
+            p = aug[r]
+            s = inv[p[c]]
             if s != 1:
-                aug[r] = [mul[s][x] for x in aug[r]]
-            for i in range(m):
-                if i != r and aug[i][c]:
-                    factor = neg[aug[i][c]]
-                    ri, rr = aug[i], aug[r]
-                    aug[i] = [add[ri[k]][mul[factor][rr[k]]] for k in range(2 * m)]
+                scale = mul[s]
+                p = tuple([scale[x] for x in p])
+            aug[r] = p
+            for i, a in enumerate(aug):
+                if a[c] and i != r:
+                    aug[i] = self._axpy(a, neg[a[c]], p)
             r += 1
-        return [tuple(row[m:]) for row in aug]
-
-    def mul_rows(self, p_rows: list, rows: list) -> list:
-        """Rows of P times the matrix with the given rows, each a sum of
-        table axpys of those rows."""
-        width = len(rows[0]) if rows else 0
-        out = []
-        for p in p_rows:
-            acc = (0,) * width
-            for c, r in zip(p, rows):
-                if c:
-                    acc = self._axpy(acc, c, r)
-            out.append(acc)
-        return out
+        return aug
 
     def pick(self, rows: list, idx: list[int]) -> list[int]:
         """Entries at columns idx of the given rows, row-major."""
         return [r[j] for r in rows for j in idx]
-
-    def is_unit_block(self, rows: list, idx: list[int]) -> bool:
-        """Whether column idx[pos] of the given rows is unit vector pos."""
-        return all(r[j] == (i == pos) for i, r in enumerate(rows) for pos, j in enumerate(idx))
 
 
 def ops_for(f: Field, m: int):
@@ -304,40 +261,13 @@ def basis_masks(o, vecs: list, r: int, stop: int | None = None) -> list[int]:
     return out
 
 
-def complete_to_basis(o, ind_cols: list) -> list:
-    """Extend independent columns to a full basis of F^m by greedily
-    appending standard basis vectors in index order."""
-    ech: list = []
-    basis = []
-    for c in ind_cols:
-        row = o.reduce_pivot(ech, c)
-        if row is None:
-            raise ValueError("columns to complete are dependent")
-        ech.append(row)
-        basis.append(c)
-    for i in range(o.m):
-        if len(basis) == o.m:
-            break
-        u = o.unit(i)
-        row = o.reduce_pivot(ech, u)
-        if row is not None:
-            ech.append(row)
-            basis.append(u)
-    return basis
-
-
 def contract(o, A: FqMatrix, chosen: list[int], keep: list[int]) -> FqMatrix | None:
     """The `keep` columns of A after contracting the `chosen` ones, as rows
-    k..m-1 of P·A at those columns (k = len(chosen)), where P is the change
-    of basis sending column chosen[pos] to unit vector pos; None when the
-    chosen columns are dependent or P fails that check."""
-    cols = o.cols_of(A)
-    try:
-        basis = complete_to_basis(o, [cols[j] for j in chosen])
-    except ValueError:
+    k..m-1 of P·A at those columns (k = len(chosen)), where P = B^{-1} from
+    `inverse_rows` sends column chosen[pos] to unit vector pos; None when
+    the chosen columns are dependent (or more than m)."""
+    rows = o.inverse_rows(o.rows_of(A), A.n, chosen)
+    if rows is None:
         return None
-    m, k = o.m, len(chosen)
-    pa = o.mul_rows(o.inverse_rows(basis), o.rows_of(A))
-    if not o.is_unit_block(pa, chosen):
-        return None
-    return FqMatrix(o.field, m - k, len(keep), tuple(o.pick(pa[k:], keep)))
+    k = len(chosen)
+    return FqMatrix(o.field, A.m - k, len(keep), tuple(o.pick(rows[k:], keep)))

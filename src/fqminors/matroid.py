@@ -194,40 +194,15 @@ def from_matrix(A: FqMatrix) -> Matroid:
 
 
 def from_graph(edges) -> Matroid:
-    """Graphic matroid: bases are the maximum-size spanning forests."""
+    """Graphic matroid: bases are the maximum-size spanning forests, read
+    as the column matroid of the GF(2) vertex-edge incidence matrix (a
+    self-loop is a zero column, parallel edges are equal columns)."""
     edges = [tuple(e) for e in edges]
     if len(edges) > MAX_GROUND:
         raise GroundTooLargeError(f"{len(edges)} edges exceed the {MAX_GROUND}-element bound")
     verts = sorted({v for e in edges for v in e})
-    index = {v: i for i, v in enumerate(verts)}
-
-    def forest_rank(subset) -> int:
-        """Edges a greedy spanning forest of `subset` keeps (union-find)."""
-        parent = list(range(len(verts)))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        r = 0
-        for (u, v) in subset:
-            ru, rv = find(index[u]), find(index[v])
-            if ru != rv:  # a self-loop or a cycle edge adds nothing
-                parent[ru] = rv
-                r += 1
-        return r
-
-    r = forest_rank(edges)
-    bases = []
-    for combo in itertools.combinations(range(len(edges)), r):
-        if forest_rank([edges[j] for j in combo]) == r:
-            mask = 0
-            for j in combo:
-                mask |= 1 << j
-            bases.append(mask)
-    return Matroid(len(edges), bases)
+    entries = tuple(int(u != w and v in (u, w)) for v in verts for u, w in edges)
+    return from_matrix(FqMatrix(field(2), len(verts), len(edges), entries))
 
 
 def uniform(k: int, n: int) -> Matroid:

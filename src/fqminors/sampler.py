@@ -131,24 +131,18 @@ def reduce(A: FqMatrix, k: int) -> FqMatrix | None:
         raise BadArgumentsError(f"need 0 <= k <= min(m, n), got k={k} for {m}x{n}")
     if k == 0:
         return A
-    o = linalg.ops_for(A.field, m)
     if m > n:
         chosen = list(range(k))
-        cols = o.cols_of(A)
-        if o.rank_cols([cols[j] for j in chosen]) != k:
-            return None
     else:
         o_top = linalg.ops_for(A.field, k)
         top = FqMatrix(A.field, k, n, A.entries[: k * n])
         chosen = linalg.leftmost_independent(o_top, o_top.cols_of(top), k)
         if len(chosen) != k:
             return None
+    # contract returns None on dependent chosen columns, which for m <= n
+    # the independent top block has already ruled out
     keep = [j for j in range(n) if j not in chosen]
-    out = linalg.contract(o, A, chosen, keep)
-    if out is None:
-        # the chosen columns were just found independent
-        raise RuntimeError("change of basis failed on independent columns")
-    return out
+    return linalg.contract(linalg.ops_for(A.field, m), A, chosen, keep)
 
 
 # ----------------------------------------------------------------------

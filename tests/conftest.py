@@ -87,6 +87,42 @@ def rank(A: FqMatrix) -> int:
     return len(rref(A)[1])
 
 
+def complete_to_basis(f: Field, cols: list, m: int) -> list | None:
+    """The columns (tuples of length m) extended to a basis of F^m by
+    appending each unit vector, in index order, that raises the rank; None
+    when the columns are dependent (more than m of them included)."""
+
+    def col_rank(vs) -> int:
+        return rank(FqMatrix(f, m, len(vs), tuple(v[i] for i in range(m) for v in vs))) if m else 0
+
+    basis = list(cols)
+    if col_rank(basis) != len(basis):
+        return None
+    for i in range(m):
+        unit = tuple(int(k == i) for k in range(m))
+        if col_rank(basis + [unit]) > len(basis):
+            basis.append(unit)
+    return basis
+
+
+def basis_change(A: FqMatrix, chosen) -> FqMatrix | None:
+    """The reference P = B^{-1}, read from the right half of rref([B | I]),
+    where B is the chosen columns of A completed by `complete_to_basis`;
+    P sends column chosen[pos] to unit vector pos.  None when the chosen
+    columns are dependent."""
+    f, m = A.field, A.m
+    basis = complete_to_basis(f, [A.col(j) for j in chosen], m)
+    if basis is None:
+        return None
+    if not m:
+        return FqMatrix(f, 0, 0, ())
+    aug = FqMatrix.from_rows(f, [[b[i] for b in basis] + [int(k == i) for k in range(m)]
+                                 for i in range(m)])
+    red, pivots = rref(aug)
+    assert pivots == tuple(range(m))
+    return FqMatrix.from_rows(f, [red.row(i)[m:] for i in range(m)])
+
+
 def dot(f: Field, row, col) -> int:
     """Inner product of a row and a column in either backend's form (ints
     over GF(2), tuples otherwise): the per-entry reference for P times A."""

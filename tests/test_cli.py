@@ -106,6 +106,7 @@ FORMULA_GOLDEN = [
     ('cq --q 2 --json', 0,
      '{"approx": 0.2887880953555573, "partial_terms": 30,'
      ' "pentagonal_floor": {"den": "4", "float": 0.25, "num": "1"}}\n'),
+    ('cq --q 2 --tol inf', 1, ''),
     ('psmq --s 3 --q 5 --target name:U:2,4', 0,
      'p_smq = 47616/48828125\nfloat = 0.00097517568\n'),
     ('psmq --s 3 --q 5 --target name:U:2,4 --json', 0,
@@ -114,6 +115,12 @@ FORMULA_GOLDEN = [
     ('repcount --m 2 --q 2 --target name:U:2,3 --json', 0, '{"value": "6"}\n'),
 ]
 
+# the one stderr line of each subcommand's failing FORMULA_GOLDEN case
+FORMULA_ERRORS = {
+    "gaussian": "need 0 <= k <= n, got n=2 k=3",
+    "cq": "tolerance must be positive and finite, got inf",
+}
+
 
 @pytest.mark.parametrize("args,code,stdout", FORMULA_GOLDEN, ids=[a for a, _, _ in FORMULA_GOLDEN])
 def test_formula_golden(args, code, stdout, capsys):
@@ -121,7 +128,7 @@ def test_formula_golden(args, code, stdout, capsys):
     captured = capsys.readouterr()
     assert captured.out == stdout
     if code:
-        assert captured.err == "fqminors: need 0 <= k <= n, got n=2 k=3\n"
+        assert captured.err == f"fqminors: {FORMULA_ERRORS[args.split()[0]]}\n"
 
 
 def test_target_from_matroid_file(tmp_path, capsys):

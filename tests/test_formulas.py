@@ -143,8 +143,9 @@ def test_cq_constant():
     approx16, _, floor16 = formulas.cq_constant(16, 1e-9)
     assert floor16 == 1 - Fraction(1, 16) - Fraction(1, 256)
     assert approx16 > float(Fraction(239, 256))
-    with pytest.raises(BadToleranceError):
-        formulas.cq_constant(2, 0.0)
+    for tol in (0.0, float("inf"), float("nan")):
+        with pytest.raises(BadToleranceError):
+            formulas.cq_constant(2, tol)
 
 
 def test_p_smq_oracle_anchored():

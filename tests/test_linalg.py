@@ -4,10 +4,9 @@ operations; they must agree exactly when both run over GF(2)."""
 import itertools
 import random
 
-from conftest import dot, identity, rank
+from conftest import basis_change, complete_to_basis, dot, rank
 from fqminors.gf import field
-from fqminors.linalg import (BitOps, GenOps, complete_to_basis, contract, fast_rank,
-                             leftmost_independent, ops_for)
+from fqminors.linalg import BitOps, GenOps, contract, fast_rank, leftmost_independent, ops_for
 from fqminors.matrix import FqMatrix
 from fqminors.sampler import SeedSpec, sample_matrix
 
@@ -58,64 +57,74 @@ def test_backends_agree_on_quotient_reduction():
             assert coords(br, range(4)) == list(gr)
 
 
+def test_backends_expose_the_same_methods():
+    def public(cls):
+        return {name for name in dir(cls) if not name.startswith("_")}
+
+    assert public(BitOps) == public(GenOps)
+
+
 def test_backends_agree_on_inverse():
+    # the Gauss-Jordan pass on [A | I] over GF(2): both backends agree entry
+    # by entry, the right block times B is I and the left block is P·A, with
+    # B and P from the reference; chosen sets run up to more than m columns
     rng = random.Random(42)
-    bit = BitOps(F2, 4)
-    gen = GenOps(F2, 4)
-    done = 0
-    while done < 20:
-        A = FqMatrix(F2, 4, 4, tuple(rng.randrange(2) for _ in range(16)))
-        bcols = bit.cols_of(A)
-        if bit.rank_cols(bcols) < 4:
+    m, n = 4, 6
+    bit, gen = BitOps(F2, m), GenOps(F2, m)
+    outcomes = set()
+    for _ in range(80):
+        A = FqMatrix(F2, m, n, tuple(rng.randrange(2) for _ in range(m * n)))
+        chosen = rng.sample(range(n), rng.randrange(0, m + 2))
+        brows = bit.inverse_rows(bit.rows_of(A), n, chosen)
+        grows = gen.inverse_rows(gen.rows_of(A), n, chosen)
+        P = basis_change(A, chosen)
+        outcomes.add(P is None)
+        assert (brows is None) == (grows is None) == (P is None)
+        if P is None:
             continue
-        done += 1
-        gcols = gen.cols_of(A)
-        brows = bit.inverse_rows(bcols)
-        grows = gen.inverse_rows(gcols)
-        for i in range(4):
-            for j in range(4):
-                assert (brows[i] >> j) & 1 == grows[i][j]
-        # P really is the inverse: P @ column j of A = e_j
-        for j in range(4):
-            coords = [dot(F2, brows[i], bcols[j]) for i in range(4)]
-            assert coords == [1 if i == j else 0 for i in range(4)]
+        assert [coords(r, range(n + m)) for r in brows] == [list(r) for r in grows]
+        basis = complete_to_basis(F2, [A.col(j) for j in chosen], m)
+        B = FqMatrix(F2, m, m, tuple(b[i] for i in range(m) for b in basis))
+        bcols, gcols = bit.cols_of(B), gen.cols_of(B)
+        for i in range(m):
+            for j in range(m):
+                assert dot(F2, brows[i] >> n, bcols[j]) == int(i == j)
+                assert dot(F2, grows[i][n:], gcols[j]) == int(i == j)
+        PA = P.matmul(A)
+        assert [list(r[:n]) for r in grows] == [list(PA.row(i)) for i in range(m)]
+    assert outcomes == {True, False}
 
 
 def test_contract_matches_reference_product():
-    # contract's row combinations against P (inverse_rows, as a matrix)
-    # times A by matmul, on sampled GF(2) hosts (packed form attached),
-    # their unattached copies and GF(3) hosts
+    # contract against rows k..m-1 of P·A, P from the reference rref([B | I]),
+    # on sampled GF(2) hosts (packed form attached), their unattached
+    # copies, and GF(3) and GF(4) hosts; a dependent chosen set (one column
+    # the sum of two others) and one with more columns than rows give None
     rng = random.Random(45)
     m, n = 20, 30
-    for q, stream in itertools.product((2, 3), range(3)):
+    for q, stream in itertools.product((2, 3, 4), range(3)):
         sampled = sample_matrix(q, m, n, SeedSpec(45, stream))
-        hosts = [sampled, FqMatrix(sampled.field, m, n, sampled.entries)]
-        o = ops_for(sampled.field, m)
+        f = sampled.field
+        hosts = [sampled, FqMatrix(f, m, n, sampled.entries)]
+        o = ops_for(f, m)
         cols = o.cols_of(sampled)
         for k in (0, 1, 5, 12, 19):
             order = rng.sample(range(n), n)
             chosen = [order[i] for i in leftmost_independent(o, [cols[j] for j in order], k)]
             assert len(chosen) == k
             keep = sorted(rng.sample([j for j in range(n) if j not in chosen], 6))
-            p_rows = o.inverse_rows(complete_to_basis(o, [cols[j] for j in chosen]))
-            P = FqMatrix.from_rows(sampled.field, [coords(r, range(m)) for r in p_rows])
-            pa = P.matmul(sampled)
+            pa = basis_change(sampled, chosen).matmul(sampled)
             assert [pa.col(j) for j in chosen] == \
                 [tuple(int(i == pos) for i in range(m)) for pos in range(k)]
-            want = FqMatrix(sampled.field, m - k, len(keep),
+            want = FqMatrix(f, m - k, len(keep),
                             tuple(pa.entries[i * n + j] for i in range(k, m) for j in keep))
             for A in hosts:
                 assert contract(o, A, chosen, keep) == want, (q, stream, k)
-
-
-def test_complete_to_basis_is_invertible():
-    for f, m in ((F2, 3), (F9, 2)):
-        o = ops_for(f, m)
-        ident = identity(f, m)
-        start = [o.cols_of(ident)[0]]
-        basis = complete_to_basis(o, start)
-        assert len(basis) == m
-        assert o.rank_cols(basis) == m
+        rows = [sampled.row(i) for i in range(m)]
+        dep = FqMatrix.from_rows(f, [r[:-1] + (f.add_table[r[0]][r[1]],) for r in rows])
+        for chosen in ([0, 5, n - 1, 1], list(range(m + 1))):
+            assert basis_change(dep, chosen) is None
+            assert contract(o, dep, chosen, [2, 3]) is None, (q, stream, chosen)
 
 
 def test_fast_rank_matches_rref_rank_gf9():

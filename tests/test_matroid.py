@@ -64,6 +64,46 @@ def test_from_graph_examples():
         from_graph([(0, i + 1) for i in range(21)])
 
 
+def _forest_bases(edges) -> set[int]:
+    """Bases of the graphic matroid by union-find: the edge subsets of the
+    largest size whose greedy spanning forest keeps every edge."""
+    verts = sorted({v for e in edges for v in e})
+    index = {v: i for i, v in enumerate(verts)}
+
+    def forest_rank(subset) -> int:
+        parent = list(range(len(verts)))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        r = 0
+        for u, v in subset:
+            ru, rv = find(index[u]), find(index[v])
+            if ru != rv:  # a self-loop or a cycle edge adds nothing
+                parent[ru] = rv
+                r += 1
+        return r
+
+    r = forest_rank(edges)
+    return {sum(1 << j for j in combo) for combo in itertools.combinations(range(len(edges)), r)
+            if forest_rank([edges[j] for j in combo]) == r}
+
+
+def test_from_graph_matches_union_find_reference():
+    # seeded random multigraphs with self-loops and parallel edges, K5, K33
+    rng = random.Random(46)
+    graphs = [[(u, v) for u in range(5) for v in range(u + 1, 5)],
+              [(u, v) for u in range(3) for v in range(3, 6)], []]
+    for _ in range(300):
+        nv = rng.randrange(1, 7)
+        graphs.append([(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randrange(11))])
+    for edges in graphs:
+        assert from_graph(edges).bases == _forest_bases(edges), edges
+
+
 def test_parallel_edges_become_parallel_elements():
     m = from_graph([(0, 1), (0, 1), (1, 2)])
     assert not m.is_independent(0b011)

@@ -96,6 +96,11 @@ def test_verify_witness_matrix_rejects_corruption():
     assert verify_witness_matrix(A, u14, good)
     dependent = MinorWitness(frozenset({0, 1, 2}), frozenset(), (3, 4, 5, 6))
     assert not verify_witness_matrix(A, u14, dependent)
+    # four contracted columns in a 3-row host, the first three (001, 010,
+    # 100) already a basis: a change of basis that stops after m pivots
+    # would leave a -1-row minor
+    oversize = MinorWitness(frozenset({0, 1, 3, 4}), frozenset(), (2, 5, 6))
+    assert not verify_witness_matrix(A, u23, oversize)
 
 
 def test_decide_classifies_every_outcome():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import dot, identity, rref
+from conftest import basis_change, identity, rref
 from fqminors import formulas, linalg, sampler
 from fqminors.errors import BadArgumentsError, UnknownEventError
 from fqminors.gf import field
@@ -162,31 +162,24 @@ def _contract_unit_columns(A, cols):
 
 def _reference_reduce(A, k):
     """The earlier reduce, which took the m <= n pivot set from a reduced
-    row echelon form of the top k rows, multiplied all of A by P and then
-    deleted the unit columns with their pivot rows."""
+    row echelon form of the top k rows, multiplied all of A by P (here the
+    reference P from rref([B | I])) and then deleted the unit columns with
+    their pivot rows."""
     m, n = A.m, A.n
     if k == 0:
         return A
-    o = linalg.ops_for(A.field, m)
-    cols = o.cols_of(A)
     if m > n:
         chosen = list(range(k))
-        if o.rank_cols([cols[j] for j in chosen]) != k:
-            return None
     else:
         top = FqMatrix(A.field, k, n, A.entries[: k * n])
         _, pivots = rref(top)
         if len(pivots) != k:
             return None
         chosen = list(pivots)
-    basis = linalg.complete_to_basis(o, [cols[j] for j in chosen])
-    p_rows = o.inverse_rows(basis)
-    entries = []
-    for i in range(m):
-        for j in range(n):
-            entries.append(dot(A.field, p_rows[i], cols[j]))
-    pa = FqMatrix(A.field, m, n, tuple(entries))
-    return _contract_unit_columns(pa, chosen)
+    P = basis_change(A, chosen)
+    if P is None:
+        return None
+    return _contract_unit_columns(P.matmul(A), chosen)
 
 
 def test_reduce_matches_rref_reference_exhaustive():
