@@ -25,11 +25,12 @@ probability expressions:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import BadArgumentsError, BadToleranceError
+from .errors import BadArgumentsError, BadToleranceError, NotPrimePowerError
 from .matroid import MatroidStats
 
 
@@ -63,9 +64,74 @@ class BoundReport:
         return out
 
 
+# the largest q a formula takes: below it the prime-power test is exact and
+# takes microseconds
+MAX_Q = 2**64
+
+
 def _check_q(q: int):
     if q < 2:
         raise BadArgumentsError(f"q must be >= 2, got {q}")
+    if q > MAX_Q:
+        raise BadArgumentsError(f"q must be <= 2^64, got a {q.bit_length()}-bit q")
+    if not _is_prime_power(q):
+        raise NotPrimePowerError(f"q={q} is not a prime power")
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the 13 bases in _MR_BASES: exact for every n below
+    3.3 * 10^24, a strong probable-prime test above."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(q: int, k: int) -> int:
+    """floor(q ** (1/k)) for q >= 1: Newton's method from 2^ceil(bits/k),
+    which is at least the root, converges from above to the floor."""
+    r = 1 << -(-q.bit_length() // k)
+    while (s := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
+        r = s
+    return r
+
+
+def _is_prime_power(q: int) -> bool:
+    """Whether q = p^e for a prime p and e >= 1."""
+    for p in _MR_BASES:
+        if q % p == 0:
+            while q % p == 0:
+                q //= p
+            return q == 1
+    # every prime factor of q now exceeds 41, so q = r^k needs 43^k <= q;
+    # take exact prime roots while there are any, and q is left as p
+    k = 2
+    while 43**k <= q:
+        r = _iroot(q, k)
+        if r**k == q:
+            q = r
+        else:
+            k = next(j for j in itertools.count(k + 1) if _is_prime(j))
+    return _is_prime(q)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -19,7 +19,9 @@ the unit columns outside their span; that pass shares no elimination with
 the search, so a verifier does not trust the kernel it checks.
 `pack_rows` is the one GF(2) packer: the sampler attaches a sample's
 packed columns and rows (`pack_matrix`), and `BitOps` packs any other
-matrix with it on each call, storing nothing.
+matrix with it on each call, storing nothing.  `gf2_ranks` ranks a whole
+stack of GF(2) matrices at once, on the same 64-bit row words that
+`pack_rows` joins into ints, by one numpy elimination across the stack.
 """
 
 from __future__ import annotations
@@ -30,19 +32,54 @@ from .gf import Field
 from .matrix import FqMatrix
 
 
+def _words(bits: np.ndarray) -> np.ndarray:
+    """The 0/1 entries along the last axis of `bits` packed into 64-bit
+    words, bit j of a row in word j // 64 at position j % 64; a row always
+    has at least one word."""
+    packed = np.packbits(bits.astype(np.uint8, copy=False), axis=-1, bitorder="little")
+    width = packed.shape[-1]
+    padded = np.zeros(packed.shape[:-1] + (max(1, -(-width // 8)) * 8,), dtype=np.uint8)
+    padded[..., :width] = packed
+    return padded.view("<u8")
+
+
 def pack_rows(bits: np.ndarray) -> list[int]:
     """Each row of a 2-D 0/1 array as an int, bit j = entry j, for any row
-    length: the one GF(2) packer.  Rows are padded to whole 64-bit words,
-    and the words of a row are joined most significant first."""
-    packed = np.packbits(bits.astype(np.uint8, copy=False), axis=1, bitorder="little")
-    rows, width = packed.shape
-    padded = np.zeros((rows, max(1, -(-width // 8)) * 8), dtype=np.uint8)
-    padded[:, :width] = packed
-    words = padded.view("<u8")
+    length: the one GF(2) packer.  The 64-bit words of a row are joined
+    most significant first."""
+    words = _words(bits)
     out = words[:, -1].tolist()
     for k in range(words.shape[1] - 2, -1, -1):
         out = [v << 64 | w for v, w in zip(out, words[:, k].tolist())]
     return out
+
+
+def gf2_ranks(bits: np.ndarray) -> np.ndarray:
+    """Ranks of a stack of 0/1 matrices of shape (T, m, n), as T ints.
+
+    The rows are packed into 64-bit words (`_words`) and eliminated one
+    column at a time across the whole stack: in each matrix the first row
+    not yet used as a pivot that has a 1 in the column becomes its pivot,
+    and is added to every other unused row with a 1 there.  A wide stack
+    is ranked by its transpose, so there are min(m, n) column steps."""
+    if bits.shape[2] > bits.shape[1]:
+        bits = bits.transpose(0, 2, 1)
+    T, m, n = bits.shape
+    if n == 0:
+        return np.zeros(T, dtype=np.int64)
+    words = _words(bits)
+    free = np.ones((T, m), dtype=bool)
+    stack = np.arange(T)
+    for j in range(n):
+        w = j >> 6
+        hit = (words[:, :, w] >> np.uint64(j & 63) & np.uint64(1)).astype(bool) & free
+        piv = hit.argmax(axis=1)
+        found = hit[stack, piv]
+        free[stack, piv] &= ~found
+        hit[stack, piv] = False
+        pivot_rows = words[stack, piv, w:]
+        words[:, :, w:] ^= np.where(hit[:, :, None], pivot_rows[:, None, :], np.uint64(0))
+    return m - free.sum(axis=1)
 
 
 def pack_matrix(bits: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:

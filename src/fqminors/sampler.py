@@ -6,7 +6,9 @@ RNG contract (bit-exact, reproducible across platforms and schedules):
 * Each (seed, stream) pair owns an independent word stream produced by the
   Philox-4x64-10 counter-based generator with key ``[seed mod 2^64,
   stream mod 2^64]`` and counter starting at 0 (numpy's Philox bit
-  generator, drained via ``random_raw``).
+  generator, drained via ``random_raw``).  A process keeps one generator,
+  built on its first draw, and rekeys it for each stream (`_philox`); the
+  words are those of a newly built generator.
 * Matrix entries are filled in row-major order.  With T = q * (2^64 // q),
   the first m*n words are assigned to the m*n positions in order; a word
   w < T yields the entry w mod q, a word >= T is rejected.  Rejected
@@ -18,10 +20,15 @@ RNG contract (bit-exact, reproducible across platforms and schedules):
 * Monte Carlo trial i uses stream i, so trials are independent of execution
   order and may be split across processes without changing any output.
 
-Every Monte Carlo path is a module-level trial function counted by
-`run_trials`, the one trial runner: it splits the trial indices into
-contiguous ranges, one per process, and sums the counts.  Estimates carry
-Wilson 95% intervals.  A minor trial counts as a success only when
+Every Monte Carlo path runs through `run_trials`, the one trial runner: it
+splits the trial indices into contiguous ranges, one per process, runs a
+chunk function on each range and sums the Counters.  Minor and class
+trials are one-trial functions made into chunks by `each_trial`.  A rank
+event over GF(2) is decided in chunks: the codes of a range's trials are
+stacked and one `linalg.gf2_ranks` elimination ranks the whole stack, with
+the same words and counts as one trial at a time; over other fields each
+trial is ranked by `linalg.fast_rank`.  Estimates carry Wilson 95%
+intervals.  A minor trial counts as a success only when
 `minor.decide` finds a witness that verifies; budget-exhausted searches and
 failed verifications are reported in `unknowns` (the latter also in
 `unverified`), never folded into successes.
@@ -34,6 +41,7 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -49,6 +57,8 @@ _MASK64 = (1 << 64) - 1
 # before any word is drawn
 MAX_ENTRIES = 2**22
 _WILSON_Z95 = 1.959963984540054
+# the most entries in one stack of GF(2) rank trials
+_RANK_STACK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -59,11 +69,30 @@ class SeedSpec:
     stream: int
 
 
+# the process's one Philox generator, rekeyed for every stream; built on
+# the first draw, so importing the package does not load numpy.random
+_generator = None
+
+
 def _philox(spec: SeedSpec) -> np.random.Philox:
+    """The generator positioned at the start of spec's stream: key set,
+    counter zeroed, buffer emptied, exactly as a newly built
+    ``np.random.Philox(key=...)``, at a fraction of the cost."""
+    global _generator
+    if _generator is None:
+        _generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     # a uint64 array keeps keys >= 2^63 exact; a list of ints would go
     # through float64 and round them
     key = np.array([spec.seed & _MASK64, spec.stream & _MASK64], dtype=np.uint64)
-    return np.random.Philox(key=key)
+    _generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return _generator
 
 
 def check_shape(m: int, n: int):
@@ -82,7 +111,7 @@ def sample_entries(q: int, count: int, spec: SeedSpec) -> np.ndarray:
     if count == 0:
         return np.zeros(0, dtype=np.int64)
     bg = _philox(spec)
-    words = bg.random_raw(count).copy()
+    words = bg.random_raw(count)
     out = (words % np.uint64(q)).astype(np.int64)
     threshold = (2**64 // q) * q
     if threshold < 2**64:
@@ -197,13 +226,15 @@ def _make_estimate(trials: int, successes: int, unknowns: int, unverified: int,
 # ----------------------------------------------------------------------
 
 
-def run_trials(trial, args, trials: int, seed: int, jobs: int = 1) -> Counter:
-    """Counter of trial(args, SeedSpec(seed, i)) over i < trials.
+def run_trials(chunk, args, trials: int, seed: int, jobs: int = 1) -> Counter:
+    """Sum of the Counters chunk(args, seed, lo, hi) over a partition of the
+    trial indices 0..trials-1 into contiguous ranges [lo, hi); trial i uses
+    SeedSpec(seed, i).  Wrap a function of one trial in `each_trial`.
 
     `jobs` is clamped to min(jobs, trials, cpu count); with more than one,
-    each worker process runs a contiguous range of indices, so the counts do
-    not depend on `jobs`.  `trial` must be a module-level function and
-    `args` picklable.
+    each worker process runs one range, so the counts do not depend on
+    `jobs`.  `chunk` must be picklable (a module-level function, or
+    `each_trial` of one) and so must `args`.
     """
     if trials < 1:
         raise BadArgumentsError("trials must be >= 1")
@@ -211,15 +242,25 @@ def run_trials(trial, args, trials: int, seed: int, jobs: int = 1) -> Counter:
         raise BadArgumentsError(f"jobs must be >= 1, got {jobs}")
     jobs = min(jobs, trials, os.cpu_count() or 1)
     bounds = [round(i * trials / jobs) for i in range(jobs + 1)]
-    chunks = [(trial, args, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    chunks = [(chunk, args, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if jobs == 1:
         return _run_chunk(chunks[0])
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return sum(pool.map(_run_chunk, chunks), Counter())
 
 
-def _run_chunk(chunk) -> Counter:
-    trial, args, seed, lo, hi = chunk
+def _run_chunk(job) -> Counter:
+    chunk, *call = job
+    return chunk(*call)
+
+
+def each_trial(trial):
+    """The chunk form of trial(args, spec) -> outcome: a Counter of the
+    outcomes of the trials in its range."""
+    return partial(_count_trials, trial)
+
+
+def _count_trials(trial, args, seed: int, lo: int, hi: int) -> Counter:
     return Counter(trial(args, SeedSpec(seed, i)) for i in range(lo, hi))
 
 
@@ -250,21 +291,30 @@ def _parse_event_int(name: str) -> int:
         raise UnknownEventError(f"bad event parameter in {name!r}") from None
 
 
-def _trial_rank(shape, spec: SeedSpec) -> int:
+def _rank_chunk(shape, seed: int, lo: int, hi: int) -> Counter:
+    """Counter of the ranks of trials lo..hi-1.  Over GF(2) the trials'
+    codes are stacked, at most _RANK_STACK_ENTRIES entries per stack, and
+    each stack is ranked by one `linalg.gf2_ranks` elimination."""
     q, m, n = shape
-    if q == 2:
-        # rank the packed rows: the rank is the same as the columns', and
-        # the codes are already in row-major order
-        rows = linalg.pack_rows(sample_entries(q, m * n, spec).reshape(m, n))
-        return linalg.BitOps(field(2), n).rank_cols(rows)
-    return linalg.fast_rank(sample_matrix(q, m, n, spec))
+    if q != 2:
+        return Counter(linalg.fast_rank(sample_matrix(q, m, n, SeedSpec(seed, i)))
+                       for i in range(lo, hi))
+    ranks: Counter = Counter()
+    size = max(1, _RANK_STACK_ENTRIES // max(1, m * n))
+    for start in range(lo, hi, size):
+        streams = range(start, min(start + size, hi))
+        stack = np.empty((len(streams), m * n), dtype=np.uint8)
+        for t, i in enumerate(streams):
+            stack[t] = sample_entries(2, m * n, SeedSpec(seed, i))
+        ranks.update(linalg.gf2_ranks(stack.reshape(len(streams), m, n)).tolist())
+    return ranks
 
 
 def mc_event_prob(q: int, m: int, n: int, event: str, trials: int, seed: int) -> Estimate:
     """Monte Carlo frequency of a named rank event (no unknowns possible)."""
     pred = parse_event(event)
     check_shape(m, n)
-    ranks = run_trials(_trial_rank, (q, m, n), trials, seed)
+    ranks = run_trials(_rank_chunk, (q, m, n), trials, seed)
     successes = sum(count for rank, count in ranks.items() if pred(rank, m, n))
     return _make_estimate(trials, successes, 0, 0, seed)
 
@@ -286,7 +336,7 @@ def mc_minor_prob(q: int, m: int, n: int, target: Matroid, trials: int, seed: in
     `unverified`.  The result is independent of `jobs`.
     """
     check_budget(budget)
-    outcomes = run_trials(_minor_trial, (q, m, n, target, budget), trials, seed, jobs)
+    outcomes = run_trials(each_trial(_minor_trial), (q, m, n, target, budget), trials, seed, jobs)
     unverified = outcomes["unverified"]
     return _make_estimate(trials, outcomes["found"], outcomes["unknown"] + unverified,
                           unverified, seed)

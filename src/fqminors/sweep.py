@@ -17,7 +17,8 @@ from .errors import BadArgumentsError, BadParametersError
 from .formulas import lower_bound_nonfree, prob_free_minor, upper_bound_nonfree
 from .matroid import Matroid
 from .minor import DEFAULT_BUDGET, check_budget, has_excluded_minor_matrix
-from .sampler import Estimate, SeedSpec, check_shape, mc_minor_prob, run_trials, sample_matrix
+from .sampler import (Estimate, SeedSpec, check_shape, each_trial, mc_minor_prob, run_trials,
+                      sample_matrix)
 
 
 def m_for(rule: str, n: int) -> int:
@@ -163,7 +164,7 @@ def run_class_sweep(q: int, class_name: str, n_range, m_rule: str, trials: int,
     check_budget(budget)
     rows = []
     for n, m in sweep_sizes(n_range, m_rule):
-        members = run_trials(_class_trial, (q, m, n, class_name, budget), trials, seed)
+        members = run_trials(each_trial(_class_trial), (q, m, n, class_name, budget), trials, seed)
         rows.append(ClassSweepRow(n, m, trials, members["no"], members["unknown"]))
     return rows
 

@@ -113,12 +113,34 @@ FORMULA_GOLDEN = [
      '{"den": "48828125", "float": 0.00097517568, "num": "47616"}\n'),
     ('repcount --m 2 --q 2 --target name:U:2,3', 0, 'rep_count_lower_bound = 6\n'),
     ('repcount --m 2 --q 2 --target name:U:2,3 --json', 0, '{"value": "6"}\n'),
+    # GF(6) does not exist; GF(17) and GF(32) do, past the field tables
+    ('rank-count --m 3 --n 4 --q 6 --k 2', 1, ''),
+    ('rank-count --m 3 --n 4 --q 6 --k 2 --json', 1, ''),
+    ('free-prob --m 3 --n 4 --q 6 --r 2', 1, ''),
+    ('colrank-prob --m 5 --n 3 --q 6', 1, ''),
+    ('cq --q 6', 1, ''),
+    ('cq --q 6 --json', 1, ''),
+    ('gaussian --n 4 --k 2 --q 6', 1, ''),
+    ('upper --m 4 --n 3 --q 6', 1, ''),
+    ('lower --m 2 --n 4 --q 6 --target name:U:1,2', 1, ''),
+    ('cq --q 17', 0, 'approx = 0.937716969852\npartial_terms = 7\npentagonal_floor = 271/289\n'),
+    ('gaussian --n 4 --k 2 --q 32', 0, 'gaussian_binomial = 1083425\n'),
+    ('rank-count --m 2 --n 3 --q 17 --k 2', 0, 'count_rank_matrices = 24049152\n'),
+    ('free-prob --m 3 --n 4 --q 32 --r 2', 0,
+     'exact = 36028796984328225/36028797018963968\nfloat = 0.999999999039\n'),
+    # q is bounded by 2^64, checked before the prime-power test
+    ('gaussian --n 2 --k 1 --q 18446744073709551616', 0,
+     'gaussian_binomial = 18446744073709551617\n'),
+    ('cq --q 18446744073709551617', 1, ''),
 ]
 
-# the one stderr line of each subcommand's failing FORMULA_GOLDEN case
+# the one stderr line of each failing FORMULA_GOLDEN case, by its
+# arguments without --json
 FORMULA_ERRORS = {
-    "gaussian": "need 0 <= k <= n, got n=2 k=3",
-    "cq": "tolerance must be positive and finite, got inf",
+    "gaussian --n 2 --k 3 --q 2": "need 0 <= k <= n, got n=2 k=3",
+    "cq --q 2 --tol inf": "tolerance must be positive and finite, got inf",
+    **{args: "q=6 is not a prime power" for args, _, _ in FORMULA_GOLDEN if "--q 6" in args},
+    "cq --q 18446744073709551617": "q must be <= 2^64, got a 65-bit q",
 }
 
 
@@ -128,7 +150,7 @@ def test_formula_golden(args, code, stdout, capsys):
     captured = capsys.readouterr()
     assert captured.out == stdout
     if code:
-        assert captured.err == f"fqminors: {FORMULA_ERRORS[args.split()[0]]}\n"
+        assert captured.err == f"fqminors: {FORMULA_ERRORS[args.removesuffix(' --json')]}\n"
 
 
 def test_target_from_matroid_file(tmp_path, capsys):

@@ -4,9 +4,12 @@ operations; they must agree exactly when both run over GF(2)."""
 import itertools
 import random
 
+import numpy as np
+
 from conftest import basis_change, complete_to_basis, dot, rank
 from fqminors.gf import field
-from fqminors.linalg import BitOps, GenOps, contract, fast_rank, leftmost_independent, ops_for
+from fqminors.linalg import (BitOps, GenOps, contract, fast_rank, gf2_ranks, leftmost_independent,
+                             ops_for)
 from fqminors.matrix import FqMatrix
 from fqminors.sampler import SeedSpec, sample_matrix
 
@@ -132,6 +135,26 @@ def test_fast_rank_matches_rref_rank_gf9():
     for _ in range(30):
         A = FqMatrix(F9, 3, 4, tuple(rng.randrange(9) for _ in range(12)))
         assert fast_rank(A) == rank(A)
+
+
+def test_gf2_ranks_of_low_rank_stacks():
+    # products L·R of random m x r and r x n matrices have rank <= r, so
+    # many columns have no pivot; shapes cross the 64-bit word boundary
+    rng = np.random.default_rng(45)
+    for m, n, r in ((3, 5, 1), (8, 8, 4), (70, 66, 20), (65, 130, 64), (40, 200, 39), (5, 2, 2)):
+        L = rng.integers(0, 2, (9, m, r))
+        R = rng.integers(0, 2, (9, r, n))
+        bits = (L @ R % 2).astype(np.uint8)
+        want = [fast_rank(FqMatrix(F2, m, n, tuple(b.ravel().tolist()))) for b in bits]
+        assert gf2_ranks(bits).tolist() == want
+        assert max(want) <= r
+    # a wide stack is ranked by its transpose
+    wide = rng.integers(0, 2, (4, 2, 1000)).astype(np.uint8)
+    wide[0] = 0
+    wide[1, 1] = wide[1, 0]
+    assert gf2_ranks(wide).tolist() == [0, 1, 2, 2]
+    assert gf2_ranks(np.zeros((3, 0, 4), dtype=np.uint8)).tolist() == [0, 0, 0]
+    assert gf2_ranks(np.ones((2, 4, 0), dtype=np.uint8)).tolist() == [0, 0]
 
 
 def test_triangular_push_pop_tracks_rank():

@@ -1,5 +1,9 @@
 import itertools
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +56,96 @@ def test_distinct_negative_seeds_give_distinct_streams():
 
 def _raw_words(seed, stream, count):
     return np.random.Philox(key=[seed, stream]).random_raw(count).tolist()
+
+
+def _fresh(seed, stream):
+    mask = (1 << 64) - 1
+    return np.random.Philox(key=np.array([seed & mask, stream & mask], dtype=np.uint64))
+
+
+def _reference_entries(q, count, seed, stream, rejected=()):
+    """The RNG contract on a newly built generator, with the words at the
+    `rejected` positions of the first block read as 2^64 - 1."""
+    bg = _fresh(seed, stream)
+    threshold = (2**64 // q) * q
+    words = bg.random_raw(count).tolist()
+    for i in rejected:
+        words[i] = 2**64 - 1
+    out = [None] * count
+    pending = list(range(count))
+    while pending:
+        still = []
+        for i, w in zip(pending, words):
+            if w < threshold:
+                out[i] = w % q
+            else:
+                still.append(i)
+        pending = still
+        words = bg.random_raw(len(pending)).tolist()
+    return out
+
+
+SEED_CASES = ((0, 0), (1, 7), (-1, 0), (-3, -5), (2**63, 2**63 + 5), (2**64 - 1, 2**63 + 1),
+              (2**63 + 5, -2), (2**70 + 9, 3))
+
+
+def test_rekeyed_generator_matches_a_fresh_one():
+    # one generator is rekeyed per stream; its state and words must be a
+    # newly built generator's, whatever the previous stream left behind
+    for seed, stream in SEED_CASES:
+        g = sampler._philox(SeedSpec(seed, stream))
+        assert repr(g.state) == repr(_fresh(seed, stream).state)
+        assert g.random_raw(37).tolist() == _fresh(seed, stream).random_raw(37).tolist()
+        # leave a buffered word and a buffered 32-bit half behind
+        g.random_raw(3)
+        np.random.Generator(g).integers(0, 2**32, size=3, dtype=np.uint32)
+        assert g.state["has_uint32"] == 1 and g.state["buffer_pos"] < 4
+
+
+def test_sampled_words_do_not_leak_between_streams():
+    a, b = SeedSpec(2**63 + 5, 11), SeedSpec(-3, 2**64 - 1)
+    first = sampler.sample_entries(3, 50, a)
+    sampler._philox(a).random_raw(3)  # a partly used buffer
+    other = sampler.sample_entries(5, 70, b)
+    again = sampler.sample_entries(3, 50, a)
+    assert first.tolist() == again.tolist() == _reference_entries(3, 50, a.seed, a.stream)
+    assert other.tolist() == _reference_entries(5, 70, b.seed, b.stream)
+    for q in (2, 4, 9):
+        assert sampler.sample_entries(q, 30, b).tolist() == _reference_entries(q, 30, b.seed, b.stream)
+
+
+def test_redraws_continue_the_rekeyed_stream(monkeypatch):
+    # a word >= q * (2^64 // q) is a 2^-64 event for q = 3 and 5, so force
+    # some: the refills must be the stream's next words, in position order
+    rekey = sampler._philox
+    forced = [0, 4, 5, 31]
+
+    class Rejecting:
+        def __init__(self, spec):
+            self.bg, self.first = rekey(spec), True
+
+        def random_raw(self, count):
+            words = self.bg.random_raw(count)
+            if self.first:
+                words[forced] = np.uint64(2**64 - 1)
+                self.first = False
+            return words
+
+    monkeypatch.setattr(sampler, "_philox", Rejecting)
+    for q in (3, 5):
+        for seed, stream in SEED_CASES:
+            got = sampler.sample_entries(q, 40, SeedSpec(seed, stream)).tolist()
+            assert got == _reference_entries(q, 40, seed, stream, forced), (q, seed, stream)
+
+
+def test_importing_the_cli_does_not_load_numpy_random():
+    # the generator is built on the first draw, not at import
+    src = str(Path(sampler.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import fqminors.cli; "
+            "assert 'numpy.random' not in sys.modules, 'loaded at import'; "
+            "from fqminors import sampler; sampler.sample_entries(2, 4, sampler.SeedSpec(0, 0)); "
+            "assert 'numpy.random' in sys.modules")
+    subprocess.run([sys.executable, "-c", code, src], check=True)
 
 
 def test_single_bit_frequency():
@@ -212,12 +306,17 @@ def test_sampled_gf2_packing_matches_python_packing():
 
 
 def test_gf2_trial_rank_matches_column_rank():
-    # rows are packed whatever n is, including past 63 columns and empty shapes
-    for m, n in ((5, 3), (30, 30), (4, 70), (70, 66), (0, 4), (4, 0), (0, 0)):
-        for i in range(3):
-            spec = SeedSpec(7, i)
-            want = linalg.fast_rank(sample_matrix(2, m, n, spec))
-            assert sampler._trial_rank((2, m, n), spec) == want
+    # the batched GF(2) rank trials against the per-matrix column rank,
+    # past 64 columns and on empty shapes; a range that is not a multiple
+    # of the stack size ends in a partial stack
+    for m, n in ((0, 4), (4, 0), (0, 0), (1, 1), (5, 3), (30, 30), (4, 70), (70, 66), (65, 130)):
+        size = max(1, sampler._RANK_STACK_ENTRIES // max(1, m * n))
+        lo, hi = 3, 3 + (size + 5 if size < 1000 else 7)
+        want = [linalg.fast_rank(sample_matrix(2, m, n, SeedSpec(7, i))) for i in range(lo, hi)]
+        stack = np.array([sampler.sample_entries(2, m * n, SeedSpec(7, i)) for i in range(lo, hi)],
+                         dtype=np.uint8).reshape(hi - lo, m, n)
+        assert linalg.gf2_ranks(stack).tolist() == want, (m, n)
+        assert sampler._rank_chunk((2, m, n), 7, lo, hi) == Counter(want), (m, n)
 
 
 def test_mc_event_examples():
@@ -335,6 +434,34 @@ def test_mc_minor_jobs_validated_and_clamped(monkeypatch):
     for jobs in (0, -1):
         with pytest.raises(BadArgumentsError):
             mc_minor_prob(2, 3, 5, t, 40, seed=9, jobs=jobs)
+
+
+def test_rank_chunk_counts_jobs_invariant(monkeypatch):
+    class SerialPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(sampler, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: 4)
+    # 30 x 30 stacks hold 291 trials: the job splits of 700 trials (350;
+    # 175, 350, 525) fall inside stacks, and each job ends in a partial one
+    for q in (2, 3):
+        trials = 700 if q == 2 else 30
+        ranks = sampler.run_trials(sampler._rank_chunk, (q, 30, 30), trials, 5)
+        assert sum(ranks.values()) == trials and len(ranks) > 1
+        for jobs in (2, 1000):
+            assert sampler.run_trials(sampler._rank_chunk, (q, 30, 30), trials, 5, jobs) == ranks
+    with pytest.raises(BadArgumentsError):
+        sampler.run_trials(sampler._rank_chunk, (2, 3, 3), 10, 0, jobs=0)
 
 
 @pytest.mark.parametrize("run", [
