@@ -1,34 +1,36 @@
 """Minor containment with verifiable witnesses.
 
-Two searchers share the same strategy and witness format:
+One searcher and one reference, with the same witness format:
 
-* `find_minor` works on abstract basis-family matroids (hosts up to 20
-  elements, exhaustive within budget, guaranteed exhaustive at ground <= 14
-  under the default budget).
-* `find_minor_matrix` works directly on a representation matrix, which is
-  what the Monte Carlo sweeps need when the host has too many columns to
-  enumerate bases for.
+* `find_minor_matrix` is the searcher the `minor`, `class` and `simulate`
+  commands run.  It works directly on a representation matrix and
+  enumerates contraction sets C restricted to independent sets (standard:
+  contracting a dependent set equals contracting a maximal independent
+  subset of it and deleting the rest), largest useful |C| first, i.e. from
+  min(r(host) - r(target), |host| - |target|) down to 0.  Its budget counts
+  work units: one per candidate contraction set, one per direction
+  selection, one per isomorphism invocation, and a candidate survivor
+  selection costs as many units as the basis enumeration it triggers, so a
+  fixed budget bounds actual work even for large targets.  It also charges
+  one unit for each distinct order of the target's parallel-class sizes
+  after the first, before it generates any of them, so no set-up step runs
+  ahead of the budget.
+* `find_minor` is the brute-force reference on abstract basis-family
+  matroids: every (C, D) pair, dependent C included, then isomorphism, at
+  one budget unit per pair.  The exact oracle and the `validate` agreement
+  check run it.
 
-Both enumerate contraction sets C restricted to independent sets (standard:
-contracting a dependent set equals contracting a maximal independent subset
-of it and deleting the rest), largest useful |C| first, i.e. from
-min(r(host) - r(target), |host| - |target|) down to 0.  A search that runs
-out of budget raises BudgetExceededError: the outcome is *unknown*, which
-callers must never conflate with *absent*.
+A search that runs out of budget raises BudgetExceededError: the outcome is
+*unknown*, which callers must never conflate with *absent*.  Each has its
+own verifier: `verify_witness_matrix` shares none of the matrix search's
+internals, and `verify_witness` checks C's independence and the witness
+bijection, which the reference's isomorphism test does not.
 
 `decide` is the one place a search outcome is classified: it runs a
 (search, verify) pair and returns `found` (witness verified), `absent`,
 `unknown` (budget ran out) or `unverified` (a witness that failed its
 independent check, never counted as found).  The `minor` command, the
 excluded-minor class test and every Monte Carlo minor trial go through it.
-
-The budget is counted in work units: one per candidate contraction set, one
-per direction selection, one per isomorphism invocation, and (in the matrix
-searcher) a candidate survivor selection costs as many units as the basis
-enumeration it triggers, so a fixed budget bounds actual work even for
-large targets.  The matrix searcher also charges one unit for each distinct
-order of the target's parallel-class sizes after the first, before it
-generates any of them, so no set-up step runs ahead of the budget.
 """
 
 from __future__ import annotations
@@ -126,74 +128,39 @@ def _mask_of(elems) -> int:
     return m
 
 
-def _free_witness(ground: int, chosen: list[int]) -> MinorWitness:
-    rest = frozenset(range(ground)) - frozenset(chosen)
-    return MinorWitness(frozenset(), rest, tuple(sorted(chosen)))
-
-
 # ----------------------------------------------------------------------
-# abstract search
+# reference search on abstract matroids
 # ----------------------------------------------------------------------
 
 
 def find_minor(host: Matroid, target: Matroid, budget: int | None = DEFAULT_BUDGET):
-    """Search for target as a minor of host; None means *absent* (certain).
+    """The reference search: every pair (C, D) with |C| + |D| = e_h - e_t,
+    dependent C included, by ascending |C| and then D, kept when its minor
+    is isomorphic to target.  That is C(e_h, e_t) * 2^(e_h - e_t) pairs,
+    one budget unit each.  None means *absent* (certain); running out of
+    budget raises BudgetExceededError.
 
-    Raises BudgetExceededError when the budget runs out first.
+    The witness returned has an independent C, as verify_witness requires:
+    a dependent C gives the same minor as a maximal independent subset C'
+    of it with C \\ C' added to D, and that pair comes up first.
     """
     e_h, e_t = host.ground_size, target.ground_size
-    r_h, r_t = host.rank, target.rank
-    if e_t > e_h or r_t > r_h or (e_t - r_t) > (e_h - r_h):
+    if e_t > e_h:
         return None
-    if target.is_free():
-        chosen: list[int] = []
-        cur = 0
-        for x in range(e_h):
-            if len(chosen) == e_t:
-                break
-            if host.is_independent(cur | (1 << x)):
-                cur |= 1 << x
-                chosen.append(x)
-        return _free_witness(e_h, chosen)
-    if host.is_free():
-        return None
-
     budget_ = _Budget(budget)
-    n_bases_t = len(target.bases)
-    kmax = min(r_h - r_t, e_h - e_t)
-    for k in range(kmax, -1, -1):
-        for combo in itertools.combinations(range(e_h), k):
-            c_mask = _mask_of(combo)
-            budget_.tick()
-            if not host.is_independent(c_mask):
-                continue
-            survivors = [x for x in range(e_h) if not (c_mask >> x) & 1]
-            for s_combo in itertools.combinations(survivors, e_t):
+    drop = e_h - e_t
+    ground = range(e_h)
+    for c_size in range(drop + 1):
+        for c_combo in itertools.combinations(ground, c_size):
+            c_mask = _mask_of(c_combo)
+            rest = [x for x in ground if not (c_mask >> x) & 1]
+            for d_combo in itertools.combinations(rest, drop - c_size):
                 budget_.tick()
-                s_mask = _mask_of(s_combo)
-                rr = host.rank_of(s_mask | c_mask) - k
-                if rr != r_t:
-                    continue
-                bases = []
-                for x_combo in itertools.combinations(s_combo, rr):
-                    x_mask = _mask_of(x_combo)
-                    if host.is_independent(x_mask | c_mask):
-                        rel = 0
-                        for x in x_combo:
-                            rel |= 1 << s_combo.index(x)
-                        bases.append(rel)
-                if len(bases) != n_bases_t:
-                    continue
-                minor_m = Matroid(e_t, bases)
-                budget_.tick()
-                bij = is_isomorphic(target, minor_m)
+                bij = is_isomorphic(target, host.minor(c_mask, _mask_of(d_combo)))
                 if bij is not None:
-                    mapping = tuple(s_combo[bij[i]] for i in range(e_t))
-                    return MinorWitness(
-                        frozenset(combo),
-                        frozenset(survivors) - frozenset(s_combo),
-                        mapping,
-                    )
+                    survivors = [x for x in rest if x not in d_combo]
+                    return MinorWitness(frozenset(c_combo), frozenset(d_combo),
+                                        tuple(survivors[i] for i in bij))
     return None
 
 
@@ -227,11 +194,8 @@ def _is_target(minor_m: Matroid, target: Matroid, survivors: list[int], w: Minor
 
 
 def verify_witness(host: Matroid, target: Matroid, w: MinorWitness) -> bool:
-    """Recompute the minor named by the witness and compare basis families.
-
-    Deliberately reuses none of the search internals: the minor is built by
-    the general contraction/deletion operations.
-    """
+    """Recompute the minor named by the witness and compare basis families
+    under the witness bijection; C must be independent."""
     survivors = _witness_survivors(host.ground_size, target, w)
     if survivors is None:
         return False
@@ -242,20 +206,8 @@ def verify_witness(host: Matroid, target: Matroid, w: MinorWitness) -> bool:
 
 
 # ----------------------------------------------------------------------
-# matrix-level search
+# the searcher: matrix hosts
 # ----------------------------------------------------------------------
-
-
-def _target_profile(target: Matroid):
-    classes = target.parallel_classes()
-    sizes = sorted((c.bit_count() for c in classes), reverse=True)
-    return {
-        "e": target.ground_size,
-        "r": target.rank,
-        "loops": target.loops().bit_count(),
-        "n_bases": len(target.bases),
-        "class_sizes": sizes,
-    }
 
 
 def _n_distinct_orders(sizes: list[int]) -> int:
@@ -286,7 +238,8 @@ def _distinct_size_orders(sizes: list[int]) -> list[tuple[int, ...]]:
 
 
 def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT_BUDGET):
-    """Like find_minor but the host is given by a representation matrix.
+    """Search for target as a minor of the column matroid of A; None means
+    *absent* (certain), BudgetExceededError *unknown*.
 
     Witness element indices refer to host columns.
     """
@@ -297,28 +250,28 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT
     cols = o.cols_of(A)
     r_h = o.rank_cols(cols)
     e_t, r_t = target.ground_size, target.rank
-    prof = _target_profile(target)
+    sizes = [c.bit_count() for c in target.parallel_classes()]
+    c_t = len(sizes)
 
     if e_t > n or r_t > r_h or (e_t - r_t) > (n - r_h):
         return None
     # every minor of M[A] embeds in an r_t-dimensional F_q space, so its
     # parallel classes are distinct projective points of PG(r_t - 1, q)
-    if r_t >= 1 and len(prof["class_sizes"]) > (q**r_t - 1) // (q - 1):
+    if r_t >= 1 and c_t > (q**r_t - 1) // (q - 1):
         return None
     if target.is_free():
-        return _free_witness(n, linalg.leftmost_independent(o, cols, e_t))
+        chosen = linalg.leftmost_independent(o, cols, e_t)
+        return MinorWitness(frozenset(), frozenset(range(n)) - frozenset(chosen), tuple(chosen))
     if r_h == n:
         return None
 
     budget_ = _Budget(budget)
-    l_t = prof["loops"]
-    sizes = prof["class_sizes"]
-    c_t = len(sizes)
+    l_t = target.loops().bit_count()
     n_orders = _n_distinct_orders(sizes)
     if n_orders > 1:
         budget_.tick(n_orders - 1)
     size_orders = _distinct_size_orders(sizes)
-    n_bases_t = prof["n_bases"]
+    n_bases_t = len(target.bases)
 
     points = [0] + [(q**d - 1) // (q - 1) for d in range(1, r_h + 1)]
     kmax = min(r_h - r_t, n - e_t)

@@ -42,8 +42,10 @@ class OracleResult:
 
 
 def _check_cap(q: int, cells: int):
-    if q**cells > DEFAULT_CAP:
-        raise TooLargeError(f"q^{cells} = {q**cells} exceeds the cap {DEFAULT_CAP}")
+    # q >= 2, so past cells = DEFAULT_CAP.bit_length() the power is over the
+    # cap without being formed
+    if cells > DEFAULT_CAP.bit_length() or q**cells > DEFAULT_CAP:
+        raise TooLargeError(f"q^{cells} matrices exceed the cap {DEFAULT_CAP}")
 
 
 def _decode_col(code: int, q: int, m: int):
@@ -115,18 +117,23 @@ def exact_event_prob(q: int, m: int, n: int, event: str) -> OracleResult:
 def exact_minor_prob(q: int, m: int, n: int, target: Matroid) -> OracleResult:
     """Exact P{target is a minor of M[A]} by exhausting all matrices.
 
-    The abstract searcher runs unbudgeted here (exhaustive by termination at
-    these sizes) and every returned witness is re-verified; a verification
+    Many column multisets give the same labelled host matroid, so each
+    distinct host is decided once per call, by the unbudgeted all-(C, D)
+    reference `find_minor`, and its witness is re-verified; a verification
     failure would be a soundness bug and raises immediately.
     """
     _check_cap(q, m * n)
+    has_minor: dict[Matroid, bool] = {}
     hits = 0
     for codes, weight in _column_multisets(q, m, n):
         host = from_matrix(_matrix_from_codes(codes, q, m))
-        w = find_minor(host, target, budget=None)
-        if w is not None:
-            if not verify_witness(host, target, w):
+        hit = has_minor.get(host)
+        if hit is None:
+            w = find_minor(host, target, budget=None)
+            if w is not None and not verify_witness(host, target, w):
                 raise RuntimeError(f"unsound witness for codes {codes}")
+            hit = has_minor[host] = w is not None
+        if hit:
             hits += weight
     total = q ** (m * n)
     return OracleResult(total, hits, Fraction(hits, total))

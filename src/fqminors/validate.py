@@ -17,7 +17,7 @@ from . import formulas, linalg, minor, oracle, sampler
 from .errors import BudgetExceededError
 from .gf import field
 from .matrix import FqMatrix
-from .matroid import Matroid, catalog, from_matrix, is_isomorphic
+from .matroid import Matroid, catalog, from_matrix
 from .sweep import run_minor_sweep
 from .sampler import wilson_interval
 
@@ -87,7 +87,8 @@ def check_rank_counts(sizes=_SMALL_SIZES):
 
 def check_colrank_and_free_prob(sizes=_SMALL_SIZES, searched=()):
     """`searched` lists (q, m, n, r) whose free:r probability is also
-    computed through the minor searcher."""
+    computed by `oracle.exact_minor_prob`, which decides each host with the
+    all-(C, D) reference search."""
     for q, shapes in sizes.items():
         for m, n in shapes:
             if m >= n:
@@ -122,10 +123,7 @@ def check_psmq_repcount_consistency():
                 st = catalog(name).stats()
                 if m < st.r or st.e == st.r == 0:
                     continue
-                try:
-                    p = formulas.p_smq(m, q, st)
-                except Exception:
-                    continue
+                p = formulas.p_smq(m, q, st)
                 if p * q ** (m * st.e) != formulas.rep_count_lower_bound(m, q, st):
                     return False, f"p_smq inconsistent with repcount at {name} m={m} q={q}"
     return True, "uniform catalog, m <= 3, q in {2,3}"
@@ -195,26 +193,6 @@ def check_reduce_conditional_uniform():
     return True, "GF(2) shapes (2,2), (3,2), (2,3) at k=1"
 
 
-def brute_has_minor(host: Matroid, target: Matroid) -> bool:
-    """All (C, D) pairs, dependent contraction sets included, then
-    isomorphism.  The comparison oracle for find_minor's completeness; it
-    shares nothing with the searcher."""
-    e_h, e_t = host.ground_size, target.ground_size
-    if e_t > e_h:
-        return False
-    drop = e_h - e_t
-    ground = range(e_h)
-    for c_size in range(drop + 1):
-        for c_combo in itertools.combinations(ground, c_size):
-            c_mask = sum(1 << x for x in c_combo)
-            rest = [x for x in ground if not (c_mask >> x) & 1]
-            for d_combo in itertools.combinations(rest, drop - c_size):
-                d_mask = sum(1 << x for x in d_combo)
-                if is_isomorphic(target, host.minor(c_mask, d_mask)) is not None:
-                    return True
-    return False
-
-
 def _uniform_target(rng, n: int) -> Matroid:
     tn = rng.randint(1, min(4, n))
     tk = rng.randint(0, tn)
@@ -223,23 +201,25 @@ def _uniform_target(rng, n: int) -> Matroid:
 
 def check_minor_brute_agreement(instances=12, seed=20240811, m_range=(2, 3),
                                 n_range=(2, 6), draw_target=_uniform_target):
-    """find_minor against brute force on random GF(2) hosts; each instance
-    draws m, n and the host from one seeded RNG, then
+    """The searcher the CLI runs, find_minor_matrix, and its verifier
+    against the all-(C, D) reference find_minor on random GF(2) hosts; each
+    instance draws m, n and the host matrix from one seeded RNG, then
     draw_target(rng, n)."""
     rng = random.Random(seed)
     f2 = field(2)
     for _ in range(instances):
         m = rng.randint(*m_range)
         n = rng.randint(*n_range)
-        host = from_matrix(FqMatrix(f2, m, n, tuple(rng.randrange(2) for _ in range(m * n))))
+        A = FqMatrix(f2, m, n, tuple(rng.randrange(2) for _ in range(m * n)))
+        host = from_matrix(A)
         target = draw_target(rng, n)
         try:
-            w = minor.find_minor(host, target)
+            w = minor.find_minor_matrix(A, target)
         except BudgetExceededError:
             return False, "budget exceeded on a tiny instance"
-        if (w is not None) != brute_has_minor(host, target):
+        if (w is not None) != (minor.find_minor(host, target, budget=None) is not None):
             return False, f"disagreement on host {host} target {target}"
-        if w is not None and not minor.verify_witness(host, target, w):
+        if w is not None and not minor.verify_witness_matrix(A, target, w):
             return False, f"witness failed verification on {host} vs {target}"
     return True, f"{instances} seeded random instances vs all-(C,D) brute force"
 

@@ -1,7 +1,8 @@
 """Shared test helpers: independent oracles kept deliberately separate from
-the package implementations they check (`brute_has_minor` is the one that
-`fqminors validate` runs too), the subprocess CLI runner, and the matrix
-and matroid builders and text writers that only tests need."""
+the package implementations they check, the subprocess CLI runner, and the
+matrix and matroid builders and text writers that only tests need.  The
+all-(C, D) minor reference is the package's own `fqminors.minor.find_minor`,
+which `fqminors validate` and the exact oracle run too."""
 
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from pathlib import Path
 from fqminors.gf import Field
 from fqminors.matrix import FqMatrix
 from fqminors.matroid import Matroid
-from fqminors.validate import brute_has_minor  # noqa: F401  (re-exported)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

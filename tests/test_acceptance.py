@@ -32,7 +32,7 @@ def test_criterion_1_exact_formula_vs_oracle():
              for q in (2, 3)}
     searched = [(q, m, n, r) for q, shapes in sizes.items() for m, n in shapes
                 if q ** (m * n) <= 3**9 for r in range(min(m, n) + 1)]
-    # the largest permitted q=3 shapes, through the real minor searcher
+    # the largest permitted q=3 shapes, through the all-(C, D) reference search
     searched += [(3, m, n, r) for m, n in ((3, 4), (4, 3)) for r in (0, 2, 3)]
     assert_check(validate.check_rank_counts, sizes=sizes)
     assert_check(validate.check_colrank_and_free_prob, sizes=sizes, searched=searched)
@@ -117,7 +117,8 @@ def _random_matrix_target(rng, n):
 
 
 def test_criterion_7_search_soundness_completeness():
-    """find_minor against the all-(C, D) brute force on 200 random instances."""
+    """find_minor_matrix, the searcher the CLI runs, and its verifier against
+    the all-(C, D) reference find_minor on 200 random instances."""
     detail = assert_check(validate.check_minor_brute_agreement, instances=200, seed=SEED,
                           m_range=(1, 3), n_range=(1, 7), draw_target=_random_matrix_target)
     print(f"ACCEPTANCE 7 PASS: {detail}, 0 disagreements, every witness verified")

@@ -389,6 +389,34 @@ def test_validate_catches_corrupted_formula(monkeypatch, capsys):
     assert "FAIL rank-counts-vs-oracle" in out
 
 
+def test_validate_catches_crashing_psmq(monkeypatch, capsys):
+    from fqminors import formulas
+
+    def crashing(m, q, st):
+        raise ArithmeticError("p_smq broken")
+
+    monkeypatch.setattr(formulas, "p_smq", crashing)
+    rc = cli.main(["validate"])
+    assert rc == 2
+    out = capsys.readouterr().out
+    assert "FAIL psmq-repcount-consistency" in out
+
+
+BROKEN_MATRIX_SEARCH = {
+    "find_minor_matrix": lambda A, target, budget=None: None,
+    "verify_witness_matrix": lambda A, target, w: False,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_MATRIX_SEARCH))
+def test_minor_agreement_check_catches_broken_matrix_search(name, monkeypatch):
+    from fqminors import minor, validate
+
+    monkeypatch.setattr(minor, name, BROKEN_MATRIX_SEARCH[name])
+    ok, detail = validate.check_minor_brute_agreement()
+    assert not ok, detail
+
+
 def test_validate_byte_identical_runs():
     a = run_cli(["validate"])
     b = run_cli(["validate"])

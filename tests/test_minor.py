@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from conftest import brute_has_minor
 from fqminors import linalg, minor
 from fqminors.errors import BudgetExceededError
 from fqminors.gf import field
@@ -131,8 +130,7 @@ def test_wrong_bijection_breaks_loopy_target():
 
 
 def test_budget_exceeded_is_distinct_from_absent():
-    # a free host *with* an impossible non-free target short-circuits, so
-    # use a host with structure and a tiny budget
+    # U:2,4 is absent from every binary host, but two units cannot show it
     rng = random.Random(3)
     host = from_matrix(FqMatrix(F2, 3, 7, tuple(rng.randrange(2) for _ in range(21))))
     with pytest.raises(BudgetExceededError):
@@ -140,17 +138,45 @@ def test_budget_exceeded_is_distinct_from_absent():
 
 
 def test_find_minor_agrees_with_brute_force_seeded():
+    # the matrix searcher against the all-(C, D) reference find_minor
     rng = random.Random(12345)
     targets = [catalog(s) for s in ("U:1,2", "U:0,2", "U:2,3", "U:1,3", "U:2,4")]
     for _ in range(40):
         m = rng.randint(1, 3)
         n = rng.randint(1, 6)
-        host = from_matrix(FqMatrix(F2, m, n, tuple(rng.randrange(2) for _ in range(m * n))))
+        A = FqMatrix(F2, m, n, tuple(rng.randrange(2) for _ in range(m * n)))
         target = rng.choice(targets)
-        w = find_minor(host, target)
-        assert (w is not None) == brute_has_minor(host, target)
+        w = find_minor_matrix(A, target)
+        assert (w is not None) == (find_minor(from_matrix(A), target, budget=None) is not None)
         if w is not None:
-            assert verify_witness(host, target, w)
+            assert verify_witness_matrix(A, target, w)
+
+
+def test_find_minor_charges_one_unit_per_pair():
+    # U:2,4 is never a minor of a binary host, so every one of the
+    # C(5, 4) * 2^1 = 10 pairs (C, D) is tried
+    A = FqMatrix(F2, 3, 5, (1, 0, 0, 1, 1, 0, 1, 0, 1, 0, 0, 0, 1, 0, 1))
+    host, u24 = from_matrix(A), catalog("U:2,4")
+    pairs = math.comb(5, 4) * 2 ** (5 - 4)
+    assert find_minor(host, u24, budget=pairs) is None
+    with pytest.raises(BudgetExceededError):
+        find_minor(host, u24, budget=pairs - 1)
+
+
+def test_find_minor_witnesses_contract_independent_sets():
+    # dependent contraction sets are enumerated too, but the first pair that
+    # gives the target always has an independent C
+    targets = [catalog(s) for s in ("U:1,2", "U:0,2", "U:1,3", "U:2,3")]
+    found = 0
+    for entries in itertools.product(range(2), repeat=8):
+        host = from_matrix(FqMatrix(F2, 2, 4, entries))
+        for t in targets:
+            w = find_minor(host, t, budget=None)
+            if w is not None:
+                found += 1
+                assert host.is_independent(_mask_of(w.contract))
+                assert verify_witness(host, t, w)
+    assert found
 
 
 def test_minor_of_minor_is_minor():
@@ -160,7 +186,7 @@ def test_minor_of_minor_is_minor():
     assert find_minor(u36, catalog("U:1,2")) is not None
 
 
-def test_matrix_search_agrees_with_abstract_exhaustive():
+def test_matrix_search_agrees_with_brute_force_exhaustive():
     loopy = from_matrix(FqMatrix.from_rows(F2, [[1, 0, 1, 0], [0, 1, 1, 0]]))
     targets = [catalog(s) for s in ("U:1,2", "U:1,3", "U:2,3", "U:0,2", "free:2")]
     targets.append(loopy)
@@ -176,7 +202,7 @@ def test_matrix_search_agrees_with_abstract_exhaustive():
                     assert verify_witness_matrix(A, t, wm)
 
 
-def test_matrix_search_agrees_with_abstract_exhaustive_gf3():
+def test_matrix_search_agrees_with_brute_force_exhaustive_gf3():
     targets = [catalog(s) for s in ("U:1,2", "U:2,3", "U:2,4", "U:0,2")]
     for entries in itertools.product(range(3), repeat=6):
         A = FqMatrix(F3, 2, 3, entries)
@@ -189,7 +215,7 @@ def test_matrix_search_agrees_with_abstract_exhaustive_gf3():
                 assert verify_witness_matrix(A, t, wm)
 
 
-def test_matrix_search_agrees_with_abstract_gf3():
+def test_matrix_search_agrees_with_brute_force_gf3():
     rng = random.Random(99)
     targets = [catalog(s) for s in ("U:1,2", "U:2,3", "U:2,4", "U:0,2")]
     for _ in range(60):
@@ -248,10 +274,10 @@ def test_witness_json_roundtrip():
 
 
 def test_free_target_witness_is_leftmost():
-    host = from_matrix(FqMatrix.from_rows(F2, [[0, 1, 0, 1], [0, 0, 1, 1]]))
-    w = find_minor(host, catalog("free:2"))
+    A = FqMatrix.from_rows(F2, [[0, 1, 0, 1], [0, 0, 1, 1]])
+    w = find_minor_matrix(A, catalog("free:2"))
     assert w.bijection == (1, 2)
-    assert verify_witness(host, catalog("free:2"), w)
+    assert verify_witness_matrix(A, catalog("free:2"), w)
 
 
 # ----------------------------------------------------------------------

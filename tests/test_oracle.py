@@ -2,13 +2,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from conftest import brute_has_minor
 
 from fqminors import formulas, linalg, oracle
 from fqminors.errors import BadArgumentsError, TooLargeError
 from fqminors.gf import field
 from fqminors.matrix import FqMatrix
 from fqminors.matroid import Matroid, catalog, from_matrix
+from fqminors.minor import find_minor
 
 # tiny shapes small enough to enumerate matrix by matrix
 TINY_SHAPES = ((2, 2, 3), (2, 3, 2), (2, 2, 4), (3, 2, 2), (3, 2, 3), (3, 3, 2),
@@ -68,7 +68,7 @@ def test_oracle_matches_plain_enumeration(q, m, n):
     assert oracle.rank_histogram(q, m, n) == tuple(counts)
     hosts = [from_matrix(A) for A in matrices]
     for target in (catalog("U:1,2"), catalog("U:2,3"), catalog("U:0,2"), LOOP_AND_COLOOP):
-        hits = sum(brute_has_minor(host, target) for host in hosts)
+        hits = sum(find_minor(host, target, budget=None) is not None for host in hosts)
         res = oracle.exact_minor_prob(q, m, n, target)
         assert (res.total, res.hits) == (len(matrices), hits)
 
@@ -119,6 +119,14 @@ def test_too_large_cap():
         oracle.exact_minor_prob(3, 4, 4, catalog("U:1,2"))
     with pytest.raises(TooLargeError):
         oracle.count_representations_exact(catalog("U:2,4"), 13, 2)
+    # powers past Python's 4300-digit int-to-str limit: the cap is decided
+    # without forming them
+    with pytest.raises(TooLargeError):
+        oracle.exact_event_prob(2, 150, 150, "full-column-rank")
+    with pytest.raises(TooLargeError):
+        oracle.exact_minor_prob(3, 100, 100, catalog("U:1,2"))
+    with pytest.raises(TooLargeError):
+        oracle.count_representations_exact(catalog("U:1,2"), 9000, 2)
 
 
 def test_oracle_result_json():
