@@ -72,28 +72,47 @@ def _stats(args):
     return _load_matroid(args.target).stats()
 
 
-# subcommand -> (flags, text label, value of the parsed args), in --help order
+def _size(*xs: int) -> int:
+    """The product of a formula's size arguments, a negative one as 0."""
+    out = 1
+    for x in xs:
+        out *= max(x, 0)
+    return out
+
+
+# subcommand -> (flags, text label, value of the parsed args, exponent of
+# the largest power of q it forms or None), in --help order
 _FORMULAS = {
     "gaussian": (("n", "k", "q"), "gaussian_binomial",
-                 lambda a: formulas.gaussian_binomial(a.n, a.k, a.q)),
+                 lambda a: formulas.gaussian_binomial(a.n, a.k, a.q),
+                 lambda a: _size(a.n, a.k)),
     "rank-count": (("m", "n", "q", "k"), "count_rank_matrices",
-                   lambda a: formulas.count_rank_matrices(a.m, a.n, a.q, a.k)),
+                   lambda a: formulas.count_rank_matrices(a.m, a.n, a.q, a.k),
+                   lambda a: _size(a.m, a.n)),
     "free-prob": (("m", "n", "q", "r"), "exact",
-                  lambda a: formulas.prob_free_minor(a.m, a.n, a.q, a.r)),
+                  lambda a: formulas.prob_free_minor(a.m, a.n, a.q, a.r),
+                  lambda a: _size(a.m, a.n)),
     "colrank-prob": (("m", "n", "q"), "exact",
-                     lambda a: formulas.prob_full_col_rank(a.m, a.n, a.q)),
+                     lambda a: formulas.prob_full_col_rank(a.m, a.n, a.q),
+                     lambda a: _size(a.m, a.n)),
     "upper": (("m", "n", "q"), "upper",
-              lambda a: formulas.upper_bound_nonfree(a.m, a.n, a.q)),
+              lambda a: formulas.upper_bound_nonfree(a.m, a.n, a.q),
+              lambda a: _size(a.m, a.n)),
     "lower": (("m", "n", "q", "target"), "lower",
-              lambda a: formulas.lower_bound_nonfree(a.m, a.n, a.q, _stats(a))),
+              lambda a: formulas.lower_bound_nonfree(a.m, a.n, a.q, _stats(a)),
+              lambda a: _size(a.m, a.n)),
     "block-lower": (("m", "n", "q", "target"), "lower",
-                    lambda a: formulas.lower_bound_block(a.m, a.n, a.q, _stats(a))),
+                    lambda a: formulas.lower_bound_block(a.m, a.n, a.q, _stats(a)),
+                    lambda a: _size(a.m, a.n)),
     "liminf": (("q", "target"), "liminf",
-               lambda a: formulas.asymptotic_liminf_bound(a.q, _stats(a))),
-    "cq": (("q", "tol"), None, lambda a: formulas.cq_constant(a.q, a.tol)),
-    "psmq": (("s", "q", "target"), "p_smq", lambda a: formulas.p_smq(a.s, a.q, _stats(a))),
+               lambda a: formulas.asymptotic_liminf_bound(a.q, _stats(a)),
+               lambda a: _stats(a).e ** 2),
+    "cq": (("q", "tol"), None, lambda a: formulas.cq_constant(a.q, a.tol), None),
+    "psmq": (("s", "q", "target"), "p_smq", lambda a: formulas.p_smq(a.s, a.q, _stats(a)),
+             lambda a: _size(a.s, _stats(a).e)),
     "repcount": (("m", "q", "target"), "rep_count_lower_bound",
-                 lambda a: formulas.rep_count_lower_bound(a.m, a.q, _stats(a))),
+                 lambda a: formulas.rep_count_lower_bound(a.m, a.q, _stats(a)),
+                 lambda a: _size(a.m, _stats(a).e)),
 }
 
 _FORMULA_FLAGS = {
@@ -105,7 +124,7 @@ _FORMULA_FLAGS = {
 def _add_formula_parser(sub):
     p = sub.add_parser("formula", help="evaluate a closed form or bound")
     fsub = p.add_subparsers(dest="formula_cmd", required=True)
-    for cmd, (flags, _, _) in _FORMULAS.items():
+    for cmd, (flags, *_) in _FORMULAS.items():
         sp = fsub.add_parser(cmd)
         for flag in flags:
             sp.add_argument(f"--{flag}",
@@ -114,7 +133,9 @@ def _add_formula_parser(sub):
 
 
 def _cmd_formula(args):
-    _, label, value = _FORMULAS[args.formula_cmd]
+    _, label, value, exponent = _FORMULAS[args.formula_cmd]
+    if exponent is not None:
+        formulas.check_size(args.q, exponent(args))
     v = value(args)
     if isinstance(v, int):
         return EXIT_OK, {"value": str(v)}, f"{label} = {v}\n"

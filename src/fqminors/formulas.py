@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import BadArgumentsError, BadToleranceError, NotPrimePowerError
+from .errors import BadArgumentsError, BadToleranceError, NotPrimePowerError, TooLargeError
 from .matroid import MatroidStats
 
 
@@ -76,6 +76,23 @@ def _check_q(q: int):
         raise BadArgumentsError(f"q must be <= 2^64, got a {q.bit_length()}-bit q")
     if not _is_prime_power(q):
         raise NotPrimePowerError(f"q={q} is not a prime power")
+
+
+# the most bits a formula's largest power of q may take, so that every value
+# `check_size` accepts prints: Python converts ints of up to 4300 digits
+# (14284 bits) to text
+MAX_BITS = 14000
+
+
+def check_size(q: int, exponent: int):
+    """Check q, then reject a formula whose largest power of q, q^exponent,
+    would take more than MAX_BITS bits, before any arithmetic.  Each
+    formula's value, numerator and denominator are no larger than that
+    power, up to a few bits."""
+    _check_q(q)
+    bits = exponent * (q - 1).bit_length()
+    if bits > MAX_BITS:
+        raise TooLargeError(f"q^{exponent} takes {bits} bits, over the {MAX_BITS}-bit bound")
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -1,25 +1,39 @@
 """Internal column-vector kernels used by the matroid/minor/sampler layers.
 
-Two interchangeable backends over the same interface: a bit-packed one for
-GF(2) (columns are Python ints, bit i = row i) and a generic one driven by
-the field tables (columns are tuples).  An echelon is a triangular list of
-(pivot, row) pairs; each row has pivot value 1 and is zero at the pivots of
-the rows before it.  `reduce` works through the rows in list order and
-returns the one vector of v's coset modulo the span that is zero at every
-pivot: equal representatives mean equal cosets, and zero means v lies in
-the span.  An echelon only ever grows by the row `reduce_pivot` returns,
-so a search can push and pop rows along its path; every rank, greedy column
-pick and coset representative comes from that one step.
+Three interchangeable backends over one interface, one per column form:
+
+* `BitOps`, GF(2): a column is a Python int, bit i = row i.
+* `TriOps`, GF(3): a column is a pair of ints, two bit-planes: bit i of
+  the first is set where row i holds 1, bit i of the second where it holds
+  2.  Adding or subtracting two columns is six OR/XOR operations on the
+  planes (the bitsliced circuits of Boothby & Bradshaw, "Bitslicing and
+  the method of four Russians over larger finite fields",
+  arXiv:0901.1413), and negating one swaps its planes.
+* `GenOps`, every other field: a column is a tuple of codes, and each
+  entry of an axpy costs two field-table lookups.
+
+`ops_for` picks the backend.  An echelon is a triangular list of (pivot,
+row) pairs; each row has pivot value 1 and is zero at the pivots of the
+rows before it.  The two bit backends keep a pivot as its one-bit mask,
+`GenOps` as its row index; the pivot is always the row's lowest nonzero
+row.  `reduce` works through the rows in list order and returns the one
+vector of v's coset modulo the span that is zero at every pivot: equal
+representatives mean equal cosets, and zero means v lies in the span.  An
+echelon only ever grows by the row `reduce_pivot` returns, so a search can
+push and pop rows along its path; every rank, greedy column pick and coset
+representative comes from that one step.
 `contract` is the one change of basis: it sends chosen independent columns
 to unit vectors and drops them with their rows, which is contraction on
 the column matroid.  The randomness-preserving reduction and the matrix
 witness verifier both call it.  It is one Gauss-Jordan pass on the rows of
 [A | I] (`inverse_rows`), which pivots on the chosen columns and then on
 the unit columns outside their span; that pass shares no elimination with
-the search, so a verifier does not trust the kernel it checks.
-`pack_rows` is the one GF(2) packer: the sampler attaches a sample's
-packed columns and rows (`pack_matrix`), and `BitOps` packs any other
-matrix with it on each call, storing nothing.  `gf2_ranks` ranks a whole
+the search, so a verifier does not trust the kernel it checks.  Its output
+carries its columns and rows in the backend's form (`pick`).
+A matrix's columns and rows reach a backend in its form (`cols_of`,
+`rows_of`): attached to the matrix when the sampler (`pack`, by numpy's
+`pack_rows` from the codes), `contract` or the oracle built them, and
+otherwise encoded from the entries (`encode`).  `gf2_ranks` ranks a whole
 stack of GF(2) matrices at once, on the same 64-bit row words that
 `pack_rows` joins into ints, by one numpy elimination across the stack.
 """
@@ -82,22 +96,42 @@ def gf2_ranks(bits: np.ndarray) -> np.ndarray:
     return m - free.sum(axis=1)
 
 
-def pack_matrix(bits: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(columns, rows) of an m x n 0/1 array in `BitOps`' packed form, as
-    `FqMatrix.packed` holds them."""
-    return tuple(pack_rows(bits.T)), tuple(pack_rows(bits))
+# the ASCII digit each code becomes in an int(..., 2) string: "1" where the
+# entry is 1 (the ones plane, and a GF(2) column) or 2 (the twos plane)
+_ONES = bytes.maketrans(b"\0\1\2", b"010")
+_TWOS = bytes.maketrans(b"\0\1\2", b"001")
 
 
-def _bits(A: FqMatrix) -> np.ndarray:
-    return np.array(A.entries, dtype=np.uint8).reshape(A.m, A.n)
+def _plane(entries, digits: bytes) -> int:
+    """The int whose bit i is set where `digits` maps entries[i] to "1"."""
+    return int(bytes(entries[::-1]).translate(digits) or b"0", 2)
 
 
 class _Ops:
-    """What both backends share: everything built from `reduce_pivot`."""
+    """What every backend shares: a matrix's columns and rows in the
+    backend's form, and everything built from `reduce_pivot`."""
+
+    # sort key under which the backend's vectors order as their tuples of
+    # codes do, row 0 first; None where the vectors themselves sort so
+    # (GenOps' tuples) or where the order is the backend's own (BitOps)
+    order = None
 
     def __init__(self, f: Field, m: int):
         self.field = f
         self.m = m
+
+    def cols_of(self, A: FqMatrix) -> list:
+        """A's columns: the attached ones, else encoded from the entries."""
+        if A.packed_cols is not None:
+            return list(A.packed_cols)
+        return [self.encode(A.col(j)) for j in range(A.n)]
+
+    def rows_of(self, A: FqMatrix) -> list:
+        """A's rows as vectors over its columns: the attached ones, else
+        encoded from the entries."""
+        if A.packed_rows is not None:
+            return list(A.packed_rows)
+        return [self.encode(A.row(i)) for i in range(A.m)]
 
     def rank_cols(self, cols) -> int:
         ech: list = []
@@ -107,33 +141,38 @@ class _Ops:
                 ech.append(row)
         return len(ech)
 
+    def _matrix(self, grid: list, n: int) -> FqMatrix:
+        """The matrix with the given rows of n codes each, carrying its
+        columns and rows in the backend's form."""
+        entries = tuple([x for row in grid for x in row])
+        cols = tuple([self.encode(entries[j::n]) for j in range(n)])
+        return FqMatrix.with_packed(self.field, len(grid), n, entries, cols,
+                                    tuple([self.encode(row) for row in grid]))
+
 
 class BitOps(_Ops):
     """GF(2) columns as ints; pivot = lowest set bit."""
 
-    def cols_of(self, A: FqMatrix) -> list[int]:
-        if A.packed is not None:
-            return list(A.packed[0])
-        return pack_rows(_bits(A).T)
+    def encode(self, entries) -> int:
+        """The column with the given entries, entry i = row i."""
+        return _plane(entries, _ONES)
 
-    def rows_of(self, A: FqMatrix) -> list[int]:
-        """Rows as ints, bit j = column j."""
-        if A.packed is not None:
-            return list(A.packed[1])
-        return pack_rows(_bits(A))
+    def pack(self, codes: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(columns, rows) of an m x n array of codes, packed by numpy."""
+        return tuple(pack_rows(codes.T)), tuple(pack_rows(codes))
 
     def reduce(self, ech: list, v: int) -> int:
-        for p, b in ech:
-            if (v >> p) & 1:
+        for bit, b in ech:
+            if v & bit:
                 v ^= b
         return v
 
     def reduce_pivot(self, ech: list, v: int):
-        """(pivot, v reduced by ech), or None when v lies in ech's span."""
+        """(pivot bit, v reduced by ech), or None when v lies in ech's span."""
         v = self.reduce(ech, v)
         if not v:
             return None
-        return (v & -v).bit_length() - 1, v
+        return v & -v, v
 
     def inverse_rows(self, rows: list[int], n: int, chosen: list[int]) -> list[int] | None:
         """Rows of [B^{-1}A | B^{-1}] (bit j < n is column j of B^{-1}A,
@@ -149,8 +188,9 @@ class BitOps(_Ops):
         for t, c in enumerate(chosen + [n + i for i in range(m)]):
             if r == m:
                 return None if t < k else aug
+            bit = 1 << c
             for piv in range(r, m):
-                if aug[piv] >> c & 1:
+                if aug[piv] & bit:
                     break
             else:
                 if t < k:
@@ -158,23 +198,24 @@ class BitOps(_Ops):
                 continue
             aug[r], aug[piv] = aug[piv], aug[r]
             p = aug[r]
-            aug = [a ^ p if a >> c & 1 and i != r else a for i, a in enumerate(aug)]
+            aug = [a ^ p if a & bit and i != r else a for i, a in enumerate(aug)]
             r += 1
         return aug
 
-    def pick(self, rows: list, idx: list[int]) -> list[int]:
-        """Entries at columns idx of the given rows, row-major."""
-        return [(r >> j) & 1 for r in rows for j in idx]
+    def pick(self, rows: list, idx: list[int]) -> FqMatrix:
+        """The matrix of the given rows' entries at columns idx."""
+        return self._matrix([[r >> j & 1 for j in idx] for r in rows], len(idx))
 
 
 class GenOps(_Ops):
     """Generic field-table columns as tuples; pivot = first nonzero index."""
 
-    def cols_of(self, A: FqMatrix) -> list[tuple[int, ...]]:
-        return [A.col(j) for j in range(A.n)]
+    def encode(self, entries) -> tuple[int, ...]:
+        return tuple(entries)
 
-    def rows_of(self, A: FqMatrix) -> list[tuple[int, ...]]:
-        return [A.row(i) for i in range(A.m)]
+    def pack(self, codes: np.ndarray) -> None:
+        """None: a tuple column is read from the entries as cheaply."""
+        return None
 
     def _axpy(self, v, coeff_neg, b):
         # v + coeff_neg * b componentwise; a list comprehension over one
@@ -233,17 +274,100 @@ class GenOps(_Ops):
             r += 1
         return aug
 
-    def pick(self, rows: list, idx: list[int]) -> list[int]:
-        """Entries at columns idx of the given rows, row-major."""
-        return [r[j] for r in rows for j in idx]
+    def pick(self, rows: list, idx: list[int]) -> FqMatrix:
+        """The matrix of the given rows' entries at columns idx."""
+        return self._matrix([[r[j] for j in idx] for r in rows], len(idx))
+
+
+class TriOps(GenOps):
+    """GF(3) columns as (ones, twos) bit-plane pairs; pivot = lowest set
+    bit of ones | twos.
+
+    A GenOps subclass that overrides every column primitive, so the shared
+    methods it inherits (`cols_of`, `rows_of`, `rank_cols`) are GenOps'
+    own, as the benchmark's per-layer tracer counts them."""
+
+    def encode(self, entries) -> tuple[int, int]:
+        """The column with the given entries, entry i = row i."""
+        return _plane(entries, _ONES), _plane(entries, _TWOS)
+
+    def pack(self, codes: np.ndarray) -> tuple[tuple, tuple]:
+        """(columns, rows) of an m x n array of codes, each plane packed
+        by numpy."""
+        m, n = codes.shape
+        cols = pack_rows(np.concatenate((codes.T == 1, codes.T == 2)))
+        rows = pack_rows(np.concatenate((codes == 1, codes == 2)))
+        return tuple(zip(cols[:n], cols[n:])), tuple(zip(rows[:m], rows[m:]))
+
+    def order(self, v: tuple[int, int]) -> int:
+        """The base-3 number whose digits, most significant first, are v's
+        entries from row 0 on: plane pairs sort by it as tuples of codes."""
+        p, n = v
+        width = f"0{self.m}b"
+        return int(format(p, width)[::-1], 3) + 2 * int(format(n, width)[::-1], 3)
+
+    def reduce(self, ech: list, v: tuple[int, int]) -> tuple[int, int]:
+        vp, vn = v
+        for bit, (bp, bn) in ech:
+            if vp & bit:  # v - b
+                t = (vp | bp) ^ (vn | bn)
+                vp, vn = (vn | bp) ^ t, (vp | bn) ^ t
+            elif vn & bit:  # v + b
+                t = (vp | bn) ^ (vn | bp)
+                vp, vn = (vn | bn) ^ t, (vp | bp) ^ t
+        return vp, vn
+
+    def reduce_pivot(self, ech: list, v: tuple[int, int]):
+        """(pivot bit, v reduced by ech and scaled to pivot value 1), or
+        None when v lies in ech's span."""
+        vp, vn = self.reduce(ech, v)
+        nz = vp | vn
+        if not nz:
+            return None
+        bit = nz & -nz
+        # a 2 at the pivot: scale by 2, which swaps the planes
+        return (bit, (vn, vp)) if vn & bit else (bit, (vp, vn))
+
+    def inverse_rows(self, rows: list, n: int, chosen: list[int]) -> list[tuple[int, int]] | None:
+        """`BitOps.inverse_rows` on plane pairs: rows of [B^{-1}A | B^{-1}]
+        with bit n+i for column i of B^{-1}, or None."""
+        m, k = self.m, len(chosen)
+        aug = [(p | 1 << (n + i), q) for i, (p, q) in enumerate(rows)]
+        r = 0
+        for t, c in enumerate(chosen + [n + i for i in range(m)]):
+            if r == m:
+                return None if t < k else aug
+            bit = 1 << c
+            for piv in range(r, m):
+                if (aug[piv][0] | aug[piv][1]) & bit:
+                    break
+            else:
+                if t < k:
+                    return None
+                continue
+            aug[r], aug[piv] = aug[piv], aug[r]
+            bp, bn = aug[r]
+            pivot = (bn, bp) if bn & bit else (bp, bn)  # scaled to 1 at c
+            # reducing every other row by the one-row echelon clears column c
+            ech = [(bit, pivot)]
+            aug = [pivot if i == r else self.reduce(ech, a) for i, a in enumerate(aug)]
+            r += 1
+        return aug
+
+    def pick(self, rows: list, idx: list[int]) -> FqMatrix:
+        """The matrix of the given rows' entries at columns idx."""
+        return self._matrix([[(p >> j & 1) | (q >> j & 1) << 1 for j in idx] for p, q in rows],
+                            len(idx))
 
 
 def ops_for(f: Field, m: int):
-    return BitOps(f, m) if f.q == 2 else GenOps(f, m)
+    if f.q == 2:
+        return BitOps(f, m)
+    return TriOps(f, m) if f.q == 3 else GenOps(f, m)
 
 
 def fast_rank(A: FqMatrix) -> int:
-    """Column rank; bit-packed for GF(2), table-driven otherwise."""
+    """Column rank, in the backend of A's field."""
     o = ops_for(A.field, A.m)
     return o.rank_cols(o.cols_of(A))
 
@@ -272,30 +396,33 @@ def basis_masks(o, vecs: list, r: int, stop: int | None = None) -> list[int]:
     """
     if r == 0:
         return [0]
-    n = len(vecs)
     out: list[int] = []
-    ech: list = []
-
-    def walk(start: int, mask: int) -> bool:
-        last = len(ech) + 1 == r
-        for i in range(start, n - r + len(ech) + 1):
-            row = o.reduce_pivot(ech, vecs[i])
-            if row is None:
-                continue
-            if last:
-                out.append(mask | 1 << i)
-                if len(out) == stop:
-                    return True
-            else:
-                ech.append(row)
-                done = walk(i + 1, mask | 1 << i)
-                ech.pop()
-                if done:
-                    return True
-        return False
-
-    walk(0, 0)
+    _walk_bases(o, vecs, r, stop, [], out, 0, 0)
     return out
+
+
+def _walk_bases(o, vecs: list, r: int, stop, ech: list, out: list, start: int, mask: int) -> bool:
+    """Extend the independent prefix `mask`, whose rows are on `ech`, by
+    each index from `start` on, appending the r-subsets to `out`; True once
+    `stop` of them are out.  A module function, not a closure: a recursive
+    closure is a reference cycle that only the cyclic collector frees, and
+    `from_matrix` builds one per call."""
+    last = len(ech) + 1 == r
+    for i in range(start, len(vecs) - r + len(ech) + 1):
+        row = o.reduce_pivot(ech, vecs[i])
+        if row is None:
+            continue
+        if last:
+            out.append(mask | 1 << i)
+            if len(out) == stop:
+                return True
+        else:
+            ech.append(row)
+            done = _walk_bases(o, vecs, r, stop, ech, out, i + 1, mask | 1 << i)
+            ech.pop()
+            if done:
+                return True
+    return False
 
 
 def contract(o, A: FqMatrix, chosen: list[int], keep: list[int]) -> FqMatrix | None:
@@ -304,7 +431,4 @@ def contract(o, A: FqMatrix, chosen: list[int], keep: list[int]) -> FqMatrix | N
     `inverse_rows` sends column chosen[pos] to unit vector pos; None when
     the chosen columns are dependent (or more than m)."""
     rows = o.inverse_rows(o.rows_of(A), A.n, chosen)
-    if rows is None:
-        return None
-    k = len(chosen)
-    return FqMatrix(o.field, A.m - k, len(keep), tuple(o.pick(rows[k:], keep)))
+    return None if rows is None else o.pick(rows[len(chosen):], keep)

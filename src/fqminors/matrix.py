@@ -22,11 +22,13 @@ class FqMatrix:
     m: int
     n: int
     entries: tuple[int, ...]
-    # (columns, rows) in `linalg.BitOps`' packed GF(2) form, when
-    # `with_packed` attached them (`linalg.pack_matrix` builds them).  A
-    # class attribute, not a field: it takes no part in equality or
-    # hashing, and plain construction does not pay for it.
-    packed = None
+    # the columns and rows in the column form of `linalg.ops_for`'s backend
+    # for this field, when `with_packed` attached them: the sampler and
+    # `linalg.contract` attach both, the oracle columns only.  Class
+    # attributes, not fields: they take no part in equality or hashing, and
+    # plain construction does not pay for them.
+    packed_cols = None
+    packed_rows = None
 
     def __post_init__(self):
         if self.m < 0 or self.n < 0:
@@ -45,10 +47,13 @@ class FqMatrix:
 
     @classmethod
     def with_packed(cls, f: Field, m: int, n: int, entries: tuple[int, ...],
-                    packed: tuple[tuple[int, ...], tuple[int, ...]]) -> "FqMatrix":
-        """A GF(2) matrix carrying its packed (columns, rows)."""
+                    cols: tuple, rows: tuple | None = None) -> "FqMatrix":
+        """A matrix carrying its columns, and its rows when given, in its
+        field's backend form (`linalg.ops_for`)."""
         A = cls(f, m, n, entries)
-        object.__setattr__(A, "packed", packed)
+        object.__setattr__(A, "packed_cols", cols)
+        if rows is not None:
+            object.__setattr__(A, "packed_rows", rows)
         return A
 
     @classmethod

@@ -308,7 +308,9 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT
                     dirs.setdefault(row[1], []).append(j)
             if len(zero_surv) < l_t or len(dirs) < c_t:
                 continue
-            dir_keys = sorted(dirs)
+            # the key order picks the witness: GF(3) plane pairs sort as
+            # the tuples of codes the table backend keyed them by
+            dir_keys = sorted(dirs, key=o.order)
             # rank of the whole quotient must allow rank r_t
             if len(linalg.leftmost_independent(o, dir_keys, r_t)) < r_t:
                 continue

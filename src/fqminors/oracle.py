@@ -48,22 +48,6 @@ def _check_cap(q: int, cells: int):
         raise TooLargeError(f"q^{cells} matrices exceed the cap {DEFAULT_CAP}")
 
 
-def _decode_col(code: int, q: int, m: int):
-    """Column code -> backend vector (bit int for q=2, digit tuple else)."""
-    if q == 2:
-        return code
-    return tuple((code // q**i) % q for i in range(m))
-
-
-def _matrix_from_codes(codes, q: int, m: int) -> FqMatrix:
-    n = len(codes)
-    entries = []
-    for i in range(m):
-        for c in codes:
-            entries.append((c // q**i) % q)
-    return FqMatrix(field(q), m, n, tuple(entries))
-
-
 def _column_classes(q: int, m: int) -> list[int]:
     """The zero column, then one code per projective point of GF(q)^m: the
     code whose lowest-row nonzero digit is 1.  Scaling a nonzero column by
@@ -87,6 +71,15 @@ def _column_multisets(q: int, m: int, n: int):
         raise RuntimeError(f"multiset weights sum to {total}, not q^(mn) = {q ** (m * n)}")
 
 
+def _classes(q: int, m: int):
+    """(backend, digits, columns) for m-row columns over GF(q): each column
+    class's code maps to its base-q digits, row i = digit i (least
+    significant first), and to the column the backend builds from them."""
+    o = linalg.ops_for(field(q), m)
+    digits = {c: tuple(c // q**i % q for i in range(m)) for c in _column_classes(q, m)}
+    return o, digits, {c: o.encode(d) for c, d in digits.items()}
+
+
 _rank_hist_cache: dict = {}
 
 
@@ -96,10 +89,10 @@ def rank_histogram(q: int, m: int, n: int) -> tuple[int, ...]:
     if key in _rank_hist_cache:
         return _rank_hist_cache[key]
     _check_cap(q, m * n)
-    o = linalg.ops_for(field(q), m)
+    o, _, col = _classes(q, m)
     counts = [0] * (min(m, n) + 1)
     for codes, weight in _column_multisets(q, m, n):
-        counts[o.rank_cols([_decode_col(c, q, m) for c in codes])] += weight
+        counts[o.rank_cols([col[c] for c in codes])] += weight
     result = tuple(counts)
     _rank_hist_cache[key] = result
     return result
@@ -123,10 +116,14 @@ def exact_minor_prob(q: int, m: int, n: int, target: Matroid) -> OracleResult:
     failure would be a soundness bug and raises immediately.
     """
     _check_cap(q, m * n)
+    f = field(q)
+    _, digits, col = _classes(q, m)
     has_minor: dict[Matroid, bool] = {}
     hits = 0
     for codes, weight in _column_multisets(q, m, n):
-        host = from_matrix(_matrix_from_codes(codes, q, m))
+        ds = [digits[c] for c in codes]
+        entries = tuple([d[i] for i in range(m) for d in ds])
+        host = from_matrix(FqMatrix.with_packed(f, m, n, entries, tuple([col[c] for c in codes])))
         hit = has_minor.get(host)
         if hit is None:
             w = find_minor(host, target, budget=None)
@@ -151,13 +148,13 @@ def _representation_census(q: int, m: int, e: int) -> dict:
     if key in _census_cache:
         return _census_cache[key]
     _check_cap(q, m * e)
-    o = linalg.ops_for(field(q), m)
+    o, _, col = _classes(q, m)
     indep_memo: dict = {}
 
     def independent(codes) -> bool:
         got = indep_memo.get(codes)
         if got is None:
-            got = o.rank_cols([_decode_col(c, q, m) for c in codes]) == len(codes)
+            got = o.rank_cols([col[c] for c in codes]) == len(codes)
             indep_memo[codes] = got
         return got
 

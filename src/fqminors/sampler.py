@@ -15,8 +15,10 @@ RNG contract (bit-exact, reproducible across platforms and schedules):
   positions are refilled, in position order, from the next block of words,
   repeating until none remain.  (For q a power of two T = 2^64 and no
   rejection ever happens.)  `sample_entries` returns the codes as a 1-D
-  int64 array; a sampled GF(2) matrix also carries its packed columns and
-  rows, built from that array with numpy, so no consumer packs it again.
+  int64 array.  A sampled GF(2) or GF(3) matrix also carries its columns
+  and rows in its backend's form (`linalg.ops_for`), built from that array
+  with numpy: GF(2) ints, GF(3) pairs of bit-planes.  They are built from
+  the codes after the draw, so the words and the entries are unchanged.
 * Monte Carlo trial i uses stream i, so trials are independent of execution
   order and may be split across processes without changing any output.
 
@@ -126,13 +128,16 @@ def sample_entries(q: int, count: int, spec: SeedSpec) -> np.ndarray:
 
 def sample_matrix(q: int, m: int, n: int, spec: SeedSpec) -> FqMatrix:
     """Uniform m x n matrix over GF(q), deterministic in (q, m, n, spec).
-    Over GF(2) it carries its packed columns and rows."""
+    Over GF(2) and GF(3) it carries its columns and rows in its backend's
+    form."""
     check_shape(m, n)
     codes = sample_entries(q, m * n, spec)
+    f = field(q)
     entries = tuple(codes.tolist())
-    if q != 2:
-        return FqMatrix(field(q), m, n, entries)
-    return FqMatrix.with_packed(field(2), m, n, entries, linalg.pack_matrix(codes.reshape(m, n)))
+    packed = linalg.ops_for(f, m).pack(codes.reshape(m, n))
+    if packed is None:
+        return FqMatrix(f, m, n, entries)
+    return FqMatrix.with_packed(f, m, n, entries, *packed)
 
 
 # ----------------------------------------------------------------------

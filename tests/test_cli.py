@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import format_matrix, format_matroid, identity, run_cli
-from fqminors import cli
+from fqminors import cli, formulas
 from fqminors.gf import field
 from fqminors.matrix import FqMatrix
 
@@ -132,6 +132,13 @@ FORMULA_GOLDEN = [
     ('gaussian --n 2 --k 1 --q 18446744073709551616', 0,
      'gaussian_binomial = 18446744073709551617\n'),
     ('cq --q 18446744073709551617', 1, ''),
+    # a value past the size bound is a usage error before any arithmetic;
+    # the first would print past Python's digit limit, the others ran
+    # past 20 s
+    ('upper --m 100000000 --n 1 --q 2', 1, ''),
+    ('gaussian --n 20000 --k 10000 --q 2', 1, ''),
+    ('rank-count --m 3000 --n 3000 --q 16 --k 3000', 1, ''),
+    ('lower --m 50 --n 100000 --q 2 --target name:U:1,2', 1, ''),
 ]
 
 # the one stderr line of each failing FORMULA_GOLDEN case, by its
@@ -141,7 +148,27 @@ FORMULA_ERRORS = {
     "cq --q 2 --tol inf": "tolerance must be positive and finite, got inf",
     **{args: "q=6 is not a prime power" for args, _, _ in FORMULA_GOLDEN if "--q 6" in args},
     "cq --q 18446744073709551617": "q must be <= 2^64, got a 65-bit q",
+    "upper --m 100000000 --n 1 --q 2":
+        "q^100000000 takes 100000000 bits, over the 14000-bit bound",
+    "gaussian --n 20000 --k 10000 --q 2":
+        "q^200000000 takes 200000000 bits, over the 14000-bit bound",
+    "rank-count --m 3000 --n 3000 --q 16 --k 3000":
+        "q^9000000 takes 36000000 bits, over the 14000-bit bound",
+    "lower --m 50 --n 100000 --q 2 --target name:U:1,2":
+        "q^5000000 takes 5000000 bits, over the 14000-bit bound",
 }
+
+
+def test_formula_size_bound_edge(capsys):
+    # q^(m·n) at exactly MAX_BITS bits is accepted and prints in full, one
+    # more row is not
+    assert formulas.MAX_BITS == 14000
+    assert cli.main(["formula", "upper", "--m", "140", "--n", "100", "--q", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("upper = ") and len(out.split("/")[1].split()[0]) > 2700
+    assert cli.main(["formula", "upper", "--m", "141", "--n", "100", "--q", "2"]) == 1
+    assert capsys.readouterr().err == \
+        "fqminors: q^14100 takes 14100 bits, over the 14000-bit bound\n"
 
 
 @pytest.mark.parametrize("args,code,stdout", FORMULA_GOLDEN, ids=[a for a, _, _ in FORMULA_GOLDEN])
@@ -439,3 +466,79 @@ def test_validate_byte_identical_runs():
         "PASS cq-floor (q in {2,3,4})",
         "all checks passed",
     ]
+
+
+# exact stdout of GF(3) `minor`, `class` and `simulate` runs, recorded with
+# the table backend for every GF(3) path: the witness each search picks
+# depends on the order of its direction keys, and the estimates on every
+# trial's outcome, so the plane backend must reproduce both
+GF3_GOLDEN = [
+    ('minor --sample 3 4 8 --target name:U:2,4 --seed 0', 0,
+     'outcome: found\n'
+     'witness: {"bijection": [1, 2, 4, 5], "contract": [0, 3], "delete": [6, 7]}\n'
+     'verified: true\n'),
+    ('minor --sample 3 5 10 --target name:U:2,4 --seed 1 --json', 0,
+     '{"outcome": "found", "verified": true, "witness": {"bijection": [3, 5, 6, 8], '
+     '"contract": [0, 1, 2], "delete": [4, 7, 9]}}\n'),
+    ('minor --sample 3 6 9 --target name:U:2,4 --seed 7', 0,
+     'outcome: found\n'
+     'witness: {"bijection": [2, 3, 6, 7], "contract": [0, 1, 5, 8], "delete": [4]}\n'
+     'verified: true\n'),
+    ('minor --sample 3 10 16 --target name:U:2,4 --seed 5 --json', 0,
+     '{"outcome": "found", "verified": true, "witness": {"bijection": [8, 9, 11, 12], '
+     '"contract": [0, 1, 2, 3, 4, 5, 6, 7], "delete": [10, 13, 14, 15]}}\n'),
+    ('minor --sample 3 5 9 --target name:U:3,5 --seed 2 --json', 0,
+     '{"outcome": "absent", "verified": null, "witness": null}\n'),
+    ('minor --sample 3 3 8 --target name:U:2,5 --seed 2 --json', 0,
+     '{"outcome": "absent", "verified": null, "witness": null}\n'),
+    ('class --sample 3 4 8 --seed 1', 0,
+     'class: graphic\n'
+     'membership: no\n'
+     'U:2,4: found\n'
+     'F7: absent\n'
+     'F7*: absent\n'
+     'MK5*: absent\n'
+     'MK33*: absent\n'),
+    ('class --sample 3 5 9 --seed 4 --json', 0,
+     '{"class": "graphic", "membership": "yes", "outcomes": {"F7": "absent", "F7*": "absent", '
+     '"MK33*": "absent", "MK5*": "absent", "U:2,4": "absent"}, "witnesses": {}}\n'),
+    ('class --sample 3 5 10 --seed 3 --json', 0,
+     '{"class": "graphic", "membership": "no", "outcomes": {"F7": "absent", "F7*": "absent", '
+     '"MK33*": "absent", "MK5*": "absent", "U:2,4": "found"}, '
+     '"witnesses": {"U:2,4": {"bijection": [0, 1, 3, 7], "contract": [2, 5, 8], "delete": [4, '
+     '6, 9]}}}\n'),
+    ('class --sample 3 4 10 --seed 9', 0,
+     'class: graphic\n'
+     'membership: no\n'
+     'U:2,4: found\n'
+     'F7: absent\n'
+     'F7*: absent\n'
+     'MK5*: absent\n'
+     'MK33*: absent\n'),
+    ('class --sweep --q 3 --n-start 6 --n-stop 9 --m-rule n-minus:3 --trials 20 --seed 1', 0,
+     '# row-floor: q=3 requires m(n) >= 2: satisfied for all n\n'
+     'n,m,trials,nongraphic_found,unknown,frequency\n'
+     '6,3,20,8,0,0.4\n'
+     '7,4,20,12,0,0.6\n'
+     '8,5,20,12,0,0.6\n'
+     '9,6,20,18,0,0.9\n'),
+    ('simulate --q 3 --target name:U:2,4 --n-start 5 --n-stop 8 --m-rule n-minus:2'
+     ' --trials 30 --seed 3', 0,
+     'n,m,trials,point,ci_lo,ci_hi,lower_bound,upper_bound\n'
+     '5,3,30,0.1,0.0345998887473,0.256210825792,0.0289025498597,\n'
+     '6,4,30,0.3,0.166647482682,0.478757874587,0.0289025498597,\n'
+     '7,5,30,0.533333333333,0.361422996199,0.697676110923,0.0289025498597,\n'
+     '8,6,30,0.466666666667,0.302323889077,0.638577003801,0.0289025498597,\n'),
+    ('simulate --q 3 --target name:U:2,4 --n-start 8 --n-stop 8 --m-rule n-minus:3'
+     ' --trials 20 --seed 12345 --json', 0,
+     '[{"estimate": {"ci": [0.43285427668523624, 0.818808175898918], "method": "wilson95", '
+     '"point": 0.65, "seed": 12345, "successes": 13, "trials": 20, "unknowns": 0, '
+     '"unverified": 0}, "lower_bound": {"den": "531441", "float": 0.029143404441885363, '
+     '"num": "15488"}, "m": 5, "n": 8, "upper_bound": null}]\n'),
+]
+
+
+@pytest.mark.parametrize("args,code,stdout", GF3_GOLDEN, ids=[a for a, _, _ in GF3_GOLDEN])
+def test_gf3_golden(args, code, stdout, capsys):
+    assert cli.main(args.split()) == code
+    assert capsys.readouterr().out == stdout

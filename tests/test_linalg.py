@@ -1,5 +1,7 @@
-"""The GF(2) bit backend and the generic table backend implement the same
-operations; they must agree exactly when both run over GF(2)."""
+"""The three backends implement the same operations: the GF(2) bit backend
+and the GF(3) plane backend must agree exactly with the generic table
+backend run over the same field, and with the `tests/conftest.py`
+reference elimination."""
 
 import itertools
 import random
@@ -8,8 +10,8 @@ import numpy as np
 
 from conftest import basis_change, complete_to_basis, dot, rank
 from fqminors.gf import field
-from fqminors.linalg import (BitOps, GenOps, contract, fast_rank, gf2_ranks, leftmost_independent,
-                             ops_for)
+from fqminors.linalg import (BitOps, GenOps, TriOps, contract, fast_rank, gf2_ranks,
+                             leftmost_independent, ops_for)
 from fqminors.matrix import FqMatrix
 from fqminors.sampler import SeedSpec, sample_matrix
 
@@ -19,83 +21,140 @@ F3 = field(3)
 F9 = field(9)
 
 
-def coords(v, rows) -> list[int]:
-    """Entries of a column of either backend (an int over GF(2), else a tuple)."""
-    if isinstance(v, int):
-        return [(v >> i) & 1 for i in rows]
-    return [v[i] for i in rows]
+def codes(o, v, width: int) -> list[int]:
+    """The first `width` entries of a vector in backend o's form."""
+    if isinstance(o, BitOps):
+        return [(v >> i) & 1 for i in range(width)]
+    if isinstance(o, TriOps):
+        return [(v[0] >> i & 1) | (v[1] >> i & 1) << 1 for i in range(width)]
+    return list(v[:width])
+
+
+def pivot_row(o, p) -> int:
+    """The row index of an echelon pivot: the bit backends keep its mask."""
+    return p.bit_length() - 1 if isinstance(o, (BitOps, TriOps)) else p
+
+
+def gf3_matrices(max_cells: int = 6):
+    """Every GF(3) matrix with 1 <= m, n and m * n <= max_cells."""
+    for m in range(1, max_cells + 1):
+        for n in range(1, max_cells // m + 1):
+            for entries in itertools.product(range(3), repeat=m * n):
+                yield FqMatrix(F3, m, n, entries)
 
 
 def test_backends_agree_on_rank_exhaustive():
-    bit = BitOps(F2, 2)
-    gen = GenOps(F2, 2)
+    bit, gen = BitOps(F2, 2), GenOps(F2, 2)
     for entries in itertools.product(range(2), repeat=6):
         A = FqMatrix(F2, 2, 3, entries)
-        rb = bit.rank_cols(bit.cols_of(A))
-        rg = gen.rank_cols(gen.cols_of(A))
-        assert rb == rg == rank(A)
+        assert bit.rank_cols(bit.cols_of(A)) == gen.rank_cols(gen.cols_of(A)) == rank(A)
+    for A in gf3_matrices():
+        tri, gen = TriOps(F3, A.m), GenOps(F3, A.m)
+        assert tri.rank_cols(tri.cols_of(A)) == gen.rank_cols(gen.cols_of(A)) == rank(A)
+
+
+def _agree_on_quotient(fast, gen, A, split: int):
+    """Push the first `split` columns of A on both backends' echelons, then
+    reduce the rest: same pivots, same pushed rows, same representatives,
+    each zero at every pivot and differing from its column by a vector in
+    the span (the reference rank does not grow)."""
+    m = A.m
+    fcols, gcols = fast.cols_of(A), gen.cols_of(A)
+    assert [codes(fast, c, m) for c in fcols] == [list(c) for c in gcols]
+    fech, gech = [], []
+    for j in range(split):
+        frow = fast.reduce_pivot(fech, fcols[j])
+        grow = gen.reduce_pivot(gech, gcols[j])
+        assert (frow is None) == (grow is None)
+        if frow is not None:
+            assert pivot_row(fast, frow[0]) == grow[0]
+            assert codes(fast, frow[1], m) == list(grow[1])
+            fech.append(frow)
+            gech.append(grow)
+    span = [gcols[j] for j in range(split)]
+    f = A.field
+    for j in range(split, A.n):
+        fr = codes(fast, fast.reduce(fech, fcols[j]), m)
+        assert fr == list(gen.reduce(gech, gcols[j]))
+        assert all(fr[p] == 0 for p, _ in gech)
+        diff = tuple(f.add_table[a][f.neg_table[b]] for a, b in zip(gcols[j], fr))
+        vecs = span + [diff]
+        assert rank(FqMatrix(f, m, len(vecs), tuple(v[i] for i in range(m) for v in vecs))) \
+            == rank(FqMatrix(f, m, split, tuple(v[i] for i in range(m) for v in span)))
 
 
 def test_backends_agree_on_quotient_reduction():
     rng = random.Random(41)
-    bit = BitOps(F2, 4)
-    gen = GenOps(F2, 4)
     for _ in range(50):
         A = FqMatrix(F2, 4, 6, tuple(rng.randrange(2) for _ in range(24)))
-        bcols = bit.cols_of(A)
-        gcols = gen.cols_of(A)
-        bech, gech = [], []
-        for j in range(3):
-            brow = bit.reduce_pivot(bech, bcols[j])
-            grow = gen.reduce_pivot(gech, gcols[j])
-            assert (brow is None) == (grow is None)
-            if brow is not None:
-                assert brow[0] == grow[0]
-                assert coords(brow[1], range(4)) == list(grow[1])
-                bech.append(brow)
-                gech.append(grow)
-        for j in range(3, 6):
-            br = bit.reduce(bech, bcols[j])
-            gr = gen.reduce(gech, gcols[j])
-            assert coords(br, range(4)) == list(gr)
+        _agree_on_quotient(BitOps(F2, 4), GenOps(F2, 4), A, 3)
+    for A in gf3_matrices():
+        _agree_on_quotient(TriOps(F3, A.m), GenOps(F3, A.m), A, A.n // 2)
 
 
 def test_backends_expose_the_same_methods():
     def public(cls):
         return {name for name in dir(cls) if not name.startswith("_")}
 
-    assert public(BitOps) == public(GenOps)
+    assert public(BitOps) == public(GenOps) == public(TriOps)
+
+
+def _agree_on_inverse(fast, gen, A, chosen) -> bool:
+    """One Gauss-Jordan pass on [A | I] by both backends: they agree entry
+    by entry, the right block times B is I and the left block is P·A, with
+    B and P from the reference; returns whether the chosen set was
+    dependent."""
+    f, m, n = A.field, A.m, A.n
+    frows = fast.inverse_rows(fast.rows_of(A), n, chosen)
+    grows = gen.inverse_rows(gen.rows_of(A), n, chosen)
+    P = basis_change(A, chosen)
+    assert (frows is None) == (grows is None) == (P is None)
+    if P is None:
+        return True
+    assert [codes(fast, r, n + m) for r in frows] == [list(r) for r in grows]
+    basis = complete_to_basis(f, [A.col(j) for j in chosen], m)
+    for i in range(m):
+        for j in range(m):
+            assert dot(f, grows[i][n:], basis[j]) == int(i == j)
+    PA = P.matmul(A)
+    assert [list(r[:n]) for r in grows] == [list(PA.row(i)) for i in range(m)]
+    assert [list(r[n:]) for r in grows] == [list(P.row(i)) for i in range(m)]
+    return False
 
 
 def test_backends_agree_on_inverse():
-    # the Gauss-Jordan pass on [A | I] over GF(2): both backends agree entry
-    # by entry, the right block times B is I and the left block is P·A, with
-    # B and P from the reference; chosen sets run up to more than m columns
+    # random 4x6 GF(2) hosts with chosen sets of up to m+1 columns, and
+    # every GF(3) host with m·n <= 6 under every chosen set of up to
+    # min(n, m+1) columns, in decreasing order (the pass takes them as
+    # given, so the order is not the sorted one a caller would pass)
     rng = random.Random(42)
     m, n = 4, 6
-    bit, gen = BitOps(F2, m), GenOps(F2, m)
     outcomes = set()
     for _ in range(80):
         A = FqMatrix(F2, m, n, tuple(rng.randrange(2) for _ in range(m * n)))
         chosen = rng.sample(range(n), rng.randrange(0, m + 2))
-        brows = bit.inverse_rows(bit.rows_of(A), n, chosen)
-        grows = gen.inverse_rows(gen.rows_of(A), n, chosen)
-        P = basis_change(A, chosen)
-        outcomes.add(P is None)
-        assert (brows is None) == (grows is None) == (P is None)
-        if P is None:
-            continue
-        assert [coords(r, range(n + m)) for r in brows] == [list(r) for r in grows]
-        basis = complete_to_basis(F2, [A.col(j) for j in chosen], m)
-        B = FqMatrix(F2, m, m, tuple(b[i] for i in range(m) for b in basis))
-        bcols, gcols = bit.cols_of(B), gen.cols_of(B)
-        for i in range(m):
-            for j in range(m):
-                assert dot(F2, brows[i] >> n, bcols[j]) == int(i == j)
-                assert dot(F2, grows[i][n:], gcols[j]) == int(i == j)
-        PA = P.matmul(A)
-        assert [list(r[:n]) for r in grows] == [list(PA.row(i)) for i in range(m)]
+        outcomes.add(_agree_on_inverse(BitOps(F2, m), GenOps(F2, m), A, chosen))
     assert outcomes == {True, False}
+    outcomes = set()
+    for A in gf3_matrices():
+        tri, gen = TriOps(F3, A.m), GenOps(F3, A.m)
+        for k in range(min(A.n, A.m + 1) + 1):
+            for chosen in itertools.combinations(range(A.n), k):
+                outcomes.add(_agree_on_inverse(tri, gen, A, list(chosen[::-1])))
+    assert outcomes == {True, False}
+
+
+def test_plane_keys_sort_as_code_tuples():
+    # find_minor_matrix sorts its direction keys, and that order picks the
+    # witness: GF(3) plane pairs under TriOps.order sort as the tuples of
+    # codes GenOps keys them by, for every vector of m <= 5 rows
+    for m in range(6):
+        tri = TriOps(F3, m)
+        vecs = [tuple(v) for v in itertools.product(range(3), repeat=m)]
+        rng = random.Random(m)
+        rng.shuffle(vecs)
+        planes = sorted((tri.encode(v) for v in vecs), key=tri.order)
+        assert [tuple(codes(tri, p, m)) for p in planes] == sorted(vecs)
 
 
 def test_contract_matches_reference_product():
@@ -180,7 +239,7 @@ def test_triangular_push_pop_tracks_rank():
                     row = o.reduce_pivot(ech, v)
                     if row is not None:
                         p, w = row
-                        assert coords(w, [p]) == [1]
+                        assert codes(o, w, m)[pivot_row(o, p)] == 1
                         ech.append(row)
                     stack.append((v, row is not None))
                 cols = [v for v, _ in stack]

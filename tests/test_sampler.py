@@ -14,10 +14,12 @@ from fqminors.errors import BadArgumentsError, UnknownEventError
 from fqminors.gf import field
 from fqminors.matrix import FqMatrix
 from fqminors.matroid import catalog, from_matrix
-from fqminors.sampler import SeedSpec, mc_event_prob, mc_minor_prob, reduce, sample_matrix
+from fqminors.sampler import (SeedSpec, mc_event_prob, mc_minor_prob, reduce, sample_entries,
+                              sample_matrix)
 from fqminors.sweep import run_class_sweep
 
 F2 = field(2)
+F3 = field(3)
 
 
 def test_sampling_is_deterministic():
@@ -294,15 +296,37 @@ def test_sampled_gf2_packing_matches_python_packing():
     for m, n in itertools.product(sizes, sizes):
         A = sample_matrix(2, m, n, SeedSpec(3, m * 100 + n))
         plain = FqMatrix(F2, m, n, A.entries)
-        assert plain.packed is None and A.packed is not None
+        assert plain.packed_cols is None and A.packed_cols is not None
         assert A == plain and hash(A) == hash(plain)
         cols = [sum(e << i for i, e in enumerate(A.col(j))) for j in range(n)]
         rows = [sum(e << j for j, e in enumerate(A.row(i))) for i in range(m)]
         o = linalg.BitOps(F2, m)
         assert o.cols_of(A) == o.cols_of(plain) == cols
         assert o.rows_of(A) == o.rows_of(plain) == rows
-        assert plain.packed is None
-    assert sample_matrix(3, 2, 2, SeedSpec(3, 0)).packed is None
+        assert plain.packed_cols is None and plain.packed_rows is None
+    # the table backend's fields carry nothing
+    assert sample_matrix(4, 2, 2, SeedSpec(3, 0)).packed_cols is None
+
+
+def test_sampled_gf3_planes_match_python_packing():
+    # the bit-plane pairs the sampler attaches over GF(3), and TriOps'
+    # encoding of an unattached matrix with the same entries, against a
+    # Python reference, across the 64-bit word boundary; the entries are
+    # the ones drawn before planes were attached
+    def planes(vec):
+        return (sum(1 << i for i, e in enumerate(vec) if e == 1),
+                sum(1 << i for i, e in enumerate(vec) if e == 2))
+
+    sizes = (0, 1, 8, 63, 64, 65, 70)
+    for m, n in itertools.product(sizes, sizes):
+        spec = SeedSpec(3, m * 100 + n)
+        A = sample_matrix(3, m, n, spec)
+        assert A.entries == tuple(sample_entries(3, m * n, spec).tolist())
+        plain = FqMatrix(F3, m, n, A.entries)
+        o = linalg.TriOps(F3, m)
+        assert o.cols_of(A) == o.cols_of(plain) == [planes(A.col(j)) for j in range(n)]
+        assert o.rows_of(A) == o.rows_of(plain) == [planes(A.row(i)) for i in range(m)]
+        assert plain.packed_cols is None and plain.packed_rows is None
 
 
 def test_gf2_trial_rank_matches_column_rank():
