@@ -20,15 +20,10 @@ from . import formulas, validate
 from .errors import FqminorsError, ParseError
 from .matrix import FqMatrix, parse_matrix
 from .matroid import Matroid, catalog, parse_matroid
-from .minor import (
-    DEFAULT_BUDGET,
-    decide,
-    find_minor_matrix,
-    has_excluded_minor_matrix,
-    verify_witness_matrix,
-)
+from .minor import DEFAULT_BUDGET, decide, has_excluded_minor_matrix
 from .sampler import SeedSpec, sample_matrix
-from .sweep import class_rows_to_csv, minor_rows_to_csv, run_class_sweep, run_minor_sweep
+from .sweep import (SWEEP_BUDGET, class_rows_to_csv, minor_rows_to_csv, run_class_sweep,
+                    run_minor_sweep)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -174,7 +169,7 @@ def _add_simulate_parser(sub):
                    help="constant:c | n-minus:d | n-plus:d | ratio:r")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=20000)
+    p.add_argument("--budget", type=int, default=SWEEP_BUDGET)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
@@ -227,7 +222,7 @@ def _add_minor_parser(sub):
 def _cmd_minor(args):
     A = _host_matrix(args)
     target = _load_matroid(args.target)
-    outcome, w = decide(A, target, args.budget, find_minor_matrix, verify_witness_matrix)
+    outcome, w = decide(A, target, args.budget)
     witness = None if w is None else w.to_json()
     verified = None if w is None else outcome == "found"
     text = f"outcome: {outcome}\n"
@@ -248,7 +243,7 @@ def _add_class_parser(sub):
     p.add_argument("--class", dest="class_name", default="graphic")
     _add_host_args(p)
     p.add_argument("--budget", type=int, default=None,
-                   help="work units per target search (sweep default 20000)")
+                   help=f"work units per target search (sweep default {SWEEP_BUDGET})")
     p.add_argument("--sweep", action="store_true",
                    help="estimate the non-member frequency over a sweep")
     p.add_argument("--q", type=int, default=None)
@@ -266,7 +261,7 @@ def _cmd_class_sweep(args):
                     ("--n-stop", args.n_stop), ("--m-rule", args.m_rule)):
         if v is None:
             raise FqminorsError(f"{name} is required with --sweep")
-    budget = 20000 if args.budget is None else args.budget
+    budget = SWEEP_BUDGET if args.budget is None else args.budget
     rows = run_class_sweep(args.q, args.class_name,
                            (args.n_start, args.n_stop, args.n_step),
                            args.m_rule, args.trials, args.seed, budget)

@@ -26,16 +26,19 @@ representative comes from that one step.
 to unit vectors and drops them with their rows, which is contraction on
 the column matroid.  The randomness-preserving reduction and the matrix
 witness verifier both call it.  It is one Gauss-Jordan pass on the rows of
-[A | I] (`inverse_rows`), which pivots on the chosen columns and then on
-the unit columns outside their span; that pass shares no elimination with
-the search, so a verifier does not trust the kernel it checks.  Its output
-carries its columns and rows in the backend's form (`pick`).
+[A | I] (`inverse_rows`, written once on `_Ops`), which pivots on the
+chosen columns and then on the unit columns outside their span.  Each
+backend supplies only the rows of [A | I] (`augment`) and one pivot step
+in its own arithmetic (`eliminate`), which neither calls `reduce` nor
+`reduce_pivot`: the pass shares no elimination with the search, so a
+verifier does not trust the kernel it checks.  Its output is a plain
+matrix of the kept entries (`pick`).
 A matrix's columns and rows reach a backend in its form (`cols_of`,
 `rows_of`): attached to the matrix when the sampler (`pack`, by numpy's
-`pack_rows` from the codes), `contract` or the oracle built them, and
-otherwise encoded from the entries (`encode`).  `gf2_ranks` ranks a whole
-stack of GF(2) matrices at once, on the same 64-bit row words that
-`pack_rows` joins into ints, by one numpy elimination across the stack.
+`pack_rows` from the codes) or the oracle built them, and otherwise
+encoded from the entries (`encode`).  `gf2_ranks` ranks a whole stack of
+GF(2) matrices at once, on the same 64-bit row words that `pack_rows`
+joins into ints, by one numpy elimination across the stack.
 """
 
 from __future__ import annotations
@@ -49,12 +52,13 @@ from .matrix import FqMatrix
 def _words(bits: np.ndarray) -> np.ndarray:
     """The 0/1 entries along the last axis of `bits` packed into 64-bit
     words, bit j of a row in word j // 64 at position j % 64; a row always
-    has at least one word."""
-    packed = np.packbits(bits.astype(np.uint8, copy=False), axis=-1, bitorder="little")
-    width = packed.shape[-1]
-    padded = np.zeros(packed.shape[:-1] + (max(1, -(-width // 8)) * 8,), dtype=np.uint8)
-    padded[..., :width] = packed
-    return padded.view("<u8")
+    has at least one word.  Each row is padded with zeros to whole words,
+    so one `packbits` over the flat array packs every row."""
+    *lead, n = bits.shape
+    width = max(1, -(-n // 64)) * 64
+    padded = np.zeros((*lead, width), dtype=np.uint8)
+    padded[..., :n] = bits
+    return np.packbits(padded, bitorder="little").view("<u8").reshape(*lead, width // 64)
 
 
 def pack_rows(bits: np.ndarray) -> list[int]:
@@ -109,7 +113,8 @@ def _plane(entries, digits: bytes) -> int:
 
 class _Ops:
     """What every backend shares: a matrix's columns and rows in the
-    backend's form, and everything built from `reduce_pivot`."""
+    backend's form, everything built from `reduce_pivot`, and the
+    Gauss-Jordan pass built from `augment` and `eliminate`."""
 
     # sort key under which the backend's vectors order as their tuples of
     # codes do, row 0 first; None where the vectors themselves sort so
@@ -141,13 +146,33 @@ class _Ops:
                 ech.append(row)
         return len(ech)
 
-    def _matrix(self, grid: list, n: int) -> FqMatrix:
-        """The matrix with the given rows of n codes each, carrying its
-        columns and rows in the backend's form."""
-        entries = tuple([x for row in grid for x in row])
-        cols = tuple([self.encode(entries[j::n]) for j in range(n)])
-        return FqMatrix.with_packed(self.field, len(grid), n, entries, cols,
-                                    tuple([self.encode(row) for row in grid]))
+    def inverse_rows(self, rows: list, n: int, chosen: list[int]) -> list | None:
+        """Rows of [B^{-1}A | B^{-1}] (entry j < n of a row is in column j
+        of B^{-1}A, entry n+i in column i of B^{-1}) for A with the given
+        rows and n columns, where B is the chosen columns of A completed to
+        a basis by unit vectors in index order; None when the chosen
+        columns are dependent.
+
+        One Gauss-Jordan pass on [A | I] (the backend's `augment`): it
+        pivots on the chosen columns, in order, then on each column of I
+        outside their span, and stops after m pivots.  The backend's
+        `eliminate(aug, r, c)` is one pivot step: it moves the first row
+        from r that is nonzero at c to r, scales it to 1 there and clears
+        c in every other row, or returns None when there is no such row."""
+        m, k = self.m, len(chosen)
+        aug = self.augment(rows, n)
+        r = 0
+        for t, c in enumerate(chosen + [n + i for i in range(m)]):
+            if r == m:
+                return None if t < k else aug
+            step = self.eliminate(aug, r, c)
+            if step is None:
+                if t < k:
+                    return None
+                continue
+            aug = step
+            r += 1
+        return aug
 
 
 class BitOps(_Ops):
@@ -174,37 +199,24 @@ class BitOps(_Ops):
             return None
         return v & -v, v
 
-    def inverse_rows(self, rows: list[int], n: int, chosen: list[int]) -> list[int] | None:
-        """Rows of [B^{-1}A | B^{-1}] (bit j < n is column j of B^{-1}A,
-        bit n+i column i of B^{-1}) for A with the given rows and n columns,
-        where B is the chosen columns of A completed to a basis by unit
-        vectors in index order; None when the chosen columns are dependent.
+    def augment(self, rows: list[int], n: int) -> list[int]:
+        return [row | 1 << (n + i) for i, row in enumerate(rows)]
 
-        One Gauss-Jordan pass on [A | I]: it pivots on the chosen columns,
-        in order, then on each column of I outside their span."""
-        m, k = self.m, len(chosen)
-        aug = [row | 1 << (n + i) for i, row in enumerate(rows)]
-        r = 0
-        for t, c in enumerate(chosen + [n + i for i in range(m)]):
-            if r == m:
-                return None if t < k else aug
-            bit = 1 << c
-            for piv in range(r, m):
-                if aug[piv] & bit:
-                    break
-            else:
-                if t < k:
-                    return None
-                continue
-            aug[r], aug[piv] = aug[piv], aug[r]
-            p = aug[r]
-            aug = [a ^ p if a & bit and i != r else a for i, a in enumerate(aug)]
-            r += 1
-        return aug
+    def eliminate(self, aug: list[int], r: int, c: int) -> list[int] | None:
+        bit = 1 << c
+        for piv in range(r, len(aug)):
+            if aug[piv] & bit:
+                break
+        else:
+            return None
+        aug[r], aug[piv] = aug[piv], aug[r]
+        p = aug[r]
+        return [a ^ p if a & bit and i != r else a for i, a in enumerate(aug)]
 
     def pick(self, rows: list, idx: list[int]) -> FqMatrix:
         """The matrix of the given rows' entries at columns idx."""
-        return self._matrix([[r >> j & 1 for j in idx] for r in rows], len(idx))
+        return FqMatrix(self.field, len(rows), len(idx),
+                        tuple([r >> j & 1 for r in rows for j in idx]))
 
 
 class GenOps(_Ops):
@@ -213,9 +225,9 @@ class GenOps(_Ops):
     def encode(self, entries) -> tuple[int, ...]:
         return tuple(entries)
 
-    def pack(self, codes: np.ndarray) -> None:
-        """None: a tuple column is read from the entries as cheaply."""
-        return None
+    def pack(self, codes: np.ndarray) -> tuple[None, None]:
+        """Nothing: a tuple column is read from the entries as cheaply."""
+        return None, None
 
     def _axpy(self, v, coeff_neg, b):
         # v + coeff_neg * b componentwise; a list comprehension over one
@@ -244,39 +256,30 @@ class GenOps(_Ops):
             v = tuple(scale[x] for x in v)
         return p, v
 
-    def inverse_rows(self, rows: list, n: int, chosen: list[int]) -> list[tuple[int, ...]] | None:
-        """`BitOps.inverse_rows` over the field tables: rows of
-        [B^{-1}A | B^{-1}] as tuples of length n+m, or None."""
-        m, k = self.m, len(chosen)
-        neg, inv, mul = self.field.neg_table, self.field.inv_table, self.field.mul_table
-        aug = [tuple(row) + (0,) * i + (1,) + (0,) * (m - 1 - i) for i, row in enumerate(rows)]
-        r = 0
-        for t, c in enumerate(chosen + [n + i for i in range(m)]):
-            if r == m:
-                return None if t < k else aug
-            for piv in range(r, m):
-                if aug[piv][c]:
-                    break
-            else:
-                if t < k:
-                    return None
-                continue
-            aug[r], aug[piv] = aug[piv], aug[r]
-            p = aug[r]
-            s = inv[p[c]]
-            if s != 1:
-                scale = mul[s]
-                p = tuple([scale[x] for x in p])
-            aug[r] = p
-            for i, a in enumerate(aug):
-                if a[c] and i != r:
-                    aug[i] = self._axpy(a, neg[a[c]], p)
-            r += 1
-        return aug
+    def augment(self, rows: list, n: int) -> list[tuple[int, ...]]:
+        m = self.m
+        return [tuple(row) + (0,) * i + (1,) + (0,) * (m - 1 - i) for i, row in enumerate(rows)]
+
+    def eliminate(self, aug: list, r: int, c: int) -> list[tuple[int, ...]] | None:
+        for piv in range(r, len(aug)):
+            if aug[piv][c]:
+                break
+        else:
+            return None
+        aug[r], aug[piv] = aug[piv], aug[r]
+        f = self.field
+        p = aug[r]
+        s = f.inv_table[p[c]]
+        if s != 1:
+            scale = f.mul_table[s]
+            p = tuple([scale[x] for x in p])
+        neg = f.neg_table
+        return [p if i == r else self._axpy(a, neg[a[c]], p) if a[c] else a
+                for i, a in enumerate(aug)]
 
     def pick(self, rows: list, idx: list[int]) -> FqMatrix:
         """The matrix of the given rows' entries at columns idx."""
-        return self._matrix([[r[j] for j in idx] for r in rows], len(idx))
+        return FqMatrix(self.field, len(rows), len(idx), tuple([r[j] for r in rows for j in idx]))
 
 
 class TriOps(GenOps):
@@ -284,8 +287,9 @@ class TriOps(GenOps):
     bit of ones | twos.
 
     A GenOps subclass that overrides every column primitive, so the shared
-    methods it inherits (`cols_of`, `rows_of`, `rank_cols`) are GenOps'
-    own, as the benchmark's per-layer tracer counts them."""
+    methods it inherits (`cols_of`, `rows_of`, `rank_cols`,
+    `inverse_rows`) are GenOps' own, as the benchmark's per-layer tracer
+    counts them."""
 
     def encode(self, entries) -> tuple[int, int]:
         """The column with the given entries, entry i = row i."""
@@ -328,36 +332,37 @@ class TriOps(GenOps):
         # a 2 at the pivot: scale by 2, which swaps the planes
         return (bit, (vn, vp)) if vn & bit else (bit, (vp, vn))
 
-    def inverse_rows(self, rows: list, n: int, chosen: list[int]) -> list[tuple[int, int]] | None:
-        """`BitOps.inverse_rows` on plane pairs: rows of [B^{-1}A | B^{-1}]
-        with bit n+i for column i of B^{-1}, or None."""
-        m, k = self.m, len(chosen)
-        aug = [(p | 1 << (n + i), q) for i, (p, q) in enumerate(rows)]
-        r = 0
-        for t, c in enumerate(chosen + [n + i for i in range(m)]):
-            if r == m:
-                return None if t < k else aug
-            bit = 1 << c
-            for piv in range(r, m):
-                if (aug[piv][0] | aug[piv][1]) & bit:
-                    break
-            else:
-                if t < k:
-                    return None
-                continue
-            aug[r], aug[piv] = aug[piv], aug[r]
-            bp, bn = aug[r]
-            pivot = (bn, bp) if bn & bit else (bp, bn)  # scaled to 1 at c
-            # reducing every other row by the one-row echelon clears column c
-            ech = [(bit, pivot)]
-            aug = [pivot if i == r else self.reduce(ech, a) for i, a in enumerate(aug)]
-            r += 1
-        return aug
+    def augment(self, rows: list, n: int) -> list[tuple[int, int]]:
+        return [(p | 1 << (n + i), q) for i, (p, q) in enumerate(rows)]
+
+    def eliminate(self, aug: list, r: int, c: int) -> list[tuple[int, int]] | None:
+        """The pivot row, scaled to 1 at c, is subtracted from each row
+        holding 1 at c and added to each holding 2 (`reduce`'s circuits)."""
+        bit = 1 << c
+        for piv in range(r, len(aug)):
+            vp, vn = aug[piv]
+            if (vp | vn) & bit:
+                break
+        else:
+            return None
+        aug[r], aug[piv] = aug[piv], aug[r]
+        bp, bn = (vn, vp) if vn & bit else (vp, vn)
+        out = []
+        for vp, vn in aug:
+            if vp & bit:  # v - b
+                t = (vp | bp) ^ (vn | bn)
+                vp, vn = (vn | bp) ^ t, (vp | bn) ^ t
+            elif vn & bit:  # v + b
+                t = (vp | bn) ^ (vn | bp)
+                vp, vn = (vn | bn) ^ t, (vp | bp) ^ t
+            out.append((vp, vn))
+        out[r] = bp, bn
+        return out
 
     def pick(self, rows: list, idx: list[int]) -> FqMatrix:
         """The matrix of the given rows' entries at columns idx."""
-        return self._matrix([[(p >> j & 1) | (q >> j & 1) << 1 for j in idx] for p, q in rows],
-                            len(idx))
+        return FqMatrix(self.field, len(rows), len(idx),
+                        tuple([(p >> j & 1) | (q >> j & 1) << 1 for p, q in rows for j in idx]))
 
 
 def ops_for(f: Field, m: int):

@@ -8,7 +8,7 @@ everywhere.  Ranks and eliminations live in linalg.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .errors import DimensionMismatchError, ParseError
 from .gf import Field, field
@@ -23,12 +23,11 @@ class FqMatrix:
     n: int
     entries: tuple[int, ...]
     # the columns and rows in the column form of `linalg.ops_for`'s backend
-    # for this field, when `with_packed` attached them: the sampler and
-    # `linalg.contract` attach both, the oracle columns only.  Class
-    # attributes, not fields: they take no part in equality or hashing, and
-    # plain construction does not pay for them.
-    packed_cols = None
-    packed_rows = None
+    # for this field, when the builder attached them: the sampler attaches
+    # both, the oracle columns only.  They take no part in equality,
+    # hashing or repr.
+    packed_cols: tuple | None = dc_field(default=None, compare=False, repr=False)
+    packed_rows: tuple | None = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.m < 0 or self.n < 0:
@@ -44,17 +43,6 @@ class FqMatrix:
         if not codes.issuperset(self.entries):
             e = next(e for e in self.entries if e not in codes)
             raise DimensionMismatchError(f"entry {e} out of range for GF({self.field.q})")
-
-    @classmethod
-    def with_packed(cls, f: Field, m: int, n: int, entries: tuple[int, ...],
-                    cols: tuple, rows: tuple | None = None) -> "FqMatrix":
-        """A matrix carrying its columns, and its rows when given, in its
-        field's backend form (`linalg.ops_for`)."""
-        A = cls(f, m, n, entries)
-        object.__setattr__(A, "packed_cols", cols)
-        if rows is not None:
-            object.__setattr__(A, "packed_rows", rows)
-        return A
 
     @classmethod
     def from_rows(cls, f: Field, rows) -> "FqMatrix":

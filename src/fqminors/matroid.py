@@ -311,44 +311,46 @@ def is_isomorphic(M1: Matroid, M2: Matroid):
     for b in M1.bases:
         if b:
             by_max[b.bit_length() - 1].append(b)
-    empty_is_basis = 0 in M1.bases
-
+    if 0 in M1.bases and 0 not in M2.bases:
+        return None
     candidates = [
         [y for y in range(e) if prof2[y] == prof1[x]] for x in range(e)
     ]
     mapping = [-1] * e
-    used = [False] * e
-    bases2 = M2.bases
-
-    def mapped_mask(mask: int) -> int:
-        out = 0
-        t = mask
-        while t:
-            bit = t & -t
-            out |= 1 << mapping[bit.bit_length() - 1]
-            t ^= bit
-        return out
-
-    def assign(x: int) -> bool:
-        if x == e:
-            return True
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            mapping[x] = y
-            used[y] = True
-            ok = all(mapped_mask(b) in bases2 for b in by_max[x])
-            if ok and assign(x + 1):
-                return True
-            mapping[x] = -1
-            used[y] = False
-        return False
-
-    if empty_is_basis and 0 not in bases2:
-        return None
-    if assign(0):
+    if _assign(0, candidates, by_max, M2.bases, mapping, [False] * e):
         return tuple(mapping)
     return None
+
+
+def _mapped_mask(mask: int, mapping: list[int]) -> int:
+    """The image of the element set `mask` under `mapping`."""
+    out = 0
+    t = mask
+    while t:
+        bit = t & -t
+        out |= 1 << mapping[bit.bit_length() - 1]
+        t ^= bit
+    return out
+
+
+def _assign(x: int, candidates: list, by_max: list, bases2, mapping: list[int],
+            used: list[bool]) -> bool:
+    """Extend `mapping` from elements 0..x-1 to all, trying x's unused
+    candidates in order; True once complete.  A module function: a
+    recursive closure is a cycle that only the cyclic collector frees."""
+    if x == len(mapping):
+        return True
+    for y in candidates[x]:
+        if used[y]:
+            continue
+        mapping[x] = y
+        used[y] = True
+        if (all(_mapped_mask(b, mapping) in bases2 for b in by_max[x])
+                and _assign(x + 1, candidates, by_max, bases2, mapping, used)):
+            return True
+        mapping[x] = -1
+        used[y] = False
+    return False
 
 
 # -- text format -------------------------------------------------------

@@ -26,11 +26,12 @@ own verifier: `verify_witness_matrix` shares none of the matrix search's
 internals, and `verify_witness` checks C's independence and the witness
 bijection, which the reference's isomorphism test does not.
 
-`decide` is the one place a search outcome is classified: it runs a
-(search, verify) pair and returns `found` (witness verified), `absent`,
-`unknown` (budget ran out) or `unverified` (a witness that failed its
-independent check, never counted as found).  The `minor` command, the
-excluded-minor class test and every Monte Carlo minor trial go through it.
+`decide` is the one place a search outcome is classified: it runs
+`find_minor_matrix` and `verify_witness_matrix` on a matrix host and
+returns `found` (witness verified), `absent`, `unknown` (budget ran out)
+or `unverified` (a witness that failed its independent check, never
+counted as found).  The `minor` command, the excluded-minor class test
+and every Monte Carlo minor trial go through it.
 """
 
 from __future__ import annotations
@@ -420,18 +421,19 @@ def check_budget(budget: int | None):
         raise BadArgumentsError("budget must be >= 1")
 
 
-def decide(host, target: Matroid, budget, search, verify):
-    """(outcome, witness) of searching host for target: ('found', w) when
-    verify accepts w, ('unverified', w) when it rejects it, ('absent', None)
-    when there is no such minor, ('unknown', None) when the budget ran out."""
+def decide(A: FqMatrix, target: Matroid, budget):
+    """(outcome, witness) of searching the matrix host A for target by
+    `find_minor_matrix`: ('found', w) when `verify_witness_matrix` accepts
+    w, ('unverified', w) when it rejects it, ('absent', None) when there is
+    no such minor, ('unknown', None) when the budget ran out."""
     check_budget(budget)
     try:
-        w = search(host, target, budget)
+        w = find_minor_matrix(A, target, budget)
     except BudgetExceededError:
         return "unknown", None
     if w is None:
         return "absent", None
-    return ("found" if verify(host, target, w) else "unverified"), w
+    return ("found" if verify_witness_matrix(A, target, w) else "unverified"), w
 
 
 # ----------------------------------------------------------------------
@@ -464,7 +466,7 @@ def has_excluded_minor_matrix(A: FqMatrix, class_name: str = "graphic",
         raise BadParametersError(f"unknown minor-closed class {class_name!r}")
     report = ExcludedMinorReport(class_name)
     for name in GRAPHIC_EXCLUDED:
-        outcome, w = decide(A, catalog(name), budget, find_minor_matrix, verify_witness_matrix)
+        outcome, w = decide(A, catalog(name), budget)
         report.outcomes[name] = outcome
         if outcome == "found":
             report.witnesses[name] = w

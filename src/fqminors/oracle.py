@@ -123,7 +123,7 @@ def exact_minor_prob(q: int, m: int, n: int, target: Matroid) -> OracleResult:
     for codes, weight in _column_multisets(q, m, n):
         ds = [digits[c] for c in codes]
         entries = tuple([d[i] for i in range(m) for d in ds])
-        host = from_matrix(FqMatrix.with_packed(f, m, n, entries, tuple([col[c] for c in codes])))
+        host = from_matrix(FqMatrix(f, m, n, entries, tuple([col[c] for c in codes])))
         hit = has_minor.get(host)
         if hit is None:
             w = find_minor(host, target, budget=None)

@@ -52,7 +52,7 @@ from .errors import BadArgumentsError, UnknownEventError
 from .gf import field
 from .matrix import FqMatrix
 from .matroid import Matroid
-from .minor import DEFAULT_BUDGET, check_budget, decide, find_minor_matrix, verify_witness_matrix
+from .minor import DEFAULT_BUDGET, check_budget, decide
 
 _MASK64 = (1 << 64) - 1
 # the most entries a sampled matrix may have; larger shapes are rejected
@@ -134,10 +134,7 @@ def sample_matrix(q: int, m: int, n: int, spec: SeedSpec) -> FqMatrix:
     codes = sample_entries(q, m * n, spec)
     f = field(q)
     entries = tuple(codes.tolist())
-    packed = linalg.ops_for(f, m).pack(codes.reshape(m, n))
-    if packed is None:
-        return FqMatrix(f, m, n, entries)
-    return FqMatrix.with_packed(f, m, n, entries, *packed)
+    return FqMatrix(f, m, n, entries, *linalg.ops_for(f, m).pack(codes.reshape(m, n)))
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +324,7 @@ def mc_event_prob(q: int, m: int, n: int, event: str, trials: int, seed: int) ->
 def _minor_trial(args, spec: SeedSpec) -> str:
     q, m, n, target, budget = args
     A = sample_matrix(q, m, n, spec)
-    return decide(A, target, budget, find_minor_matrix, verify_witness_matrix)[0]
+    return decide(A, target, budget)[0]
 
 
 def mc_minor_prob(q: int, m: int, n: int, target: Matroid, trials: int, seed: int,

@@ -13,12 +13,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadArgumentsError, BadParametersError
-from .formulas import lower_bound_nonfree, prob_free_minor, upper_bound_nonfree
+from .errors import BadArgumentsError, BadParametersError, TooLargeError
+from .formulas import check_size, lower_bound_nonfree, prob_free_minor, upper_bound_nonfree
 from .matroid import Matroid
 from .minor import DEFAULT_BUDGET, check_budget, has_excluded_minor_matrix
 from .sampler import (Estimate, SeedSpec, check_shape, each_trial, mc_minor_prob, run_trials,
                       sample_matrix)
+
+# work units per target search in a `simulate` or `class --sweep` trial
+SWEEP_BUDGET = 20_000
 
 
 def m_for(rule: str, n: int) -> int:
@@ -100,7 +103,13 @@ class SweepRow:
 
 
 def bounds_for(target: Matroid, q: int, m: int, n: int):
-    """(lower, upper) exact bounds applicable at this size, None when not."""
+    """(lower, upper) exact bounds applicable at this size, None when not.
+    A size past the bound `formula` applies to them, `check_size(q, m·n)`,
+    gets neither, before any arithmetic: they would not print."""
+    try:
+        check_size(q, m * n)
+    except TooLargeError:
+        return None, None
     st = target.stats()
     if m < st.r:
         return Fraction(0), Fraction(0)  # the minor is impossible outright
@@ -160,7 +169,7 @@ def _class_trial(args, spec: SeedSpec) -> str:
 
 
 def run_class_sweep(q: int, class_name: str, n_range, m_rule: str, trials: int,
-                    seed: int, budget: int | None = 20000) -> list[ClassSweepRow]:
+                    seed: int, budget: int | None = SWEEP_BUDGET) -> list[ClassSweepRow]:
     check_budget(budget)
     rows = []
     for n, m in sweep_sizes(n_range, m_rule):

@@ -18,7 +18,7 @@ from .errors import BudgetExceededError
 from .gf import field
 from .matrix import FqMatrix
 from .matroid import Matroid, catalog, from_matrix
-from .sweep import run_minor_sweep
+from .sweep import SWEEP_BUDGET, run_minor_sweep
 from .sampler import wilson_interval
 
 _SMALL_SIZES = {2: [(m, n) for m in range(1, 4) for n in range(1, 4)],
@@ -239,7 +239,7 @@ def check_mc_determinism_and_consistency(m=4, n=4, trials=2000, seed=1234, rerun
 
 def check_sweep_rows_bracket_bounds():
     rows = run_minor_sweep(2, catalog("U:1,2"), (4, 8, 2), "n-minus:2",
-                           trials=400, seed=99, budget=20000)
+                           trials=400, seed=99, budget=SWEEP_BUDGET)
     for r in rows:
         e = r.estimate
         hi_bracket = wilson_interval(e.successes + e.unknowns, e.trials)[1]

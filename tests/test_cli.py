@@ -3,9 +3,10 @@ import json
 import pytest
 
 from conftest import format_matrix, format_matroid, identity, run_cli
-from fqminors import cli, formulas
+from fqminors import cli, formulas, sweep
 from fqminors.gf import field
 from fqminors.matrix import FqMatrix
+from fqminors.matroid import catalog
 
 
 def fano_file(tmp_path):
@@ -201,7 +202,9 @@ def test_minor_found_and_verified(tmp_path, capsys):
 
 
 def test_minor_unverified_witness_exit_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "verify_witness_matrix", lambda A, target, w: False)
+    from fqminors import minor
+
+    monkeypatch.setattr(minor, "verify_witness_matrix", lambda A, target, w: False)
     host = fano_file(tmp_path)
     rc = cli.main(["minor", "--host", host, "--target", "name:F7"])
     assert rc == cli.EXIT_VALIDATION
@@ -297,6 +300,27 @@ def test_simulate_bad_jobs_exit_1(capsys):
                    "--trials", "10", "--jobs", "0"])
     assert rc == cli.EXIT_USAGE
     assert "jobs must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["csv", "json"])
+def test_simulate_bounds_past_the_size_bound_are_empty(flags, capsys):
+    # at m = n = 200 over GF(2) the exact bounds form 2^40000, past the
+    # bound `formula upper` applies to the same values: the row gets none
+    # (both modes used to die converting a 12000-digit integer to text)
+    args = ["simulate", "--q", "2", "--target", "name:U:1,2", "--n-start", "200",
+            "--n-stop", "200", "--m-rule", "n-plus:0", "--trials", "1"]
+    assert cli.main(args + flags) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if flags:
+        [row] = json.loads(captured.out)
+        assert row["n"] == 200 and row["lower_bound"] is None and row["upper_bound"] is None
+    else:
+        assert captured.out.splitlines()[1].startswith("200,200,1,")
+        assert captured.out.splitlines()[1].endswith(",,")
+    # the last square GF(2) size inside the bound keeps both bounds
+    assert None not in sweep.bounds_for(catalog("U:1,2"), 2, 118, 118)
+    assert sweep.bounds_for(catalog("U:1,2"), 2, 119, 119) == (None, None)
 
 
 @pytest.mark.parametrize("args", [

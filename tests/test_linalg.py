@@ -10,7 +10,7 @@ import numpy as np
 
 from conftest import basis_change, complete_to_basis, dot, rank
 from fqminors.gf import field
-from fqminors.linalg import (BitOps, GenOps, TriOps, contract, fast_rank, gf2_ranks,
+from fqminors.linalg import (BitOps, GenOps, TriOps, _words, contract, fast_rank, gf2_ranks,
                              leftmost_independent, ops_for)
 from fqminors.matrix import FqMatrix
 from fqminors.sampler import SeedSpec, sample_matrix
@@ -187,6 +187,53 @@ def test_contract_matches_reference_product():
         for chosen in ([0, 5, n - 1, 1], list(range(m + 1))):
             assert basis_change(dep, chosen) is None
             assert contract(o, dep, chosen, [2, 3]) is None, (q, stream, chosen)
+
+
+def test_contract_shares_no_elimination_with_the_search(monkeypatch):
+    # the verifier's change of basis must not run the search's echelon
+    # step: with reduce and reduce_pivot raising, contract gives the same
+    # output on every backend, for sampled and unattached hosts
+    rng = random.Random(46)
+    m, n = 6, 10
+    cases = []
+    for q in (2, 3, 5):
+        sampled = sample_matrix(q, m, n, SeedSpec(46, q))
+        o = ops_for(sampled.field, m)
+        cols = o.cols_of(sampled)
+        for k in (0, 2, 4, 6, 7):
+            order = rng.sample(range(n), n)
+            picks = (leftmost_independent(o, [cols[j] for j in order], k), range(k))
+            for chosen in ([order[i] for i in p] for p in picks):
+                keep = [j for j in range(n) if j not in chosen]
+                for A in (sampled, FqMatrix(sampled.field, m, n, sampled.entries)):
+                    cases.append((o, A, chosen, keep, contract(o, A, chosen, keep)))
+    assert {type(o) for o, *_, want in cases if want is not None} == {BitOps, TriOps, GenOps}
+
+    def forbidden(*args):
+        raise AssertionError("contract ran the search's elimination")
+
+    for cls in (BitOps, GenOps, TriOps):
+        monkeypatch.setattr(cls, "reduce", forbidden)
+        monkeypatch.setattr(cls, "reduce_pivot", forbidden)
+    for o, A, chosen, keep, want in cases:
+        assert contract(o, A, chosen, keep) == want, (type(o), chosen)
+
+
+def test_words_match_a_per_row_reference():
+    # one packbits over the flat, word-padded array against packing each
+    # row bit by bit, on stacks, across word boundaries and on empty shapes
+    rng = np.random.default_rng(47)
+    shapes = [(3, 0), (2, 1), (2, 63), (2, 64), (2, 65), (2, 130), (4, 3, 65), (3, 2, 130),
+              (0, 5), (0, 2, 64), (3, 0, 7)]
+    for shape in shapes:
+        bits = rng.integers(0, 2, shape).astype(np.uint8)
+        width = max(1, -(-shape[-1] // 64))
+        for x in (bits, bits == 1):
+            words = _words(x)
+            assert words.shape == shape[:-1] + (width,) and words.dtype == np.dtype("<u8")
+            for idx in np.ndindex(*shape[:-1]):
+                v = sum(int(b) << j for j, b in enumerate(bits[idx]))
+                assert words[idx].tolist() == [v >> 64 * t & (2**64 - 1) for t in range(width)]
 
 
 def test_fast_rank_matches_rref_rank_gf9():

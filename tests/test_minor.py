@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -19,6 +20,7 @@ from fqminors.minor import (
     verify_witness,
     verify_witness_matrix,
 )
+from fqminors.oracle import exact_minor_prob
 from fqminors.sampler import SeedSpec, sample_matrix
 
 F2 = field(2)
@@ -102,19 +104,38 @@ def test_verify_witness_matrix_rejects_corruption():
     assert not verify_witness_matrix(A, u23, oversize)
 
 
-def test_decide_classifies_every_outcome():
+def test_decide_classifies_every_outcome(monkeypatch):
     A, f7 = fano_matrix(), catalog("F7")
+    assert decide(A, catalog("U:2,4"), None) == ("absent", None)
+    outcome, w = decide(A, f7, None)
+    assert outcome == "found" and verify_witness_matrix(A, f7, w)
+    monkeypatch.setattr(minor, "verify_witness_matrix", lambda host, target, w: False)
+    assert decide(A, f7, None) == ("unverified", w)
 
     def exhausted(host, target, budget):
         raise BudgetExceededError("out of budget")
 
-    assert decide(A, f7, 5, exhausted, verify_witness_matrix) == ("unknown", None)
-    assert decide(A, catalog("U:2,4"), None, find_minor_matrix,
-                  verify_witness_matrix) == ("absent", None)
-    outcome, w = decide(A, f7, None, find_minor_matrix, verify_witness_matrix)
-    assert outcome == "found" and verify_witness_matrix(A, f7, w)
-    rejected = decide(A, f7, None, find_minor_matrix, lambda host, target, w: False)
-    assert rejected == ("unverified", w)
+    monkeypatch.setattr(minor, "find_minor_matrix", exhausted)
+    assert decide(A, f7, 5) == ("unknown", None)
+
+
+def test_searches_leave_no_reference_cycles():
+    # each call frees what it builds by reference counting, so none leaves
+    # garbage for the cyclic collector (a recursive closure would)
+    host = sample_matrix(2, 12, 20, SeedSpec(7, 0))
+    f7, u12 = catalog("F7"), catalog("U:1,2")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            assert is_isomorphic(f7, f7) is not None
+            w = find_minor_matrix(host, u12)
+            assert verify_witness_matrix(host, u12, w)
+            from_matrix(fano_matrix())
+        exact_minor_prob(2, 2, 3, u12)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_wrong_bijection_breaks_loopy_target():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import basis_change, identity, rref
-from fqminors import formulas, linalg, sampler
+from fqminors import formulas, linalg, minor, sampler
 from fqminors.errors import BadArgumentsError, UnknownEventError
 from fqminors.gf import field
 from fqminors.matrix import FqMatrix
@@ -509,7 +509,7 @@ def test_nonpositive_budget_rejected_before_any_trial(monkeypatch):
 
 
 def test_failed_verification_is_counted_as_unverified(monkeypatch):
-    monkeypatch.setattr(sampler, "verify_witness_matrix", lambda A, target, w: False)
+    monkeypatch.setattr(minor, "verify_witness_matrix", lambda A, target, w: False)
     est = mc_minor_prob(2, 4, 6, catalog("U:1,2"), 50, seed=1)
     assert est.successes == 0
     assert est.unverified == est.unknowns == 49
