@@ -287,11 +287,19 @@ def _p_block(s: int, q: int, stats: MatroidStats) -> Fraction:
     return p_smq(s, q, stats)
 
 
+def _check_blocks(m: int, n: int, stats: MatroidStats):
+    """The lower bounds place disjoint |E|-column blocks in an m x n
+    matrix: at least one, and none of them empty."""
+    if stats.e == 0:
+        raise BadArgumentsError("the lower bounds need a target with |E| >= 1, got |E| = 0")
+    if m < stats.r or n < stats.e:
+        raise BadArgumentsError(f"need m >= r and n >= |E|, got m={m} n={n} stats={stats}")
+
+
 def lower_bound_block(m: int, n: int, q: int, stats: MatroidStats) -> Fraction:
     """Single-block bound 1 - (1 - p_{m,q,M})^{floor(n/|E|)}; m >= r, n >= |E|."""
     _check_q(q)
-    if m < stats.r or n < stats.e:
-        raise BadArgumentsError(f"need m >= r and n >= |E|, got m={m} n={n} stats={stats}")
+    _check_blocks(m, n, stats)
     p = _p_block(m, q, stats)
     t = n // stats.e
     return 1 - (1 - p) ** t
@@ -305,8 +313,7 @@ def lower_bound_nonfree(m: int, n: int, q: int, stats: MatroidStats) -> BoundRep
     as such (the genuine maximization only ranges over positive k).
     """
     _check_q(q)
-    if m < stats.r or n < stats.e:
-        raise BadArgumentsError(f"need m >= r and n >= |E|, got m={m} n={n} stats={stats}")
+    _check_blocks(m, n, stats)
     e = stats.e
     kmax = min(n - e, m - stats.r)
     if kmax < 1:

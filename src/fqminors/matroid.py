@@ -1,10 +1,12 @@
 """Matroids on at most 20 elements, stored by their explicit basis family.
 
-Ground sets are 0..E-1 and subsets are bitmasks, so rank queries are greedy
-scans over an independence family and duality is mask complementation.
-Construction from matrices and graphs, the catalog of named matroids used
-by the graphic-class test, general contraction/deletion, and isomorphism
-testing all live here.
+Ground sets are 0..E-1 and subsets are bitmasks.  Every query is answered
+from the basis family alone: rank is the largest intersection with a basis,
+a minor keeps the largest survivor parts of the bases that meet the
+contracted set most, and duality is mask complementation.  Construction
+from matrices and graphs, the catalog of named matroids used by the
+graphic-class test, general contraction/deletion, and isomorphism testing
+all live here.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ class Matroid:
         self.ground_size = ground_size
         self.bases = bases
         self.rank = next(iter(sizes))
-        self._indep: frozenset[int] | None = None
 
     # -- basic queries -------------------------------------------------
 
@@ -67,39 +68,13 @@ class Matroid:
     def full_mask(self) -> int:
         return (1 << self.ground_size) - 1
 
-    def _indep_family(self) -> frozenset[int]:
-        """All independent sets (downward closure of the bases)."""
-        if self._indep is None:
-            level = set(self.bases)
-            family = set(level)
-            while level:
-                nxt = set()
-                for s in level:
-                    t = s
-                    while t:
-                        bit = t & -t
-                        nxt.add(s ^ bit)
-                        t ^= bit
-                nxt -= family
-                family |= nxt
-                level = nxt
-            self._indep = frozenset(family)
-        return self._indep
-
     def is_independent(self, mask: int) -> bool:
-        return mask in self._indep_family()
+        """Whether the subset lies inside some basis."""
+        return any(b & mask == mask for b in self.bases)
 
     def rank_of(self, mask: int) -> int:
-        """Rank of a subset: greedy extension works in any matroid."""
-        indep = self._indep_family()
-        cur = 0
-        t = mask
-        while t:
-            bit = t & -t
-            if (cur | bit) in indep:
-                cur |= bit
-            t ^= bit
-        return cur.bit_count()
+        """Rank of a subset: its largest intersection with a basis."""
+        return max((b & mask).bit_count() for b in self.bases)
 
     def loops(self) -> int:
         union = 0
@@ -118,23 +93,25 @@ class Matroid:
         return sum(1 for b in self.bases if b & bit)
 
     def parallel_classes(self) -> list[int]:
-        """Masks of parallel classes of non-loop elements (loops excluded)."""
-        loops = self.loops()
+        """Masks of parallel classes of non-loop elements (loops excluded),
+        by smallest element.  Two non-loops are parallel when no basis
+        holds both, so x's class is x and the non-loops outside the union
+        of the bases holding x."""
+        nonloops = self.full_mask & ~self.loops()
         classes: list[int] = []
         seen = 0
         for x in range(self.ground_size):
             bx = 1 << x
-            if bx & (loops | seen):
-                continue
-            cls = bx
-            for y in range(x + 1, self.ground_size):
-                by = 1 << y
-                if by & (loops | seen):
-                    continue
-                if not self.is_independent(bx | by):
-                    cls |= by
-            classes.append(cls)
-            seen |= cls
+            if bx & nonloops & ~seen:
+                with_x = 0
+                for b in self.bases:
+                    if b & bx:
+                        with_x |= b
+                        if with_x == nonloops:
+                            break  # no other element is parallel to x
+                cls = bx | nonloops & ~with_x
+                classes.append(cls)
+                seen |= cls
         return classes
 
     # -- constructions -------------------------------------------------
@@ -144,29 +121,23 @@ class Matroid:
         return Matroid(self.ground_size, (full ^ b for b in self.bases))
 
     def minor(self, contract_mask: int, delete_mask: int) -> "Matroid":
-        """(M / C) \\ D with survivors relabeled 0.. in original order."""
+        """(M / C) \\ D with survivors relabeled 0.. in original order.
+
+        The bases of M / C are B - C for the bases B meeting C in r(C)
+        elements, and those of a deletion are the largest parts of the
+        bases on the survivors."""
         if contract_mask & delete_mask:
             raise OverlappingSetsError("contract and delete sets overlap")
         if (contract_mask | delete_mask) & ~self.full_mask:
             raise BadParametersError("sets use elements outside the ground set")
-        survivors = [x for x in range(self.ground_size) if not ((1 << x) & (contract_mask | delete_mask))]
-        surv_mask = 0
-        for x in survivors:
-            surv_mask |= 1 << x
+        surv_mask = self.full_mask & ~(contract_mask | delete_mask)
         r_c = self.rank_of(contract_mask)
-        rr = self.rank_of(surv_mask | contract_mask) - r_c
-        pos = {x: i for i, x in enumerate(survivors)}
-        new_bases = []
-        for combo in itertools.combinations(survivors, rr):
-            mask = 0
-            for x in combo:
-                mask |= 1 << x
-            if self.rank_of(mask | contract_mask) == rr + r_c:
-                nb = 0
-                for x in combo:
-                    nb |= 1 << pos[x]
-                new_bases.append(nb)
-        return Matroid(len(survivors), new_bases)
+        parts = {b & surv_mask for b in self.bases if (b & contract_mask).bit_count() == r_c}
+        rr = max(p.bit_count() for p in parts)
+        # survivor x becomes the number of survivors below it
+        mapping = [(surv_mask & ((1 << x) - 1)).bit_count() for x in range(self.ground_size)]
+        return Matroid(surv_mask.bit_count(),
+                       (_mapped_mask(p, mapping) for p in parts if p.bit_count() == rr))
 
     # -- dunder --------------------------------------------------------
 

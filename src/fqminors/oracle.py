@@ -149,31 +149,10 @@ def _representation_census(q: int, m: int, e: int) -> dict:
         return _census_cache[key]
     _check_cap(q, m * e)
     o, _, col = _classes(q, m)
-    indep_memo: dict = {}
-
-    def independent(codes) -> bool:
-        got = indep_memo.get(codes)
-        if got is None:
-            got = o.rank_cols([col[c] for c in codes]) == len(codes)
-            indep_memo[codes] = got
-        return got
-
     census: Counter = Counter()
-    positions = list(range(e))
     for codes in itertools.product(_column_classes(q, m), repeat=e):
-        bases = None
-        for size in range(min(m, e), -1, -1):
-            found = []
-            for combo in itertools.combinations(positions, size):
-                sub = tuple(sorted(codes[j] for j in combo))
-                if independent(sub):
-                    mask = 0
-                    for j in combo:
-                        mask |= 1 << j
-                    found.append(mask)
-            if found:
-                bases = frozenset(found)
-                break
+        cols = [col[c] for c in codes]
+        bases = frozenset(linalg.basis_masks(o, cols, o.rank_cols(cols)))
         census[bases] += (q - 1) ** (e - codes.count(0))
     _census_cache[key] = census
     return census

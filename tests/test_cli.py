@@ -140,6 +140,9 @@ FORMULA_GOLDEN = [
     ('gaussian --n 20000 --k 10000 --q 2', 1, ''),
     ('rank-count --m 3000 --n 3000 --q 16 --k 3000', 1, ''),
     ('lower --m 50 --n 100000 --q 2 --target name:U:1,2', 1, ''),
+    # the block bounds divide by |E|: a 0-element target is a usage error
+    ('block-lower --m 0 --n 4 --q 2 --target name:free:0', 1, ''),
+    ('lower --m 0 --n 4 --q 2 --target name:U:0,0', 1, ''),
 ]
 
 # the one stderr line of each failing FORMULA_GOLDEN case, by its
@@ -157,6 +160,9 @@ FORMULA_ERRORS = {
         "q^9000000 takes 36000000 bits, over the 14000-bit bound",
     "lower --m 50 --n 100000 --q 2 --target name:U:1,2":
         "q^5000000 takes 5000000 bits, over the 14000-bit bound",
+    **dict.fromkeys(("block-lower --m 0 --n 4 --q 2 --target name:free:0",
+                     "lower --m 0 --n 4 --q 2 --target name:U:0,0"),
+                    "the lower bounds need a target with |E| >= 1, got |E| = 0"),
 }
 
 

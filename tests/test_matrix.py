@@ -86,6 +86,10 @@ def test_change_of_basis_preserves_rank():
             assert fast_rank(p.matmul(a)) == fast_rank(a)
 
 
+def _columns(a, js):
+    return FqMatrix(a.field, a.m, len(js), tuple(a.row(i)[j] for i in range(a.m) for j in js))
+
+
 def test_contract_matches_abstract_contraction():
     # contracting independent columns by a change of basis must agree with
     # abstract matroid contraction on the kept columns, in column order; a
@@ -107,6 +111,31 @@ def test_contract_matches_abstract_contraction():
                         continue
                     assert (out.m, out.n) == (m - k, n - k)
                     assert from_matrix(out) == host.minor(c_mask, 0)
+            # the basis-family queries against column ranks: rank and
+            # independence of every subset, parallel pairs, and every
+            # minor (M / C) \ D, dependent C included, as the contraction
+            # of a maximal independent subset of C with the rest dropped
+            ranks = [fast_rank(_columns(a, [j for j in range(n) if s >> j & 1]))
+                     for s in range(1 << n)]
+            assert [host.rank_of(s) for s in range(1 << n)] == ranks
+            assert [host.is_independent(s) for s in range(1 << n)] == \
+                [r == s.bit_count() for s, r in enumerate(ranks)]
+            nonloops = [x for x in range(n) if ranks[1 << x] == 1]
+            classes = []
+            for x in nonloops:
+                if not any(c >> x & 1 for c in classes):
+                    classes.append(sum(1 << y for y in nonloops if ranks[1 << x | 1 << y] == 1))
+            assert host.parallel_classes() == classes
+            for label in itertools.product(range(3), repeat=n):
+                c_mask = sum(1 << j for j in range(n) if label[j] == 1)
+                d_mask = sum(1 << j for j in range(n) if label[j] == 2)
+                basis = 0
+                for j in range(n):
+                    if c_mask >> j & 1 and ranks[basis | 1 << j] > ranks[basis]:
+                        basis |= 1 << j
+                out = contract(o, a, [j for j in range(n) if basis >> j & 1],
+                               [j for j in range(n) if label[j] == 0])
+                assert from_matrix(out) == host.minor(c_mask, d_mask)
 
 
 def test_matmul_associative_spot():

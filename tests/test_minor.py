@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -136,6 +137,21 @@ def test_searches_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("name", ("free:20", "U:19,20"))
+def test_large_target_setup_stays_small(name):
+    # a 20-element target has up to 2^20 independent sets; the search's
+    # setup reads the target's parallel classes from its bases alone, so
+    # this miss on a singular 20 x 20 host never builds a set of that size
+    tracemalloc.start()
+    try:
+        got = decide(sample_matrix(2, 20, 20, SeedSpec(0, 0)), catalog(name), 20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == ("absent", None)
+    assert peak < 8 * 2**20
 
 
 def test_wrong_bijection_breaks_loopy_target():
