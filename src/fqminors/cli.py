@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import formulas, validate
-from .errors import FqminorsError, ParseError
+from .errors import BadArgumentsError, FqminorsError, ParseError
 from .matrix import FqMatrix, parse_matrix
 from .matroid import Matroid, catalog, parse_matroid
 from .minor import DEFAULT_BUDGET, decide, has_excluded_minor_matrix
@@ -204,7 +204,7 @@ def _add_host_args(p):
 
 def _host_matrix(args) -> FqMatrix:
     if (args.host is None) == (args.sample is None):
-        raise FqminorsError("exactly one of --host / --sample is required")
+        raise BadArgumentsError("exactly one of --host / --sample is required")
     if args.host is not None:
         return _load_matrix(args.host)
     q, m, n = args.sample
@@ -260,7 +260,7 @@ def _cmd_class_sweep(args):
     for name, v in (("--q", args.q), ("--n-start", args.n_start),
                     ("--n-stop", args.n_stop), ("--m-rule", args.m_rule)):
         if v is None:
-            raise FqminorsError(f"{name} is required with --sweep")
+            raise BadArgumentsError(f"{name} is required with --sweep")
     budget = SWEEP_BUDGET if args.budget is None else args.budget
     rows = run_class_sweep(args.q, args.class_name,
                            (args.n_start, args.n_stop, args.n_step),

@@ -1,52 +1,26 @@
-"""Exception taxonomy shared across the package."""
+"""The package's error types, one per way a caller handles a failure.
+
+- ``FqminorsError``: the base class; the CLI turns any of them into exit 1.
+- ``BadArgumentsError``: an input the library rejects (field, shape, entry,
+  target name or size, row rule, event, tolerance); the CLI's usage error.
+- ``TooLargeError``: an exact answer past its size bound; sweeps print no
+  bound for that row.
+- ``BudgetExceededError``: a search ran out of budget, so its outcome is
+  *unknown*.
+- ``ParseError``: a text file that does not parse; the CLI exits 3.
+"""
 
 
 class FqminorsError(Exception):
     """Base class for all package errors."""
 
 
-class NotPrimePowerError(FqminorsError, ValueError):
-    pass
-
-
-class UnsupportedFieldError(FqminorsError, ValueError):
-    pass
-
-
-class DimensionMismatchError(FqminorsError, ValueError):
-    pass
-
-
-class GroundTooLargeError(FqminorsError, ValueError):
-    pass
-
-
-class UnknownNameError(FqminorsError, ValueError):
-    pass
-
-
-class BadParametersError(FqminorsError, ValueError):
-    pass
-
-
-class OverlappingSetsError(FqminorsError, ValueError):
-    pass
-
-
 class BadArgumentsError(FqminorsError, ValueError):
-    pass
-
-
-class BadToleranceError(FqminorsError, ValueError):
-    pass
-
-
-class UnknownEventError(FqminorsError, ValueError):
-    pass
+    """An input outside what the library accepts."""
 
 
 class TooLargeError(FqminorsError, ValueError):
-    pass
+    """An exact answer would exceed its size bound."""
 
 
 class BudgetExceededError(FqminorsError):

@@ -25,12 +25,12 @@ probability expressions:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import BadArgumentsError, BadToleranceError, NotPrimePowerError, TooLargeError
+from .errors import BadArgumentsError, TooLargeError
+from .gf import prime_power
 from .matroid import MatroidStats
 
 
@@ -74,8 +74,8 @@ def _check_q(q: int):
         raise BadArgumentsError(f"q must be >= 2, got {q}")
     if q > MAX_Q:
         raise BadArgumentsError(f"q must be <= 2^64, got a {q.bit_length()}-bit q")
-    if not _is_prime_power(q):
-        raise NotPrimePowerError(f"q={q} is not a prime power")
+    if prime_power(q) is None:
+        raise BadArgumentsError(f"q={q} is not a prime power")
 
 
 # the most bits a formula's largest power of q may take, so that every value
@@ -93,62 +93,6 @@ def check_size(q: int, exponent: int):
     bits = exponent * (q - 1).bit_length()
     if bits > MAX_BITS:
         raise TooLargeError(f"q^{exponent} takes {bits} bits, over the {MAX_BITS}-bit bound")
-
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the 13 bases in _MR_BASES: exact for every n below
-    3.3 * 10^24, a strong probable-prime test above."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _iroot(q: int, k: int) -> int:
-    """floor(q ** (1/k)) for q >= 1: Newton's method from 2^ceil(bits/k),
-    which is at least the root, converges from above to the floor."""
-    r = 1 << -(-q.bit_length() // k)
-    while (s := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
-        r = s
-    return r
-
-
-def _is_prime_power(q: int) -> bool:
-    """Whether q = p^e for a prime p and e >= 1."""
-    for p in _MR_BASES:
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-    # every prime factor of q now exceeds 41, so q = r^k needs 43^k <= q;
-    # take exact prime roots while there are any, and q is left as p
-    k = 2
-    while 43**k <= q:
-        r = _iroot(q, k)
-        if r**k == q:
-            q = r
-        else:
-            k = next(j for j in itertools.count(k + 1) if _is_prime(j))
-    return _is_prime(q)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -228,7 +172,7 @@ def cq_constant(q: int, tol: float) -> tuple[float, int, Fraction]:
     """
     _check_q(q)
     if not 0 < tol < math.inf:
-        raise BadToleranceError(f"tolerance must be positive and finite, got {tol}")
+        raise BadArgumentsError(f"tolerance must be positive and finite, got {tol}")
     floor_bound = 1 - Fraction(1, q) - Fraction(1, q * q)
     partial = Fraction(1)
     k = 0

@@ -12,13 +12,17 @@ significant digit), reduced modulo a fixed irreducible polynomial:
 
 Fixing the polynomials keeps element codes reproducible across runs, which
 the matrix text format relies on.
+
+`prime_power` is the package's one prime-power test; `formulas` runs it on
+every q up to 2^64.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
-from .errors import NotPrimePowerError, UnsupportedFieldError
+from .errors import BadArgumentsError
 
 MAX_Q = 16
 
@@ -31,20 +35,62 @@ _IRREDUCIBLE = {
     16: (1, 1, 0, 0, 1),
 }
 
-_PRIMES = (2, 3, 5, 7, 11, 13)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def _prime_power(q: int):
-    """Return (p, deg) with q = p**deg, or None if q is not a prime power."""
-    for p in _PRIMES:
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the 13 bases in _MR_BASES: exact for every n below
+    3.3 * 10^24, a strong probable-prime test above."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(q: int, k: int) -> int:
+    """floor(q ** (1/k)) for q >= 1: Newton's method from 2^ceil(bits/k),
+    which is at least the root, converges from above to the floor."""
+    r = 1 << -(-q.bit_length() // k)
+    while (s := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
+        r = s
+    return r
+
+
+def prime_power(q: int):
+    """(p, e) with q = p^e for a prime p and e >= 1, or None; for q >= 1."""
+    for p in _MR_BASES:
         if q % p == 0:
-            deg = 0
-            w = q
-            while w % p == 0:
-                w //= p
-                deg += 1
-            return (p, deg) if w == 1 else None
-    return None
+            e = 0
+            while q % p == 0:
+                q //= p
+                e += 1
+            return (p, e) if q == 1 else None
+    # every prime factor of q now exceeds 41, so q = r^k needs 43^k <= q;
+    # take exact prime roots while there are any, and q is left as p
+    e, k = 1, 2
+    while 43**k <= q:
+        r = _iroot(q, k)
+        if r**k == q:
+            q, e = r, e * k
+        else:
+            k = next(j for j in itertools.count(k + 1) if _is_prime(j))
+    return (q, e) if _is_prime(q) else None
 
 
 class Field:
@@ -55,12 +101,12 @@ class Field:
 
     def __init__(self, q: int):
         if q < 2:
-            raise NotPrimePowerError(f"q={q} is not a prime power >= 2")
+            raise BadArgumentsError(f"q={q} is not a prime power >= 2")
         if q > MAX_Q:
-            raise UnsupportedFieldError(f"q={q} exceeds the table bound {MAX_Q}")
-        pp = _prime_power(q)
+            raise BadArgumentsError(f"q={q} exceeds the table bound {MAX_Q}")
+        pp = prime_power(q)
         if pp is None:
-            raise NotPrimePowerError(f"q={q} is not a prime power")
+            raise BadArgumentsError(f"q={q} is not a prime power")
         self.q = q
         self.codes = frozenset(range(q))  # the element codes, for range checks
         self.p, self.deg = pp

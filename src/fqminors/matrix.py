@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import DimensionMismatchError, ParseError
+from .errors import BadArgumentsError, ParseError
 from .gf import Field, field
 
 
@@ -31,9 +31,9 @@ class FqMatrix:
 
     def __post_init__(self):
         if self.m < 0 or self.n < 0:
-            raise DimensionMismatchError(f"negative shape {self.m}x{self.n}")
+            raise BadArgumentsError(f"negative shape {self.m}x{self.n}")
         if len(self.entries) != self.m * self.n:
-            raise DimensionMismatchError(
+            raise BadArgumentsError(
                 f"{self.m}x{self.n} matrix needs {self.m * self.n} entries, "
                 f"got {len(self.entries)}"
             )
@@ -42,7 +42,7 @@ class FqMatrix:
         # Python loop over the entries
         if not codes.issuperset(self.entries):
             e = next(e for e in self.entries if e not in codes)
-            raise DimensionMismatchError(f"entry {e} out of range for GF({self.field.q})")
+            raise BadArgumentsError(f"entry {e} out of range for GF({self.field.q})")
 
     @classmethod
     def from_rows(cls, f: Field, rows) -> "FqMatrix":
@@ -51,7 +51,7 @@ class FqMatrix:
         n = len(rows[0]) if rows else 0
         for r in rows:
             if len(r) != n:
-                raise DimensionMismatchError("ragged rows")
+                raise BadArgumentsError("ragged rows")
         return cls(f, m, n, tuple(e for r in rows for e in r))
 
     def row(self, i: int) -> tuple[int, ...]:
@@ -70,9 +70,9 @@ class FqMatrix:
 
     def matmul(self, other: "FqMatrix") -> "FqMatrix":
         if self.field != other.field:
-            raise DimensionMismatchError("field mismatch")
+            raise BadArgumentsError("field mismatch")
         if self.n != other.m:
-            raise DimensionMismatchError(f"{self.m}x{self.n} times {other.m}x{other.n}")
+            raise BadArgumentsError(f"{self.m}x{self.n} times {other.m}x{other.n}")
         f = self.field
         add, mul = f.add_table, f.mul_table
         out = []

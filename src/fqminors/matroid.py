@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
-from .errors import (
-    BadParametersError,
-    GroundTooLargeError,
-    OverlappingSetsError,
-    ParseError,
-    UnknownNameError,
-)
+from .errors import BadArgumentsError, ParseError
 from .gf import field
 from .matrix import FqMatrix
 
@@ -39,25 +33,25 @@ class MatroidStats:
 
     def __post_init__(self):
         if not (0 <= self.r <= self.e and 0 <= self.l <= self.e - self.r):
-            raise BadParametersError(f"inconsistent stats e={self.e} r={self.r} l={self.l}")
+            raise BadArgumentsError(f"inconsistent stats e={self.e} r={self.r} l={self.l}")
         if self.r == 0 and self.l != self.e:
-            raise BadParametersError("rank 0 forces every element to be a loop")
+            raise BadArgumentsError("rank 0 forces every element to be a loop")
 
 
 class Matroid:
     def __init__(self, ground_size: int, bases):
         if ground_size < 0 or ground_size > MAX_GROUND:
-            raise GroundTooLargeError(f"ground size {ground_size} outside 0..{MAX_GROUND}")
+            raise BadArgumentsError(f"ground size {ground_size} outside 0..{MAX_GROUND}")
         bases = frozenset(bases)
         if not bases:
-            raise BadParametersError("basis family must be nonempty")
+            raise BadArgumentsError("basis family must be nonempty")
         full = (1 << ground_size) - 1
         sizes = {b.bit_count() for b in bases}
         if len(sizes) != 1:
-            raise BadParametersError("bases must share one cardinality")
+            raise BadArgumentsError("bases must share one cardinality")
         for b in bases:
             if b & ~full:
-                raise BadParametersError("basis uses elements outside the ground set")
+                raise BadArgumentsError("basis uses elements outside the ground set")
         self.ground_size = ground_size
         self.bases = bases
         self.rank = next(iter(sizes))
@@ -127,9 +121,9 @@ class Matroid:
         elements, and those of a deletion are the largest parts of the
         bases on the survivors."""
         if contract_mask & delete_mask:
-            raise OverlappingSetsError("contract and delete sets overlap")
+            raise BadArgumentsError("contract and delete sets overlap")
         if (contract_mask | delete_mask) & ~self.full_mask:
-            raise BadParametersError("sets use elements outside the ground set")
+            raise BadArgumentsError("sets use elements outside the ground set")
         surv_mask = self.full_mask & ~(contract_mask | delete_mask)
         r_c = self.rank_of(contract_mask)
         parts = {b & surv_mask for b in self.bases if (b & contract_mask).bit_count() == r_c}
@@ -158,7 +152,7 @@ class Matroid:
 def from_matrix(A: FqMatrix) -> Matroid:
     """Column-dependence matroid M[A]; element i is column i."""
     if A.n > MAX_GROUND:
-        raise GroundTooLargeError(f"{A.n} columns exceed the {MAX_GROUND}-element bound")
+        raise BadArgumentsError(f"{A.n} columns exceed the {MAX_GROUND}-element bound")
     o = linalg.ops_for(A.field, A.m)
     cols = o.cols_of(A)
     return Matroid(A.n, linalg.basis_masks(o, cols, o.rank_cols(cols)))
@@ -170,7 +164,7 @@ def from_graph(edges) -> Matroid:
     self-loop is a zero column, parallel edges are equal columns)."""
     edges = [tuple(e) for e in edges]
     if len(edges) > MAX_GROUND:
-        raise GroundTooLargeError(f"{len(edges)} edges exceed the {MAX_GROUND}-element bound")
+        raise BadArgumentsError(f"{len(edges)} edges exceed the {MAX_GROUND}-element bound")
     verts = sorted({v for e in edges for v in e})
     entries = tuple(int(u != w and v in (u, w)) for v in verts for u, w in edges)
     return from_matrix(FqMatrix(field(2), len(verts), len(edges), entries))
@@ -178,7 +172,7 @@ def from_graph(edges) -> Matroid:
 
 def uniform(k: int, n: int) -> Matroid:
     if not (0 <= k <= n <= MAX_GROUND):
-        raise BadParametersError(f"uniform matroid needs 0 <= k <= n <= {MAX_GROUND}")
+        raise BadArgumentsError(f"uniform matroid needs 0 <= k <= n <= {MAX_GROUND}")
     if k == 0:
         return Matroid(n, [0])
     bases = []
@@ -215,7 +209,7 @@ def _named(name: str) -> Matroid:
         return from_graph(_K5_EDGES).dual()
     if name == "MK33*":
         return from_graph(_K33_EDGES).dual()
-    raise UnknownNameError(name)
+    raise BadArgumentsError(name)
 
 
 def catalog(name: str) -> Matroid:
@@ -223,21 +217,21 @@ def catalog(name: str) -> Matroid:
     if name.startswith("U:"):
         parts = name[2:].split(",")
         if len(parts) != 2:
-            raise BadParametersError(f"expected U:k,n, got {name!r}")
+            raise BadArgumentsError(f"expected U:k,n, got {name!r}")
         try:
             k, n = int(parts[0]), int(parts[1])
         except ValueError:
-            raise BadParametersError(f"expected U:k,n, got {name!r}") from None
+            raise BadArgumentsError(f"expected U:k,n, got {name!r}") from None
         return uniform(k, n)
     if name.startswith("free:"):
         try:
             n = int(name[5:])
         except ValueError:
-            raise BadParametersError(f"expected free:n, got {name!r}") from None
+            raise BadArgumentsError(f"expected free:n, got {name!r}") from None
         return uniform(n, n)
     if name in ("F7", "F7*", "MK5*", "MK33*"):
         return _named(name)
-    raise UnknownNameError(f"unknown catalog name {name!r}")
+    raise BadArgumentsError(f"unknown catalog name {name!r}")
 
 
 # -- isomorphism -------------------------------------------------------

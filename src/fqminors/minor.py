@@ -42,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .errors import BadArgumentsError, BadParametersError, BudgetExceededError
+from .errors import BadArgumentsError, BudgetExceededError
 from .matrix import FqMatrix
 from .matroid import Matroid, catalog, from_matrix, is_isomorphic
 
@@ -68,10 +68,6 @@ class MinorWitness:
             "delete": sorted(self.delete),
             "bijection": list(self.bijection),
         }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "MinorWitness":
-        return cls(frozenset(d["contract"]), frozenset(d["delete"]), tuple(d["bijection"]))
 
 
 class _Budget:
@@ -251,19 +247,19 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT
     cols = o.cols_of(A)
     r_h = o.rank_cols(cols)
     e_t, r_t = target.ground_size, target.rank
-    sizes = [c.bit_count() for c in target.parallel_classes()]
-    c_t = len(sizes)
-
+    # the size checks first: they read no basis family
     if e_t > n or r_t > r_h or (e_t - r_t) > (n - r_h):
-        return None
-    # every minor of M[A] embeds in an r_t-dimensional F_q space, so its
-    # parallel classes are distinct projective points of PG(r_t - 1, q)
-    if r_t >= 1 and c_t > (q**r_t - 1) // (q - 1):
         return None
     if target.is_free():
         chosen = linalg.leftmost_independent(o, cols, e_t)
         return MinorWitness(frozenset(), frozenset(range(n)) - frozenset(chosen), tuple(chosen))
     if r_h == n:
+        return None
+    sizes = [c.bit_count() for c in target.parallel_classes()]
+    c_t = len(sizes)
+    # every minor of M[A] embeds in an r_t-dimensional F_q space, so its
+    # parallel classes are distinct projective points of PG(r_t - 1, q)
+    if r_t >= 1 and c_t > (q**r_t - 1) // (q - 1):
         return None
 
     budget_ = _Budget(budget)
@@ -275,6 +271,7 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT
     n_bases_t = len(target.bases)
 
     points = [0] + [(q**d - 1) // (q - 1) for d in range(1, r_h + 1)]
+    zero = o.encode((0,) * m)  # what a survivor in the span of C reduces to
     kmax = min(r_h - r_t, n - e_t)
     for k in range(kmax, -1, -1):
         if c_t > points[r_h - k]:
@@ -303,7 +300,7 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT
                 row = o.reduce_pivot(ech, cols[j])
                 if row is None:
                     zero_surv.append(j)
-                    reps[j] = o.reduce(ech, cols[j])
+                    reps[j] = zero
                 else:
                     reps[j] = row[1]
                     dirs.setdefault(row[1], []).append(j)
@@ -463,7 +460,7 @@ def has_excluded_minor_matrix(A: FqMatrix, class_name: str = "graphic",
     """Decide each of the class's excluded minors (Tutte's list for
     'graphic') in a matrix host; membership holds iff every one is absent."""
     if class_name != "graphic":
-        raise BadParametersError(f"unknown minor-closed class {class_name!r}")
+        raise BadArgumentsError(f"unknown minor-closed class {class_name!r}")
     report = ExcludedMinorReport(class_name)
     for name in GRAPHIC_EXCLUDED:
         outcome, w = decide(A, catalog(name), budget)

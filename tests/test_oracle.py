@@ -127,9 +127,3 @@ def test_too_large_cap():
         oracle.exact_minor_prob(3, 100, 100, catalog("U:1,2"))
     with pytest.raises(TooLargeError):
         oracle.count_representations_exact(catalog("U:1,2"), 9000, 2)
-
-
-def test_oracle_result_json():
-    res = oracle.exact_event_prob(2, 2, 2, "full-column-rank")
-    d = res.to_json()
-    assert d == {"total": "16", "hits": "6", "exact": {"num": "3", "den": "8"}}

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from fqminors import formulas, sampler, sweep
-from fqminors.errors import BadArgumentsError, BadParametersError
+from fqminors.errors import BadArgumentsError
 from fqminors.matroid import catalog
 from fqminors.sweep import bounds_for, m_for, n_values, run_minor_sweep, sweep_sizes
 
@@ -13,23 +13,23 @@ def test_m_rules():
     assert m_for("n-minus:3", 10) == 7
     assert m_for("n-plus:3", 10) == 13
     assert m_for("ratio:0.5", 11) == 5
-    with pytest.raises(BadParametersError):
+    with pytest.raises(BadArgumentsError):
         m_for("times:2", 10)
     for rule in ("constant:x", "ratio:inf", "ratio:1e400", "ratio:-inf"):
-        with pytest.raises(BadParametersError):
+        with pytest.raises(BadArgumentsError):
             m_for(rule, 10)
 
 
 def test_n_values():
     assert list(n_values(4, 10, 3)) == [4, 7, 10]
-    with pytest.raises(BadParametersError):
+    with pytest.raises(BadArgumentsError):
         n_values(5, 4, 1)
-    with pytest.raises(BadParametersError):
+    with pytest.raises(BadArgumentsError):
         n_values(4, 10, 0)
 
 
 def test_negative_m_rejected():
-    with pytest.raises(BadParametersError):
+    with pytest.raises(BadArgumentsError):
         run_minor_sweep(2, catalog("U:1,2"), (2, 6, 1), "n-minus:4", 10, 0)
 
 
@@ -39,7 +39,7 @@ def _walk_sizes(n_range, m_rule):
     for n in ns:
         m = m_for(m_rule, n)
         if m < 0:
-            raise BadParametersError(f"m_rule {m_rule!r} gives negative m at n={n}")
+            raise BadArgumentsError(f"m_rule {m_rule!r} gives negative m at n={n}")
         sampler.check_shape(m, n)
     return [(n, m_for(m_rule, n)) for n in ns]
 
@@ -47,7 +47,7 @@ def _walk_sizes(n_range, m_rule):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (BadArgumentsError, BadParametersError) as e:
+    except BadArgumentsError as e:
         return type(e), str(e)
 
 
