@@ -38,7 +38,13 @@ A matrix's columns and rows reach a backend in its form (`cols_of`,
 `pack_rows` from the codes) or the oracle built them, and otherwise
 encoded from the entries (`encode`).  `gf2_ranks` ranks a whole stack of
 GF(2) matrices at once, on the same 64-bit row words that `pack_rows`
-joins into ints, by one numpy elimination across the stack.
+joins into ints (`word_ints`), by one numpy elimination across the stack;
+`pack_stack` packs a whole stack's rows, and its columns, into such words
+with one call each.  `gf2_contract` contracts each matrix of a stack on
+its own chosen columns by one numpy Gaussian elimination on its row
+words: the batched witness verifier's contraction, which needs no
+[A | I], because a row operation keeps the column matroid, and shares no
+step with the search or with `contract`.
 """
 
 from __future__ import annotations
@@ -61,24 +67,49 @@ def _words(bits: np.ndarray) -> np.ndarray:
     return np.packbits(padded, bitorder="little").view("<u8").reshape(*lead, width // 64)
 
 
-def pack_rows(bits: np.ndarray) -> list[int]:
-    """Each row of a 2-D 0/1 array as an int, bit j = entry j, for any row
-    length: the one GF(2) packer.  The 64-bit words of a row are joined
+def word_ints(words: np.ndarray) -> list[int]:
+    """Each row of a 2-D array of 64-bit words as an int, its words joined
     most significant first."""
-    words = _words(bits)
     out = words[:, -1].tolist()
     for k in range(words.shape[1] - 2, -1, -1):
         out = [v << 64 | w for v, w in zip(out, words[:, k].tolist())]
     return out
 
 
+def pack_rows(bits: np.ndarray) -> list[int]:
+    """Each row of a 2-D 0/1 array as an int, bit j = entry j, for any row
+    length: the one GF(2) packer."""
+    return word_ints(_words(bits))
+
+
+def pack_stack(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row words, column words) of a stack of 0/1 matrices of shape
+    (T, m, n), shapes (T, m, W) and (T, n, W'): one `_words` call packs
+    every row of the stack and one every column.  `word_ints` of
+    words[t] gives matrix t's rows (or columns) as `pack_rows` does."""
+    return _words(bits), _words(bits.transpose(0, 2, 1))
+
+
+def _pivot_step(words: np.ndarray, free: np.ndarray, stack: np.ndarray, ones: np.ndarray):
+    """One elimination step in every matrix of a stack of row words, shape
+    (T, m, W), where ones[t, i] says whether row i of matrix t has a 1 in
+    the step's column: in each matrix the first free row with a 1 there
+    becomes its pivot, leaves `free` and is added to every other free row
+    with a 1 there.  Returns whether each matrix found a pivot."""
+    hit = ones & free
+    piv = hit.argmax(axis=1)
+    found = hit[stack, piv]
+    free[stack, piv] &= ~found
+    hit[stack, piv] = False
+    words ^= np.where(hit[:, :, None], words[stack, piv][:, None, :], np.uint64(0))
+    return found
+
+
 def gf2_ranks(bits: np.ndarray) -> np.ndarray:
     """Ranks of a stack of 0/1 matrices of shape (T, m, n), as T ints.
 
     The rows are packed into 64-bit words (`_words`) and eliminated one
-    column at a time across the whole stack: in each matrix the first row
-    not yet used as a pivot that has a 1 in the column becomes its pivot,
-    and is added to every other unused row with a 1 there.  A wide stack
+    column at a time across the whole stack (`_pivot_step`).  A wide stack
     is ranked by its transpose, so there are min(m, n) column steps."""
     if bits.shape[2] > bits.shape[1]:
         bits = bits.transpose(0, 2, 1)
@@ -89,15 +120,44 @@ def gf2_ranks(bits: np.ndarray) -> np.ndarray:
     free = np.ones((T, m), dtype=bool)
     stack = np.arange(T)
     for j in range(n):
-        w = j >> 6
-        hit = (words[:, :, w] >> np.uint64(j & 63) & np.uint64(1)).astype(bool) & free
-        piv = hit.argmax(axis=1)
-        found = hit[stack, piv]
-        free[stack, piv] &= ~found
-        hit[stack, piv] = False
-        pivot_rows = words[stack, piv, w:]
-        words[:, :, w:] ^= np.where(hit[:, :, None], pivot_rows[:, None, :], np.uint64(0))
+        _pivot_step(words, free, stack,
+                    (words[:, :, j >> 6] >> np.uint64(j & 63) & np.uint64(1)).astype(bool))
     return m - free.sum(axis=1)
+
+
+def gf2_contract(words: np.ndarray, chosen: np.ndarray, keep: np.ndarray):
+    """Contractions of a stack of GF(2) matrices, each on its own columns:
+    (ok, minors) for the G matrices with row words `words`, shape (G, m, W)
+    as `_words` packs them, contracting columns chosen[g] of matrix g and
+    keeping its columns keep[g] (int arrays of shape (G, k) and (G, e)).
+    ok[g] is False where matrix g's chosen columns are dependent (or more
+    than m); minors, shape (ok.sum(), m - k, e), holds the contractions of
+    the others in stack order.
+
+    One `_pivot_step` across the stack per chosen column.  The rows never
+    chosen as pivots then vanish on the chosen columns and span the part
+    of the row space that does, so their kept entries represent the
+    contraction: a row operation keeps the column matroid, and no inverse
+    is needed.  The pass shares no code with the search's echelon
+    (`reduce`, `reduce_pivot`) or with `contract` (`eliminate`)."""
+    G, m, _ = words.shape
+    k, e = chosen.shape[1], keep.shape[1]
+    if k > m:
+        return np.zeros(G, dtype=bool), np.zeros((0, 0, e), dtype=np.uint8)
+    words = words.copy()
+    free = np.ones((G, m), dtype=bool)
+    ok = np.ones(G, dtype=bool)
+    stack = np.arange(G)
+    for c in chosen.T:
+        shift = (c & 63).astype(np.uint64)[:, None]
+        ok &= _pivot_step(words, free, stack,
+                          (words[stack, :, c >> 6] >> shift & np.uint64(1)).astype(bool))
+    count = int(ok.sum())
+    rows = words[ok][free[ok]].reshape(count, m - k, words.shape[2])
+    keep = keep[ok]
+    bits = (rows[np.arange(count)[:, None, None], np.arange(m - k)[None, :, None],
+                 (keep >> 6)[:, None, :]] >> (keep & 63).astype(np.uint64)[:, None, :])
+    return ok, (bits & np.uint64(1)).astype(np.uint8)
 
 
 # the ASCII digit each code becomes in an int(..., 2) string: "1" where the

@@ -21,17 +21,26 @@ One searcher and one reference, with the same witness format:
   check run it.
 
 A search that runs out of budget raises BudgetExceededError: the outcome is
-*unknown*, which callers must never conflate with *absent*.  Each has its
-own verifier: `verify_witness_matrix` shares none of the matrix search's
+*unknown*, which callers must never conflate with *absent*.  So does a
+target one of whose survivor selections would cost more than the whole
+budget, before its basis family is scanned.  Each searcher has its own
+verifier: `verify_witness_matrix` shares none of the matrix search's
 internals, and `verify_witness` checks C's independence and the witness
 bijection, which the reference's isomorphism test does not.
+`WitnessStack` gives `verify_witness_matrix`'s verdicts on many GF(2)
+witnesses at once, contracting each witness's own host by one numpy
+elimination per contraction size (`linalg.gf2_contract`), which shares no
+code with the search either.
 
-`decide` is the one place a search outcome is classified: it runs
-`find_minor_matrix` and `verify_witness_matrix` on a matrix host and
-returns `found` (witness verified), `absent`, `unknown` (budget ran out)
-or `unverified` (a witness that failed its independent check, never
-counted as found).  The `minor` command, the excluded-minor class test
-and every Monte Carlo minor trial go through it.
+`search` runs `find_minor_matrix` and `outcome` classifies what it gave,
+once the witness is checked: `found` (witness verified), `absent`,
+`unknown` (budget ran out) or `unverified` (a witness that failed its
+independent check, never counted as found).  `decide` is the two with
+`verify_witness_matrix` on one host: the `minor` command, the
+excluded-minor class test and the Monte Carlo minor trials over fields
+other than GF(2) go through it.  A GF(2) Monte Carlo chunk runs `search`
+on each host of a stack and checks the stack's witnesses with a
+`WitnessStack`.
 """
 
 from __future__ import annotations
@@ -41,8 +50,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from . import linalg
 from .errors import BadArgumentsError, BudgetExceededError
+from .gf import field
 from .matrix import FqMatrix
 from .matroid import Matroid, catalog, from_matrix, is_isomorphic
 
@@ -176,7 +188,7 @@ def _witness_survivors(n: int, target: Matroid, w: MinorWitness) -> list[int] | 
     return survivors
 
 
-def _is_target(minor_m: Matroid, target: Matroid, survivors: list[int], w: MinorWitness) -> bool:
+def _is_target(minor_m: Matroid, target: Matroid, survivors: list[int], bijection) -> bool:
     """Whether minor_m, whose element i is survivors[i], has the target's
     basis family under the witness bijection."""
     pos = {x: i for i, x in enumerate(survivors)}
@@ -185,7 +197,7 @@ def _is_target(minor_m: Matroid, target: Matroid, survivors: list[int], w: Minor
         mask = 0
         for i in range(target.ground_size):
             if (b >> i) & 1:
-                mask |= 1 << pos[w.bijection[i]]
+                mask |= 1 << pos[bijection[i]]
         expected.add(mask)
     return minor_m.bases == frozenset(expected)
 
@@ -199,7 +211,7 @@ def verify_witness(host: Matroid, target: Matroid, w: MinorWitness) -> bool:
     c_mask = _mask_of(w.contract)
     if not host.is_independent(c_mask):
         return False
-    return _is_target(host.minor(c_mask, _mask_of(w.delete)), target, survivors, w)
+    return _is_target(host.minor(c_mask, _mask_of(w.delete)), target, survivors, w.bijection)
 
 
 # ----------------------------------------------------------------------
@@ -234,9 +246,11 @@ def _distinct_size_orders(sizes: list[int]) -> list[tuple[int, ...]]:
         out.append(tuple(a))
 
 
-def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT_BUDGET):
+def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT_BUDGET,
+                      r_h: int | None = None):
     """Search for target as a minor of the column matroid of A; None means
-    *absent* (certain), BudgetExceededError *unknown*.
+    *absent* (certain), BudgetExceededError *unknown*.  `r_h`, when given,
+    is A's rank, which the search then does not recompute.
 
     Witness element indices refer to host columns.
     """
@@ -245,7 +259,8 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT
     n, m = A.n, A.m
     o = linalg.ops_for(f, m)
     cols = o.cols_of(A)
-    r_h = o.rank_cols(cols)
+    if r_h is None:
+        r_h = o.rank_cols(cols)
     e_t, r_t = target.ground_size, target.rank
     # the size checks first: they read no basis family
     if e_t > n or r_t > r_h or (e_t - r_t) > (n - r_h):
@@ -255,6 +270,12 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT
         return MinorWitness(frozenset(), frozenset(range(n)) - frozenset(chosen), tuple(chosen))
     if r_h == n:
         return None
+    budget_ = _Budget(budget)
+    # every survivor selection costs C(e_t, r_t) units, so past the whole
+    # budget no witness can be paid for: unknown, before the target's
+    # basis family is scanned
+    if math.comb(e_t, r_t) > budget_.left:
+        raise BudgetExceededError("minor search budget exhausted")
     sizes = [c.bit_count() for c in target.parallel_classes()]
     c_t = len(sizes)
     # every minor of M[A] embeds in an r_t-dimensional F_q space, so its
@@ -262,7 +283,6 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT
     if r_t >= 1 and c_t > (q**r_t - 1) // (q - 1):
         return None
 
-    budget_ = _Budget(budget)
     l_t = target.loops().bit_count()
     n_orders = _n_distinct_orders(sizes)
     if n_orders > 1:
@@ -409,7 +429,53 @@ def verify_witness_matrix(A: FqMatrix, target: Matroid, w: MinorWitness) -> bool
         return False
     o = linalg.ops_for(A.field, A.m)
     minor_mat = linalg.contract(o, A, sorted(w.contract), survivors)
-    return minor_mat is not None and _is_target(from_matrix(minor_mat), target, survivors, w)
+    return minor_mat is not None and _is_target(from_matrix(minor_mat), target, survivors,
+                                                w.bijection)
+
+
+class WitnessStack:
+    """Witnesses found on the hosts of one stack of GF(2) matrices, at most
+    one per host, checked together: `verdicts` gives `verify_witness_matrix`'s
+    verdict on each.  `words[t]` holds host t's row words (as
+    `linalg.pack_stack` gives them), and every host has n columns.
+
+    A witness is kept only as what its check reads (C, the survivors and
+    the bijection), so a stack holds no witness object."""
+
+    def __init__(self, words, n: int, target: Matroid):
+        self.words, self.n, self.target = words, n, target
+        self._verdicts: dict = {}
+        self._groups: dict = {}  # |C| -> [(host, sorted C, survivors, bijection)]
+
+    def add(self, t: int, w: MinorWitness):
+        """Queue w, found on host t; one whose sets do not name the target's
+        survivors (`_witness_survivors`) fails at once."""
+        survivors = _witness_survivors(self.n, self.target, w)
+        if survivors is None:
+            self._verdicts[t] = False
+        else:
+            self._groups.setdefault(len(w.contract), []).append(
+                (t, sorted(w.contract), survivors, w.bijection))
+
+    def verdicts(self) -> dict:
+        """Host -> verdict for every queued witness.  The witnesses are
+        grouped by |C|, each group's hosts are contracted on their own C by
+        one `linalg.gf2_contract`, and each contraction's column matroid is
+        compared with the target as `verify_witness_matrix` compares it."""
+        f2 = field(2)
+        m, e_t = self.words.shape[1], self.target.ground_size
+        for k, group in self._groups.items():
+            hosts, chosen, keep, _ = zip(*group)
+            ok, minors = linalg.gf2_contract(
+                self.words[list(hosts)], np.array(chosen, dtype=np.int64).reshape(len(group), k),
+                np.array(keep, dtype=np.int64).reshape(len(group), e_t))
+            for t in itertools.compress(hosts, ~ok):
+                self._verdicts[t] = False
+            for (t, _, survivors, bijection), bits in zip(itertools.compress(group, ok), minors):
+                minor_m = from_matrix(FqMatrix(f2, m - k, e_t, tuple(bits.ravel().tolist())))
+                self._verdicts[t] = _is_target(minor_m, self.target, survivors, bijection)
+        self._groups.clear()
+        return self._verdicts
 
 
 def check_budget(budget: int | None):
@@ -418,19 +484,35 @@ def check_budget(budget: int | None):
         raise BadArgumentsError("budget must be >= 1")
 
 
+def search(A: FqMatrix, target: Matroid, budget, r_h: int | None = None):
+    """(status, witness) of `find_minor_matrix` on the matrix host A:
+    ('witness', w) for the witness it found, not yet verified, ('absent',
+    None) when there is no such minor, ('unknown', None) when the budget
+    ran out.  `r_h`, when given, is A's rank."""
+    check_budget(budget)
+    try:
+        w = find_minor_matrix(A, target, budget, r_h=r_h)
+    except BudgetExceededError:
+        return "unknown", None
+    return ("absent", None) if w is None else ("witness", w)
+
+
+def outcome(status: str, verified: bool) -> str:
+    """The outcome of a search with that `search` status: a witness is
+    'found' when its independent check accepted it and 'unverified' when
+    not; 'absent' and 'unknown' stay as they are."""
+    if status != "witness":
+        return status
+    return "found" if verified else "unverified"
+
+
 def decide(A: FqMatrix, target: Matroid, budget):
     """(outcome, witness) of searching the matrix host A for target by
     `find_minor_matrix`: ('found', w) when `verify_witness_matrix` accepts
     w, ('unverified', w) when it rejects it, ('absent', None) when there is
     no such minor, ('unknown', None) when the budget ran out."""
-    check_budget(budget)
-    try:
-        w = find_minor_matrix(A, target, budget)
-    except BudgetExceededError:
-        return "unknown", None
-    if w is None:
-        return "absent", None
-    return ("found" if verify_witness_matrix(A, target, w) else "unverified"), w
+    status, w = search(A, target, budget)
+    return outcome(status, w is not None and verify_witness_matrix(A, target, w)), w
 
 
 # ----------------------------------------------------------------------

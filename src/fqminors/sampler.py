@@ -26,14 +26,23 @@ Every Monte Carlo path runs through `run_trials`, the one trial runner: it
 splits the trial indices into contiguous ranges, one per process, runs a
 chunk function on each range and sums the Counters.  A chunk function
 (args, seed, lo, hi) -> Counter counts the outcomes of trials lo..hi-1.
-A rank event over GF(2) is decided in chunks: the codes of a range's trials
-are stacked and one `linalg.gf2_ranks` elimination ranks the whole stack, with
-the same words and counts as one trial at a time; over other fields each
-trial is ranked by `linalg.fast_rank`.  Estimates carry Wilson 95%
-intervals.  A minor trial counts as a success only when
-`minor.decide` finds a witness that verifies; budget-exhausted searches and
-failed verifications are reported in `unknowns` (the latter also in
-`unverified`), never folded into successes.
+Over GF(2) both chunk functions draw a range's codes into stacks
+(`_gf2_stacks`, the same words as one trial at a time) and rank each stack
+by one `linalg.gf2_ranks` elimination.  A rank event is then decided from
+the ranks.  A minor trial's host is built from its stack, packed by one
+`linalg.pack_stack` per stack, and equals `sample_matrix`'s; it is searched
+by `minor.search` with its rank given, and the stack's witnesses are
+checked together by a `minor.WitnessStack`, one numpy contraction per
+contraction size.  The first trial of each stack is also checked the
+per-trial way (`sample_matrix`, `minor.verify_witness_matrix`), and counts
+as found only when both checks accept it.  Over other fields each trial is
+sampled by `sample_matrix`, ranked by `linalg.fast_rank` or decided by
+`minor.decide`, which keeps `verify_witness_matrix`, as do the `minor` and
+`class` commands.  Estimates carry Wilson 95% intervals.  A minor trial
+counts as a success only when its own witness verifies; budget-exhausted
+searches and failed verifications are reported in `unknowns` (the latter
+also in `unverified`), never folded into successes, and both paths
+classify through `minor.outcome`.
 """
 
 from __future__ import annotations
@@ -52,14 +61,15 @@ from .errors import BadArgumentsError
 from .gf import field
 from .matrix import FqMatrix
 from .matroid import Matroid
-from .minor import DEFAULT_BUDGET, check_budget, decide
+from .minor import (DEFAULT_BUDGET, WitnessStack, check_budget, decide, outcome, search,
+                    verify_witness_matrix)
 
 _MASK64 = (1 << 64) - 1
 # the most entries a sampled matrix may have; larger shapes are rejected
 # before any word is drawn
 MAX_ENTRIES = 2**22
 _WILSON_Z95 = 1.959963984540054
-# the most entries in one stack of GF(2) rank trials
+# the most entries in one stack of GF(2) trials, rank or minor
 _RANK_STACK_ENTRIES = 2**18
 
 
@@ -277,22 +287,29 @@ def _parse_event_int(name: str) -> int:
         raise BadArgumentsError(f"bad event parameter in {name!r}") from None
 
 
-def _rank_chunk(shape, seed: int, lo: int, hi: int) -> Counter:
-    """Counter of the ranks of trials lo..hi-1.  Over GF(2) the trials'
-    codes are stacked, at most _RANK_STACK_ENTRIES entries per stack, and
-    each stack is ranked by one `linalg.gf2_ranks` elimination."""
-    q, m, n = shape
-    if q != 2:
-        return Counter(linalg.fast_rank(sample_matrix(q, m, n, SeedSpec(seed, i)))
-                       for i in range(lo, hi))
-    ranks: Counter = Counter()
+def _gf2_stacks(seed: int, lo: int, hi: int, m: int, n: int):
+    """The codes of GF(2) trials lo..hi-1 in stacks of at most
+    _RANK_STACK_ENTRIES entries: (streams, stack) pairs, stack[t] the
+    m x n uint8 codes `sample_entries` draws for stream streams[t]."""
     size = max(1, _RANK_STACK_ENTRIES // max(1, m * n))
     for start in range(lo, hi, size):
         streams = range(start, min(start + size, hi))
         stack = np.empty((len(streams), m * n), dtype=np.uint8)
         for t, i in enumerate(streams):
             stack[t] = sample_entries(2, m * n, SeedSpec(seed, i))
-        ranks.update(linalg.gf2_ranks(stack.reshape(len(streams), m, n)).tolist())
+        yield streams, stack.reshape(len(streams), m, n)
+
+
+def _rank_chunk(shape, seed: int, lo: int, hi: int) -> Counter:
+    """Counter of the ranks of trials lo..hi-1.  Over GF(2) each stack of
+    `_gf2_stacks` is ranked by one `linalg.gf2_ranks` elimination."""
+    q, m, n = shape
+    if q != 2:
+        return Counter(linalg.fast_rank(sample_matrix(q, m, n, SeedSpec(seed, i)))
+                       for i in range(lo, hi))
+    ranks: Counter = Counter()
+    for _, stack in _gf2_stacks(seed, lo, hi, m, n):
+        ranks.update(linalg.gf2_ranks(stack).tolist())
     return ranks
 
 
@@ -306,10 +323,45 @@ def mc_event_prob(q: int, m: int, n: int, event: str, trials: int, seed: int) ->
 
 
 def _minor_chunk(args, seed: int, lo: int, hi: int) -> Counter:
-    """Counter of the `decide` outcomes of trials lo..hi-1."""
+    """Counter of the `decide` outcomes of trials lo..hi-1.
+
+    Over GF(2) each stack of `_gf2_stacks` becomes hosts equal to
+    `sample_matrix`'s, packed by one `linalg.pack_stack` and ranked by one
+    `linalg.gf2_ranks`; each host is searched with its rank given, and the
+    stack's witnesses are checked together by a `WitnessStack`.  The
+    first trial of a stack is also checked on the per-trial path, its host
+    drawn by `sample_matrix` and its witness checked by
+    `verify_witness_matrix`, and counts as found only when both checks
+    accept: a run-time spot check of the stacked draw and verifier against
+    the per-trial ones."""
     q, m, n, target, budget = args
-    return Counter(decide(sample_matrix(q, m, n, SeedSpec(seed, i)), target, budget)[0]
-                   for i in range(lo, hi))
+    check_shape(m, n)
+    if q != 2:
+        return Counter(decide(sample_matrix(q, m, n, SeedSpec(seed, i)), target, budget)[0]
+                       for i in range(lo, hi))
+    f = field(2)
+    outcomes: Counter = Counter()
+    for streams, stack in _gf2_stacks(seed, lo, hi, m, n):
+        words, col_words = linalg.pack_stack(stack)
+        codes = stack.reshape(len(streams), m * n)
+        witnesses = WitnessStack(words, n, target)
+        statuses = []
+        for t, r_h in enumerate(linalg.gf2_ranks(stack).tolist()):
+            A = FqMatrix(f, m, n, tuple(codes[t].tolist()), tuple(linalg.word_ints(col_words[t])),
+                         tuple(linalg.word_ints(words[t])))
+            status, w = search(A, target, budget, r_h)
+            statuses.append(status)
+            if t == 0:
+                first = w
+            if w is not None:
+                witnesses.add(t, w)
+        verified = witnesses.verdicts()
+        if first is not None:
+            host = sample_matrix(2, m, n, SeedSpec(seed, streams[0]))
+            verified[0] = verify_witness_matrix(host, target, first) and verified[0]
+        outcomes.update(outcome(status, verified.get(t, False))
+                        for t, status in enumerate(statuses))
+    return outcomes
 
 
 def mc_minor_prob(q: int, m: int, n: int, target: Matroid, trials: int, seed: int,

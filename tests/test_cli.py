@@ -231,6 +231,21 @@ def test_minor_absent(tmp_path, capsys):
     assert "absent" in capsys.readouterr().out
 
 
+def test_minor_target_past_the_budget_is_unknown_before_its_scan(monkeypatch, capsys):
+    # one survivor selection of U:10,20 costs C(20, 10) units, more than
+    # the whole budget: unknown, before the basis family is scanned
+    from fqminors.matroid import Matroid
+
+    def scan(self):
+        raise AssertionError("parallel_classes scanned the basis family")
+
+    monkeypatch.setattr(Matroid, "parallel_classes", scan)
+    rc = cli.main(["minor", "--sample", "2", "10", "20", "--target", "name:U:10,20",
+                   "--budget", "1"])
+    assert rc == 0
+    assert capsys.readouterr().out == "outcome: unknown\n"
+
+
 def test_minor_parse_error_exit_3(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 2 2\n1 0\n1 oops\n")

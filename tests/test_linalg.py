@@ -10,8 +10,8 @@ import numpy as np
 
 from conftest import basis_change, complete_to_basis, dot, rank
 from fqminors.gf import field
-from fqminors.linalg import (BitOps, GenOps, TriOps, _words, contract, fast_rank, gf2_ranks,
-                             leftmost_independent, ops_for)
+from fqminors.linalg import (BitOps, GenOps, TriOps, _words, contract, fast_rank, gf2_contract,
+                             gf2_ranks, leftmost_independent, ops_for)
 from fqminors.matrix import FqMatrix
 from fqminors.sampler import SeedSpec, sample_matrix
 
@@ -217,6 +217,39 @@ def test_contract_shares_no_elimination_with_the_search(monkeypatch):
         monkeypatch.setattr(cls, "reduce_pivot", forbidden)
     for o, A, chosen, keep, want in cases:
         assert contract(o, A, chosen, keep) == want, (type(o), chosen)
+
+
+def test_stacked_contraction_shares_no_elimination_with_the_search(monkeypatch):
+    # the stacked verifier's contraction must run neither the search's
+    # echelon step nor `contract`'s pivot step: with reduce, reduce_pivot
+    # and BitOps.eliminate raising, it gives the same output, and it
+    # leaves the words it was given as they were
+    rng = random.Random(48)
+    m, n, T = 6, 10, 8
+    stack = np.array([sample_matrix(2, m, n, SeedSpec(48, t)).entries for t in range(T)],
+                     dtype=np.uint8).reshape(T, m, n)
+    words = _words(stack)
+    cases = []
+    for k in (0, 2, 4, 6, 7):
+        picks = [rng.sample(range(n), n) for _ in range(T)]
+        chosen = np.array([p[:k] for p in picks], dtype=np.int64).reshape(T, k)
+        keep = np.array([sorted(p[k:])[:3] for p in picks], dtype=np.int64)
+        cases.append((chosen, keep, gf2_contract(words, chosen, keep)))
+    oks = np.concatenate([ok for *_, (ok, _) in cases])
+    assert oks.any() and not oks.all()
+
+    def forbidden(*args):
+        raise AssertionError("the stacked contraction ran a search or contract step")
+
+    for cls in (BitOps, GenOps, TriOps):
+        monkeypatch.setattr(cls, "reduce", forbidden)
+        monkeypatch.setattr(cls, "reduce_pivot", forbidden)
+    monkeypatch.setattr(BitOps, "eliminate", forbidden)
+    before = words.copy()
+    for chosen, keep, (ok, minors) in cases:
+        got_ok, got = gf2_contract(words, chosen, keep)
+        assert np.array_equal(got_ok, ok) and np.array_equal(got, minors)
+    assert np.array_equal(words, before)
 
 
 def test_words_match_a_per_row_reference():

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from fqminors import linalg, minor
@@ -13,6 +14,7 @@ from fqminors.matrix import FqMatrix
 from fqminors.matroid import Matroid, catalog, from_matrix, is_isomorphic, uniform
 from fqminors.minor import (
     MinorWitness,
+    WitnessStack,
     _mask_of,
     decide,
     find_minor,
@@ -113,7 +115,7 @@ def test_decide_classifies_every_outcome(monkeypatch):
     monkeypatch.setattr(minor, "verify_witness_matrix", lambda host, target, w: False)
     assert decide(A, f7, None) == ("unverified", w)
 
-    def exhausted(host, target, budget):
+    def exhausted(host, target, budget, r_h=None):
         raise BudgetExceededError("out of budget")
 
     monkeypatch.setattr(minor, "find_minor_matrix", exhausted)
@@ -464,3 +466,104 @@ def test_incremental_scan_matches_reference_scan(monkeypatch):
                     seen.add(type(got).__name__)
     # every kind of outcome is covered: witness, absent and budget exhausted
     assert seen == {"MinorWitness", "NoneType", "str"}
+
+
+def _stack_agrees(cases) -> list[bool]:
+    """WitnessStack verdicts on (host, target, witness) cases, every host
+    of one shape and target in one stack, asserted equal to
+    verify_witness_matrix case by case; returns the verdicts."""
+    groups: dict = {}
+    for pos, (A, target, w) in enumerate(cases):
+        groups.setdefault((A.m, A.n, target), []).append((pos, A, w))
+    verdicts = [None] * len(cases)
+    for (m, n, target), group in groups.items():
+        stack = np.array([A.entries for _, A, _ in group], dtype=np.uint8).reshape(len(group), m, n)
+        words = linalg.pack_stack(stack)[0]
+        witnesses = WitnessStack(words, n, target)
+        for t, (_, _, w) in enumerate(group):
+            witnesses.add(t, w)
+        got = witnesses.verdicts()
+        assert sorted(got) == list(range(len(group)))
+        for t, (pos, A, w) in enumerate(group):
+            assert got[t] == verify_witness_matrix(A, target, w), (A, target, w)
+            verdicts[pos] = got[t]
+    return verdicts
+
+
+def _witnesses(n: int, e_t: int):
+    """Every witness shape: disjoint C and D with |C| + |D| = n - e_t, C
+    dependent or not, and every bijection onto the survivors."""
+    for drop in itertools.combinations(range(n), n - e_t):
+        survivors = [x for x in range(n) if x not in drop]
+        for c_size in range(len(drop) + 1):
+            for c in itertools.combinations(drop, c_size):
+                for bij in itertools.permutations(survivors):
+                    yield MinorWitness(frozenset(c), frozenset(drop) - frozenset(c), bij)
+
+
+def _corrupted(w: MinorWitness, n: int) -> list[MinorWitness]:
+    """The witness with overlapping C and D, an index out of range in C
+    and in D, and a bijection onto a dropped element."""
+    out = [MinorWitness(w.contract | {n}, w.delete, w.bijection),
+           MinorWitness(w.contract, w.delete | {-1}, w.bijection)]
+    dropped = w.contract | w.delete
+    if dropped:
+        x = min(dropped)
+        out.append(MinorWitness(w.contract | {x}, w.delete | {x}, w.bijection))
+        if w.bijection:
+            out.append(MinorWitness(w.contract, w.delete, (x,) + w.bijection[1:]))
+    return out
+
+
+def test_stacked_verifier_agrees_exhaustively():
+    # every GF(2) host of each small shape against every witness shape for
+    # targets of 1 to 3 elements: dependent C, |C| > m (a 1- or 2-row host
+    # and U:1,1), wrong bijections and, on one witness per host,
+    # overlapping and out-of-range indices
+    cases = []
+    small = ("U:0,1", "U:1,1", "U:1,2", "U:2,3")
+    shapes = {(1, 3): small, (2, 3): small, (3, 3): small, (2, 4): ("U:1,1",)}
+    for (m, n), names in shapes.items():
+        for code in range(2 ** (m * n)):
+            A = FqMatrix(F2, m, n, tuple(code >> i & 1 for i in range(m * n)))
+            for name in names:
+                target = catalog(name)
+                if target.ground_size > n:
+                    continue
+                ws = list(_witnesses(n, target.ground_size))
+                cases += [(A, target, w) for w in ws + _corrupted(ws[code % len(ws)], n)]
+    verdicts = _stack_agrees(cases)
+    assert True in verdicts and False in verdicts
+    assert any(len(w.contract) > A.m for A, _, w in cases)
+
+
+def test_stacked_verifier_edge_cases():
+    cases = []
+    # m = 0: every column a loop, and only an empty C is independent
+    empty = FqMatrix(F2, 0, 3, ())
+    for name in ("U:0,1", "U:0,2", "U:1,2"):
+        target = catalog(name)
+        cases += [(empty, target, w) for w in _witnesses(3, target.ground_size)]
+    # |C| = 0: the witnesses of free targets
+    for stream in range(6):
+        A = sample_matrix(2, 5, 8, SeedSpec(49, stream))
+        for r in range(4):
+            w = find_minor_matrix(A, catalog(f"free:{r}"))
+            assert w is not None and not w.contract
+            cases.append((A, catalog(f"free:{r}"), w))
+    # rows of more than one word (n > 64), and more than 64 rows; the last
+    # column repeats the one before, so U:1,2 is a minor of every host
+    u12 = catalog("U:1,2")
+    for m, n in ((70, 80), (20, 130), (100, 40)):
+        for stream in range(3):
+            B = sample_matrix(2, m, n, SeedSpec(50, stream))
+            A = FqMatrix(F2, m, n,
+                         tuple(e for i in range(m) for e in B.row(i)[:-1] + B.row(i)[-2:-1]))
+            w = find_minor_matrix(A, u12)
+            assert w is not None and verify_witness_matrix(A, u12, w)
+            moved = min(w.contract)
+            cases += [(A, u12, w),
+                      (A, u12, MinorWitness(w.contract - {moved}, w.delete | {moved}, w.bijection))]
+            cases += [(A, u12, bad) for bad in _corrupted(w, n)]
+    verdicts = _stack_agrees(cases)
+    assert True in verdicts and False in verdicts

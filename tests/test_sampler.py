@@ -509,11 +509,84 @@ def test_nonpositive_budget_rejected_before_any_trial(monkeypatch):
 
 
 def test_failed_verification_is_counted_as_unverified(monkeypatch):
-    monkeypatch.setattr(minor, "verify_witness_matrix", lambda A, target, w: False)
+    # a GF(2) chunk checks its witnesses by the stacked contraction
+    def dependent(words, chosen, keep):
+        return np.zeros(len(words), dtype=bool), np.zeros((0, 0, keep.shape[1]), dtype=np.uint8)
+
+    monkeypatch.setattr(linalg, "gf2_contract", dependent)
     est = mc_minor_prob(2, 4, 6, catalog("U:1,2"), 50, seed=1)
     assert est.successes == 0
     assert est.unverified == est.unknowns == 49
     assert est.to_json()["unverified"] == 49
+
+
+def _recording_search(monkeypatch, corrupt=None):
+    """Patch the search a GF(2) chunk runs to record (host, r_h, status,
+    witness) per trial, the witness passed through `corrupt` when given."""
+    seen = []
+    search = sampler.search
+
+    def recording(A, target, budget, r_h=None):
+        status, w = search(A, target, budget, r_h)
+        if corrupt is not None and w is not None:
+            w = corrupt(len(seen), A, w)
+        seen.append((A, r_h, status, w))
+        return status, w
+
+    monkeypatch.setattr(sampler, "search", recording)
+    return seen
+
+
+@pytest.mark.parametrize("bad", [0, 7])
+def test_one_failing_witness_in_a_stack_is_unverified(monkeypatch, bad):
+    # trial `bad`'s witness also contracts a deleted element, which leaves
+    # its survivors loops (or C dependent); the stacked check rejects it
+    # alone, whether or not it is the trial the per-trial check also sees
+    target = catalog("U:1,2")
+
+    def corrupt(t, A, w):
+        if t != bad:
+            return w
+        x = min(w.delete)
+        w = minor.MinorWitness(w.contract | {x}, w.delete - {x}, w.bijection)
+        assert not minor.verify_witness_matrix(A, target, w)
+        return w
+
+    seen = _recording_search(monkeypatch, corrupt)
+    got = sampler._minor_chunk((2, 4, 6, target, 20000), 1, 0, 50)
+    statuses = Counter(status for _, _, status, _ in seen)
+    assert len(seen) == 50 and statuses == {"witness": 49, "absent": 1}
+    assert seen[bad][2] == "witness"
+    assert got == {"found": 48, "unverified": 1, "absent": 1}
+    seen.clear()
+    est = mc_minor_prob(2, 4, 6, target, 50, seed=1)
+    assert est.unverified == 1 and est.successes == 48
+
+
+@pytest.mark.parametrize("m, n", [(4, 6), (7, 5), (3, 66), (0, 4), (4, 0)])
+def test_stacked_minor_hosts_equal_sample_matrix(monkeypatch, m, n):
+    # stacks of at most 40 entries, so a chunk spans several of them
+    monkeypatch.setattr(sampler, "_RANK_STACK_ENTRIES", 40)
+    seen = _recording_search(monkeypatch)
+    sampler._minor_chunk((2, m, n, catalog("U:1,2"), 20000), 5, 3, 20)
+    assert len(seen) == 17
+    for i, (A, r_h, _, _) in zip(range(3, 20), seen):
+        B = sample_matrix(2, m, n, SeedSpec(5, i))
+        assert A == B and A.packed_cols == B.packed_cols and A.packed_rows == B.packed_rows
+        assert r_h == linalg.fast_rank(B)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_stacked_minor_counts_equal_per_trial_decide(jobs):
+    cases = [(4, 6, "U:1,2", 20000), (7, 5, "U:1,2", 20000), (4, 7, "U:2,3", 20000),
+             (5, 10, "F7", 100), (3, 66, "U:1,2", 20000)]
+    for m, n, name, budget in cases:
+        target = catalog(name)
+        want = Counter(minor.decide(sample_matrix(2, m, n, SeedSpec(11, i)), target, budget)[0]
+                       for i in range(60))
+        est = mc_minor_prob(2, m, n, target, 60, seed=11, budget=budget, jobs=jobs)
+        assert (est.successes, est.unknowns, est.unverified) == (
+            want["found"], want["unknown"] + want["unverified"], want["unverified"]), (m, n, name)
 
 
 def test_estimate_json_schema():
