@@ -252,6 +252,7 @@ def _add_class_parser(sub):
     p.add_argument("--n-step", type=int, default=1)
     p.add_argument("--m-rule", default=None)
     p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for --sweep")
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
 
@@ -264,7 +265,7 @@ def _cmd_class_sweep(args):
     budget = SWEEP_BUDGET if args.budget is None else args.budget
     rows = run_class_sweep(args.q, args.class_name,
                            (args.n_start, args.n_stop, args.n_step),
-                           args.m_rule, args.trials, args.seed, budget)
+                           args.m_rule, args.trials, args.seed, budget, args.jobs)
     # the smallest excluded minor representable over GF(q) has rank 2 for
     # q > 2 (U_{2,4}) but rank 3 for q = 2 (F7), and m(n) must reach it
     need = 3 if args.q == 2 else 2

@@ -40,11 +40,12 @@ encoded from the entries (`encode`).  `gf2_ranks` ranks a whole stack of
 GF(2) matrices at once, on the same 64-bit row words that `pack_rows`
 joins into ints (`word_ints`), by one numpy elimination across the stack;
 `pack_stack` packs a whole stack's rows, and its columns, into such words
-with one call each.  `gf2_contract` contracts each matrix of a stack on
-its own chosen columns by one numpy Gaussian elimination on its row
-words: the batched witness verifier's contraction, which needs no
-[A | I], because a row operation keeps the column matroid, and shares no
-step with the search or with `contract`.
+with one call each, and `narrow_words` packs only the orientation with
+fewer columns, the one `gf2_ranks` eliminates fastest.  `gf2_contract`
+contracts each matrix of a stack on its own chosen columns by one numpy
+Gaussian elimination on its row words: the batched witness verifier's
+contraction, which needs no [A | I], because a row operation keeps the
+column matroid, and shares no step with the search or with `contract`.
 """
 
 from __future__ import annotations
@@ -105,18 +106,27 @@ def _pivot_step(words: np.ndarray, free: np.ndarray, stack: np.ndarray, ones: np
     return found
 
 
-def gf2_ranks(bits: np.ndarray) -> np.ndarray:
-    """Ranks of a stack of 0/1 matrices of shape (T, m, n), as T ints.
-
-    The rows are packed into 64-bit words (`_words`) and eliminated one
-    column at a time across the whole stack (`_pivot_step`).  A wide stack
-    is ranked by its transpose, so there are min(m, n) column steps."""
+def narrow_words(bits: np.ndarray) -> tuple[np.ndarray, int]:
+    """(words, n) for `gf2_ranks` from a stack of 0/1 matrices of shape
+    (T, m, n): the row words (`_words`) and row length of the stack, or of
+    its transpose when it is wide, which has the same ranks."""
     if bits.shape[2] > bits.shape[1]:
         bits = bits.transpose(0, 2, 1)
-    T, m, n = bits.shape
+    return _words(bits), bits.shape[2]
+
+
+def gf2_ranks(words: np.ndarray, n: int) -> np.ndarray:
+    """Ranks of a stack of GF(2) matrices, as T ints, from their row
+    words, shape (T, m, W) as `_words` packs rows of n entries.
+
+    The rows are eliminated one column at a time across the whole stack
+    (`_pivot_step`) on a copy of the words, so there are n column steps: a
+    wide stack is best ranked by its column words (`narrow_words`, or the
+    second array of `pack_stack`)."""
+    T, m, _ = words.shape
     if n == 0:
         return np.zeros(T, dtype=np.int64)
-    words = _words(bits)
+    words = words.copy()
     free = np.ones((T, m), dtype=bool)
     stack = np.arange(T)
     for j in range(n):

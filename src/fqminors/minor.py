@@ -11,7 +11,11 @@ One searcher and one reference, with the same witness format:
   work units: one per candidate contraction set, one per direction
   selection, one per isomorphism invocation, and a candidate survivor
   selection costs as many units as the basis enumeration it triggers, so a
-  fixed budget bounds actual work even for large targets.  It also charges
+  fixed budget bounds actual work even for large targets.  Selections that
+  differ only in the members they pick from a direction class, or in
+  which zero survivors play the target's loops, have the same vectors in
+  another order, so each such set is scored once and its other
+  selections are charged as before, in one tick.  It also charges
   one unit for each distinct order of the target's parallel-class sizes
   after the first, before it generates any of them, so no set-up step runs
   ahead of the budget.
@@ -83,14 +87,15 @@ class MinorWitness:
 
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("spent", "limit")
 
     def __init__(self, units):
-        self.left = math.inf if units is None else int(units)
+        self.spent = 0
+        self.limit = math.inf if units is None else int(units)
 
     def tick(self, cost: int = 1):
-        self.left -= cost
-        if self.left < 0:
+        self.spent += cost
+        if self.spent > self.limit:
             raise BudgetExceededError("minor search budget exhausted")
 
 
@@ -274,7 +279,7 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT
     # every survivor selection costs C(e_t, r_t) units, so past the whole
     # budget no witness can be paid for: unknown, before the target's
     # basis family is scanned
-    if math.comb(e_t, r_t) > budget_.left:
+    if math.comb(e_t, r_t) > budget_.limit:
         raise BudgetExceededError("minor search budget exhausted")
     sizes = [c.bit_count() for c in target.parallel_classes()]
     c_t = len(sizes)
@@ -345,44 +350,64 @@ def _scan_survivor_selections(
     o, target, reps, combo, survivors, zero_surv, dirs, dir_keys,
     l_t, c_t, size_orders, r_t, n_bases_t, budget_,
 ):
+    """The first witness among the survivor selections of one contraction:
+    l_t zero survivors to play the loops and, for each c_t-subset of the
+    directions that spans rank r_t and each size order, that many members
+    of each chosen direction's class.
+
+    Every member of a class reduces to the class's key and every zero
+    survivor to zero, so two selections that differ only in the members
+    or the zero survivors they take give the same vectors in another
+    order: the same minor up to relabelling, with the same basis count
+    and the same isomorphism verdict.  So only the first of such equal
+    siblings, the one itertools would visit first, is scored, and when it
+    gives no witness the others are charged in one tick what scoring each
+    would have cost.  Charges only grow and no sibling could return a
+    witness, so the witness, the outcome and the budget spent are those
+    of scoring every selection in turn."""
     e_t = target.ground_size
     # charge candidates by the basis-family enumeration they trigger, so a
     # fixed budget bounds actual work for large and small targets alike
     bases_cost = max(1, math.comb(e_t, r_t))
-    for loop_pick in itertools.combinations(zero_surv, l_t):
-        for key_pick, krank in _ranked_picks(o, dir_keys, c_t):
-            budget_.tick()
-            # the chosen directions must span exactly rank r_t
-            if krank != r_t:
+    loop_pick = tuple(zero_surv[:l_t])
+    spent = budget_.spent
+    for pick, krank in _ranked_picks(o, dir_keys, c_t):
+        budget_.tick()
+        # the chosen directions must span exactly rank r_t
+        if krank != r_t:
+            continue
+        classes = [dirs[dir_keys[i]] for i in pick]
+        for order in size_orders:
+            picks = math.prod(math.comb(len(cls), s) for cls, s in zip(classes, order))
+            if picks == 0:
                 continue
-            for order in size_orders:
-                if any(len(dirs[key]) < s for key, s in zip(key_pick, order)):
-                    continue
-                member_pools = [
-                    itertools.combinations(dirs[key], s) for key, s in zip(key_pick, order)
-                ]
-                for member_pick in itertools.product(*member_pools):
-                    budget_.tick(bases_cost)
-                    s_list = sorted(loop_pick + tuple(j for grp in member_pick for j in grp))
-                    bases = linalg.basis_masks(o, [reps[j] for j in s_list], r_t, n_bases_t + 1)
-                    if len(bases) != n_bases_t:
-                        continue
-                    minor_m = Matroid(e_t, bases)
-                    budget_.tick()
-                    bij = is_isomorphic(target, minor_m)
-                    if bij is not None:
-                        mapping = tuple(s_list[bij[i]] for i in range(e_t))
-                        return MinorWitness(
-                            frozenset(combo),
-                            frozenset(survivors) - frozenset(s_list),
-                            mapping,
-                        )
+            budget_.tick(bases_cost)
+            s_list = sorted(loop_pick + tuple(j for cls, s in zip(classes, order)
+                                              for j in cls[:s]))
+            bases = linalg.basis_masks(o, [reps[j] for j in s_list], r_t, n_bases_t + 1)
+            cost = bases_cost
+            if len(bases) == n_bases_t:
+                budget_.tick()
+                bij = is_isomorphic(target, Matroid(e_t, bases))
+                if bij is not None:
+                    return MinorWitness(
+                        frozenset(combo),
+                        frozenset(survivors) - frozenset(s_list),
+                        tuple(s_list[bij[i]] for i in range(e_t)),
+                    )
+                cost += 1
+            if picks > 1:
+                budget_.tick((picks - 1) * cost)
+    loop_picks = math.comb(len(zero_surv), l_t)
+    if loop_picks > 1:
+        budget_.tick((loop_picks - 1) * (budget_.spent - spent))
     return None
 
 
 def _ranked_picks(o, keys: list, c: int):
-    """Yield (pick, rank) for each c-subset of keys, in the order of
-    itertools.combinations(keys, c).
+    """Yield (pick, rank) for each c-subset of keys, as the tuple of its
+    indices into keys, in the order of
+    itertools.combinations(range(len(keys)), c).
 
     One triangular echelon follows the walk: a key's row is pushed when the
     walk descends to it and popped when it returns, so each pick costs one
@@ -403,7 +428,7 @@ def _ranked_picks(o, keys: list, c: int):
             pushed.append(row is not None)
             pick.append(i)
             i += 1
-        yield tuple(keys[j] for j in pick), len(ech)
+        yield tuple(pick), len(ech)
         # backtrack to the deepest position that can still advance
         while pick:
             j = pick.pop()

@@ -30,10 +30,10 @@ Over GF(2) both chunk functions draw a range's codes into stacks
 (`_gf2_stacks`, the same words as one trial at a time) and rank each stack
 by one `linalg.gf2_ranks` elimination.  A rank event is then decided from
 the ranks.  A minor trial's host is built from its stack, packed by one
-`linalg.pack_stack` per stack, and equals `sample_matrix`'s; it is searched
-by `minor.search` with its rank given, and the stack's witnesses are
-checked together by a `minor.WitnessStack`, one numpy contraction per
-contraction size.  The first trial of each stack is also checked the
+`linalg.pack_stack` per stack (the words the stack is ranked on), and
+equals `sample_matrix`'s; it is searched by `minor.search` with its rank
+given, and the stack's witnesses are checked together by a
+`minor.WitnessStack`, one numpy contraction per contraction size.  The first trial of each stack is also checked the
 per-trial way (`sample_matrix`, `minor.verify_witness_matrix`), and counts
 as found only when both checks accept it.  Over other fields each trial is
 sampled by `sample_matrix`, ranked by `linalg.fast_rank` or decided by
@@ -302,14 +302,15 @@ def _gf2_stacks(seed: int, lo: int, hi: int, m: int, n: int):
 
 def _rank_chunk(shape, seed: int, lo: int, hi: int) -> Counter:
     """Counter of the ranks of trials lo..hi-1.  Over GF(2) each stack of
-    `_gf2_stacks` is ranked by one `linalg.gf2_ranks` elimination."""
+    `_gf2_stacks` is packed once (`linalg.narrow_words`) and ranked by one
+    `linalg.gf2_ranks` elimination."""
     q, m, n = shape
     if q != 2:
         return Counter(linalg.fast_rank(sample_matrix(q, m, n, SeedSpec(seed, i)))
                        for i in range(lo, hi))
     ranks: Counter = Counter()
     for _, stack in _gf2_stacks(seed, lo, hi, m, n):
-        ranks.update(linalg.gf2_ranks(stack).tolist())
+        ranks.update(linalg.gf2_ranks(*linalg.narrow_words(stack)).tolist())
     return ranks
 
 
@@ -327,13 +328,13 @@ def _minor_chunk(args, seed: int, lo: int, hi: int) -> Counter:
 
     Over GF(2) each stack of `_gf2_stacks` becomes hosts equal to
     `sample_matrix`'s, packed by one `linalg.pack_stack` and ranked by one
-    `linalg.gf2_ranks`; each host is searched with its rank given, and the
-    stack's witnesses are checked together by a `WitnessStack`.  The
-    first trial of a stack is also checked on the per-trial path, its host
-    drawn by `sample_matrix` and its witness checked by
-    `verify_witness_matrix`, and counts as found only when both checks
-    accept: a run-time spot check of the stacked draw and verifier against
-    the per-trial ones."""
+    `linalg.gf2_ranks` on those words; each host is searched with its rank
+    given, and the stack's witnesses are checked together by a
+    `WitnessStack`.  The first trial of a stack is also checked on the
+    per-trial path, its host drawn by `sample_matrix` and its witness
+    checked by `verify_witness_matrix`, and counts as found only when both
+    checks accept: a run-time spot check of the stacked draw and verifier
+    against the per-trial ones."""
     q, m, n, target, budget = args
     check_shape(m, n)
     if q != 2:
@@ -346,7 +347,9 @@ def _minor_chunk(args, seed: int, lo: int, hi: int) -> Counter:
         codes = stack.reshape(len(streams), m * n)
         witnesses = WitnessStack(words, n, target)
         statuses = []
-        for t, r_h in enumerate(linalg.gf2_ranks(stack).tolist()):
+        # ranked on the words of the orientation with fewer columns
+        narrow, width = (col_words, m) if n > m else (words, n)
+        for t, r_h in enumerate(linalg.gf2_ranks(narrow, width).tolist()):
             A = FqMatrix(f, m, n, tuple(codes[t].tolist()), tuple(linalg.word_ints(col_words[t])),
                          tuple(linalg.word_ints(words[t])))
             status, w = search(A, target, budget, r_h)

@@ -172,11 +172,12 @@ def _class_chunk(args, seed: int, lo: int, hi: int) -> Counter:
 
 
 def run_class_sweep(q: int, class_name: str, n_range, m_rule: str, trials: int,
-                    seed: int, budget: int | None = SWEEP_BUDGET) -> list[ClassSweepRow]:
+                    seed: int, budget: int | None = SWEEP_BUDGET,
+                    jobs: int = 1) -> list[ClassSweepRow]:
     check_budget(budget)
     rows = []
     for n, m in sweep_sizes(n_range, m_rule):
-        members = run_trials(_class_chunk, (q, m, n, class_name, budget), trials, seed)
+        members = run_trials(_class_chunk, (q, m, n, class_name, budget), trials, seed, jobs)
         rows.append(ClassSweepRow(n, m, trials, members["no"], members["unknown"]))
     return rows
 

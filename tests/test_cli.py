@@ -383,6 +383,27 @@ def test_class_sweep_csv(capsys):
     assert len(lines) == 4
 
 
+def test_class_sweep_stdout_does_not_depend_on_jobs():
+    # two worker processes split the trials and count the same memberships,
+    # found, unknown and graphic alike
+    args = ["class", "--sweep", "--q", "2", "--n-start", "9", "--n-stop", "15", "--n-step", "3",
+            "--m-rule", "n-minus:6", "--trials", "30", "--seed", "3", "--budget", "3000"]
+    serial = run_cli(args + ["--jobs", "1"])
+    pooled = run_cli(args + ["--jobs", "2"])
+    assert serial.returncode == pooled.returncode == 0
+    assert serial.stdout == pooled.stdout
+    assert serial.stdout.splitlines()[2:] == [
+        "9,3,30,1,0,0.0333333333333", "12,6,30,16,13,0.533333333333",
+        "15,9,30,26,4,0.866666666667"]
+
+
+def test_class_sweep_bad_jobs_exit_1(capsys):
+    rc = cli.main(["class", "--sweep", "--q", "2", "--n-start", "8", "--n-stop", "8",
+                   "--m-rule", "n-minus:4", "--trials", "10", "--jobs", "0"])
+    assert rc == cli.EXIT_USAGE
+    assert "jobs must be >= 1" in capsys.readouterr().err
+
+
 def test_class_sweep_json_rows_equal_csv(capsys):
     args = ["class", "--sweep", "--q", "2", "--n-start", "2", "--n-stop", "10",
             "--n-step", "4", "--m-rule", "n-minus:1", "--trials", "6", "--seed", "2"]

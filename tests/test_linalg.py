@@ -11,7 +11,7 @@ import numpy as np
 from conftest import basis_change, complete_to_basis, dot, rank
 from fqminors.gf import field
 from fqminors.linalg import (BitOps, GenOps, TriOps, _words, contract, fast_rank, gf2_contract,
-                             gf2_ranks, leftmost_independent, ops_for)
+                             gf2_ranks, leftmost_independent, narrow_words, ops_for, pack_stack)
 from fqminors.matrix import FqMatrix
 from fqminors.sampler import SeedSpec, sample_matrix
 
@@ -285,15 +285,22 @@ def test_gf2_ranks_of_low_rank_stacks():
         R = rng.integers(0, 2, (9, r, n))
         bits = (L @ R % 2).astype(np.uint8)
         want = [fast_rank(FqMatrix(F2, m, n, tuple(b.ravel().tolist()))) for b in bits]
-        assert gf2_ranks(bits).tolist() == want
+        assert gf2_ranks(*narrow_words(bits)).tolist() == want
         assert max(want) <= r
-    # a wide stack is ranked by its transpose
+        # either orientation of pack_stack's words gives the same ranks,
+        # and the words are left as they were
+        for words, width in zip(pack_stack(bits), (n, m)):
+            kept = words.copy()
+            assert gf2_ranks(words, width).tolist() == want
+            assert np.array_equal(words, kept)
+    # a wide stack is packed by its transpose
     wide = rng.integers(0, 2, (4, 2, 1000)).astype(np.uint8)
     wide[0] = 0
     wide[1, 1] = wide[1, 0]
-    assert gf2_ranks(wide).tolist() == [0, 1, 2, 2]
-    assert gf2_ranks(np.zeros((3, 0, 4), dtype=np.uint8)).tolist() == [0, 0, 0]
-    assert gf2_ranks(np.ones((2, 4, 0), dtype=np.uint8)).tolist() == [0, 0]
+    assert narrow_words(wide)[0].shape == (4, 1000, 1)
+    assert gf2_ranks(*narrow_words(wide)).tolist() == [0, 1, 2, 2]
+    assert gf2_ranks(*narrow_words(np.zeros((3, 0, 4), dtype=np.uint8))).tolist() == [0, 0, 0]
+    assert gf2_ranks(*narrow_words(np.ones((2, 4, 0), dtype=np.uint8))).tolist() == [0, 0]
 
 
 def test_triangular_push_pop_tracks_rank():

@@ -376,7 +376,8 @@ def test_prefix_shared_walks_match_plain_enumeration():
             A = FqMatrix(f, 3, 7, tuple(rng.randrange(f.q) for _ in range(21)))
             vecs = o.cols_of(A)
             for c in range(0, 5):
-                want = [(pick, o.rank_cols(pick)) for pick in itertools.combinations(vecs, c)]
+                want = [(pick, o.rank_cols([vecs[i] for i in pick]))
+                        for pick in itertools.combinations(range(len(vecs)), c)]
                 assert list(minor._ranked_picks(o, vecs, c)) == want
             for r in range(0, 4):
                 indep = [_mask_of(x) for x in itertools.combinations(range(7), r)
@@ -466,6 +467,129 @@ def test_incremental_scan_matches_reference_scan(monkeypatch):
                     seen.add(type(got).__name__)
     # every kind of outcome is covered: witness, absent and budget exhausted
     assert seen == {"MinorWitness", "NoneType", "str"}
+
+
+def _decision_threshold(A, target) -> int:
+    """The least budget at which find_minor_matrix(A, target) is not
+    unknown, by doubling and bisection."""
+    hi = 1
+    while _search_outcome(A, target, hi) == "budget exhausted":
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _search_outcome(A, target, mid) == "budget exhausted":
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def test_sibling_charges_match_reference_threshold(monkeypatch):
+    # the scan scores one selection of each set of equal siblings and
+    # charges the rest in one tick; the least budget that decides must be
+    # the reference's, which scores every selection
+    F4 = field(4)
+    triangle_point = from_matrix(FqMatrix.from_rows(F2, [[1, 0, 1, 0], [0, 1, 1, 0],
+                                                         [0, 0, 0, 1]]))
+    # a triangle, a parallel pair and a loop
+    triangle_pair_loop = from_matrix(FqMatrix.from_rows(
+        F2, [[1, 0, 1, 0, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0]]))
+    fano = fano_matrix()
+    fano_loop = from_matrix(FqMatrix.from_rows(
+        F2, [list(fano.entries[7 * i:7 * i + 7]) + [0] for i in range(3)]))
+    u37_loop = Matroid(8, catalog("U:3,7").bases)
+
+    def host(f, points, multiples, zeros):
+        # the points, then scalar multiples of some (same direction class),
+        # then zero columns (loops)
+        cols = (list(points) + [tuple(f.mul(c, x) for x in points[i]) for i, c in multiples]
+                + [(0,) * len(points[0])] * zeros)
+        return FqMatrix.from_rows(f, [list(row) for row in zip(*cols)])
+
+    # the GF(2) hosts hold e1, e2, e3 and e1 + e2 + e3 only, so no triangle:
+    # every scored selection fails on its basis count
+    gf2 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    gf2_lifted = [(1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 0), (1, 1, 1, 1), (0, 0, 0, 1)]
+    # F7 is not ternary and U:3,7 not quaternary, so their scans all fail
+    gf3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, 2, 0)]
+    gf4 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, 3, 2), (1, 1, 0)]
+    cases = [
+        (host(F2, gf2, [(0, 1), (1, 1), (3, 1)], 2),
+         [triangle_point, triangle_pair_loop, catalog("U:1,2")]),
+        (host(F2, gf2_lifted, [(0, 1), (1, 1), (3, 1)], 2),
+         [triangle_point, triangle_pair_loop, catalog("U:1,2")]),
+        (host(F3, gf3, [(0, 2), (3, 2), (5, 1)], 2), [catalog("F7"), fano_loop]),
+        (host(F4, gf4, [(0, 2), (3, 3), (4, 1)], 2), [catalog("U:3,7"), u37_loop]),
+    ]
+    real_scan, real_iso = minor._scan_survivor_selections, minor.is_isomorphic
+    ran = {"loop siblings": 0, "member siblings": 0, "isomorphism misses": 0}
+
+    def spy_scan(o, target, reps, combo, survivors, zero_surv, dirs, dir_keys, l_t, c_t,
+                 size_orders, r_t, *rest):
+        got = real_scan(o, target, reps, combo, survivors, zero_surv, dirs, dir_keys, l_t, c_t,
+                        size_orders, r_t, *rest)
+        if got is None:
+            ran["loop siblings"] += math.comb(len(zero_surv), l_t) > 1
+            ran["member siblings"] += any(
+                o.rank_cols(keys) == r_t
+                and math.prod(math.comb(len(dirs[k]), s) for k, s in zip(keys, order)) > 1
+                for keys in itertools.combinations(dir_keys, c_t) for order in size_orders)
+        return got
+
+    def spy_iso(target, m):
+        bij = real_iso(target, m)
+        ran["isomorphism misses"] += bij is None
+        return bij
+
+    for A, targets in cases:
+        for t in targets:
+            got = _decision_threshold(A, t)
+            with monkeypatch.context() as mp:
+                mp.setattr(minor, "_scan_survivor_selections",
+                           _reference_scan_survivor_selections)
+                mp.setattr(minor, "_distinct_size_orders", _reference_distinct_size_orders)
+                want = _decision_threshold(A, t)
+                assert _search_outcome(A, t, want) == _search_outcome(A, t, None)
+            assert got == want, (A, t)
+            assert _search_outcome(A, t, got) == _search_outcome(A, t, None)
+            with monkeypatch.context() as mp:
+                mp.setattr(minor, "_scan_survivor_selections", spy_scan)
+                mp.setattr(minor, "is_isomorphic", spy_iso)
+                _search_outcome(A, t, None)
+    # both bulk charges ran in scans that gave no witness, and so did the
+    # isomorphism unit they include when a basis count matches
+    assert all(ran.values()), ran
+
+
+def _relabel(M: Matroid, perm) -> Matroid:
+    """M with element i renamed perm[i]."""
+    return Matroid(M.ground_size, [_mask_of(perm[i] for i in range(M.ground_size) if b >> i & 1)
+                                   for b in M.bases])
+
+
+def test_isomorphism_verdict_ignores_labels():
+    # what the scan's sibling charge rests on: selections that differ only
+    # in which members of a class they take give one matroid in two
+    # labellings, and the verdict must not depend on the labelling
+    rng = random.Random(18)
+    verdicts = set()
+    for f, m, e in ((F2, 3, 6), (F2, 3, 7), (F3, 2, 5), (F3, 3, 6)):
+        def draw():
+            return from_matrix(FqMatrix(f, m, e, tuple(rng.randrange(f.q) for _ in range(m * e))))
+
+        for _ in range(40):
+            M = draw()
+            perm = list(range(e))
+            rng.shuffle(perm)
+            moved = _relabel(M, perm)
+            for T in (draw(), _relabel(M, rng.sample(range(e), e))):
+                bij = is_isomorphic(T, moved)
+                assert (is_isomorphic(T, M) is None) == (bij is None), (T.bases, M.bases, perm)
+                if bij is not None:
+                    assert _relabel(T, bij).bases == moved.bases
+                verdicts.add(bij is None)
+    assert verdicts == {True, False}
 
 
 def _stack_agrees(cases) -> list[bool]:
