@@ -238,6 +238,23 @@ def _cmd_minor(args):
 # ----------------------------------------------------------------------
 
 
+# the flags only `class --sweep` reads -> (type, default or None when the
+# sweep requires the flag); without --sweep each is a usage error
+_SWEEP_FLAGS = {
+    "--q": (int, None),
+    "--n-start": (int, None),
+    "--n-stop": (int, None),
+    "--n-step": (int, 1),
+    "--m-rule": (str, None),
+    "--trials": (int, 1000),
+    "--jobs": (int, 1),
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
 def _add_class_parser(sub):
     p = sub.add_parser("class", help="minor-closed class membership (graphic)")
     p.add_argument("--class", dest="class_name", default="graphic")
@@ -246,22 +263,19 @@ def _add_class_parser(sub):
                    help=f"work units per target search (sweep default {SWEEP_BUDGET})")
     p.add_argument("--sweep", action="store_true",
                    help="estimate the non-member frequency over a sweep")
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--n-start", type=int, default=None)
-    p.add_argument("--n-stop", type=int, default=None)
-    p.add_argument("--n-step", type=int, default=1)
-    p.add_argument("--m-rule", default=None)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for --sweep")
+    for flag, (kind, default) in _SWEEP_FLAGS.items():
+        p.add_argument(flag, type=kind, default=None,
+                       help="--sweep only" + ("" if default is None else f" (default {default})"))
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
 
 
 def _cmd_class_sweep(args):
-    for name, v in (("--q", args.q), ("--n-start", args.n_start),
-                    ("--n-stop", args.n_stop), ("--m-rule", args.m_rule)):
-        if v is None:
-            raise BadArgumentsError(f"{name} is required with --sweep")
+    for flag, (_, default) in _SWEEP_FLAGS.items():
+        if getattr(args, _dest(flag)) is None:
+            if default is None:
+                raise BadArgumentsError(f"{flag} is required with --sweep")
+            setattr(args, _dest(flag), default)
     budget = SWEEP_BUDGET if args.budget is None else args.budget
     rows = run_class_sweep(args.q, args.class_name,
                            (args.n_start, args.n_stop, args.n_step),
@@ -284,6 +298,9 @@ def _cmd_class_sweep(args):
 def _cmd_class(args):
     if args.sweep:
         return _cmd_class_sweep(args)
+    for flag in _SWEEP_FLAGS:
+        if getattr(args, _dest(flag)) is not None:
+            raise BadArgumentsError(f"{flag} requires --sweep")
     A = _host_matrix(args)
     budget = DEFAULT_BUDGET if args.budget is None else args.budget
     report = has_excluded_minor_matrix(A, args.class_name, budget)

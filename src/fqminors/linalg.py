@@ -22,17 +22,16 @@ representatives mean equal cosets, and zero means v lies in the span.  An
 echelon only ever grows by the row `reduce_pivot` returns, so a search can
 push and pop rows along its path; every rank, greedy column pick and coset
 representative comes from that one step.
-`contract` is the one change of basis: it sends chosen independent columns
-to unit vectors and drops them with their rows, which is contraction on
-the column matroid.  The randomness-preserving reduction and the matrix
-witness verifier both call it.  It is one Gauss-Jordan pass on the rows of
-[A | I] (`inverse_rows`, written once on `_Ops`), which pivots on the
-chosen columns and then on the unit columns outside their span.  Each
-backend supplies only the rows of [A | I] (`augment`) and one pivot step
-in its own arithmetic (`eliminate`), which neither calls `reduce` nor
-`reduce_pivot`: the pass shares no elimination with the search, so a
-verifier does not trust the kernel it checks.  Its output is a plain
-matrix of the kept entries (`pick`).
+`contract` contracts chosen independent columns by one Gauss-Jordan pass
+on A's rows (`inverse_rows`, written once on `_Ops`) that pivots on them
+in order: a row operation keeps the column matroid, and the rows left
+without a pivot, zero at the chosen columns, represent the contraction.
+The randomness-preserving reduction and the matrix witness verifier both
+call it.  Each backend supplies one pivot step in its own arithmetic
+(`eliminate`), which neither calls `reduce` nor `reduce_pivot`: the pass
+shares no elimination with the search, so a verifier does not trust the
+kernel it checks.  Its output is a plain matrix of the kept entries
+(`pick`).
 A matrix's columns and rows reach a backend in its form (`cols_of`,
 `rows_of`): attached to the matrix when the sampler (`pack`, by numpy's
 `pack_rows` from the codes) or the oracle built them, and otherwise
@@ -44,8 +43,7 @@ with one call each, and `narrow_words` packs only the orientation with
 fewer columns, the one `gf2_ranks` eliminates fastest.  `gf2_contract`
 contracts each matrix of a stack on its own chosen columns by one numpy
 Gaussian elimination on its row words: the batched witness verifier's
-contraction, which needs no [A | I], because a row operation keeps the
-column matroid, and shares no step with the search or with `contract`.
+contraction, which shares no step with the search or with `contract`.
 """
 
 from __future__ import annotations
@@ -184,7 +182,7 @@ def _plane(entries, digits: bytes) -> int:
 class _Ops:
     """What every backend shares: a matrix's columns and rows in the
     backend's form, everything built from `reduce_pivot`, and the
-    Gauss-Jordan pass built from `augment` and `eliminate`."""
+    Gauss-Jordan pass built from `eliminate`."""
 
     # sort key under which the backend's vectors order as their tuples of
     # codes do, row 0 first; None where the vectors themselves sort so
@@ -216,33 +214,22 @@ class _Ops:
                 ech.append(row)
         return len(ech)
 
-    def inverse_rows(self, rows: list, n: int, chosen: list[int]) -> list | None:
-        """Rows of [B^{-1}A | B^{-1}] (entry j < n of a row is in column j
-        of B^{-1}A, entry n+i in column i of B^{-1}) for A with the given
-        rows and n columns, where B is the chosen columns of A completed to
-        a basis by unit vectors in index order; None when the chosen
-        columns are dependent.
-
-        One Gauss-Jordan pass on [A | I] (the backend's `augment`): it
-        pivots on the chosen columns, in order, then on each column of I
-        outside their span, and stops after m pivots.  The backend's
-        `eliminate(aug, r, c)` is one pivot step: it moves the first row
-        from r that is nonzero at c to r, scales it to 1 there and clears
-        c in every other row, or returns None when there is no such row."""
-        m, k = self.m, len(chosen)
-        aug = self.augment(rows, n)
-        r = 0
-        for t, c in enumerate(chosen + [n + i for i in range(m)]):
-            if r == m:
-                return None if t < k else aug
-            step = self.eliminate(aug, r, c)
-            if step is None:
-                if t < k:
-                    return None
-                continue
-            aug = step
-            r += 1
-        return aug
+    def inverse_rows(self, rows: list, chosen: list[int]) -> list | None:
+        """The given rows of A after one Gauss-Jordan pass that pivots on
+        the chosen columns, in order: row pos holds 1 at column
+        chosen[pos], every other row 0 there.  They are the rows of B^{-1}A,
+        B the chosen columns completed to a basis by the unit vectors of
+        the rows never used as pivots; None when the chosen columns are
+        dependent (or more than m).  The backend's `eliminate(rows, r, c)`
+        is one pivot step: it moves the first row from r that is nonzero at
+        c to r (reordering the list it is given), scales it to 1 there and
+        clears c in every other row, or returns None when there is no such
+        row."""
+        for r, c in enumerate(chosen):
+            rows = self.eliminate(rows, r, c)
+            if rows is None:
+                return None
+        return rows
 
 
 class BitOps(_Ops):
@@ -269,19 +256,16 @@ class BitOps(_Ops):
             return None
         return v & -v, v
 
-    def augment(self, rows: list[int], n: int) -> list[int]:
-        return [row | 1 << (n + i) for i, row in enumerate(rows)]
-
-    def eliminate(self, aug: list[int], r: int, c: int) -> list[int] | None:
+    def eliminate(self, rows: list[int], r: int, c: int) -> list[int] | None:
         bit = 1 << c
-        for piv in range(r, len(aug)):
-            if aug[piv] & bit:
+        for piv in range(r, len(rows)):
+            if rows[piv] & bit:
                 break
         else:
             return None
-        aug[r], aug[piv] = aug[piv], aug[r]
-        p = aug[r]
-        return [a ^ p if a & bit and i != r else a for i, a in enumerate(aug)]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r]
+        return [a ^ p if a & bit and i != r else a for i, a in enumerate(rows)]
 
     def pick(self, rows: list, idx: list[int]) -> FqMatrix:
         """The matrix of the given rows' entries at columns idx."""
@@ -326,26 +310,22 @@ class GenOps(_Ops):
             v = tuple(scale[x] for x in v)
         return p, v
 
-    def augment(self, rows: list, n: int) -> list[tuple[int, ...]]:
-        m = self.m
-        return [tuple(row) + (0,) * i + (1,) + (0,) * (m - 1 - i) for i, row in enumerate(rows)]
-
-    def eliminate(self, aug: list, r: int, c: int) -> list[tuple[int, ...]] | None:
-        for piv in range(r, len(aug)):
-            if aug[piv][c]:
+    def eliminate(self, rows: list, r: int, c: int) -> list[tuple[int, ...]] | None:
+        for piv in range(r, len(rows)):
+            if rows[piv][c]:
                 break
         else:
             return None
-        aug[r], aug[piv] = aug[piv], aug[r]
+        rows[r], rows[piv] = rows[piv], rows[r]
         f = self.field
-        p = aug[r]
+        p = rows[r]
         s = f.inv_table[p[c]]
         if s != 1:
             scale = f.mul_table[s]
             p = tuple([scale[x] for x in p])
         neg = f.neg_table
         return [p if i == r else self._axpy(a, neg[a[c]], p) if a[c] else a
-                for i, a in enumerate(aug)]
+                for i, a in enumerate(rows)]
 
     def pick(self, rows: list, idx: list[int]) -> FqMatrix:
         """The matrix of the given rows' entries at columns idx."""
@@ -402,23 +382,20 @@ class TriOps(GenOps):
         # a 2 at the pivot: scale by 2, which swaps the planes
         return (bit, (vn, vp)) if vn & bit else (bit, (vp, vn))
 
-    def augment(self, rows: list, n: int) -> list[tuple[int, int]]:
-        return [(p | 1 << (n + i), q) for i, (p, q) in enumerate(rows)]
-
-    def eliminate(self, aug: list, r: int, c: int) -> list[tuple[int, int]] | None:
+    def eliminate(self, rows: list, r: int, c: int) -> list[tuple[int, int]] | None:
         """The pivot row, scaled to 1 at c, is subtracted from each row
         holding 1 at c and added to each holding 2 (`reduce`'s circuits)."""
         bit = 1 << c
-        for piv in range(r, len(aug)):
-            vp, vn = aug[piv]
+        for piv in range(r, len(rows)):
+            vp, vn = rows[piv]
             if (vp | vn) & bit:
                 break
         else:
             return None
-        aug[r], aug[piv] = aug[piv], aug[r]
+        rows[r], rows[piv] = rows[piv], rows[r]
         bp, bn = (vn, vp) if vn & bit else (vp, vn)
         out = []
-        for vp, vn in aug:
+        for vp, vn in rows:
             if vp & bit:  # v - b
                 t = (vp | bp) ^ (vn | bn)
                 vp, vn = (vn | bp) ^ t, (vp | bn) ^ t
@@ -502,8 +479,7 @@ def _walk_bases(o, vecs: list, r: int, stop, ech: list, out: list, start: int, m
 
 def contract(o, A: FqMatrix, chosen: list[int], keep: list[int]) -> FqMatrix | None:
     """The `keep` columns of A after contracting the `chosen` ones, as rows
-    k..m-1 of P·A at those columns (k = len(chosen)), where P = B^{-1} from
-    `inverse_rows` sends column chosen[pos] to unit vector pos; None when
+    k..m-1 of `inverse_rows` at those columns (k = len(chosen)); None when
     the chosen columns are dependent (or more than m)."""
-    rows = o.inverse_rows(o.rows_of(A), A.n, chosen)
+    rows = o.inverse_rows(o.rows_of(A), chosen)
     return None if rows is None else o.pick(rows[len(chosen):], keep)

@@ -44,16 +44,6 @@ class FqMatrix:
             e = next(e for e in self.entries if e not in codes)
             raise BadArgumentsError(f"entry {e} out of range for GF({self.field.q})")
 
-    @classmethod
-    def from_rows(cls, f: Field, rows) -> "FqMatrix":
-        rows = [list(r) for r in rows]
-        m = len(rows)
-        n = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != n:
-                raise BadArgumentsError("ragged rows")
-        return cls(f, m, n, tuple(e for r in rows for e in r))
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.n : (i + 1) * self.n]
 

@@ -442,12 +442,12 @@ def _ranked_picks(o, keys: list, c: int):
 
 
 def verify_witness_matrix(A: FqMatrix, target: Matroid, w: MinorWitness) -> bool:
-    """Witness check against a matrix host, by explicit change of basis.
+    """Witness check against a matrix host, by explicit contraction.
 
-    `linalg.contract` sends the contracted columns to unit vectors, drops
-    their rows and keeps the survivors; the resulting column matroid is
-    compared with the target under the witness bijection.  Independent of
-    the quotient-echelon route the searcher uses.
+    `linalg.contract` pivots on the contracted columns by one Gauss-Jordan
+    pass, drops their rows and keeps the survivors; the resulting column
+    matroid is compared with the target under the witness bijection.
+    Independent of the quotient-echelon route the searcher uses.
     """
     survivors = _witness_survivors(A.n, target, w)
     if survivors is None:

@@ -33,9 +33,10 @@ the ranks.  A minor trial's host is built from its stack, packed by one
 `linalg.pack_stack` per stack (the words the stack is ranked on), and
 equals `sample_matrix`'s; it is searched by `minor.search` with its rank
 given, and the stack's witnesses are checked together by a
-`minor.WitnessStack`, one numpy contraction per contraction size.  The first trial of each stack is also checked the
-per-trial way (`sample_matrix`, `minor.verify_witness_matrix`), and counts
-as found only when both checks accept it.  Over other fields each trial is
+`minor.WitnessStack`, one numpy contraction per contraction size.  The
+first trial of each stack is also checked the per-trial way
+(`sample_matrix`, `minor.verify_witness_matrix`), and counts as found
+only when both checks accept it.  Over other fields each trial is
 sampled by `sample_matrix`, ranked by `linalg.fast_rank` or decided by
 `minor.decide`, which keeps `verify_witness_matrix`, as do the `minor` and
 `class` commands.  Estimates carry Wilson 95% intervals.  A minor trial
@@ -161,10 +162,13 @@ def reduce(A: FqMatrix, k: int) -> FqMatrix | None:
     the first k rows must be linearly independent, and the contracted
     columns are the leftmost pivot set of that top block (a fixed concrete
     choice where any independent k columns would do).  In both cases
-    `linalg.contract` sends the chosen columns to unit vectors by an
-    invertible change of basis and contracts them away, leaving the last m-k
-    rows of the other n-k columns, in column order.
-    Conditioned on success the output is exactly uniform; the oracle module
+    `linalg.contract` pivots on the chosen columns by one Gauss-Jordan pass
+    and keeps the last m-k rows of the other n-k columns, in column order.
+    For m <= n every pivot falls in the top k rows, so the output is the
+    Schur complement A_bot - L T^{-1} A_top at the other columns, where T
+    is the top k x k block of the chosen columns and L their bottom rows.
+    Conditioned on success the output is exactly uniform, because the
+    elimination depends only on the chosen columns; the oracle module
     verifies this exhaustively at small sizes.
     """
     m, n = A.m, A.n

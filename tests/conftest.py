@@ -29,6 +29,14 @@ def run_cli(args, **kw):
     )
 
 
+def from_rows(f: Field, rows) -> FqMatrix:
+    """The matrix over f with the given rows of codes."""
+    rows = [tuple(r) for r in rows]
+    n = len(rows[0]) if rows else 0
+    assert all(len(r) == n for r in rows), "ragged rows"
+    return FqMatrix(f, len(rows), n, sum(rows, ()))
+
+
 def identity(f: Field, m: int) -> FqMatrix:
     return FqMatrix(f, m, m, tuple(1 if i == j else 0 for i in range(m) for j in range(m)))
 
@@ -49,16 +57,19 @@ def format_matroid(M: Matroid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rref(A: FqMatrix) -> tuple[FqMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the (strictly increasing) pivot columns,
-    by Gauss-Jordan elimination over the field tables: the GF(q) reference
-    the package's echelon kernels are compared against."""
+def rref(A: FqMatrix, order=None) -> tuple[FqMatrix, tuple[int, ...]]:
+    """Reduced row echelon form and the pivot columns, by Gauss-Jordan
+    elimination over the field tables: the GF(q) reference the package's
+    echelon kernels are compared against.  It tries the columns of `order`
+    in turn, by default every column left to right (the pivots are then
+    strictly increasing); each pivots on the first row from the next pivot
+    row that is nonzero there, or is skipped when there is none."""
     f = A.field
     add, mul, neg, inv = f.add_table, f.mul_table, f.neg_table, f.inv_table
     rows = [list(A.row(i)) for i in range(A.m)]
     pivots = []
     r = 0
-    for c in range(A.n):
+    for c in range(A.n) if order is None else order:
         pivot_row = None
         for i in range(r, A.m):
             if rows[i][c]:
@@ -79,61 +90,12 @@ def rref(A: FqMatrix) -> tuple[FqMatrix, tuple[int, ...]]:
         r += 1
         if r == A.m:
             break
-    return FqMatrix.from_rows(f, rows) if A.m else A, tuple(pivots)
+    return from_rows(f, rows) if A.m else A, tuple(pivots)
 
 
 def rank(A: FqMatrix) -> int:
     """Rank by the reference elimination."""
     return len(rref(A)[1])
-
-
-def complete_to_basis(f: Field, cols: list, m: int) -> list | None:
-    """The columns (tuples of length m) extended to a basis of F^m by
-    appending each unit vector, in index order, that raises the rank; None
-    when the columns are dependent (more than m of them included)."""
-
-    def col_rank(vs) -> int:
-        return rank(FqMatrix(f, m, len(vs), tuple(v[i] for i in range(m) for v in vs))) if m else 0
-
-    basis = list(cols)
-    if col_rank(basis) != len(basis):
-        return None
-    for i in range(m):
-        unit = tuple(int(k == i) for k in range(m))
-        if col_rank(basis + [unit]) > len(basis):
-            basis.append(unit)
-    return basis
-
-
-def basis_change(A: FqMatrix, chosen) -> FqMatrix | None:
-    """The reference P = B^{-1}, read from the right half of rref([B | I]),
-    where B is the chosen columns of A completed by `complete_to_basis`;
-    P sends column chosen[pos] to unit vector pos.  None when the chosen
-    columns are dependent."""
-    f, m = A.field, A.m
-    basis = complete_to_basis(f, [A.col(j) for j in chosen], m)
-    if basis is None:
-        return None
-    if not m:
-        return FqMatrix(f, 0, 0, ())
-    aug = FqMatrix.from_rows(f, [[b[i] for b in basis] + [int(k == i) for k in range(m)]
-                                 for i in range(m)])
-    red, pivots = rref(aug)
-    assert pivots == tuple(range(m))
-    return FqMatrix.from_rows(f, [red.row(i)[m:] for i in range(m)])
-
-
-def dot(f: Field, row, col) -> int:
-    """Inner product of a row and a column in either backend's form (ints
-    over GF(2), tuples otherwise): the per-entry reference for P times A."""
-    if isinstance(row, int):
-        return (row & col).bit_count() & 1
-    add, mul = f.add_table, f.mul_table
-    acc = 0
-    for a, b in zip(row, col):
-        if a and b:
-            acc = add[acc][mul[a][b]]
-    return acc
 
 
 def gf2_rank_bits(rows: list[int]) -> int:

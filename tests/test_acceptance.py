@@ -8,7 +8,7 @@ summary line; run `pytest -v -s tests/test_acceptance.py` to see them.
 
 from fractions import Fraction
 
-from conftest import run_cli
+from conftest import from_rows, run_cli
 from fqminors import formulas, validate
 from fqminors.gf import field
 from fqminors.matrix import FqMatrix
@@ -130,10 +130,10 @@ def test_criterion_8_graphic_class_check():
 
     k4_edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     rows = [[1 if v in e else 0 for e in k4_edges] for v in range(4)]
-    rep = has_excluded_minor_matrix(FqMatrix.from_rows(F2, rows), "graphic")
+    rep = has_excluded_minor_matrix(from_rows(F2, rows), "graphic")
     assert rep.membership == "yes"
 
-    u24_rep = FqMatrix.from_rows(field(5), [[1, 1, 1, 1], [0, 1, 2, 3]])
+    u24_rep = from_rows(field(5), [[1, 1, 1, 1], [0, 1, 2, 3]])
     rep = has_excluded_minor_matrix(u24_rep, "graphic")
     assert rep.membership == "no" and rep.outcomes["U:2,4"] == "found"
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import format_matrix, format_matroid, identity, run_cli
+from conftest import format_matrix, format_matroid, from_rows, identity, run_cli
 from fqminors import cli, formulas, sweep
 from fqminors.gf import field
 from fqminors.matrix import FqMatrix
@@ -274,7 +274,7 @@ def test_class_graphic_yes(tmp_path, capsys):
     k4_edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     rows = [[1 if v in e else 0 for e in k4_edges] for v in range(4)]
     path = tmp_path / "k4.txt"
-    path.write_text(format_matrix(FqMatrix.from_rows(field(2), rows)))
+    path.write_text(format_matrix(from_rows(field(2), rows)))
     rc = cli.main(["class", "--host", str(path)])
     assert rc == 0
     out = capsys.readouterr().out
@@ -283,7 +283,7 @@ def test_class_graphic_yes(tmp_path, capsys):
 
 def test_class_graphic_no_u24(tmp_path, capsys):
     path = tmp_path / "u24.txt"
-    path.write_text(format_matrix(FqMatrix.from_rows(field(5), [[1, 1, 1, 1], [0, 1, 2, 3]])))
+    path.write_text(format_matrix(from_rows(field(5), [[1, 1, 1, 1], [0, 1, 2, 3]])))
     rc = cli.main(["class", "--host", str(path), "--json"])
     assert rc == 0
     d = json.loads(capsys.readouterr().out)
@@ -295,7 +295,7 @@ def test_class_unverified_witness_is_not_membership(tmp_path, monkeypatch, capsy
 
     monkeypatch.setattr(minor, "verify_witness_matrix", lambda A, target, w: False)
     path = tmp_path / "u24.txt"
-    path.write_text(format_matrix(FqMatrix.from_rows(field(5), [[1, 1, 1, 1], [0, 1, 2, 3]])))
+    path.write_text(format_matrix(from_rows(field(5), [[1, 1, 1, 1], [0, 1, 2, 3]])))
     rc = cli.main(["class", "--host", str(path), "--json"])
     assert rc == cli.EXIT_VALIDATION
     d = json.loads(capsys.readouterr().out)
@@ -402,6 +402,35 @@ def test_class_sweep_bad_jobs_exit_1(capsys):
                    "--m-rule", "n-minus:4", "--trials", "10", "--jobs", "0"])
     assert rc == cli.EXIT_USAGE
     assert "jobs must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--q", "99"), ("--n-start", "8"), ("--n-stop", "8"), ("--n-step", "1"),
+    ("--m-rule", "n-minus:4"), ("--trials", "0"), ("--jobs", "-3"),
+])
+def test_class_host_rejects_sweep_flags(flag, value, monkeypatch, capsys):
+    # a single-host class run reads none of the sweep's flags, so giving
+    # one, even at its sweep default, is a usage error raised before the
+    # host is sampled
+    from fqminors import sampler
+
+    def no_sampling(*a):
+        raise AssertionError("sampled before the flag check")
+
+    monkeypatch.setattr(sampler, "sample_entries", no_sampling)
+    assert cli.main(["class", "--sample", "2", "6", "10", flag, value]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"fqminors: {flag} requires --sweep\n" and captured.out == ""
+
+
+def test_class_sweep_flag_defaults(monkeypatch):
+    # without --n-step, --trials and --jobs the sweep runs at 1, 1000 and 1
+    seen = []
+    monkeypatch.setattr(cli, "run_class_sweep", lambda *a: seen.append(a) or [])
+    assert cli.main(["class", "--sweep", "--q", "2", "--n-start", "8", "--n-stop", "8",
+                     "--m-rule", "n-minus:4"]) == cli.EXIT_OK
+    [(q, name, ns, rule, trials, seed, budget, jobs)] = seen
+    assert (ns, trials, jobs, budget) == ((8, 8, 1), 1000, 1, sweep.SWEEP_BUDGET)
 
 
 def test_class_sweep_json_rows_equal_csv(capsys):

@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 
-from conftest import basis_change, complete_to_basis, dot, rank
+from conftest import from_rows, rank, rref
 from fqminors.gf import field
 from fqminors.linalg import (BitOps, GenOps, TriOps, _words, contract, fast_rank, gf2_contract,
                              gf2_ranks, leftmost_independent, narrow_words, ops_for, pack_stack)
@@ -100,25 +100,18 @@ def test_backends_expose_the_same_methods():
 
 
 def _agree_on_inverse(fast, gen, A, chosen) -> bool:
-    """One Gauss-Jordan pass on [A | I] by both backends: they agree entry
-    by entry, the right block times B is I and the left block is P·A, with
-    B and P from the reference; returns whether the chosen set was
+    """One Gauss-Jordan pass on the chosen columns by both backends: they
+    agree entry by entry with the reference, `rref` pivoting on the chosen
+    columns in the given order; returns whether the chosen set was
     dependent."""
-    f, m, n = A.field, A.m, A.n
-    frows = fast.inverse_rows(fast.rows_of(A), n, chosen)
-    grows = gen.inverse_rows(gen.rows_of(A), n, chosen)
-    P = basis_change(A, chosen)
-    assert (frows is None) == (grows is None) == (P is None)
-    if P is None:
+    frows = fast.inverse_rows(fast.rows_of(A), chosen)
+    grows = gen.inverse_rows(gen.rows_of(A), chosen)
+    red, pivots = rref(A, chosen)
+    assert (frows is None) == (grows is None) == (len(pivots) < len(chosen))
+    if grows is None:
         return True
-    assert [codes(fast, r, n + m) for r in frows] == [list(r) for r in grows]
-    basis = complete_to_basis(f, [A.col(j) for j in chosen], m)
-    for i in range(m):
-        for j in range(m):
-            assert dot(f, grows[i][n:], basis[j]) == int(i == j)
-    PA = P.matmul(A)
-    assert [list(r[:n]) for r in grows] == [list(PA.row(i)) for i in range(m)]
-    assert [list(r[n:]) for r in grows] == [list(P.row(i)) for i in range(m)]
+    assert [codes(fast, r, A.n) for r in frows] == [list(r) for r in grows] == \
+        [list(red.row(i)) for i in range(A.m)]
     return False
 
 
@@ -157,11 +150,26 @@ def test_plane_keys_sort_as_code_tuples():
         assert [tuple(codes(tri, p, m)) for p in planes] == sorted(vecs)
 
 
+def _reference_contract(A, chosen, keep):
+    """Rows k..m-1 of `rref` pivoting on the chosen columns in order, at
+    the keep columns (k = len(chosen)); None when the chosen columns are
+    dependent."""
+    red, pivots = rref(A, chosen)
+    if len(pivots) < len(chosen):
+        return None
+    k, n = len(chosen), A.n
+    assert [red.col(j) for j in chosen] == [tuple(int(i == pos) for i in range(A.m))
+                                            for pos in range(k)]
+    return FqMatrix(A.field, A.m - k, len(keep),
+                    tuple(red.entries[i * n + j] for i in range(k, A.m) for j in keep))
+
+
 def test_contract_matches_reference_product():
-    # contract against rows k..m-1 of P·A, P from the reference rref([B | I]),
-    # on sampled GF(2) hosts (packed form attached), their unattached
-    # copies, and GF(3) and GF(4) hosts; a dependent chosen set (one column
-    # the sum of two others) and one with more columns than rows give None
+    # contract against rows k..m-1 of the reference Gauss-Jordan pass on
+    # the chosen columns, on sampled GF(2) hosts (packed form attached),
+    # their unattached copies, and GF(3) and GF(4) hosts; a dependent
+    # chosen set (one column the sum of two others) and one with more
+    # columns than rows give None
     rng = random.Random(45)
     m, n = 20, 30
     for q, stream in itertools.product((2, 3, 4), range(3)):
@@ -175,18 +183,33 @@ def test_contract_matches_reference_product():
             chosen = [order[i] for i in leftmost_independent(o, [cols[j] for j in order], k)]
             assert len(chosen) == k
             keep = sorted(rng.sample([j for j in range(n) if j not in chosen], 6))
-            pa = basis_change(sampled, chosen).matmul(sampled)
-            assert [pa.col(j) for j in chosen] == \
-                [tuple(int(i == pos) for i in range(m)) for pos in range(k)]
-            want = FqMatrix(f, m - k, len(keep),
-                            tuple(pa.entries[i * n + j] for i in range(k, m) for j in keep))
+            want = _reference_contract(sampled, chosen, keep)
             for A in hosts:
                 assert contract(o, A, chosen, keep) == want, (q, stream, k)
         rows = [sampled.row(i) for i in range(m)]
-        dep = FqMatrix.from_rows(f, [r[:-1] + (f.add_table[r[0]][r[1]],) for r in rows])
+        dep = from_rows(f, [r[:-1] + (f.add_table[r[0]][r[1]],) for r in rows])
         for chosen in ([0, 5, n - 1, 1], list(range(m + 1))):
-            assert basis_change(dep, chosen) is None
+            assert _reference_contract(dep, chosen, [2, 3]) is None
             assert contract(o, dep, chosen, [2, 3]) is None, (q, stream, chosen)
+
+
+def test_contract_matches_reference_exhaustive():
+    # every matrix of each tiny shape, on each backend, under every ordered
+    # chosen set of up to min(n, m + 1) columns, keeping the other columns
+    shapes = [(2, 2, 3), (2, 3, 3), (2, 3, 2), (3, 2, 3), (3, 3, 2), (4, 2, 2), (5, 2, 2)]
+    backends = set()
+    for q, m, n in shapes:
+        f = field(q)
+        o = ops_for(f, m)
+        backends.add(type(o))
+        for entries in itertools.product(range(q), repeat=m * n):
+            A = FqMatrix(f, m, n, entries)
+            for k in range(min(n, m + 1) + 1):
+                for chosen in itertools.permutations(range(n), k):
+                    keep = [j for j in range(n) if j not in chosen]
+                    assert contract(o, A, list(chosen), keep) == \
+                        _reference_contract(A, list(chosen), keep), (q, entries, chosen)
+    assert backends == {BitOps, TriOps, GenOps}
 
 
 def test_contract_shares_no_elimination_with_the_search(monkeypatch):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import format_matrix, gf2_rank_bits, identity, rank, rref
+from conftest import format_matrix, from_rows, gf2_rank_bits, identity, rank, rref
 from fqminors.errors import BadArgumentsError, ParseError
 from fqminors.gf import field
 from fqminors.linalg import contract, fast_rank, leftmost_independent, ops_for
@@ -20,7 +20,7 @@ def bits_of(A):
 def test_rank_examples():
     assert fast_rank(identity(F2, 2)) == 2
     assert fast_rank(FqMatrix(F3, 3, 4, (0,) * 12)) == 0
-    assert fast_rank(FqMatrix.from_rows(F2, [[1, 1], [1, 1]])) == 1
+    assert fast_rank(from_rows(F2, [[1, 1], [1, 1]])) == 1
 
 
 def test_rank_degenerate_shapes():
@@ -36,9 +36,9 @@ def test_rref_examples():
     ident = identity(F3, 3)
     r, piv = rref(ident)
     assert r == ident and piv == (0, 1, 2)
-    a = FqMatrix.from_rows(F2, [[0, 1], [0, 1]])
+    a = from_rows(F2, [[0, 1], [0, 1]])
     r, piv = rref(a)
-    assert r == FqMatrix.from_rows(F2, [[0, 1], [0, 0]]) and piv == (1,)
+    assert r == from_rows(F2, [[0, 1], [0, 0]]) and piv == (1,)
 
 
 def test_rref_pivot_columns_are_unit():
@@ -65,10 +65,10 @@ def test_rank_equals_transpose_rank_exhaustive_gf2():
 
 
 def test_change_of_basis_examples():
-    a = FqMatrix.from_rows(F2, [[1], [1]])
+    a = from_rows(F2, [[1], [1]])
     assert identity(F2, 2).matmul(a) == a
-    p = FqMatrix.from_rows(F2, [[1, 1], [0, 1]])
-    assert p.matmul(a) == FqMatrix.from_rows(F2, [[0], [1]])
+    p = from_rows(F2, [[1, 1], [0, 1]])
+    assert p.matmul(a) == from_rows(F2, [[0], [1]])
     with pytest.raises(BadArgumentsError):
         identity(F2, 3).matmul(a)
 
@@ -139,9 +139,9 @@ def test_contract_matches_abstract_contraction():
 
 
 def test_matmul_associative_spot():
-    a = FqMatrix.from_rows(F3, [[1, 2], [0, 1], [2, 2]])
-    b = FqMatrix.from_rows(F3, [[2, 1, 0], [1, 1, 2]])
-    c = FqMatrix.from_rows(F3, [[1], [0], [2]])
+    a = from_rows(F3, [[1, 2], [0, 1], [2, 2]])
+    b = from_rows(F3, [[2, 1, 0], [1, 1, 2]])
+    c = from_rows(F3, [[1], [0], [2]])
     assert a.matmul(b.matmul(c)) == a.matmul(b).matmul(c)
 
 
@@ -157,7 +157,7 @@ def test_entry_validation():
 
 
 def test_text_format_roundtrip():
-    a = FqMatrix.from_rows(F3, [[0, 1, 2], [2, 1, 0]])
+    a = from_rows(F3, [[0, 1, 2], [2, 1, 0]])
     assert parse_matrix(format_matrix(a)) == a
     empty = FqMatrix(F2, 0, 4, ())
     assert parse_matrix(format_matrix(empty)) == empty

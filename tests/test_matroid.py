@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import check_basis_exchange, format_matroid, identity, rank
+from conftest import check_basis_exchange, format_matroid, from_rows, identity, rank
 from fqminors.errors import BadArgumentsError, ParseError
 from fqminors.gf import field
 from fqminors.linalg import fast_rank
@@ -24,9 +24,9 @@ F3 = field(3)
 
 def test_from_matrix_examples():
     assert from_matrix(identity(F2, 2)) == uniform(2, 2)
-    m = from_matrix(FqMatrix.from_rows(F2, [[1, 1]]))
+    m = from_matrix(from_rows(F2, [[1, 1]]))
     assert m == uniform(1, 2)
-    with_loop = from_matrix(FqMatrix.from_rows(F2, [[1, 0], [0, 0]]))
+    with_loop = from_matrix(from_rows(F2, [[1, 0], [0, 0]]))
     assert with_loop.loops() == 0b10
 
 
@@ -124,7 +124,7 @@ def test_is_isomorphic_examples():
     f7 = catalog("F7")
     assert is_isomorphic(f7, f7) is not None
     assert is_isomorphic(uniform(1, 2), uniform(2, 2)) is None
-    m = from_matrix(FqMatrix.from_rows(F2, [[1, 0, 1], [0, 1, 1]]))
+    m = from_matrix(from_rows(F2, [[1, 0, 1], [0, 1, 1]]))
     bij = is_isomorphic(m, uniform(2, 3))
     assert bij is not None and sorted(bij) == [0, 1, 2]
     assert is_isomorphic(f7, catalog("F7*")) is None
@@ -148,7 +148,7 @@ def test_isomorphism_respects_structure_not_labels():
 def test_stats_and_is_free():
     assert uniform(3, 3).is_free()
     assert not uniform(2, 3).is_free()
-    st = from_matrix(FqMatrix.from_rows(F2, [[1, 0, 1, 0], [0, 1, 1, 0]])).stats()
+    st = from_matrix(from_rows(F2, [[1, 0, 1, 0], [0, 1, 1, 0]])).stats()
     assert (st.e, st.r, st.l) == (4, 2, 1)
     with pytest.raises(BadArgumentsError):
         from fqminors.matroid import MatroidStats
@@ -167,7 +167,7 @@ def test_minor_operations():
 def test_minor_with_dependent_contraction():
     # contracting a dependent set equals contracting a maximal independent
     # subset and deleting the rest
-    m = from_matrix(FqMatrix.from_rows(F2, [[1, 1, 0, 1], [0, 0, 1, 1]]))
+    m = from_matrix(from_rows(F2, [[1, 1, 0, 1], [0, 0, 1, 1]]))
     c = 0b0011  # two parallel elements, rank 1
     contracted = m.minor(c, 0)
     assert contracted.rank == m.rank - 1
@@ -214,12 +214,12 @@ def test_from_matrix_matches_reference_subset_ranks():
                 a = FqMatrix(f, m, n, tuple(rng.randrange(f.q) for _ in range(m * n)))
                 if rng.random() < 0.5:  # a repeated column and a zero column
                     cols = [a.col(j) for j in range(n - 2)] + [a.col(0), (0,) * m]
-                    a = FqMatrix.from_rows(f, [[c[i] for c in cols] for i in range(m)])
+                    a = from_rows(f, [[c[i] for c in cols] for i in range(m)])
                 r = rank(a)
                 want = [
                     sum(1 << j for j in combo)
                     for combo in itertools.combinations(range(n), r)
-                    if rank(FqMatrix.from_rows(f, [[a.row(i)[j] for j in combo]
+                    if rank(from_rows(f, [[a.row(i)[j] for j in combo]
                                                    for i in range(m)])) == r
                 ]
                 ma = from_matrix(a)

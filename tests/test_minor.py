@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import from_rows
 from fqminors import linalg, minor
 from fqminors.errors import BadArgumentsError, BudgetExceededError
 from fqminors.gf import field
@@ -171,8 +172,8 @@ def test_size_checks_rule_out_before_the_parallel_class_scan(monkeypatch):
 def test_wrong_bijection_breaks_loopy_target():
     # with a loop in the target the bijection matters: swapping the loop
     # with a non-loop must fail verification
-    host = from_matrix(FqMatrix.from_rows(F2, [[1, 0, 1, 0], [0, 1, 1, 0]]))
-    target = from_matrix(FqMatrix.from_rows(F2, [[1, 0, 0], [0, 1, 0]]))
+    host = from_matrix(from_rows(F2, [[1, 0, 1, 0], [0, 1, 1, 0]]))
+    target = from_matrix(from_rows(F2, [[1, 0, 0], [0, 1, 0]]))
     w = find_minor(host, target)
     assert w is not None and verify_witness(host, target, w)
     b = list(w.bijection)
@@ -238,7 +239,7 @@ def test_minor_of_minor_is_minor():
 
 
 def test_matrix_search_agrees_with_brute_force_exhaustive():
-    loopy = from_matrix(FqMatrix.from_rows(F2, [[1, 0, 1, 0], [0, 1, 1, 0]]))
+    loopy = from_matrix(from_rows(F2, [[1, 0, 1, 0], [0, 1, 1, 0]]))
     targets = [catalog(s) for s in ("U:1,2", "U:1,3", "U:2,3", "U:0,2", "free:2")]
     targets.append(loopy)
     for m, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
@@ -292,11 +293,11 @@ def test_u24_never_in_binary_hosts():
 def test_has_excluded_minor_examples():
     k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     incidence = [[1 if v in e else 0 for e in k4] for v in range(4)]
-    rep = has_excluded_minor_matrix(FqMatrix.from_rows(F2, incidence), "graphic")
+    rep = has_excluded_minor_matrix(from_rows(F2, incidence), "graphic")
     assert rep.membership == "yes"
     assert set(rep.outcomes.values()) == {"absent"}
 
-    u24 = FqMatrix.from_rows(field(5), [[1, 1, 1, 1], [0, 1, 2, 3]])
+    u24 = from_rows(field(5), [[1, 1, 1, 1], [0, 1, 2, 3]])
     rep = has_excluded_minor_matrix(u24, "graphic")
     assert rep.membership == "no" and rep.outcomes["U:2,4"] == "found"
 
@@ -322,7 +323,7 @@ def test_witness_json_roundtrip():
 
 
 def test_free_target_witness_is_leftmost():
-    A = FqMatrix.from_rows(F2, [[0, 1, 0, 1], [0, 0, 1, 1]])
+    A = from_rows(F2, [[0, 1, 0, 1], [0, 0, 1, 1]])
     w = find_minor_matrix(A, catalog("free:2"))
     assert w.bijection == (1, 2)
     assert verify_witness_matrix(A, catalog("free:2"), w)
@@ -355,7 +356,7 @@ def test_size_orders_are_charged_before_they_are_generated(monkeypatch):
     # rank 2 over GF(3), parallel classes of sizes 3, 2, 2, 1:
     # D = 4! / 2! = 12 distinct size orders, so D - 1 = 11 units up front
     rows = [[1, 2, 1, 0, 0, 1, 2, 1], [0, 0, 0, 1, 2, 1, 2, 2]]
-    target = from_matrix(FqMatrix.from_rows(F3, rows))
+    target = from_matrix(from_rows(F3, rows))
     sizes = sorted((c.bit_count() for c in target.parallel_classes()), reverse=True)
     assert sizes == [3, 2, 2, 1]
     A = sample_matrix(3, 3, 12, SeedSpec(5, 0))
@@ -447,8 +448,8 @@ def test_incremental_scan_matches_reference_scan(monkeypatch):
     targets = [catalog(s) for s in ("U:1,2", "U:2,3", "U:2,4", "F7")]
     # U:2,3 plus a loop, and a parallel pair plus a point plus a loop
     # (class sizes 2, 1: two size orders)
-    targets.append(from_matrix(FqMatrix.from_rows(F2, [[1, 0, 1, 0], [0, 1, 1, 0]])))
-    targets.append(from_matrix(FqMatrix.from_rows(F2, [[1, 1, 0, 0], [0, 0, 1, 0]])))
+    targets.append(from_matrix(from_rows(F2, [[1, 0, 1, 0], [0, 1, 1, 0]])))
+    targets.append(from_matrix(from_rows(F2, [[1, 1, 0, 0], [0, 0, 1, 0]])))
     shapes = {2: [(4, 10), (5, 11)], 3: [(3, 8), (4, 8)], 4: [(3, 7), (3, 8)]}
     seen = set()
     for q, qshapes in shapes.items():
@@ -490,13 +491,13 @@ def test_sibling_charges_match_reference_threshold(monkeypatch):
     # charges the rest in one tick; the least budget that decides must be
     # the reference's, which scores every selection
     F4 = field(4)
-    triangle_point = from_matrix(FqMatrix.from_rows(F2, [[1, 0, 1, 0], [0, 1, 1, 0],
+    triangle_point = from_matrix(from_rows(F2, [[1, 0, 1, 0], [0, 1, 1, 0],
                                                          [0, 0, 0, 1]]))
     # a triangle, a parallel pair and a loop
-    triangle_pair_loop = from_matrix(FqMatrix.from_rows(
+    triangle_pair_loop = from_matrix(from_rows(
         F2, [[1, 0, 1, 0, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0]]))
     fano = fano_matrix()
-    fano_loop = from_matrix(FqMatrix.from_rows(
+    fano_loop = from_matrix(from_rows(
         F2, [list(fano.entries[7 * i:7 * i + 7]) + [0] for i in range(3)]))
     u37_loop = Matroid(8, catalog("U:3,7").bases)
 
@@ -505,7 +506,7 @@ def test_sibling_charges_match_reference_threshold(monkeypatch):
         # then zero columns (loops)
         cols = (list(points) + [tuple(f.mul(c, x) for x in points[i]) for i, c in multiples]
                 + [(0,) * len(points[0])] * zeros)
-        return FqMatrix.from_rows(f, [list(row) for row in zip(*cols)])
+        return from_rows(f, [list(row) for row in zip(*cols)])
 
     # the GF(2) hosts hold e1, e2, e3 and e1 + e2 + e3 only, so no triangle:
     # every scored selection fails on its basis count

@@ -112,6 +112,17 @@ def test_distribution_check_examples():
         oracle.distribution_check("no-such-procedure", 2, 2, 2)
 
 
+@pytest.mark.parametrize("q,m,n,k", [
+    (2, 3, 3, 2), (2, 4, 3, 2), (2, 3, 4, 2), (2, 2, 4, 1), (2, 4, 2, 1),
+    (3, 2, 2, 1), (3, 2, 3, 1), (3, 3, 2, 1), (3, 2, 3, 2),
+])
+def test_reduce_conditional_uniform(q, m, n, k):
+    # reduce's output is exactly uniform over its shape, given success,
+    # on both sides of m = n and with two contracted columns
+    rep = oracle.distribution_check("reduce-conditional", q, m, n, k)
+    assert rep.ok and rep.details["uniform"], rep.details
+
+
 def test_too_large_cap():
     with pytest.raises(TooLargeError):
         oracle.exact_event_prob(2, 5, 5, "full-column-rank")

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import basis_change, identity, rref
+from conftest import from_rows, identity, rref
 from fqminors import formulas, linalg, minor, sampler
 from fqminors.errors import BadArgumentsError
 from fqminors.gf import field
@@ -194,7 +194,7 @@ def test_sampling_extension_field():
 
 
 def test_reduce_examples():
-    a = FqMatrix.from_rows(F2, [[1, 0], [1, 1]])
+    a = from_rows(F2, [[1, 0], [1, 1]])
     assert reduce(a, 0) == a
     i3 = identity(F2, 3)
     assert reduce(i3, 1) == identity(F2, 2)
@@ -208,9 +208,9 @@ def test_reduce_examples():
 
 
 def test_reduce_failure_returns_none():
-    tall = FqMatrix.from_rows(F2, [[0, 1], [0, 1], [0, 0]])  # m > n, col 0 zero
+    tall = from_rows(F2, [[0, 1], [0, 1], [0, 0]])  # m > n, col 0 zero
     assert reduce(tall, 1) is None
-    wide = FqMatrix.from_rows(F2, [[0, 0, 0], [1, 1, 0]])  # top row zero
+    wide = from_rows(F2, [[0, 0, 0], [1, 1, 0]])  # top row zero
     assert reduce(wide, 1) is None
 
 
@@ -237,30 +237,11 @@ def test_reduce_preserves_matroid_minor_relation():
         assert find_minor(from_matrix(a), from_matrix(b), budget=None) is not None
 
 
-def _contract_unit_columns(A, cols):
-    """Delete the listed unit columns together with their pivot rows."""
-    pivot_rows = []
-    for j in cols:
-        col = A.col(j)
-        nz = [i for i, e in enumerate(col) if e]
-        assert len(nz) == 1 and col[nz[0]] == 1, f"column {j} is not a unit vector"
-        pivot_rows.append(nz[0])
-    assert len(set(pivot_rows)) == len(pivot_rows), "listed columns share a pivot row"
-    kept = [
-        A.entries[i * A.n + j]
-        for i in range(A.m)
-        if i not in pivot_rows
-        for j in range(A.n)
-        if j not in cols
-    ]
-    return FqMatrix(A.field, A.m - len(cols), A.n - len(cols), tuple(kept))
-
-
 def _reference_reduce(A, k):
-    """The earlier reduce, which took the m <= n pivot set from a reduced
-    row echelon form of the top k rows, multiplied all of A by P (here the
-    reference P from rref([B | I])) and then deleted the unit columns with
-    their pivot rows."""
+    """The reduction by the reference elimination: the m <= n pivot set
+    from a reduced row echelon form of the top k rows, then rows k..m-1
+    of `rref` pivoting on the chosen columns in order, at the other
+    columns."""
     m, n = A.m, A.n
     if k == 0:
         return A
@@ -272,10 +253,12 @@ def _reference_reduce(A, k):
         if len(pivots) != k:
             return None
         chosen = list(pivots)
-    P = basis_change(A, chosen)
-    if P is None:
+    red, pivots = rref(A, chosen)
+    if len(pivots) != k:
         return None
-    return _contract_unit_columns(P.matmul(A), chosen)
+    keep = [j for j in range(n) if j not in chosen]
+    return FqMatrix(A.field, m - k, n - k,
+                    tuple(red.entries[i * n + j] for i in range(k, m) for j in keep))
 
 
 def test_reduce_matches_rref_reference_exhaustive():
