@@ -44,6 +44,10 @@ fewer columns, the one `gf2_ranks` eliminates fastest.  `gf2_contract`
 contracts each matrix of a stack on its own chosen columns by one numpy
 Gaussian elimination on its row words: the batched witness verifier's
 contraction, which shares no step with the search or with `contract`.
+`gf2_coset_reps` reduces every column of a host modulo each of a batch of
+contraction sets by one numpy column elimination on column words
+(`int_words` turns a host's int columns into them), giving `reduce`'s
+coset representatives: the minor search's batched screen.
 """
 
 from __future__ import annotations
@@ -73,6 +77,13 @@ def word_ints(words: np.ndarray) -> list[int]:
     for k in range(words.shape[1] - 2, -1, -1):
         out = [v << 64 | w for v, w in zip(out, words[:, k].tolist())]
     return out
+
+
+def int_words(ints: list[int], width: int) -> np.ndarray:
+    """`word_ints`' inverse: each int as a row of `width` 64-bit words,
+    least significant first."""
+    return np.array([[v >> s & 0xFFFFFFFFFFFFFFFF for s in range(0, 64 * width, 64)]
+                     for v in ints], dtype=np.uint64).reshape(len(ints), width)
 
 
 def pack_rows(bits: np.ndarray) -> list[int]:
@@ -166,6 +177,39 @@ def gf2_contract(words: np.ndarray, chosen: np.ndarray, keep: np.ndarray):
     bits = (rows[np.arange(count)[:, None, None], np.arange(m - k)[None, :, None],
                  (keep >> 6)[:, None, :]] >> (keep & 63).astype(np.uint64)[:, None, :])
     return ok, (bits & np.uint64(1)).astype(np.uint8)
+
+
+def gf2_coset_reps(col_words: np.ndarray, combos: np.ndarray):
+    """(independent, reps) for a stack of B contraction sets: col_words,
+    shape (B, n, W), holds B matrices' column words (as `_words` packs
+    columns; a broadcast view of one host is fine) and combos, shape
+    (B, k), the columns each contracts.  reps, shape (B, n, W), is every
+    column reduced modulo the span of its set's columns; independent[b]
+    is False where set b's columns are dependent.
+
+    Step i takes each set's current column combos[:, i], v, pivots on v's
+    lowest set bit and adds v to every column with that bit.  Later
+    columns are zero at the earlier pivots, so after k steps every column
+    is zero at the span's pivot set {lowbit(u) : u in the span}, which
+    depends on the span only: each survivor holds the one vector of its
+    coset that is zero there, `BitOps.reduce`'s representative, and each
+    column of an independent set holds zero.  v = 0 marks the set
+    dependent."""
+    B, n, W = col_words.shape
+    reps = np.array(col_words, order="C")
+    independent = np.ones(B, dtype=bool)
+    stack = np.arange(B)
+    for c in combos.T:
+        v = reps[stack, c]
+        nonzero = v != 0
+        independent &= nonzero.any(axis=1)
+        word = nonzero.argmax(axis=1)
+        low = v[stack, word]
+        low &= -low
+        hit = reps[stack, :, word]
+        hit &= low[:, None]
+        reps ^= v[:, None, :] * (hit != 0)[:, :, None]
+    return independent, reps
 
 
 # the ASCII digit each code becomes in an int(..., 2) string: "1" where the

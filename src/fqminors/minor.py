@@ -19,6 +19,16 @@ One searcher and one reference, with the same witness format:
   one unit for each distinct order of the target's parallel-class sizes
   after the first, before it generates any of them, so no set-up step runs
   ahead of the budget.
+  Over GF(2) only the first PER_SET contraction sets of each size are
+  reduced one at a time; the later ones are screened in numpy batches
+  (`_screened_sets`, one `linalg.gf2_coset_reps` per batch) that drop the
+  sets that are dependent or leave too few zero or distinct survivors,
+  and the sets that pass go through the same per-set checks and scan.
+  Most searches end within a few sets, where a batch's fixed cost of
+  about |C| numpy calls would dominate.  A batch holds at most the units
+  left + 1 sets and each set is still charged one unit, the dropped ones
+  in one tick, so every witness, outcome and budget spent is the per-set
+  path's.
 * `find_minor` is the brute-force reference on abstract basis-family
   matroids: every (C, D) pair, dependent C included, then isomorphism, at
   one budget unit per pair.  The exact oracle and the `validate` agreement
@@ -66,6 +76,15 @@ DEFAULT_BUDGET = 10_000_000
 
 GRAPHIC_EXCLUDED = ("U:2,4", "F7", "F7*", "MK5*", "MK33*")
 
+# A GF(2) search screens the first PER_SET contraction sets of each size
+# one at a time and the rest in numpy batches of FIRST_BATCH sets, doubling
+# up to MAX_BATCH: most searches end within a few sets, and a batch costs
+# about |C| numpy calls however few of its sets are needed.  Batches of 512
+# were no faster than 256 on the class sweep and held about 0.3 MB more.
+PER_SET = 16
+FIRST_BATCH = 32
+MAX_BATCH = 256
+
 
 @dataclass(frozen=True)
 class MinorWitness:
@@ -112,6 +131,27 @@ def _unrank_combo(idx: int, n: int, k: int) -> tuple[int, ...]:
                 break
             idx -= c
             x += 1
+    return tuple(out)
+
+
+def _combo_table(n: int, k: int) -> list[list[int]]:
+    """table[i][x] = C(n - x - 1, k - i - 1): the number of k-subsets of
+    range(n) whose element i is x, given the elements before it, that
+    `_unrank_with` skips past."""
+    return [[math.comb(n - x - 1, k - i - 1) for x in range(n)] for i in range(k)]
+
+
+def _unrank_with(idx: int, table: list[list[int]]) -> tuple[int, ...]:
+    """`_unrank_combo` by lookups in `_combo_table(n, k)`: cheaper per
+    set once the table is paid for."""
+    out = []
+    x = 0
+    for skip in table:
+        while idx >= skip[x]:
+            idx -= skip[x]
+            x += 1
+        out.append(x)
+        x += 1
     return tuple(out)
 
 
@@ -295,14 +335,32 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT
     size_orders = _distinct_size_orders(sizes)
     n_bases_t = len(target.bases)
 
+    def consider(combo, survivors, reps, zero_surv, dirs):
+        """The first witness contracting combo, given each survivor's
+        representative (reps), those that are zero and the direction
+        classes of the others, or None."""
+        if len(zero_surv) < l_t or len(dirs) < c_t:
+            return None
+        # the key order picks the witness: GF(3) plane pairs sort as
+        # the tuples of codes the table backend keyed them by
+        dir_keys = sorted(dirs, key=o.order)
+        # rank of the whole quotient must allow rank r_t
+        if len(linalg.leftmost_independent(o, dir_keys, r_t)) < r_t:
+            return None
+        return _scan_survivor_selections(
+            o, target, reps, combo, survivors, zero_surv, dirs, dir_keys,
+            l_t, c_t, size_orders, r_t, n_bases_t, budget_,
+        )
+
     points = [0] + [(q**d - 1) // (q - 1) for d in range(1, r_h + 1)]
     zero = o.encode((0,) * m)  # what a survivor in the span of C reduces to
+    words = None  # the host's column words, for the batched GF(2) screen
     kmax = min(r_h - r_t, n - e_t)
     for k in range(kmax, -1, -1):
         if c_t > points[r_h - k]:
             continue  # quotient cannot host that many distinct directions
-        total = math.comb(n, k)
-        for idx in _stride_order(total):
+        order = _stride_order(math.comb(n, k))
+        for idx in itertools.islice(order, PER_SET if q == 2 else None):
             combo = _unrank_combo(idx, n, k)
             budget_.tick()
             ech: list = []
@@ -329,21 +387,72 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT
                 else:
                     reps[j] = row[1]
                     dirs.setdefault(row[1], []).append(j)
-            if len(zero_surv) < l_t or len(dirs) < c_t:
-                continue
-            # the key order picks the witness: GF(3) plane pairs sort as
-            # the tuples of codes the table backend keyed them by
-            dir_keys = sorted(dirs, key=o.order)
-            # rank of the whole quotient must allow rank r_t
-            if len(linalg.leftmost_independent(o, dir_keys, r_t)) < r_t:
-                continue
-            witness = _scan_survivor_selections(
-                o, target, reps, combo, survivors, zero_surv, dirs, dir_keys,
-                l_t, c_t, size_orders, r_t, n_bases_t, budget_,
-            )
+            witness = consider(combo, survivors, reps, zero_surv, dirs)
+            if witness is not None:
+                return witness
+        if q != 2:
+            continue
+        if words is None:
+            words = linalg.int_words(cols, max(1, -(-m // 64)))
+        for screened in _screened_sets(order, words, k, l_t, c_t, budget_):
+            witness = consider(*screened)
             if witness is not None:
                 return witness
     return None
+
+
+def _screened_sets(order, words: np.ndarray, k: int, l_t: int, c_t: int, budget_):
+    """Yield (combo, survivors, reps, zero_surv, dirs), as the per-set path
+    of `find_minor_matrix` builds them, for each k-set of the GF(2) host
+    with column words `words` whose ranks come next from `order` and that
+    may give a witness: one whose columns are independent and leave at
+    least l_t zero survivors and c_t distinct nonzero ones.
+
+    The sets are drawn in batches of FIRST_BATCH, twice that, ... up to
+    MAX_BATCH, each at most the units left + 1, so the budget bounds the
+    work, and a batch is reduced by one `linalg.gf2_coset_reps`.  Each set
+    costs the unit the per-set path charges it: the sets dropped before a
+    passing one are charged with it in one tick, the rest at the end of
+    the batch, so every witness is found at the same `spent`."""
+    n, width = words.shape
+    table = _combo_table(n, k)
+    size = FIRST_BATCH
+    while True:
+        ranks = list(itertools.islice(order, min(size, budget_.limit - budget_.spent + 1)))
+        if not ranks:
+            return
+        size = min(2 * size, MAX_BATCH)
+        count = len(ranks)
+        combos = [_unrank_with(idx, table) for idx in ranks]
+        flat = np.fromiter(itertools.chain.from_iterable(combos), np.int64, count * k)
+        independent, reps = linalg.gf2_coset_reps(np.broadcast_to(words, (count, n, width)),
+                                                  flat.reshape(count, k))
+        zeros = n - reps.any(axis=2).sum(axis=1)
+        # C's own columns reduce to zero, so the survivors hold zeros - k
+        # zeros and every distinct nonzero representative; a column of
+        # several words sorts as one key through a void view of them
+        keys = reps[:, :, 0] if width == 1 else reps.view(np.dtype((np.void, 8 * width)))[:, :, 0]
+        keys = np.sort(keys, axis=1)
+        distinct = 1 + (keys[:, 1:] != keys[:, :-1]).sum(axis=1) - (zeros > 0)
+        charged = 0
+        for b in np.flatnonzero(independent & (zeros - k >= l_t) & (distinct >= c_t)).tolist():
+            budget_.tick(b + 1 - charged)
+            charged = b + 1
+            combo = combos[b]
+            survivors = [j for j in range(n) if j not in combo]
+            ints = linalg.word_ints(reps[b])
+            zero_surv = []
+            survivor_reps = {}
+            dirs: dict = {}
+            for j in survivors:
+                survivor_reps[j] = v = ints[j]
+                if v:
+                    dirs.setdefault(v, []).append(j)
+                else:
+                    zero_surv.append(j)
+            yield combo, survivors, survivor_reps, zero_surv, dirs
+        if count > charged:
+            budget_.tick(count - charged)
 
 
 def _scan_survivor_selections(

@@ -141,6 +141,10 @@ def test_criterion_8_graphic_class_check():
                            trials=1000, seed=SEED, budget=20_000)
     freq = {r.n: r.frequency for r in rows}
     assert freq[24] > 0.95, freq
+    # the counts themselves, so that any drift in the search's budget
+    # accounting fails here: (n, nongraphic_found, unknown) per row
+    assert [(r.n, r.confirmed_out, r.unknown) for r in rows] == [
+        (8, 0, 0), (16, 987, 13), (24, 1000, 0)]
     print(f"ACCEPTANCE 8 PASS: K4 graphic, U24/GF(5) non-graphic; "
           f"sweep non-graphic frequency {freq}")
 

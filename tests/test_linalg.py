@@ -9,9 +9,11 @@ import random
 import numpy as np
 
 from conftest import from_rows, rank, rref
+from fqminors import linalg
 from fqminors.gf import field
 from fqminors.linalg import (BitOps, GenOps, TriOps, _words, contract, fast_rank, gf2_contract,
-                             gf2_ranks, leftmost_independent, narrow_words, ops_for, pack_stack)
+                             gf2_coset_reps, gf2_ranks, int_words, leftmost_independent,
+                             narrow_words, ops_for, pack_stack, word_ints)
 from fqminors.matrix import FqMatrix
 from fqminors.sampler import SeedSpec, sample_matrix
 
@@ -268,11 +270,81 @@ def test_stacked_contraction_shares_no_elimination_with_the_search(monkeypatch):
         monkeypatch.setattr(cls, "reduce", forbidden)
         monkeypatch.setattr(cls, "reduce_pivot", forbidden)
     monkeypatch.setattr(BitOps, "eliminate", forbidden)
+    monkeypatch.setattr(linalg, "gf2_coset_reps", forbidden)
     before = words.copy()
     for chosen, keep, (ok, minors) in cases:
         got_ok, got = gf2_contract(words, chosen, keep)
         assert np.array_equal(got_ok, ok) and np.array_equal(got, minors)
     assert np.array_equal(words, before)
+
+
+def _check_coset_reps(m: int, hosts: list, combos: list):
+    """gf2_coset_reps on every host with every combo of one size (each
+    host a list of column ints with m rows) against the search's echelon:
+    the independence flag, and for an independent set the representative
+    `BitOps.reduce_pivot` gives each column (0 where it gives None)."""
+    o = BitOps(F2, m)
+    n, k = len(hosts[0]), len(combos[0])
+    width = max(1, -(-m // 64))
+    pairs = [(cols, combo) for cols in hosts for combo in combos]
+    words = np.stack([int_words(cols, width) for cols, _ in pairs]).reshape(len(pairs), n, width)
+    chosen = np.array([combo for _, combo in pairs], dtype=np.int64).reshape(len(pairs), k)
+    before = words.copy()
+    independent, reps = gf2_coset_reps(words, chosen)
+    assert np.array_equal(words, before)
+    assert reps.shape == words.shape
+    for b, (cols, combo) in enumerate(pairs):
+        ech: list = []
+        for j in combo:
+            row = o.reduce_pivot(ech, cols[j])
+            if row is None:
+                break
+            ech.append(row)
+        assert independent[b] == (len(ech) == k), (cols, combo)
+        if len(ech) == k:
+            want = [0 if row is None else row[1] for row in (o.reduce_pivot(ech, c) for c in cols)]
+            assert word_ints(reps[b]) == want, (cols, combo)
+
+
+def test_coset_reps_match_the_search_echelon_exhaustive():
+    # every GF(2) 3x4 and 4x3 matrix, every ordered contraction set of up
+    # to three columns, |C| = 0 included
+    for m, n in ((3, 4), (4, 3)):
+        hosts = [[(code >> (m * j)) & ((1 << m) - 1) for j in range(n)]
+                 for code in range(1 << (m * n))]
+        for k in range(4):
+            _check_coset_reps(m, hosts, list(itertools.permutations(range(n), k)))
+
+
+def test_coset_reps_match_the_search_echelon_multiword():
+    # 70 and 130 rows: two and three words per column, with a dependent
+    # column (the sum of columns 1 and 2), a zero column and two columns
+    # zero in the first word (pivots past it) in every host
+    rng = random.Random(49)
+    for m, n in ((70, 80), (130, 20)):
+        hosts = []
+        for _ in range(3):
+            cols = [rng.getrandbits(m) for _ in range(n)]
+            cols[0], cols[3] = cols[1] ^ cols[2], 0
+            cols[4], cols[5] = (rng.getrandbits(m - 64) << 64 for _ in range(2))
+            hosts.append(cols)
+        assert word_ints(int_words(hosts[0], 3)) == hosts[0]
+        for k in (0, 1, 2, 3, 7, 15):
+            combos = [tuple(rng.sample(range(n), k)) for _ in range(12)]
+            combos += [tuple(range(k)), tuple(range(4, 4 + k))[::-1]]
+            _check_coset_reps(m, hosts, combos)
+
+
+def test_coset_reps_accept_a_broadcast_host():
+    # one host's words broadcast across the batch, as the search passes
+    # them, give what the materialised copies give
+    rng = random.Random(50)
+    cols = [rng.getrandbits(9) for _ in range(14)]
+    words = int_words(cols, 1)
+    combos = np.array([rng.sample(range(14), 4) for _ in range(40)], dtype=np.int64)
+    got = gf2_coset_reps(np.broadcast_to(words, (40, 14, 1)), combos)
+    want = gf2_coset_reps(np.repeat(words[None], 40, axis=0), combos)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_words_match_a_per_row_reference():

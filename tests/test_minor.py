@@ -563,6 +563,79 @@ def test_sibling_charges_match_reference_threshold(monkeypatch):
     assert all(ran.values()), ran
 
 
+def test_table_unranking_follows_lexicographic_order():
+    # the batched screen's unranking must visit sets in the order the
+    # per-set path does, which is itertools' lexicographic order
+    for n in range(11):
+        for k in range(n + 1):
+            table = minor._combo_table(n, k)
+            want = list(itertools.combinations(range(n), k))
+            assert [minor._unrank_with(i, table) for i in range(len(want))] == want, (n, k)
+            assert [minor._unrank_combo(i, n, k) for i in range(len(want))] == want, (n, k)
+
+
+# (shape, seed, targets) of seeded GF(2) hosts whose decision thresholds
+# stay small; together they give found, absent and unknown outcomes
+_SCREEN_CASES = [
+    ((6, 12), 0, ("U:2,4", "F7", "MK5*", "MK33*", "U:1,2", "loop")),
+    ((6, 12), 1, minor.GRAPHIC_EXCLUDED + ("U:1,2", "loop")),
+    ((7, 14), 0, ("F7", "U:1,2", "loop")),
+    ((8, 16), 0, ("F7", "F7*", "MK33*", "U:1,2", "loop")),
+]
+
+
+def test_batched_screen_matches_per_set_threshold(monkeypatch):
+    # the batched GF(2) screen only drops sets the per-set path drops and
+    # charges the same units, so the least budget that decides, and the
+    # outcome at every budget, must be the per-set path's; batching from
+    # the first set, in batches of 1, 3 and 512, and at the module's own
+    # sizes
+    looped = from_matrix(from_rows(F2, [[1, 0, 1, 0], [0, 1, 1, 0]]))  # U:2,3 and a loop
+    budgets = []
+    screened = []
+
+    class SpyBudget(minor._Budget):
+        def __init__(self, units):
+            super().__init__(units)
+            budgets.append(self)
+
+    real = linalg.gf2_coset_reps
+
+    def spy_reps(words, combos):
+        left = budgets[-1].limit - budgets[-1].spent
+        assert combos.shape[0] <= left + 1, (combos.shape, left)
+        screened.append((combos.shape[0], left))
+        return real(words, combos)
+
+    def forbidden(*args):
+        raise AssertionError("the per-set path ran the batched screen")
+
+    monkeypatch.setattr(minor, "_Budget", SpyBudget)
+    monkeypatch.setattr(linalg, "gf2_coset_reps", spy_reps)
+    seen = set()
+    for (m, n), seed, names in _SCREEN_CASES:
+        A = sample_matrix(2, m, n, SeedSpec(seed, 20))
+        for name in names:
+            t = looped if name == "loop" else catalog(name)
+            with monkeypatch.context() as mp:
+                mp.setattr(minor, "PER_SET", 10**9)
+                mp.setattr(linalg, "gf2_coset_reps", forbidden)
+                want = _decision_threshold(A, t)
+                want_outcomes = [_search_outcome(A, t, b) for b in (want - 1, want, 200, None)]
+            seen.update(type(o).__name__ for o in want_outcomes)
+            for sizes in ((0, 1, 1), (0, 3, 3), (0, 512, 512),
+                          (minor.PER_SET, minor.FIRST_BATCH, minor.MAX_BATCH)):
+                with monkeypatch.context() as mp:
+                    for const, value in zip(("PER_SET", "FIRST_BATCH", "MAX_BATCH"), sizes):
+                        mp.setattr(minor, const, value)
+                    assert _decision_threshold(A, t) == want, (m, n, seed, name, sizes)
+                    assert [_search_outcome(A, t, b) for b in (want - 1, want, 200, None)] \
+                        == want_outcomes, (m, n, seed, name, sizes)
+    assert seen == {"MinorWitness", "NoneType", "str"}
+    # batches ran, and the units left cut some of them short
+    assert screened and any(count == left + 1 < 512 and count > 3 for count, left in screened)
+
+
 def _relabel(M: Matroid, perm) -> Matroid:
     """M with element i renamed perm[i]."""
     return Matroid(M.ground_size, [_mask_of(perm[i] for i in range(M.ground_size) if b >> i & 1)
