@@ -41,20 +41,18 @@ budget, before its basis family is scanned.  Each searcher has its own
 verifier: `verify_witness_matrix` shares none of the matrix search's
 internals, and `verify_witness` checks C's independence and the witness
 bijection, which the reference's isomorphism test does not.
-`WitnessStack` gives `verify_witness_matrix`'s verdicts on many GF(2)
-witnesses at once, contracting each witness's own host by one numpy
-elimination per contraction size (`linalg.gf2_contract`), which shares no
-code with the search either.
+`verify_witness_stack` gives `verify_witness_matrix`'s verdicts on the
+witnesses of a stack of GF(2) hosts, contracting each witness's own host
+by one numpy elimination per contraction size (`linalg.gf2_contract`),
+which shares no code with the search either.
 
 `search` runs `find_minor_matrix` and `outcome` classifies what it gave,
 once the witness is checked: `found` (witness verified), `absent`,
 `unknown` (budget ran out) or `unverified` (a witness that failed its
 independent check, never counted as found).  `decide` is the two with
-`verify_witness_matrix` on one host: the `minor` command, the
-excluded-minor class test and the Monte Carlo minor trials over fields
-other than GF(2) go through it.  A GF(2) Monte Carlo chunk runs `search`
-on each host of a stack and checks the stack's witnesses with a
-`WitnessStack`.
+`verify_witness_matrix` on one host, for the `minor` and `class` commands
+and the Monte Carlo trials over fields other than GF(2); GF(2) trials
+check their witnesses by `verify_witness_stack` (`sampler.search_chunk`).
 """
 
 from __future__ import annotations
@@ -341,12 +339,10 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT
         classes of the others, or None."""
         if len(zero_surv) < l_t or len(dirs) < c_t:
             return None
-        # the key order picks the witness: GF(3) plane pairs sort as
-        # the tuples of codes the table backend keyed them by
+        # the key order picks the witness: GF(3) plane pairs sort as the
+        # tuples of codes the table backend keyed them by.  The keys span
+        # the quotient by C, of rank r_h - k >= r_t: no rank check needed
         dir_keys = sorted(dirs, key=o.order)
-        # rank of the whole quotient must allow rank r_t
-        if len(linalg.leftmost_independent(o, dir_keys, r_t)) < r_t:
-            return None
         return _scan_survivor_selections(
             o, target, reps, combo, survivors, zero_surv, dirs, dir_keys,
             l_t, c_t, size_orders, r_t, n_bases_t, budget_,
@@ -567,49 +563,36 @@ def verify_witness_matrix(A: FqMatrix, target: Matroid, w: MinorWitness) -> bool
                                                 w.bijection)
 
 
-class WitnessStack:
-    """Witnesses found on the hosts of one stack of GF(2) matrices, at most
-    one per host, checked together: `verdicts` gives `verify_witness_matrix`'s
-    verdict on each.  `words[t]` holds host t's row words (as
-    `linalg.pack_stack` gives them), and every host has n columns.
-
-    A witness is kept only as what its check reads (C, the survivors and
-    the bijection), so a stack holds no witness object."""
-
-    def __init__(self, words, n: int, target: Matroid):
-        self.words, self.n, self.target = words, n, target
-        self._verdicts: dict = {}
-        self._groups: dict = {}  # |C| -> [(host, sorted C, survivors, bijection)]
-
-    def add(self, t: int, w: MinorWitness):
-        """Queue w, found on host t; one whose sets do not name the target's
-        survivors (`_witness_survivors`) fails at once."""
-        survivors = _witness_survivors(self.n, self.target, w)
+def verify_witness_stack(words, n: int, target: Matroid, witnesses: dict) -> dict:
+    """`verify_witness_matrix`'s verdict on each witnesses[t], found on the
+    GF(2) host of n columns whose row words (`linalg.pack_stack`) are
+    words[t], as host -> verdict.  A witness that does not name the
+    target's survivors fails at once; the others are grouped by |C|, each
+    group's hosts are contracted on their own C by one
+    `linalg.gf2_contract`, and each contraction is compared with the
+    target as `verify_witness_matrix` compares it."""
+    f2 = field(2)
+    m, e_t = words.shape[1], target.ground_size
+    verdicts = {}
+    groups: dict = {}  # |C| -> [(host, sorted C, survivors, bijection)]
+    for t, w in witnesses.items():
+        survivors = _witness_survivors(n, target, w)
         if survivors is None:
-            self._verdicts[t] = False
+            verdicts[t] = False
         else:
-            self._groups.setdefault(len(w.contract), []).append(
+            groups.setdefault(len(w.contract), []).append(
                 (t, sorted(w.contract), survivors, w.bijection))
-
-    def verdicts(self) -> dict:
-        """Host -> verdict for every queued witness.  The witnesses are
-        grouped by |C|, each group's hosts are contracted on their own C by
-        one `linalg.gf2_contract`, and each contraction's column matroid is
-        compared with the target as `verify_witness_matrix` compares it."""
-        f2 = field(2)
-        m, e_t = self.words.shape[1], self.target.ground_size
-        for k, group in self._groups.items():
-            hosts, chosen, keep, _ = zip(*group)
-            ok, minors = linalg.gf2_contract(
-                self.words[list(hosts)], np.array(chosen, dtype=np.int64).reshape(len(group), k),
-                np.array(keep, dtype=np.int64).reshape(len(group), e_t))
-            for t in itertools.compress(hosts, ~ok):
-                self._verdicts[t] = False
-            for (t, _, survivors, bijection), bits in zip(itertools.compress(group, ok), minors):
-                minor_m = from_matrix(FqMatrix(f2, m - k, e_t, tuple(bits.ravel().tolist())))
-                self._verdicts[t] = _is_target(minor_m, self.target, survivors, bijection)
-        self._groups.clear()
-        return self._verdicts
+    for k, group in groups.items():
+        hosts, chosen, keep, _ = zip(*group)
+        ok, minors = linalg.gf2_contract(
+            words[list(hosts)], np.array(chosen, dtype=np.int64).reshape(len(group), k),
+            np.array(keep, dtype=np.int64).reshape(len(group), e_t))
+        for t in itertools.compress(hosts, ~ok):
+            verdicts[t] = False
+        for (t, _, survivors, bijection), bits in zip(itertools.compress(group, ok), minors):
+            minor_m = from_matrix(FqMatrix(f2, m - k, e_t, tuple(bits.ravel().tolist())))
+            verdicts[t] = _is_target(minor_m, target, survivors, bijection)
+    return verdicts
 
 
 def check_budget(budget: int | None):
@@ -670,16 +653,23 @@ class ExcludedMinorReport:
         return "unknown"
 
 
+def excluded_minors(class_name: str) -> tuple[tuple[str, Matroid], ...]:
+    """(name, matroid) of each of the class's excluded minors, in the order
+    they are decided (Tutte's list for 'graphic'); an unknown class is a
+    usage error, raised before any host is searched."""
+    if class_name != "graphic":
+        raise BadArgumentsError(f"unknown minor-closed class {class_name!r}")
+    return tuple((name, catalog(name)) for name in GRAPHIC_EXCLUDED)
+
+
 def has_excluded_minor_matrix(A: FqMatrix, class_name: str = "graphic",
                               budget: int | None = DEFAULT_BUDGET,
                               short_circuit: bool = False) -> ExcludedMinorReport:
-    """Decide each of the class's excluded minors (Tutte's list for
-    'graphic') in a matrix host; membership holds iff every one is absent."""
-    if class_name != "graphic":
-        raise BadArgumentsError(f"unknown minor-closed class {class_name!r}")
+    """Decide each of the class's `excluded_minors` in a matrix host;
+    membership holds iff every one is absent."""
     report = ExcludedMinorReport(class_name)
-    for name in GRAPHIC_EXCLUDED:
-        outcome, w = decide(A, catalog(name), budget)
+    for name, target in excluded_minors(class_name):
+        outcome, w = decide(A, target, budget)
         report.outcomes[name] = outcome
         if outcome == "found":
             report.witnesses[name] = w

@@ -26,24 +26,17 @@ Every Monte Carlo path runs through `run_trials`, the one trial runner: it
 splits the trial indices into contiguous ranges, one per process, runs a
 chunk function on each range and sums the Counters.  A chunk function
 (args, seed, lo, hi) -> Counter counts the outcomes of trials lo..hi-1.
-Over GF(2) both chunk functions draw a range's codes into stacks
-(`_gf2_stacks`, the same words as one trial at a time) and rank each stack
-by one `linalg.gf2_ranks` elimination.  A rank event is then decided from
-the ranks.  A minor trial's host is built from its stack, packed by one
-`linalg.pack_stack` per stack (the words the stack is ranked on), and
-equals `sample_matrix`'s; it is searched by `minor.search` with its rank
-given, and the stack's witnesses are checked together by a
-`minor.WitnessStack`, one numpy contraction per contraction size.  The
-first trial of each stack is also checked the per-trial way
-(`sample_matrix`, `minor.verify_witness_matrix`), and counts as found
-only when both checks accept it.  Over other fields each trial is
-sampled by `sample_matrix`, ranked by `linalg.fast_rank` or decided by
-`minor.decide`, which keeps `verify_witness_matrix`, as do the `minor` and
-`class` commands.  Estimates carry Wilson 95% intervals.  A minor trial
-counts as a success only when its own witness verifies; budget-exhausted
-searches and failed verifications are reported in `unknowns` (the latter
-also in `unverified`), never folded into successes, and both paths
-classify through `minor.outcome`.
+Over GF(2) every chunk function draws a range's codes into stacks
+(`_gf2_stacks`, the same words as one trial at a time) and ranks each stack
+by one `linalg.gf2_ranks` elimination; minor and class trials then go on
+through one skeleton, `search_chunk`.  Over other fields each trial is
+sampled by `sample_matrix` and ranked by `linalg.fast_rank` or decided on
+the per-trial path (`minor.decide`, which keeps `verify_witness_matrix`),
+as in the `minor` and `class` commands.  Estimates carry Wilson 95%
+intervals.  A minor trial counts as a success only when its own witness
+verifies; budget-exhausted searches and failed verifications are reported
+in `unknowns` (the latter also in `unverified`), never folded into
+successes, and both paths classify through `minor.outcome`.
 """
 
 from __future__ import annotations
@@ -62,8 +55,8 @@ from .errors import BadArgumentsError
 from .gf import field
 from .matrix import FqMatrix
 from .matroid import Matroid
-from .minor import (DEFAULT_BUDGET, WitnessStack, check_budget, decide, outcome, search,
-                    verify_witness_matrix)
+from .minor import (DEFAULT_BUDGET, check_budget, decide, outcome, search,
+                    verify_witness_stack)
 
 _MASK64 = (1 << 64) - 1
 # the most entries a sampled matrix may have; larger shapes are rejected
@@ -327,48 +320,55 @@ def mc_event_prob(q: int, m: int, n: int, event: str, trials: int, seed: int) ->
     return _make_estimate(trials, successes, 0, 0, seed)
 
 
-def _minor_chunk(args, seed: int, lo: int, hi: int) -> Counter:
-    """Counter of the `decide` outcomes of trials lo..hi-1.
+def search_chunk(q: int, m: int, n: int, seed: int, lo: int, hi: int, targets, budget,
+                 judge, per_trial, undecided: str) -> Counter:
+    """Counter of the results of trials lo..hi-1 that search their host
+    for `targets` in order, stopping at the first found: per_trial(A) is a
+    trial's result from its `sample_matrix` host A, judge(outcomes) the
+    result from its targets' `minor.outcome`s.  Over fields other than
+    GF(2) every trial is decided by per_trial.
 
     Over GF(2) each stack of `_gf2_stacks` becomes hosts equal to
     `sample_matrix`'s, packed by one `linalg.pack_stack` and ranked by one
-    `linalg.gf2_ranks` on those words; each host is searched with its rank
-    given, and the stack's witnesses are checked together by a
-    `WitnessStack`.  The first trial of a stack is also checked on the
-    per-trial path, its host drawn by `sample_matrix` and its witness
-    checked by `verify_witness_matrix`, and counts as found only when both
-    checks accept: a run-time spot check of the stacked draw and verifier
-    against the per-trial ones."""
-    q, m, n, target, budget = args
+    `linalg.gf2_ranks`.  Target by target, every host still open is
+    searched with its rank given, the target's witnesses are checked by one
+    `verify_witness_stack`, and a host whose witness verifies leaves.  A
+    stack's first trial is also decided by per_trial, a spot check of the
+    stacked path: when the two disagree it counts as `undecided`."""
     check_shape(m, n)
     if q != 2:
-        return Counter(decide(sample_matrix(q, m, n, SeedSpec(seed, i)), target, budget)[0]
-                       for i in range(lo, hi))
+        return Counter(per_trial(sample_matrix(q, m, n, SeedSpec(seed, i))) for i in range(lo, hi))
     f = field(2)
-    outcomes: Counter = Counter()
+    results: Counter = Counter()
     for streams, stack in _gf2_stacks(seed, lo, hi, m, n):
         words, col_words = linalg.pack_stack(stack)
         codes = stack.reshape(len(streams), m * n)
-        witnesses = WitnessStack(words, n, target)
-        statuses = []
+        hosts = [FqMatrix(f, m, n, tuple(codes[t].tolist()), tuple(linalg.word_ints(col_words[t])),
+                          tuple(linalg.word_ints(words[t]))) for t in range(len(streams))]
         # ranked on the words of the orientation with fewer columns
         narrow, width = (col_words, m) if n > m else (words, n)
-        for t, r_h in enumerate(linalg.gf2_ranks(narrow, width).tolist()):
-            A = FqMatrix(f, m, n, tuple(codes[t].tolist()), tuple(linalg.word_ints(col_words[t])),
-                         tuple(linalg.word_ints(words[t])))
-            status, w = search(A, target, budget, r_h)
-            statuses.append(status)
-            if t == 0:
-                first = w
-            if w is not None:
-                witnesses.add(t, w)
-        verified = witnesses.verdicts()
-        if first is not None:
-            host = sample_matrix(2, m, n, SeedSpec(seed, streams[0]))
-            verified[0] = verify_witness_matrix(host, target, first) and verified[0]
-        outcomes.update(outcome(status, verified.get(t, False))
-                        for t, status in enumerate(statuses))
-    return outcomes
+        ranks = linalg.gf2_ranks(narrow, width).tolist()
+        outcomes: list[list[str]] = [[] for _ in hosts]
+        still_open = range(len(hosts))
+        for target in targets:
+            searched = {t: search(hosts[t], target, budget, ranks[t]) for t in still_open}
+            verified = verify_witness_stack(
+                words, n, target, {t: w for t, (_, w) in searched.items() if w is not None})
+            for t, (status, _) in searched.items():
+                outcomes[t].append(outcome(status, verified.get(t, False)))
+            still_open = [t for t in still_open if outcomes[t][-1] != "found"]
+        judged = [judge(outs) for outs in outcomes]
+        if judged[0] != per_trial(sample_matrix(2, m, n, SeedSpec(seed, streams[0]))):
+            judged[0] = undecided
+        results.update(judged)
+    return results
+
+
+def _minor_chunk(args, seed: int, lo: int, hi: int) -> Counter:
+    """Counter of the `decide` outcomes of trials lo..hi-1."""
+    q, m, n, target, budget = args
+    return search_chunk(q, m, n, seed, lo, hi, (target,), budget, lambda outcomes: outcomes[0],
+                        lambda A: decide(A, target, budget)[0], "unverified")
 
 
 def mc_minor_prob(q: int, m: int, n: int, target: Matroid, trials: int, seed: int,

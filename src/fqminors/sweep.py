@@ -4,7 +4,8 @@ An m_rule maps n to the number of rows: `constant:c`, `n-minus:d`,
 `n-plus:d`, or `ratio:r` (m = floor(r * n)).  A minor sweep estimates the
 containment probability per n and attaches whatever exact bounds apply; a
 class sweep estimates how often the sampled matroid is confirmed outside
-the class (witness found and verified).
+the class (witness found and verified), its trials searching for the
+class's excluded minors through `sampler.search_chunk`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from fractions import Fraction
 from .errors import BadArgumentsError, TooLargeError
 from .formulas import check_size, lower_bound_nonfree, prob_free_minor, upper_bound_nonfree
 from .matroid import Matroid
-from .minor import DEFAULT_BUDGET, check_budget, has_excluded_minor_matrix
-from .sampler import Estimate, SeedSpec, check_shape, mc_minor_prob, run_trials, sample_matrix
+from .minor import (DEFAULT_BUDGET, ExcludedMinorReport, check_budget, excluded_minors,
+                    has_excluded_minor_matrix)
+from .sampler import Estimate, check_shape, mc_minor_prob, run_trials, search_chunk
 
 # work units per target search in a `simulate` or `class --sweep` trial
 SWEEP_BUDGET = 20_000
@@ -163,18 +165,22 @@ class ClassSweepRow:
 
 
 def _class_chunk(args, seed: int, lo: int, hi: int) -> Counter:
-    """Counter of the class memberships of trials lo..hi-1."""
+    """Counter of the class memberships of trials lo..hi-1, by the rule
+    of `ExcludedMinorReport.membership`."""
     q, m, n, class_name, budget = args
-    return Counter(
-        has_excluded_minor_matrix(sample_matrix(q, m, n, SeedSpec(seed, i)), class_name, budget,
-                                  short_circuit=True).membership
-        for i in range(lo, hi))
+    names, targets = zip(*excluded_minors(class_name))
+    return search_chunk(
+        q, m, n, seed, lo, hi, targets, budget,
+        lambda outcomes: ExcludedMinorReport(class_name, dict(zip(names, outcomes))).membership,
+        lambda A: has_excluded_minor_matrix(A, class_name, budget, short_circuit=True).membership,
+        "unknown")
 
 
 def run_class_sweep(q: int, class_name: str, n_range, m_rule: str, trials: int,
                     seed: int, budget: int | None = SWEEP_BUDGET,
                     jobs: int = 1) -> list[ClassSweepRow]:
     check_budget(budget)
+    excluded_minors(class_name)  # an unknown class fails before any trial
     rows = []
     for n, m in sweep_sizes(n_range, m_rule):
         members = run_trials(_class_chunk, (q, m, n, class_name, budget), trials, seed, jobs)

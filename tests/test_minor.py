@@ -15,7 +15,6 @@ from fqminors.matrix import FqMatrix
 from fqminors.matroid import Matroid, catalog, from_matrix, is_isomorphic, uniform
 from fqminors.minor import (
     MinorWitness,
-    WitnessStack,
     _mask_of,
     decide,
     find_minor,
@@ -23,6 +22,7 @@ from fqminors.minor import (
     has_excluded_minor_matrix,
     verify_witness,
     verify_witness_matrix,
+    verify_witness_stack,
 )
 from fqminors.oracle import exact_minor_prob
 from fqminors.sampler import SeedSpec, sample_matrix
@@ -667,7 +667,7 @@ def test_isomorphism_verdict_ignores_labels():
 
 
 def _stack_agrees(cases) -> list[bool]:
-    """WitnessStack verdicts on (host, target, witness) cases, every host
+    """verify_witness_stack verdicts on (host, target, witness) cases, every host
     of one shape and target in one stack, asserted equal to
     verify_witness_matrix case by case; returns the verdicts."""
     groups: dict = {}
@@ -677,10 +677,7 @@ def _stack_agrees(cases) -> list[bool]:
     for (m, n, target), group in groups.items():
         stack = np.array([A.entries for _, A, _ in group], dtype=np.uint8).reshape(len(group), m, n)
         words = linalg.pack_stack(stack)[0]
-        witnesses = WitnessStack(words, n, target)
-        for t, (_, _, w) in enumerate(group):
-            witnesses.add(t, w)
-        got = witnesses.verdicts()
+        got = verify_witness_stack(words, n, target, {t: w for t, (_, _, w) in enumerate(group)})
         assert sorted(got) == list(range(len(group)))
         for t, (pos, A, w) in enumerate(group):
             assert got[t] == verify_witness_matrix(A, target, w), (A, target, w)

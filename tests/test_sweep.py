@@ -1,11 +1,17 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from fqminors import formulas, sampler, sweep
+from fqminors import formulas, linalg, minor, sampler, sweep
 from fqminors.errors import BadArgumentsError
 from fqminors.matroid import catalog
-from fqminors.sweep import bounds_for, m_for, n_values, run_minor_sweep, sweep_sizes
+from fqminors.minor import ExcludedMinorReport, has_excluded_minor_matrix
+from fqminors.sampler import SeedSpec, run_trials, sample_matrix
+from fqminors.sweep import (bounds_for, m_for, n_values, run_class_sweep, run_minor_sweep,
+                            sweep_sizes)
 
 
 def test_m_rules():
@@ -102,3 +108,92 @@ def test_sweep_rows_carry_estimates_and_bounds():
         assert r.estimate.trials == 100
         assert r.lower is not None
         assert 0 <= r.estimate.point <= 1
+
+
+# the stacked GF(2) class chunk against the per-trial class test: shapes
+# with every membership, past 64 columns and on empty hosts; a budget of
+# 60 units leaves some 8 x 16 and 16 x 24 trials unknown
+CLASS_SHAPES = [(8, 16), (16, 24), (3, 66), (0, 4), (4, 0)]
+CLASS_BUDGET = 60
+
+
+def _memberships(m, n, seed, trials):
+    return [has_excluded_minor_matrix(sample_matrix(2, m, n, SeedSpec(seed, i)), "graphic",
+                                      CLASS_BUDGET, short_circuit=True).membership
+            for i in range(trials)]
+
+
+def _stack_size(m, n):
+    return max(1, sampler._RANK_STACK_ENTRIES // max(1, m * n))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_stacked_class_counts_equal_per_trial_membership(monkeypatch, jobs):
+    # stacks of at most 1000 entries, so a chunk spans several of them
+    monkeypatch.setattr(sampler, "_RANK_STACK_ENTRIES", 1000)
+    seen = Counter()
+    for m, n in CLASS_SHAPES:
+        want = Counter(_memberships(m, n, 13, 40))
+        got = run_trials(sweep._class_chunk, (2, m, n, "graphic", CLASS_BUDGET), 40, 13, jobs)
+        assert got == want, (m, n)
+        seen.update(want)
+    assert set(seen) == {"yes", "no", "unknown"}
+
+
+def test_stacked_class_chunk_samples_once_per_stack(monkeypatch):
+    monkeypatch.setattr(sampler, "_RANK_STACK_ENTRIES", 1000)
+    searches = [len(has_excluded_minor_matrix(sample_matrix(2, m, n, SeedSpec(13, i)), "graphic",
+                                              CLASS_BUDGET, short_circuit=True).outcomes)
+                for m, n in CLASS_SHAPES for i in range(3, 40)]
+    calls = Counter()
+    for module, name in ((sampler, "sample_matrix"), (minor, "verify_witness_matrix"),
+                         (sampler, "search")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, real=real, name=name: calls.update([name]) or real(*a))
+    for m, n in CLASS_SHAPES:
+        sweep._class_chunk((2, m, n, "graphic", CLASS_BUDGET), 13, 3, 40)
+        stacks = math.ceil(37 / _stack_size(m, n))
+        # only the spot check draws a host on its own or checks a witness
+        # on the per-trial path, at most once per target
+        assert calls.pop("sample_matrix") == stacks, (m, n)
+        assert calls.pop("verify_witness_matrix", 0) <= stacks * len(minor.GRAPHIC_EXCLUDED)
+    # a host leaves at its first verified witness, as the short circuit does
+    assert calls["search"] == sum(searches)
+
+
+def test_stacked_class_chunk_counts_no_only_on_verified_witness(monkeypatch):
+    def dependent(words, chosen, keep):
+        return np.zeros(len(words), dtype=bool), np.zeros((0, 0, keep.shape[1]), dtype=np.uint8)
+
+    monkeypatch.setattr(linalg, "gf2_contract", dependent)
+    for m, n in CLASS_SHAPES:
+        yes = _memberships(m, n, 13, 40).count("yes")
+        got = sweep._class_chunk((2, m, n, "graphic", CLASS_BUDGET), 13, 0, 40)
+        assert got == Counter(yes=yes, unknown=40 - yes), (m, n)
+
+
+def test_failed_class_spot_check_counts_unknown(monkeypatch):
+    # the per-trial path, which decides each stack's first trial again,
+    # says every host is in the class: each first trial that is not
+    # counts as unknown, and no other trial moves
+    monkeypatch.setattr(sampler, "_RANK_STACK_ENTRIES", 1000)
+    monkeypatch.setattr(sweep, "has_excluded_minor_matrix",
+                        lambda *a, **kw: ExcludedMinorReport("graphic", {"U:2,4": "absent"}))
+    m, n = 8, 16
+    truth = _memberships(m, n, 13, 40)
+    firsts = range(0, 40, _stack_size(m, n))
+    assert any(truth[t] == "no" for t in firsts)
+    want = Counter("unknown" if t in firsts and v != "yes" else v for t, v in enumerate(truth))
+    assert sweep._class_chunk((2, m, n, "graphic", CLASS_BUDGET), 13, 0, 40) == want
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unknown_class_rejected_before_any_search(monkeypatch, jobs):
+    def no_search(*args, **kw):
+        raise AssertionError("a host was searched")
+
+    for module, name in ((sweep, "run_trials"), (sampler, "search"), (minor, "search")):
+        monkeypatch.setattr(module, name, no_search)
+    with pytest.raises(BadArgumentsError, match="unknown minor-closed class 'planar'"):
+        run_class_sweep(2, "planar", (8, 16, 8), "n-minus:8", 10, seed=0, jobs=jobs)
