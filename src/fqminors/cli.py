@@ -222,7 +222,7 @@ def _add_minor_parser(sub):
 def _cmd_minor(args):
     A = _host_matrix(args)
     target = _load_matroid(args.target)
-    outcome, w = decide(A, target, args.budget)
+    outcome, w, _ = decide(A, target, args.budget)
     witness = None if w is None else w.to_json()
     verified = None if w is None else outcome == "found"
     text = f"outcome: {outcome}\n"

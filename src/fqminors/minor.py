@@ -19,6 +19,9 @@ One searcher and one reference, with the same witness format:
   one unit for each distinct order of the target's parallel-class sizes
   after the first, before it generates any of them, so no set-up step runs
   ahead of the budget.
+  Its set-up, everything before the first contraction set, depends only
+  on the target and the host's field, size and rank (`_set_up`, giving a
+  `_Plan`); the sets themselves are screened per host (`_search_sets`).
   Over GF(2) only the first PER_SET contraction sets of each size are
   reduced one at a time; the later ones are screened in numpy batches
   (`_screened_sets`, one `linalg.gf2_coset_reps` per batch) that drop the
@@ -29,6 +32,17 @@ One searcher and one reference, with the same witness format:
   left + 1 sets and each set is still charged one unit, the dropped ones
   in one tick, so every witness, outcome and budget spent is the per-set
   path's.
+* `search_stack` runs that search on a whole stack of GF(2) hosts, from
+  their column words.  Hosts of equal rank share one set-up and visit
+  the same sets in the same order, so the first PER_SET sets of the
+  first size are screened in lockstep: each set is unranked once,
+  charged to each open host's own budget and reduced for all of them by
+  one `linalg.gf2_coset_reps`, and each host's representatives are
+  scanned as in its own search.  A host leaves at its witness or when its
+  budget runs out; a host still open resumes its own `_search_sets` at
+  set PER_SET of that size, on the same budget.  No set is screened
+  twice, and every witness, outcome and unit spent is the per-host
+  search's.
 * `find_minor` is the brute-force reference on abstract basis-family
   matroids: every (C, D) pair, dependent C included, then isomorphism, at
   one budget unit per pair.  The exact oracle and the `validate` agreement
@@ -46,13 +60,16 @@ witnesses of a stack of GF(2) hosts, contracting each witness's own host
 by one numpy elimination per contraction size (`linalg.gf2_contract`),
 which shares no code with the search either.
 
-`search` runs `find_minor_matrix` and `outcome` classifies what it gave,
-once the witness is checked: `found` (witness verified), `absent`,
-`unknown` (budget ran out) or `unverified` (a witness that failed its
-independent check, never counted as found).  `decide` is the two with
-`verify_witness_matrix` on one host, for the `minor` and `class` commands
-and the Monte Carlo trials over fields other than GF(2); GF(2) trials
-check their witnesses by `verify_witness_stack` (`sampler.search_chunk`).
+`search` runs `find_minor_matrix` and returns its status, its witness
+and the units it spent (`_Budget.spent`, the charge that ran out
+included); `search_stack` returns the same per host.  `outcome`
+classifies a status once the witness is checked: `found` (witness
+verified), `absent`, `unknown` (budget ran out) or `unverified` (a
+witness that failed its independent check, never counted as found).
+`decide` is the two with `verify_witness_matrix` on one host, for the
+`minor` and `class` commands and the Monte Carlo trials over fields
+other than GF(2); GF(2) trials search by `search_stack` and check their
+witnesses by `verify_witness_stack` (`sampler.search_chunk`).
 """
 
 from __future__ import annotations
@@ -79,6 +96,7 @@ GRAPHIC_EXCLUDED = ("U:2,4", "F7", "F7*", "MK5*", "MK33*")
 # up to MAX_BATCH: most searches end within a few sets, and a batch costs
 # about |C| numpy calls however few of its sets are needed.  Batches of 512
 # were no faster than 256 on the class sweep and held about 0.3 MB more.
+# `search_stack` screens a stack's first PER_SET sets across its hosts.
 PER_SET = 16
 FIRST_BATCH = 32
 MAX_BATCH = 256
@@ -289,74 +307,132 @@ def _distinct_size_orders(sizes: list[int]) -> list[tuple[int, ...]]:
         out.append(tuple(a))
 
 
-def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT_BUDGET,
-                      r_h: int | None = None):
-    """Search for target as a minor of the column matroid of A; None means
-    *absent* (certain), BudgetExceededError *unknown*.  `r_h`, when given,
-    is A's rank, which the search then does not recompute.
+class _Plan:
+    """What `find_minor_matrix` sets up for one target before it screens
+    any contraction set, the same for every host of n columns and rank
+    r_h over GF(q) (`_set_up`): the target's sizes and parallel-class
+    size orders, and the contraction sizes `ks` the search visits,
+    largest first.  A host's own search is `_search_sets` on its columns
+    and budget."""
 
-    Witness element indices refer to host columns.
-    """
-    f = A.field
-    q = f.q
-    n, m = A.n, A.m
-    o = linalg.ops_for(f, m)
-    cols = o.cols_of(A)
-    if r_h is None:
-        r_h = o.rank_cols(cols)
-    e_t, r_t = target.ground_size, target.rank
-    # the size checks first: they read no basis family
-    if e_t > n or r_t > r_h or (e_t - r_t) > (n - r_h):
-        return None
-    if target.is_free():
-        chosen = linalg.leftmost_independent(o, cols, e_t)
-        return MinorWitness(frozenset(), frozenset(range(n)) - frozenset(chosen), tuple(chosen))
-    if r_h == n:
-        return None
-    budget_ = _Budget(budget)
-    # every survivor selection costs C(e_t, r_t) units, so past the whole
-    # budget no witness can be paid for: unknown, before the target's
-    # basis family is scanned
-    if math.comb(e_t, r_t) > budget_.limit:
-        raise BudgetExceededError("minor search budget exhausted")
-    sizes = [c.bit_count() for c in target.parallel_classes()]
-    c_t = len(sizes)
-    # every minor of M[A] embeds in an r_t-dimensional F_q space, so its
-    # parallel classes are distinct projective points of PG(r_t - 1, q)
-    if r_t >= 1 and c_t > (q**r_t - 1) // (q - 1):
-        return None
+    def __init__(self, q: int, n: int, r_h: int, target: Matroid, sizes: list[int]):
+        self.q, self.n, self.target = q, n, target
+        self.e_t, self.r_t = target.ground_size, target.rank
+        self.l_t = target.loops().bit_count()
+        self.sizes = sizes
+        self.c_t = len(sizes)
+        self.n_orders = _n_distinct_orders(sizes)
+        self.size_orders = None  # built by the first `charge`
+        self.n_bases_t = len(target.bases)
+        # every |C| from the largest useful one down.  The quotient by C
+        # has rank r_h - |C| >= r_t, so its projective space has room for
+        # the c_t distinct directions whenever PG(r_t - 1, q) has, which
+        # `_set_up` checked: no size is skipped for want of points
+        self.ks = range(min(r_h - self.r_t, n - self.e_t), -1, -1)
 
-    l_t = target.loops().bit_count()
-    n_orders = _n_distinct_orders(sizes)
-    if n_orders > 1:
-        budget_.tick(n_orders - 1)
-    size_orders = _distinct_size_orders(sizes)
-    n_bases_t = len(target.bases)
+    def charge(self, budget_: _Budget):
+        """Charge a host's search one unit per size order after the first,
+        then build the orders, once per plan: no order is generated before
+        a budget has paid for it."""
+        if self.n_orders > 1:
+            budget_.tick(self.n_orders - 1)
+        if self.size_orders is None:
+            self.size_orders = _distinct_size_orders(self.sizes)
 
-    def consider(combo, survivors, reps, zero_surv, dirs):
+    def consider(self, o, budget_: _Budget, combo, survivors, reps, zero_surv, dirs):
         """The first witness contracting combo, given each survivor's
         representative (reps), those that are zero and the direction
         classes of the others, or None."""
-        if len(zero_surv) < l_t or len(dirs) < c_t:
+        if len(zero_surv) < self.l_t or len(dirs) < self.c_t:
             return None
         # the key order picks the witness: GF(3) plane pairs sort as the
         # tuples of codes the table backend keyed them by.  The keys span
         # the quotient by C, of rank r_h - k >= r_t: no rank check needed
         dir_keys = sorted(dirs, key=o.order)
         return _scan_survivor_selections(
-            o, target, reps, combo, survivors, zero_surv, dirs, dir_keys,
-            l_t, c_t, size_orders, r_t, n_bases_t, budget_,
+            o, self.target, reps, combo, survivors, zero_surv, dirs, dir_keys,
+            self.l_t, self.c_t, self.size_orders, self.r_t, self.n_bases_t, budget_,
         )
 
-    points = [0] + [(q**d - 1) // (q - 1) for d in range(1, r_h + 1)]
-    zero = o.encode((0,) * m)  # what a survivor in the span of C reduces to
+
+_FREE = "free"  # `_set_up`'s answer for a free target that fits
+
+
+def _set_up(q: int, n: int, r_h: int, target: Matroid, limit):
+    """`find_minor_matrix`'s set-up for target in a host of n columns and
+    rank r_h over GF(q): None when the sizes alone rule target out
+    (absent), _FREE for a free target that fits, else the search's
+    `_Plan`.  Raises BudgetExceededError, before the target's basis
+    family is scanned, when one survivor selection would cost more than
+    `limit` units."""
+    e_t, r_t = target.ground_size, target.rank
+    # the size checks first: they read no basis family
+    if e_t > n or r_t > r_h or (e_t - r_t) > (n - r_h):
+        return None
+    if target.is_free():
+        return _FREE
+    if r_h == n:
+        return None
+    # every survivor selection costs C(e_t, r_t) units, so past the whole
+    # budget no witness can be paid for: unknown, before the target's
+    # basis family is scanned
+    if math.comb(e_t, r_t) > limit:
+        raise BudgetExceededError("minor search budget exhausted")
+    sizes = [c.bit_count() for c in target.parallel_classes()]
+    # every minor of M[A] embeds in an r_t-dimensional F_q space, so its
+    # parallel classes are distinct projective points of PG(r_t - 1, q)
+    if r_t >= 1 and len(sizes) > (q**r_t - 1) // (q - 1):
+        return None
+    return _Plan(q, n, r_h, target, sizes)
+
+
+def _free_witness(o, cols: list, e_t: int) -> MinorWitness:
+    """A free target's witness: the first e_t independent columns, left
+    to right, with the rest deleted."""
+    chosen = linalg.leftmost_independent(o, cols, e_t)
+    return MinorWitness(frozenset(), frozenset(range(len(cols))) - frozenset(chosen),
+                        tuple(chosen))
+
+
+def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | _Budget | None = DEFAULT_BUDGET,
+                      r_h: int | None = None):
+    """Search for target as a minor of the column matroid of A; None means
+    *absent* (certain), BudgetExceededError *unknown*.  `budget` is a
+    number of units, None for no limit, or a `_Budget`, which then holds
+    the units the search spent (`search`).  `r_h`, when given, is A's
+    rank, which the search then does not recompute.
+
+    Witness element indices refer to host columns.
+    """
+    o = linalg.ops_for(A.field, A.m)
+    cols = o.cols_of(A)
+    if r_h is None:
+        r_h = o.rank_cols(cols)
+    budget_ = budget if isinstance(budget, _Budget) else _Budget(budget)
+    plan = _set_up(A.field.q, A.n, r_h, target, budget_.limit)
+    if plan is None:
+        return None
+    if plan is _FREE:
+        return _free_witness(o, cols, target.ground_size)
+    plan.charge(budget_)
+    return _search_sets(o, cols, plan, budget_)
+
+
+def _search_sets(o, cols: list, plan: _Plan, budget_: _Budget, start: int = 0):
+    """The first witness, or None, among the contraction sets of the host
+    with columns `cols`, for each size of plan.ks its sets in
+    `_stride_order`, each charged one unit.  The first `start` sets of
+    the first size are skipped: `search_stack` has screened them.
+
+    Over GF(2) the first PER_SET sets of a size are reduced one at a time
+    and the rest go through the batched screen (`_screened_sets`)."""
+    n, q = plan.n, plan.q
+    zero = o.encode((0,) * o.m)  # what a survivor in the span of C reduces to
     words = None  # the host's column words, for the batched GF(2) screen
-    kmax = min(r_h - r_t, n - e_t)
-    for k in range(kmax, -1, -1):
-        if c_t > points[r_h - k]:
-            continue  # quotient cannot host that many distinct directions
+    for k in plan.ks:
         order = _stride_order(math.comb(n, k))
-        for idx in itertools.islice(order, PER_SET if q == 2 else None):
+        next(itertools.islice(order, start, start), None)  # skip `start` sets
+        for idx in itertools.islice(order, max(PER_SET - start, 0) if q == 2 else None):
             combo = _unrank_combo(idx, n, k)
             budget_.tick()
             ech: list = []
@@ -383,23 +459,41 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | None = DEFAULT
                 else:
                     reps[j] = row[1]
                     dirs.setdefault(row[1], []).append(j)
-            witness = consider(combo, survivors, reps, zero_surv, dirs)
+            witness = plan.consider(o, budget_, combo, survivors, reps, zero_surv, dirs)
             if witness is not None:
                 return witness
+        start = 0
         if q != 2:
             continue
         if words is None:
-            words = linalg.int_words(cols, max(1, -(-m // 64)))
-        for screened in _screened_sets(order, words, k, l_t, c_t, budget_):
-            witness = consider(*screened)
+            words = linalg.int_words(cols, max(1, -(-o.m // 64)))
+        for screened in _screened_sets(order, words, k, plan.l_t, plan.c_t, budget_):
+            witness = plan.consider(o, budget_, *screened)
             if witness is not None:
                 return witness
     return None
 
 
+def _cosets(combo, n: int, ints: list[int]):
+    """(survivors, reps, zero_surv, dirs) of the GF(2) contraction set
+    combo, as the per-set path of `_search_sets` builds them, from every
+    column's coset representative as an int, ints[j]."""
+    survivors = [j for j in range(n) if j not in combo]
+    zero_surv = []
+    reps = {}
+    dirs: dict = {}
+    for j in survivors:
+        reps[j] = v = ints[j]
+        if v:
+            dirs.setdefault(v, []).append(j)
+        else:
+            zero_surv.append(j)
+    return survivors, reps, zero_surv, dirs
+
+
 def _screened_sets(order, words: np.ndarray, k: int, l_t: int, c_t: int, budget_):
     """Yield (combo, survivors, reps, zero_surv, dirs), as the per-set path
-    of `find_minor_matrix` builds them, for each k-set of the GF(2) host
+    of `_search_sets` builds them, for each k-set of the GF(2) host
     with column words `words` whose ranks come next from `order` and that
     may give a witness: one whose columns are independent and leave at
     least l_t zero survivors and c_t distinct nonzero ones.
@@ -434,19 +528,7 @@ def _screened_sets(order, words: np.ndarray, k: int, l_t: int, c_t: int, budget_
         for b in np.flatnonzero(independent & (zeros - k >= l_t) & (distinct >= c_t)).tolist():
             budget_.tick(b + 1 - charged)
             charged = b + 1
-            combo = combos[b]
-            survivors = [j for j in range(n) if j not in combo]
-            ints = linalg.word_ints(reps[b])
-            zero_surv = []
-            survivor_reps = {}
-            dirs: dict = {}
-            for j in survivors:
-                survivor_reps[j] = v = ints[j]
-                if v:
-                    dirs.setdefault(v, []).append(j)
-                else:
-                    zero_surv.append(j)
-            yield combo, survivors, survivor_reps, zero_surv, dirs
+            yield (combos[b], *_cosets(combos[b], n, linalg.word_ints(reps[b])))
         if count > charged:
             budget_.tick(count - charged)
 
@@ -602,16 +684,18 @@ def check_budget(budget: int | None):
 
 
 def search(A: FqMatrix, target: Matroid, budget, r_h: int | None = None):
-    """(status, witness) of `find_minor_matrix` on the matrix host A:
-    ('witness', w) for the witness it found, not yet verified, ('absent',
-    None) when there is no such minor, ('unknown', None) when the budget
-    ran out.  `r_h`, when given, is A's rank."""
+    """(status, witness, spent) of `find_minor_matrix` on the matrix host
+    A: ('witness', w) for the witness it found, not yet verified,
+    ('absent', None) when there is no such minor, ('unknown', None) when
+    the budget ran out; spent is the units it charged (`_Budget.spent`),
+    including the charge that ran out.  `r_h`, when given, is A's rank."""
     check_budget(budget)
+    budget_ = _Budget(budget)
     try:
-        w = find_minor_matrix(A, target, budget, r_h=r_h)
+        w = find_minor_matrix(A, target, budget_, r_h=r_h)
     except BudgetExceededError:
-        return "unknown", None
-    return ("absent", None) if w is None else ("witness", w)
+        return "unknown", None, budget_.spent
+    return ("absent" if w is None else "witness"), w, budget_.spent
 
 
 def outcome(status: str, verified: bool) -> str:
@@ -623,13 +707,99 @@ def outcome(status: str, verified: bool) -> str:
     return "found" if verified else "unverified"
 
 
-def decide(A: FqMatrix, target: Matroid, budget):
-    """(outcome, witness) of searching the matrix host A for target by
-    `find_minor_matrix`: ('found', w) when `verify_witness_matrix` accepts
-    w, ('unverified', w) when it rejects it, ('absent', None) when there is
-    no such minor, ('unknown', None) when the budget ran out."""
-    status, w = search(A, target, budget)
-    return outcome(status, w is not None and verify_witness_matrix(A, target, w)), w
+def decide(A: FqMatrix, target: Matroid, budget, r_h: int | None = None):
+    """(outcome, witness, spent) of searching the matrix host A for target
+    by `search`: ('found', w) when `verify_witness_matrix` accepts w,
+    ('unverified', w) when it rejects it, ('absent', None) when there is
+    no such minor, ('unknown', None) when the budget ran out, with the
+    units the search spent.  `r_h`, when given, is A's rank."""
+    status, w, spent = search(A, target, budget, r_h)
+    return outcome(status, w is not None and verify_witness_matrix(A, target, w)), w, spent
+
+
+def search_stack(col_words: np.ndarray, m: int, ranks, target: Matroid, budget,
+                 hosts) -> dict:
+    """`search`'s (status, witness, spent) for target in each GF(2) host t
+    of `hosts`, as t -> triple: host t has m rows, rank ranks[t] and the
+    column words col_words[t] (`linalg.pack_stack`).
+
+    Hosts of equal rank share one `_set_up`, so they visit the same
+    contraction sets in the same order.  The first PER_SET sets of the
+    first size they visit are screened in lockstep: each set is unranked
+    once, charged to each open host's own budget, and reduced for all of
+    them by one `linalg.gf2_coset_reps`, and each host's representatives
+    go through the per-host `_Plan.consider`.  A host leaves at its
+    witness or when its budget runs out.  A host still open after those
+    sets builds its int columns and resumes the per-host `_search_sets`
+    at set PER_SET of that size, on the same budget, so no set is
+    screened twice and every witness, outcome and unit spent is the
+    per-host search's."""
+    check_budget(budget)
+    o = linalg.ops_for(field(2), m)
+    groups: dict = {}
+    for t in hosts:
+        groups.setdefault(ranks[t], []).append(t)
+    out: dict = {}
+    for r_h, group in groups.items():
+        out.update(_search_group(o, col_words, r_h, group, target, budget))
+    return {t: out[t] for t in hosts}
+
+
+def _search_group(o, col_words: np.ndarray, r_h: int, group: list, target: Matroid,
+                  budget) -> dict:
+    """`search_stack` on the hosts of `group`, all of rank r_h."""
+    n = col_words.shape[1]
+    try:
+        plan = _set_up(2, n, r_h, target, _Budget(budget).limit)
+    except BudgetExceededError:
+        return {t: ("unknown", None, 0) for t in group}
+    if plan is None:
+        return {t: ("absent", None, 0) for t in group}
+    if plan is _FREE:
+        e_t = target.ground_size
+        return {t: ("witness", _free_witness(o, linalg.word_ints(col_words[t]), e_t), 0)
+                for t in group}
+    out: dict = {}
+    open_: dict = {}  # host -> its budget, while it has no result
+
+    def end(t, status, w=None):
+        out[t] = (status, w, open_.pop(t).spent)
+
+    def step(t, work, *args):
+        """work(*args) on open host t, which ends at a witness or when its
+        budget runs out."""
+        try:
+            w = work(*args)
+        except BudgetExceededError:
+            end(t, "unknown")
+        else:
+            if w is not None:
+                end(t, "witness", w)
+
+    for t in group:
+        open_[t] = _Budget(budget)
+        step(t, plan.charge, open_[t])
+    k = plan.ks[0]
+    for idx in itertools.islice(_stride_order(math.comb(n, k)), PER_SET):
+        if not open_:
+            break
+        combo = _unrank_combo(idx, n, k)
+        for t in list(open_):
+            step(t, open_[t].tick)
+        live = list(open_)
+        if not live:
+            continue
+        independent, reps = linalg.gf2_coset_reps(
+            col_words[live], np.broadcast_to(np.array(combo, dtype=np.int64), (len(live), k)))
+        for t, ok, rep in zip(live, independent.tolist(), reps):
+            if ok:
+                step(t, plan.consider, o, open_[t], combo,
+                     *_cosets(combo, n, linalg.word_ints(rep)))
+    for t in list(open_):
+        step(t, _search_sets, o, linalg.word_ints(col_words[t]), plan, open_[t], PER_SET)
+        if t in open_:
+            end(t, "absent")
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -668,8 +838,11 @@ def has_excluded_minor_matrix(A: FqMatrix, class_name: str = "graphic",
     """Decide each of the class's `excluded_minors` in a matrix host;
     membership holds iff every one is absent."""
     report = ExcludedMinorReport(class_name)
-    for name, target in excluded_minors(class_name):
-        outcome, w = decide(A, target, budget)
+    targets = excluded_minors(class_name)
+    o = linalg.ops_for(A.field, A.m)
+    r_h = o.rank_cols(o.cols_of(A))  # ranked once, for every target
+    for name, target in targets:
+        outcome, w, _ = decide(A, target, budget, r_h)
         report.outcomes[name] = outcome
         if outcome == "found":
             report.witnesses[name] = w

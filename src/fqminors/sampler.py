@@ -29,7 +29,11 @@ chunk function on each range and sums the Counters.  A chunk function
 Over GF(2) every chunk function draws a range's codes into stacks
 (`_gf2_stacks`, the same words as one trial at a time) and ranks each stack
 by one `linalg.gf2_ranks` elimination; minor and class trials then go on
-through one skeleton, `search_chunk`.  Over other fields each trial is
+through one skeleton, `search_chunk`, which builds no host matrix and
+searches each stack by `minor.search_stack`: per target and rank the
+hosts' set-up is shared and their first contraction sets are screened in
+lockstep, each host on its own budget, and a host still open resumes its
+own search where the lockstep left it.  Over other fields each trial is
 sampled by `sample_matrix` and ranked by `linalg.fast_rank` or decided on
 the per-trial path (`minor.decide`, which keeps `verify_witness_matrix`),
 as in the `minor` and `class` commands.  Estimates carry Wilson 95%
@@ -55,7 +59,7 @@ from .errors import BadArgumentsError
 from .gf import field
 from .matrix import FqMatrix
 from .matroid import Matroid
-from .minor import (DEFAULT_BUDGET, check_budget, decide, outcome, search,
+from .minor import (DEFAULT_BUDGET, check_budget, decide, outcome, search_stack,
                     verify_witness_stack)
 
 _MASK64 = (1 << 64) - 1
@@ -328,33 +332,32 @@ def search_chunk(q: int, m: int, n: int, seed: int, lo: int, hi: int, targets, b
     result from its targets' `minor.outcome`s.  Over fields other than
     GF(2) every trial is decided by per_trial.
 
-    Over GF(2) each stack of `_gf2_stacks` becomes hosts equal to
-    `sample_matrix`'s, packed by one `linalg.pack_stack` and ranked by one
-    `linalg.gf2_ranks`.  Target by target, every host still open is
-    searched with its rank given, the target's witnesses are checked by one
+    Over GF(2) each stack of `_gf2_stacks` is packed by one
+    `linalg.pack_stack` and ranked by one `linalg.gf2_ranks`, and no host
+    is built as a matrix.  Target by target, every host still open is
+    searched by one `minor.search_stack` (the hosts of each rank in
+    lockstep through their first contraction sets, each host on its own
+    budget), the target's witnesses are checked by one
     `verify_witness_stack`, and a host whose witness verifies leaves.  A
-    stack's first trial is also decided by per_trial, a spot check of the
-    stacked path: when the two disagree it counts as `undecided`."""
+    stack's first trial is also decided by per_trial on the per-host
+    path, a spot check of the stacked one: when the two disagree it
+    counts as `undecided`."""
     check_shape(m, n)
     if q != 2:
         return Counter(per_trial(sample_matrix(q, m, n, SeedSpec(seed, i))) for i in range(lo, hi))
-    f = field(2)
     results: Counter = Counter()
     for streams, stack in _gf2_stacks(seed, lo, hi, m, n):
         words, col_words = linalg.pack_stack(stack)
-        codes = stack.reshape(len(streams), m * n)
-        hosts = [FqMatrix(f, m, n, tuple(codes[t].tolist()), tuple(linalg.word_ints(col_words[t])),
-                          tuple(linalg.word_ints(words[t]))) for t in range(len(streams))]
         # ranked on the words of the orientation with fewer columns
         narrow, width = (col_words, m) if n > m else (words, n)
         ranks = linalg.gf2_ranks(narrow, width).tolist()
-        outcomes: list[list[str]] = [[] for _ in hosts]
-        still_open = range(len(hosts))
+        outcomes: list[list[str]] = [[] for _ in streams]
+        still_open = range(len(streams))
         for target in targets:
-            searched = {t: search(hosts[t], target, budget, ranks[t]) for t in still_open}
+            searched = search_stack(col_words, m, ranks, target, budget, still_open)
             verified = verify_witness_stack(
-                words, n, target, {t: w for t, (_, w) in searched.items() if w is not None})
-            for t, (status, _) in searched.items():
+                words, n, target, {t: w for t, (_, w, _) in searched.items() if w is not None})
+            for t, (status, _, _) in searched.items():
                 outcomes[t].append(outcome(status, verified.get(t, False)))
             still_open = [t for t in still_open if outcomes[t][-1] != "found"]
         judged = [judge(outs) for outs in outcomes]

@@ -110,17 +110,18 @@ def test_verify_witness_matrix_rejects_corruption():
 
 def test_decide_classifies_every_outcome(monkeypatch):
     A, f7 = fano_matrix(), catalog("F7")
-    assert decide(A, catalog("U:2,4"), None) == ("absent", None)
-    outcome, w = decide(A, f7, None)
-    assert outcome == "found" and verify_witness_matrix(A, f7, w)
+    assert decide(A, catalog("U:2,4"), None) == ("absent", None, 0)
+    outcome, w, spent = decide(A, f7, None)
+    assert outcome == "found" and verify_witness_matrix(A, f7, w) and spent > 0
     monkeypatch.setattr(minor, "verify_witness_matrix", lambda host, target, w: False)
-    assert decide(A, f7, None) == ("unverified", w)
+    assert decide(A, f7, None) == ("unverified", w, spent)
 
     def exhausted(host, target, budget, r_h=None):
-        raise BudgetExceededError("out of budget")
+        budget.tick(6)
 
+    # the units spent include the charge that ran out
     monkeypatch.setattr(minor, "find_minor_matrix", exhausted)
-    assert decide(A, f7, 5) == ("unknown", None)
+    assert decide(A, f7, 5) == ("unknown", None, 6)
 
 
 def test_searches_leave_no_reference_cycles():
@@ -153,7 +154,7 @@ def test_large_target_setup_stays_small(name):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert got == ("absent", None)
+    assert got[:2] == ("absent", None)
     assert peak < 8 * 2**20
 
 
@@ -166,7 +167,7 @@ def test_size_checks_rule_out_before_the_parallel_class_scan(monkeypatch):
         raise AssertionError("parallel classes scanned")
 
     monkeypatch.setattr(Matroid, "parallel_classes", no_scan)
-    assert decide(sample_matrix(2, 20, 20, SeedSpec(0, 0)), target, 20000) == ("absent", None)
+    assert decide(sample_matrix(2, 20, 20, SeedSpec(0, 0)), target, 20000) == ("absent", None, 0)
 
 
 def test_wrong_bijection_breaks_loopy_target():
@@ -762,3 +763,119 @@ def test_stacked_verifier_edge_cases():
             cases += [(A, u12, bad) for bad in _corrupted(w, n)]
     verdicts = _stack_agrees(cases)
     assert True in verdicts and False in verdicts
+
+
+def _mixed_stack(m, n, seed, count):
+    """(hosts, column words, ranks) of a stack of count GF(2) m x n hosts:
+    host t is a sampled matrix with its last 2 * (t % 3) rows zeroed, so
+    the stack holds hosts of several ranks."""
+    hosts = []
+    for t in range(count):
+        entries = sample_matrix(2, m, n, SeedSpec(seed, t)).entries
+        keep = max(0, m - 2 * (t % 3)) * n
+        hosts.append(FqMatrix(F2, m, n, entries[:keep] + (0,) * (m * n - keep)))
+    stack = np.array([A.entries for A in hosts], dtype=np.uint8).reshape(count, m, n)
+    return hosts, linalg.pack_stack(stack)[1], [linalg.fast_rank(A) for A in hosts]
+
+
+# m < n, m >= n, m = 0, n = 0, the class sweep's shape, and columns of
+# two words (m > 64)
+_LOCKSTEP_SHAPES = [(4, 6), (7, 5), (0, 4), (4, 0), (8, 16), (66, 70)]
+_LOOPED = from_matrix(from_rows(F2, [[1, 0, 1, 0], [0, 1, 1, 0]]))  # U:2,3 and a loop
+
+
+def _lockstep_targets():
+    names = ("U:1,2", "U:2,3", "loop", "free:2") + minor.GRAPHIC_EXCLUDED
+    return [(name, _LOOPED if name == "loop" else catalog(name)) for name in names]
+
+
+@pytest.mark.parametrize("per_set", [1, 3, None])
+def test_lockstep_matches_per_host_search(monkeypatch, per_set):
+    # every host of a stack searched in lockstep must give the status,
+    # witness and units spent of its own per-host search, whether it ends
+    # in the set-up, inside the lockstep sets (witness or budget) or after
+    # it resumes the per-host search
+    if per_set is not None:
+        monkeypatch.setattr(minor, "PER_SET", per_set)
+    resumed = set()
+    search_sets = minor._search_sets
+
+    def recording(o, cols, plan, budget_, start=0):
+        if start:
+            resumed.add(tuple(cols))
+        return search_sets(o, cols, plan, budget_, start)
+
+    monkeypatch.setattr(minor, "_search_sets", recording)
+    seen = set()
+    for (m, n), seed in zip(_LOCKSTEP_SHAPES, itertools.count(60)):
+        hosts, col_words, ranks = _mixed_stack(m, n, seed, 6)
+        if min(m, n) > 0:
+            assert len(set(ranks)) > 1, (m, n)
+        for name, target in _lockstep_targets():
+            for budget in (1, 4, 12, 30, 2000):
+                got = minor.search_stack(col_words, m, ranks, target, budget, range(len(hosts)))
+                assert list(got) == list(range(len(hosts)))
+                for t, A in enumerate(hosts):
+                    want = minor.search(A, target, budget, ranks[t])
+                    assert got[t] == want, (m, n, name, budget, t)
+                    seen.add((want[0], tuple(linalg.word_ints(col_words[t])) in resumed))
+    # hosts ended at each stage: a witness, or the budget, inside the
+    # lockstep sets, and every status after resuming
+    assert {("witness", False), ("unknown", False), ("absent", False),
+            ("witness", True), ("unknown", True), ("absent", True)} <= seen
+
+
+def test_lockstep_screens_each_set_once(monkeypatch):
+    # each lockstep step makes one gf2_coset_reps call per rank group, over
+    # the group's open hosts, and each host screens, in the lockstep and
+    # after it resumes, exactly the sets its per-host search screens
+    monkeypatch.setattr(minor, "PER_SET", 3)
+    unranked = []
+    for name in ("_unrank_combo", "_unrank_with"):
+        real = getattr(minor, name)
+        monkeypatch.setattr(minor, name, lambda *a, real=real: unranked.append(a) or real(*a))
+    per_host = []  # > 0 inside a per-host or resumed search
+    lockstep_calls = []  # hosts reduced by each lockstep gf2_coset_reps call
+    search_sets = minor._search_sets
+
+    def counted_search_sets(*args):
+        per_host.append(True)
+        try:
+            return search_sets(*args)
+        finally:
+            per_host.pop()
+
+    coset_reps = linalg.gf2_coset_reps
+
+    def counted_reps(words, combos):
+        if not per_host:
+            lockstep_calls.append(len(words))
+        return coset_reps(words, combos)
+
+    monkeypatch.setattr(minor, "_search_sets", counted_search_sets)
+    monkeypatch.setattr(linalg, "gf2_coset_reps", counted_reps)
+    resumed = 0
+    for (m, n), seed in zip(_LOCKSTEP_SHAPES, itertools.count(60)):
+        hosts, col_words, ranks = _mixed_stack(m, n, seed, 6)
+        for _, target in _lockstep_targets():
+            for budget in (12, 2000):
+                steps = {}  # host -> lockstep steps it was reduced in, alone
+                for t, A in enumerate(hosts):
+                    unranked.clear()
+                    minor.search(A, target, budget, ranks[t])
+                    want = len(unranked)
+                    unranked.clear()
+                    lockstep_calls.clear()
+                    minor.search_stack(col_words, m, ranks, target, budget, [t])
+                    assert len(unranked) == want, (m, n, target, budget, t)
+                    assert set(lockstep_calls) <= {1}
+                    steps[t] = len(lockstep_calls)
+                    resumed += steps[t] == 3 and want > 3
+                lockstep_calls.clear()
+                minor.search_stack(col_words, m, ranks, target, budget, range(len(hosts)))
+                groups: dict = {}
+                for t in range(len(hosts)):
+                    groups.setdefault(ranks[t], []).append(steps[t])
+                assert lockstep_calls == [sum(s > j for s in group) for group in groups.values()
+                                          for j in range(max(group))], (m, n, target, budget)
+    assert resumed

@@ -503,20 +503,29 @@ def test_failed_verification_is_counted_as_unverified(monkeypatch):
     assert est.to_json()["unverified"] == 49
 
 
+def _host(m: int, cols) -> FqMatrix:
+    """The GF(2) matrix of m rows with the given int columns."""
+    return FqMatrix(F2, m, len(cols), tuple(c >> i & 1 for i in range(m) for c in cols))
+
+
 def _recording_search(monkeypatch, corrupt=None):
-    """Patch the search a GF(2) chunk runs to record (host, r_h, status,
-    witness) per trial, the witness passed through `corrupt` when given."""
+    """Patch the stacked search a GF(2) chunk runs to record (columns,
+    r_h, status, witness) per host, the columns as ints and the witness
+    passed through `corrupt` when given."""
     seen = []
-    search = sampler.search
+    search_stack = sampler.search_stack
 
-    def recording(A, target, budget, r_h=None):
-        status, w = search(A, target, budget, r_h)
-        if corrupt is not None and w is not None:
-            w = corrupt(len(seen), A, w)
-        seen.append((A, r_h, status, w))
-        return status, w
+    def recording(col_words, m, ranks, target, budget, hosts):
+        got = search_stack(col_words, m, ranks, target, budget, hosts)
+        for t, (status, w, spent) in got.items():
+            cols = tuple(linalg.word_ints(col_words[t]))
+            if corrupt is not None and w is not None:
+                w = corrupt(len(seen), _host(m, cols), w)
+                got[t] = (status, w, spent)
+            seen.append((cols, ranks[t], status, w))
+        return got
 
-    monkeypatch.setattr(sampler, "search", recording)
+    monkeypatch.setattr(sampler, "search_stack", recording)
     return seen
 
 
@@ -551,11 +560,19 @@ def test_stacked_minor_hosts_equal_sample_matrix(monkeypatch, m, n):
     # stacks of at most 40 entries, so a chunk spans several of them
     monkeypatch.setattr(sampler, "_RANK_STACK_ENTRIES", 40)
     seen = _recording_search(monkeypatch)
+    rows = []  # each host's row words, as the stacked witness check gets them
+    verify = sampler.verify_witness_stack
+
+    def recording_verify(words, n, target, witnesses):
+        rows.extend(tuple(linalg.word_ints(w)) for w in words)
+        return verify(words, n, target, witnesses)
+
+    monkeypatch.setattr(sampler, "verify_witness_stack", recording_verify)
     sampler._minor_chunk((2, m, n, catalog("U:1,2"), 20000), 5, 3, 20)
-    assert len(seen) == 17
-    for i, (A, r_h, _, _) in zip(range(3, 20), seen):
+    assert len(seen) == len(rows) == 17
+    for i, (cols, r_h, _, _), host_rows in zip(range(3, 20), seen, rows):
         B = sample_matrix(2, m, n, SeedSpec(5, i))
-        assert A == B and A.packed_cols == B.packed_cols and A.packed_rows == B.packed_rows
+        assert _host(m, cols) == B and cols == B.packed_cols and host_rows == B.packed_rows
         assert r_h == linalg.fast_rank(B)
 
 

@@ -146,11 +146,14 @@ def test_stacked_class_chunk_samples_once_per_stack(monkeypatch):
                                               CLASS_BUDGET, short_circuit=True).outcomes)
                 for m, n in CLASS_SHAPES for i in range(3, 40)]
     calls = Counter()
-    for module, name in ((sampler, "sample_matrix"), (minor, "verify_witness_matrix"),
-                         (sampler, "search")):
+    for module, name in ((sampler, "sample_matrix"), (minor, "verify_witness_matrix")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *a, real=real, name=name: calls.update([name]) or real(*a))
+    # one search per open host and target
+    search_stack = sampler.search_stack
+    monkeypatch.setattr(sampler, "search_stack",
+                        lambda *a: calls.update(search=len(a[-1])) or search_stack(*a))
     for m, n in CLASS_SHAPES:
         sweep._class_chunk((2, m, n, "graphic", CLASS_BUDGET), 13, 3, 40)
         stacks = math.ceil(37 / _stack_size(m, n))
@@ -193,7 +196,25 @@ def test_unknown_class_rejected_before_any_search(monkeypatch, jobs):
     def no_search(*args, **kw):
         raise AssertionError("a host was searched")
 
-    for module, name in ((sweep, "run_trials"), (sampler, "search"), (minor, "search")):
+    for module, name in ((sweep, "run_trials"), (sampler, "search_stack"), (minor, "search")):
         monkeypatch.setattr(module, name, no_search)
     with pytest.raises(BadArgumentsError, match="unknown minor-closed class 'planar'"):
         run_class_sweep(2, "planar", (8, 16, 8), "n-minus:8", 10, seed=0, jobs=jobs)
+
+
+def test_per_trial_class_path_ranks_each_host_once(monkeypatch):
+    # `has_excluded_minor_matrix` ranks its host once for all five
+    # searches; the witness check ranks each contracted minor, whose
+    # e_t <= 10 columns set it apart from the 8- and 16-column hosts
+    ranked = Counter()
+    rank_cols = linalg.TriOps.rank_cols
+
+    def counting(self, cols):
+        ranked[len(cols)] += 1
+        return rank_cols(self, cols)
+
+    monkeypatch.setattr(linalg.TriOps, "rank_cols", counting)
+    rows = run_class_sweep(3, "graphic", (8, 16, 8), "n-minus:8", 20, seed=0)
+    trials = sum(r.trials for r in rows)
+    assert trials == 40
+    assert ranked[8] + ranked[16] <= trials
