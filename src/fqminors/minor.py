@@ -15,7 +15,12 @@ One searcher and one reference, with the same witness format:
   differ only in the members they pick from a direction class, or in
   which zero survivors play the target's loops, have the same vectors in
   another order, so each such set is scored once and its other
-  selections are charged as before, in one tick.  It also charges
+  selections are charged as before, in one tick.  The direction
+  selections are walked in combinations order with one echelon shared
+  along their prefixes (`_ranked_picks`), and only those of the target's
+  rank are yielded: a prefix whose rank passes r_t, or can no longer
+  reach it, is dropped with all the selections under it charged in one
+  tick.  It also charges
   one unit for each distinct order of the target's parallel-class sizes
   after the first, before it generates any of them, so no set-up step runs
   ahead of the budget.
@@ -61,9 +66,10 @@ by one numpy elimination per contraction size (`linalg.gf2_contract`),
 which shares no code with the search either.
 
 `search` runs `find_minor_matrix` and returns its status, its witness
-and the units it spent (`_Budget.spent`, the charge that ran out
-included); `search_stack` returns the same per host.  `outcome`
-classifies a status once the witness is checked: `found` (witness
+and the units it spent (`_Budget.spent`: budget + 1 when a charge ran
+out, the unit at which charging one unit at a time would have stopped,
+however large the charge); `search_stack` returns the same per host.
+`outcome` classifies a status once the witness is checked: `found` (witness
 verified), `absent`, `unknown` (budget ran out) or `unverified` (a
 witness that failed its independent check, never counted as found).
 `decide` is the two with `verify_witness_matrix` on one host, for the
@@ -129,8 +135,12 @@ class _Budget:
         self.limit = math.inf if units is None else int(units)
 
     def tick(self, cost: int = 1):
+        """Charge cost units.  A charge that runs out leaves spent at
+        limit + 1, where charging its units one at a time would have
+        raised, so a bulk charge reports what unit ticks report."""
         self.spent += cost
         if self.spent > self.limit:
+            self.spent = self.limit + 1
             raise BudgetExceededError("minor search budget exhausted")
 
 
@@ -540,7 +550,10 @@ def _scan_survivor_selections(
     """The first witness among the survivor selections of one contraction:
     l_t zero survivors to play the loops and, for each c_t-subset of the
     directions that spans rank r_t and each size order, that many members
-    of each chosen direction's class.
+    of each chosen direction's class.  `_ranked_picks` yields only the
+    subsets of rank r_t and charges one unit for every subset it passes,
+    the pruned ones in bulk, so each yielded subset is charged at the
+    unit a walk over all of them would charge it.
 
     Every member of a class reduces to the class's key and every zero
     survivor to zero, so two selections that differ only in the members
@@ -558,11 +571,7 @@ def _scan_survivor_selections(
     bases_cost = max(1, math.comb(e_t, r_t))
     loop_pick = tuple(zero_surv[:l_t])
     spent = budget_.spent
-    for pick, krank in _ranked_picks(o, dir_keys, c_t):
-        budget_.tick()
-        # the chosen directions must span exactly rank r_t
-        if krank != r_t:
-            continue
+    for pick in _ranked_picks(o, dir_keys, c_t, r_t, budget_):
         classes = [dirs[dir_keys[i]] for i in pick]
         for order in size_orders:
             picks = math.prod(math.comb(len(cls), s) for cls, s in zip(classes, order))
@@ -591,41 +600,56 @@ def _scan_survivor_selections(
     return None
 
 
-def _ranked_picks(o, keys: list, c: int):
-    """Yield (pick, rank) for each c-subset of keys, as the tuple of its
-    indices into keys, in the order of
-    itertools.combinations(range(len(keys)), c).
+def _ranked_picks(o, keys: list, c: int, r: int, budget_: _Budget):
+    """Yield each c-subset of keys that spans rank exactly r, as the tuple
+    of its indices into keys, in the order of
+    itertools.combinations(range(len(keys)), c), charging budget_ one unit
+    for every c-subset the walk passes, yielded or not.
 
     One triangular echelon follows the walk: a key's row is pushed when the
-    walk descends to it and popped when it returns, so each pick costs one
-    reduction against the echelon its prefix already built.
+    walk descends to it and popped when it returns, so each prefix costs one
+    reduction against the echelon its own prefix built.  A prefix is
+    dropped as soon as its rank passes r, or falls short of r even if every
+    key still to come adds one, and the C(len(keys) - i, c - depth) picks
+    under it, i being the index after its last key, are charged in one
+    tick.  A pick is charged just before it is yielded, after every pick
+    before it, so the budget runs out, and a witness is found, at the
+    `spent` of one tick per pick.
     """
     n = len(keys)
-    if c > n:
+    if c == 0:
+        budget_.tick()
+        if r == 0:
+            yield ()
         return
+    reduce_pivot, tick, comb = o.reduce_pivot, budget_.tick, math.comb
     ech: list = []
     pick: list[int] = []
     pushed: list[bool] = []
     i = 0
     while True:
-        while len(pick) < c:
-            row = o.reduce_pivot(ech, keys[i])
+        depth = len(pick) + 1
+        if i > n - c + depth - 1:
+            # every pick under this prefix has been passed: back up one key
+            if not pick:
+                return
+            i = pick.pop() + 1
+            if pushed.pop():
+                ech.pop()
+            continue
+        row = reduce_pivot(ech, keys[i])
+        rank = len(ech) + (row is not None)
+        if rank > r or rank + c - depth < r:
+            tick(comb(n - i - 1, c - depth))
+        elif depth == c:
+            tick()
+            yield (*pick, i)
+        else:
             if row is not None:
                 ech.append(row)
             pushed.append(row is not None)
             pick.append(i)
-            i += 1
-        yield tuple(pick), len(ech)
-        # backtrack to the deepest position that can still advance
-        while pick:
-            j = pick.pop()
-            if pushed.pop():
-                ech.pop()
-            if j < n - c + len(pick):
-                i = j + 1
-                break
-        else:
-            return
+        i += 1
 
 
 def verify_witness_matrix(A: FqMatrix, target: Matroid, w: MinorWitness) -> bool:
@@ -688,7 +712,9 @@ def search(A: FqMatrix, target: Matroid, budget, r_h: int | None = None):
     A: ('witness', w) for the witness it found, not yet verified,
     ('absent', None) when there is no such minor, ('unknown', None) when
     the budget ran out; spent is the units it charged (`_Budget.spent`),
-    including the charge that ran out.  `r_h`, when given, is A's rank."""
+    budget + 1 when a charge ran out (0 when the set-up found one
+    survivor selection dearer than the whole budget and charged
+    nothing).  `r_h`, when given, is A's rank."""
     check_budget(budget)
     budget_ = _Budget(budget)
     try:

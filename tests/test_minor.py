@@ -117,9 +117,9 @@ def test_decide_classifies_every_outcome(monkeypatch):
     assert decide(A, f7, None) == ("unverified", w, spent)
 
     def exhausted(host, target, budget, r_h=None):
-        budget.tick(6)
+        budget.tick(9)
 
-    # the units spent include the charge that ran out
+    # a charge that runs out reports budget + 1, however large it was
     monkeypatch.setattr(minor, "find_minor_matrix", exhausted)
     assert decide(A, f7, 5) == ("unknown", None, 6)
 
@@ -370,6 +370,65 @@ def test_size_orders_are_charged_before_they_are_generated(monkeypatch):
         find_minor_matrix(A, target, budget=10)
 
 
+class _TickLog(minor._Budget):
+    """A budget that records the cost of each tick it is charged."""
+
+    def __init__(self, units):
+        super().__init__(units)
+        self.costs = []
+
+    def tick(self, cost=1):
+        self.costs.append(cost)
+        super().tick(cost)
+
+
+def _walked(picks):
+    """The picks a walk yields, then 'raised' if its budget ran out."""
+    out = []
+    try:
+        out.extend(picks)
+    except BudgetExceededError:
+        out.append("raised")
+    return out
+
+
+def _plain_rank_picks(o, vecs, c, r, budget_):
+    """Every c-subset of vecs in combinations order, one tick each, and
+    those of rank r yielded."""
+    for pick in itertools.combinations(range(len(vecs)), c):
+        budget_.tick()
+        if o.rank_cols([vecs[i] for i in pick]) == r:
+            yield pick
+
+
+def test_pruned_pick_walk_matches_plain_enumeration():
+    # the pruned walk must yield the picks of rank r that plain enumeration
+    # yields, in its order, with the same units spent and the budget
+    # running out at the same point, at every budget from 0 to one past
+    # the number of picks; keys include a zero and a repeated vector
+    rng = random.Random(8)
+    straddled = 0  # budgets that ran out inside a block of several picks
+    for f, m in ((F2, 3), (F2, 4), (F3, 3), (field(4), 3)):
+        o = linalg.ops_for(f, m)
+        for _ in range(3):
+            n = 6
+            A = FqMatrix(f, m, n, tuple(rng.randrange(f.q) for _ in range(m * n)))
+            vecs = o.cols_of(A)
+            vecs[2], vecs[5] = o.encode((0,) * m), vecs[0]
+            for c in range(n + 2):
+                for r in range(5):
+                    for limit in range(math.comb(n, c) + 2):
+                        got_budget, want_budget = _TickLog(limit), minor._Budget(limit)
+                        got = _walked(minor._ranked_picks(o, vecs, c, r, got_budget))
+                        want = _walked(_plain_rank_picks(o, vecs, c, r, want_budget))
+                        assert got == want, (f.q, vecs, c, r, limit)
+                        assert got_budget.spent == want_budget.spent, (f.q, vecs, c, r, limit)
+                        costs = got_budget.costs
+                        straddled += (want[-1:] == ["raised"] and costs[-1] > 1
+                                      and sum(costs[:-1]) < limit)
+    assert straddled
+
+
 def test_prefix_shared_walks_match_plain_enumeration():
     rng = random.Random(8)
     for f in (F2, F3):
@@ -377,10 +436,6 @@ def test_prefix_shared_walks_match_plain_enumeration():
         for _ in range(15):
             A = FqMatrix(f, 3, 7, tuple(rng.randrange(f.q) for _ in range(21)))
             vecs = o.cols_of(A)
-            for c in range(0, 5):
-                want = [(pick, o.rank_cols([vecs[i] for i in pick]))
-                        for pick in itertools.combinations(range(len(vecs)), c)]
-                assert list(minor._ranked_picks(o, vecs, c)) == want
             for r in range(0, 4):
                 indep = [_mask_of(x) for x in itertools.combinations(range(7), r)
                          if o.rank_cols([vecs[i] for i in x]) == r]
@@ -446,6 +501,10 @@ def _search_outcome(A, target, budget):
 
 
 def test_incremental_scan_matches_reference_scan(monkeypatch):
+    # status, witness and units spent must be the reference scan's, which
+    # ticks one unit per key pick, on every outcome; besides fixed budgets,
+    # budgets just short of the reference's units spent and at fractions
+    # of it run out part-way through the pick walk
     targets = [catalog(s) for s in ("U:1,2", "U:2,3", "U:2,4", "F7")]
     # U:2,3 plus a loop, and a parallel pair plus a point plus a loop
     # (class sizes 2, 1: two size orders)
@@ -453,22 +512,66 @@ def test_incremental_scan_matches_reference_scan(monkeypatch):
     targets.append(from_matrix(from_rows(F2, [[1, 1, 0, 0], [0, 0, 1, 0]])))
     shapes = {2: [(4, 10), (5, 11)], 3: [(3, 8), (4, 8)], 4: [(3, 7), (3, 8)]}
     seen = set()
+    walk_ran_out = 0
+    real_walk = minor._ranked_picks
+
+    def watched_walk(*args):
+        nonlocal walk_ran_out
+        try:
+            yield from real_walk(*args)
+        except BudgetExceededError:
+            walk_ran_out += 1
+            raise
+
+    def reference(A, t, budget):
+        with monkeypatch.context() as mp:
+            mp.setattr(minor, "_scan_survivor_selections", _reference_scan_survivor_selections)
+            mp.setattr(minor, "_distinct_size_orders", _reference_distinct_size_orders)
+            return minor.search(A, t, budget)
+
+    monkeypatch.setattr(minor, "_ranked_picks", watched_walk)
     for q, qshapes in shapes.items():
         for (m, n), seed in itertools.product(qshapes, (2024, 2025)):
             A = sample_matrix(q, m, n, SeedSpec(seed, q))
             for t in targets:
-                for budget in (50, 500, None):
-                    got = _search_outcome(A, t, budget)
-                    with monkeypatch.context() as mp:
-                        mp.setattr(minor, "_scan_survivor_selections",
-                                   _reference_scan_survivor_selections)
-                        mp.setattr(minor, "_distinct_size_orders",
-                                   _reference_distinct_size_orders)
-                        want = _search_outcome(A, t, budget)
+                whole = reference(A, t, None)[2]
+                budgets = {50, 500, None} | {b for b in (whole - 1, whole // 2, whole // 3) if b > 0}
+                for budget in sorted(budgets, key=lambda b: b or math.inf):
+                    got, want = minor.search(A, t, budget), reference(A, t, budget)
                     assert got == want, (q, m, n, t, budget)
-                    seen.add(type(got).__name__)
-    # every kind of outcome is covered: witness, absent and budget exhausted
-    assert seen == {"MinorWitness", "NoneType", "str"}
+                    if got[0] == "unknown":
+                        # a charge that runs out stops at budget + 1; the
+                        # set-up turns down a target whose one selection
+                        # costs more than the budget before charging any
+                        refused = math.comb(t.ground_size, t.rank) > budget
+                        assert got[2] == (0 if refused else budget + 1)
+                    seen.add(got[0])
+    # every kind of outcome is covered, and some budgets ran out inside
+    # the pruned walk
+    assert seen == {"witness", "absent", "unknown"}
+    assert walk_ran_out
+
+
+def test_witnesses_contract_the_rank_drop():
+    # every minor N of M is M / C \ D for an independent C and a
+    # coindependent D, and then |C| = r(M) - r(N) (Oxley, Matroid Theory,
+    # Lemma 3.3.2); the search visits that size first, so every witness it
+    # returns contracts exactly r_h - r_t columns
+    names = ("U:1,2", "U:2,3") + minor.GRAPHIC_EXCLUDED
+    found = set()
+    for q, shapes in ((2, [(4, 10), (6, 12), (8, 16)]), (3, [(3, 8), (4, 10), (6, 12)])):
+        for (m, n), stream in itertools.product(shapes, range(4)):
+            A = sample_matrix(q, m, n, SeedSpec(23, stream))
+            r_h = linalg.fast_rank(A)
+            for name in names:
+                t = catalog(name)
+                w = minor.search(A, t, 20000, r_h)[1]
+                if w is not None:
+                    assert len(w.contract) == r_h - t.rank, (q, m, n, stream, name)
+                    assert verify_witness_matrix(A, t, w)
+                    found.add(name)
+    # witnesses of every target, each over a field that represents it
+    assert found == set(names), found
 
 
 def _decision_threshold(A, target) -> int:
