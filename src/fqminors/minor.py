@@ -6,32 +6,33 @@ One searcher and one reference, with the same witness format:
   commands run.  It works directly on a representation matrix and
   enumerates contraction sets C restricted to independent sets (standard:
   contracting a dependent set equals contracting a maximal independent
-  subset of it and deleting the rest), largest useful |C| first, i.e. from
-  min(r(host) - r(target), |host| - |target|) down to 0.  Its budget counts
-  work units: one per candidate contraction set, one per direction
-  selection, one per isomorphism invocation, and a candidate survivor
-  selection costs as many units as the basis enumeration it triggers, so a
-  fixed budget bounds actual work even for large targets.  Selections that
-  differ only in the members they pick from a direction class, or in
-  which zero survivors play the target's loops, have the same vectors in
-  another order, so each such set is scored once and its other
-  selections are charged as before, in one tick.  The direction
+  subset of it and deleting the rest) of the one size a witness can
+  have, |C| = r(host) - r(target): every minor is M/C\\D with C
+  independent and D coindependent (Oxley, Matroid Theory, Lemma 3.3.2),
+  so the target is absent once the sets of that size are exhausted.  Its
+  budget counts work units: one per candidate contraction set, one per
+  direction selection, one per isomorphism invocation, and a candidate
+  survivor selection costs as many units as the basis enumeration it
+  triggers, so a fixed budget bounds actual work even for large targets.
+  Selections that differ only in the members they pick from a direction
+  class, or in which zero survivors play the target's loops, have the
+  same vectors in another order, so each such set is scored once and its
+  other selections are charged as before, in one tick.  The direction
   selections are walked in combinations order with one echelon shared
   along their prefixes (`_ranked_picks`), and only those of the target's
   rank are yielded: a prefix whose rank passes r_t, or can no longer
   reach it, is dropped with all the selections under it charged in one
-  tick.  It also charges
-  one unit for each distinct order of the target's parallel-class sizes
-  after the first, before it generates any of them, so no set-up step runs
-  ahead of the budget.
+  tick.  It also charges one unit for each distinct order of the target's
+  parallel-class sizes after the first, before it generates any of them,
+  so no set-up step runs ahead of the budget.
   Its set-up, everything before the first contraction set, depends only
   on the target and the host's field, size and rank (`_set_up`, giving a
   `_Plan`); the sets themselves are screened per host (`_search_sets`).
-  Over GF(2) only the first PER_SET contraction sets of each size are
-  reduced one at a time; the later ones are screened in numpy batches
-  (`_screened_sets`, one `linalg.gf2_coset_reps` per batch) that drop the
-  sets that are dependent or leave too few zero or distinct survivors,
-  and the sets that pass go through the same per-set checks and scan.
+  Over GF(2) only the first PER_SET contraction sets are reduced one at
+  a time; the later ones are screened in numpy batches (`_screened_sets`,
+  one `linalg.gf2_coset_reps` per batch) that drop the sets that are
+  dependent or leave too few zero or distinct survivors, and the sets
+  that pass go through the same per-set checks and scan.
   Most searches end within a few sets, where a batch's fixed cost of
   about |C| numpy calls would dominate.  A batch holds at most the units
   left + 1 sets and each set is still charged one unit, the dropped ones
@@ -39,15 +40,14 @@ One searcher and one reference, with the same witness format:
   path's.
 * `search_stack` runs that search on a whole stack of GF(2) hosts, from
   their column words.  Hosts of equal rank share one set-up and visit
-  the same sets in the same order, so the first PER_SET sets of the
-  first size are screened in lockstep: each set is unranked once,
-  charged to each open host's own budget and reduced for all of them by
-  one `linalg.gf2_coset_reps`, and each host's representatives are
-  scanned as in its own search.  A host leaves at its witness or when its
-  budget runs out; a host still open resumes its own `_search_sets` at
-  set PER_SET of that size, on the same budget.  No set is screened
-  twice, and every witness, outcome and unit spent is the per-host
-  search's.
+  the same sets in the same order, so their first PER_SET sets are
+  screened in lockstep: each set is unranked once, charged to each open
+  host's own budget and reduced for all of them by one
+  `linalg.gf2_coset_reps`, and each host's representatives are scanned
+  as in its own search.  A host leaves at its witness or when its budget
+  runs out; a host still open resumes its own `_search_sets` at set
+  PER_SET, on the same budget.  No set is screened twice, and every
+  witness, outcome and unit spent is the per-host search's.
 * `find_minor` is the brute-force reference on abstract basis-family
   matroids: every (C, D) pair, dependent C included, then isomorphism, at
   one budget unit per pair.  The exact oracle and the `validate` agreement
@@ -97,10 +97,10 @@ DEFAULT_BUDGET = 10_000_000
 
 GRAPHIC_EXCLUDED = ("U:2,4", "F7", "F7*", "MK5*", "MK33*")
 
-# A GF(2) search screens the first PER_SET contraction sets of each size
-# one at a time and the rest in numpy batches of FIRST_BATCH sets, doubling
-# up to MAX_BATCH: most searches end within a few sets, and a batch costs
-# about |C| numpy calls however few of its sets are needed.  Batches of 512
+# A GF(2) search screens its first PER_SET contraction sets one at a time
+# and the rest in numpy batches of FIRST_BATCH sets, doubling up to
+# MAX_BATCH: most searches end within a few sets, and a batch costs about
+# |C| numpy calls however few of its sets are needed.  Batches of 512
 # were no faster than 256 on the class sweep and held about 0.3 MB more.
 # `search_stack` screens a stack's first PER_SET sets across its hosts.
 PER_SET = 16
@@ -321,9 +321,8 @@ class _Plan:
     """What `find_minor_matrix` sets up for one target before it screens
     any contraction set, the same for every host of n columns and rank
     r_h over GF(q) (`_set_up`): the target's sizes and parallel-class
-    size orders, and the contraction sizes `ks` the search visits,
-    largest first.  A host's own search is `_search_sets` on its columns
-    and budget."""
+    size orders, and the one contraction size `k` the search visits.  A
+    host's own search is `_search_sets` on its columns and budget."""
 
     def __init__(self, q: int, n: int, r_h: int, target: Matroid, sizes: list[int]):
         self.q, self.n, self.target = q, n, target
@@ -334,11 +333,12 @@ class _Plan:
         self.n_orders = _n_distinct_orders(sizes)
         self.size_orders = None  # built by the first `charge`
         self.n_bases_t = len(target.bases)
-        # every |C| from the largest useful one down.  The quotient by C
-        # has rank r_h - |C| >= r_t, so its projective space has room for
-        # the c_t distinct directions whenever PG(r_t - 1, q) has, which
-        # `_set_up` checked: no size is skipped for want of points
-        self.ks = range(min(r_h - self.r_t, n - self.e_t), -1, -1)
+        # every witness contracts an independent set of r_h - r_t columns
+        # (Oxley, Lemma 3.3.2), the one size searched; `_set_up` checked
+        # e_t - r_t <= n - r_h, so k + e_t <= n.  The quotient by C has
+        # rank r_t, so it has room for the c_t distinct directions
+        # whenever PG(r_t - 1, q) has, which `_set_up` checked too
+        self.k = r_h - self.r_t
 
     def charge(self, budget_: _Budget):
         """Charge a host's search one unit per size order after the first,
@@ -357,7 +357,7 @@ class _Plan:
             return None
         # the key order picks the witness: GF(3) plane pairs sort as the
         # tuples of codes the table backend keyed them by.  The keys span
-        # the quotient by C, of rank r_h - k >= r_t: no rank check needed
+        # the quotient by C, of rank r_h - k = r_t: no rank check needed
         dir_keys = sorted(dirs, key=o.order)
         return _scan_survivor_selections(
             o, self.target, reps, combo, survivors, zero_surv, dirs, dir_keys,
@@ -429,54 +429,48 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | _Budget | None
 
 
 def _search_sets(o, cols: list, plan: _Plan, budget_: _Budget, start: int = 0):
-    """The first witness, or None, among the contraction sets of the host
-    with columns `cols`, for each size of plan.ks its sets in
-    `_stride_order`, each charged one unit.  The first `start` sets of
-    the first size are skipped: `search_stack` has screened them.
+    """The first witness, or None, among the plan.k-sets of the host with
+    columns `cols`, in `_stride_order`, each charged one unit.  The first
+    `start` sets are skipped: `search_stack` has screened them.
 
-    Over GF(2) the first PER_SET sets of a size are reduced one at a time
-    and the rest go through the batched screen (`_screened_sets`)."""
-    n, q = plan.n, plan.q
+    Over GF(2) the first PER_SET sets are reduced one at a time and the
+    rest go through the batched screen (`_screened_sets`)."""
+    n, q, k = plan.n, plan.q, plan.k
     zero = o.encode((0,) * o.m)  # what a survivor in the span of C reduces to
-    words = None  # the host's column words, for the batched GF(2) screen
-    for k in plan.ks:
-        order = _stride_order(math.comb(n, k))
-        next(itertools.islice(order, start, start), None)  # skip `start` sets
-        for idx in itertools.islice(order, max(PER_SET - start, 0) if q == 2 else None):
-            combo = _unrank_combo(idx, n, k)
-            budget_.tick()
-            ech: list = []
-            for j in combo:
-                row = o.reduce_pivot(ech, cols[j])
-                if row is None:
-                    break
-                ech.append(row)
-            if len(ech) < k:
-                continue
-            in_c = set(combo)
-            survivors = [j for j in range(n) if j not in in_c]
-            zero_surv = []
-            reps = {}
-            dirs: dict = {}
-            for j in survivors:
-                # a direction is keyed by its coset representative scaled to
-                # pivot value 1; scaling a column keeps every rank, so the
-                # scaled vector also stands for j in the basis enumeration
-                row = o.reduce_pivot(ech, cols[j])
-                if row is None:
-                    zero_surv.append(j)
-                    reps[j] = zero
-                else:
-                    reps[j] = row[1]
-                    dirs.setdefault(row[1], []).append(j)
-            witness = plan.consider(o, budget_, combo, survivors, reps, zero_surv, dirs)
-            if witness is not None:
-                return witness
-        start = 0
-        if q != 2:
+    order = _stride_order(math.comb(n, k))
+    next(itertools.islice(order, start, start), None)  # skip `start` sets
+    for idx in itertools.islice(order, max(PER_SET - start, 0) if q == 2 else None):
+        combo = _unrank_combo(idx, n, k)
+        budget_.tick()
+        ech: list = []
+        for j in combo:
+            row = o.reduce_pivot(ech, cols[j])
+            if row is None:
+                break
+            ech.append(row)
+        if len(ech) < k:
             continue
-        if words is None:
-            words = linalg.int_words(cols, max(1, -(-o.m // 64)))
+        in_c = set(combo)
+        survivors = [j for j in range(n) if j not in in_c]
+        zero_surv = []
+        reps = {}
+        dirs: dict = {}
+        for j in survivors:
+            # a direction is keyed by its coset representative scaled to
+            # pivot value 1; scaling a column keeps every rank, so the
+            # scaled vector also stands for j in the basis enumeration
+            row = o.reduce_pivot(ech, cols[j])
+            if row is None:
+                zero_surv.append(j)
+                reps[j] = zero
+            else:
+                reps[j] = row[1]
+                dirs.setdefault(row[1], []).append(j)
+        witness = plan.consider(o, budget_, combo, survivors, reps, zero_surv, dirs)
+        if witness is not None:
+            return witness
+    if q == 2:
+        words = linalg.int_words(cols, max(1, -(-o.m // 64)))
         for screened in _screened_sets(order, words, k, plan.l_t, plan.c_t, budget_):
             witness = plan.consider(o, budget_, *screened)
             if witness is not None:
@@ -750,16 +744,15 @@ def search_stack(col_words: np.ndarray, m: int, ranks, target: Matroid, budget,
     column words col_words[t] (`linalg.pack_stack`).
 
     Hosts of equal rank share one `_set_up`, so they visit the same
-    contraction sets in the same order.  The first PER_SET sets of the
-    first size they visit are screened in lockstep: each set is unranked
-    once, charged to each open host's own budget, and reduced for all of
-    them by one `linalg.gf2_coset_reps`, and each host's representatives
-    go through the per-host `_Plan.consider`.  A host leaves at its
-    witness or when its budget runs out.  A host still open after those
-    sets builds its int columns and resumes the per-host `_search_sets`
-    at set PER_SET of that size, on the same budget, so no set is
-    screened twice and every witness, outcome and unit spent is the
-    per-host search's."""
+    contraction sets in the same order.  Their first PER_SET sets are
+    screened in lockstep: each set is unranked once, charged to each open
+    host's own budget, and reduced for all of them by one
+    `linalg.gf2_coset_reps`, and each host's representatives go through
+    the per-host `_Plan.consider`.  A host leaves at its witness or when
+    its budget runs out.  A host still open after those sets builds its
+    int columns and resumes the per-host `_search_sets` at set PER_SET,
+    on the same budget, so no set is screened twice and every witness,
+    outcome and unit spent is the per-host search's."""
     check_budget(budget)
     o = linalg.ops_for(field(2), m)
     groups: dict = {}
@@ -805,7 +798,7 @@ def _search_group(o, col_words: np.ndarray, r_h: int, group: list, target: Matro
     for t in group:
         open_[t] = _Budget(budget)
         step(t, plan.charge, open_[t])
-    k = plan.ks[0]
+    k = plan.k
     for idx in itertools.islice(_stride_order(math.comb(n, k)), PER_SET):
         if not open_:
             break

@@ -392,8 +392,11 @@ def test_class_sweep_stdout_does_not_depend_on_jobs():
     pooled = run_cli(args + ["--jobs", "2"])
     assert serial.returncode == pooled.returncode == 0
     assert serial.stdout == pooled.stdout
+    # trials 1 and 17 of the 12-column row exhaust F7*'s rank-drop size
+    # inside the budget and are graphic (test_minor's
+    # test_exhausted_rank_drop_size_is_absent)
     assert serial.stdout.splitlines()[2:] == [
-        "9,3,30,1,0,0.0333333333333", "12,6,30,16,13,0.533333333333",
+        "9,3,30,1,0,0.0333333333333", "12,6,30,16,11,0.533333333333",
         "15,9,30,26,4,0.866666666667"]
 
 

@@ -574,6 +574,89 @@ def test_witnesses_contract_the_rank_drop():
     assert found == set(names), found
 
 
+def test_exhausted_rank_drop_size_is_absent():
+    # trials 1 and 17 of the 6 x 12 row of `class --sweep --seed 3 --budget
+    # 3000` (test_cli): once the 66 sets of size r_h - r_t = 2 are
+    # exhausted F7* is absent, inside the budget; a search that went on to
+    # the smaller sizes ran out of it.  The all-(C, D) reference agrees.
+    f7_dual = catalog("F7*")
+    hosts = [sample_matrix(2, 6, 12, SeedSpec(3, i)) for i in (1, 17)]
+    for A in hosts:
+        status, w, spent = minor.search(A, f7_dual, 3000)
+        assert (status, w) == ("absent", None) and spent <= 3000
+        assert find_minor(from_matrix(A), f7_dual, budget=None) is None
+    stack = np.array([A.entries for A in hosts], dtype=np.uint8).reshape(2, 6, 12)
+    ranks = [linalg.fast_rank(A) for A in hosts]
+    got = minor.search_stack(linalg.pack_stack(stack)[1], 6, ranks, f7_dual, 3000, [0, 1])
+    assert got == {t: minor.search(A, f7_dual, 3000) for t, A in enumerate(hosts)}
+
+
+def test_only_rank_drop_size_is_screened(monkeypatch):
+    # every contraction set a search unranks or scores has r_h - r_t
+    # elements: on the GF(2) per-set path, in the batched screen, in the
+    # lockstep of search_stack, and over GF(3), on absent and unknown
+    # searches alike
+    want_k = None
+    where: list[str] = []  # the innermost set loop running
+    unranked, scored = [], set()
+
+    def per_set(*args, real=minor._search_sets):
+        where.append("per-set")
+        try:
+            return real(*args)
+        finally:
+            where.pop()
+
+    def batched(*args, real=minor._screened_sets):
+        where.append("batched")
+        try:
+            yield from real(*args)
+        finally:
+            where.pop()
+
+    real_consider = minor._Plan.consider
+
+    def consider(plan, o, budget_, combo, *rest):
+        assert len(combo) == want_k, (combo, want_k)
+        scored.add(where[-1] if where else "lockstep")
+        return real_consider(plan, o, budget_, combo, *rest)
+
+    real_unrank, real_unrank_with = minor._unrank_combo, minor._unrank_with
+    monkeypatch.setattr(minor._Plan, "consider", consider)
+    monkeypatch.setattr(minor, "_search_sets", per_set)
+    monkeypatch.setattr(minor, "_screened_sets", batched)
+    monkeypatch.setattr(minor, "_unrank_combo",
+                        lambda idx, n, k: unranked.append(k) or real_unrank(idx, n, k))
+    monkeypatch.setattr(minor, "_unrank_with",
+                        lambda idx, table: unranked.append(len(table))
+                        or real_unrank_with(idx, table))
+    statuses = set()
+    names = ("U:2,3", "F7", "F7*", "MK33*")
+    for q, (m, n) in ((2, (6, 12)), (2, (8, 16)), (3, (4, 10))):
+        hosts = [sample_matrix(q, m, n, SeedSpec(31, i)) for i in range(4)]
+        ranks = [linalg.fast_rank(A) for A in hosts]
+        col_words = None
+        if q == 2:
+            stack = np.array([A.entries for A in hosts], dtype=np.uint8).reshape(len(hosts), m, n)
+            col_words = linalg.pack_stack(stack)[1]
+        for name in names:
+            t = catalog(name)
+            for budget in (60, 400, None):
+                for i, A in enumerate(hosts):
+                    want_k = ranks[i] - t.rank
+                    unranked.clear()
+                    status = minor.search(A, t, budget, ranks[i])[0]
+                    assert set(unranked) <= {want_k}, (q, m, n, name, budget, i)
+                    statuses.add((q, status))
+                    if col_words is not None:
+                        unranked.clear()
+                        minor.search_stack(col_words, m, ranks, t, budget, [i])
+                        assert set(unranked) <= {want_k}, (m, n, name, budget, i)
+    assert {"absent", "unknown"} <= {s for q, s in statuses if q == 2}
+    assert {"absent", "unknown"} <= {s for q, s in statuses if q == 3}
+    assert scored == {"per-set", "batched", "lockstep"}
+
+
 def _decision_threshold(A, target) -> int:
     """The least budget at which find_minor_matrix(A, target) is not
     unknown, by doubling and bisection."""
