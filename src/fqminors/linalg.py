@@ -44,10 +44,10 @@ fewer columns, the one `gf2_ranks` eliminates fastest.  `gf2_contract`
 contracts each matrix of a stack on its own chosen columns by one numpy
 Gaussian elimination on its row words: the batched witness verifier's
 contraction, which shares no step with the search or with `contract`.
-`gf2_coset_reps` reduces every column of a host modulo each of a batch of
-contraction sets by one numpy column elimination on column words
-(`int_words` turns a host's int columns into them), giving `reduce`'s
-coset representatives: the minor search's batched screen.
+`gf2_coset_reps` reduces every column of each of a batch of (host,
+contraction set) pairs modulo the set by one numpy column elimination on
+column words (`int_words` turns a host's int columns into them), giving
+`reduce`'s coset representatives: the minor search's screening rounds.
 """
 
 from __future__ import annotations

@@ -29,25 +29,21 @@ One searcher and one reference, with the same witness format:
   on the target and the host's field, size and rank (`_set_up`, giving a
   `_Plan`); the sets themselves are screened per host (`_search_sets`).
   Over GF(2) only the first PER_SET contraction sets are reduced one at
-  a time; the later ones are screened in numpy batches (`_screened_sets`,
-  one `linalg.gf2_coset_reps` per batch) that drop the sets that are
-  dependent or leave too few zero or distinct survivors, and the sets
-  that pass go through the same per-set checks and scan.
-  Most searches end within a few sets, where a batch's fixed cost of
-  about |C| numpy calls would dominate.  A batch holds at most the units
-  left + 1 sets and each set is still charged one unit, the dropped ones
-  in one tick, so every witness, outcome and budget spent is the per-set
-  path's.
+  a time: most searches end within a few sets, where a numpy round's
+  fixed cost of about |C| calls would dominate.  The later sets are
+  screened in rounds, as a stack's are.
 * `search_stack` runs that search on a whole stack of GF(2) hosts, from
   their column words.  Hosts of equal rank share one set-up and visit
-  the same sets in the same order, so their first PER_SET sets are
-  screened in lockstep: each set is unranked once, charged to each open
-  host's own budget and reduced for all of them by one
-  `linalg.gf2_coset_reps`, and each host's representatives are scanned
-  as in its own search.  A host leaves at its witness or when its budget
-  runs out; a host still open resumes its own `_search_sets` at set
-  PER_SET, on the same budget.  No set is screened twice, and every
-  witness, outcome and unit spent is the per-host search's.
+  the same sets in the same order, so one function, `_screen_rounds`,
+  screens all their sets together, and a lone host's after its first
+  PER_SET.  A round takes the next sets, unranks each once and reduces
+  every (host, set) pair by one `linalg.gf2_coset_reps`; the pairs whose
+  set is dependent or leaves too few zero or distinct survivors are
+  dropped, and each host scans the rest through the per-set checks and
+  scan.  A round holds at most the fewest units left + 1 sets per host
+  and each set is still charged one unit, the dropped ones in one tick,
+  so the budget bounds the work and every witness, outcome and unit
+  spent is the per-set path's.
 * `find_minor` is the brute-force reference on abstract basis-family
   matroids: every (C, D) pair, dependent C included, then isomorphism, at
   one budget unit per pair.  The exact oracle and the `validate` agreement
@@ -97,15 +93,14 @@ DEFAULT_BUDGET = 10_000_000
 
 GRAPHIC_EXCLUDED = ("U:2,4", "F7", "F7*", "MK5*", "MK33*")
 
-# A GF(2) search screens its first PER_SET contraction sets one at a time
-# and the rest in numpy batches of FIRST_BATCH sets, doubling up to
-# MAX_BATCH: most searches end within a few sets, and a batch costs about
-# |C| numpy calls however few of its sets are needed.  Batches of 512
-# were no faster than 256 on the class sweep and held about 0.3 MB more.
-# `search_stack` screens a stack's first PER_SET sets across its hosts.
+# A lone GF(2) host screens its first PER_SET contraction sets one at a
+# time: most searches end within a few sets, and a numpy round costs about
+# |C| numpy calls however few of its sets are needed.  Its later sets, and
+# every set of a stack's hosts, are screened in rounds of at most
+# MAX_PAIRS (host, set) pairs, or one set for each open host when they
+# are more (`_screen_rounds`).
 PER_SET = 16
-FIRST_BATCH = 32
-MAX_BATCH = 256
+MAX_PAIRS = 256
 
 
 @dataclass(frozen=True)
@@ -157,27 +152,6 @@ def _unrank_combo(idx: int, n: int, k: int) -> tuple[int, ...]:
                 break
             idx -= c
             x += 1
-    return tuple(out)
-
-
-def _combo_table(n: int, k: int) -> list[list[int]]:
-    """table[i][x] = C(n - x - 1, k - i - 1): the number of k-subsets of
-    range(n) whose element i is x, given the elements before it, that
-    `_unrank_with` skips past."""
-    return [[math.comb(n - x - 1, k - i - 1) for x in range(n)] for i in range(k)]
-
-
-def _unrank_with(idx: int, table: list[list[int]]) -> tuple[int, ...]:
-    """`_unrank_combo` by lookups in `_combo_table(n, k)`: cheaper per
-    set once the table is paid for."""
-    out = []
-    x = 0
-    for skip in table:
-        while idx >= skip[x]:
-            idx -= skip[x]
-            x += 1
-        out.append(x)
-        x += 1
     return tuple(out)
 
 
@@ -428,18 +402,15 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | _Budget | None
     return _search_sets(o, cols, plan, budget_)
 
 
-def _search_sets(o, cols: list, plan: _Plan, budget_: _Budget, start: int = 0):
+def _search_sets(o, cols: list, plan: _Plan, budget_: _Budget):
     """The first witness, or None, among the plan.k-sets of the host with
-    columns `cols`, in `_stride_order`, each charged one unit.  The first
-    `start` sets are skipped: `search_stack` has screened them.
-
-    Over GF(2) the first PER_SET sets are reduced one at a time and the
-    rest go through the batched screen (`_screened_sets`)."""
+    columns `cols`, in `_stride_order`, each charged one unit.  Over GF(2)
+    the first PER_SET sets are reduced one at a time and the rest are
+    screened in rounds of this one host (`_screen_rounds`)."""
     n, q, k = plan.n, plan.q, plan.k
     zero = o.encode((0,) * o.m)  # what a survivor in the span of C reduces to
     order = _stride_order(math.comb(n, k))
-    next(itertools.islice(order, start, start), None)  # skip `start` sets
-    for idx in itertools.islice(order, max(PER_SET - start, 0) if q == 2 else None):
+    for idx in itertools.islice(order, PER_SET if q == 2 else None):
         combo = _unrank_combo(idx, n, k)
         budget_.tick()
         ech: list = []
@@ -469,13 +440,13 @@ def _search_sets(o, cols: list, plan: _Plan, budget_: _Budget, start: int = 0):
         witness = plan.consider(o, budget_, combo, survivors, reps, zero_surv, dirs)
         if witness is not None:
             return witness
-    if q == 2:
-        words = linalg.int_words(cols, max(1, -(-o.m // 64)))
-        for screened in _screened_sets(order, words, k, plan.l_t, plan.c_t, budget_):
-            witness = plan.consider(o, budget_, *screened)
-            if witness is not None:
-                return witness
-    return None
+    if q != 2:
+        return None
+    words = linalg.int_words(cols, max(1, -(-o.m // 64)))
+    status, witness = _screen_rounds(o, words[None], plan, order, {0: budget_}, PER_SET)[0]
+    if status == "unknown":
+        raise BudgetExceededError("minor search budget exhausted")
+    return witness
 
 
 def _cosets(combo, n: int, ints: list[int]):
@@ -495,32 +466,43 @@ def _cosets(combo, n: int, ints: list[int]):
     return survivors, reps, zero_surv, dirs
 
 
-def _screened_sets(order, words: np.ndarray, k: int, l_t: int, c_t: int, budget_):
-    """Yield (combo, survivors, reps, zero_surv, dirs), as the per-set path
-    of `_search_sets` builds them, for each k-set of the GF(2) host
-    with column words `words` whose ranks come next from `order` and that
-    may give a witness: one whose columns are independent and leave at
-    least l_t zero survivors and c_t distinct nonzero ones.
+def _screen_rounds(o, col_words: np.ndarray, plan: _Plan, order, budgets: dict,
+                   screened: int) -> dict:
+    """The GF(2) search of each host t of `budgets`, with column words
+    col_words[t] and budget budgets[t], through the plan.k-sets that come
+    next from `order`, `screened` sets having come before them, as t ->
+    ('witness', w), ('absent', None) or ('unknown', None) when its budget
+    ran out.
 
-    The sets are drawn in batches of FIRST_BATCH, twice that, ... up to
-    MAX_BATCH, each at most the units left + 1, so the budget bounds the
-    work, and a batch is reduced by one `linalg.gf2_coset_reps`.  Each set
-    costs the unit the per-set path charges it: the sets dropped before a
+    The open hosts are screened in rounds.  A round takes the next sets
+    from `order`: as many as were screened before it (at least 1), at
+    most MAX_PAIRS // open hosts (at least 1) and at most the fewest units
+    left + 1, so the budget bounds the work.  Each set is unranked once
+    and one `linalg.gf2_coset_reps` reduces every (host, set) pair of the
+    round.  A pair may give a witness only when its set's columns are
+    independent and leave at least l_t zero survivors and c_t distinct
+    nonzero ones; each host scans those in order through `_Plan.consider`
+    and leaves at its witness or when its budget runs out.  Each set costs
+    the unit the per-set path charges it: the sets dropped before a
     passing one are charged with it in one tick, the rest at the end of
-    the batch, so every witness is found at the same `spent`."""
-    n, width = words.shape
-    table = _combo_table(n, k)
-    size = FIRST_BATCH
-    while True:
-        ranks = list(itertools.islice(order, min(size, budget_.limit - budget_.spent + 1)))
-        if not ranks:
-            return
-        size = min(2 * size, MAX_BATCH)
-        count = len(ranks)
-        combos = [_unrank_with(idx, table) for idx in ranks]
-        flat = np.fromiter(itertools.chain.from_iterable(combos), np.int64, count * k)
-        independent, reps = linalg.gf2_coset_reps(np.broadcast_to(words, (count, n, width)),
-                                                  flat.reshape(count, k))
+    the round, so every witness is found at the same `spent`."""
+    n, width = col_words.shape[1:]
+    k = plan.k
+    out: dict = {}
+    open_ = dict(budgets)
+    while open_:
+        live = list(open_)
+        size = min(max(screened, 1), max(MAX_PAIRS // len(live), 1),
+                   min(b.limit - b.spent for b in open_.values()) + 1)
+        combos = [_unrank_combo(idx, n, k) for idx in itertools.islice(order, size)]
+        if not combos:
+            out.update(dict.fromkeys(live, ("absent", None)))
+            break
+        count = len(combos)
+        screened += count
+        sets = np.array(combos, dtype=np.int64).reshape(count, k)
+        independent, reps = linalg.gf2_coset_reps(np.repeat(col_words[live], count, axis=0),
+                                                  np.tile(sets, (len(live), 1)))
         zeros = n - reps.any(axis=2).sum(axis=1)
         # C's own columns reduce to zero, so the survivors hold zeros - k
         # zeros and every distinct nonzero representative; a column of
@@ -528,13 +510,28 @@ def _screened_sets(order, words: np.ndarray, k: int, l_t: int, c_t: int, budget_
         keys = reps[:, :, 0] if width == 1 else reps.view(np.dtype((np.void, 8 * width)))[:, :, 0]
         keys = np.sort(keys, axis=1)
         distinct = 1 + (keys[:, 1:] != keys[:, :-1]).sum(axis=1) - (zeros > 0)
-        charged = 0
-        for b in np.flatnonzero(independent & (zeros - k >= l_t) & (distinct >= c_t)).tolist():
-            budget_.tick(b + 1 - charged)
-            charged = b + 1
-            yield (combos[b], *_cosets(combos[b], n, linalg.word_ints(reps[b])))
-        if count > charged:
-            budget_.tick(count - charged)
+        passing = independent & (zeros - k >= plan.l_t) & (distinct >= plan.c_t)
+        for t, passed, host_reps in zip(live, passing.reshape(len(live), count),
+                                        reps.reshape(len(live), count, n, width)):
+            budget_ = open_[t]
+            charged = 0
+            try:
+                for b in np.flatnonzero(passed).tolist():
+                    budget_.tick(b + 1 - charged)
+                    charged = b + 1
+                    w = plan.consider(o, budget_, combos[b],
+                                      *_cosets(combos[b], n, linalg.word_ints(host_reps[b])))
+                    if w is not None:
+                        out[t] = ("witness", w)
+                        del open_[t]
+                        break
+                else:
+                    if count > charged:
+                        budget_.tick(count - charged)
+            except BudgetExceededError:
+                out[t] = ("unknown", None)
+                del open_[t]
+    return out
 
 
 def _scan_survivor_selections(
@@ -744,15 +741,9 @@ def search_stack(col_words: np.ndarray, m: int, ranks, target: Matroid, budget,
     column words col_words[t] (`linalg.pack_stack`).
 
     Hosts of equal rank share one `_set_up`, so they visit the same
-    contraction sets in the same order.  Their first PER_SET sets are
-    screened in lockstep: each set is unranked once, charged to each open
-    host's own budget, and reduced for all of them by one
-    `linalg.gf2_coset_reps`, and each host's representatives go through
-    the per-host `_Plan.consider`.  A host leaves at its witness or when
-    its budget runs out.  A host still open after those sets builds its
-    int columns and resumes the per-host `_search_sets` at set PER_SET,
-    on the same budget, so no set is screened twice and every witness,
-    outcome and unit spent is the per-host search's."""
+    contraction sets in the same order, and `_screen_rounds` screens them
+    together from their first set, each host on its own budget, so every
+    witness, outcome and unit spent is the per-host search's."""
     check_budget(budget)
     o = linalg.ops_for(field(2), m)
     groups: dict = {}
@@ -778,47 +769,15 @@ def _search_group(o, col_words: np.ndarray, r_h: int, group: list, target: Matro
         e_t = target.ground_size
         return {t: ("witness", _free_witness(o, linalg.word_ints(col_words[t]), e_t), 0)
                 for t in group}
-    out: dict = {}
-    open_: dict = {}  # host -> its budget, while it has no result
-
-    def end(t, status, w=None):
-        out[t] = (status, w, open_.pop(t).spent)
-
-    def step(t, work, *args):
-        """work(*args) on open host t, which ends at a witness or when its
-        budget runs out."""
-        try:
-            w = work(*args)
-        except BudgetExceededError:
-            end(t, "unknown")
-        else:
-            if w is not None:
-                end(t, "witness", w)
-
-    for t in group:
-        open_[t] = _Budget(budget)
-        step(t, plan.charge, open_[t])
-    k = plan.k
-    for idx in itertools.islice(_stride_order(math.comb(n, k)), PER_SET):
-        if not open_:
-            break
-        combo = _unrank_combo(idx, n, k)
-        for t in list(open_):
-            step(t, open_[t].tick)
-        live = list(open_)
-        if not live:
-            continue
-        independent, reps = linalg.gf2_coset_reps(
-            col_words[live], np.broadcast_to(np.array(combo, dtype=np.int64), (len(live), k)))
-        for t, ok, rep in zip(live, independent.tolist(), reps):
-            if ok:
-                step(t, plan.consider, o, open_[t], combo,
-                     *_cosets(combo, n, linalg.word_ints(rep)))
-    for t in list(open_):
-        step(t, _search_sets, o, linalg.word_ints(col_words[t]), plan, open_[t], PER_SET)
-        if t in open_:
-            end(t, "absent")
-    return out
+    budgets = {t: _Budget(budget) for t in group}
+    try:
+        for budget_ in budgets.values():
+            plan.charge(budget_)  # the same charge for every host
+    except BudgetExceededError:
+        return {t: ("unknown", None, budget_.spent) for t in group}
+    order = _stride_order(math.comb(n, plan.k))
+    return {t: (status, w, budgets[t].spent)
+            for t, (status, w) in _screen_rounds(o, col_words, plan, order, budgets, 0).items()}
 
 
 # ----------------------------------------------------------------------

@@ -31,9 +31,8 @@ Over GF(2) every chunk function draws a range's codes into stacks
 by one `linalg.gf2_ranks` elimination; minor and class trials then go on
 through one skeleton, `search_chunk`, which builds no host matrix and
 searches each stack by `minor.search_stack`: per target and rank the
-hosts' set-up is shared and their first contraction sets are screened in
-lockstep, each host on its own budget, and a host still open resumes its
-own search where the lockstep left it.  Over other fields each trial is
+hosts share one set-up and have every contraction set screened together
+in rounds, each host on its own budget.  Over other fields each trial is
 sampled by `sample_matrix` and ranked by `linalg.fast_rank` or decided on
 the per-trial path (`minor.decide`, which keeps `verify_witness_matrix`),
 as in the `minor` and `class` commands.  Estimates carry Wilson 95%
@@ -335,9 +334,9 @@ def search_chunk(q: int, m: int, n: int, seed: int, lo: int, hi: int, targets, b
     Over GF(2) each stack of `_gf2_stacks` is packed by one
     `linalg.pack_stack` and ranked by one `linalg.gf2_ranks`, and no host
     is built as a matrix.  Target by target, every host still open is
-    searched by one `minor.search_stack` (the hosts of each rank in
-    lockstep through their first contraction sets, each host on its own
-    budget), the target's witnesses are checked by one
+    searched by one `minor.search_stack` (the hosts of each rank screened
+    together in rounds, each host on its own budget), the target's
+    witnesses are checked by one
     `verify_witness_stack`, and a host whose witness verifies leaves.  A
     stack's first trial is also decided by per_trial on the per-host
     path, a spot check of the stacked one: when the two disagree it

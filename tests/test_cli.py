@@ -640,3 +640,36 @@ GF3_GOLDEN = [
 def test_gf3_golden(args, code, stdout, capsys):
     assert cli.main(args.split()) == code
     assert capsys.readouterr().out == stdout
+
+
+# GF(2) searches of one host that run past the first minor.PER_SET
+# contraction sets into the screening rounds: a witness after about 1,260
+# sets, an absent target after 1,820, a budget that runs out, the class
+# test on that host and a low-budget class sweep whose per-stack spot
+# checks run the same single-host path
+GF2_GOLDEN = [
+    ('minor --sample 2 8 16 --seed 2 --target name:F7 --json', 0,
+     '{"outcome": "found", "verified": true, "witness": {"bijection": [1, 3, 15, 5, 8, 13, 12], '
+     '"contract": [2, 4, 6, 7, 10], "delete": [0, 9, 11, 14]}}\n'),
+    ('minor --sample 2 8 16 --seed 2 --target name:MK33* --budget 20000 --json', 0,
+     '{"outcome": "absent", "verified": null, "witness": null}\n'),
+    ('minor --sample 2 8 16 --seed 2 --target name:F7* --budget 2000 --json', 0,
+     '{"outcome": "unknown", "verified": null, "witness": null}\n'),
+    ('class --sample 2 8 16 --seed 2 --budget 20000 --json', 0,
+     '{"class": "graphic", "membership": "no", "outcomes": {"F7": "found", "F7*": "found", '
+     '"MK33*": "absent", "MK5*": "unknown", "U:2,4": "absent"}, "witnesses": {"F7": '
+     '{"bijection": [1, 3, 15, 5, 8, 13, 12], "contract": [2, 4, 6, 7, 10], "delete": [0, 9, 11, '
+     '14]}, "F7*": {"bijection": [1, 3, 11, 7, 13, 8, 15], "contract": [2, 4, 6, 10], "delete": '
+     '[0, 5, 9, 12, 14]}}}\n'),
+    ('class --sweep --q 2 --n-start 8 --n-stop 16 --n-step 8 --m-rule n-minus:8 --trials 40'
+     ' --budget 300 --seed 2 --json', 0,
+     '{"row_floor": "violated at n in [8]", "rows": [{"frequency": 0.0, "m": 0, "n": 8, '
+     '"nongraphic_found": 0, "trials": 40, "unknown": 0}, {"frequency": 0.95, "m": 8, "n": 16, '
+     '"nongraphic_found": 38, "trials": 40, "unknown": 2}]}\n'),
+]
+
+
+@pytest.mark.parametrize("args,code,stdout", GF2_GOLDEN, ids=[a for a, _, _ in GF2_GOLDEN])
+def test_gf2_golden(args, code, stdout, capsys):
+    assert cli.main(args.split()) == code
+    assert capsys.readouterr().out == stdout

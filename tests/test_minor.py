@@ -591,45 +591,68 @@ def test_exhausted_rank_drop_size_is_absent():
     assert got == {t: minor.search(A, f7_dual, 3000) for t, A in enumerate(hosts)}
 
 
+def _graphic_host(v: int, e: int, seed: int) -> FqMatrix:
+    """The GF(2) incidence matrix of a seeded random connected graph on v
+    vertices with e edges, no loops and no parallel edges: a spanning tree
+    and then random new edges."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(i), i) for i in range(1, v)]
+    seen = set(edges)
+    while len(edges) < e:
+        edge = tuple(sorted(rng.sample(range(v), 2)))
+        if edge not in seen:
+            seen.add(edge)
+            edges.append(edge)
+    return FqMatrix(F2, v, e, tuple(int(x in edge) for x in range(v) for edge in edges))
+
+
+def test_unranking_is_bounded_by_the_budget(monkeypatch):
+    # F7 in a graphic host runs out of a budget of 36 units; the search
+    # may compute at most (spent + 1) * (n + 1) binomials, with no table
+    # of them built ahead of the budget
+    A = _graphic_host(151, 300, 8)
+    r_h = linalg.fast_rank(A)
+    assert r_h == 150
+    f7 = catalog("F7")
+    calls = []
+    real_comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda *a: calls.append(a) or real_comb(*a))
+    status, _, spent = minor.search(A, f7, 36, r_h)
+    assert (status, spent) == ("unknown", 37)
+    assert len(calls) <= (spent + 1) * (A.n + 1), len(calls)
+
+
 def test_only_rank_drop_size_is_screened(monkeypatch):
     # every contraction set a search unranks or scores has r_h - r_t
-    # elements: on the GF(2) per-set path, in the batched screen, in the
-    # lockstep of search_stack, and over GF(3), on absent and unknown
-    # searches alike
+    # elements: on the GF(2) per-set path, in the screening rounds a lone
+    # host goes on to, in the rounds of search_stack, and over GF(3), on
+    # absent and unknown searches alike
     want_k = None
-    where: list[str] = []  # the innermost set loop running
+    where: list[str] = []  # the set loops running, outermost first
     unranked, scored = [], set()
 
-    def per_set(*args, real=minor._search_sets):
-        where.append("per-set")
-        try:
-            return real(*args)
-        finally:
-            where.pop()
-
-    def batched(*args, real=minor._screened_sets):
-        where.append("batched")
-        try:
-            yield from real(*args)
-        finally:
-            where.pop()
+    def spied(label, real):
+        def run(*args):
+            where.append(label)
+            try:
+                return real(*args)
+            finally:
+                where.pop()
+        return run
 
     real_consider = minor._Plan.consider
 
     def consider(plan, o, budget_, combo, *rest):
         assert len(combo) == want_k, (combo, want_k)
-        scored.add(where[-1] if where else "lockstep")
+        scored.add("/".join(where))
         return real_consider(plan, o, budget_, combo, *rest)
 
-    real_unrank, real_unrank_with = minor._unrank_combo, minor._unrank_with
+    real_unrank = minor._unrank_combo
     monkeypatch.setattr(minor._Plan, "consider", consider)
-    monkeypatch.setattr(minor, "_search_sets", per_set)
-    monkeypatch.setattr(minor, "_screened_sets", batched)
+    monkeypatch.setattr(minor, "_search_sets", spied("per-set", minor._search_sets))
+    monkeypatch.setattr(minor, "_screen_rounds", spied("rounds", minor._screen_rounds))
     monkeypatch.setattr(minor, "_unrank_combo",
                         lambda idx, n, k: unranked.append(k) or real_unrank(idx, n, k))
-    monkeypatch.setattr(minor, "_unrank_with",
-                        lambda idx, table: unranked.append(len(table))
-                        or real_unrank_with(idx, table))
     statuses = set()
     names = ("U:2,3", "F7", "F7*", "MK33*")
     for q, (m, n) in ((2, (6, 12)), (2, (8, 16)), (3, (4, 10))):
@@ -654,7 +677,7 @@ def test_only_rank_drop_size_is_screened(monkeypatch):
                         assert set(unranked) <= {want_k}, (m, n, name, budget, i)
     assert {"absent", "unknown"} <= {s for q, s in statuses if q == 2}
     assert {"absent", "unknown"} <= {s for q, s in statuses if q == 3}
-    assert scored == {"per-set", "batched", "lockstep"}
+    assert scored == {"per-set", "per-set/rounds", "rounds"}
 
 
 def _decision_threshold(A, target) -> int:
@@ -750,14 +773,11 @@ def test_sibling_charges_match_reference_threshold(monkeypatch):
     assert all(ran.values()), ran
 
 
-def test_table_unranking_follows_lexicographic_order():
-    # the batched screen's unranking must visit sets in the order the
-    # per-set path does, which is itertools' lexicographic order
+def test_unranking_follows_lexicographic_order():
+    # a set's rank must name the set of itertools' lexicographic order
     for n in range(11):
         for k in range(n + 1):
-            table = minor._combo_table(n, k)
             want = list(itertools.combinations(range(n), k))
-            assert [minor._unrank_with(i, table) for i in range(len(want))] == want, (n, k)
             assert [minor._unrank_combo(i, n, k) for i in range(len(want))] == want, (n, k)
 
 
@@ -772,11 +792,11 @@ _SCREEN_CASES = [
 
 
 def test_batched_screen_matches_per_set_threshold(monkeypatch):
-    # the batched GF(2) screen only drops sets the per-set path drops and
-    # charges the same units, so the least budget that decides, and the
-    # outcome at every budget, must be the per-set path's; batching from
-    # the first set, in batches of 1, 3 and 512, and at the module's own
-    # sizes
+    # the GF(2) screening rounds only drop sets the per-set path drops and
+    # charge the same units, so the least budget that decides, and the
+    # outcome at every budget, must be the per-set path's; screening in
+    # rounds from the first set, of at most 1, 3 and 512 pairs, and at the
+    # module's own sizes
     looped = from_matrix(from_rows(F2, [[1, 0, 1, 0], [0, 1, 1, 0]]))  # U:2,3 and a loop
     budgets = []
     screened = []
@@ -795,7 +815,7 @@ def test_batched_screen_matches_per_set_threshold(monkeypatch):
         return real(words, combos)
 
     def forbidden(*args):
-        raise AssertionError("the per-set path ran the batched screen")
+        raise AssertionError("the per-set path ran a screening round")
 
     monkeypatch.setattr(minor, "_Budget", SpyBudget)
     monkeypatch.setattr(linalg, "gf2_coset_reps", spy_reps)
@@ -810,16 +830,15 @@ def test_batched_screen_matches_per_set_threshold(monkeypatch):
                 want = _decision_threshold(A, t)
                 want_outcomes = [_search_outcome(A, t, b) for b in (want - 1, want, 200, None)]
             seen.update(type(o).__name__ for o in want_outcomes)
-            for sizes in ((0, 1, 1), (0, 3, 3), (0, 512, 512),
-                          (minor.PER_SET, minor.FIRST_BATCH, minor.MAX_BATCH)):
+            for sizes in ((0, 1), (0, 3), (0, 512), (minor.PER_SET, minor.MAX_PAIRS)):
                 with monkeypatch.context() as mp:
-                    for const, value in zip(("PER_SET", "FIRST_BATCH", "MAX_BATCH"), sizes):
+                    for const, value in zip(("PER_SET", "MAX_PAIRS"), sizes):
                         mp.setattr(minor, const, value)
                     assert _decision_threshold(A, t) == want, (m, n, seed, name, sizes)
                     assert [_search_outcome(A, t, b) for b in (want - 1, want, 200, None)] \
                         == want_outcomes, (m, n, seed, name, sizes)
     assert seen == {"MinorWitness", "NoneType", "str"}
-    # batches ran, and the units left cut some of them short
+    # rounds ran, and the units left cut some of them short
     assert screened and any(count == left + 1 < 512 and count > 3 for count, left in screened)
 
 
@@ -975,23 +994,24 @@ def _lockstep_targets():
     return [(name, _LOOPED if name == "loop" else catalog(name)) for name in names]
 
 
-@pytest.mark.parametrize("per_set", [1, 3, None])
-def test_lockstep_matches_per_host_search(monkeypatch, per_set):
-    # every host of a stack searched in lockstep must give the status,
-    # witness and units spent of its own per-host search, whether it ends
-    # in the set-up, inside the lockstep sets (witness or budget) or after
-    # it resumes the per-host search
-    if per_set is not None:
-        monkeypatch.setattr(minor, "PER_SET", per_set)
-    resumed = set()
-    search_sets = minor._search_sets
+@pytest.mark.parametrize("max_pairs", [1, 3, 512, None])
+def test_lockstep_matches_per_host_search(monkeypatch, max_pairs):
+    # every host of a stack, screened in rounds of at most max_pairs pairs
+    # together with the other hosts of its rank, must give the status,
+    # witness and units spent of its own search and of the all-per-set
+    # reference, whether it ends in the set-up, in the first round or in a
+    # later one
+    if max_pairs is not None:
+        monkeypatch.setattr(minor, "MAX_PAIRS", max_pairs)
+    rounds: list = []  # the hosts' column words in each round of a search_stack
+    coset_reps = linalg.gf2_coset_reps
 
-    def recording(o, cols, plan, budget_, start=0):
-        if start:
-            resumed.add(tuple(cols))
-        return search_sets(o, cols, plan, budget_, start)
+    def spy(words, combos):
+        sets = len({tuple(row) for row in combos.tolist()})
+        rounds.append({words[h].tobytes() for h in range(0, len(combos), sets)})
+        return coset_reps(words, combos)
 
-    monkeypatch.setattr(minor, "_search_sets", recording)
+    monkeypatch.setattr(linalg, "gf2_coset_reps", spy)
     seen = set()
     for (m, n), seed in zip(_LOCKSTEP_SHAPES, itertools.count(60)):
         hosts, col_words, ranks = _mixed_stack(m, n, seed, 6)
@@ -999,69 +1019,71 @@ def test_lockstep_matches_per_host_search(monkeypatch, per_set):
             assert len(set(ranks)) > 1, (m, n)
         for name, target in _lockstep_targets():
             for budget in (1, 4, 12, 30, 2000):
+                rounds.clear()
                 got = minor.search_stack(col_words, m, ranks, target, budget, range(len(hosts)))
                 assert list(got) == list(range(len(hosts)))
                 for t, A in enumerate(hosts):
                     want = minor.search(A, target, budget, ranks[t])
+                    with monkeypatch.context() as mp:
+                        mp.setattr(minor, "PER_SET", 10**9)
+                        assert minor.search(A, target, budget, ranks[t]) == want
                     assert got[t] == want, (m, n, name, budget, t)
-                    seen.add((want[0], tuple(linalg.word_ints(col_words[t])) in resumed))
-    # hosts ended at each stage: a witness, or the budget, inside the
-    # lockstep sets, and every status after resuming
-    assert {("witness", False), ("unknown", False), ("absent", False),
-            ("witness", True), ("unknown", True), ("absent", True)} <= seen
+                    words = col_words[t].tobytes()
+                    seen.add((want[0], min(sum(words in live for live in rounds), 2)))
+    # hosts ended in the set-up (no round), in the first round and in a
+    # later one, at a witness and when the budget ran out, and were found
+    # absent after a round
+    assert {("witness", 1), ("unknown", 1), ("witness", 2), ("unknown", 2),
+            ("absent", 2), ("absent", 0)} <= seen
 
 
 def test_lockstep_screens_each_set_once(monkeypatch):
-    # each lockstep step makes one gf2_coset_reps call per rank group, over
-    # the group's open hosts, and each host screens, in the lockstep and
-    # after it resumes, exactly the sets its per-host search screens
-    monkeypatch.setattr(minor, "PER_SET", 3)
+    # in each search_stack call, every set is unranked once per rank group
+    # and each round makes one gf2_coset_reps call, over at most
+    # max(MAX_PAIRS, open hosts) pairs and at most the fewest units left + 1
+    # sets per host; with MAX_PAIRS = 3, the four open hosts of a rank are
+    # more
     unranked = []
-    for name in ("_unrank_combo", "_unrank_with"):
-        real = getattr(minor, name)
-        monkeypatch.setattr(minor, name, lambda *a, real=real: unranked.append(a) or real(*a))
-    per_host = []  # > 0 inside a per-host or resumed search
-    lockstep_calls = []  # hosts reduced by each lockstep gf2_coset_reps call
-    search_sets = minor._search_sets
+    real_unrank = minor._unrank_combo
+    monkeypatch.setattr(minor, "_unrank_combo",
+                        lambda *a: unranked.append(a) or real_unrank(*a))
+    groups = []  # (column words, host -> budget) of each screened group
+    screen_rounds = minor._screen_rounds
 
-    def counted_search_sets(*args):
-        per_host.append(True)
-        try:
-            return search_sets(*args)
-        finally:
-            per_host.pop()
+    def recording(o, col_words, plan, order, budgets, screened):
+        groups.append((col_words, budgets))
+        return screen_rounds(o, col_words, plan, order, budgets, screened)
 
     coset_reps = linalg.gf2_coset_reps
+    rounds = []  # (open hosts, sets) of each call
 
-    def counted_reps(words, combos):
-        if not per_host:
-            lockstep_calls.append(len(words))
+    def capped(words, combos):
+        sets = len({tuple(row) for row in combos.tolist()})
+        hosts = len(combos) // sets
+        col_words, budgets = groups[-1]
+        live = {words[h * sets].tobytes() for h in range(hosts)}
+        left = [b.limit - b.spent for t, b in budgets.items() if col_words[t].tobytes() in live]
+        assert len(combos) <= max(minor.MAX_PAIRS, hosts), (len(combos), hosts)
+        assert left and sets <= min(left) + 1, (sets, left)
+        rounds.append((hosts, sets, sets == min(left) + 1 > 1))
         return coset_reps(words, combos)
 
-    monkeypatch.setattr(minor, "_search_sets", counted_search_sets)
-    monkeypatch.setattr(linalg, "gf2_coset_reps", counted_reps)
-    resumed = 0
-    for (m, n), seed in zip(_LOCKSTEP_SHAPES, itertools.count(60)):
-        hosts, col_words, ranks = _mixed_stack(m, n, seed, 6)
-        for _, target in _lockstep_targets():
-            for budget in (12, 2000):
-                steps = {}  # host -> lockstep steps it was reduced in, alone
-                for t, A in enumerate(hosts):
+    monkeypatch.setattr(minor, "_screen_rounds", recording)
+    monkeypatch.setattr(linalg, "gf2_coset_reps", capped)
+    wide = cut = 0
+    for max_pairs in (3, minor.MAX_PAIRS):
+        monkeypatch.setattr(minor, "MAX_PAIRS", max_pairs)
+        for (m, n), seed in zip(_LOCKSTEP_SHAPES, itertools.count(60)):
+            hosts, col_words, ranks = _mixed_stack(m, n, seed, 12)
+            for _, target in _lockstep_targets():
+                for budget in (12, 2000):
                     unranked.clear()
-                    minor.search(A, target, budget, ranks[t])
-                    want = len(unranked)
-                    unranked.clear()
-                    lockstep_calls.clear()
-                    minor.search_stack(col_words, m, ranks, target, budget, [t])
-                    assert len(unranked) == want, (m, n, target, budget, t)
-                    assert set(lockstep_calls) <= {1}
-                    steps[t] = len(lockstep_calls)
-                    resumed += steps[t] == 3 and want > 3
-                lockstep_calls.clear()
-                minor.search_stack(col_words, m, ranks, target, budget, range(len(hosts)))
-                groups: dict = {}
-                for t in range(len(hosts)):
-                    groups.setdefault(ranks[t], []).append(steps[t])
-                assert lockstep_calls == [sum(s > j for s in group) for group in groups.values()
-                                          for j in range(max(group))], (m, n, target, budget)
-    assert resumed
+                    rounds.clear()
+                    minor.search_stack(col_words, m, ranks, target, budget, range(len(hosts)))
+                    assert len(set(unranked)) == len(unranked), (m, n, target, budget)
+                    assert sum(sets for _, sets, _ in rounds) == len(unranked)
+                    wide += any(h > max_pairs for h, _, _ in rounds)
+                    cut += any(at_cap for _, _, at_cap in rounds)
+    # some rounds held more hosts than MAX_PAIRS, and the units left cut
+    # some short
+    assert wide and cut
