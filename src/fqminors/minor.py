@@ -14,24 +14,22 @@ One searcher and one reference, with the same witness format:
   direction selection, one per isomorphism invocation, and a candidate
   survivor selection costs as many units as the basis enumeration it
   triggers, so a fixed budget bounds actual work even for large targets.
-  Selections that differ only in the members they pick from a direction
-  class, or in which zero survivors play the target's loops, have the
-  same vectors in another order, so each such set is scored once and its
-  other selections are charged as before, in one tick.  The direction
-  selections are walked in combinations order with one echelon shared
-  along their prefixes (`_ranked_picks`), and only those of the target's
-  rank are yielded: a prefix whose rank passes r_t, or can no longer
-  reach it, is dropped with all the selections under it charged in one
-  tick.  It also charges one unit for each distinct order of the target's
+  It also charges one unit for each distinct order of the target's
   parallel-class sizes after the first, before it generates any of them,
   so no set-up step runs ahead of the budget.
   Its set-up, everything before the first contraction set, depends only
   on the target and the host's field, size and rank (`_set_up`, giving a
   `_Plan`); the sets themselves are screened per host (`_search_sets`).
-  Over GF(2) only the first PER_SET contraction sets are reduced one at
-  a time: most searches end within a few sets, where a numpy round's
-  fixed cost of about |C| calls would dominate.  The later sets are
-  screened in rounds, as a stack's are.
+  Every set is scored by one method, `_Plan.score`, from its survivors'
+  coset representatives: selections that differ only in the members
+  they pick from a direction class, or in which zero survivors play the
+  target's loops, are scored once and charged in one tick, and the
+  direction selections are walked with one echelon shared along their
+  prefixes (`_ranked_picks`), those of a rank other than r_t dropped
+  and charged in bulk.  Over GF(2) only the first PER_SET contraction
+  sets are reduced one at a time: most searches end within a few sets,
+  where a numpy round's fixed cost of about |C| calls would dominate.
+  The later sets are screened in rounds, as a stack's are.
 * `search_stack` runs that search on a whole stack of GF(2) hosts, from
   their column words.  Hosts of equal rank share one set-up and visit
   the same sets in the same order, so one function, `_screen_rounds`,
@@ -39,11 +37,11 @@ One searcher and one reference, with the same witness format:
   PER_SET.  A round takes the next sets, unranks each once and reduces
   every (host, set) pair by one `linalg.gf2_coset_reps`; the pairs whose
   set is dependent or leaves too few zero or distinct survivors are
-  dropped, and each host scans the rest through the per-set checks and
-  scan.  A round holds at most the fewest units left + 1 sets per host
-  and each set is still charged one unit, the dropped ones in one tick,
-  so the budget bounds the work and every witness, outcome and unit
-  spent is the per-set path's.
+  dropped, and each host scores the rest by `_Plan.score`.  A round
+  holds at most the fewest units left + 1 sets per host and each set is
+  still charged one unit, the dropped ones in one tick, so the budget
+  bounds the work and every witness, outcome and unit spent is the
+  per-set path's.
 * `find_minor` is the brute-force reference on abstract basis-family
   matroids: every (C, D) pair, dependent C included, then isomorphism, at
   one budget unit per pair.  The exact oracle and the `validate` agreement
@@ -140,19 +138,27 @@ class _Budget:
 
 
 def _unrank_combo(idx: int, n: int, k: int) -> tuple[int, ...]:
-    """Lexicographic unranking of k-subsets of range(n)."""
+    """Lexicographic unranking of k-subsets of range(n).  C(a, b) of the
+    sets left pick x = n - 1 - a next, b being the picks after x: one
+    `math.comb` per set, then exact ratio steps, C(a - 1, b) =
+    C(a, b) (a - b) / a past x and C(a - 1, b - 1) = C(a, b) b / a after
+    picking it."""
+    if not k:
+        return ()
     out = []
-    x = 0
-    for i in range(k):
-        while True:
-            c = math.comb(n - x - 1, k - i - 1)
-            if idx < c:
-                out.append(x)
-                x += 1
-                break
+    a, b = n - 1, k - 1
+    c = math.comb(a, b)
+    while True:
+        if idx < c:
+            out.append(n - 1 - a)
+            if not b:
+                return tuple(out)
+            c = c * b // a
+            b -= 1
+        else:
             idx -= c
-            x += 1
-    return tuple(out)
+            c = c * (a - b) // a
+        a -= 1
 
 
 def _stride_order(total: int):
@@ -296,7 +302,8 @@ class _Plan:
     any contraction set, the same for every host of n columns and rank
     r_h over GF(q) (`_set_up`): the target's sizes and parallel-class
     size orders, and the one contraction size `k` the search visits.  A
-    host's own search is `_search_sets` on its columns and budget."""
+    host's own search is `_search_sets` on its columns and budget, and
+    `score` scores one of its contraction sets."""
 
     def __init__(self, q: int, n: int, r_h: int, target: Matroid, sizes: list[int]):
         self.q, self.n, self.target = q, n, target
@@ -323,20 +330,79 @@ class _Plan:
         if self.size_orders is None:
             self.size_orders = _distinct_size_orders(self.sizes)
 
-    def consider(self, o, budget_: _Budget, combo, survivors, reps, zero_surv, dirs):
-        """The first witness contracting combo, given each survivor's
-        representative (reps), those that are zero and the direction
-        classes of the others, or None."""
-        if len(zero_surv) < self.l_t or len(dirs) < self.c_t:
+    def score(self, o, budget_: _Budget, combo, reps):
+        """The first witness contracting the independent set combo, or
+        None, given each survivor j's coset representative reps[j] modulo
+        the span of combo: the backend's zero vector when j lies in that
+        span, else scaled to pivot value 1 (`reduce_pivot`).
+
+        The survivors that reduce to zero can play the target's loops, and
+        the others fall into direction classes keyed by their
+        representatives.  A survivor selection takes l_t zero survivors
+        and, for each c_t-subset of the directions that spans rank r_t and
+        each size order, that many members of each chosen direction's
+        class.  `_ranked_picks` yields only the subsets of rank r_t and
+        charges one unit for every subset it passes, the pruned ones in
+        bulk, so each yielded subset is charged at the unit a walk over all
+        of them would charge it.
+
+        Every member of a class reduces to the class's key and every zero
+        survivor to zero, so two selections that differ only in the members
+        or the zero survivors they take give the same vectors in another
+        order: the same minor up to relabelling, with the same basis count
+        and the same isomorphism verdict.  So only the first of such equal
+        siblings, the one itertools would visit first, is scored, and when
+        it gives no witness the others are charged in one tick what scoring
+        each would have cost.  Charges only grow and no sibling could return
+        a witness, so the witness, the outcome and the budget spent are
+        those of scoring every selection in turn."""
+        in_c = set(combo)
+        survivors = [j for j in range(self.n) if j not in in_c]
+        zero = o.encode((0,) * o.m)
+        zero_surv = []
+        dirs: dict = {}
+        for j in survivors:
+            if reps[j] == zero:
+                zero_surv.append(j)
+            else:
+                dirs.setdefault(reps[j], []).append(j)
+        l_t, c_t, r_t, e_t = self.l_t, self.c_t, self.r_t, self.e_t
+        if len(zero_surv) < l_t or len(dirs) < c_t:
             return None
         # the key order picks the witness: GF(3) plane pairs sort as the
         # tuples of codes the table backend keyed them by.  The keys span
         # the quotient by C, of rank r_h - k = r_t: no rank check needed
         dir_keys = sorted(dirs, key=o.order)
-        return _scan_survivor_selections(
-            o, self.target, reps, combo, survivors, zero_surv, dirs, dir_keys,
-            self.l_t, self.c_t, self.size_orders, self.r_t, self.n_bases_t, budget_,
-        )
+        # charge candidates by the basis-family enumeration they trigger, so
+        # a fixed budget bounds actual work for large and small targets alike
+        bases_cost = max(1, math.comb(e_t, r_t))
+        loop_pick = tuple(zero_surv[:l_t])
+        spent = budget_.spent
+        for pick in _ranked_picks(o, dir_keys, c_t, r_t, budget_):
+            classes = [dirs[dir_keys[i]] for i in pick]
+            for order in self.size_orders:
+                picks = math.prod(math.comb(len(cls), s) for cls, s in zip(classes, order))
+                if picks == 0:
+                    continue
+                budget_.tick(bases_cost)
+                s_list = sorted(loop_pick + tuple(j for cls, s in zip(classes, order)
+                                                  for j in cls[:s]))
+                bases = linalg.basis_masks(o, [reps[j] for j in s_list], r_t, self.n_bases_t + 1)
+                cost = bases_cost
+                if len(bases) == self.n_bases_t:
+                    budget_.tick()
+                    bij = is_isomorphic(self.target, Matroid(e_t, bases))
+                    if bij is not None:
+                        return MinorWitness(frozenset(combo),
+                                            frozenset(survivors) - frozenset(s_list),
+                                            tuple(s_list[bij[i]] for i in range(e_t)))
+                    cost += 1
+                if picks > 1:
+                    budget_.tick((picks - 1) * cost)
+        loop_picks = math.comb(len(zero_surv), l_t)
+        if loop_picks > 1:
+            budget_.tick((loop_picks - 1) * (budget_.spent - spent))
+        return None
 
 
 _FREE = "free"  # `_set_up`'s answer for a free target that fits
@@ -362,7 +428,11 @@ def _set_up(q: int, n: int, r_h: int, target: Matroid, limit):
     # basis family is scanned
     if math.comb(e_t, r_t) > limit:
         raise BudgetExceededError("minor search budget exhausted")
-    sizes = [c.bit_count() for c in target.parallel_classes()]
+    if len(target.bases) == math.comb(e_t, r_t):
+        # U(r_t, e_t): all loops, one parallel class, or e_t points
+        sizes = [] if r_t == 0 else [e_t] if r_t == 1 else [1] * e_t
+    else:
+        sizes = [c.bit_count() for c in target.parallel_classes()]
     # every minor of M[A] embeds in an r_t-dimensional F_q space, so its
     # parallel classes are distinct projective points of PG(r_t - 1, q)
     if r_t >= 1 and len(sizes) > (q**r_t - 1) // (q - 1):
@@ -421,23 +491,15 @@ def _search_sets(o, cols: list, plan: _Plan, budget_: _Budget):
             ech.append(row)
         if len(ech) < k:
             continue
+        # a direction is keyed by its coset representative scaled to pivot
+        # value 1; scaling a column keeps every rank, so the scaled vector
+        # also stands for j in the basis enumeration
         in_c = set(combo)
-        survivors = [j for j in range(n) if j not in in_c]
-        zero_surv = []
-        reps = {}
-        dirs: dict = {}
-        for j in survivors:
-            # a direction is keyed by its coset representative scaled to
-            # pivot value 1; scaling a column keeps every rank, so the
-            # scaled vector also stands for j in the basis enumeration
-            row = o.reduce_pivot(ech, cols[j])
-            if row is None:
-                zero_surv.append(j)
-                reps[j] = zero
-            else:
+        reps = [zero] * n
+        for j in range(n):
+            if j not in in_c and (row := o.reduce_pivot(ech, cols[j])) is not None:
                 reps[j] = row[1]
-                dirs.setdefault(row[1], []).append(j)
-        witness = plan.consider(o, budget_, combo, survivors, reps, zero_surv, dirs)
+        witness = plan.score(o, budget_, combo, reps)
         if witness is not None:
             return witness
     if q != 2:
@@ -447,23 +509,6 @@ def _search_sets(o, cols: list, plan: _Plan, budget_: _Budget):
     if status == "unknown":
         raise BudgetExceededError("minor search budget exhausted")
     return witness
-
-
-def _cosets(combo, n: int, ints: list[int]):
-    """(survivors, reps, zero_surv, dirs) of the GF(2) contraction set
-    combo, as the per-set path of `_search_sets` builds them, from every
-    column's coset representative as an int, ints[j]."""
-    survivors = [j for j in range(n) if j not in combo]
-    zero_surv = []
-    reps = {}
-    dirs: dict = {}
-    for j in survivors:
-        reps[j] = v = ints[j]
-        if v:
-            dirs.setdefault(v, []).append(j)
-        else:
-            zero_surv.append(j)
-    return survivors, reps, zero_surv, dirs
 
 
 def _screen_rounds(o, col_words: np.ndarray, plan: _Plan, order, budgets: dict,
@@ -481,8 +526,8 @@ def _screen_rounds(o, col_words: np.ndarray, plan: _Plan, order, budgets: dict,
     and one `linalg.gf2_coset_reps` reduces every (host, set) pair of the
     round.  A pair may give a witness only when its set's columns are
     independent and leave at least l_t zero survivors and c_t distinct
-    nonzero ones; each host scans those in order through `_Plan.consider`
-    and leaves at its witness or when its budget runs out.  Each set costs
+    nonzero ones; each host scores those in order by `_Plan.score` and
+    leaves at its witness or when its budget runs out.  Each set costs
     the unit the per-set path charges it: the sets dropped before a
     passing one are charged with it in one tick, the rest at the end of
     the round, so every witness is found at the same `spent`."""
@@ -519,8 +564,7 @@ def _screen_rounds(o, col_words: np.ndarray, plan: _Plan, order, budgets: dict,
                 for b in np.flatnonzero(passed).tolist():
                     budget_.tick(b + 1 - charged)
                     charged = b + 1
-                    w = plan.consider(o, budget_, combos[b],
-                                      *_cosets(combos[b], n, linalg.word_ints(host_reps[b])))
+                    w = plan.score(o, budget_, combos[b], linalg.word_ints(host_reps[b]))
                     if w is not None:
                         out[t] = ("witness", w)
                         del open_[t]
@@ -532,63 +576,6 @@ def _screen_rounds(o, col_words: np.ndarray, plan: _Plan, order, budgets: dict,
                 out[t] = ("unknown", None)
                 del open_[t]
     return out
-
-
-def _scan_survivor_selections(
-    o, target, reps, combo, survivors, zero_surv, dirs, dir_keys,
-    l_t, c_t, size_orders, r_t, n_bases_t, budget_,
-):
-    """The first witness among the survivor selections of one contraction:
-    l_t zero survivors to play the loops and, for each c_t-subset of the
-    directions that spans rank r_t and each size order, that many members
-    of each chosen direction's class.  `_ranked_picks` yields only the
-    subsets of rank r_t and charges one unit for every subset it passes,
-    the pruned ones in bulk, so each yielded subset is charged at the
-    unit a walk over all of them would charge it.
-
-    Every member of a class reduces to the class's key and every zero
-    survivor to zero, so two selections that differ only in the members
-    or the zero survivors they take give the same vectors in another
-    order: the same minor up to relabelling, with the same basis count
-    and the same isomorphism verdict.  So only the first of such equal
-    siblings, the one itertools would visit first, is scored, and when it
-    gives no witness the others are charged in one tick what scoring each
-    would have cost.  Charges only grow and no sibling could return a
-    witness, so the witness, the outcome and the budget spent are those
-    of scoring every selection in turn."""
-    e_t = target.ground_size
-    # charge candidates by the basis-family enumeration they trigger, so a
-    # fixed budget bounds actual work for large and small targets alike
-    bases_cost = max(1, math.comb(e_t, r_t))
-    loop_pick = tuple(zero_surv[:l_t])
-    spent = budget_.spent
-    for pick in _ranked_picks(o, dir_keys, c_t, r_t, budget_):
-        classes = [dirs[dir_keys[i]] for i in pick]
-        for order in size_orders:
-            picks = math.prod(math.comb(len(cls), s) for cls, s in zip(classes, order))
-            if picks == 0:
-                continue
-            budget_.tick(bases_cost)
-            s_list = sorted(loop_pick + tuple(j for cls, s in zip(classes, order)
-                                              for j in cls[:s]))
-            bases = linalg.basis_masks(o, [reps[j] for j in s_list], r_t, n_bases_t + 1)
-            cost = bases_cost
-            if len(bases) == n_bases_t:
-                budget_.tick()
-                bij = is_isomorphic(target, Matroid(e_t, bases))
-                if bij is not None:
-                    return MinorWitness(
-                        frozenset(combo),
-                        frozenset(survivors) - frozenset(s_list),
-                        tuple(s_list[bij[i]] for i in range(e_t)),
-                    )
-                cost += 1
-            if picks > 1:
-                budget_.tick((picks - 1) * cost)
-    loop_picks = math.comb(len(zero_surv), l_t)
-    if loop_picks > 1:
-        budget_.tick((loop_picks - 1) * (budget_.spent - spent))
-    return None
 
 
 def _ranked_picks(o, keys: list, c: int, r: int, budget_: _Budget):

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -158,15 +159,18 @@ def test_large_target_setup_stays_small(name):
     assert peak < 8 * 2**20
 
 
-def test_size_checks_rule_out_before_the_parallel_class_scan(monkeypatch):
-    # U:10,20 has 184756 bases; e_t - r_t > n - r_h on a singular 20 x 20
-    # host decides this miss before the scan over them
-    target = catalog("U:10,20")
-
+def _forbid_parallel_class_scan(monkeypatch):
     def no_scan(self):
         raise AssertionError("parallel classes scanned")
 
     monkeypatch.setattr(Matroid, "parallel_classes", no_scan)
+
+
+def test_size_checks_rule_out_before_the_parallel_class_scan(monkeypatch):
+    # U:10,20 has 184756 bases; e_t - r_t > n - r_h on a singular 20 x 20
+    # host decides this miss before the scan over them
+    target = catalog("U:10,20")
+    _forbid_parallel_class_scan(monkeypatch)
     assert decide(sample_matrix(2, 20, 20, SeedSpec(0, 0)), target, 20000) == ("absent", None, 0)
 
 
@@ -493,6 +497,27 @@ def _reference_scan_survivor_selections(
     return None
 
 
+def _survivor_classes(plan, o, combo, reps):
+    """(survivors, zero survivors, direction classes, sorted keys) of one
+    contraction set, a survivor counted zero when its representative alone
+    has rank 0: a test independent of the scorer's own zero test."""
+    survivors = [j for j in range(plan.n) if j not in combo]
+    zero_surv = [j for j in survivors if o.rank_cols([reps[j]]) == 0]
+    dirs: dict = {}
+    for j in survivors:
+        if j not in zero_surv:
+            dirs.setdefault(reps[j], []).append(j)
+    return survivors, zero_surv, dirs, sorted(dirs, key=o.order)
+
+
+def _reference_score(plan, o, budget_, combo, reps):
+    """`_Plan.score` by the original survivor scan."""
+    survivors, zero_surv, dirs, dir_keys = _survivor_classes(plan, o, combo, reps)
+    return _reference_scan_survivor_selections(
+        o, plan.target, reps, combo, survivors, zero_surv, dirs, dir_keys, plan.l_t, plan.c_t,
+        plan.size_orders, plan.r_t, plan.n_bases_t, budget_)
+
+
 def _search_outcome(A, target, budget):
     try:
         return find_minor_matrix(A, target, budget)
@@ -525,7 +550,7 @@ def test_incremental_scan_matches_reference_scan(monkeypatch):
 
     def reference(A, t, budget):
         with monkeypatch.context() as mp:
-            mp.setattr(minor, "_scan_survivor_selections", _reference_scan_survivor_selections)
+            mp.setattr(minor._Plan, "score", _reference_score)
             mp.setattr(minor, "_distinct_size_orders", _reference_distinct_size_orders)
             return minor.search(A, t, budget)
 
@@ -640,15 +665,15 @@ def test_only_rank_drop_size_is_screened(monkeypatch):
                 where.pop()
         return run
 
-    real_consider = minor._Plan.consider
+    real_score = minor._Plan.score
 
-    def consider(plan, o, budget_, combo, *rest):
+    def score(plan, o, budget_, combo, reps):
         assert len(combo) == want_k, (combo, want_k)
         scored.add("/".join(where))
-        return real_consider(plan, o, budget_, combo, *rest)
+        return real_score(plan, o, budget_, combo, reps)
 
     real_unrank = minor._unrank_combo
-    monkeypatch.setattr(minor._Plan, "consider", consider)
+    monkeypatch.setattr(minor._Plan, "score", score)
     monkeypatch.setattr(minor, "_search_sets", spied("per-set", minor._search_sets))
     monkeypatch.setattr(minor, "_screen_rounds", spied("rounds", minor._screen_rounds))
     monkeypatch.setattr(minor, "_unrank_combo",
@@ -733,19 +758,19 @@ def test_sibling_charges_match_reference_threshold(monkeypatch):
         (host(F3, gf3, [(0, 2), (3, 2), (5, 1)], 2), [catalog("F7"), fano_loop]),
         (host(F4, gf4, [(0, 2), (3, 3), (4, 1)], 2), [catalog("U:3,7"), u37_loop]),
     ]
-    real_scan, real_iso = minor._scan_survivor_selections, minor.is_isomorphic
+    real_score, real_iso = minor._Plan.score, minor.is_isomorphic
     ran = {"loop siblings": 0, "member siblings": 0, "isomorphism misses": 0}
 
-    def spy_scan(o, target, reps, combo, survivors, zero_surv, dirs, dir_keys, l_t, c_t,
-                 size_orders, r_t, *rest):
-        got = real_scan(o, target, reps, combo, survivors, zero_surv, dirs, dir_keys, l_t, c_t,
-                        size_orders, r_t, *rest)
-        if got is None:
-            ran["loop siblings"] += math.comb(len(zero_surv), l_t) > 1
+    def spy_score(plan, o, budget_, combo, reps):
+        got = real_score(plan, o, budget_, combo, reps)
+        _, zero_surv, dirs, dir_keys = _survivor_classes(plan, o, combo, reps)
+        if got is None and len(zero_surv) >= plan.l_t and len(dirs) >= plan.c_t:
+            ran["loop siblings"] += math.comb(len(zero_surv), plan.l_t) > 1
             ran["member siblings"] += any(
-                o.rank_cols(keys) == r_t
+                o.rank_cols(keys) == plan.r_t
                 and math.prod(math.comb(len(dirs[k]), s) for k, s in zip(keys, order)) > 1
-                for keys in itertools.combinations(dir_keys, c_t) for order in size_orders)
+                for keys in itertools.combinations(dir_keys, plan.c_t)
+                for order in plan.size_orders)
         return got
 
     def spy_iso(target, m):
@@ -757,15 +782,14 @@ def test_sibling_charges_match_reference_threshold(monkeypatch):
         for t in targets:
             got = _decision_threshold(A, t)
             with monkeypatch.context() as mp:
-                mp.setattr(minor, "_scan_survivor_selections",
-                           _reference_scan_survivor_selections)
+                mp.setattr(minor._Plan, "score", _reference_score)
                 mp.setattr(minor, "_distinct_size_orders", _reference_distinct_size_orders)
                 want = _decision_threshold(A, t)
                 assert _search_outcome(A, t, want) == _search_outcome(A, t, None)
             assert got == want, (A, t)
             assert _search_outcome(A, t, got) == _search_outcome(A, t, None)
             with monkeypatch.context() as mp:
-                mp.setattr(minor, "_scan_survivor_selections", spy_scan)
+                mp.setattr(minor._Plan, "score", spy_score)
                 mp.setattr(minor, "is_isomorphic", spy_iso)
                 _search_outcome(A, t, None)
     # both bulk charges ran in scans that gave no witness, and so did the
@@ -779,6 +803,70 @@ def test_unranking_follows_lexicographic_order():
         for k in range(n + 1):
             want = list(itertools.combinations(range(n), k))
             assert [minor._unrank_combo(i, n, k) for i in range(len(want))] == want, (n, k)
+
+
+def test_unranking_computes_one_binomial_per_set(monkeypatch):
+    # the binomial is stepped by exact ratios from the one math.comb of each
+    # set, and the sets are those of one math.comb per position
+    real_comb = math.comb
+
+    def reference(idx, n, k):
+        out, x = [], 0
+        for i in range(k):
+            while idx >= (c := real_comb(n - x - 1, k - i - 1)):
+                idx -= c
+                x += 1
+            out.append(x)
+            x += 1
+        return tuple(out)
+
+    calls = []
+    monkeypatch.setattr(math, "comb", lambda *a: calls.append(a) or real_comb(*a))
+    rng = random.Random(26)
+    for n, k in ((24, 13), (600, 300), (900, 450), (900, 1), (900, 899), (900, 900)):
+        total = real_comb(n, k)
+        for idx in {0, total - 1} | {rng.randrange(total) for _ in range(5)}:
+            calls.clear()
+            got = minor._unrank_combo(idx, n, k)
+            assert len(calls) <= 1, (n, k, len(calls))
+            assert got == reference(idx, n, k), (n, k, idx)
+
+
+def test_uniform_target_sizes_match_parallel_classes(monkeypatch):
+    # U(r, e) has all C(e, r) bases; its class sizes follow from r and e
+    # alone: none at r = 0, one class of e at r = 1, e points at r >= 2
+    want = {}
+    for e in range(1, 9):
+        for r in range(e):  # r = e is free
+            t = uniform(r, e)
+            want[r, e] = t, sorted(c.bit_count() for c in t.parallel_classes())
+    _forbid_parallel_class_scan(monkeypatch)
+    for (r, e), (t, sizes) in want.items():
+        # GF(7) has room for the 8 points of U(2, 8) in PG(1, 7)
+        plan = minor._set_up(7, e, r, t, math.inf)
+        assert sorted(plan.sizes) == sizes, (r, e)
+
+
+def test_uniform_target_reaches_its_first_unit_without_the_scan(monkeypatch):
+    # a U:10,20 search at a budget that pays for one survivor selection
+    # reaches its first unit without the scan over 184756 bases; the
+    # selection's C(20, 10) units then run out at once
+    u1020 = catalog("U:10,20")
+    _forbid_parallel_class_scan(monkeypatch)
+    A = sample_matrix(2, 10, 20, SeedSpec(0, 1))  # 20 distinct columns of rank 10
+    first = []
+    real_tick = minor._Budget.tick
+
+    def tick(budget_, cost=1):
+        if not first:
+            first.append(time.perf_counter())
+        return real_tick(budget_, cost)
+
+    monkeypatch.setattr(minor._Budget, "tick", tick)
+    start = time.perf_counter()
+    status, _, spent = minor.search(A, u1020, math.comb(20, 10), 10)
+    assert first[0] - start < 0.1, first[0] - start
+    assert (status, spent) == ("unknown", math.comb(20, 10) + 1)
 
 
 # (shape, seed, targets) of seeded GF(2) hosts whose decision thresholds
