@@ -33,17 +33,18 @@ shares no elimination with the search, so a verifier does not trust the
 kernel it checks.  Its output is a plain matrix of the kept entries
 (`pick`).
 A matrix's columns and rows reach a backend in its form (`cols_of`,
-`rows_of`): attached to the matrix when the sampler (`pack`, by numpy's
-`pack_rows` from the codes) or the oracle built them, and otherwise
-encoded from the entries (`encode`).  `gf2_ranks` ranks a whole stack of
-GF(2) matrices at once, on the same 64-bit row words that `pack_rows`
-joins into ints (`word_ints`), by one numpy elimination across the stack;
-`pack_stack` packs a whole stack's rows, and its columns, into such words
-with one call each, and `narrow_words` packs only the orientation with
-fewer columns, the one `gf2_ranks` eliminates fastest.  `gf2_contract`
-contracts each matrix of a stack on its own chosen columns by one numpy
-Gaussian elimination on its row words: the batched witness verifier's
-contraction, which shares no step with the search or with `contract`.
+`rows_of`): its columns attached to the matrix when the sampler (`pack`,
+by numpy's `pack_rows` from the codes) or the oracle built them, and
+otherwise, as its rows always are, encoded from the entries (`encode`).
+`gf2_ranks` ranks a whole stack of GF(2) matrices at once, on the same
+64-bit row words that `pack_rows` joins into ints (`word_ints`), by one
+numpy elimination across the stack; `pack_stack` packs a whole stack's
+rows, and its columns, into such words with one call each, and
+`narrow_words` packs only the orientation with fewer columns, the one
+`gf2_ranks` eliminates fastest.  `gf2_contract` contracts each matrix of
+a stack on its own chosen columns by one numpy Gaussian elimination on
+its row words: the batched witness verifier's contraction, which shares
+no step with the search or with `contract`.
 `gf2_coset_reps` reduces every column of each of a batch of (host,
 contraction set) pairs modulo the set by one numpy column elimination on
 column words (`int_words` turns a host's int columns into them), giving
@@ -244,10 +245,8 @@ class _Ops:
         return [self.encode(A.col(j)) for j in range(A.n)]
 
     def rows_of(self, A: FqMatrix) -> list:
-        """A's rows as vectors over its columns: the attached ones, else
-        encoded from the entries."""
-        if A.packed_rows is not None:
-            return list(A.packed_rows)
+        """A's rows as vectors over its columns, encoded from the
+        entries."""
         return [self.encode(A.row(i)) for i in range(A.m)]
 
     def rank_cols(self, cols) -> int:
@@ -283,9 +282,9 @@ class BitOps(_Ops):
         """The column with the given entries, entry i = row i."""
         return _plane(entries, _ONES)
 
-    def pack(self, codes: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(columns, rows) of an m x n array of codes, packed by numpy."""
-        return tuple(pack_rows(codes.T)), tuple(pack_rows(codes))
+    def pack(self, codes: np.ndarray) -> tuple[int, ...]:
+        """The columns of an m x n array of codes, packed by numpy."""
+        return tuple(pack_rows(codes.T))
 
     def reduce(self, ech: list, v: int) -> int:
         for bit, b in ech:
@@ -323,9 +322,9 @@ class GenOps(_Ops):
     def encode(self, entries) -> tuple[int, ...]:
         return tuple(entries)
 
-    def pack(self, codes: np.ndarray) -> tuple[None, None]:
+    def pack(self, codes: np.ndarray) -> None:
         """Nothing: a tuple column is read from the entries as cheaply."""
-        return None, None
+        return None
 
     def _axpy(self, v, coeff_neg, b):
         # v + coeff_neg * b componentwise; a list comprehension over one
@@ -389,13 +388,12 @@ class TriOps(GenOps):
         """The column with the given entries, entry i = row i."""
         return _plane(entries, _ONES), _plane(entries, _TWOS)
 
-    def pack(self, codes: np.ndarray) -> tuple[tuple, tuple]:
-        """(columns, rows) of an m x n array of codes, each plane packed
-        by numpy."""
-        m, n = codes.shape
+    def pack(self, codes: np.ndarray) -> tuple:
+        """The columns of an m x n array of codes, each plane packed by
+        numpy."""
+        n = codes.shape[1]
         cols = pack_rows(np.concatenate((codes.T == 1, codes.T == 2)))
-        rows = pack_rows(np.concatenate((codes == 1, codes == 2)))
-        return tuple(zip(cols[:n], cols[n:])), tuple(zip(rows[:m], rows[m:]))
+        return tuple(zip(cols[:n], cols[n:]))
 
     def order(self, v: tuple[int, int]) -> int:
         """The base-3 number whose digits, most significant first, are v's

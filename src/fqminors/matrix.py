@@ -22,12 +22,10 @@ class FqMatrix:
     m: int
     n: int
     entries: tuple[int, ...]
-    # the columns and rows in the column form of `linalg.ops_for`'s backend
-    # for this field, when the builder attached them: the sampler attaches
-    # both, the oracle columns only.  They take no part in equality,
-    # hashing or repr.
+    # the columns in the column form of `linalg.ops_for`'s backend for this
+    # field, when the builder (the sampler, the oracle) attached them.
+    # They take no part in equality, hashing or repr.
     packed_cols: tuple | None = dc_field(default=None, compare=False, repr=False)
-    packed_rows: tuple | None = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.m < 0 or self.n < 0:

@@ -68,8 +68,8 @@ verified), `absent`, `unknown` (budget ran out) or `unverified` (a
 witness that failed its independent check, never counted as found).
 `decide` is the two with `verify_witness_matrix` on one host, for the
 `minor` and `class` commands and the Monte Carlo trials over fields
-other than GF(2); GF(2) trials search by `search_stack` and check their
-witnesses by `verify_witness_stack` (`sampler.search_chunk`).
+other than GF(2); `decide_stack` is its stacked twin for GF(2) trials
+(`sampler.search_chunk`), through `search_stack` and `verify_witness_stack`.
 """
 
 from __future__ import annotations
@@ -594,40 +594,33 @@ def _ranked_picks(o, keys: list, c: int, r: int, budget_: _Budget):
     before it, so the budget runs out, and a witness is found, at the
     `spent` of one tick per pick.
     """
-    n = len(keys)
     if c == 0:
         budget_.tick()
         if r == 0:
             yield ()
         return
-    reduce_pivot, tick, comb = o.reduce_pivot, budget_.tick, math.comb
-    ech: list = []
-    pick: list[int] = []
-    pushed: list[bool] = []
-    i = 0
-    while True:
-        depth = len(pick) + 1
-        if i > n - c + depth - 1:
-            # every pick under this prefix has been passed: back up one key
-            if not pick:
-                return
-            i = pick.pop() + 1
-            if pushed.pop():
-                ech.pop()
-            continue
-        row = reduce_pivot(ech, keys[i])
+    yield from _walk_picks(o, keys, c, r, budget_.tick, [], (), 0)
+
+
+def _walk_picks(o, keys: list, c: int, r: int, tick, ech: list, pick: tuple, start: int):
+    """`_ranked_picks` under the prefix `pick`, whose rows are on `ech`,
+    extended by each index from `start` on that leaves room for a c-subset
+    (a module function, as `linalg._walk_bases` is)."""
+    n, depth = len(keys), len(pick) + 1
+    for i in range(start, n - c + depth):
+        row = o.reduce_pivot(ech, keys[i])
         rank = len(ech) + (row is not None)
         if rank > r or rank + c - depth < r:
-            tick(comb(n - i - 1, c - depth))
+            tick(math.comb(n - i - 1, c - depth))
         elif depth == c:
             tick()
             yield (*pick, i)
         else:
             if row is not None:
                 ech.append(row)
-            pushed.append(row is not None)
-            pick.append(i)
-        i += 1
+            yield from _walk_picks(o, keys, c, r, tick, ech, (*pick, i), i + 1)
+            if row is not None:
+                ech.pop()
 
 
 def verify_witness_matrix(A: FqMatrix, target: Matroid, w: MinorWitness) -> bool:
@@ -765,6 +758,26 @@ def _search_group(o, col_words: np.ndarray, r_h: int, group: list, target: Matro
     order = _stride_order(math.comb(n, plan.k))
     return {t: (status, w, budgets[t].spent)
             for t, (status, w) in _screen_rounds(o, col_words, plan, order, budgets, 0).items()}
+
+
+def decide_stack(words, col_words, ranks, targets, budget) -> list[tuple[str, ...]]:
+    """`decide`'s outcomes for `targets` in each GF(2) host t of a stack,
+    with row words words[t], column words col_words[t] (`linalg.pack_stack`)
+    and rank ranks[t], as one tuple per host in target order.  Target by
+    target, one `search_stack` searches every host still open and one
+    `verify_witness_stack` checks their witnesses; a host leaves at its
+    first verified witness, as in `has_excluded_minor_matrix`'s short circuit."""
+    m, n = words.shape[1], col_words.shape[1]
+    outcomes: list[tuple[str, ...]] = [()] * len(ranks)
+    still_open = range(len(ranks))
+    for target in targets:
+        searched = search_stack(col_words, m, ranks, target, budget, still_open)
+        verified = verify_witness_stack(
+            words, n, target, {t: w for t, (_, w, _) in searched.items() if w is not None})
+        for t, (status, _, _) in searched.items():
+            outcomes[t] += (outcome(status, verified.get(t, False)),)
+        still_open = [t for t in still_open if outcomes[t][-1] != "found"]
+    return outcomes
 
 
 # ----------------------------------------------------------------------

@@ -16,9 +16,9 @@ RNG contract (bit-exact, reproducible across platforms and schedules):
   repeating until none remain.  (For q a power of two T = 2^64 and no
   rejection ever happens.)  `sample_entries` returns the codes as a 1-D
   int64 array.  A sampled GF(2) or GF(3) matrix also carries its columns
-  and rows in its backend's form (`linalg.ops_for`), built from that array
-  with numpy: GF(2) ints, GF(3) pairs of bit-planes.  They are built from
-  the codes after the draw, so the words and the entries are unchanged.
+  in its backend's form (`linalg.ops_for`), built from that array with
+  numpy: GF(2) ints, GF(3) pairs of bit-planes.  They are built from the
+  codes after the draw, so the words and the entries are unchanged.
 * Monte Carlo trial i uses stream i, so trials are independent of execution
   order and may be split across processes without changing any output.
 
@@ -28,18 +28,18 @@ chunk function on each range and sums the Counters.  A chunk function
 (args, seed, lo, hi) -> Counter counts the outcomes of trials lo..hi-1.
 Over GF(2) every chunk function draws a range's codes into stacks
 (`_gf2_stacks`, the same words as one trial at a time) and ranks each stack
-by one `linalg.gf2_ranks` elimination; minor and class trials then go on
-through one skeleton, `search_chunk`, which builds no host matrix and
-searches each stack by `minor.search_stack`: per target and rank the
-hosts share one set-up and have every contraction set screened together
-in rounds, each host on its own budget.  Over other fields each trial is
-sampled by `sample_matrix` and ranked by `linalg.fast_rank` or decided on
-the per-trial path (`minor.decide`, which keeps `verify_witness_matrix`),
-as in the `minor` and `class` commands.  Estimates carry Wilson 95%
-intervals.  A minor trial counts as a success only when its own witness
-verifies; budget-exhausted searches and failed verifications are reported
-in `unknowns` (the latter also in `unverified`), never folded into
-successes, and both paths classify through `minor.outcome`.
+by one `linalg.gf2_ranks` elimination.  Minor and class trials then go on
+through one skeleton, `search_chunk`, which counts each trial by the tuple
+of its targets' `minor.outcome`s, up to the first 'found', and leaves the
+reading of those tuples to its callers; it builds no host matrix and
+decides each stack by `minor.decide_stack`.  Over other fields each trial
+is sampled by `sample_matrix` and ranked by `linalg.fast_rank` or decided
+on the per-trial path (`minor.decide`, which keeps
+`verify_witness_matrix`), as in the `minor` and `class` commands.
+Estimates carry Wilson 95% intervals.  A minor trial counts as a success
+only when its own witness verifies; budget-exhausted searches and failed
+verifications are reported in `unknowns` (the latter also in
+`unverified`), never folded into successes.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ from .errors import BadArgumentsError
 from .gf import field
 from .matrix import FqMatrix
 from .matroid import Matroid
-from .minor import (DEFAULT_BUDGET, check_budget, decide, outcome, search_stack,
-                    verify_witness_stack)
+from .minor import DEFAULT_BUDGET, check_budget, decide, decide_stack
 
 _MASK64 = (1 << 64) - 1
 # the most entries a sampled matrix may have; larger shapes are rejected
@@ -135,13 +134,12 @@ def sample_entries(q: int, count: int, spec: SeedSpec) -> np.ndarray:
 
 def sample_matrix(q: int, m: int, n: int, spec: SeedSpec) -> FqMatrix:
     """Uniform m x n matrix over GF(q), deterministic in (q, m, n, spec).
-    Over GF(2) and GF(3) it carries its columns and rows in its backend's
-    form."""
+    Over GF(2) and GF(3) it carries its columns in its backend's form."""
     check_shape(m, n)
     codes = sample_entries(q, m * n, spec)
     f = field(q)
     entries = tuple(codes.tolist())
-    return FqMatrix(f, m, n, entries, *linalg.ops_for(f, m).pack(codes.reshape(m, n)))
+    return FqMatrix(f, m, n, entries, packed_cols=linalg.ops_for(f, m).pack(codes.reshape(m, n)))
 
 
 # ----------------------------------------------------------------------
@@ -324,23 +322,20 @@ def mc_event_prob(q: int, m: int, n: int, event: str, trials: int, seed: int) ->
 
 
 def search_chunk(q: int, m: int, n: int, seed: int, lo: int, hi: int, targets, budget,
-                 judge, per_trial, undecided: str) -> Counter:
+                 per_trial) -> Counter:
     """Counter of the results of trials lo..hi-1 that search their host
-    for `targets` in order, stopping at the first found: per_trial(A) is a
-    trial's result from its `sample_matrix` host A, judge(outcomes) the
-    result from its targets' `minor.outcome`s.  Over fields other than
-    GF(2) every trial is decided by per_trial.
+    for `targets` in order, stopping at the first found.  A trial's result
+    is the tuple of its targets' `minor.outcome`s, in target order up to
+    the first 'found'; per_trial(A) gives that tuple from its
+    `sample_matrix` host A, and over fields other than GF(2) every trial
+    is decided by it.
 
     Over GF(2) each stack of `_gf2_stacks` is packed by one
-    `linalg.pack_stack` and ranked by one `linalg.gf2_ranks`, and no host
-    is built as a matrix.  Target by target, every host still open is
-    searched by one `minor.search_stack` (the hosts of each rank screened
-    together in rounds, each host on its own budget), the target's
-    witnesses are checked by one
-    `verify_witness_stack`, and a host whose witness verifies leaves.  A
+    `linalg.pack_stack`, ranked by one `linalg.gf2_ranks` and decided by
+    one `minor.decide_stack`, and no host is built as a matrix.  A
     stack's first trial is also decided by per_trial on the per-host
-    path, a spot check of the stacked one: when the two disagree it
-    counts as `undecided`."""
+    path, a spot check of the stacked one: when the two tuples differ it
+    counts as ('unverified',)."""
     check_shape(m, n)
     if q != 2:
         return Counter(per_trial(sample_matrix(q, m, n, SeedSpec(seed, i))) for i in range(lo, hi))
@@ -349,28 +344,19 @@ def search_chunk(q: int, m: int, n: int, seed: int, lo: int, hi: int, targets, b
         words, col_words = linalg.pack_stack(stack)
         # ranked on the words of the orientation with fewer columns
         narrow, width = (col_words, m) if n > m else (words, n)
-        ranks = linalg.gf2_ranks(narrow, width).tolist()
-        outcomes: list[list[str]] = [[] for _ in streams]
-        still_open = range(len(streams))
-        for target in targets:
-            searched = search_stack(col_words, m, ranks, target, budget, still_open)
-            verified = verify_witness_stack(
-                words, n, target, {t: w for t, (_, w, _) in searched.items() if w is not None})
-            for t, (status, _, _) in searched.items():
-                outcomes[t].append(outcome(status, verified.get(t, False)))
-            still_open = [t for t in still_open if outcomes[t][-1] != "found"]
-        judged = [judge(outs) for outs in outcomes]
-        if judged[0] != per_trial(sample_matrix(2, m, n, SeedSpec(seed, streams[0]))):
-            judged[0] = undecided
-        results.update(judged)
+        outcomes = decide_stack(words, col_words, linalg.gf2_ranks(narrow, width).tolist(),
+                                targets, budget)
+        if outcomes[0] != per_trial(sample_matrix(2, m, n, SeedSpec(seed, streams[0]))):
+            outcomes[0] = ("unverified",)
+        results.update(outcomes)
     return results
 
 
 def _minor_chunk(args, seed: int, lo: int, hi: int) -> Counter:
-    """Counter of the `decide` outcomes of trials lo..hi-1."""
+    """Counter of the 1-tuples of `decide` outcomes of trials lo..hi-1."""
     q, m, n, target, budget = args
-    return search_chunk(q, m, n, seed, lo, hi, (target,), budget, lambda outcomes: outcomes[0],
-                        lambda A: decide(A, target, budget)[0], "unverified")
+    return search_chunk(q, m, n, seed, lo, hi, (target,), budget,
+                        lambda A: (decide(A, target, budget)[0],))
 
 
 def mc_minor_prob(q: int, m: int, n: int, target: Matroid, trials: int, seed: int,
@@ -385,6 +371,6 @@ def mc_minor_prob(q: int, m: int, n: int, target: Matroid, trials: int, seed: in
     """
     check_budget(budget)
     outcomes = run_trials(_minor_chunk, (q, m, n, target, budget), trials, seed, jobs)
-    unverified = outcomes["unverified"]
-    return _make_estimate(trials, outcomes["found"], outcomes["unknown"] + unverified,
+    unverified = outcomes[("unverified",)]
+    return _make_estimate(trials, outcomes[("found",)], outcomes[("unknown",)] + unverified,
                           unverified, seed)

@@ -165,25 +165,29 @@ class ClassSweepRow:
 
 
 def _class_chunk(args, seed: int, lo: int, hi: int) -> Counter:
-    """Counter of the class memberships of trials lo..hi-1, by the rule
-    of `ExcludedMinorReport.membership`."""
+    """Counter of the outcome tuples of trials lo..hi-1, one outcome per
+    excluded minor decided, in the order of
+    `has_excluded_minor_matrix`'s short-circuit report."""
     q, m, n, class_name, budget = args
-    names, targets = zip(*excluded_minors(class_name))
+    targets = tuple(target for _, target in excluded_minors(class_name))
     return search_chunk(
         q, m, n, seed, lo, hi, targets, budget,
-        lambda outcomes: ExcludedMinorReport(class_name, dict(zip(names, outcomes))).membership,
-        lambda A: has_excluded_minor_matrix(A, class_name, budget, short_circuit=True).membership,
-        "unknown")
+        lambda A: tuple(has_excluded_minor_matrix(A, class_name, budget,
+                                                  short_circuit=True).outcomes.values()))
 
 
 def run_class_sweep(q: int, class_name: str, n_range, m_rule: str, trials: int,
                     seed: int, budget: int | None = SWEEP_BUDGET,
                     jobs: int = 1) -> list[ClassSweepRow]:
     check_budget(budget)
-    excluded_minors(class_name)  # an unknown class fails before any trial
+    # an unknown class fails before any trial
+    names = [name for name, _ in excluded_minors(class_name)]
     rows = []
     for n, m in sweep_sizes(n_range, m_rule):
-        members = run_trials(_class_chunk, (q, m, n, class_name, budget), trials, seed, jobs)
+        members: Counter = Counter()  # each distinct outcome tuple read once
+        for outcomes, count in run_trials(_class_chunk, (q, m, n, class_name, budget), trials,
+                                          seed, jobs).items():
+            members[ExcludedMinorReport(class_name, dict(zip(names, outcomes))).membership] += count
         rows.append(ClassSweepRow(n, m, trials, members["no"], members["unknown"]))
     return rows
 

@@ -642,6 +642,41 @@ def test_gf3_golden(args, code, stdout, capsys):
     assert capsys.readouterr().out == stdout
 
 
+# GF(4), the one field here on the table backend (`linalg.GenOps`): one
+# host's search and class test, and a class and a minor sweep whose
+# trials all take the per-trial path
+GF4_GOLDEN = [
+    ('minor --sample 4 4 8 --target name:U:2,4 --seed 0 --json', 0,
+     '{"outcome": "found", "verified": true, "witness": {"bijection": [2, 3, 5, 7], '
+     '"contract": [0, 1], "delete": [4, 6]}}\n'),
+    ('class --sample 4 4 8 --seed 1 --json', 0,
+     '{"class": "graphic", "membership": "no", "outcomes": {"F7": "absent", "F7*": "absent", '
+     '"MK33*": "absent", "MK5*": "absent", "U:2,4": "found"}, '
+     '"witnesses": {"U:2,4": {"bijection": [2, 3, 4, 6], "contract": [0, 1], "delete": [5, '
+     '7]}}}\n'),
+    ('class --sweep --q 4 --n-start 6 --n-stop 9 --m-rule n-minus:3 --trials 20 --seed 1', 0,
+     '# row-floor: q=4 requires m(n) >= 2: satisfied for all n\n'
+     'n,m,trials,nongraphic_found,unknown,frequency\n'
+     '6,3,20,11,0,0.55\n'
+     '7,4,20,16,0,0.8\n'
+     '8,5,20,20,0,1\n'
+     '9,6,20,20,0,1\n'),
+    ('simulate --q 4 --target name:U:2,4 --n-start 5 --n-stop 8 --m-rule n-minus:2'
+     ' --trials 30 --seed 3', 0,
+     'n,m,trials,point,ci_lo,ci_hi,lower_bound,upper_bound\n'
+     '5,3,30,0.433333333333,0.273774855765,0.608026929992,0.0246226787567,\n'
+     '6,4,30,0.533333333333,0.361422996199,0.697676110923,0.0246226787567,\n'
+     '7,5,30,0.566666666667,0.391973070008,0.726225144235,0.0246226787567,\n'
+     '8,6,30,0.766666666667,0.590716738419,0.882076118555,0.0246226787567,\n'),
+]
+
+
+@pytest.mark.parametrize("args,code,stdout", GF4_GOLDEN, ids=[a for a, _, _ in GF4_GOLDEN])
+def test_gf4_golden(args, code, stdout, capsys):
+    assert cli.main(args.split()) == code
+    assert capsys.readouterr().out == stdout
+
+
 # GF(2) searches of one host that run past the first minor.PER_SET
 # contraction sets into the screening rounds: a witness after about 1,260
 # sets, an absent target after 1,820, a budget that runs out, the class

@@ -286,7 +286,7 @@ def test_sampled_gf2_packing_matches_python_packing():
         o = linalg.BitOps(F2, m)
         assert o.cols_of(A) == o.cols_of(plain) == cols
         assert o.rows_of(A) == o.rows_of(plain) == rows
-        assert plain.packed_cols is None and plain.packed_rows is None
+        assert plain.packed_cols is None
     # the table backend's fields carry nothing
     assert sample_matrix(4, 2, 2, SeedSpec(3, 0)).packed_cols is None
 
@@ -309,7 +309,7 @@ def test_sampled_gf3_planes_match_python_packing():
         o = linalg.TriOps(F3, m)
         assert o.cols_of(A) == o.cols_of(plain) == [planes(A.col(j)) for j in range(n)]
         assert o.rows_of(A) == o.rows_of(plain) == [planes(A.row(i)) for i in range(m)]
-        assert plain.packed_cols is None and plain.packed_rows is None
+        assert plain.packed_cols is None
 
 
 def test_gf2_trial_rank_matches_column_rank():
@@ -509,11 +509,11 @@ def _host(m: int, cols) -> FqMatrix:
 
 
 def _recording_search(monkeypatch, corrupt=None):
-    """Patch the stacked search a GF(2) chunk runs to record (columns,
-    r_h, status, witness) per host, the columns as ints and the witness
-    passed through `corrupt` when given."""
+    """Patch the stacked search a GF(2) chunk runs (`minor.decide_stack`'s
+    `search_stack`) to record (columns, r_h, status, witness) per host, the
+    columns as ints and the witness passed through `corrupt` when given."""
     seen = []
-    search_stack = sampler.search_stack
+    search_stack = minor.search_stack
 
     def recording(col_words, m, ranks, target, budget, hosts):
         got = search_stack(col_words, m, ranks, target, budget, hosts)
@@ -525,7 +525,7 @@ def _recording_search(monkeypatch, corrupt=None):
             seen.append((cols, ranks[t], status, w))
         return got
 
-    monkeypatch.setattr(sampler, "search_stack", recording)
+    monkeypatch.setattr(minor, "search_stack", recording)
     return seen
 
 
@@ -549,7 +549,7 @@ def test_one_failing_witness_in_a_stack_is_unverified(monkeypatch, bad):
     statuses = Counter(status for _, _, status, _ in seen)
     assert len(seen) == 50 and statuses == {"witness": 49, "absent": 1}
     assert seen[bad][2] == "witness"
-    assert got == {"found": 48, "unverified": 1, "absent": 1}
+    assert got == {("found",): 48, ("unverified",): 1, ("absent",): 1}
     seen.clear()
     est = mc_minor_prob(2, 4, 6, target, 50, seed=1)
     assert est.unverified == 1 and est.successes == 48
@@ -561,18 +561,19 @@ def test_stacked_minor_hosts_equal_sample_matrix(monkeypatch, m, n):
     monkeypatch.setattr(sampler, "_RANK_STACK_ENTRIES", 40)
     seen = _recording_search(monkeypatch)
     rows = []  # each host's row words, as the stacked witness check gets them
-    verify = sampler.verify_witness_stack
+    verify = minor.verify_witness_stack
 
     def recording_verify(words, n, target, witnesses):
         rows.extend(tuple(linalg.word_ints(w)) for w in words)
         return verify(words, n, target, witnesses)
 
-    monkeypatch.setattr(sampler, "verify_witness_stack", recording_verify)
+    monkeypatch.setattr(minor, "verify_witness_stack", recording_verify)
     sampler._minor_chunk((2, m, n, catalog("U:1,2"), 20000), 5, 3, 20)
     assert len(seen) == len(rows) == 17
     for i, (cols, r_h, _, _), host_rows in zip(range(3, 20), seen, rows):
         B = sample_matrix(2, m, n, SeedSpec(5, i))
-        assert _host(m, cols) == B and cols == B.packed_cols and host_rows == B.packed_rows
+        assert _host(m, cols) == B and cols == B.packed_cols
+        assert list(host_rows) == linalg.BitOps(F2, m).rows_of(B)
         assert r_h == linalg.fast_rank(B)
 
 

@@ -117,10 +117,30 @@ CLASS_SHAPES = [(8, 16), (16, 24), (3, 66), (0, 4), (4, 0)]
 CLASS_BUDGET = 60
 
 
-def _memberships(m, n, seed, trials):
+def _reports(m, n, seed, trials):
     return [has_excluded_minor_matrix(sample_matrix(2, m, n, SeedSpec(seed, i)), "graphic",
-                                      CLASS_BUDGET, short_circuit=True).membership
+                                      CLASS_BUDGET, short_circuit=True)
             for i in range(trials)]
+
+
+def _memberships(m, n, seed, trials):
+    return [report.membership for report in _reports(m, n, seed, trials)]
+
+
+def _outcome_tuples(m, n, seed, trials):
+    """Each trial's per-target outcomes on the per-trial path, as the
+    class chunk counts them."""
+    return [tuple(report.outcomes.values()) for report in _reports(m, n, seed, trials)]
+
+
+def _by_membership(outcome_counts):
+    """A class chunk's Counter of outcome tuples as a Counter of
+    memberships, as `run_class_sweep` reads it."""
+    out = Counter()
+    for outcomes, count in outcome_counts.items():
+        report = ExcludedMinorReport("graphic", dict(zip(minor.GRAPHIC_EXCLUDED, outcomes)))
+        out[report.membership] += count
+    return out
 
 
 def _stack_size(m, n):
@@ -133,10 +153,10 @@ def test_stacked_class_counts_equal_per_trial_membership(monkeypatch, jobs):
     monkeypatch.setattr(sampler, "_RANK_STACK_ENTRIES", 1000)
     seen = Counter()
     for m, n in CLASS_SHAPES:
-        want = Counter(_memberships(m, n, 13, 40))
+        want = Counter(_outcome_tuples(m, n, 13, 40))
         got = run_trials(sweep._class_chunk, (2, m, n, "graphic", CLASS_BUDGET), 40, 13, jobs)
         assert got == want, (m, n)
-        seen.update(want)
+        seen.update(_by_membership(want))
     assert set(seen) == {"yes", "no", "unknown"}
 
 
@@ -151,8 +171,8 @@ def test_stacked_class_chunk_samples_once_per_stack(monkeypatch):
         monkeypatch.setattr(module, name,
                             lambda *a, real=real, name=name: calls.update([name]) or real(*a))
     # one search per open host and target
-    search_stack = sampler.search_stack
-    monkeypatch.setattr(sampler, "search_stack",
+    search_stack = minor.search_stack
+    monkeypatch.setattr(minor, "search_stack",
                         lambda *a: calls.update(search=len(a[-1])) or search_stack(*a))
     for m, n in CLASS_SHAPES:
         sweep._class_chunk((2, m, n, "graphic", CLASS_BUDGET), 13, 3, 40)
@@ -173,22 +193,49 @@ def test_stacked_class_chunk_counts_no_only_on_verified_witness(monkeypatch):
     for m, n in CLASS_SHAPES:
         yes = _memberships(m, n, 13, 40).count("yes")
         got = sweep._class_chunk((2, m, n, "graphic", CLASS_BUDGET), 13, 0, 40)
-        assert got == Counter(yes=yes, unknown=40 - yes), (m, n)
+        assert _by_membership(got) == Counter(yes=yes, unknown=40 - yes), (m, n)
 
 
 def test_failed_class_spot_check_counts_unknown(monkeypatch):
     # the per-trial path, which decides each stack's first trial again,
-    # says every host is in the class: each first trial that is not
-    # counts as unknown, and no other trial moves
+    # reports one target, absent: no stacked trial decides only that one,
+    # so each first trial counts as unknown, and no other trial moves
     monkeypatch.setattr(sampler, "_RANK_STACK_ENTRIES", 1000)
     monkeypatch.setattr(sweep, "has_excluded_minor_matrix",
                         lambda *a, **kw: ExcludedMinorReport("graphic", {"U:2,4": "absent"}))
     m, n = 8, 16
-    truth = _memberships(m, n, 13, 40)
+    truth = _outcome_tuples(m, n, 13, 40)
     firsts = range(0, 40, _stack_size(m, n))
-    assert any(truth[t] == "no" for t in firsts)
-    want = Counter("unknown" if t in firsts and v != "yes" else v for t, v in enumerate(truth))
-    assert sweep._class_chunk((2, m, n, "graphic", CLASS_BUDGET), 13, 0, 40) == want
+    assert _by_membership(Counter(truth[t] for t in firsts))["no"]
+    want = Counter(("unverified",) if t in firsts else v for t, v in enumerate(truth))
+    got = sweep._class_chunk((2, m, n, "graphic", CLASS_BUDGET), 13, 0, 40)
+    assert got == want
+    assert _by_membership(got)["unknown"] >= len(firsts)
+
+
+def test_class_spot_check_compares_every_target_outcome(monkeypatch):
+    # the stacked search calls U:2,4 unknown in the first host of the one
+    # stack, where the per-host search finds it absent (no binary host has
+    # U:2,4); an excluded minor found later makes that host non-graphic on
+    # both paths, but the two paths disagree, so the trial counts as unknown
+    search_group = minor._search_group
+
+    def unknown_u24(o, col_words, r_h, group, target, budget):
+        got = search_group(o, col_words, r_h, group, target, budget)
+        if (target.ground_size, target.rank) == (4, 2) and 0 in got:
+            assert got[0][0] == "absent"
+            got[0] = ("unknown", None, got[0][2])
+        return got
+
+    def counts():
+        rows = run_class_sweep(2, "graphic", (16, 16, 1), "n-minus:8", 40, seed=13,
+                               budget=20_000)
+        return [(r.confirmed_out, r.unknown) for r in rows]
+
+    assert _stack_size(8, 16) >= 40
+    assert counts() == [(40, 0)]
+    monkeypatch.setattr(minor, "_search_group", unknown_u24)
+    assert counts() == [(39, 1)]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -196,7 +243,7 @@ def test_unknown_class_rejected_before_any_search(monkeypatch, jobs):
     def no_search(*args, **kw):
         raise AssertionError("a host was searched")
 
-    for module, name in ((sweep, "run_trials"), (sampler, "search_stack"), (minor, "search")):
+    for module, name in ((sweep, "run_trials"), (minor, "search_stack"), (minor, "search")):
         monkeypatch.setattr(module, name, no_search)
     with pytest.raises(BadArgumentsError, match="unknown minor-closed class 'planar'"):
         run_class_sweep(2, "planar", (8, 16, 8), "n-minus:8", 10, seed=0, jobs=jobs)
