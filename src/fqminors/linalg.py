@@ -47,8 +47,8 @@ its row words: the batched witness verifier's contraction, which shares
 no step with the search or with `contract`.
 `gf2_coset_reps` reduces every column of each of a batch of (host,
 contraction set) pairs modulo the set by one numpy column elimination on
-column words (`int_words` turns a host's int columns into them), giving
-`reduce`'s coset representatives: the minor search's screening rounds.
+their column words, giving `reduce`'s coset representatives: the minor
+search's screening rounds for a stack's hosts.
 """
 
 from __future__ import annotations
@@ -78,13 +78,6 @@ def word_ints(words: np.ndarray) -> list[int]:
     for k in range(words.shape[1] - 2, -1, -1):
         out = [v << 64 | w for v, w in zip(out, words[:, k].tolist())]
     return out
-
-
-def int_words(ints: list[int], width: int) -> np.ndarray:
-    """`word_ints`' inverse: each int as a row of `width` 64-bit words,
-    least significant first."""
-    return np.array([[v >> s & 0xFFFFFFFFFFFFFFFF for s in range(0, 64 * width, 64)]
-                     for v in ints], dtype=np.uint64).reshape(len(ints), width)
 
 
 def pack_rows(bits: np.ndarray) -> list[int]:

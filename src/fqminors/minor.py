@@ -26,22 +26,19 @@ One searcher and one reference, with the same witness format:
   target's loops, are scored once and charged in one tick, and the
   direction selections are walked with one echelon shared along their
   prefixes (`_ranked_picks`), those of a rank other than r_t dropped
-  and charged in bulk.  Over GF(2) only the first PER_SET contraction
-  sets are reduced one at a time: most searches end within a few sets,
-  where a numpy round's fixed cost of about |C| calls would dominate.
-  The later sets are screened in rounds, as a stack's are.
+  and charged in bulk.  A lone host's sets are reduced one at a time
+  (`reduce_pivot`), on every field.
 * `search_stack` runs that search on a whole stack of GF(2) hosts, from
   their column words.  Hosts of equal rank share one set-up and visit
   the same sets in the same order, so one function, `_screen_rounds`,
-  screens all their sets together, and a lone host's after its first
-  PER_SET.  A round takes the next sets, unranks each once and reduces
-  every (host, set) pair by one `linalg.gf2_coset_reps`; the pairs whose
-  set is dependent or leaves too few zero or distinct survivors are
-  dropped, and each host scores the rest by `_Plan.score`.  A round
-  holds at most the fewest units left + 1 sets per host and each set is
-  still charged one unit, the dropped ones in one tick, so the budget
-  bounds the work and every witness, outcome and unit spent is the
-  per-set path's.
+  screens all their sets together.  A round takes the next sets, unranks
+  each once and reduces every (host, set) pair by one
+  `linalg.gf2_coset_reps`; the pairs whose set is dependent or leaves
+  too few zero or distinct survivors are dropped, and each host scores
+  the rest by `_Plan.score`.  A round holds at most the fewest units
+  left + 1 sets per host and each set is still charged one unit, the
+  dropped ones in one tick, so the budget bounds the work and every
+  witness, outcome and unit spent is the per-set path's.
 * `find_minor` is the brute-force reference on abstract basis-family
   matroids: every (C, D) pair, dependent C included, then isomorphism, at
   one budget unit per pair.  The exact oracle and the `validate` agreement
@@ -91,13 +88,8 @@ DEFAULT_BUDGET = 10_000_000
 
 GRAPHIC_EXCLUDED = ("U:2,4", "F7", "F7*", "MK5*", "MK33*")
 
-# A lone GF(2) host screens its first PER_SET contraction sets one at a
-# time: most searches end within a few sets, and a numpy round costs about
-# |C| numpy calls however few of its sets are needed.  Its later sets, and
-# every set of a stack's hosts, are screened in rounds of at most
-# MAX_PAIRS (host, set) pairs, or one set for each open host when they
-# are more (`_screen_rounds`).
-PER_SET = 16
+# A stack's hosts are screened in rounds of at most MAX_PAIRS (host, set)
+# pairs, or one set for each open host when they are more (`_screen_rounds`).
 MAX_PAIRS = 256
 
 
@@ -305,8 +297,8 @@ class _Plan:
     host's own search is `_search_sets` on its columns and budget, and
     `score` scores one of its contraction sets."""
 
-    def __init__(self, q: int, n: int, r_h: int, target: Matroid, sizes: list[int]):
-        self.q, self.n, self.target = q, n, target
+    def __init__(self, n: int, r_h: int, target: Matroid, sizes: list[int]):
+        self.n, self.target = n, target
         self.e_t, self.r_t = target.ground_size, target.rank
         self.l_t = target.loops().bit_count()
         self.sizes = sizes
@@ -437,7 +429,7 @@ def _set_up(q: int, n: int, r_h: int, target: Matroid, limit):
     # parallel classes are distinct projective points of PG(r_t - 1, q)
     if r_t >= 1 and len(sizes) > (q**r_t - 1) // (q - 1):
         return None
-    return _Plan(q, n, r_h, target, sizes)
+    return _Plan(n, r_h, target, sizes)
 
 
 def _free_witness(o, cols: list, e_t: int) -> MinorWitness:
@@ -474,13 +466,11 @@ def find_minor_matrix(A: FqMatrix, target: Matroid, budget: int | _Budget | None
 
 def _search_sets(o, cols: list, plan: _Plan, budget_: _Budget):
     """The first witness, or None, among the plan.k-sets of the host with
-    columns `cols`, in `_stride_order`, each charged one unit.  Over GF(2)
-    the first PER_SET sets are reduced one at a time and the rest are
-    screened in rounds of this one host (`_screen_rounds`)."""
-    n, q, k = plan.n, plan.q, plan.k
+    columns `cols`, in `_stride_order`, each charged one unit and reduced
+    one at a time by `reduce_pivot`, on every field."""
+    n, k = plan.n, plan.k
     zero = o.encode((0,) * o.m)  # what a survivor in the span of C reduces to
-    order = _stride_order(math.comb(n, k))
-    for idx in itertools.islice(order, PER_SET if q == 2 else None):
+    for idx in _stride_order(math.comb(n, k)):
         combo = _unrank_combo(idx, n, k)
         budget_.tick()
         ech: list = []
@@ -502,25 +492,17 @@ def _search_sets(o, cols: list, plan: _Plan, budget_: _Budget):
         witness = plan.score(o, budget_, combo, reps)
         if witness is not None:
             return witness
-    if q != 2:
-        return None
-    words = linalg.int_words(cols, max(1, -(-o.m // 64)))
-    status, witness = _screen_rounds(o, words[None], plan, order, {0: budget_}, PER_SET)[0]
-    if status == "unknown":
-        raise BudgetExceededError("minor search budget exhausted")
-    return witness
+    return None
 
 
-def _screen_rounds(o, col_words: np.ndarray, plan: _Plan, order, budgets: dict,
-                   screened: int) -> dict:
+def _screen_rounds(o, col_words: np.ndarray, plan: _Plan, budgets: dict) -> dict:
     """The GF(2) search of each host t of `budgets`, with column words
-    col_words[t] and budget budgets[t], through the plan.k-sets that come
-    next from `order`, `screened` sets having come before them, as t ->
-    ('witness', w), ('absent', None) or ('unknown', None) when its budget
-    ran out.
+    col_words[t] and budget budgets[t], through the plan.k-sets in
+    `_stride_order`, as t -> ('witness', w), ('absent', None) or
+    ('unknown', None) when its budget ran out.
 
     The open hosts are screened in rounds.  A round takes the next sets
-    from `order`: as many as were screened before it (at least 1), at
+    of the order: as many as were screened before it (at least 1), at
     most MAX_PAIRS // open hosts (at least 1) and at most the fewest units
     left + 1, so the budget bounds the work.  Each set is unranked once
     and one `linalg.gf2_coset_reps` reduces every (host, set) pair of the
@@ -533,6 +515,8 @@ def _screen_rounds(o, col_words: np.ndarray, plan: _Plan, order, budgets: dict,
     the round, so every witness is found at the same `spent`."""
     n, width = col_words.shape[1:]
     k = plan.k
+    order = _stride_order(math.comb(n, k))
+    screened = 0
     out: dict = {}
     open_ = dict(budgets)
     while open_:
@@ -755,9 +739,8 @@ def _search_group(o, col_words: np.ndarray, r_h: int, group: list, target: Matro
             plan.charge(budget_)  # the same charge for every host
     except BudgetExceededError:
         return {t: ("unknown", None, budget_.spent) for t in group}
-    order = _stride_order(math.comb(n, plan.k))
     return {t: (status, w, budgets[t].spent)
-            for t, (status, w) in _screen_rounds(o, col_words, plan, order, budgets, 0).items()}
+            for t, (status, w) in _screen_rounds(o, col_words, plan, budgets).items()}
 
 
 def decide_stack(words, col_words, ranks, targets, budget) -> list[tuple[str, ...]]:

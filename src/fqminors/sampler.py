@@ -335,7 +335,9 @@ def search_chunk(q: int, m: int, n: int, seed: int, lo: int, hi: int, targets, b
     one `minor.decide_stack`, and no host is built as a matrix.  A
     stack's first trial is also decided by per_trial on the per-host
     path, a spot check of the stacked one: when the two tuples differ it
-    counts as ('unverified',)."""
+    counts as ('unverified',).  The per-host search reduces each
+    contraction set one at a time, so it shares no reduction kernel with
+    the stacked one's `linalg.gf2_coset_reps`."""
     check_shape(m, n)
     if q != 2:
         return Counter(per_trial(sample_matrix(q, m, n, SeedSpec(seed, i))) for i in range(lo, hi))

@@ -1,6 +1,6 @@
 """Shared test helpers: independent oracles kept deliberately separate from
 the package implementations they check, the subprocess CLI runner, and the
-matrix and matroid builders and text writers that only tests need.  The
+matrix and matroid builders, column words and text writers that only tests need.  The
 all-(C, D) minor reference is the package's own `fqminors.minor.find_minor`,
 which `fqminors validate` and the exact oracle run too."""
 
@@ -10,6 +10,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from fqminors.gf import Field
 from fqminors.matrix import FqMatrix
@@ -39,6 +41,13 @@ def from_rows(f: Field, rows) -> FqMatrix:
 
 def identity(f: Field, m: int) -> FqMatrix:
     return FqMatrix(f, m, m, tuple(1 if i == j else 0 for i in range(m) for j in range(m)))
+
+
+def int_words(ints: list[int], width: int) -> np.ndarray:
+    """`linalg.word_ints`' inverse: each int as a row of `width` 64-bit
+    words, least significant first."""
+    return np.array([[v >> s & 0xFFFFFFFFFFFFFFFF for s in range(0, 64 * width, 64)]
+                     for v in ints], dtype=np.uint64).reshape(len(ints), width)
 
 
 def format_matrix(A: FqMatrix) -> str:

@@ -677,11 +677,11 @@ def test_gf4_golden(args, code, stdout, capsys):
     assert capsys.readouterr().out == stdout
 
 
-# GF(2) searches of one host that run past the first minor.PER_SET
-# contraction sets into the screening rounds: a witness after about 1,260
-# sets, an absent target after 1,820, a budget that runs out, the class
-# test on that host and a low-budget class sweep whose per-stack spot
-# checks run the same single-host path
+# GF(2) searches of one host that reduce up to 1,820 contraction sets one
+# at a time: a witness at the 1,134th set, an absent target after all
+# 1,820, a budget that runs out after 47 sets, the class test on that host
+# and a low-budget class sweep whose per-stack spot checks run the same
+# single-host path
 GF2_GOLDEN = [
     ('minor --sample 2 8 16 --seed 2 --target name:F7 --json', 0,
      '{"outcome": "found", "verified": true, "witness": {"bijection": [1, 3, 15, 5, 8, 13, 12], '

@@ -8,12 +8,12 @@ import random
 
 import numpy as np
 
-from conftest import from_rows, rank, rref
+from conftest import from_rows, int_words, rank, rref
 from fqminors import linalg
 from fqminors.gf import field
 from fqminors.linalg import (BitOps, GenOps, TriOps, _words, contract, fast_rank, gf2_contract,
-                             gf2_coset_reps, gf2_ranks, int_words, leftmost_independent,
-                             narrow_words, ops_for, pack_stack, word_ints)
+                             gf2_coset_reps, gf2_ranks, leftmost_independent, narrow_words,
+                             ops_for, pack_stack, word_ints)
 from fqminors.matrix import FqMatrix
 from fqminors.sampler import SeedSpec, sample_matrix
 

@@ -649,9 +649,8 @@ def test_unranking_is_bounded_by_the_budget(monkeypatch):
 
 def test_only_rank_drop_size_is_screened(monkeypatch):
     # every contraction set a search unranks or scores has r_h - r_t
-    # elements: on the GF(2) per-set path, in the screening rounds a lone
-    # host goes on to, in the rounds of search_stack, and over GF(3), on
-    # absent and unknown searches alike
+    # elements: on the per-set path over GF(2) and GF(3), and in the
+    # rounds of search_stack, on absent and unknown searches alike
     want_k = None
     where: list[str] = []  # the set loops running, outermost first
     unranked, scored = [], set()
@@ -702,19 +701,19 @@ def test_only_rank_drop_size_is_screened(monkeypatch):
                         assert set(unranked) <= {want_k}, (m, n, name, budget, i)
     assert {"absent", "unknown"} <= {s for q, s in statuses if q == 2}
     assert {"absent", "unknown"} <= {s for q, s in statuses if q == 3}
-    assert scored == {"per-set", "per-set/rounds", "rounds"}
+    assert scored == {"per-set", "rounds"}
 
 
-def _decision_threshold(A, target) -> int:
-    """The least budget at which find_minor_matrix(A, target) is not
-    unknown, by doubling and bisection."""
+def _decision_threshold(A, target, run=_search_outcome) -> int:
+    """The least budget at which run(A, target, budget), by default
+    find_minor_matrix, is not unknown, by doubling and bisection."""
     hi = 1
-    while _search_outcome(A, target, hi) == "budget exhausted":
+    while run(A, target, hi) == "budget exhausted":
         hi *= 2
     lo = hi // 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _search_outcome(A, target, mid) == "budget exhausted":
+        if run(A, target, mid) == "budget exhausted":
             lo = mid
         else:
             hi = mid
@@ -879,12 +878,25 @@ _SCREEN_CASES = [
 ]
 
 
+def _stack_search(A, target, budget):
+    """search_stack's (status, witness, spent) for target in the GF(2)
+    host A, as the only host of its stack."""
+    col_words = linalg.pack_stack(np.array(A.entries, dtype=np.uint8).reshape(1, A.m, A.n))[1]
+    return minor.search_stack(col_words, A.m, [linalg.fast_rank(A)], target, budget, [0])[0]
+
+
+def _stack_outcome(A, target, budget):
+    """`_search_outcome` through `_stack_search`."""
+    status, w, _ = _stack_search(A, target, budget)
+    return "budget exhausted" if status == "unknown" else w
+
+
 def test_batched_screen_matches_per_set_threshold(monkeypatch):
     # the GF(2) screening rounds only drop sets the per-set path drops and
-    # charge the same units, so the least budget that decides, and the
-    # outcome at every budget, must be the per-set path's; screening in
-    # rounds from the first set, of at most 1, 3 and 512 pairs, and at the
-    # module's own sizes
+    # charge the same units, so search_stack on a lone host must decide at
+    # the least budget search decides at, and give its status, witness and
+    # units spent at every budget; in rounds of at most 1, 3 and 512
+    # pairs, and at the module's own MAX_PAIRS
     looped = from_matrix(from_rows(F2, [[1, 0, 1, 0], [0, 1, 1, 0]]))  # U:2,3 and a loop
     budgets = []
     screened = []
@@ -913,21 +925,47 @@ def test_batched_screen_matches_per_set_threshold(monkeypatch):
         for name in names:
             t = looped if name == "loop" else catalog(name)
             with monkeypatch.context() as mp:
-                mp.setattr(minor, "PER_SET", 10**9)
                 mp.setattr(linalg, "gf2_coset_reps", forbidden)
                 want = _decision_threshold(A, t)
-                want_outcomes = [_search_outcome(A, t, b) for b in (want - 1, want, 200, None)]
-            seen.update(type(o).__name__ for o in want_outcomes)
-            for sizes in ((0, 1), (0, 3), (0, 512), (minor.PER_SET, minor.MAX_PAIRS)):
+                want_searches = [minor.search(A, t, b) for b in (want - 1, want, 200, None)]
+            seen.update(status for status, _, _ in want_searches)
+            for max_pairs in (1, 3, 512, minor.MAX_PAIRS):
                 with monkeypatch.context() as mp:
-                    for const, value in zip(("PER_SET", "MAX_PAIRS"), sizes):
-                        mp.setattr(minor, const, value)
-                    assert _decision_threshold(A, t) == want, (m, n, seed, name, sizes)
-                    assert [_search_outcome(A, t, b) for b in (want - 1, want, 200, None)] \
-                        == want_outcomes, (m, n, seed, name, sizes)
-    assert seen == {"MinorWitness", "NoneType", "str"}
+                    mp.setattr(minor, "MAX_PAIRS", max_pairs)
+                    assert _decision_threshold(A, t, _stack_outcome) == want, \
+                        (m, n, seed, name, max_pairs)
+                    assert [_stack_search(A, t, b) for b in (want - 1, want, 200, None)] \
+                        == want_searches, (m, n, seed, name, max_pairs)
+    assert seen == {"witness", "absent", "unknown"}
     # rounds ran, and the units left cut some of them short
     assert screened and any(count == left + 1 < 512 and count > 3 for count, left in screened)
+
+
+def test_lone_host_search_reduces_set_by_set(monkeypatch):
+    # a lone GF(2) host's search reduces every contraction set one at a
+    # time, however many it visits, so it shares no reduction kernel with
+    # search_stack, which the spot check compares it with; on GF2_GOLDEN's
+    # host, F7 is found at the 1134th set, MK33* absent after all 1820 and
+    # F7* unknown after 47, each giving search_stack's triple
+    A = sample_matrix(2, 8, 16, SeedSpec(2, 0))
+    cases = [("F7", minor.DEFAULT_BUDGET, "witness", 1134), ("MK33*", 20000, "absent", 1820),
+             ("F7*", 2000, "unknown", 47)]
+    unranked = []
+    real_unrank = minor._unrank_combo
+
+    def forbidden(*args):
+        raise AssertionError("a lone host's search ran a screening round")
+
+    got = {}
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "gf2_coset_reps", forbidden)
+        mp.setattr(minor, "_unrank_combo", lambda *a: unranked.append(a) or real_unrank(*a))
+        for name, budget, status, sets in cases:
+            unranked.clear()
+            got[name] = minor.search(A, catalog(name), budget)
+            assert (got[name][0], len(unranked)) == (status, sets), name
+    for name, budget, _, _ in cases:
+        assert _stack_search(A, catalog(name), budget) == got[name], name
 
 
 def _relabel(M: Matroid, perm) -> Matroid:
@@ -1086,7 +1124,7 @@ def _lockstep_targets():
 def test_lockstep_matches_per_host_search(monkeypatch, max_pairs):
     # every host of a stack, screened in rounds of at most max_pairs pairs
     # together with the other hosts of its rank, must give the status,
-    # witness and units spent of its own search and of the all-per-set
+    # witness and units spent of its own search, the all-per-set
     # reference, whether it ends in the set-up, in the first round or in a
     # later one
     if max_pairs is not None:
@@ -1112,9 +1150,6 @@ def test_lockstep_matches_per_host_search(monkeypatch, max_pairs):
                 assert list(got) == list(range(len(hosts)))
                 for t, A in enumerate(hosts):
                     want = minor.search(A, target, budget, ranks[t])
-                    with monkeypatch.context() as mp:
-                        mp.setattr(minor, "PER_SET", 10**9)
-                        assert minor.search(A, target, budget, ranks[t]) == want
                     assert got[t] == want, (m, n, name, budget, t)
                     words = col_words[t].tobytes()
                     seen.add((want[0], min(sum(words in live for live in rounds), 2)))
@@ -1138,9 +1173,9 @@ def test_lockstep_screens_each_set_once(monkeypatch):
     groups = []  # (column words, host -> budget) of each screened group
     screen_rounds = minor._screen_rounds
 
-    def recording(o, col_words, plan, order, budgets, screened):
+    def recording(o, col_words, plan, budgets):
         groups.append((col_words, budgets))
-        return screen_rounds(o, col_words, plan, order, budgets, screened)
+        return screen_rounds(o, col_words, plan, budgets)
 
     coset_reps = linalg.gf2_coset_reps
     rounds = []  # (open hosts, sets) of each call
