@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import formulas, validate
 from .errors import BadArgumentsError, FqminorsError, ParseError
 from .matrix import FqMatrix, parse_matrix
-from .matroid import Matroid, catalog, parse_matroid
+from .matroid import Matroid, catalog, is_binary, parse_matroid
 from .minor import DEFAULT_BUDGET, decide, has_excluded_minor_matrix
 from .sampler import SeedSpec, sample_matrix
 from .sweep import (SWEEP_BUDGET, class_rows_to_csv, minor_rows_to_csv, run_class_sweep,
@@ -128,28 +128,36 @@ def _add_formula_parser(sub):
 
 
 def _cmd_formula(args):
-    _, label, value, exponent = _FORMULAS[args.formula_cmd]
+    flags, label, value, exponent = _FORMULAS[args.formula_cmd]
     if exponent is not None:
         formulas.check_size(args.q, exponent(args))
     v = value(args)
-    if isinstance(v, int):
-        return EXIT_OK, {"value": str(v)}, f"{label} = {v}\n"
-    if isinstance(v, Fraction):
-        payload, text = _frac_json(v), _frac_text(label, v)
-        if args.formula_cmd == "free-prob" and args.r > min(args.m, args.n):
-            payload["note"] = "rank exceeds min(m, n); the minor is impossible"
-            text += f"note: {payload['note']}\n"
-        return EXIT_OK, payload, text
+    note = None
+    if args.formula_cmd == "free-prob" and args.r > min(args.m, args.n):
+        note = "rank exceeds min(m, n); the minor is impossible"
+    elif "target" in flags and args.q == 2 and not is_binary(_load_matroid(args.target)):
+        # every bound on a target presumes a representation: none, so 0
+        note = "the target has no GF(2) representation; the minor is impossible"
+        v = (formulas.BoundReport("lower", Fraction(0), note=note)
+             if isinstance(v, formulas.BoundReport) else type(v)(0))
     if isinstance(v, formulas.BoundReport):
         text = _frac_text(label, v.value) + f"best_k = {v.best_k}\n"
         if v.note:
             text += f"note: {v.note}\n"
         return EXIT_OK, v.to_json(), text
-    approx, terms, floor_bound = v  # cq
-    payload = {"approx": approx, "partial_terms": terms,
-               "pentagonal_floor": _frac_json(floor_bound)}
-    text = (f"approx = {approx:.12g}\npartial_terms = {terms}\n"
-            f"pentagonal_floor = {floor_bound.numerator}/{floor_bound.denominator}\n")
+    if isinstance(v, int):
+        payload, text = {"value": str(v)}, f"{label} = {v}\n"
+    elif isinstance(v, Fraction):
+        payload, text = _frac_json(v), _frac_text(label, v)
+    else:
+        approx, terms, floor_bound = v  # cq
+        payload = {"approx": approx, "partial_terms": terms,
+                   "pentagonal_floor": _frac_json(floor_bound)}
+        text = (f"approx = {approx:.12g}\npartial_terms = {terms}\n"
+                f"pentagonal_floor = {floor_bound.numerator}/{floor_bound.denominator}\n")
+    if note:
+        payload["note"] = note
+        text += f"note: {note}\n"
     return EXIT_OK, payload, text
 
 

@@ -11,9 +11,12 @@ One searcher and one reference, with the same witness format:
   independent and D coindependent (Oxley, Matroid Theory, Lemma 3.3.2),
   so the target is absent once the sets of that size are exhausted.  Its
   budget counts work units: one per candidate contraction set, one per
-  direction selection, one per isomorphism invocation, and a candidate
+  direction selection, one per isomorphism test, and a candidate
   survivor selection costs as many units as the basis enumeration it
   triggers, so a fixed budget bounds actual work even for large targets.
+  A basis family that matched the target once is not tested again on the
+  same `_Plan` (`_Plan.matched`), but its test is still charged its unit,
+  so the units spent are those of testing it every time.
   It also charges one unit for each distinct order of the target's
   parallel-class sizes after the first, before it generates any of them,
   so no set-up step runs ahead of the budget.
@@ -295,7 +298,14 @@ class _Plan:
     r_h over GF(q) (`_set_up`): the target's sizes and parallel-class
     size orders, and the one contraction size `k` the search visits.  A
     host's own search is `_search_sets` on its columns and budget, and
-    `score` scores one of its contraction sets."""
+    `score` scores one of its contraction sets.
+
+    `matched` maps each basis family a survivor selection matched the
+    target on, as `linalg.basis_masks` lists it, to `is_isomorphic`'s
+    bijection for it; a host leaves its search at its first witness, so
+    it holds at most one family per host that found one, the hosts of a
+    stack's rank group sharing the plan.  Families that did not match are
+    not kept: a search may test as many as its budget pays for."""
 
     def __init__(self, n: int, r_h: int, target: Matroid, sizes: list[int]):
         self.n, self.target = n, target
@@ -306,6 +316,8 @@ class _Plan:
         self.n_orders = _n_distinct_orders(sizes)
         self.size_orders = None  # built by the first `charge`
         self.n_bases_t = len(target.bases)
+        # matched basis family -> is_isomorphic's bijection, positives only
+        self.matched: dict = {}
         # every witness contracts an independent set of r_h - r_t columns
         # (Oxley, Lemma 3.3.2), the one size searched; `_set_up` checked
         # e_t - r_t <= n - r_h, so k + e_t <= n.  The quotient by C has
@@ -347,7 +359,13 @@ class _Plan:
         it gives no witness the others are charged in one tick what scoring
         each would have cost.  Charges only grow and no sibling could return
         a witness, so the witness, the outcome and the budget spent are
-        those of scoring every selection in turn."""
+        those of scoring every selection in turn.
+
+        The isomorphism test of a selection whose basis family is in
+        `matched` reads its bijection from there, after charging the test's
+        unit as a fresh test would: the verdict depends only on the family,
+        and the witness maps the bijection through this selection's own
+        survivors, so the witness and the units spent do not change."""
         in_c = set(combo)
         survivors = [j for j in range(self.n) if j not in in_c]
         zero = o.encode((0,) * o.m)
@@ -383,8 +401,12 @@ class _Plan:
                 cost = bases_cost
                 if len(bases) == self.n_bases_t:
                     budget_.tick()
-                    bij = is_isomorphic(self.target, Matroid(e_t, bases))
+                    key = tuple(bases)
+                    bij = self.matched.get(key)
+                    if bij is None:
+                        bij = is_isomorphic(self.target, Matroid(e_t, bases))
                     if bij is not None:
+                        self.matched[key] = bij
                         return MinorWitness(frozenset(combo),
                                             frozenset(survivors) - frozenset(s_list),
                                             tuple(s_list[bij[i]] for i in range(e_t)))

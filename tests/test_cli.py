@@ -114,6 +114,29 @@ FORMULA_GOLDEN = [
      '{"den": "48828125", "float": 0.00097517568, "num": "47616"}\n'),
     ('repcount --m 2 --q 2 --target name:U:2,3', 0, 'rep_count_lower_bound = 6\n'),
     ('repcount --m 2 --q 2 --target name:U:2,3 --json', 0, '{"value": "6"}\n'),
+    # U:2,4 has no GF(2) representation: every bound on it over GF(2) is
+    # 0, with a note, where `lower` used to print 189/8192
+    ('lower --m 4 --n 8 --q 2 --target name:U:2,4', 0,
+     'lower = 0/1\nfloat = 0\nbest_k = None\n'
+     'note: the target has no GF(2) representation; the minor is impossible\n'),
+    ('lower --m 4 --n 8 --q 2 --target name:U:2,4 --json', 0,
+     '{"best_k": null, "components": {}, "den": "1", "float": 0.0, "kind": "lower",'
+     ' "note": "the target has no GF(2) representation; the minor is impossible", "num": "0"}\n'),
+    ('liminf --q 2 --target name:U:2,4', 0,
+     'liminf = 0/1\nfloat = 0\n'
+     'note: the target has no GF(2) representation; the minor is impossible\n'),
+    ('liminf --q 2 --target name:U:2,4 --json', 0,
+     '{"den": "1", "float": 0.0,'
+     ' "note": "the target has no GF(2) representation; the minor is impossible", "num": "0"}\n'),
+    ('block-lower --m 4 --n 8 --q 2 --target name:U:2,4', 0,
+     'lower = 0/1\nfloat = 0\n'
+     'note: the target has no GF(2) representation; the minor is impossible\n'),
+    ('psmq --s 3 --q 2 --target name:U:2,4', 0,
+     'p_smq = 0/1\nfloat = 0\n'
+     'note: the target has no GF(2) representation; the minor is impossible\n'),
+    ('repcount --m 2 --q 2 --target name:U:2,4 --json', 0,
+     '{"note": "the target has no GF(2) representation; the minor is impossible",'
+     ' "value": "0"}\n'),
     # GF(6) does not exist; GF(17) and GF(32) do, past the field tables
     ('rank-count --m 3 --n 4 --q 6 --k 2', 1, ''),
     ('rank-count --m 3 --n 4 --q 6 --k 2 --json', 1, ''),
@@ -342,6 +365,23 @@ def test_simulate_bounds_past_the_size_bound_are_empty(flags, capsys):
     # the last square GF(2) size inside the bound keeps both bounds
     assert None not in sweep.bounds_for(catalog("U:1,2"), 2, 118, 118)
     assert sweep.bounds_for(catalog("U:1,2"), 2, 119, 119) == (None, None)
+
+
+def test_simulate_prints_no_bound_a_nonbinary_target_cannot_meet(capsys):
+    # U:2,4 is never a minor of a GF(2) matrix, so its estimate is 0 and its
+    # bounds must be too: the lower bound used to read 0.0230712890625 on
+    # every row, above ci_hi 0.0188
+    args = ["simulate", "--q", "2", "--target", "name:U:2,4", "--n-start", "8",
+            "--n-stop", "16", "--n-step", "4", "--m-rule", "n-minus:4", "--trials", "200"]
+    assert cli.main(args) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    for line in lines[1:]:
+        _, _, _, point, _, ci_hi, lower, upper = line.split(",")
+        assert point == "0" and float(lower) <= float(ci_hi)
+        assert lower == upper == "0"
+    assert sweep.bounds_for(catalog("U:2,4"), 2, 4, 8) == (0, 0)
+    assert 0 < sweep.bounds_for(catalog("U:2,4"), 3, 4, 8)[0]
 
 
 @pytest.mark.parametrize("args", [

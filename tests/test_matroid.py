@@ -4,15 +4,18 @@ import random
 import pytest
 
 from conftest import check_basis_exchange, format_matroid, from_rows, identity, rank
+from fqminors import oracle
 from fqminors.errors import BadArgumentsError, ParseError
 from fqminors.gf import field
 from fqminors.linalg import fast_rank
 from fqminors.matrix import FqMatrix
+from fqminors.minor import find_minor
 from fqminors.matroid import (
     Matroid,
     catalog,
     from_graph,
     from_matrix,
+    is_binary,
     is_isomorphic,
     parse_matroid,
     uniform,
@@ -268,3 +271,50 @@ def test_matroid_validation():
         Matroid(3, [0b1, 0b11])
     with pytest.raises(BadArgumentsError):
         Matroid(21, [0b1])
+
+
+# the census behind count_representations_exact visits 2^(r·|E|) column
+# tuples over GF(2): up to 2^14 here keeps each under half a second
+_CENSUS_BITS = 14
+
+
+def _small_matroids():
+    """(name, matroid) of every catalog target, every U:k,n with n <= 7,
+    and the column matroids of seeded GF(3) and GF(4) matrices of 2 x 6,
+    3 x 4 and 3 x 6, which have loops, parallel classes and, often, no
+    GF(2) representation."""
+    out = [(name, catalog(name)) for name in ("F7", "F7*", "MK5*", "MK33*")]
+    out += [(f"U:{k},{n}", catalog(f"U:{k},{n}")) for n in range(8) for k in range(n + 1)]
+    rng = random.Random(20261019)
+    for q in (3, 4):
+        for m, n in ((2, 6), (3, 4), (3, 6)):
+            for i in range(6):
+                A = FqMatrix(field(q), m, n, tuple(rng.randrange(q) for _ in range(m * n)))
+                out.append((f"GF({q}) {m}x{n} #{i}", from_matrix(A)))
+    return out
+
+
+def test_binary_decision_matches_the_representation_census():
+    # a matroid is binary iff some r x |E| GF(2) matrix represents it, which
+    # the census counts outright wherever it is small enough to run
+    checked = {True: 0, False: 0}
+    for name, M in _small_matroids():
+        if M.rank * M.ground_size > _CENSUS_BITS:
+            continue
+        want = oracle.count_representations_exact(M, M.rank, 2) > 0
+        assert is_binary(M) == want, name
+        checked[want] += 1
+    assert min(checked.values()) >= 5, checked
+
+
+def test_binary_decision_matches_tuttes_excluded_minor():
+    # Tutte (1958): a matroid is binary iff it has no U:2,4 minor, decided
+    # here by the all-(C, D) reference search, for every matroid of
+    # `_small_matroids`, the named catalog targets past the census included
+    u24 = catalog("U:2,4")
+    verdicts = set()
+    for name, M in _small_matroids():
+        want = find_minor(M, u24, budget=None) is None
+        assert is_binary(M) == want == is_binary(M.dual()), name
+        verdicts.add(want)
+    assert verdicts == {True, False}

@@ -4,6 +4,7 @@ import math
 import random
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -1210,3 +1211,40 @@ def test_lockstep_screens_each_set_once(monkeypatch):
     # some rounds held more hosts than MAX_PAIRS, and the units left cut
     # some short
     assert wide and cut
+
+
+def test_stack_tests_each_matched_family_once(monkeypatch):
+    # every host of a rank group scores its sets on the plan the group
+    # shares, and each matched basis family is tested for isomorphism once
+    # per plan: U:1,2's one family {0b01, 0b10} once for the whole stack,
+    # where each host used to test it again.  The plan keeps only matched
+    # families, at most one per host that found a witness
+    tested = []
+    real_iso = minor.is_isomorphic
+    monkeypatch.setattr(minor, "is_isomorphic",
+                        lambda T, M: tested.append(M.bases) or real_iso(T, M))
+    plans = []
+    screen_rounds = minor._screen_rounds
+    monkeypatch.setattr(minor, "_screen_rounds",
+                        lambda o, words, plan, budgets: plans.append(plan)
+                        or screen_rounds(o, words, plan, budgets))
+    m, n = 6, 12
+    hosts = [A for A in (sample_matrix(2, m, n, SeedSpec(29, t)) for t in range(64))
+             if linalg.fast_rank(A) == m]
+    assert len(hosts) >= 50
+    stack = np.array([A.entries for A in hosts], dtype=np.uint8).reshape(len(hosts), m, n)
+    col_words = linalg.pack_stack(stack)[1]
+    for name in ("U:1,2", "U:2,3", "F7"):
+        tested.clear()
+        plans.clear()
+        target = catalog(name)
+        got = minor.search_stack(col_words, m, [m] * len(hosts), target, 20000, range(len(hosts)))
+        found = sum(status == "witness" for status, _, _ in got.values())
+        if name == "U:1,2":
+            assert found == len(hosts) and tested == [frozenset({0b01, 0b10})]
+        (plan,) = plans
+        assert 0 < len(plan.matched) <= found, name
+        counts = Counter(tested)
+        assert all(counts[frozenset(family)] == 1 for family in plan.matched), name
+        for t in (0, len(hosts) - 1):
+            assert got[t] == minor.search(hosts[t], target, 20000, m), (name, t)
