@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import formulas, validate
 from .errors import BadArgumentsError, FqminorsError, ParseError
 from .matrix import FqMatrix, parse_matrix
-from .matroid import Matroid, catalog, is_binary, parse_matroid
+from .matroid import Matroid, catalog, parse_matroid
 from .minor import DEFAULT_BUDGET, decide, has_excluded_minor_matrix
 from .sampler import SeedSpec, sample_matrix
 from .sweep import (SWEEP_BUDGET, class_rows_to_csv, minor_rows_to_csv, run_class_sweep,
@@ -63,10 +63,6 @@ def _frac_text(name: str, x: Fraction) -> str:
 # ----------------------------------------------------------------------
 
 
-def _stats(args):
-    return _load_matroid(args.target).stats()
-
-
 def _size(*xs: int) -> int:
     """The product of a formula's size arguments, a negative one as 0."""
     out = 1
@@ -76,7 +72,8 @@ def _size(*xs: int) -> int:
 
 
 # subcommand -> (flags, text label, value of the parsed args, exponent of
-# the largest power of q it forms or None), in --help order
+# the largest power of q it forms or None), in --help order; `a.stats` is
+# the --target matroid's, which `_cmd_formula` loads once
 _FORMULAS = {
     "gaussian": (("n", "k", "q"), "gaussian_binomial",
                  lambda a: formulas.gaussian_binomial(a.n, a.k, a.q),
@@ -94,20 +91,20 @@ _FORMULAS = {
               lambda a: formulas.upper_bound_nonfree(a.m, a.n, a.q),
               lambda a: _size(a.m, a.n)),
     "lower": (("m", "n", "q", "target"), "lower",
-              lambda a: formulas.lower_bound_nonfree(a.m, a.n, a.q, _stats(a)),
+              lambda a: formulas.lower_bound_nonfree(a.m, a.n, a.q, a.stats),
               lambda a: _size(a.m, a.n)),
     "block-lower": (("m", "n", "q", "target"), "lower",
-                    lambda a: formulas.lower_bound_block(a.m, a.n, a.q, _stats(a)),
+                    lambda a: formulas.lower_bound_block(a.m, a.n, a.q, a.stats),
                     lambda a: _size(a.m, a.n)),
     "liminf": (("q", "target"), "liminf",
-               lambda a: formulas.asymptotic_liminf_bound(a.q, _stats(a)),
-               lambda a: _stats(a).e ** 2),
+               lambda a: formulas.asymptotic_liminf_bound(a.q, a.stats),
+               lambda a: a.stats.e ** 2),
     "cq": (("q", "tol"), None, lambda a: formulas.cq_constant(a.q, a.tol), None),
-    "psmq": (("s", "q", "target"), "p_smq", lambda a: formulas.p_smq(a.s, a.q, _stats(a)),
-             lambda a: _size(a.s, _stats(a).e)),
+    "psmq": (("s", "q", "target"), "p_smq", lambda a: formulas.p_smq(a.s, a.q, a.stats),
+             lambda a: _size(a.s, a.stats.e)),
     "repcount": (("m", "q", "target"), "rep_count_lower_bound",
-                 lambda a: formulas.rep_count_lower_bound(a.m, a.q, _stats(a)),
-                 lambda a: _size(a.m, _stats(a).e)),
+                 lambda a: formulas.rep_count_lower_bound(a.m, a.q, a.stats),
+                 lambda a: _size(a.m, a.stats.e)),
 }
 
 _FORMULA_FLAGS = {
@@ -129,15 +126,16 @@ def _add_formula_parser(sub):
 
 def _cmd_formula(args):
     flags, label, value, exponent = _FORMULAS[args.formula_cmd]
+    target = _load_matroid(args.target) if "target" in flags else None
+    args.stats = None if target is None else target.stats()
     if exponent is not None:
         formulas.check_size(args.q, exponent(args))
     v = value(args)
     note = None
     if args.formula_cmd == "free-prob" and args.r > min(args.m, args.n):
         note = "rank exceeds min(m, n); the minor is impossible"
-    elif "target" in flags and args.q == 2 and not is_binary(_load_matroid(args.target)):
-        # every bound on a target presumes a representation: none, so 0
-        note = "the target has no GF(2) representation; the minor is impossible"
+    elif target is not None and formulas.unrepresentable(args.q, target):
+        note = f"the target has no GF({args.q}) representation; the minor is impossible"
         v = (formulas.BoundReport("lower", Fraction(0), note=note)
              if isinstance(v, formulas.BoundReport) else type(v)(0))
     if isinstance(v, formulas.BoundReport):

@@ -21,6 +21,11 @@ probability expressions:
   (1 - q^-(n-k)) * (1 - (1 - p_{m-k}) ** floor((n-k)/|E|)).
 * lower_bound_block: the single-block version (no contraction).
 * asymptotic_liminf_bound: (1 - q^-|E|) * p_{|E|-1}.
+
+The target bounds read only a target's stats and presume it has a GF(q)
+representation.  `unrepresentable(q, target)` is the one check of that
+presumption: where it holds the minor is impossible and every bound on the
+target is 0, which the CLI and the sweep print in the closed forms' place.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from fractions import Fraction
 
 from .errors import BadArgumentsError, TooLargeError
 from .gf import prime_power
-from .matroid import MatroidStats
+from .matroid import Matroid, MatroidStats, is_binary
 
 
 @dataclass
@@ -76,6 +81,13 @@ def _check_q(q: int):
         raise BadArgumentsError(f"q must be <= 2^64, got a {q.bit_length()}-bit q")
     if prime_power(q) is None:
         raise BadArgumentsError(f"q={q} is not a prime power")
+
+
+def unrepresentable(q: int, target: Matroid) -> bool:
+    """Whether no matrix over GF(q) represents `target`, which is then never
+    a minor of one.  Decided over GF(2) only (`matroid.is_binary`); over a
+    larger field every target is presumed representable."""
+    return q == 2 and not is_binary(target)
 
 
 # the most bits a formula's largest power of q may take, so that every value

@@ -12,7 +12,6 @@ all live here.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -164,12 +163,8 @@ def is_binary(M: Matroid) -> bool:
     respect to a basis B is forced (Brylawski & Lucas 1976; Oxley, Matroid
     Theory, ch. 6): the column of x outside B has a 1 in row b exactly when
     B - b + x is a basis, b lying on x's fundamental circuit.  So M is
-    binary iff that one matrix gives M's basis family.  A uniform U(r, e)
-    is binary iff r <= 1 or r >= e - 1, read off its basis count, as every
-    other one has a U(2, 4) minor."""
+    binary iff that one matrix gives M's basis family."""
     e, r = M.ground_size, M.rank
-    if len(M.bases) == math.comb(e, r):
-        return r <= 1 or r >= e - 1
     basis = min(M.bases)
     rows = [b for b in range(e) if (basis >> b) & 1]
     entries = tuple(int(x == b if (basis >> x) & 1 else basis ^ (1 << b | 1 << x) in M.bases)

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadArgumentsError, TooLargeError
-from .formulas import check_size, lower_bound_nonfree, prob_free_minor, upper_bound_nonfree
-from .matroid import Matroid, is_binary
+from .formulas import (check_size, lower_bound_nonfree, prob_free_minor, unrepresentable,
+                       upper_bound_nonfree)
+from .matroid import Matroid
 from .minor import (DEFAULT_BUDGET, ExcludedMinorReport, check_budget, excluded_minors,
                     has_excluded_minor_matrix)
 from .sampler import Estimate, check_shape, mc_minor_prob, run_trials, search_chunk
@@ -108,8 +109,8 @@ def bounds_for(target: Matroid, q: int, m: int, n: int):
     """(lower, upper) exact bounds applicable at this size, None when not.
     A size past the bound `formula` applies to them, `check_size(q, m·n)`,
     gets neither, before any arithmetic: they would not print.  A target
-    of rank above m, or one with no GF(2) representation over GF(2), is
-    never a minor: both bounds are 0."""
+    of rank above m, or one `unrepresentable` over GF(q), is never a
+    minor: both bounds are 0."""
     try:
         check_size(q, m * n)
     except TooLargeError:
@@ -120,7 +121,7 @@ def bounds_for(target: Matroid, q: int, m: int, n: int):
     if target.is_free():
         exact = prob_free_minor(m, n, q, st.r)
         return exact, exact
-    if q == 2 and not is_binary(target):
+    if unrepresentable(q, target):
         return Fraction(0), Fraction(0)
     lower = None
     upper = None
