@@ -21,7 +21,7 @@ vector of v's coset modulo the span that is zero at every pivot: equal
 representatives mean equal cosets, and zero means v lies in the span.  An
 echelon only ever grows by the row `reduce_pivot` returns, so a search can
 push and pop rows along its path; every rank, greedy column pick and coset
-representative comes from that one step.
+representative a backend gives comes from that one step.
 `contract` contracts chosen independent columns by one Gauss-Jordan pass
 on A's rows (`inverse_rows`, written once on `_Ops`) that pivots on them
 in order: a row operation keeps the column matroid, and the rows left
@@ -36,19 +36,20 @@ A matrix's columns and rows reach a backend in its form (`cols_of`,
 `rows_of`): its columns attached to the matrix when the sampler (`pack`,
 by numpy's `pack_rows` from the codes) or the oracle built them, and
 otherwise, as its rows always are, encoded from the entries (`encode`).
-`gf2_ranks` ranks a whole stack of GF(2) matrices at once, on the same
-64-bit row words that `pack_rows` joins into ints (`word_ints`), by one
-numpy elimination across the stack; `pack_stack` packs a whole stack's
-rows, and its columns, into such words with one call each, and
-`narrow_words` packs only the orientation with fewer columns, the one
-`gf2_ranks` eliminates fastest.  `gf2_contract` contracts each matrix of
-a stack on its own chosen columns by one numpy Gaussian elimination on
-its row words: the batched witness verifier's contraction, which shares
-no step with the search or with `contract`.
-`gf2_coset_reps` reduces every column of each of a batch of (host,
-contraction set) pairs modulo the set by one numpy column elimination on
-their column words, giving `reduce`'s coset representatives: the minor
-search's screening rounds for a stack's hosts.
+Stacks of GF(2) matrices are worked on the same 64-bit words that
+`pack_rows` joins into ints (`word_ints`): `pack_stack` packs a whole
+stack's rows, and its columns, into such words with one call each, and
+`narrow_words` packs only the side with fewer vectors.  Two numpy
+elimination loops work on them, one per role, and share no step:
+`gf2_coset_reps`, the stacked search's kernel, reduces every column of
+each of a batch of (host, contraction set) pairs modulo the set by one
+column elimination, giving `reduce`'s coset representatives and each
+set's rank: the minor search's screening rounds for a stack's hosts,
+and, with all of a matrix's vectors as its one set, the ranks of a whole
+stack (`gf2_ranks`).  `gf2_contract` contracts each matrix of a stack on
+its own chosen columns by one Gaussian elimination on its row words: the
+batched witness verifier's contraction, which shares no step with the
+search or with `contract`.
 """
 
 from __future__ import annotations
@@ -94,48 +95,20 @@ def pack_stack(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _words(bits), _words(bits.transpose(0, 2, 1))
 
 
-def _pivot_step(words: np.ndarray, free: np.ndarray, stack: np.ndarray, ones: np.ndarray):
-    """One elimination step in every matrix of a stack of row words, shape
-    (T, m, W), where ones[t, i] says whether row i of matrix t has a 1 in
-    the step's column: in each matrix the first free row with a 1 there
-    becomes its pivot, leaves `free` and is added to every other free row
-    with a 1 there.  Returns whether each matrix found a pivot."""
-    hit = ones & free
-    piv = hit.argmax(axis=1)
-    found = hit[stack, piv]
-    free[stack, piv] &= ~found
-    hit[stack, piv] = False
-    words ^= np.where(hit[:, :, None], words[stack, piv][:, None, :], np.uint64(0))
-    return found
+def narrow_words(bits: np.ndarray) -> np.ndarray:
+    """The words of the side with fewer vectors of a stack of 0/1 matrices
+    of shape (T, m, n), for `gf2_ranks`: its row words (`_words`) when
+    m <= n, else its column words, which have the same ranks."""
+    return _words(bits if bits.shape[1] <= bits.shape[2] else bits.transpose(0, 2, 1))
 
 
-def narrow_words(bits: np.ndarray) -> tuple[np.ndarray, int]:
-    """(words, n) for `gf2_ranks` from a stack of 0/1 matrices of shape
-    (T, m, n): the row words (`_words`) and row length of the stack, or of
-    its transpose when it is wide, which has the same ranks."""
-    if bits.shape[2] > bits.shape[1]:
-        bits = bits.transpose(0, 2, 1)
-    return _words(bits), bits.shape[2]
-
-
-def gf2_ranks(words: np.ndarray, n: int) -> np.ndarray:
-    """Ranks of a stack of GF(2) matrices, as T ints, from their row
-    words, shape (T, m, W) as `_words` packs rows of n entries.
-
-    The rows are eliminated one column at a time across the whole stack
-    (`_pivot_step`) on a copy of the words, so there are n column steps: a
-    wide stack is best ranked by its column words (`narrow_words`, or the
-    second array of `pack_stack`)."""
-    T, m, _ = words.shape
-    if n == 0:
-        return np.zeros(T, dtype=np.int64)
-    words = words.copy()
-    free = np.ones((T, m), dtype=bool)
-    stack = np.arange(T)
-    for j in range(n):
-        _pivot_step(words, free, stack,
-                    (words[:, :, j >> 6] >> np.uint64(j & 63) & np.uint64(1)).astype(bool))
-    return m - free.sum(axis=1)
+def gf2_ranks(vec_words: np.ndarray) -> np.ndarray:
+    """Ranks of a stack of GF(2) matrices, as T ints, from the words of
+    their rows or of their columns, shape (T, v, W): `gf2_coset_reps` with
+    all v vectors of each matrix as its one set, so there are v steps and
+    the side with fewer vectors (`narrow_words`) ranks fastest."""
+    T, v, _ = vec_words.shape
+    return gf2_coset_reps(vec_words, np.broadcast_to(np.arange(v), (T, v)))[0]
 
 
 def gf2_contract(words: np.ndarray, chosen: np.ndarray, keep: np.ndarray):
@@ -147,12 +120,15 @@ def gf2_contract(words: np.ndarray, chosen: np.ndarray, keep: np.ndarray):
     than m); minors, shape (ok.sum(), m - k, e), holds the contractions of
     the others in stack order.
 
-    One `_pivot_step` across the stack per chosen column.  The rows never
-    chosen as pivots then vanish on the chosen columns and span the part
-    of the row space that does, so their kept entries represent the
-    contraction: a row operation keeps the column matroid, and no inverse
-    is needed.  The pass shares no code with the search's echelon
-    (`reduce`, `reduce_pivot`) or with `contract` (`eliminate`)."""
+    One elimination step across the stack per chosen column: in each
+    matrix the first free row with a 1 in that column becomes its pivot,
+    leaves `free` and is added to every other free row with a 1 there.
+    The rows never chosen as pivots then vanish on the chosen columns and
+    span the part of the row space that does, so their kept entries
+    represent the contraction: a row operation keeps the column matroid,
+    and no inverse is needed.  The pass shares no code with the search's
+    echelon (`reduce`, `reduce_pivot`, `gf2_coset_reps`) or with
+    `contract` (`eliminate`)."""
     G, m, _ = words.shape
     k, e = chosen.shape[1], keep.shape[1]
     if k > m:
@@ -163,8 +139,13 @@ def gf2_contract(words: np.ndarray, chosen: np.ndarray, keep: np.ndarray):
     stack = np.arange(G)
     for c in chosen.T:
         shift = (c & 63).astype(np.uint64)[:, None]
-        ok &= _pivot_step(words, free, stack,
-                          (words[stack, :, c >> 6] >> shift & np.uint64(1)).astype(bool))
+        hit = (words[stack, :, c >> 6] >> shift & np.uint64(1)).astype(bool) & free
+        piv = hit.argmax(axis=1)
+        found = hit[stack, piv]
+        ok &= found
+        free[stack, piv] &= ~found
+        hit[stack, piv] = False
+        words ^= np.where(hit[:, :, None], words[stack, piv][:, None, :], np.uint64(0))
     count = int(ok.sum())
     rows = words[ok][free[ok]].reshape(count, m - k, words.shape[2])
     keep = keep[ok]
@@ -174,12 +155,14 @@ def gf2_contract(words: np.ndarray, chosen: np.ndarray, keep: np.ndarray):
 
 
 def gf2_coset_reps(col_words: np.ndarray, combos: np.ndarray):
-    """(independent, reps) for a stack of B contraction sets: col_words,
-    shape (B, n, W), holds B matrices' column words (as `_words` packs
-    columns; a broadcast view of one host is fine) and combos, shape
-    (B, k), the columns each contracts.  reps, shape (B, n, W), is every
-    column reduced modulo the span of its set's columns; independent[b]
-    is False where set b's columns are dependent.
+    """(ranks, reps) for a stack of B contraction sets: col_words, shape
+    (B, n, W), holds B matrices' column words (as `_words` packs columns;
+    a broadcast view of one host is fine) and combos, shape (B, k), the
+    columns each contracts.  reps, shape (B, n, W), is every column
+    reduced modulo the span of its set's columns; ranks[b] is the rank of
+    set b, k where its columns are independent.  The one GF(2) kernel of
+    the stacked search: its screening rounds and, with every vector of a
+    matrix as one set, the ranks of a stack (`gf2_ranks`).
 
     Step i takes each set's current column combos[:, i], v, pivots on v's
     lowest set bit and adds v to every column with that bit.  Later
@@ -187,23 +170,23 @@ def gf2_coset_reps(col_words: np.ndarray, combos: np.ndarray):
     is zero at the span's pivot set {lowbit(u) : u in the span}, which
     depends on the span only: each survivor holds the one vector of its
     coset that is zero there, `BitOps.reduce`'s representative, and each
-    column of an independent set holds zero.  v = 0 marks the set
-    dependent."""
+    column of the set holds zero.  A step with v = 0 changes nothing, and
+    the rank counts the steps with v != 0."""
     B, n, W = col_words.shape
     reps = np.array(col_words, order="C")
-    independent = np.ones(B, dtype=bool)
+    ranks = np.zeros(B, dtype=np.int64)
     stack = np.arange(B)
     for c in combos.T:
         v = reps[stack, c]
         nonzero = v != 0
-        independent &= nonzero.any(axis=1)
+        ranks += nonzero.any(axis=1)
         word = nonzero.argmax(axis=1)
         low = v[stack, word]
         low &= -low
         hit = reps[stack, :, word]
         hit &= low[:, None]
         reps ^= v[:, None, :] * (hit != 0)[:, :, None]
-    return independent, reps
+    return ranks, reps
 
 
 # the ASCII digit each code becomes in an int(..., 2) string: "1" where the

@@ -552,8 +552,8 @@ def _screen_rounds(o, col_words: np.ndarray, plan: _Plan, budgets: dict) -> dict
         count = len(combos)
         screened += count
         sets = np.array(combos, dtype=np.int64).reshape(count, k)
-        independent, reps = linalg.gf2_coset_reps(np.repeat(col_words[live], count, axis=0),
-                                                  np.tile(sets, (len(live), 1)))
+        ranks, reps = linalg.gf2_coset_reps(np.repeat(col_words[live], count, axis=0),
+                                            np.tile(sets, (len(live), 1)))
         zeros = n - reps.any(axis=2).sum(axis=1)
         # C's own columns reduce to zero, so the survivors hold zeros - k
         # zeros and every distinct nonzero representative; a column of
@@ -561,7 +561,7 @@ def _screen_rounds(o, col_words: np.ndarray, plan: _Plan, budgets: dict) -> dict
         keys = reps[:, :, 0] if width == 1 else reps.view(np.dtype((np.void, 8 * width)))[:, :, 0]
         keys = np.sort(keys, axis=1)
         distinct = 1 + (keys[:, 1:] != keys[:, :-1]).sum(axis=1) - (zeros > 0)
-        passing = independent & (zeros - k >= plan.l_t) & (distinct >= plan.c_t)
+        passing = (ranks == k) & (zeros - k >= plan.l_t) & (distinct >= plan.c_t)
         for t, passed, host_reps in zip(live, passing.reshape(len(live), count),
                                         reps.reshape(len(live), count, n, width)):
             budget_ = open_[t]
@@ -765,14 +765,17 @@ def _search_group(o, col_words: np.ndarray, r_h: int, group: list, target: Matro
             for t, (status, w) in _screen_rounds(o, col_words, plan, budgets).items()}
 
 
-def decide_stack(words, col_words, ranks, targets, budget) -> list[tuple[str, ...]]:
+def decide_stack(words, col_words, targets, budget) -> list[tuple[str, ...]]:
     """`decide`'s outcomes for `targets` in each GF(2) host t of a stack,
-    with row words words[t], column words col_words[t] (`linalg.pack_stack`)
-    and rank ranks[t], as one tuple per host in target order.  Target by
-    target, one `search_stack` searches every host still open and one
-    `verify_witness_stack` checks their witnesses; a host leaves at its
-    first verified witness, as in `has_excluded_minor_matrix`'s short circuit."""
+    with row words words[t] and column words col_words[t]
+    (`linalg.pack_stack`), as one tuple per host in target order.  The
+    stack is ranked once, by one `linalg.gf2_ranks` on the side with fewer
+    vectors.  Target by target, one `search_stack` searches every host
+    still open and one `verify_witness_stack` checks their witnesses; a
+    host leaves at its first verified witness, as in
+    `has_excluded_minor_matrix`'s short circuit."""
     m, n = words.shape[1], col_words.shape[1]
+    ranks = linalg.gf2_ranks(words if m <= n else col_words).tolist()
     outcomes: list[tuple[str, ...]] = [()] * len(ranks)
     still_open = range(len(ranks))
     for target in targets:

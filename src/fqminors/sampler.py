@@ -27,12 +27,14 @@ splits the trial indices into contiguous ranges, one per process, runs a
 chunk function on each range and sums the Counters.  A chunk function
 (args, seed, lo, hi) -> Counter counts the outcomes of trials lo..hi-1.
 Over GF(2) every chunk function draws a range's codes into stacks
-(`_gf2_stacks`, the same words as one trial at a time) and ranks each stack
-by one `linalg.gf2_ranks` elimination.  Minor and class trials then go on
-through one skeleton, `search_chunk`, which counts each trial by the tuple
-of its targets' `minor.outcome`s, up to the first 'found', and leaves the
-reading of those tuples to its callers; it builds no host matrix and
-decides each stack by `minor.decide_stack`.  Over other fields each trial
+(`_gf2_stacks`, the same words as one trial at a time).  A rank chunk
+ranks each stack by one `linalg.gf2_ranks`, the stacked search's
+`linalg.gf2_coset_reps` kernel with all of a matrix's vectors as one set.
+Minor and class trials go on through one skeleton, `search_chunk`, which
+counts each trial by the tuple of its targets' `minor.outcome`s, up to
+the first 'found', and leaves the reading of those tuples to its callers;
+it builds no host matrix and decides each stack by `minor.decide_stack`,
+which ranks the stack by the same kernel.  Over other fields each trial
 is sampled by `sample_matrix` and ranked by `linalg.fast_rank` or decided
 on the per-trial path (`minor.decide`, which keeps
 `verify_witness_matrix`), as in the `minor` and `class` commands.
@@ -300,15 +302,16 @@ def _gf2_stacks(seed: int, lo: int, hi: int, m: int, n: int):
 
 def _rank_chunk(shape, seed: int, lo: int, hi: int) -> Counter:
     """Counter of the ranks of trials lo..hi-1.  Over GF(2) each stack of
-    `_gf2_stacks` is packed once (`linalg.narrow_words`) and ranked by one
-    `linalg.gf2_ranks` elimination."""
+    `_gf2_stacks` is packed once, on its side with fewer vectors
+    (`linalg.narrow_words`), and ranked by one `linalg.gf2_ranks`, the
+    stacked search's `linalg.gf2_coset_reps` kernel."""
     q, m, n = shape
     if q != 2:
         return Counter(linalg.fast_rank(sample_matrix(q, m, n, SeedSpec(seed, i)))
                        for i in range(lo, hi))
     ranks: Counter = Counter()
     for _, stack in _gf2_stacks(seed, lo, hi, m, n):
-        ranks.update(linalg.gf2_ranks(*linalg.narrow_words(stack)).tolist())
+        ranks.update(linalg.gf2_ranks(linalg.narrow_words(stack)).tolist())
     return ranks
 
 
@@ -331,23 +334,20 @@ def search_chunk(q: int, m: int, n: int, seed: int, lo: int, hi: int, targets, b
     is decided by it.
 
     Over GF(2) each stack of `_gf2_stacks` is packed by one
-    `linalg.pack_stack`, ranked by one `linalg.gf2_ranks` and decided by
-    one `minor.decide_stack`, and no host is built as a matrix.  A
-    stack's first trial is also decided by per_trial on the per-host
-    path, a spot check of the stacked one: when the two tuples differ it
-    counts as ('unverified',).  The per-host search reduces each
-    contraction set one at a time, so it shares no reduction kernel with
-    the stacked one's `linalg.gf2_coset_reps`."""
+    `linalg.pack_stack` and decided by one `minor.decide_stack`, which
+    ranks it from those words by one `linalg.gf2_ranks`; no host is built
+    as a matrix.  A stack's first trial is also decided by per_trial on
+    the per-host path, a spot check of the stacked one: when the two
+    tuples differ it counts as ('unverified',).  The per-host search ranks
+    its host and reduces each contraction set one at a time, so it shares
+    no kernel with the stacked one's `linalg.gf2_coset_reps`, which gives
+    the stack's ranks and screens alike."""
     check_shape(m, n)
     if q != 2:
         return Counter(per_trial(sample_matrix(q, m, n, SeedSpec(seed, i))) for i in range(lo, hi))
     results: Counter = Counter()
     for streams, stack in _gf2_stacks(seed, lo, hi, m, n):
-        words, col_words = linalg.pack_stack(stack)
-        # ranked on the words of the orientation with fewer columns
-        narrow, width = (col_words, m) if n > m else (words, n)
-        outcomes = decide_stack(words, col_words, linalg.gf2_ranks(narrow, width).tolist(),
-                                targets, budget)
+        outcomes = decide_stack(*linalg.pack_stack(stack), targets, budget)
         if outcomes[0] != per_trial(sample_matrix(2, m, n, SeedSpec(seed, streams[0]))):
             outcomes[0] = ("unverified",)
         results.update(outcomes)

@@ -281,8 +281,9 @@ def test_stacked_contraction_shares_no_elimination_with_the_search(monkeypatch):
 def _check_coset_reps(m: int, hosts: list, combos: list):
     """gf2_coset_reps on every host with every combo of one size (each
     host a list of column ints with m rows) against the search's echelon:
-    the independence flag, and for an independent set the representative
-    `BitOps.reduce_pivot` gives each column (0 where it gives None)."""
+    every set's rank, `BitOps.rank_cols` of its columns, and for an
+    independent set the representative `BitOps.reduce_pivot` gives each
+    column (0 where it gives None)."""
     o = BitOps(F2, m)
     n, k = len(hosts[0]), len(combos[0])
     width = max(1, -(-m // 64))
@@ -290,18 +291,15 @@ def _check_coset_reps(m: int, hosts: list, combos: list):
     words = np.stack([int_words(cols, width) for cols, _ in pairs]).reshape(len(pairs), n, width)
     chosen = np.array([combo for _, combo in pairs], dtype=np.int64).reshape(len(pairs), k)
     before = words.copy()
-    independent, reps = gf2_coset_reps(words, chosen)
+    ranks, reps = gf2_coset_reps(words, chosen)
     assert np.array_equal(words, before)
     assert reps.shape == words.shape
     for b, (cols, combo) in enumerate(pairs):
-        ech: list = []
-        for j in combo:
-            row = o.reduce_pivot(ech, cols[j])
-            if row is None:
-                break
-            ech.append(row)
-        assert independent[b] == (len(ech) == k), (cols, combo)
-        if len(ech) == k:
+        assert ranks[b] == o.rank_cols([cols[j] for j in combo]), (cols, combo)
+        if ranks[b] == k:
+            ech: list = []
+            for j in combo:
+                ech.append(o.reduce_pivot(ech, cols[j]))
             want = [0 if row is None else row[1] for row in (o.reduce_pivot(ech, c) for c in cols)]
             assert word_ints(reps[b]) == want, (cols, combo)
 
@@ -380,22 +378,27 @@ def test_gf2_ranks_of_low_rank_stacks():
         R = rng.integers(0, 2, (9, r, n))
         bits = (L @ R % 2).astype(np.uint8)
         want = [fast_rank(FqMatrix(F2, m, n, tuple(b.ravel().tolist()))) for b in bits]
-        assert gf2_ranks(*narrow_words(bits)).tolist() == want
+        assert gf2_ranks(narrow_words(bits)).tolist() == want
         assert max(want) <= r
-        # either orientation of pack_stack's words gives the same ranks,
-        # and the words are left as they were
-        for words, width in zip(pack_stack(bits), (n, m)):
+        # either side of pack_stack's words, rows or columns, gives the
+        # same ranks, and the words are left as they were
+        for words in pack_stack(bits):
             kept = words.copy()
-            assert gf2_ranks(words, width).tolist() == want
+            assert gf2_ranks(words).tolist() == want
             assert np.array_equal(words, kept)
-    # a wide stack is packed by its transpose
+    # narrow_words packs the side with fewer vectors: the rows of a wide
+    # stack (and of a square one), the columns of a tall one
     wide = rng.integers(0, 2, (4, 2, 1000)).astype(np.uint8)
     wide[0] = 0
     wide[1, 1] = wide[1, 0]
-    assert narrow_words(wide)[0].shape == (4, 1000, 1)
-    assert gf2_ranks(*narrow_words(wide)).tolist() == [0, 1, 2, 2]
-    assert gf2_ranks(*narrow_words(np.zeros((3, 0, 4), dtype=np.uint8))).tolist() == [0, 0, 0]
-    assert gf2_ranks(*narrow_words(np.ones((2, 4, 0), dtype=np.uint8))).tolist() == [0, 0]
+    assert narrow_words(wide).shape == (4, 2, 16)
+    assert gf2_ranks(narrow_words(wide)).tolist() == [0, 1, 2, 2]
+    tall = wide.transpose(0, 2, 1)
+    assert narrow_words(tall).shape == (4, 2, 16)
+    assert np.array_equal(narrow_words(tall), narrow_words(wide))
+    assert narrow_words(np.zeros((2, 3, 3), dtype=np.uint8)).shape == (2, 3, 1)
+    assert gf2_ranks(narrow_words(np.zeros((3, 0, 4), dtype=np.uint8))).tolist() == [0, 0, 0]
+    assert gf2_ranks(narrow_words(np.ones((2, 4, 0), dtype=np.uint8))).tolist() == [0, 0]
 
 
 def test_triangular_push_pop_tracks_rank():
