@@ -55,9 +55,12 @@ verifier: `verify_witness_matrix` shares none of the matrix search's
 internals, and `verify_witness` checks C's independence and the witness
 bijection, which the reference's isomorphism test does not.
 `verify_witness_stack` gives `verify_witness_matrix`'s verdicts on the
-witnesses of a stack of GF(2) hosts, contracting each witness's own host
-by one numpy elimination per contraction size (`linalg.gf2_contract`),
-which shares no code with the search either.
+witnesses of a stack of GF(2) hosts: it checks that each witness names
+the survivors on the stacked witness arrays, contracts each witness's own
+host by one numpy elimination per contraction size
+(`linalg.gf2_contract`), which shares no code with the search either,
+with the survivors in bijection order, and builds one matroid per
+distinct contraction to compare with the target.
 
 `search` runs `find_minor_matrix` and returns its status, its witness
 and the units it spent (`_Budget.spent`: budget + 1 when a charge ran
@@ -649,32 +652,42 @@ def verify_witness_matrix(A: FqMatrix, target: Matroid, w: MinorWitness) -> bool
 def verify_witness_stack(words, n: int, target: Matroid, witnesses: dict) -> dict:
     """`verify_witness_matrix`'s verdict on each witnesses[t], found on the
     GF(2) host of n columns whose row words (`linalg.pack_stack`) are
-    words[t], as host -> verdict.  A witness that does not name the
-    target's survivors fails at once; the others are grouped by |C|, each
-    group's hosts are contracted on their own C by one
-    `linalg.gf2_contract`, and each contraction is compared with the
-    target as `verify_witness_matrix` compares it."""
+    words[t], as host -> verdict.
+
+    The witnesses are grouped by (|C|, |D|, |bijection|).  A group whose
+    sizes do not sum to n, or whose bijection is not e_t long, fails at
+    once.  In the others a witness names the target's survivors, as
+    `_witness_survivors` asks, exactly when its row sorted C + sorted D +
+    bijection of the group's (G, n) array holds every column 0..n-1 once.
+    Those witnesses are contracted on their own C by one
+    `linalg.gf2_contract` per group, which keeps the survivors in
+    bijection order: column i of a contraction is the host element that
+    plays target element i, so the contraction is the target exactly when
+    its column matroid has the target's bases.  That is decided once per
+    distinct contraction of the group, and hosts whose contractions have
+    equal entries share the verdict."""
     f2 = field(2)
     m, e_t = words.shape[1], target.ground_size
-    verdicts = {}
-    groups: dict = {}  # |C| -> [(host, sorted C, survivors, bijection)]
+    verdicts = dict.fromkeys(witnesses, False)
+    groups: dict = {}  # (|C|, |D|, |bijection|) -> [(host, witness)]
     for t, w in witnesses.items():
-        survivors = _witness_survivors(n, target, w)
-        if survivors is None:
-            verdicts[t] = False
-        else:
-            groups.setdefault(len(w.contract), []).append(
-                (t, sorted(w.contract), survivors, w.bijection))
-    for k, group in groups.items():
-        hosts, chosen, keep, _ = zip(*group)
-        ok, minors = linalg.gf2_contract(
-            words[list(hosts)], np.array(chosen, dtype=np.int64).reshape(len(group), k),
-            np.array(keep, dtype=np.int64).reshape(len(group), e_t))
-        for t in itertools.compress(hosts, ~ok):
-            verdicts[t] = False
-        for (t, _, survivors, bijection), bits in zip(itertools.compress(group, ok), minors):
-            minor_m = from_matrix(FqMatrix(f2, m - k, e_t, tuple(bits.ravel().tolist())))
-            verdicts[t] = _is_target(minor_m, target, survivors, bijection)
+        groups.setdefault((len(w.contract), len(w.delete), len(w.bijection)), []).append((t, w))
+    for (k, d, e), group in groups.items():
+        if k + d + e != n or e != e_t:
+            continue
+        named = np.array([[*sorted(w.contract), *sorted(w.delete), *w.bijection] for _, w in group],
+                         dtype=np.int64)
+        named_ok = (np.sort(named, axis=1) == np.arange(n)).all(axis=1)
+        hosts = list(itertools.compress((t for t, _ in group), named_ok))
+        named = named[named_ok]
+        ok, minors = linalg.gf2_contract(words[hosts], named[:, :k], named[:, k + d:])
+        is_target: dict = {}  # a contraction's entries -> verdict
+        for t, bits in zip(itertools.compress(hosts, ok), minors):
+            key = bits.tobytes()
+            if key not in is_target:
+                minor_m = from_matrix(FqMatrix(f2, m - k, e_t, tuple(bits.ravel().tolist())))
+                is_target[key] = minor_m.bases == target.bases
+            verdicts[t] = is_target[key]
     return verdicts
 
 

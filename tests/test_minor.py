@@ -1031,15 +1031,29 @@ def _witnesses(n: int, e_t: int):
 
 def _corrupted(w: MinorWitness, n: int) -> list[MinorWitness]:
     """The witness with overlapping C and D, an index out of range in C
-    and in D, and a bijection onto a dropped element."""
+    and in D, a bijection onto a dropped element, a bijection that repeats
+    a survivor, and bijections one element short and one long, the element
+    left out of D and C or moved to or from D so that |C| + |D| +
+    |bijection| is still n."""
     out = [MinorWitness(w.contract | {n}, w.delete, w.bijection),
            MinorWitness(w.contract, w.delete | {-1}, w.bijection)]
     dropped = w.contract | w.delete
+    bij = w.bijection
     if dropped:
         x = min(dropped)
-        out.append(MinorWitness(w.contract | {x}, w.delete | {x}, w.bijection))
-        if w.bijection:
-            out.append(MinorWitness(w.contract, w.delete, (x,) + w.bijection[1:]))
+        out.append(MinorWitness(w.contract | {x}, w.delete | {x}, bij))
+        out.append(MinorWitness(w.contract, w.delete, bij + (x,)))
+        if bij:
+            out.append(MinorWitness(w.contract, w.delete, (x,) + bij[1:]))
+    if w.delete:
+        y = min(w.delete)
+        out.append(MinorWitness(w.contract, w.delete - {y}, bij + (y,)))
+    if bij:
+        out += [MinorWitness(w.contract, w.delete, bij[:-1]),
+                MinorWitness(w.contract, w.delete | {bij[-1]}, bij[:-1]),
+                MinorWitness(w.contract, w.delete, bij + bij[:1])]
+    if len(bij) > 1:
+        out.append(MinorWitness(w.contract, w.delete, bij[:-1] + bij[:1]))
     return out
 
 
@@ -1047,15 +1061,19 @@ def test_stacked_verifier_agrees_exhaustively():
     # every GF(2) host of each small shape against every witness shape for
     # targets of 1 to 3 elements: dependent C, |C| > m (a 1- or 2-row host
     # and U:1,1), wrong bijections and, on one witness per host,
-    # overlapping and out-of-range indices
+    # overlapping and out-of-range indices and malformed bijections.  The
+    # uniform targets accept every bijection onto the right survivors; a
+    # coloop and a loop, and a coloop and a parallel pair, do not
     cases = []
-    small = ("U:0,1", "U:1,1", "U:1,2", "U:2,3")
-    shapes = {(1, 3): small, (2, 3): small, (3, 3): small, (2, 4): ("U:1,1",)}
-    for (m, n), names in shapes.items():
+    coloop_loop = from_matrix(FqMatrix(F2, 1, 2, (1, 0)))
+    coloop_pair = from_matrix(FqMatrix(F2, 2, 3, (1, 0, 0, 0, 1, 1)))
+    assert coloop_pair.bases == {0b011, 0b101}
+    small = (*map(catalog, ("U:0,1", "U:1,1", "U:1,2", "U:2,3")), coloop_loop, coloop_pair)
+    shapes = {(1, 3): small, (2, 3): small, (3, 3): small, (2, 4): (catalog("U:1,1"),)}
+    for (m, n), targets in shapes.items():
         for code in range(2 ** (m * n)):
             A = FqMatrix(F2, m, n, tuple(code >> i & 1 for i in range(m * n)))
-            for name in names:
-                target = catalog(name)
+            for target in targets:
                 if target.ground_size > n:
                     continue
                 ws = list(_witnesses(n, target.ground_size))
@@ -1063,6 +1081,11 @@ def test_stacked_verifier_agrees_exhaustively():
     verdicts = _stack_agrees(cases)
     assert True in verdicts and False in verdicts
     assert any(len(w.contract) > A.m for A, _, w in cases)
+    # some host, C and D pass under one bijection and fail under another
+    by_minor: dict = {}
+    for (A, target, w), verdict in zip(cases, verdicts):
+        by_minor.setdefault((A, id(target), w.contract, w.delete), set()).add(verdict)
+    assert {True, False} in by_minor.values()
 
 
 def test_stacked_verifier_edge_cases():
@@ -1095,6 +1118,38 @@ def test_stacked_verifier_edge_cases():
             cases += [(A, u12, bad) for bad in _corrupted(w, n)]
     verdicts = _stack_agrees(cases)
     assert True in verdicts and False in verdicts
+
+
+def test_stacked_verifier_checks_each_distinct_minor_once(monkeypatch):
+    # copies of one host in one stack.  The target, a coloop 0 and a
+    # parallel pair {1, 2}, is asymmetric: witnesses whose contractions
+    # have equal entries under different bijections share a verdict, and a
+    # bijection that gives a pair element the coloop's part fails.  Each
+    # |C| group builds one matroid per distinct contraction
+    target = from_matrix(FqMatrix(F2, 2, 3, (1, 0, 0, 0, 1, 1)))
+    A = FqMatrix(F2, 2, 4, (1, 0, 0, 1, 0, 1, 1, 1))  # columns e1, e2, e2, e1 + e2
+    none, three = frozenset(), frozenset({3})
+    ws = [MinorWitness(none, three, (0, 1, 2)),  # the target
+          MinorWitness(none, three, (0, 2, 1)),  # the same entries
+          MinorWitness(none, three, (1, 0, 2)),  # element 1 plays the coloop
+          MinorWitness(none, three, (1, 2, 0)),
+          MinorWitness(none, three, (0, 1, 1)),  # not a bijection: nothing built
+          MinorWitness(three, none, (0, 1, 2)),  # contracting e1 + e2 leaves [1 1 1]
+          MinorWitness(three, none, (2, 1, 0))]
+    want = [verify_witness_matrix(A, target, w) for w in ws]
+    assert want == [True, True, False, False, False, False, False]
+    built = []
+
+    def spy(M):
+        built.append((M.m, M.n, M.entries))
+        return from_matrix(M)
+
+    monkeypatch.setattr(minor, "from_matrix", spy)
+    stack = np.array([A.entries] * len(ws), dtype=np.uint8).reshape(len(ws), A.m, A.n)
+    got = verify_witness_stack(linalg.pack_stack(stack)[0], A.n, target, dict(enumerate(ws)))
+    assert got == dict(enumerate(want))
+    assert sorted(built) == [(1, 3, (1, 1, 1)), (2, 3, (0, 0, 1, 1, 1, 0)),
+                             (2, 3, (0, 1, 0, 1, 0, 1)), (2, 3, (1, 0, 0, 0, 1, 1))]
 
 
 def _mixed_stack(m, n, seed, count):
