@@ -21,7 +21,10 @@ vector of v's coset modulo the span that is zero at every pivot: equal
 representatives mean equal cosets, and zero means v lies in the span.  An
 echelon only ever grows by the row `reduce_pivot` returns, so a search can
 push and pop rows along its path; every rank, greedy column pick and coset
-representative a backend gives comes from that one step.
+representative a backend gives comes from that one step.  So does
+`basis_masks`, the one basis walk: given the count a caller needs, it
+stops at its verdict, the (count + 1)-th basis or too many dependent
+subsets, and returns None for any other count.
 `contract` contracts chosen independent columns by one Gauss-Jordan pass
 on A's rows (`inverse_rows`, written once on `_Ops`) that pivots on them
 in order: a row operation keeps the column matroid, and the rows left
@@ -53,6 +56,8 @@ search or with `contract`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -457,42 +462,59 @@ def leftmost_independent(o, cols, limit: int) -> list[int]:
     return out
 
 
-def basis_masks(o, vecs: list, r: int, stop: int | None = None) -> list[int]:
+def basis_masks(o, vecs: list, r: int, count: int | None = None) -> list[int] | None:
     """Masks of the independent r-subsets of vecs, in the order of
-    itertools.combinations(range(len(vecs)), r), at most `stop` of them.
+    itertools.combinations(range(len(vecs)), r).  With `count` (>= 0),
+    the masks only when there are exactly `count` of them, else None.
 
     Depth-first over one triangular echelon; a dependent prefix is pruned
-    with every subset that extends it.
+    with every subset that extends it.  With `count` the walk also stops
+    at its verdict: at the (count + 1)-th basis, or once its dependent
+    prefixes have ruled out more than C(e, r) - count of the C(e, r)
+    subsets (e = len(vecs)), a dependent candidate i at depth d (with d
+    indices before it) ruling out the C(e - i - 1, r - d - 1) subsets that
+    extend it.
     """
     if r == 0:
-        return [0]
+        return [0] if count in (None, 1) else None
     out: list[int] = []
-    _walk_bases(o, vecs, r, stop, [], out, 0, 0)
-    return out
+    stop, left = (None, 0) if count is None else (count + 1, math.comb(len(vecs), r) - count)
+    # a counted walk that ran to its end ruled out C(e, r) - count subsets
+    # and found the other `count`
+    return None if _walk_bases(o, vecs, r, stop, left, [], out, 0, 0) < 0 else out
 
 
-def _walk_bases(o, vecs: list, r: int, stop, ech: list, out: list, start: int, mask: int) -> bool:
+def _walk_bases(o, vecs: list, r: int, stop, left: int, ech: list, out: list, start: int,
+                mask: int) -> int:
     """Extend the independent prefix `mask`, whose rows are on `ech`, by
-    each index from `start` on, appending the r-subsets to `out`; True once
-    `stop` of them are out.  A module function, not a closure: a recursive
-    closure is a reference cycle that only the cyclic collector frees, and
-    `from_matrix` builds one per call."""
-    last = len(ech) + 1 == r
-    for i in range(start, len(vecs) - r + len(ech) + 1):
+    each index from `start` on, appending the r-subsets to `out`.  With a
+    count, `stop` is count + 1 and `left` the subsets the dependent
+    prefixes may still rule out; without, `stop` is None and `left` stays
+    0.  Returns what is left, negative once the walk is done.  A module
+    function, not a closure: a recursive closure is a reference cycle that
+    only the cyclic collector frees, and `from_matrix` builds one per
+    call."""
+    e, depth = len(vecs), len(ech)
+    last = depth + 1 == r
+    for i in range(start, e - r + depth + 1):
         row = o.reduce_pivot(ech, vecs[i])
         if row is None:
+            if stop:
+                left -= 1 if last else math.comb(e - i - 1, r - depth - 1)
+                if left < 0:
+                    return left
             continue
         if last:
             out.append(mask | 1 << i)
             if len(out) == stop:
-                return True
+                return -1
         else:
             ech.append(row)
-            done = _walk_bases(o, vecs, r, stop, ech, out, i + 1, mask | 1 << i)
+            left = _walk_bases(o, vecs, r, stop, left, ech, out, i + 1, mask | 1 << i)
             ech.pop()
-            if done:
-                return True
-    return False
+            if left < 0:
+                return left
+    return left
 
 
 def contract(o, A: FqMatrix, chosen: list[int], keep: list[int]) -> FqMatrix | None:

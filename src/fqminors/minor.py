@@ -14,6 +14,9 @@ One searcher and one reference, with the same witness format:
   direction selection, one per isomorphism test, and a candidate
   survivor selection costs as many units as the basis enumeration it
   triggers, so a fixed budget bounds actual work even for large targets.
+  The enumeration itself stops at its verdict (`linalg.basis_masks` with
+  the target's basis count), and the selection is still charged its
+  units, so the units spent are those of a whole enumeration.
   A basis family that matched the target once is not tested again on the
   same `_Plan` (`_Plan.matched`), but its test is still charged its unit,
   so the units spent are those of testing it every time.
@@ -38,10 +41,12 @@ One searcher and one reference, with the same witness format:
   each once and reduces every (host, set) pair by one
   `linalg.gf2_coset_reps`; the pairs whose set is dependent or leaves
   too few zero or distinct survivors are dropped, and each host scores
-  the rest by `_Plan.score`.  A round holds at most the fewest units
-  left + 1 sets per host and each set is still charged one unit, the
-  dropped ones in one tick, so the budget bounds the work and every
-  witness, outcome and unit spent is the per-set path's.
+  the rest by `_Plan.score`, the round reading its passing pairs in one
+  pass (one `np.nonzero`, one `linalg.word_ints`).  A round holds at
+  most the fewest units left + 1 sets per host and each set is still
+  charged one unit, the dropped ones in one tick, so the budget bounds
+  the work and every witness, outcome and unit spent is the per-set
+  path's.
 * `find_minor` is the brute-force reference on abstract basis-family
   matroids: every (C, D) pair, dependent C included, then isomorphism, at
   one budget unit per pair.  The exact oracle and the `validate` agreement
@@ -364,6 +369,13 @@ class _Plan:
         a witness, so the witness, the outcome and the budget spent are
         those of scoring every selection in turn.
 
+        A selection's basis walk is `linalg.basis_masks` with the
+        target's basis count: it stops at its verdict, at one basis too
+        many or at too many dependent subsets, and gives None for any
+        other count.  Only the verdict moves the scan, and the selection
+        is charged its C(e_t, r_t) units however early the walk stopped,
+        so the units spent are those of a whole walk.
+
         The isomorphism test of a selection whose basis family is in
         `matched` reads its bijection from there, after charging the test's
         unit as a fresh test would: the verdict depends only on the family,
@@ -400,9 +412,9 @@ class _Plan:
                 budget_.tick(bases_cost)
                 s_list = sorted(loop_pick + tuple(j for cls, s in zip(classes, order)
                                                   for j in cls[:s]))
-                bases = linalg.basis_masks(o, [reps[j] for j in s_list], r_t, self.n_bases_t + 1)
+                bases = linalg.basis_masks(o, [reps[j] for j in s_list], r_t, self.n_bases_t)
                 cost = bases_cost
-                if len(bases) == self.n_bases_t:
+                if bases is not None:
                     budget_.tick()
                     key = tuple(bases)
                     bij = self.matched.get(key)
@@ -533,11 +545,14 @@ def _screen_rounds(o, col_words: np.ndarray, plan: _Plan, budgets: dict) -> dict
     and one `linalg.gf2_coset_reps` reduces every (host, set) pair of the
     round.  A pair may give a witness only when its set's columns are
     independent and leave at least l_t zero survivors and c_t distinct
-    nonzero ones; each host scores those in order by `_Plan.score` and
-    leaves at its witness or when its budget runs out.  Each set costs
-    the unit the per-set path charges it: the sets dropped before a
-    passing one are charged with it in one tick, the rest at the end of
-    the round, so every witness is found at the same `spent`."""
+    nonzero ones.  The round reads those passing pairs in one pass: one
+    `np.nonzero` over its (host, set) matrix, in host order, and one
+    `linalg.word_ints` for all their representatives.  Each host scores
+    its pairs in order by `_Plan.score` and leaves at its witness or when
+    its budget runs out.  Each set costs the unit the per-set path charges
+    it: the sets dropped before a passing one are charged with it in one
+    tick, the rest at the end of the round, so every witness is found at
+    the same `spent`."""
     n, width = col_words.shape[1:]
     k = plan.k
     order = _stride_order(math.comb(n, k))
@@ -565,15 +580,22 @@ def _screen_rounds(o, col_words: np.ndarray, plan: _Plan, budgets: dict) -> dict
         keys = np.sort(keys, axis=1)
         distinct = 1 + (keys[:, 1:] != keys[:, :-1]).sum(axis=1) - (zeros > 0)
         passing = (ranks == k) & (zeros - k >= plan.l_t) & (distinct >= plan.c_t)
-        for t, passed, host_reps in zip(live, passing.reshape(len(live), count),
-                                        reps.reshape(len(live), count, n, width)):
+        # the passing (host, set) pairs in host order, pair p's
+        # representatives at pair_reps[p * n:(p + 1) * n], and host h's
+        # pairs at bounds[h]:bounds[h + 1]
+        hosts, sets = np.nonzero(passing.reshape(len(live), count))
+        pair_reps = linalg.word_ints(reps[hosts * count + sets].reshape(-1, width))
+        bounds = np.searchsorted(hosts, np.arange(len(live) + 1)).tolist()
+        sets = sets.tolist()
+        for h, t in enumerate(live):
             budget_ = open_[t]
             charged = 0
             try:
-                for b in np.flatnonzero(passed).tolist():
+                for p in range(bounds[h], bounds[h + 1]):
+                    b = sets[p]
                     budget_.tick(b + 1 - charged)
                     charged = b + 1
-                    w = plan.score(o, budget_, combos[b], linalg.word_ints(host_reps[b]))
+                    w = plan.score(o, budget_, combos[b], pair_reps[p * n:(p + 1) * n])
                     if w is not None:
                         out[t] = ("witness", w)
                         del open_[t]

@@ -122,6 +122,10 @@ def sample_entries(q: int, count: int, spec: SeedSpec) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     bg = _philox(spec)
     words = bg.random_raw(count)
+    if q & (q - 1) == 0:
+        # a power of two divides 2^64: the words' low bits, none rejected,
+        # are the codes `% q` gives, without numpy's integer division
+        return (words & np.uint64(q - 1)).astype(np.int64)
     out = (words % np.uint64(q)).astype(np.int64)
     threshold = (2**64 // q) * q
     if threshold < 2**64:

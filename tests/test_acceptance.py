@@ -145,6 +145,11 @@ def test_criterion_8_graphic_class_check():
     # accounting fails here: (n, nongraphic_found, unknown) per row
     assert [(r.n, r.confirmed_out, r.unknown) for r in rows] == [
         (8, 0, 0), (16, 987, 13), (24, 1000, 0)]
+    # and at a held-out seed, whose 17 unknowns move if any charge does
+    held_out = run_class_sweep(2, "graphic", (8, 24, 8), "n-minus:8",
+                               trials=1000, seed=12345, budget=20_000)
+    assert [(r.n, r.confirmed_out, r.unknown) for r in held_out] == [
+        (8, 0, 0), (16, 983, 17), (24, 1000, 0)]
     print(f"ACCEPTANCE 8 PASS: K4 graphic, U24/GF(5) non-graphic; "
           f"sweep non-graphic frequency {freq}")
 

@@ -435,8 +435,10 @@ def test_pruned_pick_walk_matches_plain_enumeration():
 
 
 def test_prefix_shared_walks_match_plain_enumeration():
+    # without a count the walk lists every basis; with one, the plain
+    # enumeration's list when it has exactly that many bases, else None
     rng = random.Random(8)
-    for f in (F2, F3):
+    for f in (F2, F3, field(4)):
         o = linalg.ops_for(f, 3)
         for _ in range(15):
             A = FqMatrix(f, 3, 7, tuple(rng.randrange(f.q) for _ in range(21)))
@@ -444,8 +446,41 @@ def test_prefix_shared_walks_match_plain_enumeration():
             for r in range(0, 4):
                 indep = [_mask_of(x) for x in itertools.combinations(range(7), r)
                          if o.rank_cols([vecs[i] for i in x]) == r]
-                for stop in (1, 5, len(indep) + 1):
-                    assert linalg.basis_masks(o, vecs, r, stop) == indep[:stop]
+                assert linalg.basis_masks(o, vecs, r) == indep
+                true = len(indep)
+                for count in {0, true - 1, true, true + 1, math.comb(7, r)} - {-1}:
+                    want = indep if count == true else None
+                    assert linalg.basis_masks(o, vecs, r, count) == want, (f.q, r, count)
+
+
+def test_counted_walks_stop_at_their_verdict():
+    o = linalg.ops_for(F2, 5)
+    calls = 0
+    reduce_pivot = o.reduce_pivot
+
+    def counted(ech, v):
+        nonlocal calls
+        calls += 1
+        return reduce_pivot(ech, v)
+
+    o.reduce_pivot = counted
+    unit = [1 << i for i in range(5)]
+    # a repeated vector: the dependent prefix {0, 1} rules out the
+    # C(4, 1) = 4 subsets {0, 1, x}, more than the C(6, 3) - C(6, 3) = 0
+    # the count leaves, so the walk stops at its second reduction
+    vecs = [unit[0], unit[0], *unit[1:]]
+    assert linalg.basis_masks(o, vecs, 3, math.comb(6, 3)) is None
+    assert calls == 2
+    # all C(5, 3) = 10 subsets of five independent vectors are bases: with
+    # a count of 4 the walk stops at the fifth, {0, 2, 4}, its eighth
+    # reduction ({0}, {0, 1}, three bases {0, 1, x}, {0, 2}, {0, 2, 3},
+    # {0, 2, 4}), where the whole walk takes 19
+    calls = 0
+    assert linalg.basis_masks(o, unit, 3, 4) is None
+    assert calls == 8
+    calls = 0
+    assert len(linalg.basis_masks(o, unit, 3)) == 10
+    assert calls == 19
 
 
 def _reference_distinct_size_orders(sizes):
@@ -536,10 +571,18 @@ def test_incremental_scan_matches_reference_scan(monkeypatch):
     # (class sizes 2, 1: two size orders)
     targets.append(from_matrix(from_rows(F2, [[1, 0, 1, 0], [0, 1, 1, 0]])))
     targets.append(from_matrix(from_rows(F2, [[1, 1, 0, 0], [0, 0, 1, 0]])))
-    shapes = {2: [(4, 10), (5, 11)], 3: [(3, 8), (4, 8)], 4: [(3, 7), (3, 8)]}
+    # the graphic class's excluded minors, whose basis walks stop at their
+    # verdict, on GF(2) hosts of the rank MK5* needs
+    excluded = {name: catalog(name) for name in ("F7*", "MK33*", "MK5*")}
+    cases = [(2, [(4, 10), (5, 11)], targets), (3, [(3, 8), (4, 8)], targets),
+             (4, [(3, 7), (3, 8)], targets), (2, [(6, 11)], list(excluded.values()))]
     seen = set()
     walk_ran_out = 0
     real_walk = minor._ranked_picks
+    cut_walks: Counter = Counter()  # target -> basis walks stopped short of the count
+    real_basis_masks = linalg.basis_masks
+    # the reference's c! size orders, built once per class-size multiset
+    size_orders: dict = {}
 
     def watched_walk(*args):
         nonlocal walk_ran_out
@@ -549,17 +592,28 @@ def test_incremental_scan_matches_reference_scan(monkeypatch):
             walk_ran_out += 1
             raise
 
+    def watched_basis_masks(o, vecs, r, count=None):
+        bases = real_basis_masks(o, vecs, r, count)
+        cut_walks[len(vecs), r] += bases is None
+        return bases
+
+    def reference_size_orders(sizes):
+        if tuple(sizes) not in size_orders:
+            size_orders[tuple(sizes)] = _reference_distinct_size_orders(sizes)
+        return size_orders[tuple(sizes)]
+
     def reference(A, t, budget):
         with monkeypatch.context() as mp:
             mp.setattr(minor._Plan, "score", _reference_score)
-            mp.setattr(minor, "_distinct_size_orders", _reference_distinct_size_orders)
+            mp.setattr(minor, "_distinct_size_orders", reference_size_orders)
             return minor.search(A, t, budget)
 
     monkeypatch.setattr(minor, "_ranked_picks", watched_walk)
-    for q, qshapes in shapes.items():
+    monkeypatch.setattr(linalg, "basis_masks", watched_basis_masks)
+    for q, qshapes, qtargets in cases:
         for (m, n), seed in itertools.product(qshapes, (2024, 2025)):
             A = sample_matrix(q, m, n, SeedSpec(seed, q))
-            for t in targets:
+            for t in qtargets:
                 whole = reference(A, t, None)[2]
                 budgets = {50, 500, None} | {b for b in (whole - 1, whole // 2, whole // 3) if b > 0}
                 for budget in sorted(budgets, key=lambda b: b or math.inf):
@@ -576,6 +630,8 @@ def test_incremental_scan_matches_reference_scan(monkeypatch):
     # the pruned walk
     assert seen == {"witness", "absent", "unknown"}
     assert walk_ran_out
+    # every excluded minor's walks were cut at their verdict
+    assert all(cut_walks[t.ground_size, t.rank] for t in excluded.values())
 
 
 def test_witnesses_contract_the_rank_drop():

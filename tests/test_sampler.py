@@ -116,6 +116,17 @@ def test_sampled_words_do_not_leak_between_streams():
         assert sampler.sample_entries(q, 30, b).tolist() == _reference_entries(q, 30, b.seed, b.stream)
 
 
+def test_power_of_two_codes_are_the_words_mod_q():
+    # a power-of-two q keeps the words' low bits: the codes of `% q`, for
+    # an empty draw and for one of more than 2^16 words
+    for q, seed, count in itertools.product((2, 4, 8, 16), (0, 7, -3, 2**63 + 1),
+                                            (0, 1, 900, 2**16 + 3)):
+        spec = SeedSpec(seed, q)
+        want = _fresh(spec.seed, spec.stream).random_raw(count) % np.uint64(q)
+        got = sample_entries(q, count, spec)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist(), (q, seed, count)
+
+
 def test_redraws_continue_the_rekeyed_stream(monkeypatch):
     # a word >= q * (2^64 // q) is a 2^-64 event for q = 3 and 5, so force
     # some: the refills must be the stream's next words, in position order
