@@ -20,7 +20,7 @@ from . import formulas, validate
 from .errors import BadArgumentsError, FqminorsError, ParseError
 from .matrix import FqMatrix, parse_matrix
 from .matroid import Matroid, catalog, parse_matroid
-from .minor import DEFAULT_BUDGET, decide, has_excluded_minor_matrix
+from .minor import DEFAULT_BUDGET, decide, excluded_minors, has_excluded_minor_matrix
 from .sampler import SeedSpec, sample_matrix
 from .sweep import (SWEEP_BUDGET, class_rows_to_csv, minor_rows_to_csv, run_class_sweep,
                     run_minor_sweep)
@@ -286,9 +286,10 @@ def _cmd_class_sweep(args):
     rows = run_class_sweep(args.q, args.class_name,
                            (args.n_start, args.n_stop, args.n_step),
                            args.m_rule, args.trials, args.seed, budget, args.jobs)
-    # the smallest excluded minor representable over GF(q) has rank 2 for
-    # q > 2 (U_{2,4}) but rank 3 for q = 2 (F7), and m(n) must reach it
-    need = 3 if args.q == 2 else 2
+    # m(n) must reach the smallest rank of an excluded minor representable
+    # over GF(q): for 'graphic', U_{2,4}'s 2 for q > 2 but F7's 3 for q = 2
+    need = min(t.rank for _, t in excluded_minors(args.class_name)
+               if not formulas.unrepresentable(args.q, t))
     bad = [r.n for r in rows if r.m < need]
     status = "satisfied for all n" if not bad else f"violated at n in {bad}"
     payload = {

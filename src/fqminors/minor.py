@@ -56,15 +56,17 @@ A search that runs out of budget raises BudgetExceededError: the outcome is
 *unknown*, which callers must never conflate with *absent*.  So does a
 target one of whose survivor selections would cost more than the whole
 budget, before its basis family is scanned.  Each searcher has its own
-verifier: `verify_witness_matrix` shares none of the matrix search's
-internals, and `verify_witness` checks C's independence and the witness
-bijection, which the reference's isomorphism test does not.
-`verify_witness_stack` gives `verify_witness_matrix`'s verdicts on the
-witnesses of a stack of GF(2) hosts: it checks that each witness names
-the survivors on the stacked witness arrays, contracts each witness's own
-host by one numpy elimination per contraction size
-(`linalg.gf2_contract`), which shares no code with the search either,
-with the survivors in bijection order, and builds one matroid per
+verifier, and all apply one witness rule: C, D and the bijection name
+each host element once (`_names_survivors`), C is independent, and the
+minor with its survivors in bijection order has the target's bases.
+`verify_witness_matrix` contracts by `linalg.contract`, which shares none
+of the matrix search's internals; `verify_witness` checks C's
+independence and the bijection, which the reference's isomorphism test
+does not.  `verify_witness_stack` gives `verify_witness_matrix`'s
+verdicts on the witnesses of a stack of GF(2) hosts: it applies the rule
+to a group of witnesses at once, contracting each witness's own host by
+one numpy elimination per contraction size (`linalg.gf2_contract`), which
+shares no code with the search either, and builds one matroid per
 distinct contraction to compare with the target.
 
 `search` runs `find_minor_matrix` and returns its status, its witness
@@ -93,7 +95,7 @@ from . import linalg
 from .errors import BadArgumentsError, BudgetExceededError
 from .gf import field
 from .matrix import FqMatrix
-from .matroid import Matroid, catalog, from_matrix, is_isomorphic
+from .matroid import Matroid, _mapped_mask, catalog, from_matrix, is_isomorphic
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -227,45 +229,26 @@ def find_minor(host: Matroid, target: Matroid, budget: int | None = DEFAULT_BUDG
     return None
 
 
-def _witness_survivors(n: int, target: Matroid, w: MinorWitness) -> list[int] | None:
-    """The host elements the witness keeps, in order; None when C and D
-    overlap, name an element outside 0..n-1, or the bijection is not onto
-    the survivors."""
-    if w.contract & w.delete:
-        return None
-    named = w.contract | w.delete
-    if any(not 0 <= x < n for x in named):
-        return None
-    survivors = [x for x in range(n) if x not in named]
-    if len(survivors) != target.ground_size or sorted(w.bijection) != survivors:
-        return None
-    return survivors
-
-
-def _is_target(minor_m: Matroid, target: Matroid, survivors: list[int], bijection) -> bool:
-    """Whether minor_m, whose element i is survivors[i], has the target's
-    basis family under the witness bijection."""
-    pos = {x: i for i, x in enumerate(survivors)}
-    expected = set()
-    for b in target.bases:
-        mask = 0
-        for i in range(target.ground_size):
-            if (b >> i) & 1:
-                mask |= 1 << pos[bijection[i]]
-        expected.add(mask)
-    return minor_m.bases == frozenset(expected)
+def _names_survivors(n: int, e_t: int, w: MinorWitness) -> bool:
+    """Whether C, D and the bijection of w name each host element 0..n-1
+    once, the bijection e_t of them: the witness rule of every verifier."""
+    named = sorted([*w.contract, *w.delete, *w.bijection])
+    return len(w.bijection) == e_t and named == list(range(n))
 
 
 def verify_witness(host: Matroid, target: Matroid, w: MinorWitness) -> bool:
     """Recompute the minor named by the witness and compare basis families
-    under the witness bijection; C must be independent."""
-    survivors = _witness_survivors(host.ground_size, target, w)
-    if survivors is None:
+    under the witness bijection, target element i becoming the rank of
+    bijection[i] among the survivors; C must be independent."""
+    if not _names_survivors(host.ground_size, target.ground_size, w):
         return False
     c_mask = _mask_of(w.contract)
     if not host.is_independent(c_mask):
         return False
-    return _is_target(host.minor(c_mask, _mask_of(w.delete)), target, survivors, w.bijection)
+    rank = {x: i for i, x in enumerate(sorted(w.bijection))}
+    mapping = [rank[x] for x in w.bijection]
+    return (host.minor(c_mask, _mask_of(w.delete)).bases
+            == frozenset(_mapped_mask(b, mapping) for b in target.bases))
 
 
 # ----------------------------------------------------------------------
@@ -658,17 +641,17 @@ def verify_witness_matrix(A: FqMatrix, target: Matroid, w: MinorWitness) -> bool
     """Witness check against a matrix host, by explicit contraction.
 
     `linalg.contract` pivots on the contracted columns by one Gauss-Jordan
-    pass, drops their rows and keeps the survivors; the resulting column
-    matroid is compared with the target under the witness bijection.
-    Independent of the quotient-echelon route the searcher uses.
+    pass, drops their rows and keeps the survivors in bijection order, so
+    column i of the minor plays target element i: the witness holds when
+    it names the survivors (`_names_survivors`) and the minor's column
+    matroid has the target's bases.  Independent of the quotient-echelon
+    route the searcher uses.
     """
-    survivors = _witness_survivors(A.n, target, w)
-    if survivors is None:
+    if not _names_survivors(A.n, target.ground_size, w):
         return False
     o = linalg.ops_for(A.field, A.m)
-    minor_mat = linalg.contract(o, A, sorted(w.contract), survivors)
-    return minor_mat is not None and _is_target(from_matrix(minor_mat), target, survivors,
-                                                w.bijection)
+    minor_mat = linalg.contract(o, A, sorted(w.contract), list(w.bijection))
+    return minor_mat is not None and from_matrix(minor_mat).bases == target.bases
 
 
 def verify_witness_stack(words, n: int, target: Matroid, witnesses: dict) -> dict:
@@ -676,18 +659,18 @@ def verify_witness_stack(words, n: int, target: Matroid, witnesses: dict) -> dic
     GF(2) host of n columns whose row words (`linalg.pack_stack`) are
     words[t], as host -> verdict.
 
-    The witnesses are grouped by (|C|, |D|, |bijection|).  A group whose
+    It applies `_names_survivors`'s rule to a whole group at once.  The
+    witnesses are grouped by (|C|, |D|, |bijection|).  A group whose
     sizes do not sum to n, or whose bijection is not e_t long, fails at
-    once.  In the others a witness names the target's survivors, as
-    `_witness_survivors` asks, exactly when its row sorted C + sorted D +
-    bijection of the group's (G, n) array holds every column 0..n-1 once.
-    Those witnesses are contracted on their own C by one
-    `linalg.gf2_contract` per group, which keeps the survivors in
-    bijection order: column i of a contraction is the host element that
-    plays target element i, so the contraction is the target exactly when
-    its column matroid has the target's bases.  That is decided once per
-    distinct contraction of the group, and hosts whose contractions have
-    equal entries share the verdict."""
+    once.  In the others a witness names each host element once exactly
+    when its row sorted C + sorted D + bijection of the group's (G, n)
+    array holds every column 0..n-1 once.  Those witnesses are contracted
+    on their own C by one `linalg.gf2_contract` per group, which keeps the
+    survivors in bijection order: column i of a contraction is the host
+    element that plays target element i, so the contraction is the target
+    exactly when its column matroid has the target's bases.  That is
+    decided once per distinct contraction of the group, and hosts whose
+    contractions have equal entries share the verdict."""
     f2 = field(2)
     m, e_t = words.shape[1], target.ground_size
     verdicts = dict.fromkeys(witnesses, False)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import format_matrix, format_matroid, from_rows, identity, run_cli
-from fqminors import cli, formulas, sweep
+from fqminors import cli, formulas, minor, sweep
 from fqminors.gf import field
 from fqminors.matrix import FqMatrix
 from fqminors.matroid import catalog
@@ -474,6 +474,16 @@ def test_class_sweep_flag_defaults(monkeypatch):
                      "--m-rule", "n-minus:4"]) == cli.EXIT_OK
     [(q, name, ns, rule, trials, seed, budget, jobs)] = seen
     assert (ns, trials, jobs, budget) == ((8, 8, 1), 1000, 1, sweep.SWEEP_BUDGET)
+
+
+def test_class_sweep_row_floor_follows_the_excluded_minors(monkeypatch, capsys):
+    # the floor is the least rank of an excluded minor representable over
+    # GF(q): with only the rank-4 F7* and MK33*, a host of three rows is short
+    monkeypatch.setattr(minor, "GRAPHIC_EXCLUDED", ("F7*", "MK33*"))
+    assert cli.main(["class", "--sweep", "--q", "2", "--n-start", "7", "--n-stop", "7",
+                     "--m-rule", "constant:3", "--trials", "5", "--seed", "1"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == "# row-floor: q=2 requires m(n) >= 4: violated at n in [7]"
 
 
 def test_class_sweep_json_rows_equal_csv(capsys):

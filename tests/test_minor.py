@@ -91,23 +91,41 @@ def test_verify_witness_matrix_rejects_corruption():
         MinorWitness(w.contract, w.delete | {-1}, w.bijection),
         # a bijection onto a deleted element instead of a survivor
         MinorWitness(w.contract, w.delete, (dropped,) + survivors[1:]),
+        # a bijection onto a contracted element
+        MinorWitness(w.contract, w.delete, (min(w.contract),) + w.bijection[1:]),
+        # a short bijection, a long one, and one repeating an element
+        MinorWitness(w.contract, w.delete, w.bijection[:2]),
+        MinorWitness(w.contract, w.delete - {dropped}, w.bijection + (dropped,)),
+        MinorWitness(w.contract, w.delete, w.bijection[:1] * 2 + w.bijection[2:]),
     ]
+    # one table for both lone verifiers, the reference's on the host's
+    # column matroid
+    M = from_matrix(A)
     for bad in cases:
         assert not verify_witness_matrix(A, u23, bad)
+        assert not verify_witness(M, u23, bad)
     # the witness is for U:2,3, not for another 3-element matroid
     assert not verify_witness_matrix(A, catalog("U:1,3"), w)
+    assert not verify_witness(M, catalog("U:1,3"), w)
+    assert verify_witness(M, u23, w)
+    # the e_t = 0 witness: U:0,0 on a 0 x 0 host
+    empty, none = FqMatrix(F2, 0, 0, ()), MinorWitness(frozenset(), frozenset(), ())
+    assert verify_witness_matrix(empty, catalog("U:0,0"), none)
+    assert verify_witness(from_matrix(empty), catalog("U:0,0"), none)
     # columns 0, 1, 2 are 001, 010, 011: contracting 0 and 1 leaves 2 a loop
     # and 3..6 one parallel class, but 0, 1, 2 together are dependent
     u14 = catalog("U:1,4")
     good = MinorWitness(frozenset({0, 1}), frozenset({2}), (3, 4, 5, 6))
-    assert verify_witness_matrix(A, u14, good)
+    assert verify_witness_matrix(A, u14, good) and verify_witness(M, u14, good)
     dependent = MinorWitness(frozenset({0, 1, 2}), frozenset(), (3, 4, 5, 6))
     assert not verify_witness_matrix(A, u14, dependent)
+    assert not verify_witness(M, u14, dependent)
     # four contracted columns in a 3-row host, the first three (001, 010,
     # 100) already a basis: a change of basis that stops after m pivots
     # would leave a -1-row minor
     oversize = MinorWitness(frozenset({0, 1, 3, 4}), frozenset(), (2, 5, 6))
     assert not verify_witness_matrix(A, u23, oversize)
+    assert not verify_witness(M, u23, oversize)
 
 
 def test_decide_classifies_every_outcome(monkeypatch):
