@@ -110,16 +110,8 @@ class Field:
         self.q = q
         self.codes = frozenset(range(q))  # the element codes, for range checks
         self.p, self.deg = pp
-        if self.deg == 1:
-            self.add_table = tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
-            self.mul_table = tuple(tuple((a * b) % q for b in range(q)) for a in range(q))
-        else:
-            self.add_table = tuple(
-                tuple(self._poly_add(a, b) for b in range(q)) for a in range(q)
-            )
-            self.mul_table = tuple(
-                tuple(self._poly_mul(a, b) for b in range(q)) for a in range(q)
-            )
+        self.add_table = tuple(tuple(self._poly_add(a, b) for b in range(q)) for a in range(q))
+        self.mul_table = tuple(tuple(self._poly_mul(a, b) for b in range(q)) for a in range(q))
         self.neg_table = tuple(self.add_table[a].index(0) for a in range(q))
         inv = [0] * q
         for a in range(1, q):
@@ -151,11 +143,12 @@ class Field:
             if x:
                 for j, y in enumerate(db):
                     prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce modulo the irreducible polynomial (monic of degree deg)
-        irr = _IRREDUCIBLE[self.q]
+        # reduce modulo the irreducible polynomial (monic of degree deg),
+        # which a prime field, whose products have degree 0, never reads
         for i in range(len(prod) - 1, deg - 1, -1):
             c = prod[i]
             if c:
+                irr = _IRREDUCIBLE[self.q]
                 prod[i] = 0
                 for j in range(deg):
                     prod[i - deg + j] = (prod[i - deg + j] - c * irr[j]) % p

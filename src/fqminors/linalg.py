@@ -37,12 +37,11 @@ kernel it checks.  Its output is a plain matrix of the kept entries
 (`pick`).
 A matrix's columns and rows reach a backend in its form (`cols_of`,
 `rows_of`): its columns attached to the matrix when the sampler (`pack`,
-by numpy's `pack_rows` from the codes) or the oracle built them, and
+from the codes by `pack_words`) or the oracle built them, and
 otherwise, as its rows always are, encoded from the entries (`encode`).
-Stacks of GF(2) matrices are worked on the same 64-bit words that
-`pack_rows` joins into ints (`word_ints`): `pack_stack` packs a whole
-stack's rows, and its columns, into such words with one call each, and
-`narrow_words` packs only the side with fewer vectors.  Two numpy
+`pack_words` is the one GF(2) packer: it packs 0/1 entries into 64-bit
+words, which `word_ints` joins into ints, and stacks of GF(2) matrices
+are worked on such words, packed by one call per side.  Two numpy
 elimination loops work on them, one per role, and share no step:
 `gf2_coset_reps`, the stacked search's kernel, reduces every column of
 each of a batch of (host, contraction set) pairs modulo the set by one
@@ -65,11 +64,12 @@ from .gf import Field
 from .matrix import FqMatrix
 
 
-def _words(bits: np.ndarray) -> np.ndarray:
+def pack_words(bits: np.ndarray) -> np.ndarray:
     """The 0/1 entries along the last axis of `bits` packed into 64-bit
     words, bit j of a row in word j // 64 at position j % 64; a row always
     has at least one word.  Each row is padded with zeros to whole words,
-    so one `packbits` over the flat array packs every row."""
+    so one `packbits` over the flat array packs every row: the one GF(2)
+    packer, of a matrix's rows or columns or of a whole stack's."""
     *lead, n = bits.shape
     width = max(1, -(-n // 64)) * 64
     padded = np.zeros((*lead, width), dtype=np.uint8)
@@ -86,32 +86,11 @@ def word_ints(words: np.ndarray) -> list[int]:
     return out
 
 
-def pack_rows(bits: np.ndarray) -> list[int]:
-    """Each row of a 2-D 0/1 array as an int, bit j = entry j, for any row
-    length: the one GF(2) packer."""
-    return word_ints(_words(bits))
-
-
-def pack_stack(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row words, column words) of a stack of 0/1 matrices of shape
-    (T, m, n), shapes (T, m, W) and (T, n, W'): one `_words` call packs
-    every row of the stack and one every column.  `word_ints` of
-    words[t] gives matrix t's rows (or columns) as `pack_rows` does."""
-    return _words(bits), _words(bits.transpose(0, 2, 1))
-
-
-def narrow_words(bits: np.ndarray) -> np.ndarray:
-    """The words of the side with fewer vectors of a stack of 0/1 matrices
-    of shape (T, m, n), for `gf2_ranks`: its row words (`_words`) when
-    m <= n, else its column words, which have the same ranks."""
-    return _words(bits if bits.shape[1] <= bits.shape[2] else bits.transpose(0, 2, 1))
-
-
 def gf2_ranks(vec_words: np.ndarray) -> np.ndarray:
     """Ranks of a stack of GF(2) matrices, as T ints, from the words of
     their rows or of their columns, shape (T, v, W): `gf2_coset_reps` with
     all v vectors of each matrix as its one set, so there are v steps and
-    the side with fewer vectors (`narrow_words`) ranks fastest."""
+    the side with fewer vectors ranks fastest."""
     T, v, _ = vec_words.shape
     return gf2_coset_reps(vec_words, np.broadcast_to(np.arange(v), (T, v)))[0]
 
@@ -119,8 +98,8 @@ def gf2_ranks(vec_words: np.ndarray) -> np.ndarray:
 def gf2_contract(words: np.ndarray, chosen: np.ndarray, keep: np.ndarray):
     """Contractions of a stack of GF(2) matrices, each on its own columns:
     (ok, minors) for the G matrices with row words `words`, shape (G, m, W)
-    as `_words` packs them, contracting columns chosen[g] of matrix g and
-    keeping its columns keep[g] (int arrays of shape (G, k) and (G, e)).
+    as `pack_words` packs them, contracting columns chosen[g] of matrix g
+    and keeping its columns keep[g] (int arrays of shape (G, k) and (G, e)).
     ok[g] is False where matrix g's chosen columns are dependent (or more
     than m); minors, shape (ok.sum(), m - k, e), holds the contractions of
     the others in stack order.
@@ -161,13 +140,13 @@ def gf2_contract(words: np.ndarray, chosen: np.ndarray, keep: np.ndarray):
 
 def gf2_coset_reps(col_words: np.ndarray, combos: np.ndarray):
     """(ranks, reps) for a stack of B contraction sets: col_words, shape
-    (B, n, W), holds B matrices' column words (as `_words` packs columns;
-    a broadcast view of one host is fine) and combos, shape (B, k), the
-    columns each contracts.  reps, shape (B, n, W), is every column
-    reduced modulo the span of its set's columns; ranks[b] is the rank of
-    set b, k where its columns are independent.  The one GF(2) kernel of
-    the stacked search: its screening rounds and, with every vector of a
-    matrix as one set, the ranks of a stack (`gf2_ranks`).
+    (B, n, W), holds B matrices' column words (`pack_words`; a broadcast
+    view of one host is fine) and combos, shape (B, k), the columns each
+    contracts.  reps, shape (B, n, W), is every column reduced modulo the
+    span of its set's columns; ranks[b] is the rank of set b, k where its
+    columns are independent.  The one GF(2) kernel of the stacked search:
+    its screening rounds and, with every vector of a matrix as one set,
+    the ranks of a stack (`gf2_ranks`).
 
     Step i takes each set's current column combos[:, i], v, pivots on v's
     lowest set bit and adds v to every column with that bit.  Later
@@ -265,7 +244,7 @@ class BitOps(_Ops):
 
     def pack(self, codes: np.ndarray) -> tuple[int, ...]:
         """The columns of an m x n array of codes, packed by numpy."""
-        return tuple(pack_rows(codes.T))
+        return tuple(word_ints(pack_words(codes.T)))
 
     def reduce(self, ech: list, v: int) -> int:
         for bit, b in ech:
@@ -373,7 +352,7 @@ class TriOps(GenOps):
         """The columns of an m x n array of codes, each plane packed by
         numpy."""
         n = codes.shape[1]
-        cols = pack_rows(np.concatenate((codes.T == 1, codes.T == 2)))
+        cols = word_ints(pack_words(np.concatenate((codes.T == 1, codes.T == 2))))
         return tuple(zip(cols[:n], cols[n:]))
 
     def order(self, v: tuple[int, int]) -> int:

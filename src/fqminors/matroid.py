@@ -131,7 +131,7 @@ class Matroid:
         # survivor x becomes the number of survivors below it
         mapping = [(surv_mask & ((1 << x) - 1)).bit_count() for x in range(self.ground_size)]
         return Matroid(surv_mask.bit_count(),
-                       (_mapped_mask(p, mapping) for p in parts if p.bit_count() == rr))
+                       (mapped_mask(p, mapping) for p in parts if p.bit_count() == rr))
 
     # -- dunder --------------------------------------------------------
 
@@ -301,7 +301,7 @@ def is_isomorphic(M1: Matroid, M2: Matroid):
     return None
 
 
-def _mapped_mask(mask: int, mapping: list[int]) -> int:
+def mapped_mask(mask: int, mapping: list[int]) -> int:
     """The image of the element set `mask` under `mapping`."""
     out = 0
     t = mask
@@ -324,7 +324,7 @@ def _assign(x: int, candidates: list, by_max: list, bases2, mapping: list[int],
             continue
         mapping[x] = y
         used[y] = True
-        if (all(_mapped_mask(b, mapping) in bases2 for b in by_max[x])
+        if (all(mapped_mask(b, mapping) in bases2 for b in by_max[x])
                 and _assign(x + 1, candidates, by_max, bases2, mapping, used)):
             return True
         mapping[x] = -1

@@ -79,7 +79,8 @@ witness that failed its independent check, never counted as found).
 `decide` is the two with `verify_witness_matrix` on one host, for the
 `minor` and `class` commands and the Monte Carlo trials over fields
 other than GF(2); `decide_stack` is its stacked twin for GF(2) trials
-(`sampler.search_chunk`), through `search_stack` and `verify_witness_stack`.
+(`sampler.search_chunk`), through `search_stack` and `verify_witness_stack`
+on the words it packs from the trials' sampled entries.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ from . import linalg
 from .errors import BadArgumentsError, BudgetExceededError
 from .gf import field
 from .matrix import FqMatrix
-from .matroid import Matroid, _mapped_mask, catalog, from_matrix, is_isomorphic
+from .matroid import Matroid, catalog, from_matrix, is_isomorphic, mapped_mask
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -248,7 +249,7 @@ def verify_witness(host: Matroid, target: Matroid, w: MinorWitness) -> bool:
     rank = {x: i for i, x in enumerate(sorted(w.bijection))}
     mapping = [rank[x] for x in w.bijection]
     return (host.minor(c_mask, _mask_of(w.delete)).bases
-            == frozenset(_mapped_mask(b, mapping) for b in target.bases))
+            == frozenset(mapped_mask(b, mapping) for b in target.bases))
 
 
 # ----------------------------------------------------------------------
@@ -656,7 +657,7 @@ def verify_witness_matrix(A: FqMatrix, target: Matroid, w: MinorWitness) -> bool
 
 def verify_witness_stack(words, n: int, target: Matroid, witnesses: dict) -> dict:
     """`verify_witness_matrix`'s verdict on each witnesses[t], found on the
-    GF(2) host of n columns whose row words (`linalg.pack_stack`) are
+    GF(2) host of n columns whose row words (`linalg.pack_words`) are
     words[t], as host -> verdict.
 
     It applies `_names_survivors`'s rule to a whole group at once.  The
@@ -742,7 +743,7 @@ def search_stack(col_words: np.ndarray, m: int, ranks, target: Matroid, budget,
                  hosts) -> dict:
     """`search`'s (status, witness, spent) for target in each GF(2) host t
     of `hosts`, as t -> triple: host t has m rows, rank ranks[t] and the
-    column words col_words[t] (`linalg.pack_stack`).
+    column words col_words[t] (`linalg.pack_words`).
 
     Hosts of equal rank share one `_set_up`, so they visit the same
     contraction sets in the same order, and `_screen_rounds` screens them
@@ -783,16 +784,18 @@ def _search_group(o, col_words: np.ndarray, r_h: int, group: list, target: Matro
             for t, (status, w) in _screen_rounds(o, col_words, plan, budgets).items()}
 
 
-def decide_stack(words, col_words, targets, budget) -> list[tuple[str, ...]]:
-    """`decide`'s outcomes for `targets` in each GF(2) host t of a stack,
-    with row words words[t] and column words col_words[t]
-    (`linalg.pack_stack`), as one tuple per host in target order.  The
-    stack is ranked once, by one `linalg.gf2_ranks` on the side with fewer
-    vectors.  Target by target, one `search_stack` searches every host
-    still open and one `verify_witness_stack` checks their witnesses; a
-    host leaves at its first verified witness, as in
+def decide_stack(bits: np.ndarray, targets, budget) -> list[tuple[str, ...]]:
+    """`decide`'s outcomes for `targets` in each GF(2) host of a stack of
+    0/1 matrices of shape (T, m, n), host t with entries bits[t], as one
+    tuple per host in target order.  The stack's rows and its columns are
+    packed once each (`linalg.pack_words`), and it is ranked once, by one
+    `linalg.gf2_ranks` on the side with fewer vectors.  Target by target,
+    one `search_stack` searches every host still open from its column
+    words and one `verify_witness_stack` checks their witnesses from their
+    row words; a host leaves at its first verified witness, as in
     `has_excluded_minor_matrix`'s short circuit."""
-    m, n = words.shape[1], col_words.shape[1]
+    m, n = bits.shape[1:]
+    words, col_words = linalg.pack_words(bits), linalg.pack_words(bits.transpose(0, 2, 1))
     ranks = linalg.gf2_ranks(words if m <= n else col_words).tolist()
     outcomes: list[tuple[str, ...]] = [()] * len(ranks)
     still_open = range(len(ranks))
@@ -813,7 +816,6 @@ def decide_stack(words, col_words, targets, budget) -> list[tuple[str, ...]]:
 
 @dataclass
 class ExcludedMinorReport:
-    class_name: str
     outcomes: dict = dc_field(default_factory=dict)  # target name -> decide outcome
     witnesses: dict = dc_field(default_factory=dict)  # verified witnesses only
 
@@ -841,7 +843,7 @@ def has_excluded_minor_matrix(A: FqMatrix, class_name: str = "graphic",
                               short_circuit: bool = False) -> ExcludedMinorReport:
     """Decide each of the class's `excluded_minors` in a matrix host;
     membership holds iff every one is absent."""
-    report = ExcludedMinorReport(class_name)
+    report = ExcludedMinorReport()
     targets = excluded_minors(class_name)
     o = linalg.ops_for(A.field, A.m)
     r_h = o.rank_cols(o.cols_of(A))  # ranked once, for every target

@@ -28,16 +28,18 @@ chunk function on each range and sums the Counters.  A chunk function
 (args, seed, lo, hi) -> Counter counts the outcomes of trials lo..hi-1.
 Over GF(2) every chunk function draws a range's codes into stacks
 (`_gf2_stacks`, the same words as one trial at a time).  A rank chunk
-ranks each stack by one `linalg.gf2_ranks`, the stacked search's
+packs each stack's side with fewer vectors (`linalg.pack_words`) and
+ranks it by one `linalg.gf2_ranks`, the stacked search's
 `linalg.gf2_coset_reps` kernel with all of a matrix's vectors as one set.
 Minor and class trials go on through one skeleton, `search_chunk`, which
 counts each trial by the tuple of its targets' `minor.outcome`s, up to
 the first 'found', and leaves the reading of those tuples to its callers;
 it builds no host matrix and decides each stack by `minor.decide_stack`,
-which ranks the stack by the same kernel.  Over other fields each trial
-is sampled by `sample_matrix` and ranked by `linalg.fast_rank` or decided
-on the per-trial path (`minor.decide`, which keeps
-`verify_witness_matrix`), as in the `minor` and `class` commands.
+which packs the stack and ranks it by the same kernel.  Over other
+fields each trial is sampled by `sample_matrix` and ranked by
+`linalg.fast_rank` or decided on the per-trial path (`minor.decide`,
+which keeps `verify_witness_matrix`), as in the `minor` and `class`
+commands.
 Estimates carry Wilson 95% intervals.  A minor trial counts as a success
 only when its own witness verifies; budget-exhausted searches and failed
 verifications are reported in `unknowns` (the latter also in
@@ -306,8 +308,8 @@ def _gf2_stacks(seed: int, lo: int, hi: int, m: int, n: int):
 
 def _rank_chunk(shape, seed: int, lo: int, hi: int) -> Counter:
     """Counter of the ranks of trials lo..hi-1.  Over GF(2) each stack of
-    `_gf2_stacks` is packed once, on its side with fewer vectors
-    (`linalg.narrow_words`), and ranked by one `linalg.gf2_ranks`, the
+    `_gf2_stacks` is packed once, on its side with fewer vectors (one
+    `linalg.pack_words`), and ranked by one `linalg.gf2_ranks`, the
     stacked search's `linalg.gf2_coset_reps` kernel."""
     q, m, n = shape
     if q != 2:
@@ -315,7 +317,8 @@ def _rank_chunk(shape, seed: int, lo: int, hi: int) -> Counter:
                        for i in range(lo, hi))
     ranks: Counter = Counter()
     for _, stack in _gf2_stacks(seed, lo, hi, m, n):
-        ranks.update(linalg.gf2_ranks(linalg.narrow_words(stack)).tolist())
+        narrow = stack if m <= n else stack.transpose(0, 2, 1)
+        ranks.update(linalg.gf2_ranks(linalg.pack_words(narrow)).tolist())
     return ranks
 
 
@@ -337,11 +340,11 @@ def search_chunk(q: int, m: int, n: int, seed: int, lo: int, hi: int, targets, b
     `sample_matrix` host A, and over fields other than GF(2) every trial
     is decided by it.
 
-    Over GF(2) each stack of `_gf2_stacks` is packed by one
-    `linalg.pack_stack` and decided by one `minor.decide_stack`, which
-    ranks it from those words by one `linalg.gf2_ranks`; no host is built
-    as a matrix.  A stack's first trial is also decided by per_trial on
-    the per-host path, a spot check of the stacked one: when the two
+    Over GF(2) each stack of `_gf2_stacks` is decided by one
+    `minor.decide_stack`, which packs it and ranks it by one
+    `linalg.gf2_ranks`; no host is built as a matrix.  A stack's first
+    trial is also decided by per_trial on the per-host path, a spot
+    check of the stacked one: when the two
     tuples differ it counts as ('unverified',).  The per-host search ranks
     its host and reduces each contraction set one at a time, so it shares
     no kernel with the stacked one's `linalg.gf2_coset_reps`, which gives
@@ -351,7 +354,7 @@ def search_chunk(q: int, m: int, n: int, seed: int, lo: int, hi: int, targets, b
         return Counter(per_trial(sample_matrix(q, m, n, SeedSpec(seed, i))) for i in range(lo, hi))
     results: Counter = Counter()
     for streams, stack in _gf2_stacks(seed, lo, hi, m, n):
-        outcomes = decide_stack(*linalg.pack_stack(stack), targets, budget)
+        outcomes = decide_stack(stack, targets, budget)
         if outcomes[0] != per_trial(sample_matrix(2, m, n, SeedSpec(seed, streams[0]))):
             outcomes[0] = ("unverified",)
         results.update(outcomes)

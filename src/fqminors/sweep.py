@@ -192,7 +192,7 @@ def run_class_sweep(q: int, class_name: str, n_range, m_rule: str, trials: int,
         members: Counter = Counter()  # each distinct outcome tuple read once
         for outcomes, count in run_trials(_class_chunk, (q, m, n, class_name, budget), trials,
                                           seed, jobs).items():
-            members[ExcludedMinorReport(class_name, dict(zip(names, outcomes))).membership] += count
+            members[ExcludedMinorReport(dict(zip(names, outcomes))).membership] += count
         rows.append(ClassSweepRow(n, m, trials, members["no"], members["unknown"]))
     return rows
 

@@ -51,6 +51,16 @@ def test_gf2_is_xor_and():
             assert f.mul(a, b) == a & b
 
 
+@pytest.mark.parametrize("q", (2, 3, 5, 7, 11, 13))
+def test_prime_field_tables_are_arithmetic_mod_q(q):
+    # a prime field's tables come from the same polynomial arithmetic as
+    # an extension field's, at degree 0, with no reduction step
+    f = Field(q)
+    assert f.p == q and f.deg == 1
+    assert f.add_table == tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
+    assert f.mul_table == tuple(tuple((a * b) % q for b in range(q)) for a in range(q))
+
+
 def test_gf4_characteristic_two():
     f = field(4)
     assert f.p == 2 and f.deg == 2

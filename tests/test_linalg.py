@@ -5,15 +5,16 @@ reference elimination."""
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 
 from conftest import from_rows, int_words, rank, rref
-from fqminors import linalg
+from fqminors import linalg, sampler
 from fqminors.gf import field
-from fqminors.linalg import (BitOps, GenOps, TriOps, _words, contract, fast_rank, gf2_contract,
-                             gf2_coset_reps, gf2_ranks, leftmost_independent, narrow_words,
-                             ops_for, pack_stack, word_ints)
+from fqminors.linalg import (BitOps, GenOps, TriOps, contract, fast_rank, gf2_contract,
+                             gf2_coset_reps, gf2_ranks, leftmost_independent, ops_for, pack_words,
+                             word_ints)
 from fqminors.matrix import FqMatrix
 from fqminors.sampler import SeedSpec, sample_matrix
 
@@ -253,7 +254,7 @@ def test_stacked_contraction_shares_no_elimination_with_the_search(monkeypatch):
     m, n, T = 6, 10, 8
     stack = np.array([sample_matrix(2, m, n, SeedSpec(48, t)).entries for t in range(T)],
                      dtype=np.uint8).reshape(T, m, n)
-    words = _words(stack)
+    words = pack_words(stack)
     cases = []
     for k in (0, 2, 4, 6, 7):
         picks = [rng.sample(range(n), n) for _ in range(T)]
@@ -355,7 +356,7 @@ def test_words_match_a_per_row_reference():
         bits = rng.integers(0, 2, shape).astype(np.uint8)
         width = max(1, -(-shape[-1] // 64))
         for x in (bits, bits == 1):
-            words = _words(x)
+            words = pack_words(x)
             assert words.shape == shape[:-1] + (width,) and words.dtype == np.dtype("<u8")
             for idx in np.ndindex(*shape[:-1]):
                 v = sum(int(b) << j for j, b in enumerate(bits[idx]))
@@ -369,7 +370,7 @@ def test_fast_rank_matches_rref_rank_gf9():
         assert fast_rank(A) == rank(A)
 
 
-def test_gf2_ranks_of_low_rank_stacks():
+def test_gf2_ranks_of_low_rank_stacks(monkeypatch):
     # products L·R of random m x r and r x n matrices have rank <= r, so
     # many columns have no pivot; shapes cross the 64-bit word boundary
     rng = np.random.default_rng(45)
@@ -378,27 +379,36 @@ def test_gf2_ranks_of_low_rank_stacks():
         R = rng.integers(0, 2, (9, r, n))
         bits = (L @ R % 2).astype(np.uint8)
         want = [fast_rank(FqMatrix(F2, m, n, tuple(b.ravel().tolist()))) for b in bits]
-        assert gf2_ranks(narrow_words(bits)).tolist() == want
         assert max(want) <= r
-        # either side of pack_stack's words, rows or columns, gives the
-        # same ranks, and the words are left as they were
-        for words in pack_stack(bits):
+        # either side's words, rows or columns, give the same ranks, and
+        # the words are left as they were
+        for words in (pack_words(bits), pack_words(bits.transpose(0, 2, 1))):
             kept = words.copy()
             assert gf2_ranks(words).tolist() == want
             assert np.array_equal(words, kept)
-    # narrow_words packs the side with fewer vectors: the rows of a wide
-    # stack (and of a square one), the columns of a tall one
     wide = rng.integers(0, 2, (4, 2, 1000)).astype(np.uint8)
     wide[0] = 0
     wide[1, 1] = wide[1, 0]
-    assert narrow_words(wide).shape == (4, 2, 16)
-    assert gf2_ranks(narrow_words(wide)).tolist() == [0, 1, 2, 2]
-    tall = wide.transpose(0, 2, 1)
-    assert narrow_words(tall).shape == (4, 2, 16)
-    assert np.array_equal(narrow_words(tall), narrow_words(wide))
-    assert narrow_words(np.zeros((2, 3, 3), dtype=np.uint8)).shape == (2, 3, 1)
-    assert gf2_ranks(narrow_words(np.zeros((3, 0, 4), dtype=np.uint8))).tolist() == [0, 0, 0]
-    assert gf2_ranks(narrow_words(np.ones((2, 4, 0), dtype=np.uint8))).tolist() == [0, 0]
+    assert gf2_ranks(pack_words(wide)).tolist() == [0, 1, 2, 2]
+    assert gf2_ranks(pack_words(wide.transpose(0, 2, 1))).tolist() == [0, 1, 2, 2]
+    assert gf2_ranks(pack_words(np.zeros((3, 0, 4), dtype=np.uint8))).tolist() == [0, 0, 0]
+    assert gf2_ranks(pack_words(np.ones((2, 4, 0), dtype=np.uint8))).tolist() == [0, 0]
+    # a rank chunk packs the side with fewer vectors, by one pack_words
+    # per stack: the rows of a wide stack (and of a square one), the
+    # columns of a tall one
+    packed = []
+
+    def spy(bits):
+        packed.append(bits.shape)
+        return pack_words(bits)
+
+    monkeypatch.setattr(linalg, "pack_words", spy)
+    for m, n in ((2, 1000), (1000, 2), (8, 8), (0, 5), (5, 0)):
+        packed.clear()
+        got = sampler._rank_chunk((2, m, n), 45, 0, 6)
+        assert [shape[1] for shape in packed] == [min(m, n)], (m, n)
+        assert got == Counter(fast_rank(sample_matrix(2, m, n, SeedSpec(45, i)))
+                              for i in range(6)), (m, n)
 
 
 def test_triangular_push_pop_tracks_rank():

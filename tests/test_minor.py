@@ -687,7 +687,8 @@ def test_exhausted_rank_drop_size_is_absent():
         assert find_minor(from_matrix(A), f7_dual, budget=None) is None
     stack = np.array([A.entries for A in hosts], dtype=np.uint8).reshape(2, 6, 12)
     ranks = [linalg.fast_rank(A) for A in hosts]
-    got = minor.search_stack(linalg.pack_stack(stack)[1], 6, ranks, f7_dual, 3000, [0, 1])
+    col_words = linalg.pack_words(stack.transpose(0, 2, 1))
+    got = minor.search_stack(col_words, 6, ranks, f7_dual, 3000, [0, 1])
     assert got == {t: minor.search(A, f7_dual, 3000) for t, A in enumerate(hosts)}
 
 
@@ -760,7 +761,7 @@ def test_only_rank_drop_size_is_screened(monkeypatch):
         col_words = None
         if q == 2:
             stack = np.array([A.entries for A in hosts], dtype=np.uint8).reshape(len(hosts), m, n)
-            col_words = linalg.pack_stack(stack)[1]
+            col_words = linalg.pack_words(stack.transpose(0, 2, 1))
         for name in names:
             t = catalog(name)
             for budget in (60, 400, None):
@@ -956,7 +957,8 @@ _SCREEN_CASES = [
 def _stack_search(A, target, budget):
     """search_stack's (status, witness, spent) for target in the GF(2)
     host A, as the only host of its stack."""
-    col_words = linalg.pack_stack(np.array(A.entries, dtype=np.uint8).reshape(1, A.m, A.n))[1]
+    cols = np.array(A.entries, dtype=np.uint8).reshape(A.m, A.n).T
+    col_words = linalg.pack_words(cols[None])
     return minor.search_stack(col_words, A.m, [linalg.fast_rank(A)], target, budget, [0])[0]
 
 
@@ -1083,7 +1085,7 @@ def _stack_agrees(cases) -> list[bool]:
     verdicts = [None] * len(cases)
     for (m, n, target), group in groups.items():
         stack = np.array([A.entries for _, A, _ in group], dtype=np.uint8).reshape(len(group), m, n)
-        words = linalg.pack_stack(stack)[0]
+        words = linalg.pack_words(stack)
         got = verify_witness_stack(words, n, target, {t: w for t, (_, _, w) in enumerate(group)})
         assert sorted(got) == list(range(len(group)))
         for t, (pos, A, w) in enumerate(group):
@@ -1220,7 +1222,7 @@ def test_stacked_verifier_checks_each_distinct_minor_once(monkeypatch):
 
     monkeypatch.setattr(minor, "from_matrix", spy)
     stack = np.array([A.entries] * len(ws), dtype=np.uint8).reshape(len(ws), A.m, A.n)
-    got = verify_witness_stack(linalg.pack_stack(stack)[0], A.n, target, dict(enumerate(ws)))
+    got = verify_witness_stack(linalg.pack_words(stack), A.n, target, dict(enumerate(ws)))
     assert got == dict(enumerate(want))
     assert sorted(built) == [(1, 3, (1, 1, 1)), (2, 3, (0, 0, 1, 1, 1, 0)),
                              (2, 3, (0, 1, 0, 1, 0, 1)), (2, 3, (1, 0, 0, 0, 1, 1))]
@@ -1236,7 +1238,7 @@ def _mixed_stack(m, n, seed, count):
         keep = max(0, m - 2 * (t % 3)) * n
         hosts.append(FqMatrix(F2, m, n, entries[:keep] + (0,) * (m * n - keep)))
     stack = np.array([A.entries for A in hosts], dtype=np.uint8).reshape(count, m, n)
-    return hosts, linalg.pack_stack(stack)[1], [linalg.fast_rank(A) for A in hosts]
+    return hosts, linalg.pack_words(stack.transpose(0, 2, 1)), [linalg.fast_rank(A) for A in hosts]
 
 
 # m < n, m >= n, m = 0, n = 0, the class sweep's shape, and columns of
@@ -1362,7 +1364,7 @@ def test_stack_tests_each_matched_family_once(monkeypatch):
              if linalg.fast_rank(A) == m]
     assert len(hosts) >= 50
     stack = np.array([A.entries for A in hosts], dtype=np.uint8).reshape(len(hosts), m, n)
-    col_words = linalg.pack_stack(stack)[1]
+    col_words = linalg.pack_words(stack.transpose(0, 2, 1))
     for name in ("U:1,2", "U:2,3", "F7"):
         tested.clear()
         plans.clear()

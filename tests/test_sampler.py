@@ -333,7 +333,7 @@ def test_gf2_trial_rank_matches_column_rank():
         want = [linalg.fast_rank(sample_matrix(2, m, n, SeedSpec(7, i))) for i in range(lo, hi)]
         stack = np.array([sampler.sample_entries(2, m * n, SeedSpec(7, i)) for i in range(lo, hi)],
                          dtype=np.uint8).reshape(hi - lo, m, n)
-        assert linalg.gf2_ranks(linalg.narrow_words(stack)).tolist() == want, (m, n)
+        assert linalg.gf2_ranks(linalg.pack_words(stack)).tolist() == want, (m, n)
         assert sampler._rank_chunk((2, m, n), 7, lo, hi) == Counter(want), (m, n)
 
 

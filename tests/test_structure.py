@@ -47,3 +47,34 @@ def test_every_function_is_named_outside_its_own_definition():
               and (owner, fn.name) not in HOOKS
               and total[fn.name] - _names(fn)[fn.name] <= 0]
     assert unused == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    # a `_`-prefixed name belongs to its own module: no other package
+    # module imports it or reads it off the module (`matroid._assign`)
+    modules = {path.stem for path in SRC.glob("*.py")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {}  # local name -> the package module it is bound to
+        for node in ast.walk(tree):
+            # the package imports its own modules relatively; `__future__`
+            # is absolute, so exempt
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                source = (node.module or "").split(".")[-1]
+                for alias in node.names:
+                    if source in modules and source != path.stem and _is_private(alias.name):
+                        found.append(f"{path.name}:{node.lineno} imports {source}.{alias.name}")
+                    if alias.name in modules:
+                        aliases[alias.asname or alias.name] = alias.name
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and aliases.get(node.value.id, path.stem) != path.stem
+                    and _is_private(node.attr)):
+                found.append(f"{path.name}:{node.lineno} names "
+                             f"{aliases[node.value.id]}.{node.attr}")
+    assert found == []

@@ -138,7 +138,7 @@ def _by_membership(outcome_counts):
     memberships, as `run_class_sweep` reads it."""
     out = Counter()
     for outcomes, count in outcome_counts.items():
-        report = ExcludedMinorReport("graphic", dict(zip(minor.GRAPHIC_EXCLUDED, outcomes)))
+        report = ExcludedMinorReport(dict(zip(minor.GRAPHIC_EXCLUDED, outcomes)))
         out[report.membership] += count
     return out
 
@@ -202,7 +202,7 @@ def test_failed_class_spot_check_counts_unknown(monkeypatch):
     # so each first trial counts as unknown, and no other trial moves
     monkeypatch.setattr(sampler, "_RANK_STACK_ENTRIES", 1000)
     monkeypatch.setattr(sweep, "has_excluded_minor_matrix",
-                        lambda *a, **kw: ExcludedMinorReport("graphic", {"U:2,4": "absent"}))
+                        lambda *a, **kw: ExcludedMinorReport({"U:2,4": "absent"}))
     m, n = 8, 16
     truth = _outcome_tuples(m, n, 13, 40)
     firsts = range(0, 40, _stack_size(m, n))
