@@ -88,7 +88,10 @@ def parse_matrix(text: str) -> FqMatrix:
         q, m, n = (int(x) for x in head)
     except ValueError:
         raise ParseError("header values must be integers", 1, 1) from None
-    f = field(q)
+    try:
+        f = field(q)
+    except BadArgumentsError as exc:
+        raise ParseError(str(exc), 1, 1) from None
     if m < 0 or n < 0:
         raise ParseError("negative dimensions", 1, 1)
     entries = []

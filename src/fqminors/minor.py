@@ -63,9 +63,9 @@ minor with its survivors in bijection order has the target's bases.
 of the matrix search's internals; `verify_witness` checks C's
 independence and the bijection, which the reference's isomorphism test
 does not.  `verify_witness_stack` gives `verify_witness_matrix`'s
-verdicts on the witnesses of a stack of GF(2) hosts: it applies the rule
-to a group of witnesses at once, contracting each witness's own host by
-one numpy elimination per contraction size (`linalg.gf2_contract`), which
+verdicts on the witnesses of a stack of GF(2) hosts: it keeps those that
+pass `_names_survivors`, groups them by |C|, contracts each witness's own
+host by one numpy elimination per group (`linalg.gf2_contract`), which
 shares no code with the search either, and builds one matroid per
 distinct contraction to compare with the target.
 
@@ -660,33 +660,26 @@ def verify_witness_stack(words, n: int, target: Matroid, witnesses: dict) -> dic
     GF(2) host of n columns whose row words (`linalg.pack_words`) are
     words[t], as host -> verdict.
 
-    It applies `_names_survivors`'s rule to a whole group at once.  The
-    witnesses are grouped by (|C|, |D|, |bijection|).  A group whose
-    sizes do not sum to n, or whose bijection is not e_t long, fails at
-    once.  In the others a witness names each host element once exactly
-    when its row sorted C + sorted D + bijection of the group's (G, n)
-    array holds every column 0..n-1 once.  Those witnesses are contracted
-    on their own C by one `linalg.gf2_contract` per group, which keeps the
-    survivors in bijection order: column i of a contraction is the host
-    element that plays target element i, so the contraction is the target
-    exactly when its column matroid has the target's bases.  That is
-    decided once per distinct contraction of the group, and hosts whose
-    contractions have equal entries share the verdict."""
+    The witnesses that name the survivors (`_names_survivors`) are grouped
+    by |C| and contracted on their own C by one `linalg.gf2_contract` per
+    group, which keeps the survivors in bijection order: column i of a
+    contraction is the host element that plays target element i, so the
+    contraction is the target exactly when its column matroid has the
+    target's bases.  That is decided once per distinct contraction of the
+    group, and hosts whose contractions have equal entries share the
+    verdict."""
     f2 = field(2)
     m, e_t = words.shape[1], target.ground_size
     verdicts = dict.fromkeys(witnesses, False)
-    groups: dict = {}  # (|C|, |D|, |bijection|) -> [(host, witness)]
+    groups: dict = {}  # |C| -> [(host, witness)]
     for t, w in witnesses.items():
-        groups.setdefault((len(w.contract), len(w.delete), len(w.bijection)), []).append((t, w))
-    for (k, d, e), group in groups.items():
-        if k + d + e != n or e != e_t:
-            continue
-        named = np.array([[*sorted(w.contract), *sorted(w.delete), *w.bijection] for _, w in group],
-                         dtype=np.int64)
-        named_ok = (np.sort(named, axis=1) == np.arange(n)).all(axis=1)
-        hosts = list(itertools.compress((t for t, _ in group), named_ok))
-        named = named[named_ok]
-        ok, minors = linalg.gf2_contract(words[hosts], named[:, :k], named[:, k + d:])
+        if _names_survivors(n, e_t, w):
+            groups.setdefault(len(w.contract), []).append((t, w))
+    for k, group in groups.items():
+        hosts = [t for t, _ in group]
+        chosen = np.array([sorted(w.contract) for _, w in group], dtype=np.int64)
+        keep = np.array([w.bijection for _, w in group], dtype=np.int64)
+        ok, minors = linalg.gf2_contract(words[hosts], chosen, keep)
         is_target: dict = {}  # a contraction's entries -> verdict
         for t, bits in zip(itertools.compress(hosts, ok), minors):
             key = bits.tobytes()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, sampler
-from .errors import BadArgumentsError, TooLargeError
+from .errors import TooLargeError
 from .gf import field
 from .matrix import FqMatrix
 from .matroid import Matroid, from_matrix
@@ -157,68 +157,52 @@ def count_representations_exact(M: Matroid, m: int, q: int) -> int:
     return census.get(M.bases, 0)
 
 
-@dataclass(frozen=True)
-class DistributionReport:
-    procedure: str
-    ok: bool
-    details: dict
-
-
-def distribution_check(procedure: str, q: int, m: int, n: int, k: int = 0) -> DistributionReport:
-    """Exhaustively verify the distribution facts behind the reduction.
-
-    change-of-basis: A -> PA is a bijection on F_q^{m x n} for every
-    invertible P (hence uniform-preserving).
-
-    reduce-conditional: over all A where reduce(A, k) succeeds, each matrix
-    of the reduced shape occurs equally often, and the success fraction
-    beats 1 - q^(k - max(m, n)).
-    """
+def basis_change_bijective(q: int, m: int, n: int):
+    """(ok, details): exhaustively, A -> PA is a bijection on F_q^{m x n}
+    for every invertible P (hence uniform-preserving)."""
     f = field(q)
-    if procedure == "change-of-basis":
-        _check_cap(q, m * n)
-        _check_cap(q, m * m)
-        all_a = [
-            FqMatrix(f, m, n, entries)
-            for entries in itertools.product(range(q), repeat=m * n)
-        ]
-        invertible = 0
-        for p_entries in itertools.product(range(q), repeat=m * m):
-            P = FqMatrix(f, m, m, p_entries)
-            if linalg.fast_rank(P) != m:
-                continue
-            invertible += 1
-            images = {P.matmul(A).entries for A in all_a}
-            if len(images) != len(all_a):
-                return DistributionReport(procedure, False, {"bad_p": p_entries})
-        return DistributionReport(
-            procedure, True, {"invertible": invertible, "matrices": len(all_a)}
-        )
-    if procedure == "reduce-conditional":
-        _check_cap(q, m * n)
-        outputs: Counter = Counter()
-        successes = 0
-        total = q ** (m * n)
-        for entries in itertools.product(range(q), repeat=m * n):
-            B = sampler.reduce(FqMatrix(f, m, n, entries), k)
-            if B is not None:
-                successes += 1
-                outputs[B.entries] += 1
-        want = q ** ((m - k) * (n - k))
-        uniform = len(outputs) == want and len(set(outputs.values())) <= 1
-        floor = 1 - Fraction(1, q ** (max(m, n) - k))
-        frac = Fraction(successes, total)
-        return DistributionReport(
-            procedure,
-            uniform and frac > floor,
-            {
-                "successes": successes,
-                "total": total,
-                "distinct_outputs": len(outputs),
-                "expected_outputs": want,
-                "uniform": uniform,
-                "success_fraction": frac,
-                "success_floor": floor,
-            },
-        )
-    raise BadArgumentsError(f"unknown procedure {procedure!r}")
+    _check_cap(q, m * n)
+    _check_cap(q, m * m)
+    all_a = [
+        FqMatrix(f, m, n, entries)
+        for entries in itertools.product(range(q), repeat=m * n)
+    ]
+    invertible = 0
+    for p_entries in itertools.product(range(q), repeat=m * m):
+        P = FqMatrix(f, m, m, p_entries)
+        if linalg.fast_rank(P) != m:
+            continue
+        invertible += 1
+        images = {P.matmul(A).entries for A in all_a}
+        if len(images) != len(all_a):
+            return False, {"bad_p": p_entries}
+    return True, {"invertible": invertible, "matrices": len(all_a)}
+
+
+def reduce_conditional_uniform(q: int, m: int, n: int, k: int):
+    """(ok, details): exhaustively, over all A where reduce(A, k) succeeds,
+    each matrix of the reduced shape occurs equally often, and the success
+    fraction beats 1 - q^(k - max(m, n))."""
+    f = field(q)
+    _check_cap(q, m * n)
+    outputs: Counter = Counter()
+    successes = 0
+    total = q ** (m * n)
+    for entries in itertools.product(range(q), repeat=m * n):
+        B = sampler.reduce(FqMatrix(f, m, n, entries), k)
+        if B is not None:
+            successes += 1
+            outputs[B.entries] += 1
+    want = q ** ((m - k) * (n - k))
+    uniform = len(outputs) == want and len(set(outputs.values())) <= 1
+    floor = 1 - Fraction(1, q ** (max(m, n) - k))
+    frac = Fraction(successes, total)
+    return uniform and frac > floor, {
+        "successes": successes,
+        "total": total,
+        "distinct_outputs": len(outputs),
+        "expected_outputs": want,
+        "uniform": uniform,
+        "success_fraction": frac,
+        "success_floor": floor,
+    }

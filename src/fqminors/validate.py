@@ -179,16 +179,15 @@ def check_bound_sandwich(targets=None, m_stop=3, n_stop=5):
 
 def check_basis_change_bijection():
     for (m, n) in ((2, 1), (2, 2)):
-        rep = oracle.distribution_check("change-of-basis", 2, m, n)
-        if not rep.ok:
-            return False, f"bijection failure at {m}x{n}: {rep.details}"
+        ok, details = oracle.basis_change_bijective(2, m, n)
+        if not ok:
+            return False, f"bijection failure at {m}x{n}: {details}"
     return True, "GF(2) 2x1 and 2x2, all invertible P"
 
 
 def check_reduce_conditional_uniform():
     for (m, n, k) in ((2, 2, 1), (3, 2, 1), (2, 3, 1)):
-        rep = oracle.distribution_check("reduce-conditional", 2, m, n, k)
-        if not rep.ok:
+        if not oracle.reduce_conditional_uniform(2, m, n, k)[0]:
             return False, f"conditional uniformity failure at m={m} n={n} k={k}"
     return True, "GF(2) shapes (2,2), (3,2), (2,3) at k=1"
 

@@ -277,6 +277,16 @@ def test_minor_parse_error_exit_3(tmp_path):
     assert "line 3" in res.stderr
 
 
+def test_unsupported_q_in_file_exit_3(tmp_path):
+    # a bad q in a file's header is a parse error; `--sample 6 ...` is a
+    # command-line argument, and a usage error (test_usage_errors_exit_1)
+    path = tmp_path / "q6.txt"
+    path.write_text("6 1 1\n0\n")
+    res = run_cli(["minor", "--host", str(path), "--target", "name:U:1,1"])
+    assert res.returncode == 3
+    assert res.stderr == "fqminors: line 1, column 1: q=6 is not a prime power\n"
+
+
 def test_missing_file_exit_3(tmp_path):
     res = run_cli(["minor", "--host", str(tmp_path / "nope.txt"), "--target", "name:U:1,2"])
     assert res.returncode == 3

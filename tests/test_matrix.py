@@ -175,3 +175,12 @@ def test_parse_errors_carry_position():
     assert (ei.value.line, ei.value.column) == (3, 2)
     with pytest.raises(ParseError):
         parse_matrix("2 1 2\n1 x\n")
+
+
+def test_parse_unsupported_q_carries_position():
+    # a header q the field tables do not cover is a fault of the file, at
+    # line 1, column 1, with the field's own message
+    for q, message in ((6, "q=6 is not a prime power"), (17, "q=17 exceeds the table bound 16")):
+        with pytest.raises(ParseError, match=f"^line 1, column 1: {message}$") as ei:
+            parse_matrix(f"{q} 1 1\n0\n")
+        assert (ei.value.line, ei.value.column) == (1, 1)

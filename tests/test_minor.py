@@ -98,8 +98,8 @@ def test_verify_witness_matrix_rejects_corruption():
         MinorWitness(w.contract, w.delete - {dropped}, w.bijection + (dropped,)),
         MinorWitness(w.contract, w.delete, w.bijection[:1] * 2 + w.bijection[2:]),
     ]
-    # one table for both lone verifiers, the reference's on the host's
-    # column matroid
+    # one table for all three verifiers: the lone ones here, the reference's
+    # on the host's column matroid, and the stacked one at the end
     M = from_matrix(A)
     for bad in cases:
         assert not verify_witness_matrix(A, u23, bad)
@@ -126,6 +126,11 @@ def test_verify_witness_matrix_rejects_corruption():
     oversize = MinorWitness(frozenset({0, 1, 3, 4}), frozenset(), (2, 5, 6))
     assert not verify_witness_matrix(A, u23, oversize)
     assert not verify_witness(M, u23, oversize)
+    # the stacked verifier gives the lone one's verdict on every case above
+    stacked = [(A, u23, bad) for bad in cases] + [
+        (A, u23, w), (A, catalog("U:1,3"), w), (A, u14, good), (A, u14, dependent),
+        (A, u23, oversize), (empty, catalog("U:0,0"), none)]
+    assert _stack_agrees(stacked) == [False] * len(cases) + [True, False, True, False, False, True]
 
 
 def test_decide_classifies_every_outcome(monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fqminors import formulas, linalg, oracle
-from fqminors.errors import BadArgumentsError, TooLargeError
+from fqminors.errors import TooLargeError
 from fqminors.gf import field
 from fqminors.matrix import FqMatrix
 from fqminors.matroid import Matroid, catalog, from_matrix
@@ -102,14 +102,12 @@ def test_count_representations():
 
 
 def test_distribution_check_examples():
-    rep = oracle.distribution_check("change-of-basis", 2, 2, 1)
-    assert rep.ok and rep.details["invertible"] == 6
-    rep = oracle.distribution_check("reduce-conditional", 2, 2, 2, 1)
-    assert rep.ok and rep.details["uniform"]
-    rep = oracle.distribution_check("reduce-conditional", 2, 3, 2, 1)
-    assert rep.ok and rep.details["distinct_outputs"] == 4
-    with pytest.raises(BadArgumentsError):
-        oracle.distribution_check("no-such-procedure", 2, 2, 2)
+    ok, details = oracle.basis_change_bijective(2, 2, 1)
+    assert ok and details["invertible"] == 6
+    ok, details = oracle.reduce_conditional_uniform(2, 2, 2, 1)
+    assert ok and details["uniform"]
+    ok, details = oracle.reduce_conditional_uniform(2, 3, 2, 1)
+    assert ok and details["distinct_outputs"] == 4
 
 
 @pytest.mark.parametrize("q,m,n,k", [
@@ -119,8 +117,8 @@ def test_distribution_check_examples():
 def test_reduce_conditional_uniform(q, m, n, k):
     # reduce's output is exactly uniform over its shape, given success,
     # on both sides of m = n and with two contracted columns
-    rep = oracle.distribution_check("reduce-conditional", q, m, n, k)
-    assert rep.ok and rep.details["uniform"], rep.details
+    ok, details = oracle.reduce_conditional_uniform(q, m, n, k)
+    assert ok and details["uniform"], details
 
 
 def test_too_large_cap():

@@ -78,3 +78,14 @@ def test_no_module_reaches_into_another_modules_private_names():
                 found.append(f"{path.name}:{node.lineno} names "
                              f"{aliases[node.value.id]}.{node.attr}")
     assert found == []
+
+
+def test_every_verifier_applies_the_one_witness_rule():
+    # the lone verifiers and the stacked one call `_names_survivors`
+    # itself, not a copy of its rule; a docstring naming it does not count
+    tree = ast.parse((SRC / "minor.py").read_text())
+    names = ("verify_witness", "verify_witness_matrix", "verify_witness_stack")
+    verifiers = {fn.name: fn for _, fn in _definitions(tree) if fn.name in names}
+    assert sorted(verifiers) == list(names)
+    assert [name for name, fn in sorted(verifiers.items())
+            if _names(fn)["_names_survivors"] == 0] == []
