@@ -24,8 +24,10 @@ probability expressions:
 
 The target bounds read only a target's stats and presume it has a GF(q)
 representation.  `unrepresentable(q, target)` is the one check of that
-presumption: where it holds the minor is impossible and every bound on the
-target is 0, which the CLI and the sweep print in the closed forms' place.
+presumption, by two rules: more parallel classes than PG(r - 1, q) has
+points (`projective_points`), or over GF(2) not binary.  Where it holds
+the minor is impossible and every bound on the target is 0, which the CLI
+and the sweep print in the closed forms' place.
 """
 
 from __future__ import annotations
@@ -83,11 +85,17 @@ def _check_q(q: int):
         raise BadArgumentsError(f"q={q} is not a prime power")
 
 
+def projective_points(q: int, r: int) -> int:
+    """The number of points of PG(r - 1, q), (q^r - 1)/(q - 1): 0 at r = 0."""
+    return (q**r - 1) // (q - 1)
+
+
 def unrepresentable(q: int, target: Matroid) -> bool:
     """Whether no matrix over GF(q) represents `target`, which is then never
-    a minor of one.  Decided over GF(2) only (`matroid.is_binary`); over a
-    larger field every target is presumed representable."""
-    return q == 2 and not is_binary(target)
+    a minor of one: its parallel classes, distinct points of PG(r - 1, q),
+    are too many, or q = 2 and it is not binary (`matroid.is_binary`)."""
+    return (len(target.parallel_classes()) > projective_points(q, target.rank)
+            or q == 2 and not is_binary(target))
 
 
 # the most bits a formula's largest power of q may take, so that every value

@@ -36,9 +36,9 @@ shares no elimination with the search, so a verifier does not trust the
 kernel it checks.  Its output is a plain matrix of the kept entries
 (`pick`).
 A matrix's columns and rows reach a backend in its form (`cols_of`,
-`rows_of`): its columns attached to the matrix when the sampler (`pack`,
-from the codes by `pack_words`) or the oracle built them, and
-otherwise, as its rows always are, encoded from the entries (`encode`).
+`rows_of`): its columns attached to a GF(3) sample (`TriOps.pack`, from
+the codes by `pack_words`) or to an oracle host, and otherwise, as its
+rows always are, encoded from the entries (`encode`).
 `pack_words` is the one GF(2) packer: it packs 0/1 entries into 64-bit
 words, which `word_ints` joins into ints, and stacks of GF(2) matrices
 are worked on such words, packed by one call per side.  Two numpy
@@ -204,6 +204,10 @@ class _Ops:
             return list(A.packed_cols)
         return [self.encode(A.col(j)) for j in range(A.n)]
 
+    def pack(self, codes: np.ndarray) -> None:
+        """Nothing: only `TriOps` attaches columns packed from the codes."""
+        return None
+
     def rows_of(self, A: FqMatrix) -> list:
         """A's rows as vectors over its columns, encoded from the
         entries."""
@@ -242,10 +246,6 @@ class BitOps(_Ops):
         """The column with the given entries, entry i = row i."""
         return _plane(entries, _ONES)
 
-    def pack(self, codes: np.ndarray) -> tuple[int, ...]:
-        """The columns of an m x n array of codes, packed by numpy."""
-        return tuple(word_ints(pack_words(codes.T)))
-
     def reduce(self, ech: list, v: int) -> int:
         for bit, b in ech:
             if v & bit:
@@ -281,10 +281,6 @@ class GenOps(_Ops):
 
     def encode(self, entries) -> tuple[int, ...]:
         return tuple(entries)
-
-    def pack(self, codes: np.ndarray) -> None:
-        """Nothing: a tuple column is read from the entries as cheaply."""
-        return None
 
     def _axpy(self, v, coeff_neg, b):
         # v + coeff_neg * b componentwise; a list comprehension over one

@@ -290,8 +290,6 @@ def is_isomorphic(M1: Matroid, M2: Matroid):
     for b in M1.bases:
         if b:
             by_max[b.bit_length() - 1].append(b)
-    if 0 in M1.bases and 0 not in M2.bases:
-        return None
     candidates = [
         [y for y in range(e) if prof2[y] == prof1[x]] for x in range(e)
     ]

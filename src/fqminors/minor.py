@@ -94,6 +94,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BadArgumentsError, BudgetExceededError
+from .formulas import projective_points
 from .gf import field
 from .matrix import FqMatrix
 from .matroid import Matroid, catalog, from_matrix, is_isomorphic, mapped_mask
@@ -384,7 +385,7 @@ class _Plan:
         dir_keys = sorted(dirs, key=o.order)
         # charge candidates by the basis-family enumeration they trigger, so
         # a fixed budget bounds actual work for large and small targets alike
-        bases_cost = max(1, math.comb(e_t, r_t))
+        bases_cost = math.comb(e_t, r_t)
         loop_pick = tuple(zero_surv[:l_t])
         spent = budget_.spent
         for pick in _ranked_picks(o, dir_keys, c_t, r_t, budget_):
@@ -434,8 +435,6 @@ def _set_up(q: int, n: int, r_h: int, target: Matroid, limit):
         return None
     if target.is_free():
         return _FREE
-    if r_h == n:
-        return None
     # every survivor selection costs C(e_t, r_t) units, so past the whole
     # budget no witness can be paid for: unknown, before the target's
     # basis family is scanned
@@ -448,7 +447,7 @@ def _set_up(q: int, n: int, r_h: int, target: Matroid, limit):
         sizes = [c.bit_count() for c in target.parallel_classes()]
     # every minor of M[A] embeds in an r_t-dimensional F_q space, so its
     # parallel classes are distinct projective points of PG(r_t - 1, q)
-    if r_t >= 1 and len(sizes) > (q**r_t - 1) // (q - 1):
+    if len(sizes) > projective_points(q, r_t):
         return None
     return _Plan(n, r_h, target, sizes)
 
@@ -838,8 +837,7 @@ def has_excluded_minor_matrix(A: FqMatrix, class_name: str = "graphic",
     membership holds iff every one is absent."""
     report = ExcludedMinorReport()
     targets = excluded_minors(class_name)
-    o = linalg.ops_for(A.field, A.m)
-    r_h = o.rank_cols(o.cols_of(A))  # ranked once, for every target
+    r_h = linalg.fast_rank(A)  # ranked once, for every target
     for name, target in targets:
         outcome, w, _ = decide(A, target, budget, r_h)
         report.outcomes[name] = outcome

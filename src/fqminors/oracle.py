@@ -91,15 +91,6 @@ def rank_histogram(q: int, m: int, n: int) -> tuple[int, ...]:
     return result
 
 
-def exact_event_prob(q: int, m: int, n: int, event: str) -> OracleResult:
-    """Exact probability of a named rank event (see sampler.parse_event)."""
-    pred = sampler.parse_event(event)
-    counts = rank_histogram(q, m, n)
-    hits = sum(c for r, c in enumerate(counts) if pred(r, m, n))
-    total = q ** (m * n)
-    return OracleResult(total, hits, Fraction(hits, total))
-
-
 def exact_minor_prob(q: int, m: int, n: int, target: Matroid) -> OracleResult:
     """Exact P{target is a minor of M[A]} by exhausting all matrices.
 

@@ -15,10 +15,9 @@ RNG contract (bit-exact, reproducible across platforms and schedules):
   positions are refilled, in position order, from the next block of words,
   repeating until none remain.  (For q a power of two T = 2^64 and no
   rejection ever happens.)  `sample_entries` returns the codes as a 1-D
-  int64 array.  A sampled GF(2) or GF(3) matrix also carries its columns
-  in its backend's form (`linalg.ops_for`), built from that array with
-  numpy: GF(2) ints, GF(3) pairs of bit-planes.  They are built from the
-  codes after the draw, so the words and the entries are unchanged.
+  int64 array.  A sampled GF(3) matrix also carries its columns as pairs
+  of bit-planes (`linalg.TriOps.pack`), built from that array with numpy
+  after the draw, so the words and the entries are unchanged.
 * Monte Carlo trial i uses stream i, so trials are independent of execution
   order and may be split across processes without changing any output.
 
@@ -142,7 +141,7 @@ def sample_entries(q: int, count: int, spec: SeedSpec) -> np.ndarray:
 
 def sample_matrix(q: int, m: int, n: int, spec: SeedSpec) -> FqMatrix:
     """Uniform m x n matrix over GF(q), deterministic in (q, m, n, spec).
-    Over GF(2) and GF(3) it carries its columns in its backend's form."""
+    Over GF(3) it carries its columns as pairs of bit-planes."""
     check_shape(m, n)
     codes = sample_entries(q, m * n, spec)
     f = field(q)
@@ -267,22 +266,19 @@ def run_trials(chunk, args, trials: int, seed: int, jobs: int = 1) -> Counter:
 
 
 # ----------------------------------------------------------------------
-# named events (shared with the oracle)
+# named events
 # ----------------------------------------------------------------------
 
 
 def parse_event(name: str):
     """Named rank predicates: full-column-rank, is-free-matroid,
-    rank-at-least:r, rank-exactly:k."""
+    rank-at-least:r."""
     if name in ("full-column-rank", "is-free-matroid"):
         # M[A] is free exactly when the columns are linearly independent
         return lambda rank, m, n: rank == n
     if name.startswith("rank-at-least:"):
         r = _parse_event_int(name)
         return lambda rank, m, n: rank >= r
-    if name.startswith("rank-exactly:"):
-        k = _parse_event_int(name)
-        return lambda rank, m, n: rank == k
     raise BadArgumentsError(f"unknown event {name!r}")
 
 

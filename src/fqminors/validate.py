@@ -91,13 +91,11 @@ def check_colrank_and_free_prob(sizes=_SMALL_SIZES, searched=()):
     all-(C, D) reference search."""
     for q, shapes in sizes.items():
         for m, n in shapes:
-            if m >= n:
-                got = oracle.exact_event_prob(q, m, n, "full-column-rank").exact
-                if got != formulas.prob_full_col_rank(m, n, q):
-                    return False, f"prob_full_col_rank({m},{n},{q}) mismatch"
+            hist, total = oracle.rank_histogram(q, m, n), q ** (m * n)
+            if m >= n and hist[n] != formulas.prob_full_col_rank(m, n, q) * total:
+                return False, f"prob_full_col_rank({m},{n},{q}) mismatch"
             for r in range(min(m, n) + 1):
-                got = oracle.exact_event_prob(q, m, n, f"rank-at-least:{r}").exact
-                if got != formulas.prob_free_minor(m, n, q, r):
+                if sum(hist[r:]) != formulas.prob_free_minor(m, n, q, r) * total:
                     return False, f"prob_free_minor({m},{n},{q},{r}) mismatch"
     for q, m, n, r in searched:
         got = oracle.exact_minor_prob(q, m, n, catalog(f"free:{r}")).exact
@@ -130,17 +128,17 @@ def check_psmq_repcount_consistency():
 
 
 def check_repcount_vs_exact(names=("U:0,2", "U:1,2", "U:2,2", "U:1,3", "U:2,3"),
-                            m_stop=3, unrepresentable=()):
+                            m_stop=3):
     """Exhaustive counts at m < m_stop dominate the closed-form bound; the
-    bound presupposes representability, so each (name, q) listed in
-    `unrepresentable` must instead have no representation at all."""
+    bound presupposes representability, so a target `formulas.unrepresentable`
+    rules out must instead have no representation at all."""
     for q in (2, 3):
         for name in names:
             M = catalog(name)
             st = M.stats()
             for m in range(st.r, m_stop):
                 got = oracle.count_representations_exact(M, m, q)
-                if (name, q) in unrepresentable:
+                if formulas.unrepresentable(q, M):
                     if got:
                         return False, f"{name} has {got} representations over GF({q})"
                     continue

@@ -53,12 +53,11 @@ def test_criterion_3_representation_counting():
     """Exhaustive representation counts dominate the closed-form bound.
 
     The count bound presupposes the target is representable over GF(q); the
-    single catalog combo violating that hypothesis, U_{2,4} over GF(2), is
-    instead asserted to have no representation at all.
+    single combo here that `formulas.unrepresentable` rules out, U_{2,4}
+    over GF(2), is instead asserted to have no representation at all.
     """
     names = [f"U:{k},{n}" for n in range(1, 5) for k in range(n + 1)]
-    assert_check(validate.check_repcount_vs_exact, names=names, m_stop=4,
-                 unrepresentable={("U:2,4", 2)})
+    assert_check(validate.check_repcount_vs_exact, names=names, m_stop=4)
     print(f"ACCEPTANCE 3 PASS: {len(names)} uniform targets, m <= 3, q in {{2,3}}; "
           f"equality at (U_{{2,3}}, m=2, q=2) = 6; U24/GF(2) has 0 representations")
 

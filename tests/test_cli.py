@@ -137,6 +137,14 @@ FORMULA_GOLDEN = [
     ('repcount --m 2 --q 2 --target name:U:2,4 --json', 0,
      '{"note": "the target has no GF(2) representation; the minor is impossible",'
      ' "value": "0"}\n'),
+    # over every field, a target with more parallel classes than
+    # PG(r - 1, q) has points has no representation: U(2, q + 2) over GF(q)
+    ('lower --m 4 --n 8 --q 3 --target name:U:2,5', 0,
+     'lower = 0/1\nfloat = 0\nbest_k = None\n'
+     'note: the target has no GF(3) representation; the minor is impossible\n'),
+    ('liminf --q 4 --target name:U:2,6', 0,
+     'liminf = 0/1\nfloat = 0\n'
+     'note: the target has no GF(4) representation; the minor is impossible\n'),
     # GF(6) does not exist; GF(17) and GF(32) do, past the field tables
     ('rank-count --m 3 --n 4 --q 6 --k 2', 1, ''),
     ('rank-count --m 3 --n 4 --q 6 --k 2 --json', 1, ''),
@@ -285,6 +293,21 @@ def test_unsupported_q_in_file_exit_3(tmp_path):
     res = run_cli(["minor", "--host", str(path), "--target", "name:U:1,1"])
     assert res.returncode == 3
     assert res.stderr == "fqminors: line 1, column 1: q=6 is not a prime power\n"
+
+
+@pytest.mark.parametrize("flag,text,message", [
+    ("--host", "2 x 2\n", "line 1, column 1: header values must be integers"),
+    ("--target", "3 1\nz\n", "line 2, column 1: bad element 'z'"),
+])
+def test_parse_error_in_either_file_exit_3(tmp_path, flag, text, message):
+    # a fault in a matrix file (--host) or a matroid file (--target)
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    args = {"--host": ["--host", str(path), "--target", "name:U:1,2"],
+            "--target": ["--sample", "2", "3", "5", "--target", str(path)]}[flag]
+    res = run_cli(["minor", *args])
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr == f"fqminors: {message}\n"
 
 
 def test_missing_file_exit_3(tmp_path):
@@ -474,6 +497,14 @@ def test_class_host_rejects_sweep_flags(flag, value, monkeypatch, capsys):
     assert cli.main(["class", "--sample", "2", "6", "10", flag, value]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.err == f"fqminors: {flag} requires --sweep\n" and captured.out == ""
+
+
+def test_class_sweep_without_q_exit_1(capsys):
+    # --q has no sweep default
+    assert cli.main(["class", "--sweep", "--n-start", "8", "--n-stop", "8",
+                     "--m-rule", "n-minus:4"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "fqminors: --q is required with --sweep\n" and captured.out == ""
 
 
 def test_class_sweep_flag_defaults(monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import gf2_rank_bits, modp_rank
-from fqminors import formulas, gf
+from fqminors import formulas, gf, oracle
 from fqminors.errors import BadArgumentsError
 from fqminors.gf import prime_power
 from fqminors.matroid import MatroidStats, catalog
@@ -308,3 +308,26 @@ def test_bound_report_json():
 def test_stats_validation():
     with pytest.raises(BadArgumentsError):
         MatroidStats(3, 2, 2)  # more loops than e - r allows
+
+
+def test_projective_points():
+    assert [formulas.projective_points(3, r) for r in range(4)] == [0, 1, 4, 13]
+    assert formulas.projective_points(2, 3) == 7  # the Fano plane's points
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_unrepresentable_by_the_point_count(q):
+    # PG(1, q) has q + 1 points: U(2, q + 1) fits them, U(2, q + 2) does not
+    assert formulas.unrepresentable(q, catalog(f"U:2,{q + 2}"))
+    assert not formulas.unrepresentable(q, catalog(f"U:2,{q + 1}"))
+
+
+def test_unrepresentable_agrees_with_the_census():
+    # the exhaustive census of rank-2 representations, at most 6^6 tuples
+    for name, q in (("U:2,4", 2), ("U:2,5", 2), ("U:2,5", 3), ("U:2,6", 4)):
+        assert formulas.unrepresentable(q, catalog(name))
+        assert oracle.count_representations_exact(catalog(name), 2, q) == 0, (name, q)
+    for q in (2, 3, 4):
+        target = catalog(f"U:2,{q + 1}")
+        assert not formulas.unrepresentable(q, target)
+        assert oracle.count_representations_exact(target, 2, q) > 0, q

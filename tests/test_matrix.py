@@ -7,7 +7,7 @@ from fqminors.errors import BadArgumentsError, ParseError
 from fqminors.gf import field
 from fqminors.linalg import contract, fast_rank, leftmost_independent, ops_for
 from fqminors.matrix import FqMatrix, parse_matrix
-from fqminors.matroid import from_matrix
+from fqminors.matroid import from_matrix, parse_matroid
 
 F2 = field(2)
 F3 = field(3)
@@ -175,6 +175,25 @@ def test_parse_errors_carry_position():
     assert (ei.value.line, ei.value.column) == (3, 2)
     with pytest.raises(ParseError):
         parse_matrix("2 1 2\n1 x\n")
+
+
+@pytest.mark.parametrize("parse,text,line,message", [
+    (parse_matrix, "", 1, "missing header"),
+    (parse_matrix, "2 x 2", 1, "header values must be integers"),
+    (parse_matrix, "2 -1 2", 1, "negative dimensions"),
+    (parse_matrix, "2 2 2\n0 1\n", 3, "expected 2 rows, found 1"),
+    (parse_matrix, "2 2 2\n0 1\n1 0\nextra\n", 4, "trailing data after matrix rows"),
+    (parse_matroid, "x 2", 1, "header values must be integers"),
+    (parse_matroid, "3 4", 1, "need 0 <= r <= E <= 20"),
+    (parse_matroid, "3 1\nz\n", 2, "bad element 'z'"),
+    (parse_matroid, "3 1\n", 2, "no bases listed"),
+])
+def test_parse_error_table(parse, text, line, message):
+    # every fault of both text formats is a ParseError at its line, column 1
+    with pytest.raises(ParseError) as ei:
+        parse(text)
+    assert (ei.value.line, ei.value.column) == (line, 1)
+    assert str(ei.value) == f"line {line}, column 1: {message}"
 
 
 def test_parse_unsupported_q_carries_position():

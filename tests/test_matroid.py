@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import check_basis_exchange, format_matroid, from_rows, identity, rank
-from fqminors import oracle
+from fqminors import matroid, oracle
 from fqminors.errors import BadArgumentsError, ParseError
 from fqminors.gf import field
 from fqminors.linalg import fast_rank
@@ -131,6 +131,25 @@ def test_is_isomorphic_examples():
     bij = is_isomorphic(m, uniform(2, 3))
     assert bij is not None and sorted(bij) == [0, 1, 2]
     assert is_isomorphic(f7, catalog("F7*")) is None
+
+
+def test_is_isomorphic_fails_after_equal_invariants():
+    # two rank-3 paving matroids on 8 elements, given by their 3-point
+    # lines, whose invariants agree, so only the assignment search can
+    # tell them apart; a brute force over all 8! relabellings maps no
+    # dependent 3-set family, and so no basis family, onto the other
+    triples = [sum(1 << x for x in b) for b in itertools.combinations(range(8), 3)]
+
+    def paving(lines):
+        return Matroid(8, [b for b in triples if b not in lines])
+
+    m1 = paving({0b00101001, 0b10000101, 0b01001010, 0b01010100})
+    m2 = paving({0b10000101, 0b01001100, 0b00110010, 0b00101001})
+    assert matroid._invariants(m1)[1:] == matroid._invariants(m2)[1:]
+    dependent1, dependent2 = ({b for b in triples if b not in M.bases} for M in (m1, m2))
+    assert not any({matroid.mapped_mask(b, p) for b in dependent1} == dependent2
+                   for p in itertools.permutations(range(8)))
+    assert is_isomorphic(m1, m2) is None and is_isomorphic(m2, m1) is None
 
 
 def test_isomorphism_respects_structure_not_labels():

@@ -398,6 +398,23 @@ def test_size_orders_are_charged_before_they_are_generated(monkeypatch):
         find_minor_matrix(A, target, budget=10)
 
 
+def test_size_order_charge_runs_out_in_the_stack_as_alone():
+    # F7 with parallel classes of sizes 1, 1, 2, 2, 3, 3, 4: e_t = 16, so a
+    # survivor selection costs C(16, 3) = 560 units and passes the set-up
+    # at budget 600, but its 630 size orders charge 629 and run out there
+    cols = [v for v, k in zip(range(1, 8), (1, 1, 2, 2, 3, 3, 4)) for _ in range(k)]
+    target = from_matrix(FqMatrix(F2, 3, 16, tuple(v >> i & 1 for i in range(3) for v in cols)))
+    assert minor._n_distinct_orders([1, 1, 2, 2, 3, 3, 4]) == 630
+    hosts = [sample_matrix(2, 4, 20, SeedSpec(7, i)) for i in range(3)]
+    want = ("unknown", None, 601)
+    assert [minor.search(A, target, 600) for A in hosts] == [want] * 3
+    stack = np.array([A.entries for A in hosts], dtype=np.uint8).reshape(3, 4, 20)
+    col_words = linalg.pack_words(stack.transpose(0, 2, 1))
+    ranks = [linalg.fast_rank(A) for A in hosts]
+    assert minor.search_stack(col_words, 4, ranks, target, 600, range(3)) == dict.fromkeys(
+        range(3), want)
+
+
 class _TickLog(minor._Budget):
     """A budget that records the cost of each tick it is charged."""
 

@@ -23,22 +23,21 @@ def _all_matrices(q, m, n):
 
 
 def test_exact_event_examples():
-    res = oracle.exact_event_prob(2, 2, 2, "full-column-rank")
-    assert res.exact == Fraction(6, 16) and res.total == 16 and res.hits == 6
-    assert oracle.exact_event_prob(2, 2, 2, "rank-exactly:1").exact == Fraction(9, 16)
-    assert oracle.exact_event_prob(3, 2, 2, "rank-exactly:0").exact == Fraction(1, 81)
+    # 2 x 2 over GF(2): 1 zero matrix, 9 of rank 1, 6 invertible
+    assert oracle.rank_histogram(2, 2, 2) == (1, 9, 6)
+    assert oracle.rank_histogram(3, 2, 2)[0] == 1
 
 
 def test_exact_event_matches_formulas():
     for q in (2, 3):
         for m in range(1, 4):
             for n in range(1, 4):
-                for k in range(min(m, n) + 1):
-                    got = oracle.exact_event_prob(q, m, n, f"rank-exactly:{k}")
-                    assert got.hits == formulas.count_rank_matrices(m, n, q, k)
+                hist = oracle.rank_histogram(q, m, n)
+                assert hist == tuple(formulas.count_rank_matrices(m, n, q, k)
+                                     for k in range(min(m, n) + 1))
                 if m >= n:
-                    got = oracle.exact_event_prob(q, m, n, "full-column-rank")
-                    assert got.exact == formulas.prob_full_col_rank(m, n, q)
+                    got = Fraction(hist[n], q ** (m * n))
+                    assert got == formulas.prob_full_col_rank(m, n, q)
 
 
 def test_exact_minor_examples():
@@ -123,7 +122,7 @@ def test_reduce_conditional_uniform(q, m, n, k):
 
 def test_too_large_cap():
     with pytest.raises(TooLargeError):
-        oracle.exact_event_prob(2, 5, 5, "full-column-rank")
+        oracle.rank_histogram(2, 5, 5)
     with pytest.raises(TooLargeError):
         oracle.exact_minor_prob(3, 4, 4, catalog("U:1,2"))
     with pytest.raises(TooLargeError):
@@ -131,7 +130,7 @@ def test_too_large_cap():
     # powers past Python's 4300-digit int-to-str limit: the cap is decided
     # without forming them
     with pytest.raises(TooLargeError):
-        oracle.exact_event_prob(2, 150, 150, "full-column-rank")
+        oracle.rank_histogram(2, 150, 150)
     with pytest.raises(TooLargeError):
         oracle.exact_minor_prob(3, 100, 100, catalog("U:1,2"))
     with pytest.raises(TooLargeError):

@@ -98,6 +98,8 @@ def test_bounds_for_nonfree_target():
     # impossible: rank of target exceeds m
     lower, upper = bounds_for(catalog("U:2,3"), 2, 1, 3)
     assert lower == upper == 0
+    # impossible: U(2, 5)'s five points do not fit PG(1, 3)'s four
+    assert bounds_for(catalog("U:2,5"), 3, 4, 8) == (0, 0)
 
 
 def test_sweep_rows_carry_estimates_and_bounds():
