@@ -310,4 +310,4 @@ def asymptotic_liminf_bound(q: int, stats: MatroidStats) -> Fraction:
     _check_q(q)
     if stats.e - 1 < stats.r:
         raise BadArgumentsError("free matroids have no liminf bound of this form")
-    return (1 - Fraction(1, q**stats.e)) * p_smq(stats.e - 1, q, stats)
+    return (1 - Fraction(1, q**stats.e)) * _p_block(stats.e - 1, q, stats)

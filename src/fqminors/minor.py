@@ -175,11 +175,7 @@ def _stride_order(total: int):
     contractions; a golden-ratio stride spreads attempts across the space
     while remaining exhaustive and reproducible.
     """
-    if total <= 2:
-        yield from range(total)
-        return
-    step = round(total * 0.6180339887498949)
-    step = max(1, step)
+    step = max(1, round(total * 0.6180339887498949))
     while math.gcd(step, total) != 1:
         step += 1
     idx = 0
@@ -212,8 +208,6 @@ def find_minor(host: Matroid, target: Matroid, budget: int | None = DEFAULT_BUDG
     of it with C \\ C' added to D, and that pair comes up first.
     """
     e_h, e_t = host.ground_size, target.ground_size
-    if e_t > e_h:
-        return None
     budget_ = _Budget(budget)
     drop = e_h - e_t
     ground = range(e_h)
@@ -322,8 +316,7 @@ class _Plan:
         """Charge a host's search one unit per size order after the first,
         then build the orders, once per plan: no order is generated before
         a budget has paid for it."""
-        if self.n_orders > 1:
-            budget_.tick(self.n_orders - 1)
+        budget_.tick(self.n_orders - 1)
         if self.size_orders is None:
             self.size_orders = _distinct_size_orders(self.sizes)
 
@@ -411,11 +404,9 @@ class _Plan:
                                             frozenset(survivors) - frozenset(s_list),
                                             tuple(s_list[bij[i]] for i in range(e_t)))
                     cost += 1
-                if picks > 1:
-                    budget_.tick((picks - 1) * cost)
+                budget_.tick((picks - 1) * cost)
         loop_picks = math.comb(len(zero_surv), l_t)
-        if loop_picks > 1:
-            budget_.tick((loop_picks - 1) * (budget_.spent - spent))
+        budget_.tick((loop_picks - 1) * (budget_.spent - spent))
         return None
 
 
@@ -584,8 +575,7 @@ def _screen_rounds(o, col_words: np.ndarray, plan: _Plan, budgets: dict) -> dict
                         del open_[t]
                         break
                 else:
-                    if count > charged:
-                        budget_.tick(count - charged)
+                    budget_.tick(count - charged)
             except BudgetExceededError:
                 out[t] = ("unknown", None)
                 del open_[t]

@@ -119,8 +119,6 @@ def sample_entries(q: int, count: int, spec: SeedSpec) -> np.ndarray:
     """`count` i.i.d. uniform element codes per the module RNG contract, as
     a 1-D int64 array."""
     field(q)  # validates q
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
     bg = _philox(spec)
     words = bg.random_raw(count)
     if q & (q - 1) == 0:
@@ -128,14 +126,14 @@ def sample_entries(q: int, count: int, spec: SeedSpec) -> np.ndarray:
         # are the codes `% q` gives, without numpy's integer division
         return (words & np.uint64(q - 1)).astype(np.int64)
     out = (words % np.uint64(q)).astype(np.int64)
+    # q is not a power of two, so it does not divide 2^64: threshold < 2^64
     threshold = (2**64 // q) * q
-    if threshold < 2**64:
-        bad = np.flatnonzero(words >= np.uint64(threshold))
-        while bad.size:
-            redraw = bg.random_raw(bad.size)
-            accept = redraw < np.uint64(threshold)
-            out[bad[accept]] = (redraw[accept] % np.uint64(q)).astype(np.int64)
-            bad = bad[~accept]
+    bad = np.flatnonzero(words >= np.uint64(threshold))
+    while bad.size:
+        redraw = bg.random_raw(bad.size)
+        accept = redraw < np.uint64(threshold)
+        out[bad[accept]] = (redraw[accept] % np.uint64(q)).astype(np.int64)
+        bad = bad[~accept]
     return out
 
 
@@ -175,8 +173,6 @@ def reduce(A: FqMatrix, k: int) -> FqMatrix | None:
     m, n = A.m, A.n
     if not 0 <= k <= min(m, n):
         raise BadArgumentsError(f"need 0 <= k <= min(m, n), got k={k} for {m}x{n}")
-    if k == 0:
-        return A
     if m > n:
         chosen = list(range(k))
     else:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -103,6 +104,12 @@ FORMULA_GOLDEN = [
     ('liminf --q 2 --target name:U:1,2', 0, 'liminf = 3/16\nfloat = 0.1875\n'),
     ('liminf --q 2 --target name:U:1,2 --json', 0,
      '{"den": "16", "float": 0.1875, "num": "3"}\n'),
+    # U(0, 1) is one loop: the empty 0 x 1 matrix represents it, p_0 = 1,
+    # so its liminf is 1 - 1/q, while p_smq keeps its open-interval check
+    ('liminf --q 2 --target name:U:0,1', 0, 'liminf = 1/2\nfloat = 0.5\n'),
+    ('liminf --q 3 --target name:U:0,1 --json', 0,
+     '{"den": "3", "float": 0.6666666666666666, "num": "2"}\n'),
+    ('psmq --s 0 --q 2 --target name:U:0,1', 1, ''),
     ('cq --q 2', 0, 'approx = 0.288788095356\npartial_terms = 30\npentagonal_floor = 1/4\n'),
     ('cq --q 2 --json', 0,
      '{"approx": 0.2887880953555573, "partial_terms": 30,'
@@ -174,6 +181,13 @@ FORMULA_GOLDEN = [
     # the block bounds divide by |E|: a 0-element target is a usage error
     ('block-lower --m 0 --n 4 --q 2 --target name:free:0', 1, ''),
     ('lower --m 0 --n 4 --q 2 --target name:U:0,0', 1, ''),
+    # malformed or unknown target names, and a rank past min(m, n)
+    ('liminf --q 2 --target name:U:1', 1, ''),
+    ('liminf --q 2 --target name:U:a,b', 1, ''),
+    ('liminf --q 2 --target name:U:1,2,3', 1, ''),
+    ('liminf --q 2 --target name:free:x', 1, ''),
+    ('liminf --q 2 --target name:K4', 1, ''),
+    ('rank-count --m 2 --n 2 --q 2 --k 3', 1, ''),
 ]
 
 # the one stderr line of each failing FORMULA_GOLDEN case, by its
@@ -194,6 +208,13 @@ FORMULA_ERRORS = {
     **dict.fromkeys(("block-lower --m 0 --n 4 --q 2 --target name:free:0",
                      "lower --m 0 --n 4 --q 2 --target name:U:0,0"),
                     "the lower bounds need a target with |E| >= 1, got |E| = 0"),
+    "psmq --s 0 --q 2 --target name:U:0,1":
+        "p_smq = 1 outside (0,1) for s=0, q=2, stats=MatroidStats(e=1, r=0, l=1)",
+    **{f"liminf --q 2 --target name:{name}": f"expected U:k,n, got {name!r}"
+       for name in ("U:1", "U:a,b", "U:1,2,3")},
+    "liminf --q 2 --target name:free:x": "expected free:n, got 'free:x'",
+    "liminf --q 2 --target name:K4": "unknown catalog name 'K4'",
+    "rank-count --m 2 --n 2 --q 2 --k 3": "need 0 <= k <= min(m,n), got m=2 n=2 k=3",
 }
 
 
@@ -616,6 +637,29 @@ def test_validate_catches_crashing_psmq(monkeypatch, capsys):
     assert rc == 2
     out = capsys.readouterr().out
     assert "FAIL psmq-repcount-consistency" in out
+
+
+# one corrupted formula per check that covers it: (check, formula name,
+# the corrupted function given the original)
+CORRUPTED_FORMULAS = [
+    ("rank-counts-vs-oracle", "count_rank_matrices", lambda f: lambda *a: f(*a) + 1),
+    ("colrank-free-prob-vs-oracle", "prob_free_minor",
+     lambda f: lambda *a: f(*a) + Fraction(1, 10**9)),
+    ("li-bound-strict", "li_lower_bound", lambda f: formulas.prob_full_col_rank),
+    ("psmq-repcount-consistency", "rep_count_lower_bound", lambda f: lambda *a: f(*a) + 1),
+    ("repcount-vs-exact", "rep_count_lower_bound", lambda f: lambda *a: f(*a) * 10**6),
+    ("bound-sandwich", "upper_bound_nonfree", lambda f: lambda *a: 0),
+    ("cq-floor", "cq_constant", lambda f: lambda *a: (0.1, 1, Fraction(1, 4))),
+]
+
+
+@pytest.mark.parametrize("check,name,corrupt", CORRUPTED_FORMULAS,
+                         ids=[check for check, _, _ in CORRUPTED_FORMULAS])
+def test_validate_catches_each_corrupted_formula(check, name, corrupt, monkeypatch, capsys):
+    # the corruption may fail other checks too; the one named must be among them
+    monkeypatch.setattr(formulas, name, corrupt(getattr(formulas, name)))
+    assert cli.main(["validate"]) == 2
+    assert f"FAIL {check}" in capsys.readouterr().out
 
 
 BROKEN_MATRIX_SEARCH = {

@@ -293,6 +293,10 @@ def test_asymptotic_liminf_bound():
     u24 = catalog("U:2,4").stats()
     expected = (1 - Fraction(1, 3**4)) * formulas.p_smq(3, 3, u24)
     assert formulas.asymptotic_liminf_bound(3, u24) == expected
+    # one loop: p_0 = 1, as the empty 0 x 1 matrix represents it
+    u01 = catalog("U:0,1").stats()
+    for q in (2, 3, 4):
+        assert formulas.asymptotic_liminf_bound(q, u01) == 1 - Fraction(1, q)
     with pytest.raises(BadArgumentsError):
         formulas.asymptotic_liminf_bound(2, catalog("free:3").stats())
 

@@ -89,3 +89,22 @@ def test_every_verifier_applies_the_one_witness_rule():
     assert sorted(verifiers) == list(names)
     assert [name for name, fn in sorted(verifiers.items())
             if _names(fn)["_names_survivors"] == 0] == []
+
+
+def _is_lone_tick(node) -> bool:
+    """Whether node is an `if` with no `else` whose whole body is one
+    `….tick(...)` call."""
+    if not isinstance(node, ast.If) or node.orelse or len(node.body) != 1:
+        return False
+    stmt = node.body[0]
+    return (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+            and isinstance(stmt.value.func, ast.Attribute) and stmt.value.func.attr == "tick")
+
+
+def test_no_charge_is_guarded_alone():
+    # a charge of 0 adds nothing and cannot run out, so a guard that skips
+    # only zero charges repeats what the unguarded tick does; a charge that
+    # needs its guard shares the `if` with an `else` branch
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if _is_lone_tick(node)]
+    assert found == []
