@@ -310,7 +310,7 @@ def _cmd_class(args):
             raise BadArgumentsError(f"{flag} requires --sweep")
     A = _host_matrix(args)
     budget = DEFAULT_BUDGET if args.budget is None else args.budget
-    report = has_excluded_minor_matrix(A, args.class_name, budget)
+    report = has_excluded_minor_matrix(A, excluded_minors(args.class_name), budget)
     payload = {
         "class": args.class_name,
         "membership": report.membership,

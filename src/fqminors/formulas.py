@@ -211,9 +211,10 @@ def p_smq(s: int, q: int, stats: MatroidStats) -> Fraction:
 
         C(|E|, l) * (q-1)^{|E|-r-l} / q^{s(|E|-r)} * prod_{i<r}(1 - q^{i-s})
 
-    The value is asserted to lie in the open interval (0, 1); degenerate
-    stats combinations that violate this raise rather than silently feeding
-    a vacuous bound downstream.
+    The value is asserted to lie in (0, 1]; it is exactly 1 when s = 0 or
+    |E| = 0, where the empty matrix represents the all-loop target with
+    certainty.  Degenerate stats combinations that violate this raise
+    rather than silently feeding a vacuous bound downstream.
     """
     _check_q(q)
     if s < stats.r:
@@ -222,9 +223,9 @@ def p_smq(s: int, q: int, stats: MatroidStats) -> Fraction:
     value = Fraction(math.comb(e, l) * (q - 1) ** (e - r - l), q ** (s * (e - r)))
     for i in range(r):
         value *= 1 - Fraction(1, q ** (s - i))
-    if not 0 < value < 1:
+    if not 0 < value <= 1:
         raise BadArgumentsError(
-            f"p_smq = {value} outside (0,1) for s={s}, q={q}, stats={stats}"
+            f"p_smq = {value} outside (0,1] for s={s}, q={q}, stats={stats}"
         )
     return value
 
@@ -242,15 +243,6 @@ def rep_count_lower_bound(m: int, q: int, stats: MatroidStats) -> int:
     return count
 
 
-def _p_block(s: int, q: int, stats: MatroidStats) -> Fraction:
-    # s = 0 forces r = 0 and l = |E|: the empty matrix represents the
-    # all-loops matroid with certainty, the one case where the per-block
-    # probability is exactly 1 rather than interior to (0, 1)
-    if s == 0:
-        return Fraction(1)
-    return p_smq(s, q, stats)
-
-
 def _check_blocks(m: int, n: int, stats: MatroidStats):
     """The lower bounds place disjoint |E|-column blocks in an m x n
     matrix: at least one, and none of them empty."""
@@ -264,7 +256,7 @@ def lower_bound_block(m: int, n: int, q: int, stats: MatroidStats) -> Fraction:
     """Single-block bound 1 - (1 - p_{m,q,M})^{floor(n/|E|)}; m >= r, n >= |E|."""
     _check_q(q)
     _check_blocks(m, n, stats)
-    p = _p_block(m, q, stats)
+    p = p_smq(m, q, stats)
     t = n // stats.e
     return 1 - (1 - p) ** t
 
@@ -286,12 +278,12 @@ def lower_bound_nonfree(m: int, n: int, q: int, stats: MatroidStats) -> BoundRep
             kind="lower",
             value=value,
             best_k=None,
-            components={"p_smq": _p_block(m, q, stats), "t": n // e},
+            components={"p_smq": p_smq(m, q, stats), "t": n // e},
             note="k-range empty",
         )
     best = None
     for k in range(1, kmax + 1):
-        p = _p_block(m - k, q, stats)
+        p = p_smq(m - k, q, stats)
         t = (n - k) // e
         term = (1 - Fraction(1, q ** (n - k))) * (1 - (1 - p) ** t)
         if best is None or term > best[0]:
@@ -310,4 +302,4 @@ def asymptotic_liminf_bound(q: int, stats: MatroidStats) -> Fraction:
     _check_q(q)
     if stats.e - 1 < stats.r:
         raise BadArgumentsError("free matroids have no liminf bound of this form")
-    return (1 - Fraction(1, q**stats.e)) * _p_block(stats.e - 1, q, stats)
+    return (1 - Fraction(1, q**stats.e)) * p_smq(stats.e - 1, q, stats)

@@ -77,10 +77,11 @@ however large the charge); `search_stack` returns the same per host.
 verified), `absent`, `unknown` (budget ran out) or `unverified` (a
 witness that failed its independent check, never counted as found).
 `decide` is the two with `verify_witness_matrix` on one host, for the
-`minor` and `class` commands and the Monte Carlo trials over fields
-other than GF(2); `decide_stack` is its stacked twin for GF(2) trials
-(`sampler.search_chunk`), through `search_stack` and `verify_witness_stack`
-on the words it packs from the trials' sampled entries.
+`minor` command and, through `has_excluded_minor_matrix`, `class` and
+the Monte Carlo trials over other fields than GF(2); `decide_stack` is
+its stacked twin for GF(2) trials (`sampler.search_chunk`), through
+`search_stack` and `verify_witness_stack` on the words it packs from
+the trials' sampled entries.
 """
 
 from __future__ import annotations
@@ -767,9 +768,9 @@ def _search_group(o, col_words: np.ndarray, r_h: int, group: list, target: Matro
 
 
 def decide_stack(bits: np.ndarray, targets, budget) -> list[tuple[str, ...]]:
-    """`decide`'s outcomes for `targets` in each GF(2) host of a stack of
-    0/1 matrices of shape (T, m, n), host t with entries bits[t], as one
-    tuple per host in target order.  The stack's rows and its columns are
+    """`decide`'s outcomes for `targets`, (name, matroid) pairs, in each
+    GF(2) host of a stack of 0/1 matrices of shape (T, m, n), host t with
+    entries bits[t], as one tuple per host in target order.  The stack's rows and its columns are
     packed once each (`linalg.pack_words`), and it is ranked once, by one
     `linalg.gf2_ranks` on the side with fewer vectors.  Target by target,
     one `search_stack` searches every host still open from its column
@@ -781,7 +782,7 @@ def decide_stack(bits: np.ndarray, targets, budget) -> list[tuple[str, ...]]:
     ranks = linalg.gf2_ranks(words if m <= n else col_words).tolist()
     outcomes: list[tuple[str, ...]] = [()] * len(ranks)
     still_open = range(len(ranks))
-    for target in targets:
+    for _, target in targets:
         searched = search_stack(col_words, m, ranks, target, budget, still_open)
         verified = verify_witness_stack(
             words, n, target, {t: w for t, (_, w, _) in searched.items() if w is not None})
@@ -820,13 +821,12 @@ def excluded_minors(class_name: str) -> tuple[tuple[str, Matroid], ...]:
     return tuple((name, catalog(name)) for name in GRAPHIC_EXCLUDED)
 
 
-def has_excluded_minor_matrix(A: FqMatrix, class_name: str = "graphic",
-                              budget: int | None = DEFAULT_BUDGET,
+def has_excluded_minor_matrix(A: FqMatrix, targets, budget: int | None = DEFAULT_BUDGET,
                               short_circuit: bool = False) -> ExcludedMinorReport:
-    """Decide each of the class's `excluded_minors` in a matrix host;
-    membership holds iff every one is absent."""
+    """Decide each of `targets`, (name, matroid) pairs, in a matrix host,
+    in order, up to the first found with `short_circuit`; membership
+    holds iff every one is absent."""
     report = ExcludedMinorReport()
-    targets = excluded_minors(class_name)
     r_h = linalg.fast_rank(A)  # ranked once, for every target
     for name, target in targets:
         outcome, w, _ = decide(A, target, budget, r_h)

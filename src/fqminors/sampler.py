@@ -30,15 +30,15 @@ Over GF(2) every chunk function draws a range's codes into stacks
 packs each stack's side with fewer vectors (`linalg.pack_words`) and
 ranks it by one `linalg.gf2_ranks`, the stacked search's
 `linalg.gf2_coset_reps` kernel with all of a matrix's vectors as one set.
-Minor and class trials go on through one skeleton, `search_chunk`, which
-counts each trial by the tuple of its targets' `minor.outcome`s, up to
-the first 'found', and leaves the reading of those tuples to its callers;
-it builds no host matrix and decides each stack by `minor.decide_stack`,
+Minor and class trials run through one chunk function, `search_chunk`,
+a minor trial being a class trial with one target.  It counts each trial
+by the tuple of its targets' `minor.outcome`s, up to the first 'found',
+and leaves the reading of those tuples to its callers; over GF(2) it
+builds no host matrix and decides each stack by `minor.decide_stack`,
 which packs the stack and ranks it by the same kernel.  Over other
 fields each trial is sampled by `sample_matrix` and ranked by
-`linalg.fast_rank` or decided on the per-trial path (`minor.decide`,
-which keeps `verify_witness_matrix`), as in the `minor` and `class`
-commands.
+`linalg.fast_rank` or decided as in the `class` command, on the
+per-host path (`minor.has_excluded_minor_matrix`).
 Estimates carry Wilson 95% intervals.  A minor trial counts as a success
 only when its own witness verifies; budget-exhausted searches and failed
 verifications are reported in `unknowns` (the latter also in
@@ -61,7 +61,7 @@ from .errors import BadArgumentsError
 from .gf import field
 from .matrix import FqMatrix
 from .matroid import Matroid
-from .minor import DEFAULT_BUDGET, check_budget, decide, decide_stack
+from .minor import DEFAULT_BUDGET, check_budget, decide_stack, has_excluded_minor_matrix
 
 _MASK64 = (1 << 64) - 1
 # the most entries a sampled matrix may have; larger shapes are rejected
@@ -323,41 +323,40 @@ def mc_event_prob(q: int, m: int, n: int, event: str, trials: int, seed: int) ->
     return _make_estimate(trials, successes, 0, 0, seed)
 
 
-def search_chunk(q: int, m: int, n: int, seed: int, lo: int, hi: int, targets, budget,
-                 per_trial) -> Counter:
-    """Counter of the results of trials lo..hi-1 that search their host
-    for `targets` in order, stopping at the first found.  A trial's result
-    is the tuple of its targets' `minor.outcome`s, in target order up to
-    the first 'found'; per_trial(A) gives that tuple from its
-    `sample_matrix` host A, and over fields other than GF(2) every trial
-    is decided by it.
+def search_chunk(args, seed: int, lo: int, hi: int) -> Counter:
+    """Counter of the results of trials lo..hi-1, args = (q, m, n,
+    targets, budget), each searching its host for `targets`, (name,
+    matroid) pairs, in order, up to the first found.  A trial's result
+    is the tuple of the outcomes in `minor.has_excluded_minor_matrix`'s
+    short-circuit report on its `sample_matrix` host, which decides
+    every trial over fields other than GF(2).
 
     Over GF(2) each stack of `_gf2_stacks` is decided by one
     `minor.decide_stack`, which packs it and ranks it by one
     `linalg.gf2_ranks`; no host is built as a matrix.  A stack's first
-    trial is also decided by per_trial on the per-host path, a spot
-    check of the stacked one: when the two
-    tuples differ it counts as ('unverified',).  The per-host search ranks
-    its host and reduces each contraction set one at a time, so it shares
-    no kernel with the stacked one's `linalg.gf2_coset_reps`, which gives
-    the stack's ranks and screens alike."""
+    trial is also decided on the per-host path, a spot check of the
+    stacked one: when the two tuples differ it counts as
+    ('unverified',).  The per-host search ranks its host and reduces
+    each contraction set one at a time, so it shares no kernel with the
+    stacked one's `linalg.gf2_coset_reps`, which gives the stack's ranks
+    and screens alike."""
+    q, m, n, targets, budget = args
     check_shape(m, n)
+
+    def per_host(i: int) -> tuple[str, ...]:
+        A = sample_matrix(q, m, n, SeedSpec(seed, i))
+        return tuple(has_excluded_minor_matrix(A, targets, budget, short_circuit=True)
+                     .outcomes.values())
+
     if q != 2:
-        return Counter(per_trial(sample_matrix(q, m, n, SeedSpec(seed, i))) for i in range(lo, hi))
+        return Counter(per_host(i) for i in range(lo, hi))
     results: Counter = Counter()
     for streams, stack in _gf2_stacks(seed, lo, hi, m, n):
         outcomes = decide_stack(stack, targets, budget)
-        if outcomes[0] != per_trial(sample_matrix(2, m, n, SeedSpec(seed, streams[0]))):
+        if outcomes[0] != per_host(streams[0]):
             outcomes[0] = ("unverified",)
         results.update(outcomes)
     return results
-
-
-def _minor_chunk(args, seed: int, lo: int, hi: int) -> Counter:
-    """Counter of the 1-tuples of `decide` outcomes of trials lo..hi-1."""
-    q, m, n, target, budget = args
-    return search_chunk(q, m, n, seed, lo, hi, (target,), budget,
-                        lambda A: (decide(A, target, budget)[0],))
 
 
 def mc_minor_prob(q: int, m: int, n: int, target: Matroid, trials: int, seed: int,
@@ -371,7 +370,8 @@ def mc_minor_prob(q: int, m: int, n: int, target: Matroid, trials: int, seed: in
     `unverified`.  The result is independent of `jobs`.
     """
     check_budget(budget)
-    outcomes = run_trials(_minor_chunk, (q, m, n, target, budget), trials, seed, jobs)
+    outcomes = run_trials(search_chunk, (q, m, n, (("target", target),), budget), trials,
+                          seed, jobs)
     unverified = outcomes[("unverified",)]
     return _make_estimate(trials, outcomes[("found",)], outcomes[("unknown",)] + unverified,
                           unverified, seed)

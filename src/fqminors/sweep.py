@@ -4,8 +4,9 @@ An m_rule maps n to the number of rows: `constant:c`, `n-minus:d`,
 `n-plus:d`, or `ratio:r` (m = floor(r * n)).  A minor sweep estimates the
 containment probability per n and attaches whatever exact bounds apply; a
 class sweep estimates how often the sampled matroid is confirmed outside
-the class (witness found and verified), its trials searching for the
-class's excluded minors through `sampler.search_chunk`.
+the class (witness found and verified).  Both run their trials through
+`sampler.search_chunk`, a minor sweep's with its one target, a class
+sweep's with the class's excluded minors.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from .errors import BadArgumentsError, TooLargeError
 from .formulas import (check_size, lower_bound_nonfree, prob_free_minor, unrepresentable,
                        upper_bound_nonfree)
 from .matroid import Matroid
-from .minor import (DEFAULT_BUDGET, ExcludedMinorReport, check_budget, excluded_minors,
-                    has_excluded_minor_matrix)
+from .minor import DEFAULT_BUDGET, ExcludedMinorReport, check_budget, excluded_minors
 from .sampler import Estimate, check_shape, mc_minor_prob, run_trials, search_chunk
 
 # work units per target search in a `simulate` or `class --sweep` trial
@@ -169,28 +169,17 @@ class ClassSweepRow:
         return self.confirmed_out / self.trials
 
 
-def _class_chunk(args, seed: int, lo: int, hi: int) -> Counter:
-    """Counter of the outcome tuples of trials lo..hi-1, one outcome per
-    excluded minor decided, in the order of
-    `has_excluded_minor_matrix`'s short-circuit report."""
-    q, m, n, class_name, budget = args
-    targets = tuple(target for _, target in excluded_minors(class_name))
-    return search_chunk(
-        q, m, n, seed, lo, hi, targets, budget,
-        lambda A: tuple(has_excluded_minor_matrix(A, class_name, budget,
-                                                  short_circuit=True).outcomes.values()))
-
-
 def run_class_sweep(q: int, class_name: str, n_range, m_rule: str, trials: int,
                     seed: int, budget: int | None = SWEEP_BUDGET,
                     jobs: int = 1) -> list[ClassSweepRow]:
     check_budget(budget)
     # an unknown class fails before any trial
-    names = [name for name, _ in excluded_minors(class_name)]
+    targets = excluded_minors(class_name)
+    names = [name for name, _ in targets]
     rows = []
     for n, m in sweep_sizes(n_range, m_rule):
         members: Counter = Counter()  # each distinct outcome tuple read once
-        for outcomes, count in run_trials(_class_chunk, (q, m, n, class_name, budget), trials,
+        for outcomes, count in run_trials(search_chunk, (q, m, n, targets, budget), trials,
                                           seed, jobs).items():
             members[ExcludedMinorReport(dict(zip(names, outcomes))).membership] += count
         rows.append(ClassSweepRow(n, m, trials, members["no"], members["unknown"]))

@@ -85,7 +85,8 @@ def check_rank_counts(sizes=_SMALL_SIZES):
     return True, "q in {2,3} small shapes"
 
 
-def check_colrank_and_free_prob(sizes=_SMALL_SIZES, searched=()):
+def check_colrank_and_free_prob(sizes=_SMALL_SIZES,
+                                searched=((2, 2, 3, 2), (2, 3, 2, 1), (3, 2, 2, 1), (3, 2, 3, 2))):
     """`searched` lists (q, m, n, r) whose free:r probability is also
     computed by `oracle.exact_minor_prob`, which decides each host with the
     all-(C, D) reference search."""
@@ -119,7 +120,7 @@ def check_psmq_repcount_consistency():
         for m in range(1, 4):
             for name in names:
                 st = catalog(name).stats()
-                if m < st.r or st.e == st.r == 0:
+                if m < st.r:
                     continue
                 p = formulas.p_smq(m, q, st)
                 if p * q ** (m * st.e) != formulas.rep_count_lower_bound(m, q, st):

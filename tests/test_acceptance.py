@@ -125,15 +125,15 @@ def test_criterion_7_search_soundness_completeness():
 
 def test_criterion_8_graphic_class_check():
     """Tutte excluded-minor test and the non-graphic frequency sweep."""
-    from fqminors.minor import has_excluded_minor_matrix
+    from fqminors.minor import excluded_minors, has_excluded_minor_matrix
 
     k4_edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     rows = [[1 if v in e else 0 for e in k4_edges] for v in range(4)]
-    rep = has_excluded_minor_matrix(from_rows(F2, rows), "graphic")
+    rep = has_excluded_minor_matrix(from_rows(F2, rows), excluded_minors("graphic"))
     assert rep.membership == "yes"
 
     u24_rep = from_rows(field(5), [[1, 1, 1, 1], [0, 1, 2, 3]])
-    rep = has_excluded_minor_matrix(u24_rep, "graphic")
+    rep = has_excluded_minor_matrix(u24_rep, excluded_minors("graphic"))
     assert rep.membership == "no" and rep.outcomes["U:2,4"] == "found"
 
     rows = run_class_sweep(2, "graphic", (8, 24, 8), "n-minus:8",

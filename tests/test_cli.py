@@ -105,11 +105,12 @@ FORMULA_GOLDEN = [
     ('liminf --q 2 --target name:U:1,2 --json', 0,
      '{"den": "16", "float": 0.1875, "num": "3"}\n'),
     # U(0, 1) is one loop: the empty 0 x 1 matrix represents it, p_0 = 1,
-    # so its liminf is 1 - 1/q, while p_smq keeps its open-interval check
+    # so its liminf is 1 - 1/q; p_smq is 1 at s = 0 and on the empty U(0, 0)
     ('liminf --q 2 --target name:U:0,1', 0, 'liminf = 1/2\nfloat = 0.5\n'),
     ('liminf --q 3 --target name:U:0,1 --json', 0,
      '{"den": "3", "float": 0.6666666666666666, "num": "2"}\n'),
-    ('psmq --s 0 --q 2 --target name:U:0,1', 1, ''),
+    ('psmq --s 0 --q 2 --target name:U:0,1', 0, 'p_smq = 1/1\nfloat = 1\n'),
+    ('psmq --s 2 --q 2 --target name:U:0,0', 0, 'p_smq = 1/1\nfloat = 1\n'),
     ('cq --q 2', 0, 'approx = 0.288788095356\npartial_terms = 30\npentagonal_floor = 1/4\n'),
     ('cq --q 2 --json', 0,
      '{"approx": 0.2887880953555573, "partial_terms": 30,'
@@ -208,8 +209,6 @@ FORMULA_ERRORS = {
     **dict.fromkeys(("block-lower --m 0 --n 4 --q 2 --target name:free:0",
                      "lower --m 0 --n 4 --q 2 --target name:U:0,0"),
                     "the lower bounds need a target with |E| >= 1, got |E| = 0"),
-    "psmq --s 0 --q 2 --target name:U:0,1":
-        "p_smq = 1 outside (0,1) for s=0, q=2, stats=MatroidStats(e=1, r=0, l=1)",
     **{f"liminf --q 2 --target name:{name}": f"expected U:k,n, got {name!r}"
        for name in ("U:1", "U:a,b", "U:1,2,3")},
     "liminf --q 2 --target name:free:x": "expected free:n, got 'free:x'",

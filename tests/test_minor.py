@@ -19,6 +19,7 @@ from fqminors.minor import (
     MinorWitness,
     _mask_of,
     decide,
+    excluded_minors,
     find_minor,
     find_minor_matrix,
     has_excluded_minor_matrix,
@@ -322,28 +323,28 @@ def test_u24_never_in_binary_hosts():
 def test_has_excluded_minor_examples():
     k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     incidence = [[1 if v in e else 0 for e in k4] for v in range(4)]
-    rep = has_excluded_minor_matrix(from_rows(F2, incidence), "graphic")
+    rep = has_excluded_minor_matrix(from_rows(F2, incidence), excluded_minors("graphic"))
     assert rep.membership == "yes"
     assert set(rep.outcomes.values()) == {"absent"}
 
     u24 = from_rows(field(5), [[1, 1, 1, 1], [0, 1, 2, 3]])
-    rep = has_excluded_minor_matrix(u24, "graphic")
+    rep = has_excluded_minor_matrix(u24, excluded_minors("graphic"))
     assert rep.membership == "no" and rep.outcomes["U:2,4"] == "found"
 
-    rep = has_excluded_minor_matrix(fano_matrix(), "graphic")
+    rep = has_excluded_minor_matrix(fano_matrix(), excluded_minors("graphic"))
     assert rep.membership == "no" and rep.outcomes["F7"] == "found"
 
 
 def test_excluded_minor_unknown_on_budget():
     rng = random.Random(17)
     A = FqMatrix(F2, 5, 10, tuple(rng.randrange(2) for _ in range(50)))
-    rep = has_excluded_minor_matrix(A, "graphic", budget=3)
+    rep = has_excluded_minor_matrix(A, excluded_minors("graphic"), budget=3)
     assert "unknown" in rep.outcomes.values() or rep.membership == "no"
 
 
 def test_unknown_class_name_rejected():
     with pytest.raises(BadArgumentsError):
-        has_excluded_minor_matrix(fano_matrix(), "planar")
+        has_excluded_minor_matrix(fano_matrix(), excluded_minors("planar"))
 
 
 def test_witness_json_roundtrip():

@@ -556,7 +556,7 @@ def test_one_failing_witness_in_a_stack_is_unverified(monkeypatch, bad):
         return w
 
     seen = _recording_search(monkeypatch, corrupt)
-    got = sampler._minor_chunk((2, 4, 6, target, 20000), 1, 0, 50)
+    got = sampler.search_chunk((2, 4, 6, (("target", target),), 20000), 1, 0, 50)
     statuses = Counter(status for _, _, status, _ in seen)
     assert len(seen) == 50 and statuses == {"witness": 49, "absent": 1}
     assert seen[bad][2] == "witness"
@@ -579,7 +579,7 @@ def test_stacked_minor_hosts_equal_sample_matrix(monkeypatch, m, n):
         return verify(words, n, target, witnesses)
 
     monkeypatch.setattr(minor, "verify_witness_stack", recording_verify)
-    sampler._minor_chunk((2, m, n, catalog("U:1,2"), 20000), 5, 3, 20)
+    sampler.search_chunk((2, m, n, (("target", catalog("U:1,2")),), 20000), 5, 3, 20)
     assert len(seen) == len(rows) == 17
     for i, (cols, r_h, _, _), host_rows in zip(range(3, 20), seen, rows):
         B = sample_matrix(2, m, n, SeedSpec(5, i))
@@ -599,6 +599,24 @@ def test_stacked_minor_counts_equal_per_trial_decide(jobs):
         est = mc_minor_prob(2, m, n, target, 60, seed=11, budget=budget, jobs=jobs)
         assert (est.successes, est.unknowns, est.unverified) == (
             want["found"], want["unknown"] + want["unverified"], want["unverified"]), (m, n, name)
+
+
+def test_one_target_trial_is_decide():
+    # a minor trial is a class trial with one target: over every field and
+    # budget its count is the Counter of `decide` outcomes, serial or pooled
+    seen = Counter()
+    for name in ("U:1,2", "U:2,4", "F7"):
+        target = catalog(name)
+        for q, m, n in ((2, 4, 10), (2, 6, 12), (3, 3, 8), (4, 3, 7)):
+            for budget in (50, 20000):
+                args = (q, m, n, (("t", target),), budget)
+                want = Counter((minor.decide(sample_matrix(q, m, n, SeedSpec(7, i)), target,
+                                             budget)[0],) for i in range(40))
+                assert sampler.search_chunk(args, 7, 0, 40) == want, (name, q, m, n, budget)
+                for jobs in (1, 2):
+                    assert sampler.run_trials(sampler.search_chunk, args, 40, 7, jobs) == want
+                seen.update(want)
+    assert {("found",), ("absent",), ("unknown",)} <= set(seen)
 
 
 def test_estimate_json_schema():

@@ -8,7 +8,7 @@ import pytest
 from fqminors import formulas, linalg, minor, sampler, sweep
 from fqminors.errors import BadArgumentsError
 from fqminors.matroid import catalog
-from fqminors.minor import ExcludedMinorReport, has_excluded_minor_matrix
+from fqminors.minor import ExcludedMinorReport, excluded_minors, has_excluded_minor_matrix
 from fqminors.sampler import SeedSpec, run_trials, sample_matrix
 from fqminors.sweep import (bounds_for, m_for, n_values, run_class_sweep, run_minor_sweep,
                             sweep_sizes)
@@ -117,10 +117,11 @@ def test_sweep_rows_carry_estimates_and_bounds():
 # 60 units leaves some 8 x 16 and 16 x 24 trials unknown
 CLASS_SHAPES = [(8, 16), (16, 24), (3, 66), (0, 4), (4, 0)]
 CLASS_BUDGET = 60
+GRAPHIC = excluded_minors("graphic")
 
 
 def _reports(m, n, seed, trials):
-    return [has_excluded_minor_matrix(sample_matrix(2, m, n, SeedSpec(seed, i)), "graphic",
+    return [has_excluded_minor_matrix(sample_matrix(2, m, n, SeedSpec(seed, i)), GRAPHIC,
                                       CLASS_BUDGET, short_circuit=True)
             for i in range(trials)]
 
@@ -156,7 +157,7 @@ def test_stacked_class_counts_equal_per_trial_membership(monkeypatch, jobs):
     seen = Counter()
     for m, n in CLASS_SHAPES:
         want = Counter(_outcome_tuples(m, n, 13, 40))
-        got = run_trials(sweep._class_chunk, (2, m, n, "graphic", CLASS_BUDGET), 40, 13, jobs)
+        got = run_trials(sampler.search_chunk, (2, m, n, GRAPHIC, CLASS_BUDGET), 40, 13, jobs)
         assert got == want, (m, n)
         seen.update(_by_membership(want))
     assert set(seen) == {"yes", "no", "unknown"}
@@ -164,7 +165,7 @@ def test_stacked_class_counts_equal_per_trial_membership(monkeypatch, jobs):
 
 def test_stacked_class_chunk_samples_once_per_stack(monkeypatch):
     monkeypatch.setattr(sampler, "_RANK_STACK_ENTRIES", 1000)
-    searches = [len(has_excluded_minor_matrix(sample_matrix(2, m, n, SeedSpec(13, i)), "graphic",
+    searches = [len(has_excluded_minor_matrix(sample_matrix(2, m, n, SeedSpec(13, i)), GRAPHIC,
                                               CLASS_BUDGET, short_circuit=True).outcomes)
                 for m, n in CLASS_SHAPES for i in range(3, 40)]
     calls = Counter()
@@ -177,7 +178,7 @@ def test_stacked_class_chunk_samples_once_per_stack(monkeypatch):
     monkeypatch.setattr(minor, "search_stack",
                         lambda *a: calls.update(search=len(a[-1])) or search_stack(*a))
     for m, n in CLASS_SHAPES:
-        sweep._class_chunk((2, m, n, "graphic", CLASS_BUDGET), 13, 3, 40)
+        sampler.search_chunk((2, m, n, GRAPHIC, CLASS_BUDGET), 13, 3, 40)
         stacks = math.ceil(37 / _stack_size(m, n))
         # only the spot check draws a host on its own or checks a witness
         # on the per-trial path, at most once per target
@@ -194,7 +195,7 @@ def test_stacked_class_chunk_counts_no_only_on_verified_witness(monkeypatch):
     monkeypatch.setattr(linalg, "gf2_contract", dependent)
     for m, n in CLASS_SHAPES:
         yes = _memberships(m, n, 13, 40).count("yes")
-        got = sweep._class_chunk((2, m, n, "graphic", CLASS_BUDGET), 13, 0, 40)
+        got = sampler.search_chunk((2, m, n, GRAPHIC, CLASS_BUDGET), 13, 0, 40)
         assert _by_membership(got) == Counter(yes=yes, unknown=40 - yes), (m, n)
 
 
@@ -203,14 +204,14 @@ def test_failed_class_spot_check_counts_unknown(monkeypatch):
     # reports one target, absent: no stacked trial decides only that one,
     # so each first trial counts as unknown, and no other trial moves
     monkeypatch.setattr(sampler, "_RANK_STACK_ENTRIES", 1000)
-    monkeypatch.setattr(sweep, "has_excluded_minor_matrix",
+    monkeypatch.setattr(sampler, "has_excluded_minor_matrix",
                         lambda *a, **kw: ExcludedMinorReport({"U:2,4": "absent"}))
     m, n = 8, 16
     truth = _outcome_tuples(m, n, 13, 40)
     firsts = range(0, 40, _stack_size(m, n))
     assert _by_membership(Counter(truth[t] for t in firsts))["no"]
     want = Counter(("unverified",) if t in firsts else v for t, v in enumerate(truth))
-    got = sweep._class_chunk((2, m, n, "graphic", CLASS_BUDGET), 13, 0, 40)
+    got = sampler.search_chunk((2, m, n, GRAPHIC, CLASS_BUDGET), 13, 0, 40)
     assert got == want
     assert _by_membership(got)["unknown"] >= len(firsts)
 
