@@ -20,7 +20,8 @@ from . import formulas, validate
 from .errors import BadArgumentsError, FqminorsError, ParseError
 from .matrix import FqMatrix, parse_matrix
 from .matroid import Matroid, catalog, parse_matroid
-from .minor import DEFAULT_BUDGET, decide, excluded_minors, has_excluded_minor_matrix
+from .minor import (DEFAULT_BUDGET, decide, excluded_minors, has_excluded_minor_matrix,
+                    membership)
 from .sampler import SeedSpec, sample_matrix
 from .sweep import (SWEEP_BUDGET, class_rows_to_csv, minor_rows_to_csv, run_class_sweep,
                     run_minor_sweep)
@@ -136,7 +137,7 @@ def _cmd_formula(args):
         note = "rank exceeds min(m, n); the minor is impossible"
     elif target is not None and formulas.unrepresentable(args.q, target):
         note = f"the target has no GF({args.q}) representation; the minor is impossible"
-        v = (formulas.BoundReport("lower", Fraction(0), note=note)
+        v = (formulas.BoundReport(Fraction(0), note=note)
              if isinstance(v, formulas.BoundReport) else type(v)(0))
     if isinstance(v, formulas.BoundReport):
         text = _frac_text(label, v.value) + f"best_k = {v.best_k}\n"
@@ -294,8 +295,9 @@ def _cmd_class_sweep(args):
     status = "satisfied for all n" if not bad else f"violated at n in {bad}"
     payload = {
         "row_floor": status,
-        "rows": [{"n": r.n, "m": r.m, "trials": r.trials, "nongraphic_found": r.confirmed_out,
-                  "unknown": r.unknown, "frequency": r.frequency} for r in rows],
+        "rows": [{"n": r.n, "m": r.m, "trials": r.estimate.trials,
+                  "nongraphic_found": r.estimate.successes, "unknown": r.estimate.unknowns,
+                  "frequency": r.estimate.point} for r in rows],
     }
     text = (f"# row-floor: q={args.q} requires m(n) >= {need}: {status}\n"
             + class_rows_to_csv(rows))
@@ -311,13 +313,14 @@ def _cmd_class(args):
     A = _host_matrix(args)
     budget = DEFAULT_BUDGET if args.budget is None else args.budget
     report = has_excluded_minor_matrix(A, excluded_minors(args.class_name), budget)
+    member = membership(report.outcomes.values())
     payload = {
         "class": args.class_name,
-        "membership": report.membership,
+        "membership": member,
         "outcomes": report.outcomes,
         "witnesses": {k: w.to_json() for k, w in report.witnesses.items()},
     }
-    text = f"class: {args.class_name}\nmembership: {report.membership}\n" + "".join(
+    text = f"class: {args.class_name}\nmembership: {member}\n" + "".join(
         f"{name}: {outcome}\n" for name, outcome in report.outcomes.items())
     code = EXIT_VALIDATION if "unverified" in report.outcomes.values() else EXIT_OK
     return code, payload, text

@@ -43,9 +43,9 @@ from .matroid import Matroid, MatroidStats, is_binary
 
 @dataclass
 class BoundReport:
-    """A bound value with its provenance (maximizing k, named sub-terms)."""
+    """A lower bound's value with its provenance (maximizing k, named
+    sub-terms)."""
 
-    kind: str  # exact | lower | upper
     value: Fraction
     best_k: int | None = None
     components: dict = dc_field(default_factory=dict)
@@ -59,7 +59,7 @@ class BoundReport:
             else:
                 comp[key] = v
         out = {
-            "kind": self.kind,
+            "kind": "lower",
             "num": str(self.value.numerator),
             "den": str(self.value.denominator),
             "float": float(self.value),
@@ -275,7 +275,6 @@ def lower_bound_nonfree(m: int, n: int, q: int, stats: MatroidStats) -> BoundRep
     if kmax < 1:
         value = lower_bound_block(m, n, q, stats)
         return BoundReport(
-            kind="lower",
             value=value,
             best_k=None,
             components={"p_smq": p_smq(m, q, stats), "t": n // e},
@@ -290,7 +289,6 @@ def lower_bound_nonfree(m: int, n: int, q: int, stats: MatroidStats) -> BoundRep
             best = (term, k, p, t)
     value, k, p, t = best
     return BoundReport(
-        kind="lower",
         value=value,
         best_k=k,
         components={"p_smq": p, "t": t, "k_max": kmax},

@@ -328,8 +328,41 @@ def _assign(x: int, candidates: list, by_max: list, bases2, mapping: list[int],
 # -- text format -------------------------------------------------------
 
 
+def _exchange_failure(e: int, r: int, bases) -> tuple[int, int] | None:
+    """The first (B, x) of the rank-r family `bases` (masks, in order), x
+    in B, at which the basis exchange axiom fails: some basis avoids x,
+    yet none of its elements y makes B - x + y a basis; None when the
+    axiom holds.
+
+    With S the elements y outside B that make B - x + y a basis, it fails
+    at (B, x) exactly when a basis lies inside E - x - S.  A set of fewer
+    than r elements holds none, and each set is tested once."""
+    family = frozenset(bases)
+    full = (1 << e) - 1
+    holds_basis: dict = {}  # a set -> whether a basis lies inside it
+    for b in bases:
+        outside = [1 << y for y in range(e) if not b >> y & 1]
+        for x in range(e):
+            if not b >> x & 1:
+                continue
+            rest = b ^ 1 << x
+            room = full ^ 1 << x
+            for bit in outside:
+                if rest | bit in family:
+                    room ^= bit
+            if room.bit_count() < r:
+                continue
+            if room not in holds_basis:
+                holds_basis[room] = any(c & room == c for c in family)
+            if holds_basis[room]:
+                return b, x
+    return None
+
+
 def parse_matroid(text: str) -> Matroid:
-    """Parse `E r` header followed by one basis per line."""
+    """Parse `E r` header followed by one basis per line.  A family that
+    breaks the basis exchange axiom is a ParseError at the line of the
+    first basis where it fails."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError("missing header", 1, 1)
@@ -342,7 +375,7 @@ def parse_matroid(text: str) -> Matroid:
         raise ParseError("header values must be integers", 1, 1) from None
     if not (0 <= r <= e <= MAX_GROUND):
         raise ParseError(f"need 0 <= r <= E <= {MAX_GROUND}", 1, 1)
-    bases = []
+    line_of: dict = {}  # basis mask -> the line that first lists it
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -360,10 +393,15 @@ def parse_matroid(text: str) -> Matroid:
             if mask & (1 << x):
                 raise ParseError(f"repeated element {x}", i, j + 1)
             mask |= 1 << x
-        bases.append(mask)
-    if not bases:
+        line_of.setdefault(mask, i)
+    if not line_of:
         if r == 0:
-            bases = [0]
-        else:
-            raise ParseError("no bases listed", 2, 1)
-    return Matroid(e, bases)
+            return Matroid(e, [0])
+        raise ParseError("no bases listed", 2, 1)
+    bad = _exchange_failure(e, r, list(line_of))
+    if bad is not None:
+        b, x = bad
+        elems = " ".join(str(y) for y in range(e) if b >> y & 1)
+        raise ParseError(f"basis {{{elems}}} breaks the exchange axiom at element {x}",
+                         line_of[b], 1)
+    return Matroid(e, line_of)

@@ -81,7 +81,10 @@ witness that failed its independent check, never counted as found).
 the Monte Carlo trials over other fields than GF(2); `decide_stack` is
 its stacked twin for GF(2) trials (`sampler.search_chunk`), through
 `search_stack` and `verify_witness_stack` on the words it packs from
-the trials' sampled entries.
+the trials' sampled entries.  `membership` reads a host's outcomes for a
+class's excluded minors as 'yes', 'no' or 'unknown', for `class` and for
+every Monte Carlo estimate (`sampler.mc_any_minor_prob`), a minor being
+the one excluded minor of its class.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -802,14 +805,16 @@ class ExcludedMinorReport:
     outcomes: dict = dc_field(default_factory=dict)  # target name -> decide outcome
     witnesses: dict = dc_field(default_factory=dict)  # verified witnesses only
 
-    @property
-    def membership(self) -> str:
-        """'yes' / 'no' / 'unknown' membership in the minor-closed class."""
-        if any(v == "found" for v in self.outcomes.values()):
-            return "no"
-        if all(v == "absent" for v in self.outcomes.values()):
-            return "yes"
-        return "unknown"
+
+def membership(outcomes) -> str:
+    """'yes' / 'no' / 'unknown' membership in a minor-closed class of a
+    host whose excluded minors had these `decide` outcomes: 'no' at a
+    verified witness, 'yes' when every one is absent."""
+    if "found" in outcomes:
+        return "no"
+    if all(v == "absent" for v in outcomes):
+        return "yes"
+    return "unknown"
 
 
 def excluded_minors(class_name: str) -> tuple[tuple[str, Matroid], ...]:
@@ -825,9 +830,11 @@ def has_excluded_minor_matrix(A: FqMatrix, targets, budget: int | None = DEFAULT
                               short_circuit: bool = False) -> ExcludedMinorReport:
     """Decide each of `targets`, (name, matroid) pairs, in a matrix host,
     in order, up to the first found with `short_circuit`; membership
-    holds iff every one is absent."""
+    holds iff every one is absent.  The host's columns are encoded and
+    ranked once, for every target."""
     report = ExcludedMinorReport()
-    r_h = linalg.fast_rank(A)  # ranked once, for every target
+    A = replace(A, packed_cols=tuple(linalg.ops_for(A.field, A.m).cols_of(A)))
+    r_h = linalg.fast_rank(A)
     for name, target in targets:
         outcome, w, _ = decide(A, target, budget, r_h)
         report.outcomes[name] = outcome

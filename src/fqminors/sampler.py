@@ -33,16 +33,16 @@ ranks it by one `linalg.gf2_ranks`, the stacked search's
 Minor and class trials run through one chunk function, `search_chunk`,
 a minor trial being a class trial with one target.  It counts each trial
 by the tuple of its targets' `minor.outcome`s, up to the first 'found',
-and leaves the reading of those tuples to its callers; over GF(2) it
-builds no host matrix and decides each stack by `minor.decide_stack`,
-which packs the stack and ranks it by the same kernel.  Over other
-fields each trial is sampled by `sample_matrix` and ranked by
-`linalg.fast_rank` or decided as in the `class` command, on the
-per-host path (`minor.has_excluded_minor_matrix`).
-Estimates carry Wilson 95% intervals.  A minor trial counts as a success
-only when its own witness verifies; budget-exhausted searches and failed
-verifications are reported in `unknowns` (the latter also in
-`unverified`), never folded into successes.
+and one estimate, `mc_any_minor_prob`, reads every such tuple through
+`minor.membership`.  Over GF(2) the chunk builds no host matrix and
+decides each stack by `minor.decide_stack`, which packs the stack and
+ranks it by the same kernel.  Over other fields each trial is sampled
+by `sample_matrix` and ranked by `linalg.fast_rank` or decided as in the
+`class` command, on the per-host path (`minor.has_excluded_minor_matrix`).
+Estimates carry Wilson 95% intervals.  A minor or class trial counts as
+a success only when a witness of its own verifies; budget-exhausted
+searches and failed verifications are reported in `unknowns` (the latter
+also in `unverified`), never folded into successes.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ from .errors import BadArgumentsError
 from .gf import field
 from .matrix import FqMatrix
 from .matroid import Matroid
-from .minor import DEFAULT_BUDGET, check_budget, decide_stack, has_excluded_minor_matrix
+from .minor import (DEFAULT_BUDGET, check_budget, decide_stack, has_excluded_minor_matrix,
+                    membership)
 
 _MASK64 = (1 << 64) - 1
 # the most entries a sampled matrix may have; larger shapes are rejected
@@ -359,19 +360,27 @@ def search_chunk(args, seed: int, lo: int, hi: int) -> Counter:
     return results
 
 
+def mc_any_minor_prob(q: int, m: int, n: int, targets, trials: int, seed: int,
+                      budget: int | None = DEFAULT_BUDGET, jobs: int = 1) -> Estimate:
+    """Monte Carlo estimate of P{some target is a minor of M[A]}, A uniform
+    m x n and `targets` (name, matroid) pairs, by the `minor.membership` of
+    each distinct outcome tuple of `search_chunk`; trial i uses SeedSpec(seed,
+    i).  A success is a trial with a verified witness ('no').  The 'unknown'
+    trials are reported in `unknowns` (the truth lies in [successes,
+    successes + unknowns] trials), those holding a failed verification also
+    in `unverified`.  The result is independent of `jobs`."""
+    check_budget(budget)
+    members: Counter = Counter()  # membership -> trials, and 'unverified'
+    for outcomes, count in run_trials(search_chunk, (q, m, n, targets, budget), trials, seed,
+                                      jobs).items():
+        member = membership(outcomes)
+        members[member] += count
+        if member == "unknown" and "unverified" in outcomes:
+            members["unverified"] += count
+    return _make_estimate(trials, members["no"], members["unknown"], members["unverified"], seed)
+
+
 def mc_minor_prob(q: int, m: int, n: int, target: Matroid, trials: int, seed: int,
                   budget: int | None = DEFAULT_BUDGET, jobs: int = 1) -> Estimate:
-    """Monte Carlo estimate of P{target is a minor of M[A]}, A uniform m x n.
-
-    Trial i uses SeedSpec(seed, i); a trial counts as a success only when
-    the witness found verifies.  Budget-exceeded searches and failed
-    verifications are reported in `unknowns` (the truth lies in [successes,
-    successes + unknowns] trials), the failed verifications also in
-    `unverified`.  The result is independent of `jobs`.
-    """
-    check_budget(budget)
-    outcomes = run_trials(search_chunk, (q, m, n, (("target", target),), budget), trials,
-                          seed, jobs)
-    unverified = outcomes[("unverified",)]
-    return _make_estimate(trials, outcomes[("found",)], outcomes[("unknown",)] + unverified,
-                          unverified, seed)
+    """P{target is a minor of M[A]}: `mc_any_minor_prob` with the one target."""
+    return mc_any_minor_prob(q, m, n, (("target", target),), trials, seed, budget, jobs)

@@ -1,18 +1,18 @@
 """Finite-n sweeps over row-growth regimes m(n).
 
 An m_rule maps n to the number of rows: `constant:c`, `n-minus:d`,
-`n-plus:d`, or `ratio:r` (m = floor(r * n)).  A minor sweep estimates the
-containment probability per n and attaches whatever exact bounds apply; a
-class sweep estimates how often the sampled matroid is confirmed outside
-the class (witness found and verified).  Both run their trials through
-`sampler.search_chunk`, a minor sweep's with its one target, a class
-sweep's with the class's excluded minors.
+`n-plus:d`, or `ratio:r` (m = floor(r * n)).  Both sweeps give one
+`SweepRow` per n, whose `Estimate` comes from
+`sampler.mc_any_minor_prob`.  A minor sweep estimates the containment
+probability of its one target and attaches whatever exact bounds apply;
+a class sweep estimates how often the sampled matroid is confirmed
+outside the class (an excluded minor found and verified), with no
+bounds.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,8 +20,8 @@ from .errors import BadArgumentsError, TooLargeError
 from .formulas import (check_size, lower_bound_nonfree, prob_free_minor, unrepresentable,
                        upper_bound_nonfree)
 from .matroid import Matroid
-from .minor import DEFAULT_BUDGET, ExcludedMinorReport, check_budget, excluded_minors
-from .sampler import Estimate, check_shape, mc_minor_prob, run_trials, search_chunk
+from .minor import DEFAULT_BUDGET, check_budget, excluded_minors
+from .sampler import Estimate, check_shape, mc_any_minor_prob, mc_minor_prob
 
 # work units per target search in a `simulate` or `class --sweep` trial
 SWEEP_BUDGET = 20_000
@@ -101,8 +101,8 @@ class SweepRow:
     n: int
     m: int
     estimate: Estimate
-    lower: Fraction | None
-    upper: Fraction | None
+    lower: Fraction | None = None
+    upper: Fraction | None = None
 
 
 def bounds_for(target: Matroid, q: int, m: int, n: int):
@@ -156,40 +156,19 @@ def minor_rows_to_csv(rows: list[SweepRow]) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class ClassSweepRow:
-    n: int
-    m: int
-    trials: int
-    confirmed_out: int  # excluded minor found and verified
-    unknown: int        # no excluded minor found, not every one absent
-
-    @property
-    def frequency(self) -> float:
-        return self.confirmed_out / self.trials
-
-
 def run_class_sweep(q: int, class_name: str, n_range, m_rule: str, trials: int,
                     seed: int, budget: int | None = SWEEP_BUDGET,
-                    jobs: int = 1) -> list[ClassSweepRow]:
+                    jobs: int = 1) -> list[SweepRow]:
     check_budget(budget)
     # an unknown class fails before any trial
     targets = excluded_minors(class_name)
-    names = [name for name, _ in targets]
-    rows = []
-    for n, m in sweep_sizes(n_range, m_rule):
-        members: Counter = Counter()  # each distinct outcome tuple read once
-        for outcomes, count in run_trials(search_chunk, (q, m, n, targets, budget), trials,
-                                          seed, jobs).items():
-            members[ExcludedMinorReport(dict(zip(names, outcomes))).membership] += count
-        rows.append(ClassSweepRow(n, m, trials, members["no"], members["unknown"]))
-    return rows
+    return [SweepRow(n, m, mc_any_minor_prob(q, m, n, targets, trials, seed, budget, jobs))
+            for n, m in sweep_sizes(n_range, m_rule)]
 
 
-def class_rows_to_csv(rows: list[ClassSweepRow]) -> str:
+def class_rows_to_csv(rows: list[SweepRow]) -> str:
     out = ["n,m,trials,nongraphic_found,unknown,frequency"]
     for r in rows:
-        out.append(
-            f"{r.n},{r.m},{r.trials},{r.confirmed_out},{r.unknown},{r.frequency:.12g}"
-        )
+        e = r.estimate
+        out.append(f"{r.n},{r.m},{e.trials},{e.successes},{e.unknowns},{e.point:.12g}")
     return "\n".join(out) + "\n"

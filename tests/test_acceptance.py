@@ -125,29 +125,29 @@ def test_criterion_7_search_soundness_completeness():
 
 def test_criterion_8_graphic_class_check():
     """Tutte excluded-minor test and the non-graphic frequency sweep."""
-    from fqminors.minor import excluded_minors, has_excluded_minor_matrix
+    from fqminors.minor import excluded_minors, has_excluded_minor_matrix, membership
 
     k4_edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     rows = [[1 if v in e else 0 for e in k4_edges] for v in range(4)]
     rep = has_excluded_minor_matrix(from_rows(F2, rows), excluded_minors("graphic"))
-    assert rep.membership == "yes"
+    assert membership(rep.outcomes.values()) == "yes"
 
     u24_rep = from_rows(field(5), [[1, 1, 1, 1], [0, 1, 2, 3]])
     rep = has_excluded_minor_matrix(u24_rep, excluded_minors("graphic"))
-    assert rep.membership == "no" and rep.outcomes["U:2,4"] == "found"
+    assert membership(rep.outcomes.values()) == "no" and rep.outcomes["U:2,4"] == "found"
 
     rows = run_class_sweep(2, "graphic", (8, 24, 8), "n-minus:8",
                            trials=1000, seed=SEED, budget=20_000)
-    freq = {r.n: r.frequency for r in rows}
+    freq = {r.n: r.estimate.point for r in rows}
     assert freq[24] > 0.95, freq
     # the counts themselves, so that any drift in the search's budget
     # accounting fails here: (n, nongraphic_found, unknown) per row
-    assert [(r.n, r.confirmed_out, r.unknown) for r in rows] == [
+    assert [(r.n, r.estimate.successes, r.estimate.unknowns) for r in rows] == [
         (8, 0, 0), (16, 987, 13), (24, 1000, 0)]
     # and at a held-out seed, whose 17 unknowns move if any charge does
     held_out = run_class_sweep(2, "graphic", (8, 24, 8), "n-minus:8",
                                trials=1000, seed=12345, budget=20_000)
-    assert [(r.n, r.confirmed_out, r.unknown) for r in held_out] == [
+    assert [(r.n, r.estimate.successes, r.estimate.unknowns) for r in held_out] == [
         (8, 0, 0), (16, 983, 17), (24, 1000, 0)]
     print(f"ACCEPTANCE 8 PASS: K4 graphic, U24/GF(5) non-graphic; "
           f"sweep non-graphic frequency {freq}")

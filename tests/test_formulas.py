@@ -242,7 +242,7 @@ def test_lower_bound_block():
 def test_lower_bound_nonfree():
     u12 = catalog("U:1,2").stats()
     rep = formulas.lower_bound_nonfree(2, 4, 2, u12)
-    assert rep.value == Fraction(7, 32) and rep.best_k == 1 and rep.kind == "lower"
+    assert rep.value == Fraction(7, 32) and rep.best_k == 1 and rep.to_json()["kind"] == "lower"
     # empty k-range falls back to the block bound, flagged
     rep = formulas.lower_bound_nonfree(1, 2, 2, u12)
     assert rep.note == "k-range empty" and rep.best_k is None

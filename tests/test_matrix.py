@@ -187,6 +187,7 @@ def test_parse_errors_carry_position():
     (parse_matroid, "3 4", 1, "need 0 <= r <= E <= 20"),
     (parse_matroid, "3 1\nz\n", 2, "bad element 'z'"),
     (parse_matroid, "3 1\n", 2, "no bases listed"),
+    (parse_matroid, "4 2\n0 1\n2 3\n", 2, "basis {0 1} breaks the exchange axiom at element 0"),
 ])
 def test_parse_error_table(parse, text, line, message):
     # every fault of both text formats is a ParseError at its line, column 1

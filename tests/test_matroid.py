@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -265,9 +266,29 @@ def test_rank_of_and_independence():
 
 
 def test_text_format_roundtrip():
-    for name in ("U:2,4", "F7", "U:0,2", "free:3"):
+    # every catalog matroid passes the exchange check `parse_matroid` makes
+    for name in ("U:2,4", "F7", "F7*", "MK5*", "MK33*", "U:0,2", "U:5,10", "free:3", "free:0"):
         m = catalog(name)
         assert parse_matroid(format_matroid(m)) == m
+
+
+def test_parse_matroid_exchange_check_matches_pairwise_check():
+    rng = random.Random(20261020)
+    verdicts = Counter()
+    for _ in range(600):
+        e = rng.randint(1, 6)
+        r = rng.randint(0, e)
+        sets = [sum(1 << x for x in c) for c in itertools.combinations(range(e), r)]
+        family = Matroid(e, rng.sample(sets, rng.randint(1, len(sets))))
+        text = format_matroid(family)
+        holds = check_basis_exchange(family)
+        verdicts[holds] += 1
+        if holds:
+            assert parse_matroid(text) == family
+        else:
+            with pytest.raises(ParseError, match="breaks the exchange axiom"):
+                parse_matroid(text)
+    assert verdicts[True] and verdicts[False]
 
 
 def test_parse_matroid_errors():

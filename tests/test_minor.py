@@ -23,6 +23,7 @@ from fqminors.minor import (
     find_minor,
     find_minor_matrix,
     has_excluded_minor_matrix,
+    membership,
     verify_witness,
     verify_witness_matrix,
     verify_witness_stack,
@@ -324,22 +325,36 @@ def test_has_excluded_minor_examples():
     k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     incidence = [[1 if v in e else 0 for e in k4] for v in range(4)]
     rep = has_excluded_minor_matrix(from_rows(F2, incidence), excluded_minors("graphic"))
-    assert rep.membership == "yes"
+    assert membership(rep.outcomes.values()) == "yes"
     assert set(rep.outcomes.values()) == {"absent"}
 
     u24 = from_rows(field(5), [[1, 1, 1, 1], [0, 1, 2, 3]])
     rep = has_excluded_minor_matrix(u24, excluded_minors("graphic"))
-    assert rep.membership == "no" and rep.outcomes["U:2,4"] == "found"
+    assert membership(rep.outcomes.values()) == "no" and rep.outcomes["U:2,4"] == "found"
 
     rep = has_excluded_minor_matrix(fano_matrix(), excluded_minors("graphic"))
-    assert rep.membership == "no" and rep.outcomes["F7"] == "found"
+    assert membership(rep.outcomes.values()) == "no" and rep.outcomes["F7"] == "found"
+
+
+@pytest.mark.parametrize("outcomes,member", [
+    (("found",), "no"),
+    (("unknown", "found"), "no"),
+    ((), "yes"),
+    (("absent",), "yes"),
+    (("absent",) * 5, "yes"),
+    (("unverified",), "unknown"),
+    (("absent", "unknown"), "unknown"),
+])
+def test_membership_reads_outcome_tuples(outcomes, member):
+    # a minor trial's 1-tuple and a class trial's tuple are read alike
+    assert membership(outcomes) == member
 
 
 def test_excluded_minor_unknown_on_budget():
     rng = random.Random(17)
     A = FqMatrix(F2, 5, 10, tuple(rng.randrange(2) for _ in range(50)))
     rep = has_excluded_minor_matrix(A, excluded_minors("graphic"), budget=3)
-    assert "unknown" in rep.outcomes.values() or rep.membership == "no"
+    assert "unknown" in rep.outcomes.values() or membership(rep.outcomes.values()) == "no"
 
 
 def test_unknown_class_name_rejected():

@@ -127,7 +127,8 @@ def _reports(m, n, seed, trials):
 
 
 def _memberships(m, n, seed, trials):
-    return [report.membership for report in _reports(m, n, seed, trials)]
+    return [minor.membership(report.outcomes.values())
+            for report in _reports(m, n, seed, trials)]
 
 
 def _outcome_tuples(m, n, seed, trials):
@@ -138,11 +139,10 @@ def _outcome_tuples(m, n, seed, trials):
 
 def _by_membership(outcome_counts):
     """A class chunk's Counter of outcome tuples as a Counter of
-    memberships, as `run_class_sweep` reads it."""
+    memberships, as `sampler.mc_any_minor_prob` reads it."""
     out = Counter()
     for outcomes, count in outcome_counts.items():
-        report = ExcludedMinorReport(dict(zip(minor.GRAPHIC_EXCLUDED, outcomes)))
-        out[report.membership] += count
+        out[minor.membership(outcomes)] += count
     return out
 
 
@@ -193,10 +193,20 @@ def test_stacked_class_chunk_counts_no_only_on_verified_witness(monkeypatch):
         return np.zeros(len(words), dtype=bool), np.zeros((0, 0, keep.shape[1]), dtype=np.uint8)
 
     monkeypatch.setattr(linalg, "gf2_contract", dependent)
+    rejected = 0
     for m, n in CLASS_SHAPES:
-        yes = _memberships(m, n, 13, 40).count("yes")
+        # the per-trial path checks its witnesses by `linalg.contract`
+        truth = Counter(_memberships(m, n, 13, 40))
+        yes = truth["yes"]
         got = sampler.search_chunk((2, m, n, GRAPHIC, CLASS_BUDGET), 13, 0, 40)
         assert _by_membership(got) == Counter(yes=yes, unknown=40 - yes), (m, n)
+        # the estimate reads the same tuples: no success, and every trial
+        # with a witness, each one rejected, counts as unverified; a trial
+        # that ran out of budget with no witness is unknown but not that
+        est = sampler.mc_any_minor_prob(2, m, n, GRAPHIC, 40, 13, CLASS_BUDGET)
+        assert (est.successes, est.unknowns, est.unverified) == (0, 40 - yes, truth["no"]), (m, n)
+        rejected += truth["no"]
+    assert rejected
 
 
 def test_failed_class_spot_check_counts_unknown(monkeypatch):
@@ -233,7 +243,7 @@ def test_class_spot_check_compares_every_target_outcome(monkeypatch):
     def counts():
         rows = run_class_sweep(2, "graphic", (16, 16, 1), "n-minus:8", 40, seed=13,
                                budget=20_000)
-        return [(r.confirmed_out, r.unknown) for r in rows]
+        return [(r.estimate.successes, r.estimate.unknowns) for r in rows]
 
     assert _stack_size(8, 16) >= 40
     assert counts() == [(40, 0)]
@@ -246,7 +256,7 @@ def test_unknown_class_rejected_before_any_search(monkeypatch, jobs):
     def no_search(*args, **kw):
         raise AssertionError("a host was searched")
 
-    for module, name in ((sweep, "run_trials"), (minor, "search_stack"), (minor, "search")):
+    for module, name in ((sampler, "run_trials"), (minor, "search_stack"), (minor, "search")):
         monkeypatch.setattr(module, name, no_search)
     with pytest.raises(BadArgumentsError, match="unknown minor-closed class 'planar'"):
         run_class_sweep(2, "planar", (8, 16, 8), "n-minus:8", 10, seed=0, jobs=jobs)
@@ -265,6 +275,24 @@ def test_per_trial_class_path_ranks_each_host_once(monkeypatch):
 
     monkeypatch.setattr(linalg.TriOps, "rank_cols", counting)
     rows = run_class_sweep(3, "graphic", (8, 16, 8), "n-minus:8", 20, seed=0)
-    trials = sum(r.trials for r in rows)
+    trials = sum(r.estimate.trials for r in rows)
     assert trials == 40
     assert ranked[8] + ranked[16] <= trials
+
+    # and encodes its columns once for every search: a GF(4) host carries
+    # no columns from the sampler (GF(3) samples do), so each trial's
+    # 4 x 8 host is encoded from its entries at most once; a contracted
+    # minor has at most 3 rows or another column count
+    encoded = Counter()
+    cols_of = linalg.GenOps.cols_of
+
+    def counting_cols(self, A):
+        if A.packed_cols is None:
+            encoded[A.m, A.n] += 1
+        return cols_of(self, A)
+
+    monkeypatch.setattr(linalg.GenOps, "cols_of", counting_cols)
+    rows = run_class_sweep(4, "graphic", (8, 8, 1), "n-minus:4", 20, seed=0)
+    est = sampler.mc_minor_prob(4, 4, 8, catalog("U:2,4"), 20, seed=0)
+    assert rows[0].estimate.trials == est.trials == 20
+    assert 0 < encoded[4, 8] <= 40
